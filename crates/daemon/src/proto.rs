@@ -672,13 +672,53 @@ fn take_coeffs(c: &mut Cursor<'_>) -> Result<Vec<TopCoeff>, ProtoError> {
     Ok(entries)
 }
 
-/// Serialize a payload (kind + body) into a complete frame.
-fn finish_frame(payload: Vec<u8>) -> Vec<u8> {
+/// One synchronized row: a count, then the values' little-endian bits.
+fn put_row(out: &mut Vec<u8>, row: &[f64]) {
+    put_u32(out, row.len() as u32);
+    let start = out.len();
+    out.resize(start + 8 * row.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(row) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Read a [`put_row`] row, rejecting NaN at its byte offset exactly as
+/// [`Cursor::f64`] would.
+fn take_row(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<f64>, ProtoError> {
+    let count = c.u32()? as u64;
+    let count = checked_count(c, what, count, 8)?;
+    let at = c.offset();
+    let row: Vec<f64> = c
+        .take(8 * count)?
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
+        .collect();
+    if row.iter().fold(false, |nan, v| nan | v.is_nan()) {
+        let i = row
+            .iter()
+            .position(|v| v.is_nan())
+            .expect("the reduction found a NaN");
+        return Err(ProtoError::Codec(CodecError::Invalid {
+            what: "NaN value",
+            offset: at + 8 * i,
+        }));
+    }
+    Ok(row)
+}
+
+/// A frame under construction: the header's eight bytes reserved, the
+/// payload (kind + body) to be appended behind them.
+fn begin_frame() -> Vec<u8> {
+    vec![0; HEADER_LEN]
+}
+
+/// Complete a [`begin_frame`] buffer: patch the payload's length and
+/// CRC-32 into the reserved header.
+fn finish_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let (header, payload) = frame.split_at_mut(HEADER_LEN);
     debug_assert!(payload.len() <= MAX_FRAME, "outbound frame within bound");
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     frame
 }
 
@@ -712,35 +752,33 @@ fn take_bytes(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u8>, ProtoEr
 
 /// Encode `req` as a complete wire frame (header + payload).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    finish_frame(request_payload(req))
+    let mut frame = begin_frame();
+    put_request(&mut frame, req);
+    finish_frame(frame)
 }
 
-/// The unframed payload (kind + body) of `req`. [`Request::Fenced`]
+/// Append the unframed payload (kind + body) of `req`. [`Request::Fenced`]
 /// embeds its inner request's payload verbatim, so fencing a message
 /// never re-frames it.
-fn request_payload(req: &Request) -> Vec<u8> {
-    let mut p = Vec::new();
+fn put_request(p: &mut Vec<u8>, req: &Request) {
     match req {
         Request::Hello { node } => {
             p.push(K_HELLO);
-            put_u64(&mut p, *node);
+            put_u64(p, *node);
         }
         Request::Ping { nonce } => {
             p.push(K_PING);
-            put_u64(&mut p, *nonce);
+            put_u64(p, *nonce);
         }
         Request::Ingest { req_id, row } => {
             p.push(K_INGEST);
-            put_u64(&mut p, *req_id);
-            put_u32(&mut p, row.len() as u32);
-            for &v in row {
-                put_f64(&mut p, v);
-            }
+            put_u64(p, *req_id);
+            put_row(p, row);
         }
         Request::Point { stream, index } => {
             p.push(K_POINT);
-            put_u64(&mut p, *stream);
-            put_u32(&mut p, *index);
+            put_u64(p, *stream);
+            put_u32(p, *index);
         }
         Request::Range {
             stream,
@@ -750,23 +788,23 @@ fn request_payload(req: &Request) -> Vec<u8> {
             oldest,
         } => {
             p.push(K_RANGE);
-            put_u64(&mut p, *stream);
-            put_f64(&mut p, *center);
-            put_f64(&mut p, *radius);
-            put_u32(&mut p, *newest);
-            put_u32(&mut p, *oldest);
+            put_u64(p, *stream);
+            put_f64(p, *center);
+            put_f64(p, *radius);
+            put_u32(p, *newest);
+            put_u32(p, *oldest);
         }
         Request::TopK { k } => {
             p.push(K_TOPK);
-            put_u32(&mut p, *k);
+            put_u32(p, *k);
         }
         Request::LocalTopK { k } => {
             p.push(K_LOCAL_TOPK);
-            put_u32(&mut p, *k);
+            put_u32(p, *k);
         }
         Request::TopKScan { tau } => {
             p.push(K_TOPK_SCAN);
-            put_f64(&mut p, *tau);
+            put_f64(p, *tau);
         }
         Request::Status => p.push(K_STATUS),
         Request::Shutdown => p.push(K_SHUTDOWN),
@@ -778,20 +816,20 @@ fn request_payload(req: &Request) -> Vec<u8> {
             inner,
         } => {
             p.push(K_FENCED);
-            put_u64(&mut p, *term);
-            put_u64(&mut p, *leader);
-            put_u32(&mut p, *shard);
-            put_u64(&mut p, *epoch);
+            put_u64(p, *term);
+            put_u64(p, *leader);
+            put_u32(p, *shard);
+            put_u64(p, *epoch);
             debug_assert!(
                 !matches!(**inner, Request::Fenced { .. }),
                 "fences never nest"
             );
-            p.extend_from_slice(&request_payload(inner));
+            put_request(p, inner);
         }
         Request::NewTerm { term, leader } => {
             p.push(K_NEW_TERM);
-            put_u64(&mut p, *term);
-            put_u64(&mut p, *leader);
+            put_u64(p, *term);
+            put_u64(p, *leader);
         }
         Request::Replicate {
             term,
@@ -801,19 +839,16 @@ fn request_payload(req: &Request) -> Vec<u8> {
             row,
         } => {
             p.push(K_REPLICATE);
-            put_u64(&mut p, *term);
-            put_u32(&mut p, *shard);
-            put_u64(&mut p, *epoch);
-            put_u64(&mut p, *req_id);
-            put_u32(&mut p, row.len() as u32);
-            for &v in row {
-                put_f64(&mut p, v);
-            }
+            put_u64(p, *term);
+            put_u32(p, *shard);
+            put_u64(p, *epoch);
+            put_u64(p, *req_id);
+            put_row(p, row);
         }
         Request::FetchShard { term, shard } => {
             p.push(K_FETCH_SHARD);
-            put_u64(&mut p, *term);
-            put_u32(&mut p, *shard);
+            put_u64(p, *term);
+            put_u32(p, *shard);
         }
         Request::InstallShard {
             term,
@@ -824,26 +859,25 @@ fn request_payload(req: &Request) -> Vec<u8> {
             snapshot,
         } => {
             p.push(K_INSTALL_SHARD);
-            put_u64(&mut p, *term);
-            put_u32(&mut p, *shard);
-            put_u64(&mut p, *epoch);
-            put_u64(&mut p, *arrivals);
-            put_ids(&mut p, applied);
-            put_bytes(&mut p, snapshot);
+            put_u64(p, *term);
+            put_u32(p, *shard);
+            put_u64(p, *epoch);
+            put_u64(p, *arrivals);
+            put_ids(p, applied);
+            put_bytes(p, snapshot);
         }
         Request::Promote { term, shard, epoch } => {
             p.push(K_PROMOTE);
-            put_u64(&mut p, *term);
-            put_u32(&mut p, *shard);
-            put_u64(&mut p, *epoch);
+            put_u64(p, *term);
+            put_u32(p, *shard);
+            put_u64(p, *epoch);
         }
     }
-    p
 }
 
 /// Encode `resp` as a complete wire frame (header + payload).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut p = Vec::new();
+    let mut p = begin_frame();
     match resp {
         Response::HelloOk { node } => {
             p.push(K_HELLO_OK);
@@ -1033,12 +1067,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         K_PING => Request::Ping { nonce: c.u64()? },
         K_INGEST => {
             let req_id = c.u64()?;
-            let count = c.u32()? as u64;
-            let count = checked_count(&c, "row values", count, 8)?;
-            let mut row = Vec::with_capacity(count);
-            for _ in 0..count {
-                row.push(c.f64()?);
-            }
+            let row = take_row(&mut c, "row values")?;
             Request::Ingest { req_id, row }
         }
         K_POINT => Request::Point {
@@ -1084,12 +1113,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
             let shard = c.u32()?;
             let epoch = c.u64()?;
             let req_id = c.u64()?;
-            let count = c.u32()? as u64;
-            let count = checked_count(&c, "replicated row values", count, 8)?;
-            let mut row = Vec::with_capacity(count);
-            for _ in 0..count {
-                row.push(c.f64()?);
-            }
+            let row = take_row(&mut c, "replicated row values")?;
             Request::Replicate {
                 term,
                 shard,
@@ -1445,6 +1469,32 @@ pub fn sample_responses() -> Vec<Response> {
 mod tests {
     use super::*;
 
+    /// Frame a hand-built payload (kind + body).
+    fn frame_of(payload: Vec<u8>) -> Vec<u8> {
+        let mut frame = begin_frame();
+        frame.extend_from_slice(&payload);
+        finish_frame(frame)
+    }
+
+    #[test]
+    fn ingest_frame_written_before_the_sliced_crc_still_verifies() {
+        // Bytes of `encode_request(&Ingest { .. })` as the commit before
+        // slice-by-8 and in-place framing produced them: today's encoder
+        // must emit the same bytes, today's checker accept them.
+        const GOLDEN: &str = "35000000b189556703080706050403020105000000000000000000f83f00000000000002c0fca9f1d24d62503f000000000000b0400000000000000080";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let req = Request::Ingest {
+            req_id: 0x0102_0304_0506_0708,
+            row: vec![1.5, -2.25, 1e-3, 4096.0, -0.0],
+        };
+        assert_eq!(encode_request(&req), golden);
+        let payload = check_frame(&golden).unwrap();
+        assert_eq!(decode_request(payload).unwrap(), req);
+    }
+
     #[test]
     fn requests_roundtrip() {
         for req in sample_requests() {
@@ -1480,7 +1530,7 @@ mod tests {
         let mut p = vec![K_INGEST];
         put_u64(&mut p, 1);
         put_u32(&mut p, u32::MAX);
-        let frame = finish_frame(p);
+        let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert!(matches!(
             decode_request(payload),
@@ -1492,7 +1542,7 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut p = vec![K_STATUS];
         p.push(0xFF);
-        let frame = finish_frame(p);
+        let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert_eq!(
             decode_request(payload),
@@ -1504,12 +1554,29 @@ mod tests {
     fn nan_values_are_rejected() {
         let mut p = vec![K_TOPK_SCAN];
         p.extend_from_slice(&f64::NAN.to_le_bytes());
-        let frame = finish_frame(p);
+        let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert!(matches!(
             decode_request(payload),
             Err(ProtoError::Codec(CodecError::Invalid { .. }))
         ));
+    }
+
+    #[test]
+    fn nan_in_a_row_is_rejected_at_its_offset() {
+        // kind (1) + req_id (8) + count (4), then the third value.
+        let mut p = vec![K_INGEST];
+        put_u64(&mut p, 9);
+        put_row(&mut p, &[1.0, 2.0, f64::NAN, f64::NAN]);
+        let frame = frame_of(p);
+        let payload = check_frame(&frame).unwrap();
+        assert_eq!(
+            decode_request(payload),
+            Err(ProtoError::Codec(CodecError::Invalid {
+                what: "NaN value",
+                offset: 13 + 2 * 8,
+            }))
+        );
     }
 
     #[test]
@@ -1533,20 +1600,24 @@ mod tests {
     fn nested_fence_is_rejected() {
         // Hand-build Fenced{ Fenced{ Ping } } — the encoder debug-asserts
         // against producing this, so splice the payloads manually.
-        let inner = request_payload(&Request::Fenced {
-            term: 1,
-            leader: 1,
-            shard: NO_SHARD,
-            epoch: 0,
-            inner: Box::new(Request::Ping { nonce: 0 }),
-        });
+        let mut inner = Vec::new();
+        put_request(
+            &mut inner,
+            &Request::Fenced {
+                term: 1,
+                leader: 1,
+                shard: NO_SHARD,
+                epoch: 0,
+                inner: Box::new(Request::Ping { nonce: 0 }),
+            },
+        );
         let mut p = vec![K_FENCED];
         put_u64(&mut p, 2);
         put_u64(&mut p, 2);
         put_u32(&mut p, NO_SHARD);
         put_u64(&mut p, 0);
         p.extend_from_slice(&inner);
-        let frame = finish_frame(p);
+        let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert_eq!(decode_request(payload), Err(ProtoError::NestedFence));
     }
@@ -1560,7 +1631,7 @@ mod tests {
         put_u64(&mut p, 1);
         put_u32(&mut p, 0);
         put_u64(&mut p, 0);
-        let frame = finish_frame(p);
+        let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert!(matches!(
             decode_request(payload),
@@ -1578,7 +1649,7 @@ mod tests {
         put_u64(&mut p, 0); // arrivals
         put_u32(&mut p, 0); // applied: none
         put_u32(&mut p, u32::MAX); // snapshot: a lie
-        let frame = finish_frame(p);
+        let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert!(matches!(
             decode_request(payload),

@@ -289,21 +289,16 @@ impl ReplicaNode {
                 failed_shards: Vec::new(),
             };
         }
-        if row.len() != self.members.len() || row.iter().any(|v| !v.is_finite()) {
-            return Response::ErrorR {
-                code: ErrorCode::BadRequest,
-            };
-        }
+        // The set's own all-or-nothing row check is the only validation:
+        // a row of the wrong arity or with a non-finite value changes
+        // nothing and is the sender's fault.
         let applied = match &mut self.backing {
-            Backing::Memory(set) => {
-                set.push_row(row);
-                true
-            }
+            Backing::Memory(set) => set.try_push_row(row).is_ok(),
             Backing::Durable(store) => store.push_row(row).is_ok(),
         };
         if !applied {
             return Response::ErrorR {
-                code: ErrorCode::Internal,
+                code: ErrorCode::BadRequest,
             };
         }
         self.applied.insert(req_id);

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use swat_tree::{StreamSet, SwatConfig};
+use swat_tree::{StreamSet, SwatConfig, TreeError};
 
 use crate::checkpoint::wal_name;
 use crate::compaction;
@@ -283,24 +283,24 @@ impl DurableStore {
         })
     }
 
-    /// Ingest one synchronized row: a checksummed WAL record is buffered
-    /// before the in-memory trees see the values. Never blocks on disk —
-    /// call [`sync`](Self::sync) for the durability acknowledgment. The
-    /// only errors are row validation; I/O trouble surfaces at `sync`.
+    /// Ingest one synchronized row: the in-memory trees take it and a
+    /// checksummed WAL record is buffered, both before this returns and
+    /// neither before the whole row has validated (the trees' own
+    /// all-or-nothing check is the only scan of the row). Never blocks on
+    /// disk — call [`sync`](Self::sync) for the durability
+    /// acknowledgment. The only errors are row validation; I/O trouble
+    /// surfaces at `sync`.
     pub fn push_row(&mut self, row: &[f64]) -> Result<(), StoreError> {
-        if row.len() != self.set.streams() {
-            return Err(StoreError::BadRow {
-                got: row.len(),
-                want: self.set.streams(),
+        if let Err(e) = self.set.try_push_row(row) {
+            return Err(match e {
+                TreeError::NonFiniteInRow { stream } => StoreError::BadValue { stream },
+                _ => StoreError::BadRow {
+                    got: row.len(),
+                    want: self.set.streams(),
+                },
             });
         }
-        if let Some(stream) = row.iter().position(|v| !v.is_finite()) {
-            return Err(StoreError::BadValue { stream });
-        }
-        let mut record = Vec::with_capacity(wal::record_len(row.len()));
-        wal::encode_record(&mut record, row);
-        self.wal.append(&record);
-        self.set.push_row(row);
+        self.wal.append_record(row);
         self.tail.extend_from_slice(row);
         self.rows_since_freeze += 1;
         if self.opts.freeze_rows > 0 && self.rows_since_freeze >= self.opts.freeze_rows {
@@ -614,11 +614,12 @@ struct WalWriter {
 }
 
 impl WalWriter {
-    fn append(&mut self, bytes: &[u8]) {
+    /// Encode one record for `row` straight into the write buffer.
+    fn append_record(&mut self, row: &[f64]) {
         if self.broken.is_some() {
             return;
         }
-        self.buf.extend_from_slice(bytes);
+        wal::encode_record(&mut self.buf, row);
         if self.buf.len() >= WAL_FLUSH_BYTES {
             let _ = self.flush();
         }
@@ -681,14 +682,12 @@ fn open_wal(
         .truncate(true)
         .open(&path)
         .map_err(StoreError::io("open WAL"))?;
-    let mut writer = WalWriter {
+    Ok(WalWriter {
         file,
-        buf: Vec::new(),
+        buf: WalHeader::describe(set.config(), set.streams(), base).encode(),
         faults: faults.clone(),
         broken: None,
-    };
-    writer.append(&WalHeader::describe(set.config(), set.streams(), base).encode());
-    Ok(writer)
+    })
 }
 
 /// The background flush/compaction worker.

@@ -144,12 +144,12 @@ pub fn record_len(streams: usize) -> usize {
 /// Append one checksummed record for `row` to `out`.
 pub fn encode_record(out: &mut Vec<u8>, row: &[f64]) {
     let start = out.len();
-    out.extend_from_slice(&[0; 4]);
-    for &v in row {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    out.resize(start + record_len(row.len()), 0);
+    let (crc, body) = out[start..].split_at_mut(4);
+    for (dst, v) in body.chunks_exact_mut(8).zip(row) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
-    let crc = crc32(&out[start + 4..]);
-    out[start..start + 4].copy_from_slice(&crc.to_le_bytes());
+    crc.copy_from_slice(&crc32(body).to_le_bytes());
 }
 
 /// The verified prefix of a WAL body (the bytes after the header).
@@ -314,6 +314,35 @@ mod tests {
                 WalHeader::decode(&bad).unwrap_err();
             }
         }
+    }
+
+    #[test]
+    fn wal_written_before_the_sliced_crc_still_verifies() {
+        // A header (window 8, k 4, 3 streams, base 5) and two records as
+        // the commit before slice-by-8 wrote them: today's writer must
+        // produce the same bytes, today's reader accept them.
+        const GOLDEN: &str = concat!(
+            "5357414c01050000000000000008000000000000000400000000000000000000",
+            "00000000000300000000000000c1ad400938c32de9000000000000f83f000000",
+            "00000002c0fca9f1d24d62503f63d252420000000000001c40000000000000c0",
+            "3f0000000065cdcdc1",
+        );
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let config = SwatConfig::with_coefficients(8, 4).unwrap();
+        let header = WalHeader::describe(&config, 3, 5);
+        let rows = [[1.5, -2.25, 1e-3], [7.0, 0.125, -1e9]];
+        let mut written = header.encode();
+        for row in &rows {
+            encode_record(&mut written, row);
+        }
+        assert_eq!(written, golden);
+        assert_eq!(WalHeader::decode(&golden).unwrap(), header);
+        let body = scan_records(&golden[HEADER_LEN..], 3);
+        assert_eq!(body.verified_len, golden.len() - HEADER_LEN);
+        assert_eq!(body.values, rows.concat());
     }
 
     #[test]

@@ -157,6 +157,19 @@ pub enum TreeError {
         /// count it would have had).
         position: u64,
     },
+    /// A synchronized row had the wrong number of values for its set.
+    RowArity {
+        /// Values supplied.
+        got: usize,
+        /// Streams in the set.
+        want: usize,
+    },
+    /// A synchronized row held a NaN or infinite value; no stream of the
+    /// set ingested anything from it.
+    NonFiniteInRow {
+        /// Index of the first offending stream.
+        stream: usize,
+    },
     /// Restoring a tree supplied the wrong number of level queues.
     RestoredLevelCount {
         /// Queues supplied.
@@ -218,6 +231,12 @@ impl fmt::Display for TreeError {
             TreeError::BadQuery { reason } => write!(f, "malformed query: {reason}"),
             TreeError::NonFinite { position } => {
                 write!(f, "stream value at position {position} is not finite")
+            }
+            TreeError::RowArity { got, want } => {
+                write!(f, "row arity mismatch: {got} values for {want} streams")
+            }
+            TreeError::NonFiniteInRow { stream } => {
+                write!(f, "row value for stream {stream} is not finite")
             }
             TreeError::RestoredLevelCount { got, want } => {
                 write!(f, "restored tree has {got} level queues, expected {want}")
@@ -315,6 +334,8 @@ mod tests {
             TreeError::Uncovered { index: 5 },
             TreeError::BadQuery { reason: "empty" },
             TreeError::NonFinite { position: 12 },
+            TreeError::RowArity { got: 1, want: 2 },
+            TreeError::NonFiniteInRow { stream: 3 },
             TreeError::RestoredLevelCount { got: 3, want: 4 },
             TreeError::RestoredLevelMismatch {
                 queue: 1,

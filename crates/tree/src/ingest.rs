@@ -3,11 +3,10 @@
 //!
 //! # The blocked cascade
 //!
-//! The scalar update ([`SwatTree::push`]) does per-arrival work: build a
-//! level-0 summary struct, shift the level slab, and walk the cascade,
-//! constructing one [`HaarCoeffs`] per refreshed level. Correct and
-//! `O(k)` amortized — but branchy, allocation-shaped, and opaque to the
-//! vectorizer.
+//! The scalar update ([`SwatTree::push`]) does per-arrival work: rotate
+//! the level-0 slots, overwrite the newest, and walk the cascade doing
+//! the same with one merge per refreshed level. Correct and `O(k)`
+//! amortized — but branchy and opaque to the vectorizer.
 //!
 //! [`SwatTree::push_batch`] instead splits the batch into chunks of
 //! `C = 2^L` values aligned to the stream clock (`t0 ≡ 0 (mod C)`), and
@@ -51,10 +50,8 @@
 
 use std::cell::RefCell;
 
-use crate::node::Summary;
-use crate::range::ValueRange;
 use crate::tree::SwatTree;
-use swat_wavelet::{forward_block, HaarCoeffs, MergeScratch, PairMergePlan};
+use swat_wavelet::{forward_block, PairMergePlan};
 
 /// Chunks below this size are ingested value by value: the blocked
 /// bookkeeping would cost more than it saves, and the level-0 tail
@@ -213,40 +210,32 @@ impl SwatTree {
     /// have validated finiteness.
     pub(crate) fn push_batch_core(&mut self, values: &[f64], scratch: &mut IngestScratch) {
         let k = self.config.coefficients();
-        let mut pool = std::mem::take(&mut self.pool);
         let mut rest = values;
         while !rest.is_empty() {
             let c = chunk_len(self.t, rest.len(), scratch.max_chunk);
             if c < MIN_BLOCK {
                 // Unaligned head or sub-chunk tail: one scalar push
                 // realigns the clock for the next round.
-                self.push_one(rest[0], k, &mut pool);
+                self.push_one(rest[0], k);
                 rest = &rest[1..];
-            } else if self.push_chunk_blocked(&rest[..c], k, scratch, &mut pool) {
+            } else if self.push_chunk_blocked(&rest[..c], k, scratch) {
                 rest = &rest[c..];
             } else {
                 // Slab state a stream-grown tree cannot have (restored
                 // by hand): the scalar path is the semantics.
                 for &v in &rest[..c] {
-                    self.push_one(v, k, &mut pool);
+                    self.push_one(v, k);
                 }
                 rest = &rest[c..];
             }
         }
-        self.pool = pool;
     }
 
     /// Ingest one aligned power-of-two chunk through the blocked cascade.
     /// Returns `false` — before any mutation — if the chunk-start slab
     /// state fails verification and the caller should fall back to the
     /// scalar path.
-    fn push_chunk_blocked(
-        &mut self,
-        chunk: &[f64],
-        k: usize,
-        scratch: &mut IngestScratch,
-        pool: &mut MergeScratch,
-    ) -> bool {
+    fn push_chunk_blocked(&mut self, chunk: &[f64], k: usize, scratch: &mut IngestScratch) -> bool {
         let c = chunk.len();
         debug_assert!(c >= MIN_BLOCK && c.is_power_of_two());
         let t0 = self.t;
@@ -373,12 +362,9 @@ impl SwatTree {
             ];
             let take = cap0.min(3);
             for &(created, coeffs, lo, hi) in &entries[3 - take..] {
-                let hc = HaarCoeffs::from_prefix_with(2, coeffs, pool)
-                    .expect("level-0 prefixes are valid");
-                let summary = Summary::new(hc, ValueRange::new(lo, hi), created, 0);
-                if let Some(evicted) = self.levels[0].push(summary) {
-                    pool.reclaim(evicted.into_coeffs());
-                }
+                self.levels[0]
+                    .refresh(0)
+                    .set_prefix(coeffs, lo, hi, created);
             }
         }
 
@@ -417,12 +403,9 @@ impl SwatTree {
                         child.hi[n].max(child.hi[n - 1]),
                     )
                 };
-                let hc = HaarCoeffs::from_prefix_with(1 << (l + 1), coeffs, pool)
-                    .expect("tail prefixes are valid");
-                let summary = Summary::new(hc, ValueRange::new(lo, hi), created, l);
-                if let Some(evicted) = self.levels[l].push(summary) {
-                    pool.reclaim(evicted.into_coeffs());
-                }
+                self.levels[l]
+                    .refresh(l)
+                    .set_prefix(coeffs, lo, hi, created);
             }
         }
 
@@ -432,7 +415,7 @@ impl SwatTree {
         self.last = Some(chunk[c - 1]);
         let top_refreshed = (c >> l_top) >= n_min;
         if top_refreshed && l_top < n_levels - 1 {
-            self.cascade_from(l_top + 1, k, pool);
+            self.cascade_from(l_top + 1, k);
         }
         true
     }

@@ -77,12 +77,44 @@ impl StreamSet {
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != streams()`.
+    /// Panics if `row.len() != streams()` or any value is not finite —
+    /// before any stream advances; see [`Self::try_push_row`].
     pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.trees.len(), "row arity mismatch");
-        for (tree, &v) in self.trees.iter_mut().zip(row) {
-            tree.push(v);
+        if let Err(e) = self.try_push_row(row) {
+            panic!("{e}");
         }
+    }
+
+    /// As [`Self::push_row`], but rejecting a malformed row with an error.
+    /// The whole row is validated before any stream sees a value, so on
+    /// error every tree is unchanged and the set stays synchronized —
+    /// callers holding rows from outside the process (the durable store,
+    /// the daemon's replicas) need no check of their own.
+    ///
+    /// # Errors
+    ///
+    /// [`TreeError::RowArity`] if `row.len() != streams()`, else
+    /// [`TreeError::NonFiniteInRow`] naming the first stream whose value
+    /// is NaN or infinite.
+    pub fn try_push_row(&mut self, row: &[f64]) -> Result<(), TreeError> {
+        if row.len() != self.trees.len() {
+            return Err(TreeError::RowArity {
+                got: row.len(),
+                want: self.trees.len(),
+            });
+        }
+        if !row.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            let stream = row
+                .iter()
+                .position(|v| !v.is_finite())
+                .expect("the reduction found a non-finite value");
+            return Err(TreeError::NonFiniteInRow { stream });
+        }
+        let k = self.config.coefficients();
+        for (tree, &v) in self.trees.iter_mut().zip(row) {
+            tree.push_one(v, k);
+        }
+        Ok(())
     }
 
     /// Feed a block of synchronized arrivals column-wise: `columns[i]` is
@@ -531,6 +563,82 @@ mod tests {
         for i in 0..n {
             set.push_row(&f(i));
         }
+    }
+
+    #[test]
+    fn snapshot_written_before_the_sliced_crc_still_restores() {
+        // A v2 set snapshot (window 4, k 4, 2 streams, 11 rows) as the
+        // commit before slice-by-8 wrote it: every section CRC inside
+        // must verify, the restored set must answer as the original did,
+        // and a set grown today must serialize to the same bytes.
+        const GOLDEN: &str = concat!(
+            "53574d5302040000000000000004000000000000000000000000000000020000",
+            "000000000005410100006daec46453574154020118000000f818f61e04000000",
+            "0000000004000000000000000000000000000000021100000074b0c21d0b0000",
+            "000000000001000000000000004003f80000009abffd6c040000000000000000",
+            "000000000000000b00000000000000000000000000f83f000000000000004002",
+            "00000000000000000000000000fc3f000000000000d03f00000000000000000a",
+            "00000000000000000000000000f03f000000000000f83f020000000000000000",
+            "0000000000f43f000000000000d03f0000000000000000090000000000000000",
+            "0000000000e03f000000000000f03f0200000000000000000000000000e83f00",
+            "0000000000d03f01000000000000000a00000000000000000000000000000000",
+            "0000000000f83f0400000000000000000000000000e83f000000000000e03f00",
+            "0000000000d03f000000000000d03f0541010000e122c3265357415402011800",
+            "0000f818f61e0400000000000000040000000000000000000000000000000211",
+            "000000a3055a010b0000000000000001000000000000164003f8000000db5349",
+            "1c040000000000000000000000000000000b0000000000000000000000000011",
+            "40000000000000164002000000000000000000000000801340000000000000e4",
+            "3f00000000000000000a00000000000000000000000000084000000000000011",
+            "4002000000000000000000000000000d40000000000000e43f00000000000000",
+            "000900000000000000000000000000fc3f000000000000084002000000000000",
+            "000000000000000340000000000000e43f01000000000000000a000000000000",
+            "00000000000000e03f0000000000001140040000000000000000000000000003",
+            "40000000000000f43f000000000000e43f000000000000e43f",
+        );
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let restored = StreamSet::restore(&golden).unwrap();
+        assert_eq!(restored.answers_digest(), 0xa6aadc9036f1bf45);
+        let mut grown = StreamSet::new(SwatConfig::with_coefficients(4, 4).unwrap(), 2);
+        feed(&mut grown, 11, |i| {
+            let x = i as f64;
+            vec![x * 0.5 - 3.0, (x * 1.25).rem_euclid(7.0)]
+        });
+        assert_eq!(grown.answers_digest(), restored.answers_digest());
+        assert_eq!(grown.snapshot(), golden);
+    }
+
+    #[test]
+    fn bad_row_is_rejected_whole() {
+        // A NaN in the middle of a row used to panic after the streams
+        // before it had advanced, leaving the set desynchronized.
+        let mut set = StreamSet::new(SwatConfig::with_coefficients(16, 4).unwrap(), 5);
+        feed(&mut set, 40, |i| {
+            (0..5).map(|s| (i * 5 + s) as f64).collect()
+        });
+        let digest = set.answers_digest();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                set.try_push_row(&[1.0, 2.0, bad, 4.0, f64::NAN]),
+                Err(TreeError::NonFiniteInRow { stream: 2 })
+            );
+        }
+        assert_eq!(
+            set.try_push_row(&[1.0; 4]),
+            Err(TreeError::RowArity { got: 4, want: 5 })
+        );
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            set.push_row(&[1.0, 2.0, f64::NAN, 4.0, 5.0]);
+        }));
+        assert!(panicked.is_err(), "push_row still panics on a bad row");
+        assert_eq!(set.answers_digest(), digest);
+        for s in 0..5 {
+            assert_eq!(set.tree(s).arrivals(), 40, "stream {s} advanced");
+        }
+        set.try_push_row(&[1.0; 5]).unwrap();
+        assert_eq!(set.tree(4).arrivals(), 41);
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! A SWAT node's content is a *summary*: the truncated wavelet coefficients
 //! of one dyadic block of the stream, the exact `[min, max]` range of that
 //! block, and the arrival count at which the block ended (its creation
-//! time). Contents are immutable once created — the paper's `R -> S -> L`
-//! shifting never recomputes a summary, it only retains the last three
-//! generations per level — so a level in this implementation is simply a
-//! short queue of summaries and the "shift" is a rotation.
+//! time). A summary never changes while it is retained — the paper's
+//! `R -> S -> L` shifting never recomputes one, it only keeps the last
+//! three generations per level — so a level in this implementation is a
+//! short newest-first array of summaries and the "shift" is a rotation:
+//! the generation that falls off the end becomes the slot the fresh
+//! summary is written into (`Level::refresh` in `tree.rs`), reusing its
+//! coefficient storage.
 //!
 //! # Coverage
 //!
@@ -22,7 +25,8 @@
 use crate::range::ValueRange;
 use swat_wavelet::HaarCoeffs;
 
-/// Immutable content of one tree node: a summary of one dyadic block.
+/// Content of one tree node: a summary of one dyadic block, immutable
+/// from the outside (the ingest paths overwrite evicted generations).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     coeffs: HaarCoeffs,
@@ -56,6 +60,59 @@ impl Summary {
         }
     }
 
+    /// A level slot nothing has been written to yet: callers overwrite
+    /// it through one of the `set_*` methods before it is ever read.
+    pub(crate) fn blank(level: usize) -> Self {
+        Summary {
+            coeffs: HaarCoeffs::scalar(0.0),
+            range: ValueRange::new(0.0, 0.0),
+            created_at: 0,
+            level,
+        }
+    }
+
+    /// Overwrite this level-0 slot with the summary of the two newest raw
+    /// values, created at `created_at`.
+    #[inline]
+    pub(crate) fn set_pair(&mut self, newer: f64, older: f64, k: usize, created_at: u64) {
+        debug_assert_eq!(self.level, 0);
+        self.coeffs
+            .assign_pair(newer, older, k)
+            .expect("configs have a positive budget");
+        self.range = ValueRange::of(&[newer, older]);
+        self.created_at = created_at;
+    }
+
+    /// Overwrite this slot with the merge of the child level's `right`
+    /// (newer) and `left` (older) summaries, created at `created_at` —
+    /// `contents(R_l) := DWT(R_{l-1}, L_{l-1})`.
+    #[inline]
+    pub(crate) fn set_merged(
+        &mut self,
+        right: &Summary,
+        left: &Summary,
+        k: usize,
+        created_at: u64,
+    ) {
+        debug_assert_eq!(self.level, right.level + 1);
+        self.coeffs
+            .merge_into(&right.coeffs, &left.coeffs, k)
+            .expect("sibling blocks have equal widths");
+        self.range = right.range.union(&left.range);
+        self.created_at = created_at;
+    }
+
+    /// Overwrite this slot from a stored coefficient prefix and range
+    /// bounds (the blocked path's SoA lanes).
+    #[inline]
+    pub(crate) fn set_prefix(&mut self, prefix: &[f64], lo: f64, hi: f64, created_at: u64) {
+        self.coeffs
+            .assign_prefix(1 << (self.level + 1), prefix)
+            .expect("lane prefixes fit their level's width");
+        self.range = ValueRange::new(lo, hi);
+        self.created_at = created_at;
+    }
+
     /// Tree level of this summary.
     pub fn level(&self) -> usize {
         self.level
@@ -82,7 +139,8 @@ impl Summary {
     }
 
     /// Consume the summary, yielding its coefficient vector — used by the
-    /// ingestion paths to recycle the heap storage of evicted generations.
+    /// frozen reference ingest path to recycle evicted generations' heap
+    /// storage.
     pub fn into_coeffs(self) -> HaarCoeffs {
         self.coeffs
     }

@@ -1,12 +1,14 @@
-//! Steady-state batched ingestion performs **zero heap allocations**.
+//! Steady-state ingestion performs **zero heap allocations**, batched or
+//! row at a time.
 //!
 //! The blocked ingest path keeps all per-chunk state in reusable
 //! buffers: the SoA level lanes and precompiled merge plans live in
-//! [`IngestScratch`], and the heap coefficient buffers of evicted
-//! summaries recycle through the tree's hoisted [`MergeScratch`] pool
-//! (inline stores for `k <= 3` never touch the heap at all). After
-//! warming the tree, the scratch, and the pool, aligned batches must not
-//! allocate — for small budgets *and* for heap-backed `k = 8`.
+//! [`IngestScratch`]. Both paths fill a level slot by overwriting the
+//! generation it evicts, inside the coefficient storage that generation
+//! already owns (inline stores for `k <= 3` never touch the heap at
+//! all), so there is no pool to warm: once every slot of a tree is
+//! populated, nothing allocates — for small budgets *and* for
+//! heap-backed `k = 16`.
 //!
 //! Mirrors `query_alloc.rs`: a counting global allocator wrapping
 //! `System`, in a dedicated single-test integration binary so no
@@ -21,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use swat_tree::{IngestScratch, SwatConfig, SwatTree};
+use swat_tree::{IngestScratch, StreamSet, SwatConfig, SwatTree};
 
 thread_local! {
     static MEASURED_THREAD: Cell<bool> = const { Cell::new(false) };
@@ -75,9 +77,8 @@ fn steady_state_batched_ingest_does_not_allocate() {
         let mut scratch = IngestScratch::new();
 
         // Warm-up: fill the window twice so every level slab is
-        // populated and evicting, the lanes/plans reach their high-water
-        // mark, and (for k > 3) the coefficient pool holds recycled
-        // buffers for every level width.
+        // populated and evicting (every slot owns its coefficient
+        // storage) and the lanes/plans reach their high-water mark.
         for _ in 0..(2 * n / batch.len()).max(2) {
             tree.push_batch_with_scratch(&batch, &mut scratch);
         }
@@ -92,8 +93,8 @@ fn steady_state_batched_ingest_does_not_allocate() {
             "steady-state batched ingest allocated {delta} times (k = {k})"
         );
 
-        // The scalar head/tail path shares the pool: unaligned pushes
-        // after warm-up stay allocation-free too.
+        // The scalar head/tail path refreshes the same slots in place:
+        // unaligned pushes after warm-up stay allocation-free too.
         let before = allocations();
         for i in 0..257 {
             tree.push((i % 97) as f64);
@@ -102,6 +103,37 @@ fn steady_state_batched_ingest_does_not_allocate() {
         assert_eq!(
             delta, 0,
             "steady-state scalar pushes allocated {delta} times (k = {k})"
+        );
+    }
+
+    // The row-at-a-time path every networked caller uses: one value per
+    // stream per call. Warm-up is what populates the slots (2N arrivals);
+    // after it there is no allocator traffic at all, whatever the budget.
+    let n = 256;
+    let streams = 64;
+    for k in [1usize, 3, 4, 8, 16] {
+        let mut set = StreamSet::new(SwatConfig::with_coefficients(n, k).unwrap(), streams);
+        let mut row = vec![0.0; streams];
+        let fill = |row: &mut [f64], i: usize| {
+            for (s, v) in row.iter_mut().enumerate() {
+                *v = ((i * 31 + s * 7) % 193) as f64 - 96.0;
+            }
+        };
+        for i in 0..2 * n {
+            fill(&mut row, i);
+            set.push_row(&row);
+        }
+        assert!((0..streams).all(|s| set.tree(s).is_warm()));
+
+        let before = allocations();
+        for i in 0..3 * n + 1 {
+            fill(&mut row, i);
+            set.push_row(&row);
+        }
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "steady-state push_row allocated {delta} times (k = {k})"
         );
     }
 }

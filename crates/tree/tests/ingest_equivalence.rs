@@ -197,6 +197,109 @@ proptest! {
     }
 }
 
+/// One step of an in-place-refresh schedule: how the next `len` values
+/// reach the live tree, or a snapshot round-trip between values.
+#[derive(Debug, Clone)]
+enum Step {
+    Push(usize),
+    Batch(usize),
+    Restore,
+}
+
+fn steps(max_len: usize) -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        prop_oneof![
+            (1usize..6).prop_map(Step::Push),
+            // Odd lengths: every batch leaves the clock unaligned, so
+            // the blocked chunks run between scalar heads and tails.
+            (0..max_len).prop_map(|h| Step::Batch(2 * h + 1)),
+            Just(Step::Restore),
+        ],
+        1..14,
+    )
+}
+
+/// Drive `live` through `schedule` and `frozen` through the reference
+/// path value by value, comparing node for node after **every** step —
+/// so the warm-up states, where a rotated slot is still empty, and the
+/// first refreshes of slots that `restore`/`from_window` built (not the
+/// live path) are all checked, not just the final tree.
+fn run_schedule(mut live: SwatTree, mut frozen: SwatTree, schedule: &[Step], ctx: &str) {
+    let mut next = 0usize;
+    let mut value = move || {
+        next += 1;
+        ((next * 2_654_435_761) % 10_007) as f64 * 0.037 - 180.0
+    };
+    for (i, step) in schedule.iter().enumerate() {
+        match *step {
+            Step::Push(len) => {
+                for _ in 0..len {
+                    let v = value();
+                    live.push(v);
+                    reference::push(&mut frozen, v);
+                }
+            }
+            Step::Batch(len) => {
+                let vals: Vec<f64> = (0..len).map(|_| value()).collect();
+                live.push_batch(&vals);
+                reference::push_batch(&mut frozen, &vals);
+            }
+            Step::Restore => live = SwatTree::restore(&live.snapshot()).unwrap(),
+        }
+        assert_identical(&live, &frozen, &format!("{ctx} after step {i} {step:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `push`, odd-length `push_batch`, and `snapshot -> restore -> push`
+    /// interleaved from a cold tree: the in-place slot refresh matches
+    /// the frozen build-and-shift path at every step.
+    #[test]
+    fn in_place_refresh_matches_reference_from_cold(
+        (log_n, k, schedule) in (2u32..=6).prop_flat_map(|log_n| {
+            (
+                Just(log_n),
+                prop_oneof![Just(1usize), Just(3), Just(4), Just(8), Just(17)],
+                steps(1usize << log_n),
+            )
+        })
+    ) {
+        let n = 1usize << log_n;
+        let config = SwatConfig::with_coefficients(n, k).unwrap();
+        run_schedule(
+            SwatTree::new(config),
+            SwatTree::new(config),
+            &schedule,
+            &format!("cold n={n} k={k}"),
+        );
+    }
+
+    /// The same schedules over a `from_window` tree, whose every slot was
+    /// bulk-built from raw values rather than by the live path.
+    #[test]
+    fn in_place_refresh_matches_reference_from_window(
+        (log_n, k, window, schedule) in (2u32..=6).prop_flat_map(|log_n| {
+            (
+                Just(log_n),
+                prop_oneof![Just(1usize), Just(3), Just(4), Just(8), Just(17)],
+                values(1usize << log_n),
+                steps(1usize << log_n),
+            )
+        })
+    ) {
+        let n = 1usize << log_n;
+        let config = SwatConfig::with_coefficients(n, k).unwrap();
+        run_schedule(
+            SwatTree::from_window(config, &window).unwrap(),
+            SwatTree::from_window(config, &window).unwrap(),
+            &schedule,
+            &format!("from_window n={n} k={k}"),
+        );
+    }
+}
+
 /// Deterministic large case: multiple 1024-value chunks, plus unaligned
 /// head/tail, at the bench's window and budget.
 #[test]

@@ -28,13 +28,16 @@
 //!
 //! # Representation
 //!
-//! Small coefficient budgets are stored inline (no heap allocation): the
-//! paper's default `k = 1` — and anything up to three coefficients — never
-//! allocates, which keeps the per-arrival maintenance cost of the tree at
-//! a handful of arithmetic operations.
+//! Small coefficient budgets are stored inline: the paper's default
+//! `k = 1` — and anything up to three coefficients — never touches the
+//! heap. Larger budgets own one heap buffer per summary, and the
+//! in-place forms ([`HaarCoeffs::merge_into`], [`HaarCoeffs::assign_pair`],
+//! [`HaarCoeffs::assign_prefix`]) overwrite a summary inside the storage
+//! it already has, so a tree that refreshes its level slots in place
+//! allocates nothing in steady state at any budget.
 
 use crate::error::WaveletError;
-use crate::{haar, is_power_of_two, log2};
+use crate::{haar, is_power_of_two};
 
 /// Coefficient budgets up to this size are stored inline.
 const INLINE_CAP: usize = 3;
@@ -55,16 +58,32 @@ impl Store {
         }
     }
 
+    /// A store of `keep` zeros in the representation the size calls for:
+    /// inline up to [`INLINE_CAP`], heap beyond.
     #[inline]
-    fn with_capacity(cap: usize) -> Store {
-        if cap <= INLINE_CAP {
+    fn zeroed(keep: usize) -> Store {
+        if keep <= INLINE_CAP {
             Store::Inline {
-                len: 0,
+                len: keep as u8,
                 buf: [0.0; INLINE_CAP],
             }
         } else {
-            Store::Heap(Vec::with_capacity(cap))
+            Store::Heap(vec![0.0; keep])
         }
+    }
+
+    /// Resize to exactly `keep` coefficients in the representation
+    /// [`Self::zeroed`] would pick, reusing a heap buffer already owned,
+    /// and hand back the slots for the caller to overwrite (their
+    /// contents are unspecified).
+    #[inline]
+    fn reset(&mut self, keep: usize) -> &mut [f64] {
+        match self {
+            Store::Inline { len, .. } if keep <= INLINE_CAP => *len = keep as u8,
+            Store::Heap(v) if keep > INLINE_CAP => v.resize(keep, 0.0),
+            _ => *self = Store::zeroed(keep),
+        }
+        self.as_mut_slice()
     }
 
     fn from_vec(v: Vec<f64>) -> Store {
@@ -96,17 +115,11 @@ impl Store {
         }
     }
 
-    /// Append a coefficient. The caller sized the store with
-    /// `with_capacity`, so inline stores never overflow.
     #[inline]
-    fn push(&mut self, value: f64) {
+    fn as_mut_slice(&mut self) -> &mut [f64] {
         match self {
-            Store::Inline { len, buf } => {
-                debug_assert!((*len as usize) < INLINE_CAP, "inline store sized too small");
-                buf[*len as usize] = value;
-                *len += 1;
-            }
-            Store::Heap(v) => v.push(value),
+            Store::Inline { len, buf } => &mut buf[..*len as usize],
+            Store::Heap(v) => v,
         }
     }
 }
@@ -168,64 +181,62 @@ impl HaarCoeffs {
     /// * [`WaveletError::TooShort`] if more than `len` coefficients are
     ///   supplied.
     pub fn from_parts(len: usize, coeffs: Vec<f64>) -> Result<Self, WaveletError> {
-        if !is_power_of_two(len) {
-            return Err(WaveletError::NotPowerOfTwo { len });
-        }
-        if coeffs.is_empty() {
-            return Err(WaveletError::ZeroBudget);
-        }
-        if coeffs.len() > len {
-            return Err(WaveletError::TooShort {
-                len,
-                min: coeffs.len(),
-            });
-        }
+        Self::check_parts(len, coeffs.len())?;
         Ok(HaarCoeffs {
             len,
             store: Store::from_vec(coeffs),
         })
     }
 
-    /// Construct from a stored breadth-first prefix, drawing any heap
-    /// buffer from `scratch` — the blocked ingest path's bridge from SoA
-    /// coefficient slabs back into summary structs. The representation
-    /// rule matches [`Self::merge_with`] exactly: up to three
-    /// coefficients stay inline (no allocation ever), larger prefixes
-    /// reuse a pooled buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::from_parts`].
-    pub fn from_prefix_with(
-        len: usize,
-        prefix: &[f64],
-        scratch: &mut MergeScratch,
-    ) -> Result<Self, WaveletError> {
+    /// Whether `stored` coefficients can summarize a `len`-value segment.
+    fn check_parts(len: usize, stored: usize) -> Result<(), WaveletError> {
         if !is_power_of_two(len) {
             return Err(WaveletError::NotPowerOfTwo { len });
         }
-        if prefix.is_empty() {
+        if stored == 0 {
             return Err(WaveletError::ZeroBudget);
         }
-        if prefix.len() > len {
-            return Err(WaveletError::TooShort {
-                len,
-                min: prefix.len(),
-            });
+        if stored > len {
+            return Err(WaveletError::TooShort { len, min: stored });
         }
-        let store = if prefix.len() <= INLINE_CAP {
-            let mut buf = [0.0; INLINE_CAP];
-            buf[..prefix.len()].copy_from_slice(prefix);
-            Store::Inline {
-                len: prefix.len() as u8,
-                buf,
-            }
-        } else {
-            let mut v = scratch.take(prefix.len());
-            v.extend_from_slice(prefix);
-            Store::Heap(v)
-        };
-        Ok(HaarCoeffs { len, store })
+        Ok(())
+    }
+
+    /// Overwrite `self` with the summary of a `len`-value segment whose
+    /// stored breadth-first prefix is `prefix` — the blocked ingest path's
+    /// bridge from SoA coefficient slabs back into a level slot. Writes
+    /// into the storage `self` already owns (see [`Self::merge_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::from_parts`]; `self` is unchanged on error.
+    pub fn assign_prefix(&mut self, len: usize, prefix: &[f64]) -> Result<(), WaveletError> {
+        Self::check_parts(len, prefix.len())?;
+        self.len = len;
+        self.store.reset(prefix.len()).copy_from_slice(prefix);
+        Ok(())
+    }
+
+    /// Overwrite `self` with the summary of the two-value segment
+    /// `(newer, older)` under budget `k` — bit-identical to
+    /// `merge(&scalar(newer), &scalar(older), k)`, without building the
+    /// operands. At most two coefficients, so the result is always inline.
+    ///
+    /// # Errors
+    ///
+    /// [`WaveletError::ZeroBudget`] if `k == 0`; `self` is unchanged.
+    #[inline]
+    pub fn assign_pair(&mut self, newer: f64, older: f64, k: usize) -> Result<(), WaveletError> {
+        if k == 0 {
+            return Err(WaveletError::ZeroBudget);
+        }
+        self.len = 2;
+        let out = self.store.reset(k.min(2));
+        out[0] = (newer + older) * 0.5;
+        if let Some(detail) = out.get_mut(1) {
+            *detail = (newer - older) * 0.5;
+        }
+        Ok(())
     }
 
     /// Merge the summaries of two adjacent equal-length segments into the
@@ -242,8 +253,8 @@ impl HaarCoeffs {
     /// * [`WaveletError::ZeroBudget`] if `k == 0`.
     pub fn merge(newer: &Self, older: &Self, k: usize) -> Result<Self, WaveletError> {
         let keep = Self::merge_budget(newer, older, k)?;
-        let mut store = Store::with_capacity(keep);
-        Self::merge_fill(newer, older, keep, &mut store);
+        let mut store = Store::zeroed(keep);
+        Self::merge_fill(newer, older, store.as_mut_slice());
         Ok(HaarCoeffs {
             len: 2 * newer.len,
             store,
@@ -254,8 +265,7 @@ impl HaarCoeffs {
     /// from `scratch` instead of the allocator. The output is identical to
     /// `merge` (same coefficients, same logical representation); only the
     /// provenance of the backing buffer differs. Budgets of `k <= 3` stay
-    /// inline and never touch the scratch, so batched callers pay zero
-    /// allocations for the paper's default configurations.
+    /// inline and never touch the scratch.
     ///
     /// # Errors
     ///
@@ -268,18 +278,39 @@ impl HaarCoeffs {
     ) -> Result<Self, WaveletError> {
         let keep = Self::merge_budget(newer, older, k)?;
         let mut store = if keep <= INLINE_CAP {
-            Store::with_capacity(keep)
+            Store::zeroed(keep)
         } else {
-            Store::Heap(scratch.take(keep))
+            let mut buf = scratch.take(keep);
+            buf.resize(keep, 0.0);
+            Store::Heap(buf)
         };
-        Self::merge_fill(newer, older, keep, &mut store);
+        Self::merge_fill(newer, older, store.as_mut_slice());
         Ok(HaarCoeffs {
             len: 2 * newer.len,
             store,
         })
     }
 
+    /// As [`Self::merge`], but overwriting `self` — typically the
+    /// generation a tree level is evicting — inside the storage it already
+    /// owns: a heap buffer is resized, never replaced, unless the
+    /// representation has to change (`self` inline but the parent keeps
+    /// more than three coefficients, or the reverse). The result equals
+    /// `merge(newer, older, k)` in coefficients and representation.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::merge`]; `self` is unchanged on error.
+    #[inline]
+    pub fn merge_into(&mut self, newer: &Self, older: &Self, k: usize) -> Result<(), WaveletError> {
+        let keep = Self::merge_budget(newer, older, k)?;
+        self.len = 2 * newer.len;
+        Self::merge_fill(newer, older, self.store.reset(keep));
+        Ok(())
+    }
+
     /// Validate a merge and compute how many coefficients the parent keeps.
+    #[inline]
     fn merge_budget(newer: &Self, older: &Self, k: usize) -> Result<usize, WaveletError> {
         if k == 0 {
             return Err(WaveletError::ZeroBudget);
@@ -293,35 +324,40 @@ impl HaarCoeffs {
         Ok(k.min(2 * newer.len))
     }
 
-    /// The merge core shared by [`Self::merge`] and [`Self::merge_with`]:
-    /// push exactly `keep` parent coefficients into `store`. Keeping a
-    /// single code path guarantees the two entry points produce
-    /// bit-identical coefficients.
-    fn merge_fill(newer: &Self, older: &Self, keep: usize, store: &mut Store) {
+    /// The merge core shared by every merge entry point: write all
+    /// `out.len()` parent coefficients (the caller sized `out` with
+    /// [`Self::merge_budget`]). Keeping a single code path guarantees the
+    /// entry points produce bit-identical coefficients.
+    #[inline]
+    fn merge_fill(newer: &Self, older: &Self, out: &mut [f64]) {
         let newer_c = newer.store.as_slice();
         let older_c = older.store.as_slice();
         // Root and depth-1 detail from the children's averages.
         let a = newer_c[0];
         let b = older_c[0];
-        store.push((a + b) * 0.5);
-        if keep >= 2 {
-            store.push((a - b) * 0.5);
+        out[0] = (a + b) * 0.5;
+        if let Some(detail) = out.get_mut(1) {
+            *detail = (a - b) * 0.5;
         }
         // Parent depth-j block (j >= 2, BFS offset 2^(j-1), size 2^(j-1)) is
         // the concatenation of the children's depth-(j-1) blocks (offset
-        // 2^(j-2), size 2^(j-2) each).
-        let child_depth = log2(newer.len) as usize;
-        'outer: for j in 2..=(child_depth + 1) {
-            let child_off = 1usize << (j - 2);
-            let block = 1usize << (j - 2);
+        // and size 2^(j-2) each), newer child first. A child whose stored
+        // prefix ends inside (or before) its block reads as zero detail
+        // from there on. `out` is at most `2 * newer.len` long, so the
+        // blocks run out exactly when it does.
+        let mut at = 2;
+        let mut block = 1;
+        while at < out.len() {
             for src in [newer_c, older_c] {
-                for i in 0..block {
-                    if store.len() == keep {
-                        break 'outer;
-                    }
-                    store.push(src.get(child_off + i).copied().unwrap_or(0.0));
-                }
+                let want = block.min(out.len() - at);
+                let dst = &mut out[at..at + want];
+                let stored = src.get(block..).unwrap_or(&[]);
+                let have = stored.len().min(want);
+                dst[..have].copy_from_slice(&stored[..have]);
+                dst[have..].fill(0.0);
+                at += want;
             }
+            block *= 2;
         }
     }
 
@@ -422,12 +458,13 @@ impl HaarCoeffs {
 
 /// A pool of reusable heap buffers for [`HaarCoeffs::merge_with`].
 ///
-/// Streaming maintenance with a coefficient budget `k > 3` (beyond the
-/// inline capacity) would otherwise allocate one `Vec<f64>` per merge.
-/// A `MergeScratch` lets a batched caller recycle the buffers of
-/// summaries it evicts: [`MergeScratch::reclaim`] returns a retired
-/// summary's heap storage to the pool and the next `merge_with` reuses
-/// it, so steady-state ingestion does no allocation at all.
+/// A caller that builds each merged summary as a fresh value and retires
+/// old ones — the frozen reference ingest path does — would otherwise
+/// allocate one `Vec<f64>` per merge under a budget `k > 3`:
+/// [`MergeScratch::reclaim`] returns a retired summary's heap storage to
+/// the pool and the next `merge_with` reuses it. A caller that can name
+/// the summary it is replacing should use [`HaarCoeffs::merge_into`]
+/// instead and needs no pool.
 ///
 /// `new()` allocates nothing; the pool only materializes once a heap
 /// buffer is actually reclaimed.
@@ -638,6 +675,144 @@ mod tests {
             );
             scratch.reclaim(pooled);
         }
+    }
+
+    /// A child summary storing exactly `stored` coefficients, distinct
+    /// and nonzero so a misplaced copy or a missed zero fill shows.
+    fn child(len: usize, stored: usize, salt: usize) -> HaarCoeffs {
+        let prefix = (0..stored)
+            .map(|i| ((salt * 31 + i * 7 + 3) % 23) as f64 - 11.5 + (i as f64) * 0.125)
+            .collect();
+        HaarCoeffs::from_parts(len, prefix).unwrap()
+    }
+
+    #[test]
+    fn merge_into_matches_merge_for_every_shape_and_destination() {
+        // Destinations whose representation and length differ from what
+        // the parent needs: inline (as a blank slot is), short heap, long
+        // heap. Stale contents must never leak into the result.
+        let destinations = [
+            HaarCoeffs::scalar(f64::NAN),
+            HaarCoeffs::from_parts(8, vec![f64::NAN; 4]).unwrap(),
+            HaarCoeffs::from_parts(128, vec![f64::NAN; 100]).unwrap(),
+        ];
+        for log_len in 0..=6u32 {
+            let len = 1usize << log_len;
+            // Every stored prefix length, including children truncated
+            // before (or inside) a detail block the parent reads from.
+            for stored in 1..=len {
+                let newer = child(len, stored, 1);
+                let older = child(len, stored, 2);
+                for k in 1..=80 {
+                    let want = HaarCoeffs::merge(&newer, &older, k).unwrap();
+                    for dst in &destinations {
+                        let mut got = dst.clone();
+                        got.merge_into(&newer, &older, k).unwrap();
+                        let ctx = format!("len={len} stored={stored} k={k}");
+                        assert_eq!(got.len(), want.len(), "{ctx}");
+                        let bits = |c: &HaarCoeffs| -> Vec<u64> {
+                            c.coefficients().iter().map(|v| v.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&got), bits(&want), "{ctx}");
+                        assert_eq!(
+                            got.heap_coefficients(),
+                            want.heap_coefficients(),
+                            "{ctx}: representation must agree"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_zero_pads_truncated_children() {
+        // Children storing 2 of 8 coefficients under a parent budget of
+        // 12: parent slots fed from child positions >= 2 read as zero.
+        let newer = HaarCoeffs::from_parts(8, vec![3.5, -1.25]).unwrap();
+        let older = HaarCoeffs::from_parts(8, vec![-0.5, 2.0]).unwrap();
+        let merged = HaarCoeffs::merge(&newer, &older, 12).unwrap();
+        assert_eq!(
+            merged.coefficients(),
+            &[1.5, 2.0, -1.25, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        );
+    }
+
+    #[test]
+    fn merge_into_keeps_its_heap_buffer_and_rejects_like_merge() {
+        let sig: Vec<f64> = (0..8).map(|i| i as f64).collect();
+        let newer = HaarCoeffs::from_signal(&sig, 8).unwrap();
+        let older = HaarCoeffs::from_signal(&sig, 8).unwrap();
+        let mut slot = HaarCoeffs::merge(&newer, &older, 8).unwrap();
+        let buffer = slot.coefficients().as_ptr();
+        slot.merge_into(&older, &newer, 8).unwrap();
+        assert_eq!(slot.coefficients().as_ptr(), buffer, "storage reused");
+        assert_eq!(slot, HaarCoeffs::merge(&older, &newer, 8).unwrap());
+
+        let before = slot.clone();
+        assert!(matches!(
+            slot.merge_into(&newer, &HaarCoeffs::scalar(1.0), 8),
+            Err(WaveletError::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            slot.merge_into(&newer, &older, 0),
+            Err(WaveletError::ZeroBudget)
+        ));
+        assert_eq!(slot, before, "failed merges leave the destination alone");
+    }
+
+    #[test]
+    fn assign_pair_matches_scalar_merge() {
+        for (newer, older) in [(14.0, 4.0), (-0.0, 0.0), (1e-300, -1e300), (0.1, 0.2)] {
+            for k in [1usize, 2, 3, 8] {
+                let want =
+                    HaarCoeffs::merge(&HaarCoeffs::scalar(newer), &HaarCoeffs::scalar(older), k)
+                        .unwrap();
+                // From a heap destination too: a pair is always inline.
+                for dst in [
+                    HaarCoeffs::scalar(f64::NAN),
+                    HaarCoeffs::from_parts(8, vec![f64::NAN; 5]).unwrap(),
+                ] {
+                    let mut got = dst;
+                    got.assign_pair(newer, older, k).unwrap();
+                    assert_eq!(got.len(), 2);
+                    assert_eq!(got.heap_coefficients(), 0);
+                    let bits = |c: &HaarCoeffs| -> Vec<u64> {
+                        c.coefficients().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "({newer}, {older}) k={k}");
+                }
+            }
+        }
+        assert!(matches!(
+            HaarCoeffs::scalar(0.0).assign_pair(1.0, 2.0, 0),
+            Err(WaveletError::ZeroBudget)
+        ));
+    }
+
+    #[test]
+    fn assign_prefix_matches_from_parts() {
+        for prefix in [
+            vec![1.0],
+            vec![1.0, 2.0, 3.0],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+        ] {
+            let want = HaarCoeffs::from_parts(8, prefix.clone()).unwrap();
+            for dst in [
+                HaarCoeffs::scalar(f64::NAN),
+                HaarCoeffs::from_parts(16, vec![f64::NAN; 9]).unwrap(),
+            ] {
+                let mut got = dst;
+                got.assign_prefix(8, &prefix).unwrap();
+                assert_eq!(got, want);
+                assert_eq!(got.heap_coefficients(), want.heap_coefficients());
+            }
+        }
+        let mut c = HaarCoeffs::scalar(7.0);
+        assert!(c.assign_prefix(3, &[1.0]).is_err());
+        assert!(c.assign_prefix(4, &[]).is_err());
+        assert!(c.assign_prefix(2, &[1.0, 2.0, 3.0]).is_err());
+        assert_eq!(c, HaarCoeffs::scalar(7.0), "failed assigns change nothing");
     }
 
     #[test]

@@ -150,4 +150,16 @@ grep -q '"recovered": true' target/failover-smoke.json
 grep -q '"zero_wrong_answers": true' target/failover-smoke.json
 echo "failover smoke clean (target/failover-smoke.json)"
 
-echo "OK: fmt, clippy, tier-1, ingest, chaos, recovery, store, query-bench, repair, scale, daemon, and failover smokes all green"
+echo "== benchmark smoke (benchmark/: its own tests, then every workload on toy shapes) =="
+# benchmark/ is a package of its own outside the workspace, so nothing
+# above builds it. Its tests pin the declared-vs-emitted metric schema;
+# --quick drives all four workloads, untraced and traced, and exits
+# non-zero on a wrong answer, a failed op, or a build break.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+if ! benchmark/run.sh --quick >target/benchmark-smoke.log 2>&1; then
+    tail -n 40 target/benchmark-smoke.log >&2
+    exit 1
+fi
+echo "benchmark smoke clean (target/benchmark-smoke.log)"
+
+echo "OK: fmt, clippy, tier-1, ingest, chaos, recovery, store, query-bench, repair, scale, daemon, failover, and benchmark smokes all green"
