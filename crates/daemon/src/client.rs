@@ -14,11 +14,15 @@
 //!   milliseconds; after the last retry the peer is reported
 //!   unreachable (`None`) and the caller degrades explicitly,
 //! * per-peer connection reuse: one live connection per replica,
-//!   re-established lazily after any transport failure.
+//!   re-established lazily after any transport failure,
+//! * **one round per fan-out** — [`PeerPool::exchange_many`] queues every
+//!   leg on its peer's live connection, writes once per peer and reads
+//!   the answers in leg order; whatever that fast path cannot answer
+//!   falls back to the single-leg [`PeerPool::exchange`].
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use swat_replication::RetryPolicy;
@@ -387,18 +391,7 @@ impl PeerPool {
     /// load).
     pub fn exchange(&self, shard: usize, req: &Request) -> Option<Response> {
         let peer = &self.peers[shard];
-        // A panic while an exchange held this lock poisons it; the
-        // protected state is just an optional connection, which is safe
-        // to reset and reuse — a poisoned pool must not cascade panics
-        // into every other connection worker.
-        let mut conn = match peer.conn.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                let mut g = poisoned.into_inner();
-                *g = None;
-                g
-            }
-        };
+        let mut conn = self.lock_conn(shard);
         for attempt in 0..=self.policy.max_retries {
             if attempt > 0 {
                 // RetryPolicy::timeout is in milliseconds here.
@@ -414,22 +407,93 @@ impl PeerPool {
             }
             // invariant: the branch above just filled `conn`.
             let tp = conn.as_mut().expect("just connected");
-            let ok = tp
+            let answer = tp
                 .send_frame(&encode_request(req))
-                .and_then(|()| tp.recv_frame());
-            match ok {
-                Ok(frame) => {
-                    match check_frame(&frame).and_then(decode_response) {
-                        Ok(resp) => return Some(resp),
-                        // A protocol violation poisons the connection.
-                        Err(_) => *conn = None,
-                    }
-                }
-                Err(_) => *conn = None,
+                .ok()
+                .and_then(|()| recv_response(tp));
+            match answer {
+                Some(resp) => return Some(resp),
+                None => *conn = None,
             }
         }
         None
     }
+
+    /// One fan-out round: `legs[i]` is `(peer, request)`, the result's
+    /// slot `i` its answer (`None` as in [`Self::exchange`]). The caller
+    /// holds an in-flight token per leg.
+    ///
+    /// Every leg whose peer has a live connection is queued on it, each
+    /// peer is flushed once, and the answers are read in leg order — a
+    /// peer answers its connection in order, so per peer that is the
+    /// order sent. The distinct peers' connections are locked in
+    /// ascending index order, so two fan-outs (or a fan-out and a single
+    /// `exchange`, which holds one lock and waits for no other) cannot
+    /// deadlock. Any send, receive or decode failure drops that
+    /// connection at once: an answer arriving late must never be read as
+    /// the next leg's. Legs still unanswered when every lock is released
+    /// are re-driven one by one through [`Self::exchange`] (connect,
+    /// bounded back-off) — safe because ingest legs are idempotent by
+    /// `req_id` and every other leg only reads.
+    pub fn exchange_many(&self, legs: &[(usize, &Request)]) -> Vec<Option<Response>> {
+        let mut answers: Vec<Option<Response>> = vec![None; legs.len()];
+        {
+            let mut order: Vec<usize> = legs.iter().map(|&(peer, _)| peer).collect();
+            order.sort_unstable();
+            order.dedup();
+            let mut conns: Vec<_> = order.iter().map(|&peer| self.lock_conn(peer)).collect();
+            // invariant: `order` holds every leg's peer, sorted.
+            let slot = |peer: usize| order.binary_search(&peer).expect("peer was collected");
+            for &(peer, req) in legs {
+                if let Some(tp) = conns[slot(peer)].as_mut() {
+                    tp.queue_frame(&encode_request(req));
+                }
+            }
+            for conn in &mut conns {
+                if conn.as_mut().is_some_and(|tp| tp.flush().is_err()) {
+                    **conn = None;
+                }
+            }
+            for (answer, &(peer, _)) in answers.iter_mut().zip(legs) {
+                let conn = &mut conns[slot(peer)];
+                let Some(tp) = conn.as_mut() else {
+                    continue;
+                };
+                *answer = recv_response(tp);
+                if answer.is_none() {
+                    **conn = None;
+                }
+            }
+        }
+        for (answer, &(peer, req)) in answers.iter_mut().zip(legs) {
+            if answer.is_none() {
+                *answer = self.exchange(peer, req);
+            }
+        }
+        answers
+    }
+
+    /// Lock `peer`'s connection slot. A panic while an exchange held this
+    /// lock poisons it; the protected state is just an optional
+    /// connection, which is safe to reset and reuse — a poisoned pool
+    /// must not cascade panics into every other connection worker.
+    fn lock_conn(&self, peer: usize) -> MutexGuard<'_, Option<TcpTransport>> {
+        match self.peers[peer].conn.lock() {
+            Ok(g) => g,
+            Err(poisoned) => {
+                let mut g = poisoned.into_inner();
+                *g = None;
+                g
+            }
+        }
+    }
+}
+
+/// Read and decode the next response on `tp`; `None` on any transport
+/// failure or protocol violation (the caller drops the connection).
+fn recv_response(tp: &mut TcpTransport) -> Option<Response> {
+    let frame = tp.recv_frame().ok()?;
+    check_frame(&frame).and_then(decode_response).ok()
 }
 
 #[cfg(test)]
@@ -449,6 +513,215 @@ mod tests {
             Duration::from_millis(10),
             max_inflight,
         )
+    }
+
+    /// What a scripted peer does with one request.
+    enum Act {
+        Reply,
+        ReplyThenClose,
+        /// Answer `Pong { nonce: LATE }` after this long.
+        ReplyLate(Duration),
+    }
+
+    const LATE: u64 = 666;
+
+    /// `(connection, nonce)` of every request a scripted peer has read.
+    type PeerLog = std::sync::Arc<Mutex<Vec<(usize, u64)>>>;
+
+    /// A peer on loopback, one thread per accepted connection, that
+    /// answers `Ping { nonce }` with `Pong { nonce }` as `script(conn,
+    /// nonce)` says and logs `(conn, nonce)` for every request it read.
+    /// Connections are numbered in accept order. It lives until the test
+    /// process ends; tests only ever wait on their own pool.
+    fn scripted_peer(
+        script: impl Fn(usize, u64) -> Act + Send + Sync + 'static,
+    ) -> (SocketAddr, PeerLog) {
+        use crate::proto::{decode_request, encode_response};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let log = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let seen = log.clone();
+        let script = std::sync::Arc::new(script);
+        std::thread::spawn(move || {
+            for (conn, stream) in listener.incoming().flatten().enumerate() {
+                let (script, seen) = (script.clone(), seen.clone());
+                std::thread::spawn(move || {
+                    let long = Duration::from_secs(60);
+                    let mut tp = TcpTransport::new(stream, long, long).unwrap();
+                    while let Ok(frame) = tp.recv_frame() {
+                        let Ok(Request::Ping { nonce }) =
+                            check_frame(&frame).and_then(decode_request)
+                        else {
+                            return;
+                        };
+                        seen.lock().unwrap().push((conn, nonce));
+                        let pong = |nonce| encode_response(&Response::Pong { nonce });
+                        match script(conn, nonce) {
+                            Act::Reply => tp.queue_frame(&pong(nonce)),
+                            Act::ReplyThenClose => {
+                                tp.queue_frame(&pong(nonce));
+                                let _ = tp.flush();
+                                return;
+                            }
+                            Act::ReplyLate(after) => {
+                                std::thread::sleep(after);
+                                tp.queue_frame(&pong(LATE));
+                            }
+                        }
+                        if !tp.frame_buffered() && tp.flush().is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, log)
+    }
+
+    fn pool_over(addrs: Vec<SocketAddr>, io_timeout: Duration) -> PeerPool {
+        let policy = RetryPolicy {
+            max_retries: 1,
+            timeout: 1,
+        };
+        PeerPool::new(addrs, policy, io_timeout, 64)
+    }
+
+    fn ping(nonce: u64) -> Request {
+        Request::Ping { nonce }
+    }
+
+    fn pong(nonce: u64) -> Option<Response> {
+        Some(Response::Pong { nonce })
+    }
+
+    fn writes(pool: &PeerPool, peer: usize) -> u64 {
+        let conn = pool.peers[peer].conn.lock().unwrap();
+        conn.as_ref().expect("a live connection").writes()
+    }
+
+    #[test]
+    fn a_fan_out_is_one_write_per_peer_and_answers_in_leg_order() {
+        let (a, _) = scripted_peer(|_, _| Act::Reply);
+        let (b, _) = scripted_peer(|_, _| Act::Reply);
+        let pool = pool_over(vec![a, b], Duration::from_secs(5));
+        // No connection yet: every leg takes the single-leg path, which
+        // connects.
+        let cold = pool.exchange_many(&[(1, &ping(1)), (0, &ping(2))]);
+        assert_eq!(cold, [pong(1), pong(2)]);
+        let before = [writes(&pool, 0), writes(&pool, 1)];
+        let (p10, p11, p12) = (ping(10), ping(11), ping(12));
+        let answers = pool.exchange_many(&[(0, &p10), (1, &p11), (0, &p12)]);
+        assert_eq!(answers, [pong(10), pong(11), pong(12)]);
+        assert_eq!(writes(&pool, 0) - before[0], 1, "two legs, one write");
+        assert_eq!(writes(&pool, 1) - before[1], 1);
+        assert!(pool.exchange_many(&[]).is_empty());
+    }
+
+    #[test]
+    fn a_peer_closing_mid_fan_out_costs_only_the_unanswered_leg() {
+        // Connection 0 answers nonce 2 and hangs up; whatever else was
+        // pipelined on it is lost with it.
+        let (addr, log) = scripted_peer(|conn, nonce| match (conn, nonce) {
+            (0, 2) => Act::ReplyThenClose,
+            _ => Act::Reply,
+        });
+        let pool = pool_over(vec![addr], Duration::from_secs(5));
+        assert_eq!(pool.exchange(0, &ping(1)), pong(1));
+        let answers = pool.exchange_many(&[(0, &ping(2)), (0, &ping(3))]);
+        assert_eq!(answers, [pong(2), pong(3)]);
+        let log = log.lock().unwrap();
+        assert!(log.contains(&(0, 2)), "the first leg was answered in place");
+        assert!(
+            log.contains(&(1, 3)),
+            "the second went out again on a new connection: {log:?}"
+        );
+    }
+
+    #[test]
+    fn a_silent_peer_costs_one_deadline_and_its_late_answer_is_never_read() {
+        let deadline = Duration::from_millis(300);
+        let (addr, log) = scripted_peer(move |conn, nonce| match (conn, nonce) {
+            (0, 2) => Act::ReplyLate(2 * deadline),
+            _ => Act::Reply,
+        });
+        let pool = pool_over(vec![addr], deadline);
+        assert_eq!(pool.exchange(0, &ping(1)), pong(1));
+        let started = std::time::Instant::now();
+        let answers = pool.exchange_many(&[(0, &ping(2)), (0, &ping(3))]);
+        let took = started.elapsed();
+        // Leg one waits out the deadline on connection 0, which is then
+        // dropped: leg two must not wait on it again, and both are
+        // re-driven on connection 1.
+        assert_eq!(answers, [pong(2), pong(3)]);
+        assert!(
+            took >= deadline && took < 2 * deadline,
+            "one deadline, not one per leg: {took:?}"
+        );
+        // Outlive the late answer, then keep talking: it went to a
+        // connection nobody reads any more.
+        std::thread::sleep(2 * deadline);
+        for nonce in 4..8 {
+            assert_eq!(pool.exchange(0, &ping(nonce)), pong(nonce));
+        }
+        let log = log.lock().unwrap();
+        assert!(log.contains(&(1, 2)) && log.contains(&(1, 3)), "{log:?}");
+    }
+
+    #[test]
+    fn opposite_leg_orders_cannot_deadlock() {
+        use std::sync::{mpsc, Arc, Barrier};
+        let (a, _) = scripted_peer(|_, _| Act::Reply);
+        let (b, _) = scripted_peer(|_, _| Act::Reply);
+        let pool = Arc::new(pool_over(vec![a, b], Duration::from_secs(5)));
+        assert_eq!(pool.exchange_many(&[(0, &ping(0)), (1, &ping(0))]).len(), 2);
+
+        // Forced: hold peer 0 as a fan-out over [0, 1] does between its
+        // two acquisitions, and start one over [1, 0]. Locking in leg
+        // order it would take peer 1 and wait for peer 0 holding it —
+        // half of a deadlock. Ascending, it waits for peer 0 first and
+        // holds nothing: peer 1 stays free for as long as we look.
+        let held = pool.peers[0].conn.lock().unwrap();
+        let (started, has_started) = mpsc::channel();
+        let worker = {
+            let pool = pool.clone();
+            std::thread::spawn(move || {
+                started.send(()).unwrap();
+                pool.exchange_many(&[(1, &ping(1)), (0, &ping(2))])
+            })
+        };
+        has_started.recv().unwrap();
+        let until = std::time::Instant::now() + Duration::from_millis(100);
+        while std::time::Instant::now() < until {
+            assert!(
+                pool.peers[1].conn.try_lock().is_ok(),
+                "peer 1 held while waiting for peer 0"
+            );
+            std::thread::yield_now();
+        }
+        drop(held);
+        assert_eq!(worker.join().unwrap(), [pong(1), pong(2)]);
+
+        // And free-running: two threads, opposite leg orders, same peers.
+        let gate = Arc::new(Barrier::new(2));
+        let (done, finished) = mpsc::channel();
+        for order in [[0usize, 1], [1, 0]] {
+            let (pool, gate, done) = (pool.clone(), gate.clone(), done.clone());
+            std::thread::spawn(move || {
+                gate.wait();
+                for round in 0..300u64 {
+                    let (first, second) = (ping(2 * round), ping(2 * round + 1));
+                    let answers = pool.exchange_many(&[(order[0], &first), (order[1], &second)]);
+                    assert_eq!(answers, [pong(2 * round), pong(2 * round + 1)]);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        // Bounded, so a wedge shows as a failure and not as a hang.
+        for _ in 0..2 {
+            finished
+                .recv_timeout(Duration::from_secs(60))
+                .expect("both fan-out threads finish");
+        }
     }
 
     #[test]

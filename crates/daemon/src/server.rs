@@ -47,7 +47,7 @@ use crate::node::ClusterNode;
 use crate::proto::{
     check_frame, decode_request, encode_response, ErrorCode, Request, Response, WireHealth,
 };
-use crate::transport::{TcpTransport, Transport, TransportError};
+use crate::transport::{TcpTransport, Transport, TransportError, READ_CHUNK};
 
 /// Which role this node boots as.
 #[derive(Debug, Clone)]
@@ -183,15 +183,8 @@ impl Inner {
     fn deliver(&self, target: u64, req: &Request, skip_dead: bool) -> Option<Response> {
         let self_id = {
             let node = self.lock_node().ok()?;
-            if skip_dead {
-                if let Some(lead) = node.lead() {
-                    if target != node.id()
-                        && lead.registry().tracks(target)
-                        && lead.registry().health(target) == WireHealth::Dead
-                    {
-                        return None;
-                    }
-                }
+            if skip_dead && target != node.id() && known_dead(&node, target) {
+                return None;
             }
             node.id()
         };
@@ -201,17 +194,50 @@ impl Inner {
         let result = self.peers.exchange(self.peer_index(target), req);
         let at = self.now_ms();
         if let Ok(mut node) = self.lock_node() {
-            if let Some(lead) = node.lead_mut() {
-                if lead.registry().tracks(target) {
-                    if result.is_some() {
-                        lead.registry_mut().record_success(at, target);
-                    } else {
-                        lead.registry_mut().record_failure(at, target);
-                    }
+            record_outcome(&mut node, at, target, result.is_some());
+        }
+        result
+    }
+
+    /// Deliver one round of a fan-out; slot `i` of the result answers
+    /// `calls[i]`. One node lock serves the self-routed legs and skips
+    /// peers already known dead, one [`PeerPool::exchange_many`] carries
+    /// every remaining leg (one write and one read per peer when the
+    /// connections are up), and one node lock records each leg's outcome
+    /// in the registry.
+    fn deliver_fan(&self, calls: &[PeerCall]) -> Vec<Option<Response>> {
+        let mut results: Vec<Option<Response>> = vec![None; calls.len()];
+        let mut remote = Vec::with_capacity(calls.len());
+        {
+            let Ok(mut node) = self.lock_node() else {
+                return results;
+            };
+            let self_id = node.id();
+            for (i, call) in calls.iter().enumerate() {
+                if call.node == self_id {
+                    results[i] = Some(node.handle(&call.request));
+                    continue;
+                }
+                if !known_dead(&node, call.node) {
+                    remote.push(i);
                 }
             }
         }
-        result
+        let legs: Vec<(usize, &Request)> = remote
+            .iter()
+            .map(|&i| (self.peer_index(calls[i].node), &calls[i].request))
+            .collect();
+        let answers = self.peers.exchange_many(&legs);
+        let at = self.now_ms();
+        if let Ok(mut node) = self.lock_node() {
+            for (&i, answer) in remote.iter().zip(&answers) {
+                record_outcome(&mut node, at, calls[i].node, answer.is_some());
+            }
+        }
+        for (i, answer) in remote.into_iter().zip(answers) {
+            results[i] = answer;
+        }
+        results
     }
 
     /// Serve one decoded request. Total: every input maps to exactly
@@ -265,9 +291,10 @@ impl Inner {
         resp
     }
 
-    /// The leader data plane: plan under the lock, exchange outside it,
-    /// merge under the lock again. Stepping down mid-request turns into
-    /// a `NotLeaderR` redirect, never a wrong answer.
+    /// The leader data plane: plan under the lock, deliver each round
+    /// through [`Self::deliver_fan`] outside it, merge under the lock
+    /// again. Stepping down mid-request turns into a `NotLeaderR`
+    /// redirect, never a wrong answer.
     fn serve_fan(&self, req: &Request) -> Response {
         let internal = Response::ErrorR {
             code: ErrorCode::Internal,
@@ -298,10 +325,7 @@ impl Inner {
         let Some(_guard) = self.peers.try_acquire(&idxs) else {
             return Response::Overloaded;
         };
-        let results: Vec<Option<Response>> = calls
-            .iter()
-            .map(|c| self.deliver(c.node, &c.request, true))
-            .collect();
+        let results = self.deliver_fan(&calls);
         let stale = stale_term_in(&results);
         let resp = {
             let Ok(mut node) = self.lock_node() else {
@@ -329,7 +353,8 @@ impl Inner {
                         drop(node);
                         let scans: Vec<(usize, Option<Response>)> = refines
                             .iter()
-                            .map(|c| (c.shard, self.deliver(c.node, &c.request, true)))
+                            .map(|c| c.shard)
+                            .zip(self.deliver_fan(&refines))
                             .collect();
                         let Ok(mut node) = self.lock_node() else {
                             return internal;
@@ -365,6 +390,29 @@ impl Inner {
             .iter()
             .map(|c| self.deliver(c.node, &c.request, true))
             .collect()
+    }
+}
+
+/// Whether `node` leads and its registry already holds `target` dead.
+fn known_dead(node: &ClusterNode, target: u64) -> bool {
+    node.lead().is_some_and(|lead| {
+        lead.registry().tracks(target) && lead.registry().health(target) == WireHealth::Dead
+    })
+}
+
+/// Book one exchange with `target` in the registry, when `node` leads and
+/// tracks it.
+fn record_outcome(node: &mut ClusterNode, at: u64, target: u64, answered: bool) {
+    let Some(lead) = node.lead_mut() else {
+        return;
+    };
+    if !lead.registry().tracks(target) {
+        return;
+    }
+    if answered {
+        lead.registry_mut().record_success(at, target);
+    } else {
+        lead.registry_mut().record_failure(at, target);
     }
 }
 
@@ -597,6 +645,14 @@ pub fn spawn_on(listener: TcpListener, cfg: DaemonConfig) -> io::Result<ServerHa
 /// One connection worker: framed request/response until close, stop,
 /// or a protocol violation (which closes the connection — the typed
 /// error is the decoder's; a malformed peer gets no second chance).
+///
+/// A response is queued and held back only while the *next* complete
+/// request is already in the read buffer, so requests that arrived in
+/// one segment are answered in one. The wait is bounded: the held
+/// response leaves after serving requests that are already here (never
+/// after waiting on the socket), or sooner once a read chunk's worth has
+/// queued up. Every exit but `kill` flushes first, so an answer computed
+/// before a violation or `Shutdown` still goes out.
 fn serve_connection(inner: Arc<Inner>, stream: std::net::TcpStream, io_timeout: Duration) {
     let Ok(mut tp) = TcpTransport::new(stream, io_timeout, io_timeout) else {
         return;
@@ -607,6 +663,8 @@ fn serve_connection(inner: Arc<Inner>, stream: std::net::TcpStream, io_timeout: 
         }
         let frame = match tp.recv_frame() {
             Ok(f) => f,
+            // Only ever with nothing queued: a queue is held across this
+            // call only when it returns a buffered frame at once.
             Err(TransportError::TimedOut) => {
                 if inner.stop.load(Ordering::SeqCst) {
                     return;
@@ -616,29 +674,32 @@ fn serve_connection(inner: Arc<Inner>, stream: std::net::TcpStream, io_timeout: 
             // Closed, I/O failure, or oversize frame: drop the
             // connection. Oversize is a protocol violation (typed
             // upstream as ProtoError::Oversize).
-            Err(_) => return,
+            Err(_) => break,
         };
         let req = match check_frame(&frame).and_then(decode_request) {
             Ok(r) => r,
             // Malformed frame: typed error, closed connection. Never a
             // panic, and the violator cannot keep the thread busy.
-            Err(_) => return,
+            Err(_) => break,
         };
         let stopping = inner.stop.load(Ordering::SeqCst);
         let resp = inner.serve(&req);
         if inner.killed.load(Ordering::SeqCst) {
             return;
         }
-        if tp.send_frame(&encode_response(&resp)).is_err() {
+        tp.queue_frame(&encode_response(&resp));
+        let last = matches!(req, Request::Shutdown);
+        if (last || !tp.frame_buffered() || tp.queued() >= READ_CHUNK) && tp.flush().is_err() {
             return;
         }
         if stopping {
             inner.drained.fetch_add(1, Ordering::SeqCst);
         }
-        if matches!(req, Request::Shutdown) {
+        if last {
             return;
         }
     }
+    let _ = tp.flush();
 }
 
 /// The per-node monitor. While leading: term-fenced heartbeats to every

@@ -8,17 +8,26 @@
 //!    term, promote standbys, and keep answering — through the real
 //!    monitor threads and the real `FailoverClient` redirect path.
 //!
+//! 3. The same ring at three shards under the coalesced fan-out (one
+//!    write and one read per peer per round): 2 000 rows with interleaved
+//!    queries, a **replica** killed mid-run.
+//! 4. The connection worker itself, over raw sockets: requests that
+//!    arrive in one segment, a pause inside a frame, a violation behind
+//!    a valid request.
+//!
 //! The acceptance bar: zero wrong answers. Degraded answers (explicit
 //! `failed_shards`, `Unavailable`, `complete: false`) are fine; silent
 //! loss is not.
 
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use swat_daemon::{
-    bind, spawn, spawn_on, DaemonClient, DaemonConfig, FailoverClient, Request, Response, Role,
-    ServerHandle,
+    bind, check_frame, decode_response, encode_request, spawn, spawn_on, DaemonClient,
+    DaemonConfig, FailoverClient, Request, Response, Role, ServerHandle, TcpTransport, Transport,
+    TransportError,
 };
 use swat_replication::RetryPolicy;
 use swat_store::RecoveryManager;
@@ -387,4 +396,197 @@ fn failover_cluster_survives_a_killed_leader_mid_run() {
     for h in handles.into_iter().flatten() {
         let _ = h.stop();
     }
+}
+
+#[test]
+fn ring_cluster_stays_exact_through_coalesced_fan_outs_and_a_killed_replica() {
+    const ROWS: u64 = 2_000;
+    const KILL_AT: u64 = 1_200;
+    // Node 2: primary of shard 1, standby of shard 0.
+    const KILLED_NODE: usize = 2;
+    const KILLED_SHARD: u32 = 1;
+    let (mut handles, addrs) = spawn_failover_cluster(STREAMS, SHARDS);
+    let mut client = FailoverClient::new(
+        addrs,
+        RetryPolicy {
+            max_retries: 3,
+            timeout: 30,
+        },
+        Duration::from_millis(500),
+    );
+    let mut oracle = ShardedStreamSet::new(cfg(), STREAMS, SHARDS);
+    let mut named = false;
+    // Every deadline the cluster has (I/O, heartbeat misses, repair,
+    // re-seeding) is well under a second; a row that takes longer than
+    // this to ack after the kill means something hangs.
+    let mut row_deadline = Instant::now() + Duration::from_secs(30);
+    for r in 0..ROWS {
+        if r == KILL_AT {
+            handles[KILLED_NODE].take().expect("spawned above").kill();
+            row_deadline = Instant::now() + Duration::from_secs(30);
+        }
+        loop {
+            let ingest = Request::Ingest {
+                req_id: r,
+                row: row(r),
+            };
+            match client.call(&ingest) {
+                Ok(Response::IngestOk { failed_shards, .. }) if failed_shards.is_empty() => break,
+                Ok(Response::IngestOk { failed_shards, .. }) => {
+                    assert!(r >= KILL_AT, "row {r} degraded on a healthy ring");
+                    named |= failed_shards.contains(&KILLED_SHARD);
+                }
+                // Shed, mid-reconfiguration or a socket that died with
+                // the node: the stable req_id makes the retry safe.
+                Ok(_) | Err(_) => {}
+            }
+            assert!(Instant::now() < row_deadline, "row {r} never acked");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        oracle.push_row(&row(r));
+        if r % 40 != 39 {
+            continue;
+        }
+        // A fully acked row means every shard has a serving primary
+        // again, so the answers are the oracle's, bit for bit.
+        let stream = (r / 40) % STREAMS as u64;
+        let want = oracle
+            .tree(stream as usize)
+            .point_with(2, QueryOptions::default())
+            .expect("warm index");
+        match client.call(&Request::Point { stream, index: 2 }) {
+            Ok(Response::PointR { answer }) => {
+                assert_eq!(answer.value.to_bits(), want.value.to_bits(), "row {r}");
+            }
+            other => panic!("point after row {r}: {other:?}"),
+        }
+        let (want_topk, _) = oracle.global_top_k(4, 1);
+        match client.call(&Request::TopK { k: 4 }) {
+            Ok(Response::TopKR { complete, entries }) => {
+                assert!(complete, "row {r}");
+                assert_eq!(entries, want_topk.entries().to_vec(), "row {r}");
+            }
+            other => panic!("top-k after row {r}: {other:?}"),
+        }
+    }
+    assert!(
+        named,
+        "the killed replica's shard must surface in failed_shards"
+    );
+    for h in handles.into_iter().flatten() {
+        let _ = h.stop();
+    }
+}
+
+/// A lone replica node with a short read deadline, and a raw connection
+/// to it: the bytes are segmented exactly as the test writes them.
+fn lone_node(io_timeout: Duration) -> (ServerHandle, TcpStream, TcpTransport) {
+    let mut rc = DaemonConfig::localhost(Role::Replica { shard: 0 }, cfg(), STREAMS, 1);
+    rc.io_timeout = io_timeout;
+    let node = spawn(rc).expect("node binds");
+    let raw = TcpStream::connect(node.addr()).expect("connects");
+    raw.set_nodelay(true).expect("nodelay");
+    let patient = Duration::from_secs(5);
+    let reader =
+        TcpTransport::new(raw.try_clone().expect("clone"), patient, patient).expect("transport");
+    (node, raw, reader)
+}
+
+fn next_response(reader: &mut TcpTransport) -> Response {
+    let frame = reader.recv_frame().expect("a response frame");
+    decode_response(check_frame(&frame).expect("valid frame")).expect("valid response")
+}
+
+#[test]
+fn requests_written_in_one_segment_are_answered_in_order() {
+    let (leader, replicas) = spawn_cluster(&[None, None, None]);
+    let mut client =
+        DaemonClient::connect(leader.addr(), Duration::from_secs(2)).expect("client connects");
+    let mut oracle = ShardedStreamSet::new(cfg(), STREAMS, SHARDS);
+    for r in 0..20u64 {
+        client.ingest(r, row(r)).expect("warm-up ingest");
+        oracle.push_row(&row(r));
+    }
+    let patient = Duration::from_secs(5);
+    let mut pipelined = TcpTransport::new(
+        TcpStream::connect(leader.addr()).expect("connects"),
+        patient,
+        patient,
+    )
+    .expect("transport");
+    // One `write` carries the row and the query that must see it.
+    pipelined.queue_frame(&encode_request(&Request::Ingest {
+        req_id: 20,
+        row: row(20),
+    }));
+    pipelined.queue_frame(&encode_request(&Request::Point {
+        stream: 4,
+        index: 0,
+    }));
+    pipelined.flush().expect("one write");
+    assert_eq!(pipelined.writes(), 1);
+    oracle.push_row(&row(20));
+    assert_eq!(
+        next_response(&mut pipelined),
+        Response::IngestOk {
+            req_id: 20,
+            duplicate: false,
+            failed_shards: vec![],
+        }
+    );
+    let want = oracle
+        .tree(4)
+        .point_with(0, QueryOptions::default())
+        .expect("in range");
+    match next_response(&mut pipelined) {
+        Response::PointR { answer } => assert_eq!(answer.value.to_bits(), want.value.to_bits()),
+        other => panic!("unexpected {other:?}"),
+    }
+    let _ = leader.stop();
+    for handle in replicas {
+        let _ = handle.stop();
+    }
+}
+
+#[test]
+fn a_pause_inside_a_frame_does_not_desynchronise_the_connection() {
+    let io_timeout = Duration::from_millis(40);
+    let (node, mut raw, mut reader) = lone_node(io_timeout);
+    let ping = encode_request(&Request::Ping { nonce: 41 });
+    // Half a header, several read deadlines of silence, then the rest.
+    raw.write_all(&ping[..4]).expect("first half");
+    std::thread::sleep(4 * io_timeout);
+    raw.write_all(&ping[4..]).expect("second half");
+    assert_eq!(next_response(&mut reader), Response::Pong { nonce: 41 });
+    // The same inside a payload, and the connection still serves the
+    // request after it.
+    let status = encode_request(&Request::Status);
+    raw.write_all(&status[..status.len() - 1])
+        .expect("all but a byte");
+    std::thread::sleep(4 * io_timeout);
+    raw.write_all(&status[status.len() - 1..])
+        .expect("the last byte");
+    assert!(matches!(
+        next_response(&mut reader),
+        Response::StatusR { node: 1, .. }
+    ));
+    raw.write_all(&encode_request(&Request::Ping { nonce: 42 }))
+        .expect("a whole frame");
+    assert_eq!(next_response(&mut reader), Response::Pong { nonce: 42 });
+    let _ = node.stop();
+}
+
+#[test]
+fn a_violation_behind_a_valid_request_still_lets_its_answer_out() {
+    let (node, mut raw, mut reader) = lone_node(Duration::from_millis(200));
+    let mut corrupt = encode_request(&Request::Ping { nonce: 8 });
+    let last = corrupt.len() - 1;
+    corrupt[last] ^= 0x10;
+    // Both frames arrive together, so the first answer is being held back
+    // when the second frame fails its checksum.
+    let burst = [encode_request(&Request::Ping { nonce: 7 }), corrupt].concat();
+    raw.write_all(&burst).expect("one write");
+    assert_eq!(next_response(&mut reader), Response::Pong { nonce: 7 });
+    assert_eq!(reader.recv_frame(), Err(TransportError::Closed));
+    let _ = node.stop();
 }

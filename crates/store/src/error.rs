@@ -65,13 +65,6 @@ pub enum StoreError {
         /// The most recent underlying failure, rendered.
         message: String,
     },
-    /// A historical range query touched arrivals no live segment carries
-    /// (rows older than the earliest retained segment, or a span whose
-    /// row section did not survive corruption).
-    NoHistory {
-        /// First arrival index that could not be served.
-        t: u64,
-    },
 }
 
 impl StoreError {
@@ -102,9 +95,6 @@ impl fmt::Display for StoreError {
                     "store degraded: {parked} frozen generation(s) parked ({message})"
                 )
             }
-            StoreError::NoHistory { t } => {
-                write!(f, "no live segment carries arrival {t}")
-            }
         }
     }
 }
@@ -118,8 +108,7 @@ impl std::error::Error for StoreError {
             StoreError::NoState
             | StoreError::BadRow { .. }
             | StoreError::BadValue { .. }
-            | StoreError::Degraded { .. }
-            | StoreError::NoHistory { .. } => None,
+            | StoreError::Degraded { .. } => None,
         }
     }
 }

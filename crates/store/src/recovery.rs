@@ -117,9 +117,7 @@ impl Resegmenter {
         let streams = set.streams();
         let rows: Vec<f64> = self.acc.drain(..take_rows * streams).collect();
         let start_t = set.tree(0).arrivals();
-        for row in rows.chunks_exact(streams) {
-            set.push_row(row);
-        }
+        set.extend_rows(&rows);
         let end_t = set.tree(0).arrivals();
         let name = segment_name(start_t, end_t);
         io::write_atomic(
@@ -327,9 +325,7 @@ fn roll_segment(dir: &Path, e: &SegmentEntry, set: &mut StreamSet) -> SegRoll {
     }
     let prefix = seg.rows();
     if prefix.values.len() == (e.end_t - e.start_t) as usize * set.streams() {
-        for row in prefix.values.chunks_exact(set.streams()) {
-            set.push_row(row);
-        }
+        set.extend_rows(&prefix.values);
         SegRoll::Complete
     } else {
         SegRoll::Partial(prefix.values)
@@ -390,14 +386,11 @@ fn replay_wals(
         let mut appended: u64 = 0;
         let mut reader = WalBodyReader::new(file, streams, REPLAY_CHUNK_ROWS);
         while let Some(chunk) = reader.next_rows() {
-            for row in chunk.chunks_exact(streams) {
-                seen += 1;
-                if seen <= skip_rows {
-                    continue;
-                }
-                reseg.push(dir, set, row)?;
-                appended += 1;
-            }
+            let rows = (chunk.len() / streams) as u64;
+            let skip = skip_rows.saturating_sub(seen).min(rows);
+            seen += rows;
+            reseg.push(dir, set, &chunk[skip as usize * streams..])?;
+            appended += rows - skip;
         }
         report.wal_rows_replayed += appended;
         report.wal_bytes_dropped += file_len

@@ -22,9 +22,10 @@
 //! verified-prefix semantics: a torn or flipped row ends the replayable
 //! prefix without poisoning what came before. The bloom filter indexes
 //! which streams carry *any nonzero value* in this segment — a negative
-//! answer lets historical range queries skip the file entirely (the
-//! stream was silent for the whole span), and a corrupt bloom section
-//! only degrades to "always read", never to a wrong skip.
+//! answer proves the stream was silent for the whole span, and a corrupt
+//! bloom section only degrades to "maybe", never to a wrong "silent". Its
+//! one reader, the raw-row `history` read, is gone; the section stays
+//! written and verified because dropping it is a format change.
 
 use swat_tree::codec::{crc32, CodecError, Cursor};
 use swat_tree::StreamSet;
@@ -229,20 +230,7 @@ pub fn encode(start_t: u64, rows: &[f64], set: &StreamSet) -> Vec<u8> {
     let n_rows = rows.len() / streams;
 
     let mut bloom = StreamBloom::sized_for(streams);
-    for row in rows.chunks_exact(streams) {
-        for (s, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                bloom.insert(s);
-            }
-        }
-    }
-
-    let mut row_bytes = Vec::with_capacity(n_rows * wal::record_len(streams));
-    for row in rows.chunks_exact(streams) {
-        wal::encode_record(&mut row_bytes, row);
-    }
     let snap = set.snapshot();
-
     let header = SegmentHeader {
         start_t,
         end_t: start_t + n_rows as u64,
@@ -252,7 +240,20 @@ pub fn encode(start_t: u64, rows: &[f64], set: &StreamSet) -> Vec<u8> {
         snap_len: snap.len() as u32,
     };
     let mut out = header.encode();
-    out.extend_from_slice(&row_bytes);
+    out.reserve(n_rows * wal::record_len(streams) + 4 + bloom.bits().len() + 4 + snap.len());
+    // One flag per stream, ORed over each row as it is encoded, then one
+    // insert per flagged stream: the same bits as an insert per non-zero
+    // value.
+    let mut nonzero = vec![false; streams];
+    for row in rows.chunks_exact(streams) {
+        wal::encode_record(&mut out, row);
+        for (flag, &v) in nonzero.iter_mut().zip(row) {
+            *flag |= v != 0.0;
+        }
+    }
+    for (s, _) in nonzero.iter().enumerate().filter(|(_, &flag)| flag) {
+        bloom.insert(s);
+    }
     out.extend_from_slice(&crc32(bloom.bits()).to_le_bytes());
     out.extend_from_slice(bloom.bits());
     out.extend_from_slice(&crc32(&snap).to_le_bytes());
@@ -415,6 +416,60 @@ mod tests {
         assert!(bloom.may_contain(0));
         assert!(bloom.may_contain(1));
         assert!(!bloom.may_contain(2), "silent stream must be skippable");
+    }
+
+    /// Bytes `encode` produced at the commit before the per-stream
+    /// non-zero flags and the in-place record encoding (two streams, the
+    /// second silent, rows 2..5 of five, window 4, one coefficient): the
+    /// segment format, bloom bits included, has not moved.
+    #[test]
+    fn golden_segment_reencodes_byte_identically() {
+        const GOLDEN: &str = concat!(
+            "5353454701020000000000000005000000000000000200000000000000030000",
+            "000800000059020000e06695bd1c1356c2155b483c2669ea3f00000000000000",
+            "0059cf61531de292963ae4e33f00000000000000005e4f983dd4793b94de30d7",
+            "3f0000000000000000a063894b010040008000000050730d2053574d53020400",
+            "0000000000000100000000000000000000000000000002000000000000000511",
+            "0100004805eb9f53574154020118000000eec5af640400000000000000010000",
+            "0000000000000000000000000002110000000dc75901050000000000000001d4",
+            "793b94de30d73f03c8000000d7f5bc4804000000000000000000000000000000",
+            "0500000000000000d4793b94de30d73f1de292963ae4e33f0100000000000000",
+            "079fb0e0a97cdf3f000000000000000004000000000000001de292963ae4e33f",
+            "155b483c2669ea3f0100000000000000999e6d69b026e73f0000000000000000",
+            "0300000000000000155b483c2669ea3fba092fd41d92ee3f0100000000000000",
+            "68b23b08a27dec3f010000000000000004000000000000001de292963ae4e33f",
+            "000000000000f03f0100000000000000bb91c2a9df37eb3f05110100001eb51f",
+            "fd53574154020118000000eec5af640400000000000000010000000000000000",
+            "00000000000000021100000072093a2a05000000000000000100000000000000",
+            "0003c8000000cac8fab704000000000000000000000000000000050000000000",
+            "0000000000000000000000000000000000000100000000000000000000000000",
+            "0000000000000000000004000000000000000000000000000000000000000000",
+            "0000010000000000000000000000000000000000000000000000030000000000",
+            "0000000000000000000000000000000000000100000000000000000000000000",
+            "0000010000000000000004000000000000000000000000000000000000000000",
+            "000001000000000000000000000000000000",
+        );
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        let mut set = StreamSet::new(SwatConfig::with_coefficients(4, 1).unwrap(), 2);
+        let mut rows = Vec::new();
+        for i in 0..5u64 {
+            let row = [(i as f64 * 0.3).cos(), 0.0];
+            set.push_row(&row);
+            if i >= 2 {
+                rows.extend_from_slice(&row);
+            }
+        }
+        assert_eq!(encode(2, &rows, &set), golden);
+        let seg = SegmentData::parse("golden", &golden).unwrap();
+        assert_eq!(seg.rows().values, rows);
+        assert!(seg.bloom().may_contain(0) && !seg.bloom().may_contain(1));
+        assert_eq!(
+            seg.snapshot("golden").unwrap().answers_digest(),
+            set.answers_digest()
+        );
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //!
 //! [`DurableStore::push_row`] appends a checksummed record to the live
 //! WAL (buffered) and applies the row to the in-memory trees; every
-//! `freeze_rows` arrivals the active generation is *frozen* and handed to
-//! a background flush thread, which serializes it into an immutable,
-//! CRC-framed, bloom-guarded segment, commits a new manifest (fsync →
-//! atomic rename → directory fsync), and only then prunes the WAL prefix
-//! the segment now covers. No caller ever blocks on that fsync.
+//! `freeze_rows` arrivals the active generation is *frozen* and handed —
+//! by move, never by copy — to a background flush thread, which
+//! serializes it into an immutable, CRC-framed, bloom-guarded segment,
+//! commits a new manifest (fsync → atomic rename → directory fsync), and
+//! only then prunes the WAL prefix the segment now covers. No caller ever
+//! blocks on that fsync, and the freezing `push_row` costs no more than
+//! any other: the row buffer changes hands and comes back, emptied, once
+//! its segment is committed.
 //!
 //! ## Degradation, not death
 //!
@@ -46,7 +49,7 @@ use crate::error::StoreError;
 use crate::fault::IoFaults;
 use crate::io;
 use crate::manifest::{self, Manifest, SegmentEntry, StoreFile};
-use crate::segment::{self, segment_name, SegmentData};
+use crate::segment::{self, segment_name};
 use crate::wal::{self, WalHeader};
 
 /// Flush the buffered WAL to the kernel once this many bytes accumulate
@@ -171,13 +174,12 @@ pub struct DurableStore {
     /// segment tier, so [`Self::sync`] must not ack until
     /// `covered_t` reaches it.
     wal_hole: Option<u64>,
-    /// Rows `[tail_base, arrivals)`, flattened — the active + frozen
-    /// generations that no committed segment carries yet. Serves
-    /// [`Self::history`] over the uncovered span and is the source of
-    /// frozen-generation row copies.
-    tail: Vec<f64>,
-    tail_base: u64,
-    rows_since_freeze: u64,
+    /// Rows `[wal_base, arrivals)` of the active generation, flattened.
+    /// [`Self::freeze`] moves the whole buffer into [`Job::Flush`].
+    active: Vec<f64>,
+    /// Emptied generation buffers coming back from the flusher, so steady
+    /// state neither allocates a generation nor faults its pages in.
+    spare: Receiver<Vec<f64>>,
     shared: SharedView,
     jobs: Option<Sender<Job>>,
     flusher: Option<JoinHandle<()>>,
@@ -252,12 +254,16 @@ impl DurableStore {
             compactions: 0,
         }));
         let (tx, rx) = mpsc::channel();
+        // One parked spare is all the writer can use before the next
+        // freeze; a flusher draining a backlog frees the rest itself.
+        let (recycle, spare) = mpsc::sync_channel(1);
         let flusher = Flusher {
             dir: dir.clone(),
             shadow,
             faults: opts.flush_faults.clone(),
             shared: shared.clone(),
             parked: VecDeque::new(),
+            recycle,
             fanin: opts.compact_fanin,
             max_rows: opts.max_segment_rows,
             backoff: opts.retry_backoff,
@@ -274,9 +280,8 @@ impl DurableStore {
             wal_base: base,
             sealed: Vec::new(),
             wal_hole: None,
-            tail: Vec::new(),
-            tail_base: base,
-            rows_since_freeze: 0,
+            active: Vec::new(),
+            spare,
             shared,
             jobs: Some(tx),
             flusher: Some(handle),
@@ -301,18 +306,17 @@ impl DurableStore {
             });
         }
         self.wal.append_record(row);
-        self.tail.extend_from_slice(row);
-        self.rows_since_freeze += 1;
-        if self.opts.freeze_rows > 0 && self.rows_since_freeze >= self.opts.freeze_rows {
+        self.active.extend_from_slice(row);
+        if self.opts.freeze_rows > 0 && self.rows_since_freeze() >= self.opts.freeze_rows {
             self.freeze();
         }
         Ok(())
     }
 
-    /// Freeze the active generation: hand its rows to the background
+    /// Freeze the active generation: move its rows to the background
     /// flusher and roll the WAL to a fresh generation. Does not wait for
-    /// the flush and does not `fsync` anything. No-op when the active
-    /// generation is empty.
+    /// the flush, does not `fsync` anything and copies no row. No-op when
+    /// the active generation is empty.
     pub fn freeze(&mut self) {
         let end = self.set.tree(0).arrivals();
         let start = self.wal_base;
@@ -342,10 +346,9 @@ impl DurableStore {
                 // spanning several freezes is merely untidy.
             }
         }
-        let streams = self.set.streams();
-        let skip = ((start - self.tail_base) as usize) * streams;
-        let rows = self.tail[skip..].to_vec();
-        debug_assert_eq!(rows.len(), ((end - start) as usize) * streams);
+        let next = self.spare.try_recv().unwrap_or_default();
+        let rows = std::mem::replace(&mut self.active, next);
+        debug_assert_eq!(rows.len(), ((end - start) as usize) * self.set.streams());
         if let Some(jobs) = &self.jobs {
             let _ = jobs.send(Job::Flush {
                 start_t: start,
@@ -353,26 +356,6 @@ impl DurableStore {
             });
         }
         self.wal_base = end;
-        self.rows_since_freeze = 0;
-        self.trim_tail();
-    }
-
-    /// Drop tail rows the segment tier has durably covered.
-    fn trim_tail(&mut self) {
-        // invariant: the mutex is only held for short field copies; a
-        // poisoned lock means the flush thread panicked, which no
-        // adversarial input can cause.
-        let covered = self
-            .shared
-            .lock()
-            .expect("flush thread panicked")
-            .manifest
-            .covered_t;
-        if covered > self.tail_base {
-            let cut = ((covered - self.tail_base) as usize) * self.set.streams();
-            self.tail.drain(..cut.min(self.tail.len()));
-            self.tail_base = covered;
-        }
     }
 
     /// The durability acknowledgment: when this returns `Ok`, every row
@@ -381,6 +364,9 @@ impl DurableStore {
     /// still succeeds once the segment tier has durably covered every
     /// arrival.
     pub fn sync(&mut self) -> Result<(), StoreError> {
+        // invariant (every `expect` on this lock): the mutex is only held
+        // for short field copies; a poisoned lock means the flush thread
+        // panicked, which no adversarial input can cause.
         let covered = self
             .shared
             .lock()
@@ -455,63 +441,7 @@ impl DurableStore {
                 })
             }
         }
-        self.trim_tail();
         self.sync()
-    }
-
-    /// Historical values of `stream` for arrivals `[from, min(to, now))`,
-    /// served from the segment tier (bloom-guarded: a segment whose
-    /// filter excludes the stream is answered as zeros without reading
-    /// it) plus the in-memory uncovered tail.
-    pub fn history(&self, stream: usize, from: u64, to: u64) -> Result<Vec<f64>, StoreError> {
-        let streams = self.set.streams();
-        if stream >= streams {
-            return Err(StoreError::BadRow {
-                got: stream,
-                want: streams,
-            });
-        }
-        let to = to.min(self.set.tree(0).arrivals());
-        if from >= to {
-            return Ok(Vec::new());
-        }
-        let m = {
-            self.shared
-                .lock()
-                .expect("flush thread panicked")
-                .manifest
-                .clone()
-        };
-        let floor = m.entries.first().map_or(self.tail_base, |e| e.start_t);
-        if from < floor {
-            return Err(StoreError::NoHistory { t: from });
-        }
-        let mut out = vec![0.0f64; (to - from) as usize];
-        for e in &m.entries {
-            let lo = e.start_t.max(from);
-            let hi = e.end_t.min(to);
-            if lo >= hi {
-                continue;
-            }
-            let bytes = fs::read(self.dir.join(&e.name)).map_err(StoreError::io("read segment"))?;
-            let seg = SegmentData::parse(&e.name, &bytes)?;
-            if !seg.bloom().may_contain(stream) {
-                continue; // provably all-zero: already the answer
-            }
-            let rows = seg.rows();
-            for t in lo..hi {
-                let idx = ((t - e.start_t) as usize) * streams + stream;
-                if idx >= rows.values.len() {
-                    return Err(StoreError::NoHistory { t });
-                }
-                out[(t - from) as usize] = rows.values[idx];
-            }
-        }
-        for t in self.tail_base.max(from)..to {
-            let idx = ((t - self.tail_base) as usize) * streams + stream;
-            out[(t - from) as usize] = self.tail[idx];
-        }
-        Ok(out)
     }
 
     /// A point-in-time view of the tier shape and degradation state.
@@ -561,7 +491,7 @@ impl DurableStore {
 
     /// Rows in the active (not yet frozen) generation.
     pub fn rows_since_freeze(&self) -> u64 {
-        self.rows_since_freeze
+        self.set.tree(0).arrivals() - self.wal_base
     }
 
     /// The answers-identity digest of the underlying [`StreamSet`] — the
@@ -697,6 +627,8 @@ struct Flusher {
     faults: Arc<IoFaults>,
     shared: SharedView,
     parked: VecDeque<(u64, Vec<f64>)>,
+    /// Where committed generations' emptied buffers go back to the store.
+    recycle: SyncSender<Vec<f64>>,
     fanin: usize,
     max_rows: u64,
     backoff: Duration,
@@ -741,9 +673,15 @@ impl Flusher {
     /// Flush parked generations oldest-first; stop at the first failure
     /// (order is part of the format: segments must chain).
     fn drain(&mut self) {
-        while let Some((start_t, rows)) = self.parked.pop_front() {
+        while let Some((start_t, mut rows)) = self.parked.pop_front() {
             match self.flush_one(start_t, &rows) {
-                Ok(()) => {}
+                Ok(()) => {
+                    rows.clear();
+                    // Refused (a spare is already parked, or the store is
+                    // gone): the buffer is freed here, off the ingest
+                    // thread.
+                    let _ = self.recycle.try_send(rows);
+                }
                 Err(e) => {
                     self.parked.push_front((start_t, rows));
                     let mut s = self.shared.lock().expect("store dropped mid-lock");
@@ -767,9 +705,7 @@ impl Flusher {
         let at = self.shadow.tree(0).arrivals();
         if at < end_t {
             let skip = ((at - start_t) as usize) * streams;
-            for row in rows[skip..].chunks_exact(streams) {
-                self.shadow.push_row(row);
-            }
+            self.shadow.extend_rows(&rows[skip..]);
         }
         let name = segment_name(start_t, end_t);
         let bytes = segment::encode(start_t, rows, &self.shadow);
@@ -973,29 +909,6 @@ mod tests {
         assert_eq!(store.arrivals(), 40);
         // Acked data is still durable: the WAL path is healthy.
         store.sync().unwrap();
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn history_serves_segments_bloom_guarded_and_the_live_tail() {
-        let dir = tmp("history");
-        let mut store = DurableStore::create_with(&dir, config(), 3, small_opts()).unwrap();
-        // Stream 2 stays silent; stream 0 counts; stream 1 alternates.
-        for i in 0..20 {
-            store
-                .push_row(&[i as f64, if i % 2 == 0 { 1.0 } else { -1.0 }, 0.0])
-                .unwrap();
-        }
-        store.checkpoint().unwrap();
-        for i in 20..23 {
-            store.push_row(&[i as f64, 1.0, 0.0]).unwrap(); // live tail
-        }
-        let h = store.history(0, 5, 23).unwrap();
-        let expect: Vec<f64> = (5..23).map(|i| i as f64).collect();
-        assert_eq!(h, expect);
-        let silent = store.history(2, 0, 23).unwrap();
-        assert!(silent.iter().all(|&v| v == 0.0));
-        assert!(store.history(5, 0, 1).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }

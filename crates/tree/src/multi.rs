@@ -16,6 +16,12 @@ use crate::scratch::QueryScratch;
 use crate::snapshot::SnapshotError;
 use crate::tree::{digest, SwatTree};
 
+/// Rows per tile of [`StreamSet::extend_rows`]: long enough for the
+/// blocked cascade to amortize its per-chunk set-up, short enough that a
+/// tile of a thousand streams stays in cache while each stream's column
+/// is gathered out of it.
+const TILE_ROWS: usize = 256;
+
 /// A set of synchronized streams, each summarized by its own SWAT.
 ///
 /// ```
@@ -115,6 +121,45 @@ impl StreamSet {
             tree.push_one(v, k);
         }
         Ok(())
+    }
+
+    /// Feed a block of whole rows, row-major (`rows[r * streams() + i]` is
+    /// stream `i`'s value in row `r`) — the layout rows are logged and
+    /// replayed in. Equivalent to [`Self::push_row`] per row, node for
+    /// node (`ingest_equivalence` pins it), but each stream's values
+    /// reach its tree through the blocked cascade of
+    /// [`SwatTree::push_batch`]: the block is cut into tiles of at most
+    /// 256 rows, and per tile each stream's column is gathered and pushed
+    /// as one batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `streams()` (anything
+    /// but an empty block, for an empty set) or any value is not finite —
+    /// before any stream advances.
+    pub fn extend_rows(&mut self, rows: &[f64]) {
+        let streams = self.trees.len();
+        if streams == 0 {
+            assert!(rows.is_empty(), "row arity mismatch");
+            return;
+        }
+        assert_eq!(rows.len() % streams, 0, "a block holds whole rows");
+        assert!(
+            rows.iter().fold(true, |ok, v| ok & v.is_finite()),
+            "stream values must be finite"
+        );
+        let mut column = [0.0f64; TILE_ROWS];
+        crate::ingest::with_thread_scratch(|scratch| {
+            for tile in rows.chunks(TILE_ROWS * streams) {
+                let n = tile.len() / streams;
+                for (i, tree) in self.trees.iter_mut().enumerate() {
+                    for (slot, row) in column.iter_mut().zip(tile.chunks_exact(streams)) {
+                        *slot = row[i];
+                    }
+                    tree.push_batch_core(&column[..n], scratch);
+                }
+            }
+        });
     }
 
     /// Feed a block of synchronized arrivals column-wise: `columns[i]` is
@@ -639,6 +684,24 @@ mod tests {
         }
         set.try_push_row(&[1.0; 5]).unwrap();
         assert_eq!(set.tree(4).arrivals(), 41);
+    }
+
+    #[test]
+    fn bad_block_is_rejected_whole() {
+        let mut set = StreamSet::new(SwatConfig::with_coefficients(16, 4).unwrap(), 3);
+        set.extend_rows(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let digest = set.answers_digest();
+        let mut late_nan = vec![1.0; 3 * 300];
+        late_nan[3 * 299 + 1] = f64::NAN;
+        for bad in [&[1.0, 2.0, 3.0, 4.0][..], &late_nan] {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                set.extend_rows(bad);
+            }));
+            assert!(panicked.is_err(), "a ragged or non-finite block panics");
+            assert_eq!(set.answers_digest(), digest, "and no stream advanced");
+        }
+        // An empty set takes the empty block and nothing else.
+        StreamSet::new(*set.config(), 0).extend_rows(&[]);
     }
 
     #[test]

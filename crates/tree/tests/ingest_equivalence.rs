@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use swat_tree::ingest::reference;
-use swat_tree::{IngestScratch, SwatConfig, SwatTree};
+use swat_tree::{IngestScratch, StreamSet, SwatConfig, SwatTree};
 
 /// Assert two trees are observably identical, node by node (clearer
 /// failure messages than the digest alone), then cross-check the digest.
@@ -338,6 +338,50 @@ fn reference_matches_scalar_push() {
     let mut extended = SwatTree::new(config);
     reference::extend(&mut extended, vals.iter().copied());
     assert_identical(&extended, &frozen, "reference extend vs push");
+}
+
+/// `StreamSet::extend_rows` (row-major block, tiled, one `push_batch` per
+/// stream and tile) against the `push_row` loop it replaces in the flusher
+/// and in recovery: node for node, for block lengths around the 256-row
+/// tile and beyond a whole generation, from cold sets and from sets
+/// warmed to an unaligned clock — and again after a second block, which
+/// starts from whatever clock the first one left.
+#[test]
+fn extend_rows_matches_the_push_row_loop() {
+    let value = |i: usize| ((i * 2_654_435_761) % 10_007) as f64 * 0.037 - 180.0;
+    for (streams, window, k) in [(1usize, 16usize, 1usize), (5, 64, 3), (9, 1024, 4)] {
+        let config = SwatConfig::with_coefficients(window, k).unwrap();
+        for warm in [0, 2 * window + 5] {
+            for len in [0usize, 1, 255, 256, 257, 4096 + 3] {
+                let mut blocked = StreamSet::new(config, streams);
+                let mut rowwise = StreamSet::new(config, streams);
+                let warm_rows: Vec<f64> = (0..warm * streams).map(value).collect();
+                for row in warm_rows.chunks_exact(streams) {
+                    blocked.push_row(row);
+                    rowwise.push_row(row);
+                }
+                for (pass, len) in [len, 300].into_iter().enumerate() {
+                    let block: Vec<f64> = (0..len * streams)
+                        .map(|i| value(i + 7 * (pass + 1)))
+                        .collect();
+                    blocked.extend_rows(&block);
+                    for row in block.chunks_exact(streams) {
+                        rowwise.push_row(row);
+                    }
+                    for s in 0..streams {
+                        assert_identical(
+                            blocked.tree(s),
+                            rowwise.tree(s),
+                            &format!(
+                                "streams={streams} n={window} k={k} warm={warm} \
+                                 len={len} pass={pass} stream={s}"
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// `try_push_batch` rejects mid-stream NaN without mutating; the fused

@@ -131,6 +131,17 @@ trap - EXIT
 cleanup_daemon_smoke
 echo "daemon smoke clean (ingest, point, top-k, drain, checkpoint)"
 
+echo "== fan-out and freeze smokes (release mode: the timings the deadlines meet in production) =="
+# The buffered transport, the coalesced fan-out and its scripted-peer
+# failure cases, the raw-socket connection-worker tests and the 2 000-row
+# ring run of tcp_cluster; then the freeze hand-off under the counting
+# allocator and extend_rows against the push_row loop.
+cargo test --release -q -p swat-daemon --lib -- transport:: client::
+cargo test --release -q -p swat-daemon --test tcp_cluster
+cargo test --release -q -p swat-store --test freeze_alloc
+cargo test --release -q -p swat-tree --test ingest_equivalence extend_rows
+echo "fan-out and freeze smokes clean"
+
 echo "== daemon bench smoke (real-TCP latency, one replica killed) =="
 cargo run --release -q -p swat-cli -- daemon-bench --quick \
     --out target/daemon-smoke.json >/dev/null
@@ -162,4 +173,4 @@ if ! benchmark/run.sh --quick >target/benchmark-smoke.log 2>&1; then
 fi
 echo "benchmark smoke clean (target/benchmark-smoke.log)"
 
-echo "OK: fmt, clippy, tier-1, ingest, chaos, recovery, store, query-bench, repair, scale, daemon, failover, and benchmark smokes all green"
+echo "OK: fmt, clippy, tier-1, ingest, chaos, recovery, store, query-bench, repair, scale, daemon, fan-out, failover, and benchmark smokes all green"
