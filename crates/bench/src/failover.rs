@@ -238,21 +238,8 @@ impl FailoverReport {
     ///
     /// I/O errors from directory creation or the write.
     pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+        report::write_json(path, &self.to_json())
     }
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() as f64 - 1.0) * q).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
 }
 
 fn row(cfg: &FailoverBenchConfig, r: u64) -> Vec<f64> {
@@ -298,7 +285,7 @@ impl PhaseAcc {
             requests: self.requests,
             answered: self.answered,
             wrong: self.wrong,
-            p50_us: percentile(&self.latencies_us, 0.50),
+            p50_us: report::percentile(&self.latencies_us, 0.50),
         }
     }
 }
@@ -566,13 +553,5 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"failover\""));
         assert!(json.contains("\"zero_wrong_answers\": true"));
-    }
-
-    #[test]
-    fn percentiles_are_order_statistics() {
-        let v = [1.0, 2.0, 3.0, 4.0, 100.0];
-        assert_eq!(percentile(&v, 0.5), 3.0);
-        assert_eq!(percentile(&v, 0.99), 100.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 }

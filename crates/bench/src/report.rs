@@ -1,4 +1,5 @@
-//! Plain-text table rendering for the figure binaries.
+//! What every report shares: plain-text table rendering for the figure
+//! binaries, the latency order statistic, and the JSON artifact writer.
 
 /// Print a padded table: a header row, a rule, then the data rows.
 /// Columns are sized to their widest cell.
@@ -54,9 +55,42 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
     }
 }
 
+/// The `q`-quantile of an ascending sample by nearest rank; 0 for an
+/// empty one.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Write a report's JSON artifact, creating parent directories as
+/// needed.
+///
+/// # Errors
+///
+/// I/O errors from directory creation or the write.
+pub fn write_json(path: &std::path::Path, json: &str) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    std::fs::write(path, json)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_are_order_statistics() {
+        let v = [1.0, 2.0, 3.0, 4.0, 100.0];
+        assert_eq!(percentile(&v, 0.5), 3.0);
+        assert_eq!(percentile(&v, 0.99), 100.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+    }
 
     #[test]
     fn fmt_ranges() {

@@ -558,12 +558,7 @@ impl StoreBenchReport {
     ///
     /// I/O errors from directory creation or the write.
     pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
+        report::write_json(path, &self.to_json())
     }
 }
 

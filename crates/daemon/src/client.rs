@@ -1,11 +1,11 @@
-//! Clients of a `swatd` node: the external [`DaemonClient`] and the
-//! leader's internal [`PeerPool`].
+//! Clients of a `swatd` node: the external [`DaemonClient`] and
+//! [`FailoverClient`], and the server's internal [`PeerPool`].
 //!
-//! Both speak the same framed protocol over [`TcpTransport`]; the peer
+//! All speak the same framed protocol over [`TcpTransport`]; the peer
 //! pool adds the leader-side robustness machinery:
 //!
 //! * a **bounded in-flight budget per peer** — when `max_inflight`
-//!   requests are already outstanding toward a replica, further work is
+//!   requests are already outstanding toward a peer, further work is
 //!   shed *before* anything is sent (the caller answers the client with
 //!   a typed `Overloaded`); memory use is bounded by construction, not
 //!   by hope,
@@ -13,7 +13,7 @@
 //!   `swat_replication::RetryPolicy` schedule, `timeout` interpreted in
 //!   milliseconds; after the last retry the peer is reported
 //!   unreachable (`None`) and the caller degrades explicitly,
-//! * per-peer connection reuse: one live connection per replica,
+//! * per-peer connection reuse: one live connection per peer,
 //!   re-established lazily after any transport failure,
 //! * **one round per fan-out** — [`PeerPool::exchange_many`] queues every
 //!   leg on its peer's live connection, writes once per peer and reads
@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use swat_replication::RetryPolicy;
 
+use crate::driver::follow_redirects;
 use crate::proto::{check_frame, decode_response, encode_request, ProtoError, Request, Response};
 use crate::transport::{TcpTransport, Transport, TransportError};
 
@@ -141,19 +142,20 @@ impl DaemonClient {
     }
 }
 
-/// A failover-aware client over a whole cluster: follows
-/// [`Response::NotLeaderR`] redirects, retries `ConnectionRefused` /
-/// timed-out sockets with the bounded [`RetryPolicy`] backoff, and
-/// round-robins across the peer list when the current target is silent
-/// — so one client object survives elections and node deaths, never
-/// failing on the first socket error.
+/// A failover-aware client over a whole cluster: walks it with
+/// [`follow_redirects`] — the rule the simulator's client runs too —
+/// where a refused or timed-out socket counts as silence, and retries
+/// the walk with the bounded [`RetryPolicy`] backoff, so one client
+/// object survives elections and node deaths, never failing on the first
+/// socket error.
 pub struct FailoverClient {
     peers: Vec<SocketAddr>,
     policy: RetryPolicy,
     timeout: Duration,
     /// Index of the peer currently believed to lead.
     target: usize,
-    conn: Option<DaemonClient>,
+    /// The live connection and the peer it is to.
+    conn: Option<(usize, DaemonClient)>,
 }
 
 impl FailoverClient {
@@ -175,13 +177,21 @@ impl FailoverClient {
         }
     }
 
-    /// Point the client at node `id` (a `NotLeaderR` hint, or a fresh
-    /// guess after silence).
-    fn retarget(&mut self, id: usize) {
-        if id != self.target {
+    /// Ask node `at` once over its connection, (re)connecting first when
+    /// the live one is to some other node.
+    fn ask(&mut self, at: usize, req: &Request) -> Result<Response, ClientError> {
+        if self.conn.as_ref().is_some_and(|(to, _)| *to != at) {
             self.conn = None;
         }
-        self.target = id % self.peers.len();
+        if self.conn.is_none() {
+            self.conn = Some((at, DaemonClient::connect(self.peers[at], self.timeout)?));
+        }
+        // invariant: the branch above just filled `conn`.
+        let answer = self.conn.as_mut().expect("connected above").1.call(req);
+        if answer.is_err() {
+            self.conn = None;
+        }
+        answer
     }
 
     /// Send one request, following redirects and retrying through
@@ -194,46 +204,21 @@ impl FailoverClient {
     /// exhausted.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         let mut last_err: Option<ClientError> = None;
-        let rounds = self.policy.max_retries.max(1);
-        for round in 0..rounds {
+        let n = self.peers.len();
+        for round in 0..self.policy.max_retries.max(1) {
             if round > 0 {
                 std::thread::sleep(Duration::from_millis(self.policy.backoff(round)));
             }
-            for _hop in 0..self.peers.len() {
-                if self.conn.is_none() {
-                    match DaemonClient::connect(self.peers[self.target], self.timeout) {
-                        Ok(c) => self.conn = Some(c),
-                        Err(e) => {
-                            // Connection refused / timed out: this node
-                            // is down or not yet up — try the next one.
-                            last_err = Some(e);
-                            self.retarget(self.target + 1);
-                            continue;
-                        }
-                    }
-                }
-                // invariant: the branch above just filled `conn`.
-                let conn = self.conn.as_mut().expect("connected above");
-                match conn.call(req) {
-                    Ok(Response::NotLeaderR { leader, .. }) => {
-                        // Redirect; a hint equal to the current target
-                        // means "election in progress" — move on.
-                        let hint = leader as usize % self.peers.len();
-                        if hint == self.target {
-                            self.retarget(self.target + 1);
-                        } else {
-                            self.retarget(hint);
-                        }
-                    }
-                    Ok(resp) => return Ok(resp),
-                    Err(e) => {
-                        // Mid-call failure: drop the connection and try
-                        // the next peer.
-                        self.conn = None;
-                        last_err = Some(e);
-                        self.retarget(self.target + 1);
-                    }
-                }
+            let mut target = self.target;
+            // Connection refused, timed out, or failed mid-call: this
+            // node is down or not yet up — silence, as far as the walk
+            // is concerned.
+            let answer = follow_redirects(&mut target, n, |at| {
+                self.ask(at, req).map_err(|e| last_err = Some(e)).ok()
+            });
+            self.target = target;
+            if let Some(resp) = answer {
+                return Ok(resp);
             }
         }
         Err(last_err.unwrap_or(ClientError::Transport(TransportError::TimedOut)))
@@ -292,7 +277,7 @@ struct Peer {
     inflight: AtomicUsize,
 }
 
-/// The leader's connection pool over its replicas, indexed by shard.
+/// A node's connection pool over the cluster, indexed by node id.
 pub struct PeerPool {
     peers: Vec<Peer>,
     policy: RetryPolicy,
@@ -300,23 +285,23 @@ pub struct PeerPool {
     max_inflight: usize,
 }
 
-/// RAII in-flight tokens: acquired for every shard of a fan-out before
+/// RAII in-flight tokens: acquired for every peer of a fan-out before
 /// anything is sent, released on drop.
 pub struct InflightGuard<'a> {
     pool: &'a PeerPool,
-    shards: Vec<usize>,
+    peers: Vec<usize>,
 }
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        for &s in &self.shards {
-            self.pool.peers[s].inflight.fetch_sub(1, Ordering::SeqCst);
+        for &p in &self.peers {
+            self.pool.peers[p].inflight.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
 impl PeerPool {
-    /// A pool over `addrs` (shard `i` lives at `addrs[i]`), shedding
+    /// A pool over `addrs` (node `i` lives at `addrs[i]`), shedding
     /// when a peer already has `max_inflight` outstanding requests.
     ///
     /// # Panics
@@ -357,17 +342,18 @@ impl PeerPool {
         self.peers.is_empty()
     }
 
-    /// Try to reserve one in-flight slot toward every shard in
-    /// `shards`. `None` means at least one peer's budget is exhausted —
-    /// the caller sheds the request with a typed `Overloaded` and
-    /// **nothing is sent to anyone** (shedding is all-or-nothing, so a
-    /// shed ingest touches no shard).
-    pub fn try_acquire(&self, shards: &[usize]) -> Option<InflightGuard<'_>> {
-        let mut taken = Vec::with_capacity(shards.len());
-        for &s in shards {
-            let prev = self.peers[s].inflight.fetch_add(1, Ordering::SeqCst);
+    /// Try to reserve one in-flight slot toward every peer in `peers`
+    /// (one per leg: a peer named twice is charged twice). `None` means
+    /// at least one peer's budget is exhausted — the caller sheds the
+    /// request with a typed `Overloaded` and **nothing is sent to
+    /// anyone** (shedding is all-or-nothing, so a shed ingest touches no
+    /// shard).
+    pub fn try_acquire(&self, peers: &[usize]) -> Option<InflightGuard<'_>> {
+        let mut taken = Vec::with_capacity(peers.len());
+        for &p in peers {
+            let prev = self.peers[p].inflight.fetch_add(1, Ordering::SeqCst);
             if prev >= self.max_inflight {
-                self.peers[s].inflight.fetch_sub(1, Ordering::SeqCst);
+                self.peers[p].inflight.fetch_sub(1, Ordering::SeqCst);
                 for &t in &taken {
                     self.peers[t as usize]
                         .inflight
@@ -375,23 +361,23 @@ impl PeerPool {
                 }
                 return None;
             }
-            taken.push(s as u32);
+            taken.push(p as u32);
         }
         Some(InflightGuard {
             pool: self,
-            shards: shards.to_vec(),
+            peers: peers.to_vec(),
         })
     }
 
-    /// One request/response exchange with shard `shard`'s replica,
-    /// reconnecting with bounded exponential backoff. `None` after the
+    /// One request/response exchange with node `peer`, reconnecting
+    /// with bounded exponential backoff. `None` after the
     /// final retry — the caller degrades explicitly. The caller must
     /// already hold an in-flight token (or be heartbeat traffic, which
     /// bypasses the budget so health detection keeps working under
     /// load).
-    pub fn exchange(&self, shard: usize, req: &Request) -> Option<Response> {
-        let peer = &self.peers[shard];
-        let mut conn = self.lock_conn(shard);
+    pub fn exchange(&self, peer: usize, req: &Request) -> Option<Response> {
+        let mut conn = self.lock_conn(peer);
+        let peer = &self.peers[peer];
         for attempt in 0..=self.policy.max_retries {
             if attempt > 0 {
                 // RetryPolicy::timeout is in milliseconds here.
@@ -435,15 +421,19 @@ impl PeerPool {
     /// are re-driven one by one through [`Self::exchange`] (connect,
     /// bounded back-off) — safe because ingest legs are idempotent by
     /// `req_id` and every other leg only reads.
-    pub fn exchange_many(&self, legs: &[(usize, &Request)]) -> Vec<Option<Response>> {
+    pub fn exchange_many(&self, legs: &[(u64, &Request)]) -> Vec<Option<Response>> {
         let mut answers: Vec<Option<Response>> = vec![None; legs.len()];
         {
-            let mut order: Vec<usize> = legs.iter().map(|&(peer, _)| peer).collect();
+            let mut order: Vec<usize> = legs.iter().map(|&(peer, _)| peer as usize).collect();
             order.sort_unstable();
             order.dedup();
             let mut conns: Vec<_> = order.iter().map(|&peer| self.lock_conn(peer)).collect();
             // invariant: `order` holds every leg's peer, sorted.
-            let slot = |peer: usize| order.binary_search(&peer).expect("peer was collected");
+            let slot = |peer: u64| {
+                order
+                    .binary_search(&(peer as usize))
+                    .expect("peer was collected")
+            };
             for &(peer, req) in legs {
                 if let Some(tp) = conns[slot(peer)].as_mut() {
                     tp.queue_frame(&encode_request(req));
@@ -467,7 +457,7 @@ impl PeerPool {
         }
         for (answer, &(peer, req)) in answers.iter_mut().zip(legs) {
             if answer.is_none() {
-                *answer = self.exchange(peer, req);
+                *answer = self.exchange(peer as usize, req);
             }
         }
         answers
@@ -704,7 +694,7 @@ mod tests {
         // And free-running: two threads, opposite leg orders, same peers.
         let gate = Arc::new(Barrier::new(2));
         let (done, finished) = mpsc::channel();
-        for order in [[0usize, 1], [1, 0]] {
+        for order in [[0u64, 1], [1, 0]] {
             let (pool, gate, done) = (pool.clone(), gate.clone(), done.clone());
             std::thread::spawn(move || {
                 gate.wait();

@@ -18,9 +18,10 @@
 //! without the merge path doing I/O.
 //!
 //! Like [`crate::replica::ReplicaNode`], everything here is pure state
-//! and planning: the TCP server and the deterministic simulator both
-//! drive the [`LeaderCore`] and only differ in how planned peer
-//! requests cross to the holders. A peer exchange either yields the
+//! and planning: [`crate::driver`] drives the [`LeaderCore`] for the TCP
+//! server and the deterministic simulator alike, which differ only in
+//! how planned peer requests cross to the holders (their
+//! [`crate::driver::Fabric`]). A peer exchange either yields the
 //! holder's [`Response`] or `None` (unreachable after bounded retries /
 //! shed / dead) — the merge functions turn `None` into *explicit*
 //! degradation: `failed_shards`, `Unavailable`, or `complete: false`,

@@ -26,18 +26,25 @@
 //!
 //! Two transports implement one trait: real TCP ([`transport::
 //! TcpTransport`]) and a deterministic in-process adapter over the
-//! `swat-net` fault injector ([`transport::SimTransport`]). The
-//! simulator is the *tested model* of the daemon: [`sim::SimCluster`]
-//! runs the same leader/replica state machines under arbitrary
-//! `FaultPlan`s, and the `sim_oracle` property test pins the
-//! byte-level wire arm bit-identical to the struct-level model arm —
-//! and, under no faults, to the in-process `ShardedStreamSet` oracle.
+//! `swat-net` fault injector ([`transport::SimTransport`]). Above them
+//! the protocol exists once: [`node::ClusterNode`] and
+//! [`cluster::LeaderCore`] decide, and [`driver`] runs their plans — the
+//! request cycle, the monitor pass, the client's redirect walk — over
+//! whatever [`driver::Fabric`] a deployment hands it. [`server`] is the
+//! TCP fabric and the threads around it; [`sim::Sim`] is the simulated
+//! one, so the simulator is the *tested model* of the daemon in the
+//! strict sense that it runs the daemon's loops: under arbitrary
+//! `FaultPlan`s the `sim_oracle` property tests pin the byte-level wire
+//! arm bit-identical to the struct-level model arm — with a static leader
+//! and through elections — and, under no faults, to the in-process
+//! `ShardedStreamSet` oracle.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod client;
 pub mod cluster;
+pub mod driver;
 pub mod failover;
 pub mod node;
 pub mod proto;
@@ -58,5 +65,5 @@ pub use proto::{
 pub use registry::ReplicaRegistry;
 pub use replica::ReplicaNode;
 pub use server::{bind, spawn, spawn_on, DaemonConfig, DrainReport, Role, ServerHandle};
-pub use sim::{FailoverSim, SimCluster, SimMode, SimOp};
+pub use sim::{Sim, SimDeployment, SimMode, SimOp};
 pub use transport::{SimNet, SimTransport, TcpTransport, Transport, TransportError};

@@ -5,11 +5,12 @@
 //! the node leads — the [`LeaderCore`] routing machine. Like the layers
 //! below it, it is strictly sans-io: [`ClusterNode::handle`] answers any
 //! wire request that can be answered locally, and the election / repair
-//! / rejoin protocols are expressed as *plans* ([`PeerCall`] lists) the
-//! driver delivers, feeding results back into the matching `finish_*`.
-//! The threaded TCP server and the deterministic failover simulator are
-//! both thin drivers around this type, which is what makes every
-//! failover schedule replayable from a seed.
+//! / rejoin protocols are expressed as *plans* ([`PeerCall`] lists) that
+//! [`crate::driver`] delivers, feeding results back into the matching
+//! `finish_*`. That module is the one caller of the plans; the threaded
+//! TCP server and the deterministic simulator only give it a
+//! [`crate::driver::Fabric`] to deliver over, which is what makes every
+//! failover schedule of the shipped loops replayable from a seed.
 //!
 //! # The fencing discipline
 //!
@@ -53,8 +54,14 @@ pub struct ClusterNode {
     streams: usize,
     shards: usize,
     miss_threshold: u32,
+    /// Whether shards keep warm standbys: without, nothing is ever
+    /// re-seeded ([`ClusterNode::rejoin_plan`]).
+    standbys: bool,
     term: u64,
     leader: u64,
+    /// When, on the driver's clock, accepted traffic of the current
+    /// leader last arrived — the election suppressor.
+    leader_contact: u64,
     holdings: BTreeMap<usize, Holding>,
     lead: Option<LeaderCore>,
     /// Where the durable [`NodeMeta`] record lives, if anywhere.
@@ -86,8 +93,10 @@ impl ClusterNode {
             streams,
             shards,
             miss_threshold,
+            standbys,
             term: 0,
             leader: 0,
+            leader_contact: 0,
             holdings: BTreeMap::new(),
             lead: Some(LeaderCore::bootstrap(
                 streams,
@@ -123,8 +132,10 @@ impl ClusterNode {
             streams,
             shards,
             miss_threshold,
+            standbys,
             term: 0,
             leader: 0,
+            leader_contact: 0,
             holdings: BTreeMap::new(),
             lead: None,
             meta_dir: None,
@@ -260,6 +271,18 @@ impl ClusterNode {
     /// Every other node's id, ascending — the claim/heartbeat fan-out.
     pub fn peer_ids(&self) -> Vec<u64> {
         (0..self.nodes).filter(|&n| n != self.id).collect()
+    }
+
+    /// When the current leader was last heard (0 at boot), on the clock
+    /// of whoever calls [`ClusterNode::note_leader_contact`].
+    pub fn leader_contact(&self) -> u64 {
+        self.leader_contact
+    }
+
+    /// Reset the election clock: the leader spoke, a live lower id was
+    /// seen, or a claim of this node's own just ended.
+    pub fn note_leader_contact(&mut self, now: u64) {
+        self.leader_contact = now;
     }
 
     /// Rows applied to the primary holding this node answers for
@@ -954,9 +977,11 @@ impl ClusterNode {
     /// then the primary's state is fetched and shipped. Returns the
     /// `[Promote to primary, FetchShard to primary]` calls to deliver in
     /// order, results to [`ClusterNode::finish_fetch`]. At most one
-    /// installation is in flight at a time.
+    /// installation is in flight at a time, and none ever without
+    /// standbys: a solo leader is itself a live node with no role, and
+    /// must not make itself shard 0's standby.
     pub fn rejoin_plan(&mut self, now: u64) -> Option<Vec<PeerCall>> {
-        if self.installing.is_some() {
+        if !self.standbys || self.installing.is_some() {
             return None;
         }
         let self_id = self.id;
@@ -1100,7 +1125,7 @@ impl ClusterNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Plan;
+    use crate::driver::testing::Mem;
     use crate::proto::WireHealth;
 
     fn cfg() -> SwatConfig {
@@ -1118,52 +1143,6 @@ mod tests {
                     .map(|n| n.handle(&c.request))
             })
             .collect()
-    }
-
-    fn three_node_ring() -> Vec<ClusterNode> {
-        vec![
-            ClusterNode::bootstrap_leader(cfg(), 8, 2, 2, true),
-            ClusterNode::replica(1, cfg(), 8, 2, 2, true),
-            ClusterNode::replica(2, cfg(), 8, 2, 2, true),
-        ]
-    }
-
-    /// Run one client request through the leader at `nodes[leader]`.
-    fn run(nodes: &mut [ClusterNode], leader: usize, req: &Request) -> Response {
-        let plan = nodes[leader].lead().expect("leading").plan(req);
-        match plan {
-            Plan::Done(r) => r,
-            Plan::Fan(calls) => {
-                let results = deliver_skip(nodes, leader, &calls);
-                let lead = nodes[leader].lead_mut().unwrap();
-                match req {
-                    Request::Ingest { req_id, .. } => lead.finish_ingest(*req_id, &calls, &results),
-                    Request::Point { .. } | Request::Range { .. } => {
-                        lead.finish_routed(&calls[0], results.into_iter().next().flatten())
-                    }
-                    Request::TopK { k } => {
-                        let (_, refines) = lead.plan_topk_round2(*k, &calls, &results);
-                        let scan_results = deliver_skip(nodes, leader, &refines);
-                        let shards: Vec<(usize, Option<Response>)> =
-                            refines.iter().map(|c| c.shard).zip(scan_results).collect();
-                        nodes[leader]
-                            .lead_mut()
-                            .unwrap()
-                            .finish_topk(*k, &calls, &results, &shards)
-                    }
-                    other => panic!("no fan merge for {other:?}"),
-                }
-            }
-        }
-    }
-
-    /// Deliver, but route self-calls through the leader node too.
-    fn deliver_skip(
-        nodes: &mut [ClusterNode],
-        _leader: usize,
-        calls: &[PeerCall],
-    ) -> Vec<Option<Response>> {
-        deliver(nodes, calls)
     }
 
     #[test]
@@ -1388,10 +1367,10 @@ mod tests {
 
     #[test]
     fn ring_cluster_ingests_and_queries_through_fences() {
-        let mut nodes = three_node_ring();
+        let mut mem = Mem::ring();
         for r in 0..20u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r * 3 + i) % 7) as f64).collect();
-            let resp = run(&mut nodes, 0, &Request::Ingest { req_id: r, row });
+            let resp = mem.serve_at(0, &Request::Ingest { req_id: r, row });
             assert_eq!(
                 resp,
                 Response::IngestOk {
@@ -1403,7 +1382,7 @@ mod tests {
         }
         // Primary and standby copies of each shard are identical.
         for shard in 0..2 {
-            let d: Vec<u64> = nodes[1..]
+            let d: Vec<u64> = mem.nodes[1..]
                 .iter()
                 .filter_map(|n| n.holding_digest(shard))
                 .collect();
@@ -1411,8 +1390,7 @@ mod tests {
             assert_eq!(d[0], d[1], "shard {shard} copies diverged");
         }
         assert!(matches!(
-            run(
-                &mut nodes,
+            mem.serve_at(
                 0,
                 &Request::Point {
                     stream: 3,
@@ -1421,7 +1399,7 @@ mod tests {
             ),
             Response::PointR { .. }
         ));
-        match run(&mut nodes, 0, &Request::TopK { k: 4 }) {
+        match mem.serve_at(0, &Request::TopK { k: 4 }) {
             Response::TopKR { complete, entries } => {
                 assert!(complete);
                 assert!(!entries.is_empty());
@@ -1432,32 +1410,34 @@ mod tests {
 
     #[test]
     fn election_rebuilds_the_assignment_and_promotes() {
-        let mut nodes = three_node_ring();
+        let mut mem = Mem::ring();
         for r in 0..12u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r + i) % 5) as f64).collect();
-            run(&mut nodes, 0, &Request::Ingest { req_id: r, row });
+            mem.serve_at(0, &Request::Ingest { req_id: r, row });
         }
         // The leader dies; node 1 claims the next term in its class.
-        let claim = nodes[1].begin_claim().unwrap();
+        let claim = mem.nodes[1].begin_claim().unwrap();
         assert_eq!(claim, Request::NewTerm { term: 1, leader: 1 });
         // Node 0 is gone: only node 2 answers.
-        let r2 = nodes[2].handle(&claim);
+        let r2 = mem.nodes[2].handle(&claim);
         let reports = vec![(0, None), (2, Some(r2))];
-        let calls = nodes[1].finish_claim(7, &reports).expect("claim stands");
-        assert!(nodes[1].is_leader());
-        let lead = nodes[1].lead().unwrap();
+        let calls = mem.nodes[1]
+            .finish_claim(7, &reports)
+            .expect("claim stands");
+        assert!(mem.nodes[1].is_leader());
+        let lead = mem.nodes[1].lead().unwrap();
         // Bootstrap ring survives intact: primaries kept at epoch 0.
         assert_eq!(lead.assignment().slot(0).primary, Some(1));
         assert_eq!(lead.assignment().slot(1).primary, Some(2));
         assert_eq!(lead.registry().health(0), WireHealth::Dead);
         // Deliver the re-anchoring promotes (self-routing included).
-        let results = deliver(&mut nodes, &calls);
+        let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
-        nodes[1].finish_repair(8, &calls2, &results);
+        mem.nodes[1].finish_repair(8, &calls2, &results);
         // The cluster serves again under term 1.
         for r in 12..20u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r + i) % 5) as f64).collect();
-            let resp = run(&mut nodes, 1, &Request::Ingest { req_id: r, row });
+            let resp = mem.serve_at(1, &Request::Ingest { req_id: r, row });
             assert_eq!(
                 resp,
                 Response::IngestOk {
@@ -1469,7 +1449,7 @@ mod tests {
         }
         // The deposed leader's term-0 traffic is fenced out everywhere.
         assert_eq!(
-            nodes[2].handle(&Request::Fenced {
+            mem.nodes[2].handle(&Request::Fenced {
                 term: 0,
                 leader: 0,
                 shard: NO_SHARD,
@@ -1482,60 +1462,63 @@ mod tests {
 
     #[test]
     fn losing_claims_adopt_the_winner() {
-        let mut nodes = three_node_ring();
+        let mut mem = Mem::ring();
         // Node 2 claims term 2 first…
-        let claim2 = nodes[2].begin_claim().unwrap();
-        let _ = nodes[1].handle(&claim2);
+        let claim2 = mem.nodes[2].begin_claim().unwrap();
+        let _ = mem.nodes[1].handle(&claim2);
         // …then node 1 tries term 1 < 2 after hearing the claim: its own
         // begin_claim already moves past term 2 (next in residue class).
-        let claim1 = nodes[1].begin_claim().unwrap();
+        let claim1 = mem.nodes[1].begin_claim().unwrap();
         assert_eq!(claim1, Request::NewTerm { term: 4, leader: 1 });
         // Simulate instead a claim that loses: node 2 re-claims and is
         // told about term 4.
-        let claim2b = nodes[2].begin_claim().unwrap();
+        let claim2b = mem.nodes[2].begin_claim().unwrap();
         assert_eq!(claim2b, Request::NewTerm { term: 5, leader: 2 });
-        let r1 = nodes[1].handle(&claim2b);
+        let r1 = mem.nodes[1].handle(&claim2b);
         let reports = vec![(0, None), (1, Some(r1))];
-        assert!(nodes[2].finish_claim(9, &reports).is_some());
+        assert!(mem.nodes[2].finish_claim(9, &reports).is_some());
         // Now node 1 hears a stale answer and bows out of its term 4.
         let stale = Response::StaleTermR { term: 5, leader: 2 };
-        assert!(nodes[1]
+        assert!(mem.nodes[1]
             .finish_claim(10, &[(0, None), (2, Some(stale))])
             .is_none());
-        assert!(!nodes[1].is_leader());
-        assert_eq!((nodes[1].term(), nodes[1].leader_id()), (5, 2));
+        assert!(!mem.nodes[1].is_leader());
+        assert_eq!((mem.nodes[1].term(), mem.nodes[1].leader_id()), (5, 2));
     }
 
     #[test]
     fn repair_promotes_standby_when_primary_dies() {
-        let mut nodes = three_node_ring();
+        let mut mem = Mem::ring();
         for r in 0..10u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r * 2 + i) % 9) as f64).collect();
-            run(&mut nodes, 0, &Request::Ingest { req_id: r, row });
+            mem.serve_at(0, &Request::Ingest { req_id: r, row });
         }
         // Node 1 (primary of shard 0, standby of shard 1) dies: the
         // leader's registry learns via heartbeat misses.
         {
-            let lead = nodes[0].lead_mut().unwrap();
+            let lead = mem.nodes[0].lead_mut().unwrap();
             for t in 0..2 {
                 lead.registry_mut().record_failure(t, 1);
             }
         }
-        let calls = nodes[0].repair_plan(5);
+        let calls = mem.nodes[0].repair_plan(5);
         // Shard 0 fails over to node 2; shard 1 drops its dead standby.
-        let lead = nodes[0].lead().unwrap();
+        let lead = mem.nodes[0].lead().unwrap();
         assert_eq!(lead.assignment().slot(0).primary, Some(2));
         assert_eq!(lead.assignment().slot(0).standby, None);
         assert_eq!(lead.assignment().slot(1).standby, None);
         assert!(lead.assignment().slot(0).epoch > 0);
-        let results = deliver(&mut nodes, &calls);
+        let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
-        nodes[0].finish_repair(6, &calls2, &results);
-        assert!(nodes[0].pending_promote.is_empty(), "all promotes acked");
+        mem.nodes[0].finish_repair(6, &calls2, &results);
+        assert!(
+            mem.nodes[0].pending_promote.is_empty(),
+            "all promotes acked"
+        );
         // Acked rows survive: node 2's promoted copy answers queries.
         for r in 10..14u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r * 2 + i) % 9) as f64).collect();
-            let resp = run(&mut nodes, 0, &Request::Ingest { req_id: r, row });
+            let resp = mem.serve_at(0, &Request::Ingest { req_id: r, row });
             assert_eq!(
                 resp,
                 Response::IngestOk {
@@ -1547,56 +1530,73 @@ mod tests {
         }
     }
 
+    /// A solo leader is a live node with no role in any slot — exactly
+    /// what a spare looks like. Without standbys it must not seat itself.
+    #[test]
+    fn without_standbys_nothing_is_ever_reseeded() {
+        let mut solo = ClusterNode::bootstrap_leader(cfg(), 8, 2, 2, false);
+        assert_eq!(solo.rejoin_plan(1), None);
+        assert!(solo.installing.is_none());
+        let slot = solo.lead().unwrap().assignment().slot(0);
+        assert_eq!((slot.epoch, slot.standby), (0, None));
+    }
+
     #[test]
     fn rejoin_reseeds_a_standby_from_the_primary() {
-        let mut nodes = three_node_ring();
+        let mut mem = Mem::ring();
         for r in 0..8u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r + 2 * i) % 6) as f64).collect();
-            run(&mut nodes, 0, &Request::Ingest { req_id: r, row });
+            mem.serve_at(0, &Request::Ingest { req_id: r, row });
         }
         // Shard 0's standby (node 2) is dropped (say it faulted)…
-        nodes[0]
+        mem.nodes[0]
             .lead_mut()
             .unwrap()
             .assignment_mut()
             .drop_standby(0);
         // …re-anchor the primary at the bumped epoch first.
-        nodes[0].pending_promote.insert(0);
-        let calls = nodes[0].repair_plan(3);
-        let results = deliver(&mut nodes, &calls);
+        mem.nodes[0].pending_promote.insert(0);
+        let calls = mem.nodes[0].repair_plan(3);
+        let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
-        nodes[0].finish_repair(3, &calls2, &results);
-        assert!(nodes[0].pending_promote.is_empty());
+        mem.nodes[0].finish_repair(3, &calls2, &results);
+        assert!(mem.nodes[0].pending_promote.is_empty());
         // The leader itself holds no shard role, so it is the spare that
         // picks up shard 0's standby duty.
-        let calls = nodes[0].rejoin_plan(4).expect("a spare exists");
+        let calls = mem.nodes[0].rejoin_plan(4).expect("a spare exists");
         assert_eq!(calls.len(), 2, "promote + fetch to the primary");
         assert!(calls.iter().all(|c| c.node == 1));
-        let results = deliver(&mut nodes, &calls);
+        let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
-        let install = nodes[0]
+        let install = mem.nodes[0]
             .finish_fetch(5, &calls2, &results)
             .expect("export succeeded");
         assert_eq!(install.node, 0, "ships to the spare (the leader)");
-        let result = deliver(&mut nodes, std::slice::from_ref(&install))
+        let result = deliver(&mut mem.nodes, std::slice::from_ref(&install))
             .into_iter()
             .next()
             .flatten();
-        nodes[0].finish_install(6, result);
-        assert!(nodes[0].installing.is_none(), "installation completed");
-        let slot = nodes[0].lead().unwrap().assignment().slot(0);
+        mem.nodes[0].finish_install(6, result);
+        assert!(mem.nodes[0].installing.is_none(), "installation completed");
+        let slot = mem.nodes[0].lead().unwrap().assignment().slot(0);
         assert_eq!(slot.standby, Some(0));
         // The re-seeded copy is bit-identical to the primary…
-        assert_eq!(nodes[0].holding_digest(0), nodes[1].holding_digest(0));
+        assert_eq!(
+            mem.nodes[0].holding_digest(0),
+            mem.nodes[1].holding_digest(0)
+        );
         // …and future rows require it: ingest keeps both in lockstep.
         for r in 8..12u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r + 2 * i) % 6) as f64).collect();
-            let resp = run(&mut nodes, 0, &Request::Ingest { req_id: r, row });
+            let resp = mem.serve_at(0, &Request::Ingest { req_id: r, row });
             assert!(matches!(
                 resp,
                 Response::IngestOk { ref failed_shards, .. } if failed_shards.is_empty()
             ));
         }
-        assert_eq!(nodes[0].holding_digest(0), nodes[1].holding_digest(0));
+        assert_eq!(
+            mem.nodes[0].holding_digest(0),
+            mem.nodes[1].holding_digest(0)
+        );
     }
 }

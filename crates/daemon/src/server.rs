@@ -3,9 +3,13 @@
 //! and — in cluster mode — elections).
 //!
 //! One [`spawn`]ed server is one cluster node wrapping a sans-io
-//! [`ClusterNode`]. Every socket operation carries a deadline, every
-//! fan-out first reserves per-peer in-flight tokens (shedding with a
-//! typed `Overloaded` when a budget is exhausted), and every malformed
+//! [`ClusterNode`]. What it does with a request, and what its monitor
+//! does each period, is [`crate::driver`]'s; this module is the
+//! [`Fabric`] those loops run over — the node behind a mutex, the
+//! [`PeerPool`] as the wire, milliseconds since start as the clock — and
+//! the threads around it. Every socket operation carries a deadline,
+//! every fan-out first reserves per-peer in-flight tokens (shedding with
+//! a typed `Overloaded` when a budget is exhausted), and every malformed
 //! frame closes that connection with a typed error — never a panic,
 //! never a stuck thread.
 //!
@@ -34,7 +38,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -42,11 +46,10 @@ use swat_replication::RetryPolicy;
 use swat_tree::SwatConfig;
 
 use crate::client::PeerPool;
-use crate::cluster::{stale_term_in, PeerCall, Plan};
+use crate::cluster::Plan;
+use crate::driver::{self, Fabric};
 use crate::node::ClusterNode;
-use crate::proto::{
-    check_frame, decode_request, encode_response, ErrorCode, Request, Response, WireHealth,
-};
+use crate::proto::{check_frame, decode_request, encode_response, Request, Response};
 use crate::transport::{TcpTransport, Transport, TransportError, READ_CHUNK};
 
 /// Which role this node boots as.
@@ -133,13 +136,11 @@ pub struct DrainReport {
 /// State shared by the accept loop, connection workers, and monitor.
 struct Inner {
     node: Mutex<ClusterNode>,
-    /// Pool toward the other nodes. Cluster mode: indexed by node id.
-    /// Legacy mode: indexed by shard (node id − 1).
+    /// This node's id.
+    id: u64,
+    /// Pool toward the other nodes, indexed by node id. This node's own
+    /// slot is never dialled: self-routed legs are served locally.
     peers: PeerPool,
-    /// Cluster mode flag (elections + fenced repair armed).
-    cluster: bool,
-    /// Whether standby re-seeding runs.
-    standbys: bool,
     /// Whether this node reports a checkpoint on graceful drain.
     is_replica: bool,
     /// Graceful stop: finish in-flight work, then exit.
@@ -148,271 +149,52 @@ struct Inner {
     killed: AtomicBool,
     /// Requests completed after `stop` was raised.
     drained: AtomicU64,
-    /// Milliseconds (of `started`) when valid current-leader traffic
-    /// last arrived — the election suppressor.
-    leader_contact_ms: AtomicU64,
     started: Instant,
 }
 
-impl Inner {
-    fn now_ms(&self) -> u64 {
+/// The TCP deployment of the driver's loops. A connection worker that
+/// panicked mid-request poisons the node lock; that surfaces as `None`
+/// (a typed `Internal` answer, a monitor that stops) instead of a panic
+/// cascading into every other connection.
+impl Fabric for &Inner {
+    fn with_node<R>(&mut self, f: impl FnOnce(&mut ClusterNode) -> R) -> Option<R> {
+        self.node.lock().ok().map(|mut node| f(&mut node))
+    }
+
+    fn exchange(&mut self, legs: &[(u64, &Request)]) -> Vec<Option<Response>> {
+        self.peers.exchange_many(legs)
+    }
+
+    fn now(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
     }
+}
 
-    /// Lock the node, surfacing poisoning as a typed failure instead of
-    /// a cascading panic: a connection worker that panicked mid-request
-    /// must not take every other connection down with it.
-    fn lock_node(&self) -> Result<MutexGuard<'_, ClusterNode>, ()> {
-        self.node.lock().map_err(|_| ())
-    }
-
-    /// The pool index of node `id` (see [`Inner::peers`]).
-    fn peer_index(&self, id: u64) -> usize {
-        if self.cluster {
-            id as usize
-        } else {
-            id as usize - 1
-        }
-    }
-
-    /// Deliver one request to `target`, self-routing included. Records
-    /// the outcome in the registry when this node leads and tracks the
-    /// target. `skip_dead` avoids burning connect timeouts on peers
-    /// already known dead (heartbeats must NOT skip, or the dead could
-    /// never rejoin).
-    fn deliver(&self, target: u64, req: &Request, skip_dead: bool) -> Option<Response> {
-        let self_id = {
-            let node = self.lock_node().ok()?;
-            if skip_dead && target != node.id() && known_dead(&node, target) {
-                return None;
-            }
-            node.id()
-        };
-        if target == self_id {
-            return Some(self.lock_node().ok()?.handle(req));
-        }
-        let result = self.peers.exchange(self.peer_index(target), req);
-        let at = self.now_ms();
-        if let Ok(mut node) = self.lock_node() {
-            record_outcome(&mut node, at, target, result.is_some());
-        }
-        result
-    }
-
-    /// Deliver one round of a fan-out; slot `i` of the result answers
-    /// `calls[i]`. One node lock serves the self-routed legs and skips
-    /// peers already known dead, one [`PeerPool::exchange_many`] carries
-    /// every remaining leg (one write and one read per peer when the
-    /// connections are up), and one node lock records each leg's outcome
-    /// in the registry.
-    fn deliver_fan(&self, calls: &[PeerCall]) -> Vec<Option<Response>> {
-        let mut results: Vec<Option<Response>> = vec![None; calls.len()];
-        let mut remote = Vec::with_capacity(calls.len());
-        {
-            let Ok(mut node) = self.lock_node() else {
-                return results;
-            };
-            let self_id = node.id();
-            for (i, call) in calls.iter().enumerate() {
-                if call.node == self_id {
-                    results[i] = Some(node.handle(&call.request));
-                    continue;
-                }
-                if !known_dead(&node, call.node) {
-                    remote.push(i);
-                }
-            }
-        }
-        let legs: Vec<(usize, &Request)> = remote
-            .iter()
-            .map(|&i| (self.peer_index(calls[i].node), &calls[i].request))
-            .collect();
-        let answers = self.peers.exchange_many(&legs);
-        let at = self.now_ms();
-        if let Ok(mut node) = self.lock_node() {
-            for (&i, answer) in remote.iter().zip(&answers) {
-                record_outcome(&mut node, at, calls[i].node, answer.is_some());
-            }
-        }
-        for (i, answer) in remote.into_iter().zip(answers) {
-            results[i] = answer;
-        }
-        results
-    }
-
-    /// Serve one decoded request. Total: every input maps to exactly
-    /// one response.
+impl Inner {
+    /// Serve one decoded request: the driver's cycle, with the in-flight
+    /// tokens toward every remote peer of the plan reserved between its
+    /// halves — a shed request has sent nothing to anyone. Self-served
+    /// calls need no budget.
     fn serve(&self, req: &Request) -> Response {
-        let is_leader = match self.lock_node() {
-            Ok(node) => node.is_leader(),
-            Err(()) => {
-                return Response::ErrorR {
-                    code: ErrorCode::Internal,
+        let mut fabric = self;
+        let resp = match driver::plan(&mut fabric, req) {
+            Plan::Done(resp) => resp,
+            Plan::Fan(calls) => {
+                let remote: Vec<usize> = calls
+                    .iter()
+                    .filter(|c| c.node != self.id)
+                    .map(|c| c.node as usize)
+                    .collect();
+                match self.peers.try_acquire(&remote) {
+                    Some(_tokens) => driver::finish(&mut fabric, req, &calls),
+                    None => Response::Overloaded,
                 }
-            }
-        };
-        let resp = match req {
-            Request::Ingest { .. }
-            | Request::Point { .. }
-            | Request::Range { .. }
-            | Request::TopK { .. }
-                if is_leader =>
-            {
-                self.serve_fan(req)
-            }
-            _ => {
-                let resp = match self.lock_node() {
-                    Ok(mut node) => node.handle(req),
-                    Err(()) => Response::ErrorR {
-                        code: ErrorCode::Internal,
-                    },
-                };
-                // Accepted traffic from the current leader resets the
-                // election clock.
-                let from_leader = matches!(
-                    req,
-                    Request::Fenced { .. }
-                        | Request::NewTerm { .. }
-                        | Request::Replicate { .. }
-                        | Request::FetchShard { .. }
-                        | Request::InstallShard { .. }
-                        | Request::Promote { .. }
-                );
-                if from_leader && !matches!(resp, Response::StaleTermR { .. }) {
-                    self.leader_contact_ms
-                        .store(self.now_ms(), Ordering::SeqCst);
-                }
-                resp
             }
         };
         if matches!(req, Request::Shutdown) {
             self.stop.store(true, Ordering::SeqCst);
         }
         resp
-    }
-
-    /// The leader data plane: plan under the lock, deliver each round
-    /// through [`Self::deliver_fan`] outside it, merge under the lock
-    /// again. Stepping down mid-request turns into a `NotLeaderR`
-    /// redirect, never a wrong answer.
-    fn serve_fan(&self, req: &Request) -> Response {
-        let internal = Response::ErrorR {
-            code: ErrorCode::Internal,
-        };
-        let not_leader = |node: &ClusterNode| Response::NotLeaderR {
-            leader: node.leader_id(),
-            term: node.term(),
-        };
-        let (self_id, calls) = {
-            let Ok(node) = self.lock_node() else {
-                return internal;
-            };
-            let Some(lead) = node.lead() else {
-                return not_leader(&node);
-            };
-            match lead.plan(req) {
-                Plan::Done(r) => return r,
-                Plan::Fan(calls) => (node.id(), calls),
-            }
-        };
-        // Reserve in-flight tokens toward every remote peer touched;
-        // self-served calls need no budget.
-        let idxs: Vec<usize> = calls
-            .iter()
-            .filter(|c| c.node != self_id)
-            .map(|c| self.peer_index(c.node))
-            .collect();
-        let Some(_guard) = self.peers.try_acquire(&idxs) else {
-            return Response::Overloaded;
-        };
-        let results = self.deliver_fan(&calls);
-        let stale = stale_term_in(&results);
-        let resp = {
-            let Ok(mut node) = self.lock_node() else {
-                return internal;
-            };
-            if node.lead().is_none() {
-                not_leader(&node)
-            } else {
-                match req {
-                    Request::Ingest { req_id, .. } => {
-                        // invariant: lead() checked non-None just above,
-                        // and the node lock is held continuously since.
-                        let lead = node.lead_mut().expect("still leading");
-                        lead.finish_ingest(*req_id, &calls, &results)
-                    }
-                    Request::Point { .. } | Request::Range { .. } => {
-                        let lead = node.lead_mut().expect("still leading");
-                        lead.finish_routed(&calls[0], results.first().cloned().flatten())
-                    }
-                    Request::TopK { k } => {
-                        let refines = {
-                            let lead = node.lead_mut().expect("still leading");
-                            lead.plan_topk_round2(*k, &calls, &results).1
-                        };
-                        drop(node);
-                        let scans: Vec<(usize, Option<Response>)> = refines
-                            .iter()
-                            .map(|c| c.shard)
-                            .zip(self.deliver_fan(&refines))
-                            .collect();
-                        let Ok(mut node) = self.lock_node() else {
-                            return internal;
-                        };
-                        if node.lead().is_none() {
-                            not_leader(&node)
-                        } else {
-                            node.lead_mut()
-                                .expect("still leading")
-                                .finish_topk(*k, &calls, &results, &scans)
-                        }
-                    }
-                    // invariant: serve() only routes the four data
-                    // requests here, all covered above.
-                    _ => internal,
-                }
-            }
-        };
-        if let Some((term, leader)) = stale {
-            // Someone leads a newer term: adopt it and redirect the
-            // client there rather than reporting a spurious failure.
-            if let Ok(mut node) = self.lock_node() {
-                node.observe_stale_term(term, leader);
-            }
-            return Response::NotLeaderR { leader, term };
-        }
-        resp
-    }
-
-    /// Deliver a planned call list sequentially, term-checking results.
-    fn deliver_all(&self, calls: &[PeerCall]) -> Vec<Option<Response>> {
-        calls
-            .iter()
-            .map(|c| self.deliver(c.node, &c.request, true))
-            .collect()
-    }
-}
-
-/// Whether `node` leads and its registry already holds `target` dead.
-fn known_dead(node: &ClusterNode, target: u64) -> bool {
-    node.lead().is_some_and(|lead| {
-        lead.registry().tracks(target) && lead.registry().health(target) == WireHealth::Dead
-    })
-}
-
-/// Book one exchange with `target` in the registry, when `node` leads and
-/// tracks it.
-fn record_outcome(node: &mut ClusterNode, at: u64, target: u64, answered: bool) {
-    let Some(lead) = node.lead_mut() else {
-        return;
-    };
-    if !lead.registry().tracks(target) {
-        return;
-    }
-    if answered {
-        lead.registry_mut().record_success(at, target);
-    } else {
-        lead.registry_mut().record_failure(at, target);
     }
 }
 
@@ -439,7 +221,8 @@ impl ServerHandle {
     /// Whether this node currently leads (test/bench introspection).
     pub fn is_leader(&self) -> bool {
         self.inner
-            .lock_node()
+            .node
+            .lock()
             .map(|n| n.is_leader())
             .unwrap_or(false)
     }
@@ -452,7 +235,8 @@ impl ServerHandle {
         let checkpointed = self.inner.is_replica
             && self
                 .inner
-                .lock_node()
+                .node
+                .lock()
                 .map(|mut n| n.checkpoint().is_ok())
                 .unwrap_or(false);
         DrainReport {
@@ -566,7 +350,9 @@ pub fn spawn_on(listener: TcpListener, cfg: DaemonConfig) -> io::Result<ServerHa
         cfg.peers.clone()
     } else {
         match &cfg.role {
-            Role::Leader { replicas } => replicas.clone(),
+            // Indexed by node id like the peer table: slot 0 is this
+            // node, `replicas[s]` is node `s + 1`.
+            Role::Leader { replicas } => std::iter::once(addr).chain(replicas.clone()).collect(),
             // Legacy replicas fan nothing out; an empty pool is fine.
             Role::Replica { .. } => Vec::new(),
         }
@@ -582,15 +368,13 @@ pub fn spawn_on(listener: TcpListener, cfg: DaemonConfig) -> io::Result<ServerHa
     );
 
     let inner = Arc::new(Inner {
+        id: node.id(),
         node: Mutex::new(node),
         peers,
-        cluster,
-        standbys,
         is_replica: matches!(cfg.role, Role::Replica { .. }),
         stop: AtomicBool::new(false),
         killed: AtomicBool::new(false),
         drained: AtomicU64::new(0),
-        leader_contact_ms: AtomicU64::new(0),
         started: Instant::now(),
     });
 
@@ -621,13 +405,23 @@ pub fn spawn_on(listener: TcpListener, cfg: DaemonConfig) -> io::Result<ServerHa
     });
 
     // The monitor runs on the legacy leader (heartbeats only) and on
-    // every cluster-mode node (heartbeats + repair + elections).
+    // every cluster-mode node (heartbeats + repair + elections): one
+    // `driver::monitor_pass` per period, until stopped or until the node
+    // state is poisoned — heartbeats cease then, and the rest of the
+    // cluster fails over around this node.
     let hb_thread = if cluster || matches!(cfg.role, Role::Leader { .. }) {
         let hb_inner = inner.clone();
         let period = cfg.hb_period;
-        let election_timeout = cfg.election_timeout;
-        Some(std::thread::spawn(move || {
-            monitor_loop(hb_inner, period, election_timeout)
+        let election_ms = cfg.election_timeout.as_millis() as u64;
+        let period_ms = period.as_millis().max(1) as u64;
+        Some(std::thread::spawn(move || loop {
+            std::thread::sleep(period);
+            if hb_inner.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            if driver::monitor_pass(&mut &*hb_inner, cluster, election_ms, period_ms).is_none() {
+                return;
+            }
         }))
     } else {
         None
@@ -700,132 +494,4 @@ fn serve_connection(inner: Arc<Inner>, stream: std::net::TcpStream, io_timeout: 
         }
     }
     let _ = tp.flush();
-}
-
-/// The per-node monitor. While leading: term-fenced heartbeats to every
-/// peer (never skipping the dead — that is how they rejoin), then a
-/// repair pass, then (with standbys on) at most one re-seeding step.
-/// While following in cluster mode: watch the leader-contact clock and
-/// claim the next owned term after a staggered silence — probing every
-/// lower-id node first, so the lowest live id wins without a vote.
-fn monitor_loop(inner: Arc<Inner>, period: Duration, election_timeout: Duration) {
-    let mut nonce = 0u64;
-    loop {
-        std::thread::sleep(period);
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(node) = inner.lock_node() else {
-            // Poisoned node state: stop monitoring. Heartbeats cease and
-            // the rest of the cluster fails over around this node.
-            return;
-        };
-        let leading = node.is_leader();
-        let (id, peer_ids) = (node.id(), node.peer_ids());
-        let heartbeat = node.lead().map(|l| {
-            nonce += 1;
-            l.heartbeat(nonce)
-        });
-        drop(node);
-
-        if leading {
-            // invariant: leading ⇒ heartbeat was planned above.
-            let hb = heartbeat.expect("leader plans a heartbeat");
-            let mut stale = None;
-            for &peer in &peer_ids {
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let resp = inner.deliver(peer, &hb, false);
-                if let Some(Response::StaleTermR { term, leader }) = resp {
-                    stale = Some((term, leader));
-                }
-            }
-            if let Some((term, leader)) = stale {
-                if let Ok(mut node) = inner.lock_node() {
-                    node.observe_stale_term(term, leader);
-                }
-                continue;
-            }
-            if !inner.cluster {
-                continue;
-            }
-            // Repair: promote around the dead, re-anchor epochs.
-            let at = inner.now_ms();
-            let calls = match inner.lock_node() {
-                Ok(mut node) => node.repair_plan(at),
-                Err(()) => return,
-            };
-            if !calls.is_empty() {
-                let results = inner.deliver_all(&calls);
-                if let Ok(mut node) = inner.lock_node() {
-                    node.finish_repair(inner.now_ms(), &calls, &results);
-                }
-            }
-            // Re-seed a standby from its primary, one step per tick.
-            if inner.standbys {
-                let at = inner.now_ms();
-                let fetch_calls = match inner.lock_node() {
-                    Ok(mut node) => node.rejoin_plan(at),
-                    Err(()) => return,
-                };
-                if let Some(fetch_calls) = fetch_calls {
-                    let results = inner.deliver_all(&fetch_calls);
-                    let install = match inner.lock_node() {
-                        Ok(mut node) => node.finish_fetch(inner.now_ms(), &fetch_calls, &results),
-                        Err(()) => return,
-                    };
-                    if let Some(install) = install {
-                        let result = inner.deliver(install.node, &install.request, true);
-                        if let Ok(mut node) = inner.lock_node() {
-                            node.finish_install(inner.now_ms(), result);
-                        }
-                    }
-                }
-            }
-        } else if inner.cluster {
-            // Follower: is the leader silent past our staggered patience?
-            let now = inner.now_ms();
-            let last = inner.leader_contact_ms.load(Ordering::SeqCst);
-            let patience =
-                election_timeout.as_millis() as u64 + id * period.as_millis().max(1) as u64;
-            if now.saturating_sub(last) < patience {
-                continue;
-            }
-            // Deterministic successor: defer to any live lower id.
-            let lower_alive = (0..id).any(|n| inner.deliver(n, &Request::Status, false).is_some());
-            if lower_alive {
-                inner
-                    .leader_contact_ms
-                    .store(inner.now_ms(), Ordering::SeqCst);
-                continue;
-            }
-            let claim = match inner.lock_node() {
-                Ok(mut node) => match node.begin_claim() {
-                    Ok(claim) => claim,
-                    // The term record would not persist: claiming is
-                    // unsafe (monotonicity could break across restart).
-                    Err(_) => continue,
-                },
-                Err(()) => return,
-            };
-            let reports: Vec<(u64, Option<Response>)> = peer_ids
-                .iter()
-                .map(|&p| (p, inner.deliver(p, &claim, false)))
-                .collect();
-            let calls = match inner.lock_node() {
-                Ok(mut node) => node.finish_claim(inner.now_ms(), &reports),
-                Err(()) => return,
-            };
-            if let Some(calls) = calls {
-                let results = inner.deliver_all(&calls);
-                if let Ok(mut node) = inner.lock_node() {
-                    node.finish_repair(inner.now_ms(), &calls, &results);
-                }
-            }
-            inner
-                .leader_contact_ms
-                .store(inner.now_ms(), Ordering::SeqCst);
-        }
-    }
 }

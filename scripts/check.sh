@@ -14,6 +14,11 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
 
+echo "== benchmark/ builds against the crates (an API break fails here, not after every smoke) =="
+# benchmark/ is a package of its own outside the workspace and calls the
+# daemon's planning, merging and server API by name.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== workspace tests (every crate, release binaries for the smokes) =="
 cargo test -q --workspace
 cargo build --release -p swat-cli # swat + swatd binaries for the daemon smoke
@@ -133,10 +138,13 @@ echo "daemon smoke clean (ingest, point, top-k, drain, checkpoint)"
 
 echo "== fan-out and freeze smokes (release mode: the timings the deadlines meet in production) =="
 # The buffered transport, the coalesced fan-out and its scripted-peer
-# failure cases, the raw-socket connection-worker tests and the 2 000-row
-# ring run of tcp_cluster; then the freeze hand-off under the counting
-# allocator and extend_rows against the push_row loop.
-cargo test --release -q -p swat-daemon --lib -- transport:: client::
+# failure cases, the driver's loops over the scripted fabric and in the
+# simulator (arithmetic and assertions as the shipped build has them),
+# the raw-socket connection-worker tests and the 2 000-row ring run of
+# tcp_cluster; then the freeze hand-off under the counting allocator and
+# extend_rows against the push_row loop.
+cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim::
+cargo test --release -q -p swat-daemon --test sim_oracle
 cargo test --release -q -p swat-daemon --test tcp_cluster
 cargo test --release -q -p swat-store --test freeze_alloc
 cargo test --release -q -p swat-tree --test ingest_equivalence extend_rows
@@ -162,10 +170,9 @@ grep -q '"zero_wrong_answers": true' target/failover-smoke.json
 echo "failover smoke clean (target/failover-smoke.json)"
 
 echo "== benchmark smoke (benchmark/: its own tests, then every workload on toy shapes) =="
-# benchmark/ is a package of its own outside the workspace, so nothing
-# above builds it. Its tests pin the declared-vs-emitted metric schema;
-# --quick drives all four workloads, untraced and traced, and exits
-# non-zero on a wrong answer, a failed op, or a build break.
+# Built above, right after tier-1. Its tests pin the declared-vs-emitted
+# metric schema; --quick drives all four workloads, untraced and traced,
+# and exits non-zero on a wrong answer or a failed op.
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 if ! benchmark/run.sh --quick >target/benchmark-smoke.log 2>&1; then
     tail -n 40 target/benchmark-smoke.log >&2
