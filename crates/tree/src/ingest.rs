@@ -3,8 +3,8 @@
 //!
 //! # The blocked cascade
 //!
-//! The scalar update ([`SwatTree::push`]) does per-arrival work: rotate
-//! the level-0 slots, overwrite the newest, and walk the cascade doing
+//! The scalar update ([`SwatTree::push`]) does per-arrival work: step
+//! level 0's slot order, overwrite the newest, and walk the cascade doing
 //! the same with one merge per refreshed level. Correct and `O(k)`
 //! amortized — but branchy and opaque to the vectorizer.
 //!
@@ -261,10 +261,10 @@ impl SwatTree {
         if t0 > 0 {
             for l in 1..=l_top {
                 let count = c >> l;
-                if count <= self.levels[l].capacity() {
+                if count <= self.order.capacity(l) {
                     let cl = l - 1;
                     let ck = k.min(1 << (cl + 1));
-                    let ok = self.levels[cl].front().is_some_and(|s| {
+                    let ok = self.summary_at(cl, 0).is_some_and(|s| {
                         s.created_at() == t0
                             && s.coeffs().len() == 1 << (cl + 1)
                             && s.coeffs().stored() == ck
@@ -302,7 +302,7 @@ impl SwatTree {
         // merge will read them — copied before any slab mutation.
         for (cl, lane) in lanes.iter_mut().enumerate().take(l_cap + 1) {
             if boundary_needed[cl] {
-                let s = self.levels[cl].front().expect("verified above");
+                let s = self.summary_at(cl, 0).expect("verified above");
                 let ck = k.min(1 << (cl + 1));
                 lane.coeffs[..ck].copy_from_slice(s.coeffs().coefficients());
                 lane.lo[0] = s.range().lo();
@@ -331,7 +331,7 @@ impl SwatTree {
         // chunk's per-arrival summaries — created at t0+c-2 (even),
         // t0+c-1 (odd, computed here from the slice), t0+c (even).
         {
-            let cap0 = self.levels[0].capacity();
+            let cap0 = self.order.capacity(0);
             let lane = &lanes[0];
             let m_last = c / 2;
             let odd_newer = chunk[c - 2];
@@ -363,7 +363,7 @@ impl SwatTree {
             let take = cap0.min(3);
             for &(created, coeffs, lo, hi) in &entries[3 - take..] {
                 self.levels[0]
-                    .refresh(0)
+                    .refresh(0, &mut self.order)
                     .set_prefix(coeffs, lo, hi, created);
             }
         }
@@ -372,7 +372,7 @@ impl SwatTree {
         // valid refreshes), oldest first — exactly what the scalar
         // per-arrival pushes retain.
         for l in 1..=l_top {
-            let cap = self.levels[l].capacity();
+            let cap = self.order.capacity(l);
             let count = c >> l;
             let valid = (count + 1).saturating_sub(n_min);
             let take = cap.min(valid);
@@ -404,7 +404,7 @@ impl SwatTree {
                     )
                 };
                 self.levels[l]
-                    .refresh(l)
+                    .refresh(l, &mut self.order)
                     .set_prefix(coeffs, lo, hi, created);
             }
         }
@@ -520,7 +520,9 @@ pub mod reference {
         }
     }
 
-    /// The frozen per-arrival update (the pre-block `push_one`, verbatim).
+    /// The frozen per-arrival update (the pre-block `push_one`: build a
+    /// fresh summary, install it, recycle what it evicts — through
+    /// `Level::refresh`, the one way into a slot there is).
     fn push_one(tree: &mut SwatTree, value: f64, k: usize, scratch: &mut MergeScratch) {
         debug_assert!(value.is_finite(), "callers validate finiteness");
         let prev = tree.last.replace(value);
@@ -537,14 +539,13 @@ pub mod reference {
         )
         .expect("scalars always merge");
         let summary = Summary::new(coeffs, ValueRange::of(&[value, prev]), tree.t, 0);
-        if let Some(evicted) = tree.levels[0].push(summary) {
-            scratch.reclaim(evicted.into_coeffs());
-        }
+        let evicted = std::mem::replace(tree.levels[0].refresh(0, &mut tree.order), summary);
+        scratch.reclaim(evicted.into_coeffs());
         // Cascade: level l refreshes when 2^l divides t.
         let top = (tree.t.trailing_zeros() as usize).min(tree.levels.len() - 1);
         for l in 1..=top {
-            let child = &tree.levels[l - 1];
-            let (Some(right), Some(left)) = (child.front(), child.get(2)) else {
+            let (Some(right), Some(left)) = (tree.summary_at(l - 1, 0), tree.summary_at(l - 1, 2))
+            else {
                 break; // Still warming up.
             };
             debug_assert_eq!(right.created_at(), tree.t);
@@ -553,9 +554,8 @@ pub mod reference {
                 .expect("sibling blocks have equal widths");
             let range = right.range().union(left.range());
             let summary = Summary::new(coeffs, range, tree.t, l);
-            if let Some(evicted) = tree.levels[l].push(summary) {
-                scratch.reclaim(evicted.into_coeffs());
-            }
+            let evicted = std::mem::replace(tree.levels[l].refresh(l, &mut tree.order), summary);
+            scratch.reclaim(evicted.into_coeffs());
         }
     }
 }

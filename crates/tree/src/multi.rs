@@ -9,6 +9,8 @@
 //! history, with accuracy inherited from the summaries (exact for
 //! lossless trees).
 
+use std::borrow::Borrow;
+
 use crate::codec::{write_frame, Cursor};
 use crate::config::{SwatConfig, TreeError};
 use crate::query::{InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions};
@@ -260,7 +262,7 @@ impl StreamSet {
         opts: QueryOptions,
         threads: usize,
     ) -> Result<Vec<Vec<PointAnswer>>, TreeError> {
-        self.query_fan_out(threads, |tree, scratch, out| {
+        query_fan_out(&self.trees, threads, |tree, scratch, out| {
             tree.point_many(indices, opts, scratch, out)
         })
     }
@@ -284,55 +286,9 @@ impl StreamSet {
         opts: QueryOptions,
         threads: usize,
     ) -> Result<Vec<Vec<InnerProductAnswer>>, TreeError> {
-        self.query_fan_out(threads, |tree, scratch, out| {
+        query_fan_out(&self.trees, threads, |tree, scratch, out| {
             tree.inner_product_many(queries, opts, scratch, out)
         })
-    }
-
-    /// Deterministic query fan-out: run `eval` once per tree, partitioned
-    /// into the same contiguous shards as [`Self::extend_batched`], and
-    /// collect per-stream results in stream order.
-    fn query_fan_out<T: Send>(
-        &self,
-        threads: usize,
-        eval: impl Fn(&SwatTree, &mut QueryScratch, &mut Vec<T>) -> Result<(), TreeError> + Sync,
-    ) -> Result<Vec<Vec<T>>, TreeError> {
-        assert!(threads > 0, "need at least one thread");
-        // Zero streams: nothing to answer, and `div_ceil(workers)` below
-        // would divide by zero (the empty-set panic this module used to
-        // have on the query path).
-        if self.trees.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = threads.min(self.trees.len());
-        let mut results: Vec<Result<Vec<T>, TreeError>> =
-            (0..self.trees.len()).map(|_| Ok(Vec::new())).collect();
-        if workers == 1 {
-            let mut scratch = QueryScratch::new();
-            for (tree, slot) in self.trees.iter().zip(results.iter_mut()) {
-                let mut out = Vec::new();
-                *slot = eval(tree, &mut scratch, &mut out).map(|()| out);
-            }
-        } else {
-            let shard = self.trees.len().div_ceil(workers);
-            let eval = &eval;
-            std::thread::scope(|scope| {
-                for (tree_shard, slot_shard) in
-                    self.trees.chunks(shard).zip(results.chunks_mut(shard))
-                {
-                    scope.spawn(move || {
-                        let mut scratch = QueryScratch::new();
-                        for (tree, slot) in tree_shard.iter().zip(slot_shard.iter_mut()) {
-                            let mut out = Vec::new();
-                            *slot = eval(tree, &mut scratch, &mut out).map(|()| out);
-                        }
-                    });
-                }
-            });
-        }
-        // First error in stream order, independent of which worker hit it
-        // first in wall-clock time.
-        results.into_iter().collect()
     }
 
     /// Approximate inner product `Σ x_a[i] · x_b[i]` over the `m` newest
@@ -400,6 +356,57 @@ impl StreamSet {
         let xb = self.recent(b, m, opts)?;
         Ok(pearson(&xa, &xb))
     }
+}
+
+/// Deterministic query fan-out: run `eval` once per tree, partitioned
+/// into the same contiguous shards as [`StreamSet::extend_batched`], and
+/// collect per-stream results in stream order — the first error in stream
+/// order wins, whichever worker met it first in wall-clock time.
+pub(crate) fn query_fan_out<T: Send, S: Borrow<SwatTree> + Sync>(
+    trees: &[S],
+    threads: usize,
+    eval: impl Fn(&SwatTree, &mut QueryScratch, &mut Vec<T>) -> Result<(), TreeError> + Sync,
+) -> Result<Vec<Vec<T>>, TreeError> {
+    assert!(threads > 0, "need at least one thread");
+    // Zero streams: nothing to answer, and `div_ceil(workers)` below
+    // would divide by zero.
+    if trees.is_empty() {
+        return Ok(Vec::new());
+    }
+    let workers = threads.min(trees.len());
+    if workers == 1 {
+        // The thread's own scratch: the serving map a previous call (or
+        // the previous stream) built is still there, and steady trees at
+        // one clock share it. Every stream answers the same block, so
+        // each answer vector is sized by the one before it.
+        return crate::scratch::with_thread_scratch(|scratch| {
+            let mut results = Vec::with_capacity(trees.len());
+            let mut answers = 0;
+            for tree in trees {
+                let mut out = Vec::with_capacity(answers);
+                eval(tree.borrow(), scratch, &mut out)?;
+                answers = out.len();
+                results.push(out);
+            }
+            Ok(results)
+        });
+    }
+    let mut results: Vec<Result<Vec<T>, TreeError>> =
+        (0..trees.len()).map(|_| Ok(Vec::new())).collect();
+    let shard = trees.len().div_ceil(workers);
+    let eval = &eval;
+    std::thread::scope(|scope| {
+        for (tree_shard, slot_shard) in trees.chunks(shard).zip(results.chunks_mut(shard)) {
+            scope.spawn(move || {
+                let mut scratch = QueryScratch::new();
+                for (tree, slot) in tree_shard.iter().zip(slot_shard.iter_mut()) {
+                    let mut out = Vec::new();
+                    *slot = eval(tree.borrow(), &mut scratch, &mut out).map(|()| out);
+                }
+            });
+        }
+    });
+    results.into_iter().collect()
 }
 
 /// Magic prefix of a [`StreamSet::snapshot`] buffer.

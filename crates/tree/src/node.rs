@@ -5,11 +5,11 @@
 //! block, and the arrival count at which the block ended (its creation
 //! time). A summary never changes while it is retained — the paper's
 //! `R -> S -> L` shifting never recomputes one, it only keeps the last
-//! three generations per level — so a level in this implementation is a
-//! short newest-first array of summaries and the "shift" is a rotation:
-//! the generation that falls off the end becomes the slot the fresh
-//! summary is written into (`Level::refresh` in `tree.rs`), reusing its
-//! coefficient storage.
+//! three generations per level — so a level in this implementation is
+//! three slots whose order lives in the tree header, and the "shift" is
+//! one step of that order: the slot of the generation that falls off the
+//! end becomes the one the fresh summary is written into
+//! (`Level::refresh` in `tree.rs`), reusing its coefficient storage.
 //!
 //! # Coverage
 //!

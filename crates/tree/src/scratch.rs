@@ -27,10 +27,15 @@
 //! stable counting sort, instead of the reference's nodes × indices scan.
 //!
 //! **Invalidation rule**: the cache is keyed on the exact cover geometry —
-//! the arrival count plus the `(level, created_at)` sequence of all
-//! populated nodes (and `min_level`). Any `push` advances the arrival
-//! count, so every mutation invalidates; the comparison is exact (no
-//! hashing), so a stale cache can never be mistaken for a fresh one.
+//! the window, the arrival count and the `(level, created_at)` sequence
+//! of all populated nodes (and `min_level`). Any `push` advances the
+//! arrival count, so every mutation invalidates; the comparison is exact
+//! (no hashing), so a stale cache can never be mistaken for a fresh one.
+//! Once a tree is steady ([`SwatTree::is_steady`]) that node sequence is a
+//! function of the window and the arrival count alone, so a map built for
+//! a steady tree is accepted for any steady tree on those two words, in
+//! `O(1)`; a tree that is not steady (warming up, or restored from a
+//! hand-built snapshot) is compared node for node.
 //!
 //! Single-shot queries (`point_with`, `inner_product_with`, …) instead use
 //! a buffered variant of the reference scan — same `O(3 log N · M)`
@@ -113,6 +118,8 @@ struct CoverCache {
     min_level: usize,
     window: usize,
     arrivals: u64,
+    /// Whether the tree this cache was built for was steady.
+    steady: bool,
     /// `(level, created_at)` of every populated node, traversal order —
     /// the exact cover geometry this cache was built for.
     geom: Vec<(u32, u64)>,
@@ -145,7 +152,7 @@ impl CoverCache {
             && self.min_level == min_level
             && self.window == tree.config().window()
             && self.arrivals == tree.arrivals()
-            && self.geom_matches(tree)
+            && ((self.steady && tree.is_steady()) || self.geom_matches(tree))
         {
             return;
         }
@@ -159,16 +166,8 @@ impl CoverCache {
         self.slots.clear();
         self.serving.clear();
         self.serving.resize(window, UNSERVED);
-        let mut level_cursor = usize::MAX;
-        let mut queue_index = 0usize;
-        for (level, _, s) in tree.nodes() {
-            // `nodes()` yields queue order 0,1,2 within each level.
-            if level != level_cursor {
-                level_cursor = level;
-                queue_index = 0;
-            } else {
-                queue_index += 1;
-            }
+        for (level, pos, s) in tree.nodes() {
+            let queue_index = pos as usize;
             self.geom.push((level as u32, s.created_at()));
             if level < min_level {
                 continue;
@@ -188,6 +187,7 @@ impl CoverCache {
         self.min_level = min_level;
         self.window = window;
         self.arrivals = now;
+        self.steady = tree.is_steady();
         self.rebuilds += 1;
     }
 }
@@ -290,15 +290,8 @@ impl QueryScratch {
         self.covered.clear();
         self.covered.resize(idx.len(), false);
         let mut remaining = idx.len();
-        let mut level_cursor = usize::MAX;
-        let mut queue_index = 0usize;
-        for (level, _, summary) in tree.nodes() {
-            if level != level_cursor {
-                level_cursor = level;
-                queue_index = 0;
-            } else {
-                queue_index += 1;
-            }
+        for (level, pos, summary) in tree.nodes() {
+            let queue_index = pos as usize;
             if level < opts.min_level {
                 continue;
             }
@@ -1061,11 +1054,13 @@ mod tests {
             InnerProductQuery::exponential(n, 1e9),
             InnerProductQuery::linear_at(5, n - 5, 1e9),
         ];
+        assert!(a.is_steady() && b.is_steady());
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
         for tree in [&a, &b, &a] {
             tree.inner_product_many(&queries, QueryOptions::default(), &mut scratch, &mut out)
                 .unwrap();
+            assert_eq!(scratch.cover.rebuilds, 1, "steady trees share the map");
             for (q, got) in queries.iter().zip(&out) {
                 let want =
                     crate::query::reference::inner_product_with(tree, q, QueryOptions::default())
@@ -1107,6 +1102,106 @@ mod tests {
             QueryOptions::at_level(1),
         );
         assert_eq!(scratch.cover.rebuilds, 4);
+    }
+
+    /// A warm tree whose clock ran one arrival past its newest summaries:
+    /// every `created_at` is legal (in the past, strictly descending per
+    /// level) and none is where a stream would have put it. Built by hand
+    /// from a streamed tree's parts and taken through the snapshot format.
+    fn hand_built(n: usize, k: usize, arrivals: usize) -> SwatTree {
+        let grown = warm_tree(n, k, (0..arrivals).map(|i| ((i * 29) % 83) as f64 - 30.0));
+        let mut queues = vec![std::collections::VecDeque::new(); grown.config().levels()];
+        for (l, _, s) in grown.nodes() {
+            queues[l].push_back(s.clone());
+        }
+        let shifted = SwatTree::from_restored(
+            *grown.config(),
+            grown.arrivals() + 1,
+            grown.newest(),
+            queues,
+        )
+        .unwrap();
+        SwatTree::restore(&shifted.snapshot()).unwrap()
+    }
+
+    #[test]
+    fn hand_built_geometry_is_not_steady_and_answers_like_the_reference() {
+        use crate::query::reference;
+        let n = 64;
+        let tree = hand_built(n, 4, 3 * n);
+        assert!(tree.is_warm());
+        assert!(!tree.is_steady());
+        let opts = QueryOptions::default();
+        let mut scratch = QueryScratch::new();
+
+        // Index 0 is newer than every summary: refused by both engines.
+        let indices: Vec<usize> = (1..n).collect();
+        let mut points = Vec::new();
+        tree.point_many(&indices, opts, &mut scratch, &mut points)
+            .unwrap();
+        for (&idx, got) in indices.iter().zip(&points) {
+            assert_eq!(*got, reference::point_with(&tree, idx, opts).unwrap());
+        }
+        assert_eq!(
+            tree.point_many(&[0], opts, &mut scratch, &mut points),
+            Err(TreeError::Uncovered { index: 0 })
+        );
+        assert_eq!(
+            reference::point_with(&tree, 0, opts),
+            Err(TreeError::Uncovered { index: 0 })
+        );
+
+        let queries = [
+            InnerProductQuery::exponential_at(1, n - 1, 1e9),
+            InnerProductQuery::linear_at(5, n - 6, 1e9),
+            InnerProductQuery::new(vec![1, 4, 9, 40], vec![0.5, -2.0, 3.0, 1.0], 1e9).unwrap(),
+        ];
+        let mut inners = Vec::new();
+        tree.inner_product_many(&queries, opts, &mut scratch, &mut inners)
+            .unwrap();
+        for (q, got) in queries.iter().zip(&inners) {
+            assert_eq!(*got, reference::inner_product_with(&tree, q, opts).unwrap());
+        }
+        let range = RangeQuery::new(0.0, 25.0, 1, n - 1);
+        let mut matches = Vec::new();
+        tree.range_query_with_scratch(&range, opts, &mut scratch, &mut matches)
+            .unwrap();
+        assert_eq!(
+            matches,
+            reference::range_query_with(&tree, &range, opts).unwrap()
+        );
+    }
+
+    #[test]
+    fn cover_cache_never_trusts_the_clock_of_an_unsteady_tree() {
+        let n = 32;
+        let odd = hand_built(n, 2, 96);
+        // Same window, same arrival count, grown from a stream.
+        let grown = warm_tree(n, 2, (0..97).map(|i| i as f64));
+        assert_eq!(odd.arrivals(), grown.arrivals());
+        assert!(grown.is_steady() && !odd.is_steady());
+        let span = IdxList::Span { first: 1, len: 31 };
+        let opts = QueryOptions::default();
+        let mut scratch = QueryScratch::new();
+        scratch.cover_mapped(&odd, span, opts);
+        assert_eq!(scratch.cover.rebuilds, 1);
+        // The same unsteady tree again: compared node for node, cached.
+        scratch.cover_mapped(&odd, span, opts);
+        assert_eq!(scratch.cover.rebuilds, 1);
+        // Equal (window, arrivals) but one side is not steady: the walk
+        // sees the different geometry, in either direction.
+        scratch.cover_mapped(&grown, span, opts);
+        assert_eq!(scratch.cover.rebuilds, 2);
+        assert!(scratch.uncovered.is_empty());
+        scratch.cover_mapped(&odd, span, opts);
+        assert_eq!(scratch.cover.rebuilds, 3);
+        // And it still invalidates as any tree does: on another age, on
+        // another `min_level`.
+        let older = hand_built(n, 2, 100);
+        scratch.cover_mapped(&older, span, opts);
+        assert_eq!(scratch.cover.rebuilds, 4);
+        scratch.cover_mapped(&older, span, QueryOptions::at_level(1));
+        assert_eq!(scratch.cover.rebuilds, 5);
     }
 
     #[test]

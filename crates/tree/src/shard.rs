@@ -355,45 +355,16 @@ impl ShardedStreamSet {
     }
 
     /// Query fan-out in global stream order: trees are gathered through
-    /// the routing table into their global order, then partitioned into
-    /// the same contiguous chunks [`StreamSet::query_fan_out`] uses, so
-    /// answers — and the first-error choice — cannot depend on the
-    /// shard layout.
+    /// the routing table into their global order and handed to the
+    /// fan-out [`StreamSet`] uses, so answers — and the first-error
+    /// choice — cannot depend on the shard layout.
     fn query_fan_out<T: Send>(
         &self,
         threads: usize,
         eval: impl Fn(&SwatTree, &mut QueryScratch, &mut Vec<T>) -> Result<(), TreeError> + Sync,
     ) -> Result<Vec<Vec<T>>, TreeError> {
-        assert!(threads > 0, "need at least one thread");
-        if self.streams == 0 {
-            return Ok(Vec::new());
-        }
         let trees: Vec<&SwatTree> = (0..self.streams).map(|g| self.tree(g)).collect();
-        let workers = threads.min(trees.len());
-        let mut results: Vec<Result<Vec<T>, TreeError>> =
-            (0..trees.len()).map(|_| Ok(Vec::new())).collect();
-        if workers == 1 {
-            let mut scratch = QueryScratch::new();
-            for (tree, slot) in trees.iter().zip(results.iter_mut()) {
-                let mut out = Vec::new();
-                *slot = eval(tree, &mut scratch, &mut out).map(|()| out);
-            }
-        } else {
-            let per = trees.len().div_ceil(workers);
-            let eval = &eval;
-            std::thread::scope(|scope| {
-                for (tree_chunk, slot_chunk) in trees.chunks(per).zip(results.chunks_mut(per)) {
-                    scope.spawn(move || {
-                        let mut scratch = QueryScratch::new();
-                        for (tree, slot) in tree_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            let mut out = Vec::new();
-                            *slot = eval(tree, &mut scratch, &mut out).map(|()| out);
-                        }
-                    });
-                }
-            });
-        }
-        results.into_iter().collect()
+        crate::multi::query_fan_out(&trees, threads, eval)
     }
 
     /// Order-sensitive digest over every stream's tree in **global**

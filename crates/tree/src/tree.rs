@@ -8,10 +8,10 @@
 //! retains one, for `3 log N − 2` nodes total. A level-`l` summary
 //! describes a dyadic block of `2^(l+1)` consecutive stream values and
 //! never changes while retained; the paper's shift `L := S; S := R;
-//! R := new` is a rotation of the level's (at most three) slots, kept
-//! physically newest-first, after which the slot that held the evicted
-//! generation is overwritten in place with the new summary
-//! ([`Level::refresh`]).
+//! R := new` renames three nodes and writes one, and so does this tree:
+//! which slot of a level is `R` lives in the tree header ([`Order`]), a
+//! refresh steps it and overwrites the slot that held the evicted
+//! generation in place ([`Level::refresh`]), and no summary ever moves.
 //!
 //! # Update (the paper's Figure 3a)
 //!
@@ -49,17 +49,9 @@ pub enum NodePos {
 }
 
 impl NodePos {
-    /// The paper's query-time traversal order within a level: `R → S → L`.
+    /// The paper's query-time traversal order within a level: `R → S → L`
+    /// — queue indices 0, 1, 2.
     pub const ORDER: [NodePos; 3] = [NodePos::Right, NodePos::Shift, NodePos::Left];
-
-    fn from_queue_index(i: usize) -> NodePos {
-        match i {
-            0 => NodePos::Right,
-            1 => NodePos::Shift,
-            2 => NodePos::Left,
-            _ => unreachable!("levels retain at most three summaries"),
-        }
-    }
 
     /// Short display name.
     pub fn name(self) -> &'static str {
@@ -71,111 +63,107 @@ impl NodePos {
     }
 }
 
-/// One level of the tree: up to three generations of summaries, newest
-/// first, stored **inline** in a fixed three-slot array rather than a
-/// heap-backed queue. A level never retains more than three summaries
-/// (one at the top), so the inline slab costs nothing in capacity while
-/// eliminating one heap allocation per level per tree — at a million
-/// streams that per-stream fixed cost dominates, so the whole tree's
-/// node storage collapses to a single `Vec<Level>` allocation
-/// (`swat scale-bench` reports the resulting bytes/stream).
-#[derive(Debug, Clone)]
-pub(crate) struct Level {
-    nodes: [Option<Summary>; 3],
-    len: u8,
-    capacity: u8,
+/// The slot order of every level at once, kept in the tree header beside
+/// the clock: two bits per level name the slot that holds the level's
+/// newest summary, and queue index `i` (0 = `R`, 1 = `S`, 2 = `L`) lives
+/// `i` slots after it, wrapping at the level's capacity. A look-up thus
+/// computes a node's address from the header alone — its cache miss does
+/// not wait on a per-level word — and a refresh steps one head.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Order {
+    /// Level `l`'s head is bits `2l..2l+2` (64 levels in two words).
+    heads: [u64; 2],
+    /// The top level, which retains one summary instead of three.
+    top: u8,
+    /// Populated slots over the whole tree.
+    filled: u8,
+    /// Whether the populated nodes are exactly those of a stream grown
+    /// from empty to the tree's clock (see [`SwatTree::is_steady`]).
+    canonical: bool,
 }
 
-impl Level {
-    fn new(capacity: usize) -> Self {
-        debug_assert!((1..=3).contains(&capacity), "levels retain 1..=3 summaries");
-        Level {
-            nodes: [None, None, None],
-            len: 0,
-            capacity: capacity as u8,
+impl Order {
+    fn new(levels: usize) -> Self {
+        debug_assert!((1..64).contains(&levels), "windows are 2^1..2^63");
+        Order {
+            heads: [0; 2],
+            top: (levels - 1) as u8,
+            filled: 0,
+            canonical: true,
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity as usize
-    }
-
-    fn is_full(&self) -> bool {
-        self.len == self.capacity
-    }
-
-    /// The summary at queue index `i` (0 = newest), if populated.
-    pub(crate) fn get(&self, i: usize) -> Option<&Summary> {
-        if i < self.len() {
-            self.nodes[i].as_ref()
-        } else {
-            None
-        }
-    }
-
-    /// The newest summary (the paper's `R`), if any.
-    pub(crate) fn front(&self) -> Option<&Summary> {
-        self.get(0)
-    }
-
-    /// Iterate populated summaries newest-first.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Summary> {
-        self.nodes[..self.len()]
-            .iter()
-            .map(|s| s.as_ref().expect("slots below len are populated"))
-    }
-
-    /// Age every generation by one slot and hand back the slot that is
-    /// now the newest for the caller to overwrite: the one way the live
-    /// ingest paths fill a level. It still holds the generation the
-    /// rotation evicted — whose coefficient storage the `Summary::set_*`
-    /// writers reuse — or, while the level warms up, a blank summary of
-    /// `level`. The slots stay physically newest-first, so reads
-    /// ([`Level::get`], [`Level::iter`]) are plain array walks.
+    /// How many summaries level `l` retains.
     #[inline]
-    pub(crate) fn refresh(&mut self, level: usize) -> &mut Summary {
-        // Bubble the oldest slot to the front: two swaps at most, which
-        // measures ~20 % faster per arrival than `rotate_right(1)`.
-        for i in (1..self.capacity()).rev() {
-            self.nodes.swap(i - 1, i);
-        }
-        self.len = (self.len + 1).min(self.capacity);
-        self.nodes[0].get_or_insert_with(|| Summary::blank(level))
-    }
-
-    /// Install a summary built elsewhere, returning the generation it
-    /// evicts (if the level was at capacity): bulk initialization and the
-    /// frozen reference ingest path.
-    pub(crate) fn push(&mut self, s: Summary) -> Option<Summary> {
-        let cap = self.capacity();
-        let evicted = if self.len() == cap {
-            self.nodes[cap - 1].take()
+    pub(crate) fn capacity(&self, l: usize) -> usize {
+        if l == self.top as usize {
+            1
         } else {
-            None
-        };
-        for i in (1..cap).rev() {
-            if self.nodes[i - 1].is_some() {
-                self.nodes[i] = self.nodes[i - 1].take();
-            }
+            3
         }
-        self.nodes[0] = Some(s);
-        self.len = (self.len + 1).min(self.capacity);
-        evicted
     }
 
-    /// Replace the level's contents from a restore queue (newest first).
-    /// Callers validate the length against the capacity.
-    fn assign(&mut self, queue: VecDeque<Summary>) {
-        debug_assert!(queue.len() <= self.capacity());
-        self.nodes = [None, None, None];
-        self.len = queue.len() as u8;
-        for (i, s) in queue.into_iter().enumerate() {
-            self.nodes[i] = Some(s);
+    #[inline]
+    fn head(&self, l: usize) -> usize {
+        (self.heads[(l >> 5) & 1] >> ((l & 31) * 2)) as usize & 3
+    }
+
+    /// The physical slot of level `l`'s queue index `i`, if the level
+    /// retains that many generations.
+    #[inline]
+    fn slot(&self, l: usize, i: usize) -> Option<usize> {
+        let cap = self.capacity(l);
+        let at = self.head(l) + i;
+        (i < cap).then_some(if at >= cap { at - cap } else { at })
+    }
+
+    /// Age every generation of level `l` by one queue index and return
+    /// the slot that is now the newest: the oldest generation's.
+    #[inline]
+    fn advance(&mut self, l: usize) -> usize {
+        let head = self.head(l);
+        let next = if head == 0 {
+            self.capacity(l) - 1
+        } else {
+            head - 1
+        };
+        self.heads[(l >> 5) & 1] ^= ((head ^ next) as u64) << ((l & 31) * 2);
+        next
+    }
+}
+
+/// One level of the tree: its (at most three) summaries, stored **inline**
+/// rather than in a heap-backed queue, in slots whose order the tree's
+/// [`Order`] holds (so every method takes the level's index `l` and that
+/// word). A level never retains more than three summaries (one at the
+/// top), so the inline slab costs nothing in capacity while eliminating
+/// one heap allocation per level per tree — at a million streams that
+/// per-stream fixed cost dominates, so the whole tree's node storage
+/// collapses to a single `Vec<Level>` allocation (`swat scale-bench`
+/// reports the resulting bytes/stream).
+#[derive(Debug, Clone)]
+pub(crate) struct Level([Option<Summary>; 3]);
+
+impl Level {
+    /// The summary at queue index `i` (0 = newest), if populated.
+    #[inline]
+    pub(crate) fn get(&self, l: usize, order: &Order, i: usize) -> Option<&Summary> {
+        self.0[order.slot(l, i)?].as_ref()
+    }
+
+    /// Age every generation by one queue index and hand back the slot
+    /// that is now the newest for the caller to overwrite: the one way a
+    /// level is filled. It still holds the generation the step evicted —
+    /// whose coefficient storage the `Summary::set_*` writers reuse — or,
+    /// while the level warms up, a blank summary of level `l`. No summary
+    /// moves.
+    #[inline]
+    pub(crate) fn refresh(&mut self, l: usize, order: &mut Order) -> &mut Summary {
+        let slot = &mut self.0[order.advance(l)];
+        if slot.is_none() {
+            order.filled += 1;
         }
+        slot.get_or_insert_with(|| Summary::blank(l))
     }
 }
 
@@ -191,6 +179,8 @@ pub struct SwatTree {
     pub(crate) t: u64,
     /// The newest raw value (`d_0`), if any.
     pub(crate) last: Option<f64>,
+    /// Slot order and fill of every level.
+    pub(crate) order: Order,
     pub(crate) levels: Vec<Level>,
 }
 
@@ -199,14 +189,12 @@ impl SwatTree {
     /// populated after at most `2N` arrivals — see [`SwatTree::is_warm`]).
     pub fn new(config: SwatConfig) -> Self {
         let n = config.levels();
-        let levels = (0..n)
-            .map(|l| Level::new(if l + 1 == n { 1 } else { 3 }))
-            .collect();
         SwatTree {
             config,
             t: 0,
             last: None,
-            levels,
+            order: Order::new(n),
+            levels: vec![Level([None, None, None]); n],
         }
     }
 
@@ -233,7 +221,7 @@ impl SwatTree {
         let k = config.coefficients();
         for l in 0..config.levels() {
             let width = 1usize << (l + 1);
-            let generations = tree.levels[l].capacity();
+            let generations = tree.order.capacity(l);
             // Oldest generation first so the newest ends up at the front.
             for g in (0..generations).rev() {
                 let created_at = t - (g as u64) * (width as u64 / 2);
@@ -246,7 +234,7 @@ impl SwatTree {
                 let coeffs =
                     HaarCoeffs::from_signal(&block, k).expect("window blocks are powers of two");
                 let summary = Summary::new(coeffs, ValueRange::of(&block), created_at, l);
-                tree.levels[l].push(summary);
+                *tree.levels[l].refresh(l, &mut tree.order) = summary;
             }
         }
         Ok(tree)
@@ -254,7 +242,9 @@ impl SwatTree {
 
     /// Assemble a tree from restored parts (the snapshot module's restore
     /// path). Queues must hold summaries newest-first with levels matching
-    /// their position.
+    /// their position. Any creation times up to `t` are accepted; whether
+    /// they are the ones a stream would have produced is checked once,
+    /// here, and remembered for [`SwatTree::is_steady`].
     pub(crate) fn from_restored(
         config: SwatConfig,
         t: u64,
@@ -285,15 +275,28 @@ impl SwatTree {
                     });
                 }
             }
-            if queue.len() > tree.levels[l].capacity() {
+            let capacity = tree.order.capacity(l);
+            if queue.len() > capacity {
                 return Err(TreeError::RestoredOverCapacity {
                     level: l,
                     got: queue.len(),
-                    capacity: tree.levels[l].capacity(),
+                    capacity,
                 });
             }
-            tree.levels[l].assign(queue);
+            // A stream at clock `t` has refreshed level `l` at every
+            // multiple of `2^l` from `2^(l+1)` on, and kept the newest.
+            let refreshes = (t >> l).saturating_sub(1);
+            tree.order.canonical &= queue.len() as u64 == refreshes.min(capacity as u64)
+                && queue
+                    .iter()
+                    .zip(0u64..)
+                    .all(|(s, j)| s.created_at() == ((t >> l) - j) << l);
+            for s in queue.into_iter().rev() {
+                *tree.levels[l].refresh(l, &mut tree.order) = s;
+            }
         }
+        // Without a newest value the next arrival summarizes no pair.
+        tree.order.canonical &= last.is_some() || t == 0;
         Ok(tree)
     }
 
@@ -419,7 +422,9 @@ impl SwatTree {
             return; // First value ever: no pair to summarize yet.
         };
         // Level 0: summarize the two newest raw values (d_0, d_1).
-        self.levels[0].refresh(0).set_pair(value, prev, k, self.t);
+        self.levels[0]
+            .refresh(0, &mut self.order)
+            .set_pair(value, prev, k, self.t);
         self.cascade_from(1, k);
     }
 
@@ -438,12 +443,17 @@ impl SwatTree {
         for l in from_level..=top {
             let (children, parents) = self.levels.split_at_mut(l);
             let child = &children[l - 1];
-            let (Some(right), Some(left)) = (child.front(), child.get(2)) else {
+            let (Some(right), Some(left)) = (
+                child.get(l - 1, &self.order, 0),
+                child.get(l - 1, &self.order, 2),
+            ) else {
                 break; // Still warming up.
             };
             debug_assert_eq!(right.created_at(), self.t);
             debug_assert_eq!(left.created_at(), self.t - (1 << l));
-            parents[0].refresh(l).set_merged(right, left, k, self.t);
+            parents[0]
+                .refresh(l, &mut self.order)
+                .set_merged(right, left, k, self.t);
         }
     }
 
@@ -497,39 +507,58 @@ impl SwatTree {
     /// Whether every node of the tree is populated (guaranteed after `2N`
     /// arrivals; [`SwatTree::from_window`] trees are warm immediately).
     pub fn is_warm(&self) -> bool {
-        self.levels.iter().all(Level::is_full)
+        self.order.filled as usize == self.config.node_count()
+    }
+
+    /// Whether the tree is warm and every summary sits where a stream
+    /// puts it — `(level, queue index j)` created at `((t >> level) − j)
+    /// << level` — so that two steady trees with equal windows and arrival
+    /// counts have the same cover geometry and the query engine's cover
+    /// cache validates in `O(1)`. Only a tree restored from a snapshot no
+    /// tree wrote can be warm and not steady.
+    pub fn is_steady(&self) -> bool {
+        self.order.canonical && self.is_warm()
     }
 
     /// The summary at `(level, queue index)` — the query engine's direct
     /// access path for cover-cache slots (queue index 0 = `R`, 1 = `S`,
     /// 2 = `L`, matching the traversal order of [`SwatTree::nodes`]).
+    #[inline]
     pub(crate) fn summary_at(&self, level: usize, queue_index: usize) -> Option<&Summary> {
-        self.levels.get(level)?.get(queue_index)
+        self.levels.get(level)?.get(level, &self.order, queue_index)
     }
 
     /// The summary at `(level, pos)`, if populated.
     pub fn node(&self, level: usize, pos: NodePos) -> Option<&Summary> {
-        let idx = match pos {
-            NodePos::Right => 0,
-            NodePos::Shift => 1,
-            NodePos::Left => 2,
-        };
-        self.levels.get(level)?.get(idx)
+        self.summary_at(level, pos as usize)
     }
 
     /// Iterate all populated summaries in the paper's query order: levels
     /// ascending, `R → S → L` within a level.
     pub fn nodes(&self) -> impl Iterator<Item = (usize, NodePos, &Summary)> {
-        self.levels.iter().enumerate().flat_map(|(l, lvl)| {
-            lvl.iter()
-                .enumerate()
-                .map(move |(i, s)| (l, NodePos::from_queue_index(i), s))
+        // Every single-shot query walks this, so: one flat loop that
+        // decodes a level's head once (44 ns over 28 nodes; computing
+        // `Order::slot` for every node measured 72).
+        let (mut l, mut i) = (0, 0);
+        let (mut at, mut cap) = (self.order.head(0), self.order.capacity(0));
+        std::iter::from_fn(move || loop {
+            let level = self.levels.get(l)?;
+            if i < cap {
+                if let Some(s) = level.0[at].as_ref() {
+                    let pos = NodePos::ORDER[i];
+                    i += 1;
+                    at = if at + 1 == cap { 0 } else { at + 1 };
+                    return Some((l, pos, s));
+                }
+            }
+            (l, i) = (l + 1, 0);
+            (at, cap) = (self.order.head(l), self.order.capacity(l));
         })
     }
 
     /// Number of populated summaries (`3 log N − 2` once warm).
     pub fn summary_count(&self) -> usize {
-        self.levels.iter().map(Level::len).sum()
+        self.order.filled as usize
     }
 
     /// Approximate memory footprint of the tree, in bytes: the tree
@@ -542,7 +571,7 @@ impl SwatTree {
             + self.levels.capacity() * std::mem::size_of::<Level>()
             + self
                 .nodes()
-                .map(|(_, _, s)| s.coeffs().stored() * std::mem::size_of::<f64>())
+                .map(|(_, _, s)| s.coeffs().heap_coefficients() * std::mem::size_of::<f64>())
                 .sum::<usize>()
     }
 
@@ -583,14 +612,15 @@ impl SwatTree {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "t = {}", self.t);
-        for (l, lvl) in self.levels.iter().enumerate().rev() {
+        for l in (0..self.levels.len()).rev() {
             let _ = write!(out, "level {l}:");
-            for (i, s) in lvl.iter().enumerate() {
+            for pos in NodePos::ORDER {
+                let Some(s) = self.node(l, pos) else { break };
                 let (a, b) = s.coverage(self.t);
                 let _ = write!(
                     out,
                     "  {}=[{a}-{b}] avg {:.3}",
-                    NodePos::from_queue_index(i).name(),
+                    pos.name(),
                     s.coeffs().average()
                 );
             }
@@ -659,6 +689,28 @@ mod tests {
         }
         assert_eq!(tree.node(3, NodePos::Right).unwrap().coverage(16), (0, 15));
         assert!(tree.node(3, NodePos::Shift).is_none());
+    }
+
+    #[test]
+    fn space_bytes_counts_inline_coefficients_once() {
+        use std::mem::size_of;
+        let values = (0..200).map(|i| ((i * 7) % 19) as f64);
+        // k = 1: every coefficient lives inline in its slot, so the tree
+        // is its header plus the level slab and not a byte more.
+        let mut tree = SwatTree::new(cfg(64));
+        tree.extend(values.clone());
+        assert!(tree.is_warm());
+        let header_and_slab = size_of::<SwatTree>() + 6 * size_of::<Level>();
+        assert_eq!(tree.space_bytes(), header_and_slab);
+        // k = 8: level 0 keeps 2 coefficients (inline), level 1 keeps 4
+        // and levels 2..=5 keep 8 each, on the heap.
+        let mut tree = SwatTree::new(SwatConfig::with_coefficients(64, 8).unwrap());
+        tree.extend(values);
+        let heap_coefficients = 3 * 4 + (3 * 3 + 1) * 8;
+        assert_eq!(
+            tree.space_bytes(),
+            header_and_slab + heap_coefficients * size_of::<f64>()
+        );
     }
 
     #[test]
@@ -883,11 +935,10 @@ mod tests {
         tree.extend((0..arrivals).map(|i| ((i * 7) % 19) as f64));
         let t = tree.arrivals();
         let last = tree.newest();
-        let queues: Vec<VecDeque<Summary>> = tree
-            .levels
-            .iter()
-            .map(|lvl| lvl.iter().cloned().collect())
-            .collect();
+        let mut queues = vec![VecDeque::new(); config.levels()];
+        for (l, _, s) in tree.nodes() {
+            queues[l].push_back(s.clone());
+        }
         (config, t, last, queues)
     }
 

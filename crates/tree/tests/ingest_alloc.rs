@@ -1,5 +1,6 @@
 //! Steady-state ingestion performs **zero heap allocations**, batched or
-//! row at a time.
+//! row at a time, and a set-wide point query allocates its result and
+//! nothing else.
 //!
 //! The blocked ingest path keeps all per-chunk state in reusable
 //! buffers: the SoA level lanes and precompiled merge plans live in
@@ -23,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use swat_tree::{IngestScratch, StreamSet, SwatConfig, SwatTree};
+use swat_tree::{IngestScratch, QueryOptions, StreamSet, SwatConfig, SwatTree};
 
 thread_local! {
     static MEASURED_THREAD: Cell<bool> = const { Cell::new(false) };
@@ -135,5 +136,23 @@ fn steady_state_batched_ingest_does_not_allocate() {
             delta, 0,
             "steady-state push_row allocated {delta} times (k = {k})"
         );
+
+        // A set-wide point query returns one answer vector per stream and
+        // a vector of those: exactly that many allocations per call, each
+        // sized once. The serving map lives in the thread's scratch and
+        // every (steady, equally old) stream shares it, so nothing else
+        // allocates after the first call.
+        let indices = [0usize, 3, 17, n - 1];
+        let opts = QueryOptions::default();
+        set.point_many(&indices, opts, 1).unwrap();
+        let before = allocations();
+        let answers = set.point_many(&indices, opts, 1).unwrap();
+        let delta = allocations() - before;
+        assert_eq!(
+            delta,
+            streams as u64 + 1,
+            "set-wide point_many allocated {delta} times (k = {k})"
+        );
+        assert!(answers.iter().all(|a| a.len() == indices.len()));
     }
 }

@@ -80,7 +80,13 @@ impl Store {
     fn reset(&mut self, keep: usize) -> &mut [f64] {
         match self {
             Store::Inline { len, .. } if keep <= INLINE_CAP => *len = keep as u8,
-            Store::Heap(v) if keep > INLINE_CAP => v.resize(keep, 0.0),
+            // A slot refreshed in place keeps its length from one
+            // generation to the next: no call into `Vec::resize`.
+            Store::Heap(v) if keep > INLINE_CAP => {
+                if v.len() != keep {
+                    v.resize(keep, 0.0);
+                }
+            }
             _ => *self = Store::zeroed(keep),
         }
         self.as_mut_slice()
@@ -338,6 +344,18 @@ impl HaarCoeffs {
         out[0] = (a + b) * 0.5;
         if let Some(detail) = out.get_mut(1) {
             *detail = (a - b) * 0.5;
+        }
+        // Up to four coefficients, depth 2 is one detail from each child:
+        // plain stores, where the general loop below would call
+        // `copy_from_slice` and `fill` on one-element slices.
+        if out.len() <= 4 {
+            if let Some(detail) = out.get_mut(2) {
+                *detail = newer_c.get(1).copied().unwrap_or(0.0);
+            }
+            if let Some(detail) = out.get_mut(3) {
+                *detail = older_c.get(1).copied().unwrap_or(0.0);
+            }
+            return;
         }
         // Parent depth-j block (j >= 2, BFS offset 2^(j-1), size 2^(j-1)) is
         // the concatenation of the children's depth-(j-1) blocks (offset

@@ -28,6 +28,10 @@ cargo test -q -p swat-tree --test ingest_equivalence
 cargo test -q -p swat-tree --test ingest_alloc
 echo "ingest equivalence clean (bit-identity + zero-alloc steady state)"
 
+echo "== slot order, steadiness and both equivalence suites, optimized (what the benchmark runs; no debug_assert) =="
+cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence
+echo "release-mode equivalence clean (queue order = frozen reference, steady => canonical geometry)"
+
 echo "== ingest-bench smoke (blocked batch must beat frozen reference) =="
 cargo run --release -q -p swat-cli -- ingest-bench --quick \
     --values 262144 --windows 1024 --coeffs 1,8 \
