@@ -24,6 +24,8 @@
 //! The header repeats the tree configuration so an empty store (no
 //! checkpoint written yet) is still recoverable from `wal-0` alone.
 
+use std::io::Read;
+
 use swat_tree::codec::{crc32, CodecError, Cursor};
 use swat_tree::SwatConfig;
 
@@ -170,21 +172,20 @@ pub fn scan_records(body: &[u8], streams: usize) -> WalPrefix {
     let rlen = record_len(streams);
     let mut values = Vec::new();
     let mut at = 0;
-    'records: while body.len() - at >= rlen {
+    while body.len() - at >= rlen {
         let stored = u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
         let row = &body[at + 4..at + rlen];
         if crc32(row) != stored {
             break;
         }
         let mark = values.len();
-        for s in 0..streams {
-            let bits = u64::from_le_bytes(row[8 * s..8 * s + 8].try_into().expect("8 bytes"));
-            let v = f64::from_bits(bits);
-            if !v.is_finite() {
-                values.truncate(mark);
-                break 'records;
-            }
-            values.push(v);
+        values.extend(
+            row.chunks_exact(8)
+                .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes")))),
+        );
+        if !values[mark..].iter().fold(true, |ok, v| ok & v.is_finite()) {
+            values.truncate(mark);
+            break;
         }
         at += rlen;
     }
@@ -204,7 +205,7 @@ pub fn scan_records(body: &[u8], streams: usize) -> WalPrefix {
 /// first incomplete, corrupt, or non-finite record ends the verified
 /// prefix, and a read error is treated as the end of readable data (the
 /// tail is dropped, never guessed at).
-pub struct WalBodyReader<R: std::io::Read> {
+pub struct WalBodyReader<R: Read> {
     inner: R,
     streams: usize,
     /// Whole-record-aligned staging buffer (capacity `chunk_rows` records).
@@ -214,7 +215,7 @@ pub struct WalBodyReader<R: std::io::Read> {
     done: bool,
 }
 
-impl<R: std::io::Read> WalBodyReader<R> {
+impl<R: Read> WalBodyReader<R> {
     /// A reader delivering up to `chunk_rows` rows per call (minimum 1).
     pub fn new(inner: R, streams: usize, chunk_rows: usize) -> WalBodyReader<R> {
         let target = record_len(streams) * chunk_rows.max(1);
@@ -241,24 +242,11 @@ impl<R: std::io::Read> WalBodyReader<R> {
             return None;
         }
         // Top up the staging buffer to one chunk (or EOF / read error).
-        let mut eof = false;
-        let mut scratch = [0u8; 8192];
-        while self.buf.len() < self.target {
-            let want = (self.target - self.buf.len()).min(scratch.len());
-            match self.inner.read(&mut scratch[..want]) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
-                Err(_) => {
-                    // An unreadable tail is a dropped tail.
-                    eof = true;
-                    self.done = true;
-                    break;
-                }
-            }
-        }
+        let want = (self.target - self.buf.len()) as u64;
+        let read = self.inner.by_ref().take(want).read_to_end(&mut self.buf);
+        // Short of a full chunk the log ends here — and so it does on a
+        // read error: an unreadable tail is a dropped tail.
+        let eof = !matches!(read, Ok(n) if n as u64 == want);
         let prefix = scan_records(&self.buf, self.streams);
         let whole = self.buf.len() / record_len(self.streams) * record_len(self.streams);
         if prefix.verified_len < whole || eof {
@@ -425,6 +413,34 @@ mod tests {
             rows += chunk.len() / 2;
         }
         assert_eq!(rows, 99);
+    }
+
+    #[test]
+    fn a_read_error_ends_the_verified_prefix() {
+        /// Yields its bytes, then fails every further read.
+        struct FailsAfter<'a>(&'a [u8]);
+        impl Read for FailsAfter<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::Error::other("injected read fault"));
+                }
+                self.0.read(out)
+            }
+        }
+        let mut body = Vec::new();
+        for i in 0..10 {
+            encode_record(&mut body, &[i as f64, -(i as f64)]);
+        }
+        // Six whole records and half of the seventh arrive before the fault.
+        let readable = &body[..6 * record_len(2) + 9];
+        let mut r = WalBodyReader::new(FailsAfter(readable), 2, 4);
+        let mut values = Vec::new();
+        while let Some(chunk) = r.next_rows() {
+            values.extend(chunk);
+        }
+        assert_eq!(values, scan_records(readable, 2).values);
+        assert_eq!(r.verified_len(), (6 * record_len(2)) as u64);
+        assert!(r.next_rows().is_none());
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! Two pieces:
 //!
 //! * [`crc32`] — the IEEE CRC-32 (the checksum of zip/PNG/ethernet),
-//!   slice-by-8 over compile-time tables. CRC-32 detects **every**
-//!   single-bit error and every burst up to 32 bits, which is exactly
-//!   the adversary the storage fault injector plays.
+//!   folded by carry-less multiplication where the CPU can and
+//!   slice-by-8 over compile-time tables everywhere else. CRC-32 detects
+//!   **every** single-bit error and every burst up to 32 bits, which is
+//!   exactly the adversary the storage fault injector plays.
 //! * [`Cursor`] / frame helpers — a bounds-checked little-endian reader
 //!   that reports the **byte offset** of every failure, and writers for
 //!   the section frame `[u8 tag] [u32 len] [u32 crc] [payload]` used by
@@ -52,12 +53,32 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// IEEE CRC-32 of `bytes`: eight bytes per step through
-/// [`CRC_TABLES`], then a bytewise tail. Same polynomial and bit order
-/// as the bytewise loop it replaced, so every stored checksum verifies.
+/// IEEE CRC-32 of `bytes`. Same polynomial, bit order and values on
+/// every path, so every stored checksum verifies: inputs of at least
+/// [`clmul::MIN_LEN`] bytes on an x86-64 with PCLMULQDQ are folded by
+/// carry-less multiplication, everything else (and the sub-16-byte tail
+/// of a folded input) goes through the portable [`crc32_sliced`] loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `clmul::crc32` is a safe function whose only
+        // requirement is that the CPU has the `pclmulqdq` and `sse4.1`
+        // features it is compiled with, which the two run-time
+        // detections above have just established.
+        return unsafe { clmul::crc32(bytes) };
+    }
+    !crc32_sliced(!0, bytes)
+}
+
+/// The portable path: advance the raw (un-inverted) CRC register
+/// `state` over `bytes`, eight bytes per step through [`CRC_TABLES`],
+/// then a bytewise tail.
+fn crc32_sliced(state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let mut c = state;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -74,7 +95,116 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel 2009), bit-reflected variant for the IEEE polynomial.
+///
+/// The message is a polynomial over GF(2); a 128-bit lane `a` that sits
+/// `d` bits ahead of lane `b` can be replaced by `b ^ a.lo·(x^(d+32) mod
+/// P) ^ a.hi·(x^(d−32) mod P)` without changing the remainder mod `P`,
+/// and each product is one `pclmulqdq`. Four independent lanes are
+/// folded 64 bytes (`d = 512`) a step so the multiplier's latency
+/// overlaps, then into one lane and on in 16-byte steps (`d = 128`),
+/// and the last lane is reduced 128 → 64 → 32 bits, the final step by
+/// Barrett reduction. What is left of the input (< 16 bytes) continues
+/// in [`crc32_sliced`] from the register that comes out.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input folded: the four lanes are loaded before the loop.
+    pub(super) const MIN_LEN: usize = 64;
+
+    // Constants for P = 0x1_04C1_1DB7. The K are 32-bit remainders,
+    // bit-reflected and shifted left once (a reflected 64 × 64-bit
+    // product comes out one bit low); `P_X` and `MU` are the 33-bit
+    // values bit-reflected.
+    /// `x^(512+32) mod P`.
+    const K1: i64 = 0x1_5444_2BD4;
+    /// `x^(512−32) mod P`.
+    const K2: i64 = 0x1_C6E4_1596;
+    /// `x^(128+32) mod P`.
+    const K3: i64 = 0x1_7519_97D0;
+    /// `x^(128−32) mod P`.
+    const K4: i64 = 0x0_CCAA_009E;
+    /// `x^64 mod P`.
+    const K5: i64 = 0x1_63CD_6124;
+    /// `P` itself, reflected.
+    const P_X: i64 = 0x1_DB71_0641;
+    /// `µ = ⌊x^64 / P⌋`, reflected.
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Sixteen message bytes as one lane, first byte in the lowest bits.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lane(b: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+        let hi = u64::from_le_bytes(b[8..16].try_into().expect("8 bytes"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// Fold lane `a` onto `b`, `keys` holding the two constants for the
+    /// distance between them (low half for `a`'s low half).
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// IEEE CRC-32 of `bytes`, which must hold at least [`MIN_LEN`].
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(bytes: &[u8]) -> u32 {
+        let mut blocks = bytes.chunks_exact(64);
+        let first = blocks.next().expect("the caller checked MIN_LEN");
+
+        // The initial register (all ones) enters as the first four bytes.
+        let mut x0 = _mm_xor_si128(lane(&first[..16]), _mm_cvtsi32_si128(!0));
+        let mut x1 = lane(&first[16..32]);
+        let mut x2 = lane(&first[32..48]);
+        let mut x3 = lane(&first[48..]);
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for b in &mut blocks {
+            x0 = fold(x0, lane(&b[..16]), k1k2);
+            x1 = fold(x1, lane(&b[16..32]), k1k2);
+            x2 = fold(x2, lane(&b[32..48]), k1k2);
+            x3 = fold(x3, lane(&b[48..]), k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(x0, x1, k3k4);
+        x = fold(x, x2, k3k4);
+        x = fold(x, x3, k3k4);
+        let mut steps = blocks.remainder().chunks_exact(16);
+        for b in &mut steps {
+            x = fold(x, lane(b), k3k4);
+        }
+
+        // 128 → 64 bits: fold the low half across 64 bits, then the low
+        // 32 bits of that across 32.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+
+        // 64 → 32 bits, Barrett: T1 = ⌊R mod x^32⌋·µ, T2 = ⌊T1 mod x^32⌋·P,
+        // and the remainder is the high word of R ^ T2 (reflected order).
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let state = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+
+        !super::crc32_sliced(state, steps.remainder())
+    }
 }
 
 /// A positioned decode failure.
@@ -296,49 +426,107 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    /// The bytewise table loop [`crc32`] replaced: the reference the
-    /// sliced loop must equal on every input.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        // Two that are long enough to be folded: the RFC 1321 suite's
+        // 80 digits (one 64-byte block, one 16-byte step) and the bytes
+        // 0x00..=0xFF (four blocks), pinned from the bytewise loop.
+        let digits = b"1234567890".repeat(8);
+        let ramp: Vec<u8> = (0..=255).collect();
+        for (input, crc) in [(&digits, 0x7CA9_4A72), (&ramp, 0x2905_8C73)] {
+            assert_eq!(crc32_bytewise(input), crc);
+            assert_eq!(crc32_portable(input), crc);
+            assert_eq!(crc32(input), crc);
         }
-        c ^ 0xFFFF_FFFF
     }
 
-    #[test]
-    fn crc32_matches_bytewise_at_every_length_and_alignment() {
-        // Seeded xorshift bytes; every length through two full steps'
-        // worth of tail positions past 256, at every offset into the
-        // 8-byte stride.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..8 + 257)
+    /// The bytewise table loop on the raw register: the reference both
+    /// paths of [`crc32`] must equal on every input, resumable so a
+    /// checksum can be carried across a split.
+    fn bytewise(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |c, &b| {
+            CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+        })
+    }
+
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytewise(!0, bytes)
+    }
+
+    /// What [`crc32`] computes where the fold is not available.
+    fn crc32_portable(bytes: &[u8]) -> u32 {
+        !crc32_sliced(!0, bytes)
+    }
+
+    /// `len` seeded xorshift bytes.
+    fn noise(mut x: u64, len: usize) -> Vec<u8> {
+        x |= 1;
+        (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 (x >> 24) as u8
             })
-            .collect();
-        for start in 0..8 {
-            for len in 0..=257 {
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_alignment() {
+        // Every length through 1 100 at every offset into a 16-byte lane:
+        // below the fold's 64-byte threshold, on it, one to seventeen
+        // folded blocks, every count of 16-byte steps behind them and
+        // every 1..15-byte tail — for the dispatched function and for
+        // the portable loop it falls back to.
+        let buf = noise(0x9E37_79B9_7F4A_7C15, 16 + 1100);
+        for start in 0..16 {
+            for len in 0..=1100 {
                 let s = &buf[start..start + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+                let want = crc32_bytewise(s);
+                assert_eq!(crc32(s), want, "start {start} len {len}");
+                assert_eq!(crc32_portable(s), want, "portable, start {start} len {len}");
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Both paths agree with each other and with the bytewise
+            /// loop on inputs up to 256 KB, and the checksum of `a ‖ b`
+            /// in one call is what the bytewise loop reaches when it is
+            /// stopped after `a` and resumed over `b`.
+            #[test]
+            fn both_paths_agree_and_the_checksum_resumes_across_any_split(
+                len in 0usize..=256 * 1024,
+                seed in any::<u64>(),
+                cut in any::<u64>(),
+            ) {
+                let buf = noise(seed, len);
+                let (a, b) = buf.split_at(cut as usize % (len + 1));
+                let resumed = !bytewise(bytewise(!0, a), b);
+                prop_assert_eq!(crc32(&buf), resumed);
+                prop_assert_eq!(crc32_portable(&buf), resumed);
+                prop_assert_eq!(!crc32_sliced(crc32_sliced(!0, a), b), resumed);
             }
         }
     }
 
     #[test]
     fn crc32_detects_every_single_bit_flip() {
-        let data = b"SWAT durability layer reference payload".to_vec();
-        let clean = crc32(&data);
-        for byte in 0..data.len() {
-            for bit in 0..8 {
-                let mut flipped = data.clone();
-                flipped[byte] ^= 1 << bit;
-                assert_ne!(crc32(&flipped), clean, "flip at {byte}.{bit} undetected");
+        // A short payload (portable loop only), one folded through three
+        // blocks and a tail, and one `wire-wide` leg.
+        let text = b"SWAT durability layer reference payload".to_vec();
+        for mut data in [text, noise(7, 200), noise(11, 8200)] {
+            let clean = crc32(&data);
+            for byte in 0..data.len() {
+                for bit in 0..8 {
+                    data[byte] ^= 1 << bit;
+                    assert_ne!(crc32(&data), clean, "flip at {byte}.{bit} undetected");
+                    data[byte] ^= 1 << bit;
+                }
             }
         }
     }

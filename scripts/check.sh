@@ -32,6 +32,10 @@ echo "== slot order, steadiness and both equivalence suites, optimized (what the
 cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence
 echo "release-mode equivalence clean (queue order = frozen reference, steady => canonical geometry)"
 
+echo "== CRC-32 kernel, optimized (the folded path as the benchmark runs it; debug builds run the same code, not the same codegen) =="
+cargo test -q --release -p swat-tree --lib codec
+echo "release-mode crc32 clean (folded and portable paths = bytewise loop at every length and alignment)"
+
 echo "== ingest-bench smoke (blocked batch must beat frozen reference) =="
 cargo run --release -q -p swat-cli -- ingest-bench --quick \
     --values 262144 --windows 1024 --coeffs 1,8 \
