@@ -10,9 +10,7 @@
 //! warmth) while correctness never degrades — the `violations` field
 //! must be zero in every cell.
 
-use std::time::{SystemTime, UNIX_EPOCH};
-
-use crate::report;
+use crate::report::{self, Json};
 use swat_data::Dataset;
 use swat_net::{DelayDist, FaultPlan, NodeId, Topology};
 use swat_replication::harness::WorkloadConfig;
@@ -284,61 +282,40 @@ impl ChaosReport {
         );
     }
 
-    /// Serialize as the `BENCH_chaos.json` artifact (schema in
-    /// EXPERIMENTS.md). Hand-rolled: the workspace deliberately has no
-    /// serialization dependency.
-    pub fn to_json(&self) -> String {
-        let now_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        let mut out = String::with_capacity(256 + 200 * self.cases.len());
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"chaos\",\n");
-        out.push_str("  \"scheme\": \"SWAT-ASR\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"generated_unix_ms\": {now_ms},\n"));
-        out.push_str(&format!("  \"depth\": {},\n", self.depth));
-        out.push_str(&format!("  \"horizon\": {},\n", self.horizon));
-        out.push_str(&format!("  \"delta\": {},\n", self.delta));
-        out.push_str(&format!("  \"heal\": {},\n", self.heal));
-        out.push_str("  \"cases\": [\n");
-        for (i, c) in self.cases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"drop\": {}, \"delay\": {}, \"crash\": {}, \"messages\": {}, \
-                 \"weighted_cost\": {:.1}, \"queries\": {}, \"answered\": {}, \
-                 \"answer_rate\": {:.4}, \"local_hits\": {}, \"retries\": {}, \
-                 \"dropped\": {}, \"mean_latency\": {:.3}, \"cost_per_answer\": {:.2}, \
-                 \"repairs\": {}, \"violations\": {}}}{}\n",
-                c.drop,
-                c.delay,
-                c.crash,
-                c.messages,
-                c.weighted_cost,
-                c.queries,
-                c.answered,
-                c.answer_rate,
-                c.local_hits,
-                c.retries,
-                c.dropped,
-                c.mean_latency,
-                c.cost_per_answer(),
-                c.repairs,
-                c.violations,
-                if i + 1 == self.cases.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Write the JSON artifact, creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from directory creation or the write.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        report::write_json(path, &self.to_json())
+    /// The `BENCH_chaos.json` artifact (schema in EXPERIMENTS.md): a
+    /// function of the configuration alone — no timestamp — so the
+    /// committed file can be held to `cmp`.
+    pub fn to_json(&self) -> Json {
+        use Json::*;
+        let case = |c: &ChaosCase| {
+            Object(vec![
+                ("drop", Num(c.drop, None)),
+                ("delay", Int(c.delay)),
+                ("crash", Bool(c.crash)),
+                ("messages", Int(c.messages)),
+                ("weighted_cost", Num(c.weighted_cost, Some(1))),
+                ("queries", Int(c.queries)),
+                ("answered", Int(c.answered)),
+                ("answer_rate", Num(c.answer_rate, Some(4))),
+                ("local_hits", Int(c.local_hits)),
+                ("retries", Int(c.retries)),
+                ("dropped", Int(c.dropped)),
+                ("mean_latency", Num(c.mean_latency, Some(3))),
+                ("cost_per_answer", Num(c.cost_per_answer(), Some(2))),
+                ("repairs", Int(c.repairs as u64)),
+                ("violations", Int(c.violations as u64)),
+            ])
+        };
+        Object(vec![
+            ("bench", Str("chaos".into())),
+            ("scheme", Str("SWAT-ASR".into())),
+            ("seed", Int(self.seed)),
+            ("depth", Int(self.depth as u64)),
+            ("horizon", Int(self.horizon)),
+            ("delta", Num(self.delta, None)),
+            ("heal", Bool(self.heal)),
+            ("cases", Array(self.cases.iter().map(case).collect())),
+        ])
     }
 }
 
@@ -375,7 +352,7 @@ mod tests {
             faulty.cost_per_answer() > ideal.cost_per_answer(),
             "drops must make each answered query cost more messages"
         );
-        let json = report.to_json();
+        let json = report.to_json().render();
         assert!(json.contains("\"bench\": \"chaos\""));
         assert_eq!(json.matches("\"drop\"").count(), report.cases.len());
     }

@@ -23,7 +23,7 @@
 //! Artifact: `results/BENCH_failover.json` (schema in EXPERIMENTS.md).
 
 use std::net::SocketAddr;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use swat_daemon::{
     bind, spawn_on, DaemonClient, DaemonConfig, FailoverClient, Request, Response, Role,
@@ -31,7 +31,7 @@ use swat_daemon::{
 use swat_replication::RetryPolicy;
 use swat_tree::{QueryOptions, ShardedStreamSet, SwatConfig};
 
-use crate::report;
+use crate::report::{self, Json};
 
 /// Workload shape for the failover bench.
 #[derive(Debug, Clone)]
@@ -182,63 +182,34 @@ impl FailoverReport {
         );
     }
 
-    /// Serialize as the `BENCH_failover.json` artifact (schema in
-    /// EXPERIMENTS.md). Hand-rolled: the workspace deliberately has no
-    /// serialization dependency.
-    pub fn to_json(&self) -> String {
-        let now_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"failover\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"generated_unix_ms\": {now_ms},\n"));
-        out.push_str(&format!("  \"streams\": {},\n", self.streams));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards));
-        out.push_str(&format!("  \"nodes\": {},\n", self.shards + 1));
-        out.push_str(&format!("  \"window\": {},\n", self.window));
-        out.push_str(&format!("  \"election_ms\": {:.2},\n", self.election_ms));
-        out.push_str(&format!(
-            "  \"unavailability_ms\": {:.2},\n",
-            self.unavailability_ms
-        ));
-        out.push_str(&format!("  \"recovered_term\": {},\n", self.recovered_term));
-        out.push_str(&format!(
-            "  \"recovered_leader\": {},\n",
-            self.recovered_leader
-        ));
-        out.push_str(&format!("  \"recovered\": {},\n", self.recovered));
-        out.push_str(&format!(
-            "  \"zero_wrong_answers\": {},\n",
-            self.zero_wrong_answers()
-        ));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"requests\": {}, \"answered\": {}, \
-                 \"answered_fraction\": {:.4}, \"latency_p50_us\": {:.2}, \"wrong\": {}}}{}\n",
-                p.label,
-                p.requests,
-                p.answered,
-                p.answered_fraction(),
-                p.p50_us,
-                p.wrong,
-                if i + 1 == self.phases.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Write the JSON artifact, creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from directory creation or the write.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        report::write_json(path, &self.to_json())
+    /// The `BENCH_failover.json` artifact (schema in EXPERIMENTS.md).
+    pub fn to_json(&self) -> Json {
+        use Json::*;
+        let phase = |p: &FailoverPhase| {
+            Object(vec![
+                ("phase", Str(p.label.into())),
+                ("requests", Int(p.requests as u64)),
+                ("answered", Int(p.answered as u64)),
+                ("answered_fraction", Num(p.answered_fraction(), Some(4))),
+                ("latency_p50_us", Num(p.p50_us, Some(2))),
+                ("wrong", Int(p.wrong as u64)),
+            ])
+        };
+        Object(vec![
+            ("bench", Str("failover".into())),
+            ("seed", Int(self.seed)),
+            ("streams", Int(self.streams as u64)),
+            ("shards", Int(self.shards as u64)),
+            ("nodes", Int(self.shards as u64 + 1)),
+            ("window", Int(self.window as u64)),
+            ("election_ms", Num(self.election_ms, Some(2))),
+            ("unavailability_ms", Num(self.unavailability_ms, Some(2))),
+            ("recovered_term", Int(self.recovered_term)),
+            ("recovered_leader", Int(self.recovered_leader)),
+            ("recovered", Bool(self.recovered)),
+            ("zero_wrong_answers", Bool(self.zero_wrong_answers())),
+            ("phases", Array(self.phases.iter().map(phase).collect())),
+        ])
     }
 }
 
@@ -550,7 +521,7 @@ mod tests {
         assert_eq!(after.wrong, 0);
         assert!(before.answered_fraction() > 0.99, "clean phase answers");
         assert!(after.answered_fraction() > 0.99, "recovered phase answers");
-        let json = report.to_json();
+        let json = report.to_json().render();
         assert!(json.contains("\"bench\": \"failover\""));
         assert!(json.contains("\"zero_wrong_answers\": true"));
     }

@@ -14,9 +14,7 @@
 //! artifact (schema documented in EXPERIMENTS.md); backs the
 //! `swat repair-bench` CLI subcommand.
 
-use std::time::{SystemTime, UNIX_EPOCH};
-
-use crate::report;
+use crate::report::{self, Json};
 use swat_data::Dataset;
 use swat_net::{FaultPlan, MsgKind, NodeId, Topology};
 use swat_replication::harness::WorkloadConfig;
@@ -323,69 +321,47 @@ impl RepairReport {
         );
     }
 
-    /// Serialize as the `BENCH_repair.json` artifact (schema in
-    /// EXPERIMENTS.md). Hand-rolled: the workspace deliberately has no
-    /// serialization dependency.
-    pub fn to_json(&self) -> String {
-        let now_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        let mut out = String::with_capacity(256 + 240 * self.cases.len());
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"repair\",\n");
-        out.push_str("  \"scheme\": \"SWAT-ASR\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"generated_unix_ms\": {now_ms},\n"));
-        out.push_str(&format!("  \"horizon\": {},\n", self.horizon));
-        out.push_str(&format!("  \"delta\": {},\n", self.delta));
-        out.push_str(&format!(
-            "  \"heal\": {{\"period\": {}, \"miss_threshold\": {}}},\n",
-            self.heal.period, self.heal.miss_threshold
-        ));
-        out.push_str(&format!("  \"all_dominate\": {},\n", self.all_dominate()));
-        out.push_str("  \"cases\": [\n");
-        for (i, c) in self.cases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"topology\": \"{}\", \"nodes\": {}, \"crashed_node\": {}, \
-                 \"crash_frac\": {}, \"queries\": {}, \"static_answered\": {}, \
-                 \"healed_answered\": {}, \"static_answer_rate\": {:.4}, \
-                 \"healed_answer_rate\": {:.4}, \"static_messages\": {}, \
-                 \"healed_messages\": {}, \"heartbeats\": {}, \"probes\": {}, \
-                 \"repairs\": {}, \"rejoins\": {}, \"dup_suppressed\": {}, \
-                 \"dominates\": {}, \"violations\": {}}}{}\n",
-                c.topology,
-                c.nodes,
-                c.crashed_node,
-                c.crash_frac,
-                c.queries,
-                c.static_answered,
-                c.healed_answered,
-                c.static_rate(),
-                c.healed_rate(),
-                c.static_messages,
-                c.healed_messages,
-                c.heartbeats,
-                c.probes,
-                c.repairs,
-                c.rejoins,
-                c.dup_suppressed,
-                c.dominates(),
-                c.violations,
-                if i + 1 == self.cases.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Write the JSON artifact, creating parent directories as needed.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from directory creation or the write.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        report::write_json(path, &self.to_json())
+    /// The `BENCH_repair.json` artifact (schema in EXPERIMENTS.md): a
+    /// function of the configuration alone — no timestamp — so the
+    /// committed file can be held to `cmp`.
+    pub fn to_json(&self) -> Json {
+        use Json::*;
+        let case = |c: &RepairCase| {
+            Object(vec![
+                ("topology", Str(c.topology.clone())),
+                ("nodes", Int(c.nodes as u64)),
+                ("crashed_node", Int(c.crashed_node as u64)),
+                ("crash_frac", Num(c.crash_frac, None)),
+                ("queries", Int(c.queries)),
+                ("static_answered", Int(c.static_answered)),
+                ("healed_answered", Int(c.healed_answered)),
+                ("static_answer_rate", Num(c.static_rate(), Some(4))),
+                ("healed_answer_rate", Num(c.healed_rate(), Some(4))),
+                ("static_messages", Int(c.static_messages)),
+                ("healed_messages", Int(c.healed_messages)),
+                ("heartbeats", Int(c.heartbeats)),
+                ("probes", Int(c.probes)),
+                ("repairs", Int(c.repairs)),
+                ("rejoins", Int(c.rejoins)),
+                ("dup_suppressed", Int(c.dup_suppressed)),
+                ("dominates", Bool(c.dominates())),
+                ("violations", Int(c.violations as u64)),
+            ])
+        };
+        let heal = Object(vec![
+            ("period", Int(self.heal.period)),
+            ("miss_threshold", Int(self.heal.miss_threshold as u64)),
+        ]);
+        Object(vec![
+            ("bench", Str("repair".into())),
+            ("scheme", Str("SWAT-ASR".into())),
+            ("seed", Int(self.seed)),
+            ("horizon", Int(self.horizon)),
+            ("delta", Num(self.delta, None)),
+            ("heal", heal),
+            ("all_dominate", Bool(self.all_dominate())),
+            ("cases", Array(self.cases.iter().map(case).collect())),
+        ])
     }
 }
 
@@ -413,7 +389,7 @@ mod tests {
             );
         }
         assert!(report.all_dominate());
-        let json = report.to_json();
+        let json = report.to_json().render();
         assert!(json.contains("\"bench\": \"repair\""));
         assert!(json.contains("\"all_dominate\": true"));
         assert_eq!(json.matches("\"topology\"").count(), report.cases.len());

@@ -1,5 +1,6 @@
 //! What every report shares: plain-text table rendering for the figure
-//! binaries, the latency order statistic, and the JSON artifact writer.
+//! binaries, the latency order statistic, and the [`Json`] value every
+//! `results/BENCH_*.json` artifact is rendered from.
 
 /// Print a padded table: a header row, a rule, then the data rows.
 /// Columns are sized to their widest cell.
@@ -65,19 +66,78 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// A JSON value: what the `results/BENCH_*.json` artifacts are built
+/// from, so an emitter is a list of fields and the layout exists once.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// Fields in emission order.
+    Object(Vec<(&'static str, Json)>),
+    /// Elements in order.
+    Array(Vec<Json>),
+    /// An exact integer (counts, seeds).
+    Int(u64),
+    /// A float with a fixed number of decimals, or in its shortest
+    /// round-tripping form (`20`, `0.02`) for `None`. Non-finite values
+    /// have no JSON spelling and render as `null`.
+    Num(f64, Option<usize>),
+    /// `true` / `false`.
+    Bool(bool),
+    /// A string, escaped as `{:?}` escapes it (JSON's own escapes for
+    /// quotes, backslashes, newlines and tabs).
+    Str(String),
+}
+
+impl Json {
+    /// Render in the artifact layout: the top-level object one field
+    /// per line, an array directly inside it one element per line,
+    /// everything deeper inline; a trailing newline. The output is a
+    /// function of the value alone, so equal reports are equal files.
+    pub fn render(&self) -> String {
+        self.text(0) + "\n"
+    }
+
+    fn text(&self, depth: usize) -> String {
+        match self {
+            Json::Object(fields) => {
+                let fields: Vec<String> = fields
+                    .iter()
+                    .map(|(key, value)| format!("\"{key}\": {}", value.text(depth + 1)))
+                    .collect();
+                match depth {
+                    0 => format!("{{\n  {}\n}}", fields.join(",\n  ")),
+                    _ => format!("{{{}}}", fields.join(", ")),
+                }
+            }
+            Json::Array(items) => {
+                let items: Vec<String> = items.iter().map(|v| v.text(depth + 1)).collect();
+                match depth {
+                    1 => format!("[\n    {}\n  ]", items.join(",\n    ")),
+                    _ => format!("[{}]", items.join(", ")),
+                }
+            }
+            Json::Int(n) => n.to_string(),
+            Json::Num(x, _) if !x.is_finite() => "null".to_owned(),
+            Json::Num(x, Some(decimals)) => format!("{x:.decimals$}"),
+            Json::Num(x, None) => x.to_string(),
+            Json::Bool(b) => b.to_string(),
+            Json::Str(s) => format!("{s:?}"),
+        }
+    }
+}
+
 /// Write a report's JSON artifact, creating parent directories as
 /// needed.
 ///
 /// # Errors
 ///
 /// I/O errors from directory creation or the write.
-pub fn write_json(path: &std::path::Path, json: &str) -> std::io::Result<()> {
+pub fn write_json(path: &std::path::Path, json: &Json) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    std::fs::write(path, json)
+    std::fs::write(path, json.render())
 }
 
 #[cfg(test)]
@@ -107,6 +167,45 @@ mod tests {
         assert!(fmt_duration(Duration::from_millis(5)).ends_with(" ms"));
         assert!(fmt_duration(Duration::from_micros(5)).ends_with(" µs"));
         assert!(fmt_duration(Duration::from_nanos(50)).ends_with(" ns"));
+    }
+
+    #[test]
+    fn json_renders_the_artifact_layout() {
+        use Json::*;
+        let doc = Object(vec![
+            ("bench", Str("demo \"q\"\n".into())),
+            ("delta", Num(20.0, None)),
+            ("nan", Num(f64::NAN, Some(2))),
+            ("heal", Object(vec![("period", Int(5)), ("on", Bool(true))])),
+            (
+                "cases",
+                Array(vec![
+                    Object(vec![("drop", Num(0.02, None)), ("rate", Num(0.5, Some(4)))]),
+                    Object(vec![("list", Array(vec![Int(1), Int(2)]))]),
+                ]),
+            ),
+        ]);
+        let want = [
+            "{",
+            r#"  "bench": "demo \"q\"\n","#,
+            r#"  "delta": 20,"#,
+            r#"  "nan": null,"#,
+            r#"  "heal": {"period": 5, "on": true},"#,
+            r#"  "cases": ["#,
+            r#"    {"drop": 0.02, "rate": 0.5000},"#,
+            r#"    {"list": [1, 2]}"#,
+            "  ]",
+            "}",
+            "",
+        ];
+        assert_eq!(doc.render(), want.join("\n"));
+
+        // The writer creates missing parent directories.
+        let dir = std::env::temp_dir().join(format!("swat-report-{}", std::process::id()));
+        let path = dir.join("nested/out.json");
+        write_json(&path, &doc).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc.render());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The CLI commands: `summarize`, `simulate`, `generate`, `ingest-bench`,
-//! `query-bench`, `chaos`, `recover`, `recovery-bench`, `store-bench`,
-//! `repair-bench`, `scale-bench`, `daemon-bench`, `failover-bench`.
+//! The CLI commands: `summarize`, `simulate`, `generate`, `chaos`,
+//! `recover`, `repair-bench`, `failover-bench` (`client` is in
+//! [`crate::daemon_cmd`]).
 
 use std::io::Read;
 
@@ -21,16 +21,10 @@ USAGE
   swat summarize    [input] [summary options] [queries...]
   swat simulate     [workload options]
   swat generate     --dataset weather|synthetic --count N [--seed S]
-  swat ingest-bench [grid options] [--out PATH] [--quick]
-  swat query-bench  [grid options] [--out PATH] [--quick]
   swat chaos        [sweep options] [--out PATH] [--quick]
   swat recover      --dir PATH
   swat client       --addr HOST:PORT [requests...]
-  swat recovery-bench [options] [--out PATH] [--quick]
-  swat store-bench  [options] [--out PATH] [--quick]
   swat repair-bench [options] [--out PATH] [--quick]
-  swat scale-bench  [sweep options] [--out PATH] [--quick]
-  swat daemon-bench [options] [--out PATH] [--quick]
   swat failover-bench [options] [--out PATH] [--quick]
   swat help
 
@@ -51,23 +45,6 @@ SIMULATE — compare replication schemes on one workload
 GENERATE — emit a dataset as CSV on stdout
   --dataset weather|synthetic --count N [--seed S]
 
-INGEST-BENCH — measure push vs frozen-reference vs blocked batch vs sharded
-  grid:      --windows N,N,..   --coeffs K,K,..   --values N
-             --streams N,N,..   --threads T,T,..  --chunks C,C,.. (0 = default)
-             --seed S
-  output:    --out PATH (default results/BENCH_ingest.json)
-  --quick    shrunk grid for smoke runs
-  the JSON summary's batch_ge_reference records whether the blocked
-  path beat the frozen scalar reference at every grid point
-
-QUERY-BENCH — measure query serving: reference vs engine vs kernel
-  grid:      --windows N,N,..   --coeffs K,K,..   --points N
-             --inners N         --ranges N        --streams N
-             --threads T,T,..   --seed S
-  output:    --out PATH (default results/BENCH_query.json)
-  --quick    shrunk grid for smoke runs
-  errors if any fast path disagrees with the reference answers
-
 CHAOS — sweep SWAT-ASR under deterministic fault injection
   sweep:     --drops P,P,..     per-edge drop probabilities
              --delays D,D,..    max per-edge delays in ticks (uniform 0..=D)
@@ -78,8 +55,8 @@ CHAOS — sweep SWAT-ASR under deterministic fault injection
   --quick    shrunk grid for smoke runs (no crash variant)
 
 RECOVER — recover a crashed durable store directory
-  --dir PATH   the store directory (checkpoints + write-ahead logs);
-               prints what was recovered and re-anchors the store
+  --dir PATH   the store directory (manifest, segments, write-ahead
+               logs); prints what was recovered and re-anchors the store
 
 CLIENT — send requests to a running swatd node or cluster
   --addr HOST:PORT      a node; repeat for the whole cluster — the
@@ -95,26 +72,6 @@ CLIENT — send requests to a running swatd node or cluster
   --retries N           retry rounds over the peer list (default 4)
   --retry-ms MS         backoff base between rounds (default 50)
 
-RECOVERY-BENCH — measure crash recovery and the durable-restart win
-  store:     --window N --coeffs K --streams N --rows N
-             --checkpoint-every N
-  faults:    --trials N --max-faults N   seeded corruption trials
-  output:    --out PATH (default results/BENCH_recovery.json) --seed S
-  --quick    shrunk run for smoke tests
-
-STORE-BENCH — non-blocking flush latency and disk-fault survival
-  store:     --window N --coeffs K --streams N --rows N
-             --freeze-rows N       rows per frozen generation
-  grid:      --grid-rows N         rows per injected-fault cell
-             --grid-points N       crash points sampled per fault kind
-  output:    --out PATH (default results/BENCH_store.json) --seed S
-  --quick    shrunk run for smoke tests
-  errors unless push_row never blocks on background flushing (zero
-  voluntary-wait stalls ≥ 1 ms, p99 under 1 ms; involuntary scheduler
-  preemption is classified and reported separately), and unless the
-  ENOSPC/EIO/torn-write grid recovers every cell with zero acked-row
-  loss, zero digest mismatches, and zero panics
-
 REPAIR-BENCH — self-healing vs static tree under interior crashes
   sweep:     --crash-fracs F,F,..  outage lengths as fractions of the
                                    measured span (default 0.34,0.67,1.0)
@@ -125,24 +82,6 @@ REPAIR-BENCH — self-healing vs static tree under interior crashes
   --quick    shrunk grid for smoke runs
   errors unless every cell's healed run answers strictly more queries
   than its static run, at zero correctness violations
-
-SCALE-BENCH — sharded many-stream ingest and distributed top-k merge
-  sweep:     --streams N,N,..   stream counts (default 1000,10000,100000)
-             --shards N         hash shards (default 16)
-             --threads T,T,..   worker threads (default 1,4,8)
-             --window N --coeffs K --rows N --top-k K --seed S
-             --verify-limit N   oracle-check cases up to N streams
-  output:    --out PATH (default results/BENCH_scale.json)
-  --quick    shrunk sweep for smoke runs, oracle-verified throughout
-  errors if any oracle-checked case disagrees with the unsharded set
-
-DAEMON-BENCH — real-TCP cluster latency/throughput, clean vs killed
-  cluster:   --streams N --shards N (>= 2) --window N --coeffs K
-  workload:  --rows N --points N --topks N --seed S
-  output:    --out PATH (default results/BENCH_daemon.json)
-  --quick    shrunk run for smoke tests
-  kills one replica mid-run; errors on any wrong answer (explicit
-  degradation — failed_shards, Unavailable, incomplete — is expected)
 
 FAILOVER-BENCH — kill the LEADER of a full failover cluster mid-run
   cluster:   --streams N --shards N (>= 2) --window N --coeffs K
@@ -431,132 +370,6 @@ fn parse_topology(a: &Args) -> Result<Topology, String> {
     }
 }
 
-/// `swat ingest-bench`: the perf-regression harness, outside criterion.
-pub fn ingest_bench(a: &Args) -> Result<(), String> {
-    use swat_bench::ingest::{run, IngestConfig};
-    let seed = a
-        .get_parsed("seed", swat_bench::DEFAULT_SEED, "an integer")
-        .map_err(|e| e.to_string())?;
-    let mut cfg = if a.switch("quick") {
-        IngestConfig::quick(seed)
-    } else {
-        IngestConfig::full(seed)
-    };
-    if let Some(raw) = a.get("windows") {
-        cfg.windows = parse_usize_list("windows", raw)?;
-    }
-    if let Some(raw) = a.get("coeffs") {
-        cfg.coefficients = parse_usize_list("coeffs", raw)?;
-    }
-    if let Some(raw) = a.get("threads") {
-        cfg.threads = parse_usize_list("threads", raw)?;
-    }
-    if let Some(raw) = a.get("streams") {
-        cfg.streams = parse_usize_list("streams", raw)?;
-    }
-    if let Some(raw) = a.get("chunks") {
-        cfg.chunks = parse_usize_list("chunks", raw)?;
-    }
-    cfg.values = a
-        .get_parsed("values", cfg.values, "a count")
-        .map_err(|e| e.to_string())?;
-    for &s in &cfg.streams {
-        if s == 0 {
-            return Err("--streams entries must be positive".into());
-        }
-        if cfg.values < s {
-            return Err("--values must be at least every --streams entry".into());
-        }
-    }
-    for (&w, &k) in cfg
-        .windows
-        .iter()
-        .flat_map(|w| cfg.coefficients.iter().map(move |k| (w, k)))
-    {
-        SwatConfig::with_coefficients(w, k).map_err(|e| e.to_string())?;
-    }
-    for &t in &cfg.threads {
-        if t == 0 {
-            return Err("--threads entries must be positive".into());
-        }
-    }
-    let report = run(&cfg);
-    report.print();
-    let out = a.get("out").unwrap_or("results/BENCH_ingest.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
-    Ok(())
-}
-
-/// `swat query-bench`: query-serving throughput — reference vs the
-/// zero-allocation engine vs the wavelet-domain kernel, plus parallel
-/// multi-stream fan-out — writing the `BENCH_query.json` artifact.
-pub fn query_bench(a: &Args) -> Result<(), String> {
-    use swat_bench::query::{run, QueryConfig};
-    let seed = a
-        .get_parsed("seed", swat_bench::DEFAULT_SEED, "an integer")
-        .map_err(|e| e.to_string())?;
-    let mut cfg = if a.switch("quick") {
-        QueryConfig::quick(seed)
-    } else {
-        QueryConfig::full(seed)
-    };
-    if let Some(raw) = a.get("windows") {
-        cfg.windows = parse_usize_list("windows", raw)?;
-    }
-    if let Some(raw) = a.get("coeffs") {
-        cfg.coefficients = parse_usize_list("coeffs", raw)?;
-    }
-    if let Some(raw) = a.get("threads") {
-        cfg.threads = parse_usize_list("threads", raw)?;
-    }
-    cfg.points = a
-        .get_parsed("points", cfg.points, "a count")
-        .map_err(|e| e.to_string())?;
-    cfg.inners = a
-        .get_parsed("inners", cfg.inners, "a count")
-        .map_err(|e| e.to_string())?;
-    cfg.ranges = a
-        .get_parsed("ranges", cfg.ranges, "a count")
-        .map_err(|e| e.to_string())?;
-    cfg.streams = a
-        .get_parsed("streams", cfg.streams, "a count")
-        .map_err(|e| e.to_string())?;
-    if cfg.streams == 0 {
-        return Err("--streams must be positive".into());
-    }
-    for (&w, &k) in cfg
-        .windows
-        .iter()
-        .flat_map(|w| cfg.coefficients.iter().map(move |k| (w, k)))
-    {
-        SwatConfig::with_coefficients(w, k).map_err(|e| e.to_string())?;
-        if w < 4 {
-            return Err("--windows entries must be at least 4".into());
-        }
-    }
-    for &t in &cfg.threads {
-        if t == 0 {
-            return Err("--threads entries must be positive".into());
-        }
-    }
-    let report = run(&cfg);
-    report.print();
-    if !report.agreement {
-        return Err(
-            "fast query paths disagreed with the reference implementation — this is a bug".into(),
-        );
-    }
-    let out = a.get("out").unwrap_or("results/BENCH_query.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
-    Ok(())
-}
-
 /// `swat chaos`: sweep SWAT-ASR under fault injection and write the
 /// `BENCH_chaos.json` artifact.
 pub fn chaos(a: &Args) -> Result<(), String> {
@@ -617,12 +430,7 @@ pub fn chaos(a: &Args) -> Result<(), String> {
             "{violations} correctness violations under faults — this is a bug"
         ));
     }
-    let out = a.get("out").unwrap_or("results/BENCH_chaos.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
-    Ok(())
+    write_artifact(a, "results/BENCH_chaos.json", &report.to_json())
 }
 
 /// `swat recover`.
@@ -658,136 +466,6 @@ pub fn recover(a: &Args) -> Result<(), String> {
     );
     println!("answers digest:       {:016x}", store.answers_digest());
     println!("store re-anchored: fresh checkpoint + WAL written in {dir}");
-    Ok(())
-}
-
-/// `swat recovery-bench`.
-pub fn recovery_bench(a: &Args) -> Result<(), String> {
-    use swat_bench::recovery::{run, RecoveryConfig};
-    let seed = a
-        .get_parsed("seed", swat_bench::DEFAULT_SEED, "an integer")
-        .map_err(|e| e.to_string())?;
-    let mut cfg = if a.switch("quick") {
-        RecoveryConfig::quick(seed)
-    } else {
-        RecoveryConfig::full(seed)
-    };
-    cfg.window = a
-        .get_parsed("window", cfg.window, "a power of two")
-        .map_err(|e| e.to_string())?;
-    cfg.coeffs = a
-        .get_parsed("coeffs", cfg.coeffs, "a positive integer")
-        .map_err(|e| e.to_string())?;
-    cfg.streams = a
-        .get_parsed("streams", cfg.streams, "a positive integer")
-        .map_err(|e| e.to_string())?;
-    cfg.rows = a
-        .get_parsed("rows", cfg.rows, "a row count")
-        .map_err(|e| e.to_string())?;
-    cfg.checkpoint_every = a
-        .get_parsed("checkpoint-every", cfg.checkpoint_every, "a row cadence")
-        .map_err(|e| e.to_string())?;
-    cfg.fault_trials = a
-        .get_parsed("trials", cfg.fault_trials, "a trial count")
-        .map_err(|e| e.to_string())?;
-    cfg.max_faults = a
-        .get_parsed("max-faults", cfg.max_faults, "a fault count")
-        .map_err(|e| e.to_string())?;
-    if cfg.streams == 0 || cfg.rows == 0 || cfg.checkpoint_every == 0 {
-        return Err("--streams, --rows, and --checkpoint-every must be positive".into());
-    }
-    if !cfg.window.is_power_of_two() || cfg.window < 2 {
-        return Err("--window must be a power of two ≥ 2".into());
-    }
-    if cfg.coeffs == 0 {
-        return Err("--coeffs must be positive".into());
-    }
-    let report = run(&cfg);
-    report.print();
-    if !report.clean.digest_match {
-        return Err("clean-crash recovery digest mismatch — this is a bug".into());
-    }
-    if report.chaos.violations > 0 {
-        return Err(format!(
-            "{} soundness violations in the durability comparison — this is a bug",
-            report.chaos.violations
-        ));
-    }
-    let out = a.get("out").unwrap_or("results/BENCH_recovery.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
-    Ok(())
-}
-
-/// `swat store-bench`.
-pub fn store_bench(a: &Args) -> Result<(), String> {
-    use swat_bench::store::{run, StoreBenchConfig};
-    let seed = a
-        .get_parsed("seed", swat_bench::DEFAULT_SEED, "an integer")
-        .map_err(|e| e.to_string())?;
-    let mut cfg = if a.switch("quick") {
-        StoreBenchConfig::quick(seed)
-    } else {
-        StoreBenchConfig::full(seed)
-    };
-    cfg.window = a
-        .get_parsed("window", cfg.window, "a power of two")
-        .map_err(|e| e.to_string())?;
-    cfg.coeffs = a
-        .get_parsed("coeffs", cfg.coeffs, "a positive integer")
-        .map_err(|e| e.to_string())?;
-    cfg.streams = a
-        .get_parsed("streams", cfg.streams, "a positive integer")
-        .map_err(|e| e.to_string())?;
-    cfg.rows = a
-        .get_parsed("rows", cfg.rows, "a row count")
-        .map_err(|e| e.to_string())?;
-    cfg.freeze_rows = a
-        .get_parsed("freeze-rows", cfg.freeze_rows, "a row cadence")
-        .map_err(|e| e.to_string())?;
-    cfg.grid_rows = a
-        .get_parsed("grid-rows", cfg.grid_rows, "a row count")
-        .map_err(|e| e.to_string())?;
-    cfg.grid_points = a
-        .get_parsed("grid-points", cfg.grid_points, "a sample count")
-        .map_err(|e| e.to_string())?;
-    if cfg.streams == 0 || cfg.rows == 0 || cfg.freeze_rows == 0 || cfg.grid_rows == 0 {
-        return Err("--streams, --rows, --freeze-rows, and --grid-rows must be positive".into());
-    }
-    if !cfg.window.is_power_of_two() || cfg.window < 2 {
-        return Err("--window must be a power of two ≥ 2".into());
-    }
-    if cfg.coeffs == 0 {
-        return Err("--coeffs must be positive".into());
-    }
-    let report = run(&cfg);
-    report.print();
-    if !report.latency.flush_nonblocking {
-        return Err(format!(
-            "push_row blocked on background flushing ({} blocking stalls, p99 {} µs, \
-             max {} µs) — this is a bug",
-            report.latency.blocking_stalls, report.latency.p99_micros, report.latency.max_micros
-        ));
-    }
-    if report.grid.acked_rows_lost > 0 {
-        return Err(format!(
-            "{} acknowledged rows lost across the injected-fault grid — this is a bug",
-            report.grid.acked_rows_lost
-        ));
-    }
-    if report.grid.digest_mismatches > 0 || report.grid.panics > 0 {
-        return Err(format!(
-            "{} digest mismatches and {} panics in the injected-fault grid — this is a bug",
-            report.grid.digest_mismatches, report.grid.panics
-        ));
-    }
-    let out = a.get("out").unwrap_or("results/BENCH_store.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
     Ok(())
 }
 
@@ -852,131 +530,7 @@ pub fn repair_bench(a: &Args) -> Result<(), String> {
     if !report.all_dominate() {
         return Err("a healed cell failed to beat its static run — this is a bug".into());
     }
-    let out = a.get("out").unwrap_or("results/BENCH_repair.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
-    Ok(())
-}
-
-/// `swat scale-bench`: sweep the sharded stream tier over stream
-/// counts, measure ingest throughput, bytes/stream, and distributed
-/// top-k merge latency, and write the `BENCH_scale.json` artifact.
-/// Fails if any oracle-checked case disagrees with the unsharded set.
-pub fn scale_bench(a: &Args) -> Result<(), String> {
-    use swat_bench::scale::{run, ScaleConfig};
-    let seed = a
-        .get_parsed("seed", swat_bench::DEFAULT_SEED, "an integer")
-        .map_err(|e| e.to_string())?;
-    let mut cfg = if a.switch("quick") {
-        ScaleConfig::quick(seed)
-    } else {
-        ScaleConfig::full(seed)
-    };
-    if let Some(raw) = a.get("streams") {
-        cfg.stream_counts = parse_usize_list("streams", raw)?;
-    }
-    if let Some(raw) = a.get("threads") {
-        cfg.threads = parse_usize_list("threads", raw)?;
-        if cfg.threads.contains(&0) {
-            return Err("--threads entries must be positive".into());
-        }
-    }
-    cfg.shards = a
-        .get_parsed("shards", cfg.shards, "a positive count")
-        .map_err(|e| e.to_string())?;
-    cfg.window = a
-        .get_parsed("window", cfg.window, "a power of two")
-        .map_err(|e| e.to_string())?;
-    cfg.k = a
-        .get_parsed("coeffs", cfg.k, "a positive count")
-        .map_err(|e| e.to_string())?;
-    cfg.rows = a
-        .get_parsed("rows", cfg.rows, "a positive count")
-        .map_err(|e| e.to_string())?;
-    cfg.top_k = a
-        .get_parsed("top-k", cfg.top_k, "a positive count")
-        .map_err(|e| e.to_string())?;
-    cfg.verify_limit = a
-        .get_parsed("verify-limit", cfg.verify_limit, "a stream count")
-        .map_err(|e| e.to_string())?;
-    if cfg.shards == 0 || cfg.rows == 0 || cfg.top_k == 0 {
-        return Err("--shards, --rows, and --top-k must be positive".into());
-    }
-    if SwatConfig::with_coefficients(cfg.window, cfg.k).is_err() {
-        return Err(format!(
-            "--window {} / --coeffs {}: window must be a power of two >= 2 \
-             and coeffs in 1..=window",
-            cfg.window, cfg.k
-        ));
-    }
-    let report = run(&cfg);
-    report.print();
-    if !report.all_agree() {
-        return Err("a sharded case disagreed with the unsharded oracle — this is a bug".into());
-    }
-    let out = a.get("out").unwrap_or("results/BENCH_scale.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
-    Ok(())
-}
-
-/// `swat daemon-bench`: spawn a real-TCP localhost cluster, measure
-/// request latency/throughput clean vs one-replica-killed, and write
-/// the `BENCH_daemon.json` artifact. Fails on any wrong answer — the
-/// cluster may degrade explicitly, never silently.
-pub fn daemon_bench(a: &Args) -> Result<(), String> {
-    use swat_bench::daemon::{run, DaemonBenchConfig};
-    let seed = a
-        .get_parsed("seed", swat_bench::DEFAULT_SEED, "an integer")
-        .map_err(|e| e.to_string())?;
-    let mut cfg = if a.switch("quick") {
-        DaemonBenchConfig::quick(seed)
-    } else {
-        DaemonBenchConfig::full(seed)
-    };
-    cfg.streams = a
-        .get_parsed("streams", cfg.streams, "a positive count")
-        .map_err(|e| e.to_string())?;
-    cfg.shards = a
-        .get_parsed("shards", cfg.shards, "a count of at least 2")
-        .map_err(|e| e.to_string())?;
-    cfg.window = a
-        .get_parsed("window", cfg.window, "a power of two")
-        .map_err(|e| e.to_string())?;
-    cfg.coeffs = a
-        .get_parsed("coeffs", cfg.coeffs, "a positive count")
-        .map_err(|e| e.to_string())?;
-    cfg.rows = a
-        .get_parsed("rows", cfg.rows, "a positive count")
-        .map_err(|e| e.to_string())?;
-    cfg.points = a
-        .get_parsed("points", cfg.points, "a count")
-        .map_err(|e| e.to_string())?;
-    cfg.topks = a
-        .get_parsed("topks", cfg.topks, "a count")
-        .map_err(|e| e.to_string())?;
-    if cfg.shards < 2 {
-        return Err("--shards must be at least 2 (the bench kills one replica)".into());
-    }
-    if cfg.streams == 0 || cfg.rows == 0 {
-        return Err("--streams and --rows must be positive".into());
-    }
-    SwatConfig::with_coefficients(cfg.window, cfg.coeffs).map_err(|e| e.to_string())?;
-    let report = run(&cfg);
-    report.print();
-    if !report.zero_wrong_answers() {
-        return Err("the daemon answered a query wrongly under faults — this is a bug".into());
-    }
-    let out = a.get("out").unwrap_or("results/BENCH_daemon.json");
-    report
-        .write_json(std::path::Path::new(out))
-        .map_err(|e| PathError::writing(out, e))?;
-    println!("\nwrote {out}");
-    Ok(())
+    write_artifact(a, "results/BENCH_repair.json", &report.to_json())
 }
 
 /// `swat failover-bench`: spawn a full failover cluster over real TCP,
@@ -1040,9 +594,13 @@ pub fn failover_bench(a: &Args) -> Result<(), String> {
     if !report.zero_wrong_answers() {
         return Err("the cluster answered wrongly around a failover — this is a bug".into());
     }
-    let out = a.get("out").unwrap_or("results/BENCH_failover.json");
-    report
-        .write_json(std::path::Path::new(out))
+    write_artifact(a, "results/BENCH_failover.json", &report.to_json())
+}
+
+/// Write a report's artifact to `--out` (default: the committed file).
+fn write_artifact(a: &Args, default: &str, json: &swat_bench::report::Json) -> Result<(), String> {
+    let out = a.get("out").unwrap_or(default);
+    swat_bench::report::write_json(std::path::Path::new(out), json)
         .map_err(|e| PathError::writing(out, e))?;
     println!("\nwrote {out}");
     Ok(())
@@ -1060,14 +618,6 @@ fn parse_f64_list(flag: &str, raw: &str) -> Result<Vec<f64>, String> {
 
 fn parse_u64_list(flag: &str, raw: &str) -> Result<Vec<u64>, String> {
     let list: Result<Vec<u64>, _> = raw.split(',').map(|s| s.trim().parse()).collect();
-    match list {
-        Ok(v) if !v.is_empty() => Ok(v),
-        _ => Err(format!("--{flag} {raw:?}: expected comma-separated counts")),
-    }
-}
-
-fn parse_usize_list(flag: &str, raw: &str) -> Result<Vec<usize>, String> {
-    let list: Result<Vec<usize>, _> = raw.split(',').map(|s| s.trim().parse()).collect();
     match list {
         Ok(v) if !v.is_empty() => Ok(v),
         _ => Err(format!("--{flag} {raw:?}: expected comma-separated counts")),

@@ -7,7 +7,7 @@
 //! consistent shape:
 //!
 //! ```text
-//! error: writing results/BENCH_daemon.json: permission denied
+//! error: writing results/BENCH_chaos.json: permission denied
 //! ```
 
 use std::fmt;

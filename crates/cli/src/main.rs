@@ -4,16 +4,10 @@
 //! swat summarize --window 256 --file data.csv --point 0 --inner exp:32:10
 //! swat simulate --scheme all --topology binary --depth 2 --window 64
 //! swat generate --dataset weather --count 1000 --seed 7
-//! swat ingest-bench --quick --out results/BENCH_ingest.json
-//! swat query-bench --quick --out results/BENCH_query.json
 //! swat chaos --drops 0,0.05,0.2 --delays 0,2 --depth 3
 //! swat recover --dir /var/lib/swat/store
 //! swat client --addr 127.0.0.1:7700 --ingest 1,2,3 --top-k 4 --status
-//! swat recovery-bench --quick --out results/BENCH_recovery.json
-//! swat store-bench --quick --out results/BENCH_store.json
 //! swat repair-bench --quick --out results/BENCH_repair.json
-//! swat scale-bench --quick --out results/BENCH_scale.json
-//! swat daemon-bench --quick --out results/BENCH_daemon.json
 //! swat failover-bench --quick --out results/BENCH_failover.json
 //! swat help
 //! ```
@@ -42,16 +36,10 @@ fn main() -> ExitCode {
         "summarize" => commands::summarize(&parsed),
         "simulate" => commands::simulate(&parsed),
         "generate" => commands::generate(&parsed),
-        "ingest-bench" => commands::ingest_bench(&parsed),
-        "query-bench" => commands::query_bench(&parsed),
         "chaos" => commands::chaos(&parsed),
         "recover" => commands::recover(&parsed),
-        "recovery-bench" => commands::recovery_bench(&parsed),
-        "store-bench" => commands::store_bench(&parsed),
         "repair-bench" => commands::repair_bench(&parsed),
-        "scale-bench" => commands::scale_bench(&parsed),
         "client" => swat_cli::daemon_cmd::client(&parsed),
-        "daemon-bench" => commands::daemon_bench(&parsed),
         "failover-bench" => commands::failover_bench(&parsed),
         other => Err(format!("unknown command {other:?} (try `swat help`)")),
     };

@@ -46,8 +46,8 @@ pub fn plan_window(
         for e in &entries[start..start + fanin] {
             let rows = e.end_t - e.start_t;
             if rows == 0 {
-                // Snapshot-only anchors (legacy migration, re-anchor)
-                // carry no rows and are not worth rewriting.
+                // Snapshot-only anchors carry no rows and are not
+                // worth rewriting.
                 continue 'starts;
             }
             total += rows;

@@ -20,6 +20,21 @@ const ENOSPC: i32 = 28;
 /// Linux `errno` for "input/output error".
 const EIO: i32 = 5;
 
+/// Name of the WAL generation whose first record is arrival `base_t`.
+/// Zero-padded so lexicographic order is chronological.
+pub(crate) fn wal_name(base_t: u64) -> String {
+    format!("wal-{base_t:020}.wal")
+}
+
+/// Parse `base_t` back out of a [`wal_name`]; `None` for anything else.
+pub(crate) fn parse_wal_name(name: &str) -> Option<u64> {
+    let rest = name.strip_prefix("wal-")?.strip_suffix(".wal")?;
+    if rest.len() != 20 || !rest.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    rest.parse().ok()
+}
+
 fn injected(kind: IoFaultKind) -> io::Error {
     match kind {
         IoFaultKind::Enospc => io::Error::from_raw_os_error(ENOSPC),
@@ -159,6 +174,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn wal_names_roundtrip_and_sort_chronologically() {
+        assert_eq!(parse_wal_name(&wal_name(42)), Some(42));
+        assert!(wal_name(9) < wal_name(10));
+        assert_eq!(parse_wal_name("wal-12.wal"), None); // not zero-padded
+        assert_eq!(parse_wal_name("wal-00000000000000000042.wal.tmp"), None);
+        assert_eq!(parse_wal_name("ckpt-00000000000000000042.ckpt"), None);
     }
 
     #[test]

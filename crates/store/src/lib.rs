@@ -33,14 +33,13 @@
 //! * [`image`] — a small checksummed record container for non-tree
 //!   durable state (the replication layer's per-node bookkeeping).
 //!
-//! Formats are defined in [`wal`], [`segment`], [`manifest`], and the
-//! legacy [`checkpoint`]; every decode path returns a positioned
-//! [`StoreError`] and none of them can panic on adversarial bytes.
+//! Formats are defined in [`wal`], [`segment`] and [`manifest`]; every
+//! decode path returns a positioned [`StoreError`] and none of them can
+//! panic on adversarial bytes.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod checkpoint;
 pub mod compaction;
 pub mod error;
 pub mod fault;

@@ -23,7 +23,6 @@ use std::path::Path;
 
 use swat_tree::codec::{crc32, CodecError, Cursor};
 
-use crate::checkpoint::{self, FileKind};
 use crate::error::StoreError;
 use crate::fault::IoFaults;
 use crate::io;
@@ -54,8 +53,6 @@ pub fn parse_manifest_name(name: &str) -> Option<u64> {
 /// Every kind of file the tiered store writes into its directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreFile {
-    /// Legacy whole-set checkpoint (`ckpt-<t>.ckpt`, PR 4 format).
-    Checkpoint(u64),
     /// A write-ahead-log generation (`wal-<base>.wal`).
     Wal(u64),
     /// An immutable segment (`seg-<start>-<end>.seg`).
@@ -67,11 +64,8 @@ pub enum StoreFile {
 /// Classify a store-directory file name; `None` for files this store
 /// never writes (including `.tmp` staging files).
 pub fn classify(name: &str) -> Option<StoreFile> {
-    if let Some((kind, t)) = checkpoint::parse_name(name) {
-        return Some(match kind {
-            FileKind::Checkpoint => StoreFile::Checkpoint(t),
-            FileKind::Wal => StoreFile::Wal(t),
-        });
+    if let Some(base) = io::parse_wal_name(name) {
+        return Some(StoreFile::Wal(base));
     }
     if let Some((s, e)) = segment::parse_segment_name(name) {
         return Some(StoreFile::Segment(s, e));
@@ -329,10 +323,7 @@ mod tests {
 
     #[test]
     fn classify_names_every_store_file() {
-        assert_eq!(
-            classify("ckpt-00000000000000000010.ckpt"),
-            Some(StoreFile::Checkpoint(10))
-        );
+        assert_eq!(classify("ckpt-00000000000000000010.ckpt"), None);
         assert_eq!(
             classify("wal-00000000000000000000.wal"),
             Some(StoreFile::Wal(0))

@@ -24,8 +24,8 @@ use swat_tree::codec::{CodecError, Cursor};
 use crate::error::StoreError;
 use crate::image::{read_image, ImageWriter};
 
-/// File name of the metadata image inside a store directory. The
-/// checkpoint scanner's `parse_name` does not recognize it, so it never
+/// File name of the metadata image inside a store directory.
+/// [`crate::manifest::classify`] does not recognize it, so it never
 /// shadows tree recovery.
 pub const META_FILE: &str = "node-meta";
 

@@ -25,12 +25,10 @@
 //!    stays bounded no matter how long the log grew.
 //! 5. Commit a fresh manifest (the new commit point), then reclaim
 //!    orphans: `.tmp` staging files, segments no manifest names,
-//!    compaction leftovers, fully-covered WAL generations, and migrated
-//!    legacy checkpoints.
+//!    compaction leftovers and fully-covered WAL generations.
 //!
-//! Stores written by the pre-tiered layout (flat `ckpt-*` + WAL) are
-//! migrated on the fly: the newest valid checkpoint becomes a
-//! snapshot-only anchor segment and the WAL replays on top.
+//! Files the store does not write (a `ckpt-*` of the flat layout nothing
+//! writes any more, say) are neither parsed nor deleted.
 
 use std::collections::HashSet;
 use std::fs::{self, File};
@@ -39,10 +37,9 @@ use std::path::{Path, PathBuf};
 
 use swat_tree::StreamSet;
 
-use crate::checkpoint::{self, checkpoint_name, wal_name};
 use crate::error::StoreError;
 use crate::fault::IoFaults;
-use crate::io;
+use crate::io::{self, wal_name};
 use crate::manifest::{self, Manifest, SegmentEntry, StoreFile};
 use crate::segment::{self, segment_name, SegmentData};
 use crate::store::{DurableStore, StoreOptions};
@@ -55,11 +52,11 @@ const REPLAY_CHUNK_ROWS: usize = 1024;
 /// What recovery found and did — the observability half of the story.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Arrival clock of the base snapshot (segment or legacy checkpoint);
-    /// `None` when bootstrapped from the `wal-0` header.
+    /// Arrival clock of the base segment snapshot; `None` when
+    /// bootstrapped from the `wal-0` header.
     pub checkpoint_t: Option<u64>,
     /// Snapshots that failed verification on the way to the base —
-    /// corrupt manifests, segment snapshots, legacy checkpoints.
+    /// corrupt manifests and segment snapshots.
     pub checkpoints_skipped: usize,
     /// Sequence number of the manifest recovery started from.
     pub manifest_seq: Option<u64>,
@@ -225,45 +222,7 @@ impl RecoveryManager {
             }
         }
 
-        // 2b. Legacy layout: newest valid flat checkpoint becomes a
-        // snapshot-only anchor segment.
-        if set.is_none() {
-            let mut ckpts: Vec<u64> = scan_kind(&dir, |f| match f {
-                StoreFile::Checkpoint(t) => Some(t),
-                _ => None,
-            })?;
-            ckpts.sort_unstable_by(|a, b| b.cmp(a));
-            for t in ckpts {
-                let name = checkpoint_name(t);
-                let ok = fs::read(dir.join(&name))
-                    .ok()
-                    .and_then(|bytes| checkpoint::decode(&name, &bytes).ok())
-                    .filter(|s| s.tree(0).arrivals() == t);
-                match ok {
-                    Some(s) => {
-                        let anchor = segment_name(t, t);
-                        io::write_atomic(
-                            &IoFaults::none(),
-                            &dir,
-                            &anchor,
-                            &segment::encode(t, &[], &s),
-                            "write migration anchor segment",
-                        )?;
-                        kept.push(SegmentEntry {
-                            name: anchor,
-                            start_t: t,
-                            end_t: t,
-                        });
-                        report.checkpoint_t = Some(t);
-                        set = Some(s);
-                        break;
-                    }
-                    None => report.checkpoints_skipped += 1,
-                }
-            }
-        }
-
-        // 2c. Last resort: bootstrap an empty set from the wal-0 header.
+        // 2b. Last resort: bootstrap an empty set from the wal-0 header.
         let mut set = match set {
             Some(s) => s,
             None => match bootstrap(&dir)? {
@@ -342,10 +301,7 @@ fn replay_wals(
     reseg: &mut Resegmenter,
     report: &mut RecoveryReport,
 ) -> Result<(), StoreError> {
-    let mut bases: Vec<u64> = scan_kind(dir, |f| match f {
-        StoreFile::Wal(b) => Some(b),
-        _ => None,
-    })?;
+    let mut bases = wal_bases(dir)?;
     bases.sort_unstable();
     let streams = set.streams();
     let mut tried: HashSet<u64> = HashSet::new();
@@ -428,24 +384,20 @@ fn bootstrap(dir: &Path) -> Result<Option<StreamSet>, StoreError> {
     Ok(Some(StreamSet::new(config, header.streams as usize)))
 }
 
-/// Collect file-name metadata of one [`StoreFile`] kind.
-fn scan_kind<T>(dir: &Path, pick: impl Fn(StoreFile) -> Option<T>) -> Result<Vec<T>, StoreError> {
+/// Base clocks of the WAL generations present in `dir`.
+fn wal_bases(dir: &Path) -> Result<Vec<u64>, StoreError> {
     let mut out = Vec::new();
     for entry in fs::read_dir(dir).map_err(StoreError::io("list store directory"))? {
         let entry = entry.map_err(StoreError::io("list store directory"))?;
-        if let Some(f) = manifest::classify(&entry.file_name().to_string_lossy()) {
-            if let Some(t) = pick(f) {
-                out.push(t);
-            }
-        }
+        out.extend(io::parse_wal_name(&entry.file_name().to_string_lossy()));
     }
     Ok(out)
 }
 
 /// Delete every store file the fresh manifest does not reference:
 /// `.tmp` staging debris, orphan segments (crashed flushes/compactions),
-/// fully-covered WAL generations, migrated legacy checkpoints, and
-/// manifest generations older than the kept window.
+/// fully-covered WAL generations, and manifest generations older than
+/// the kept window.
 fn reclaim_orphans(dir: &Path, fresh: &Manifest) -> Result<usize, StoreError> {
     let live: HashSet<&str> = fresh.entries.iter().map(|e| e.name.as_str()).collect();
     let mut reclaimed = 0;
@@ -459,7 +411,6 @@ fn reclaim_orphans(dir: &Path, fresh: &Manifest) -> Result<usize, StoreError> {
         let name = entry.file_name().to_string_lossy().into_owned();
         let doomed = match manifest::classify(&name) {
             Some(StoreFile::Segment(..)) => !live.contains(name.as_str()),
-            Some(StoreFile::Checkpoint(_)) => true,
             Some(StoreFile::Wal(_)) => true,
             Some(StoreFile::Manifest(seq)) => !keep_manifests.contains(&seq),
             None => name.ends_with(".tmp"),
@@ -468,7 +419,7 @@ fn reclaim_orphans(dir: &Path, fresh: &Manifest) -> Result<usize, StoreError> {
             reclaimed += 1;
         }
     }
-    checkpoint::sync_dir(dir)?;
+    io::sync_dir(&IoFaults::none(), dir, "fsync store directory")?;
     Ok(reclaimed)
 }
 
@@ -622,34 +573,39 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_layout_is_migrated_to_the_tiered_one() {
-        let dir = tmp("legacy");
+    fn flat_checkpoints_are_never_parsed_the_wal_chain_decides() {
+        let dir = tmp("flat");
         fs::create_dir_all(&dir).unwrap();
-        // Hand-build a PR 4 layout: ckpt at t=20 + sealed wal-0 + live
-        // wal-20 with 10 more rows.
-        let mut set = StreamSet::new(config(), 2);
-        let mut wal0 = WalHeader::describe(set.config(), 2, 0).encode();
-        for i in 0..20 {
-            crate::wal::encode_record(&mut wal0, &row(i));
-            set.push_row(&row(i));
-        }
-        fs::write(dir.join(wal_name(0)), wal0).unwrap();
-        fs::write(dir.join(checkpoint_name(20)), checkpoint::encode(&set)).unwrap();
-        let mut wal20 = WalHeader::describe(set.config(), 2, 20).encode();
+        // The flat layout nothing writes any more: sealed wal-0, a
+        // `ckpt-*` at t=20, live wal-20 with 10 more rows. The checkpoint
+        // holds bytes no parser could accept; recovery must not care.
+        let ckpt = dir.join("ckpt-00000000000000000020.ckpt");
+        fs::write(&ckpt, b"SWCP\x01 not a checkpoint").unwrap();
+        let cfg = config();
+        let mut wal20 = WalHeader::describe(&cfg, 2, 20).encode();
         for i in 20..30 {
             crate::wal::encode_record(&mut wal20, &row(i));
         }
         fs::write(dir.join(wal_name(20)), wal20).unwrap();
 
+        // No wal-0: nothing vouches for rows 0..20, so there is no state.
+        let err = RecoveryManager::recover_with(&dir, small_opts()).unwrap_err();
+        assert!(matches!(err, StoreError::NoState), "{err}");
+
+        // With the chain starting at wal-0 every row replays from the WAL.
+        let mut wal0 = WalHeader::describe(&cfg, 2, 0).encode();
+        for i in 0..20 {
+            crate::wal::encode_record(&mut wal0, &row(i));
+        }
+        fs::write(dir.join(wal_name(0)), wal0).unwrap();
         let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();
-        assert_eq!(report.checkpoint_t, Some(20));
-        assert_eq!(report.wal_rows_replayed, 10);
+        assert_eq!(report.checkpoint_t, None);
+        assert_eq!(report.checkpoints_skipped, 0);
+        assert_eq!(report.wal_rows_replayed, 30);
         assert_eq!(report.recovered_arrivals, 30);
         assert_eq!(recovered.answers_digest(), uncrashed(30).answers_digest());
-        // The legacy files are gone; the tiered layout is in place.
-        assert!(!dir.join(checkpoint_name(20)).exists());
-        assert!(report.orphans_reclaimed >= 2);
-        assert!(recovered.status().covered_t == 30);
+        assert_eq!(recovered.status().covered_t, 30);
+        assert_eq!(fs::read(&ckpt).unwrap(), b"SWCP\x01 not a checkpoint");
         let _ = fs::remove_dir_all(&dir);
     }
 

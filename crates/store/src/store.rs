@@ -43,11 +43,10 @@ use std::time::Duration;
 
 use swat_tree::{StreamSet, SwatConfig, TreeError};
 
-use crate::checkpoint::wal_name;
 use crate::compaction;
 use crate::error::StoreError;
 use crate::fault::IoFaults;
-use crate::io;
+use crate::io::{self, wal_name};
 use crate::manifest::{self, Manifest, SegmentEntry, StoreFile};
 use crate::segment::{self, segment_name};
 use crate::wal::{self, WalHeader};
@@ -56,8 +55,8 @@ use crate::wal::{self, WalHeader};
 /// (an `fsync` still only happens in [`DurableStore::sync`]).
 const WAL_FLUSH_BYTES: usize = 64 * 1024;
 
-/// Whether `dir` holds store files (a segment, manifest, WAL generation,
-/// or legacy checkpoint). Unrelated files — e.g. the [`crate::meta`]
+/// Whether `dir` holds store files (a segment, manifest or WAL
+/// generation). Unrelated files — e.g. the [`crate::meta`]
 /// image that shares the directory — do not count, so "recover or
 /// create?" decisions stay correct when other state lives alongside the
 /// trees.

@@ -1,7 +1,8 @@
-//! Crash-point grid over the tiered store (ISSUE 10 satellite): kill the
-//! store at **every I/O step** of a seeded flush/compaction schedule —
-//! and, independently, at every step of the foreground WAL schedule —
-//! then recover and require the acked-prefix contract:
+//! Fault grid over the tiered store (ISSUE 10 satellite): inject each
+//! single fault — a process death, `ENOSPC`, `EIO`, a torn write — at
+//! **every I/O step** of a seeded flush/compaction schedule and,
+//! independently, at every step of the foreground WAL schedule, then
+//! kill the store, recover and require the acked-prefix contract:
 //!
 //! * zero acked-data loss: `recovered_arrivals >= rows acked by sync()`,
 //! * no invention: `recovered_arrivals <= rows pushed`,
@@ -11,8 +12,11 @@
 //!
 //! The step horizons are *probed*, not guessed: the same workload first
 //! runs against fault-free domains and reports how many operations each
-//! domain adjudicated; the grid then replays it once per step with an
-//! injected [`IoFaultKind::Crash`] at that step.
+//! domain adjudicated; the grid then replays it once per step and fault
+//! kind ([`KINDS`]) with that fault injected at that step. A transient
+//! fault that fails a `sync()` leaves its rows un-acked; one that fails a
+//! flush parks the generation and the store degrades — neither may cost
+//! an acked row.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -23,6 +27,14 @@ use swat_tree::{StreamSet, SwatConfig};
 const ROWS: u64 = 60;
 const STREAMS: usize = 2;
 const SYNC_EVERY: u64 = 9;
+
+/// The single faults injected at every step of both schedules.
+const KINDS: [IoFaultKind; 4] = [
+    IoFaultKind::Crash,
+    IoFaultKind::Enospc,
+    IoFaultKind::Eio,
+    IoFaultKind::Torn { keep_permille: 400 },
+];
 
 fn config() -> SwatConfig {
     SwatConfig::with_coefficients(16, 2).unwrap()
@@ -119,7 +131,7 @@ fn check_cell(dir: &Path, acked: u64, digests: &[u64], what: &str) {
 }
 
 #[test]
-fn crash_at_every_flush_and_compaction_step_preserves_acked_rows() {
+fn every_fault_at_every_flush_and_compaction_step_preserves_acked_rows() {
     let digests = digests();
 
     // Probe the background schedule's horizon with fault-free domains.
@@ -135,22 +147,19 @@ fn crash_at_every_flush_and_compaction_step_preserves_acked_rows() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    for step in 0..horizon {
-        let dir = scratch("flush", step);
-        let _ = std::fs::remove_dir_all(&dir);
-        let flush = IoFaults::with_plan(IoFaultPlan::at(step, IoFaultKind::Crash));
-        let acked = workload(&dir, IoFaults::none(), flush);
-        check_cell(
-            &dir,
-            acked,
-            &digests,
-            &format!("flush crash at step {step}"),
-        );
+    for kind in KINDS {
+        for step in 0..horizon {
+            let dir = scratch("flush", step);
+            let _ = std::fs::remove_dir_all(&dir);
+            let flush = IoFaults::with_plan(IoFaultPlan::at(step, kind));
+            let acked = workload(&dir, IoFaults::none(), flush);
+            check_cell(&dir, acked, &digests, &format!("flush {kind:?} at {step}"));
+        }
     }
 }
 
 #[test]
-fn crash_at_every_wal_step_preserves_acked_rows() {
+fn every_fault_at_every_wal_step_preserves_acked_rows() {
     let digests = digests();
 
     let probe_wal = IoFaults::none();
@@ -162,12 +171,14 @@ fn crash_at_every_wal_step_preserves_acked_rows() {
     assert!(horizon > 5, "WAL schedule too small: {horizon}");
     let _ = std::fs::remove_dir_all(&dir);
 
-    for step in 0..horizon {
-        let dir = scratch("wal", step);
-        let _ = std::fs::remove_dir_all(&dir);
-        let wal = IoFaults::with_plan(IoFaultPlan::at(step, IoFaultKind::Crash));
-        let acked = workload(&dir, wal, IoFaults::none());
-        check_cell(&dir, acked, &digests, &format!("WAL crash at step {step}"));
+    for kind in KINDS {
+        for step in 0..horizon {
+            let dir = scratch("wal", step);
+            let _ = std::fs::remove_dir_all(&dir);
+            let wal = IoFaults::with_plan(IoFaultPlan::at(step, kind));
+            let acked = workload(&dir, wal, IoFaults::none());
+            check_cell(&dir, acked, &digests, &format!("WAL {kind:?} at {step}"));
+        }
     }
 }
 

@@ -121,8 +121,8 @@ impl IngestScratch {
 
     /// An empty scratch whose blocked chunks are capped at `max_chunk`
     /// values (rounded down to a power of two, clamped to
-    /// `[8, 1_048_576]`) — the ingest bench sweeps this to measure
-    /// cascade amortization.
+    /// `[8, 1_048_576]`) — `ingest_equivalence` sweeps this to put chunk
+    /// boundaries at every alignment.
     pub fn with_max_chunk(max_chunk: usize) -> Self {
         let clamped = max_chunk.clamp(MIN_BLOCK, 1 << 20);
         IngestScratch {

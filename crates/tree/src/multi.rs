@@ -412,7 +412,6 @@ pub(crate) fn query_fan_out<T: Send, S: Borrow<SwatTree> + Sync>(
 /// Magic prefix of a [`StreamSet::snapshot`] buffer.
 const SET_MAGIC: &[u8; 4] = b"SWMS";
 const SET_VERSION: u8 = 2;
-const SET_VERSION_V1: u8 = 1;
 /// Section tag wrapping one stream's tree snapshot.
 const SEC_STREAM: u8 = 5;
 
@@ -427,11 +426,9 @@ impl StreamSet {
     /// per stream: [u8 5][u32 len][u32 crc][tree snapshot v2]
     /// ```
     ///
-    /// Version 2 moved the configuration into the header so that a set
-    /// with **zero** streams round-trips (v1 derived the configuration
-    /// from the first stream and therefore could not represent an empty
-    /// set); per-stream configs are validated against the header on
-    /// restore.
+    /// The configuration lives in the header so that a set with **zero**
+    /// streams round-trips; per-stream configs are validated against it
+    /// on restore.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(SET_MAGIC);
@@ -446,9 +443,9 @@ impl StreamSet {
         out
     }
 
-    /// Rebuild a set from [`StreamSet::snapshot`] bytes. Accepts the
-    /// current v2 format and the legacy v1 layout (which has no header
-    /// configuration and requires at least one stream).
+    /// Rebuild a set from [`StreamSet::snapshot`] bytes: the explicit
+    /// configuration header, then `streams` framed tree snapshots, each
+    /// validated against the header.
     ///
     /// All streams must restore under the same configuration and clock
     /// (the set only ever ingests synchronized rows). Offsets reported by
@@ -464,16 +461,9 @@ impl StreamSet {
             return Err(SnapshotError::BadMagic);
         }
         let version = c.u8()?;
-        match version {
-            SET_VERSION_V1 => Self::restore_v1(&mut c),
-            SET_VERSION => Self::restore_v2(&mut c),
-            v => Err(SnapshotError::BadVersion(v)),
+        if version != SET_VERSION {
+            return Err(SnapshotError::BadVersion(version));
         }
-    }
-
-    /// Parse the v2 body: explicit configuration header, then `streams`
-    /// framed tree snapshots, each validated against the header.
-    fn restore_v2(c: &mut Cursor<'_>) -> Result<StreamSet, SnapshotError> {
         let config_at = c.offset();
         let window = c.u64()? as usize;
         let k = c.u64()? as usize;
@@ -488,7 +478,14 @@ impl StreamSet {
         let mut trees = Vec::new();
         for _ in 0..count {
             let at = c.offset();
-            let tree = Self::read_stream_frame(c, at)?;
+            let (tag, mut payload) = c.frame()?;
+            if tag != SEC_STREAM {
+                return Err(SnapshotError::Invalid {
+                    what: "expected STREAM section",
+                    offset: at,
+                });
+            }
+            let tree = SwatTree::restore(payload.rest())?;
             if *tree.config() != config {
                 return Err(SnapshotError::Invalid {
                     what: "stream config mismatch",
@@ -506,63 +503,6 @@ impl StreamSet {
             }
             trees.push(tree);
         }
-        Self::finish_restore(c, config, trees)
-    }
-
-    /// Parse the legacy v1 body: a bare stream count (necessarily
-    /// nonzero — the format has nowhere else to carry the configuration)
-    /// followed by framed tree snapshots.
-    fn restore_v1(c: &mut Cursor<'_>) -> Result<StreamSet, SnapshotError> {
-        let count_at = c.offset();
-        let count = c.u64()? as usize;
-        if count == 0 {
-            return Err(SnapshotError::Invalid {
-                what: "zero streams",
-                offset: count_at,
-            });
-        }
-        let mut trees: Vec<SwatTree> = Vec::new();
-        for _ in 0..count {
-            let at = c.offset();
-            let tree = Self::read_stream_frame(c, at)?;
-            if let Some(first) = trees.first() {
-                if tree.config() != first.config() {
-                    return Err(SnapshotError::Invalid {
-                        what: "stream config mismatch",
-                        offset: at,
-                    });
-                }
-                if tree.arrivals() != first.arrivals() {
-                    return Err(SnapshotError::Invalid {
-                        what: "stream clock mismatch",
-                        offset: at,
-                    });
-                }
-            }
-            trees.push(tree);
-        }
-        let config = *trees[0].config();
-        Self::finish_restore(c, config, trees)
-    }
-
-    /// Read one framed stream section and restore its tree.
-    fn read_stream_frame(c: &mut Cursor<'_>, at: usize) -> Result<SwatTree, SnapshotError> {
-        let (tag, mut payload) = c.frame()?;
-        if tag != SEC_STREAM {
-            return Err(SnapshotError::Invalid {
-                what: "expected STREAM section",
-                offset: at,
-            });
-        }
-        SwatTree::restore(payload.rest())
-    }
-
-    /// Shared tail of both restore paths: reject trailing bytes.
-    fn finish_restore(
-        c: &mut Cursor<'_>,
-        config: SwatConfig,
-        trees: Vec<SwatTree>,
-    ) -> Result<StreamSet, SnapshotError> {
         if !c.is_empty() {
             return Err(SnapshotError::Invalid {
                 what: "trailing bytes",
@@ -996,36 +936,26 @@ mod tests {
     }
 
     #[test]
-    fn v1_set_snapshots_remain_readable() {
+    fn v1_set_snapshots_are_rejected_by_version() {
         let mut set = StreamSet::new(SwatConfig::new(16).unwrap(), 2);
         for i in 0..50 {
             set.push_row(&[i as f64, 1.0 - i as f64]);
         }
-        // The v1 writer, frozen here so compatibility stays testable: a
-        // bare stream count with no configuration header.
+        // The v1 writer, frozen here byte for byte: a bare stream count
+        // with no configuration header.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SET_MAGIC);
-        bytes.push(SET_VERSION_V1);
+        bytes.push(1);
         bytes.extend_from_slice(&2u64.to_le_bytes());
         for s in 0..2 {
             write_frame(&mut bytes, SEC_STREAM, &set.tree(s).snapshot());
         }
-        let restored = StreamSet::restore(&bytes).unwrap();
-        assert_eq!(restored.config(), set.config());
-        assert_eq!(restored.answers_digest(), set.answers_digest());
-        // v1 cannot carry an empty set: its configuration lives in the
-        // first stream, so a zero count stays an error.
-        let mut empty = Vec::new();
-        empty.extend_from_slice(SET_MAGIC);
-        empty.push(SET_VERSION_V1);
-        empty.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            StreamSet::restore(&empty),
-            Err(SnapshotError::Invalid {
-                what: "zero streams",
-                ..
-            })
-        ));
+        for cut in 5..=bytes.len() {
+            assert_eq!(
+                StreamSet::restore(&bytes[..cut]).unwrap_err(),
+                SnapshotError::BadVersion(1)
+            );
+        }
     }
 
     #[test]

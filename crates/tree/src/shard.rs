@@ -36,7 +36,7 @@
 //! inline level slab in [`crate::tree`] puts a whole tree's node storage
 //! in one allocation, and [`ShardedStreamSet::space_bytes`] /
 //! [`ShardedStreamSet::bytes_per_stream`] report the resulting
-//! footprint (`swat scale-bench` sweeps it to 100k+ streams).
+//! footprint (the benchmark's `tree.bytes_per_stream`).
 
 use crate::config::{SwatConfig, TreeError};
 use crate::multi::StreamSet;

@@ -18,9 +18,10 @@
 //! [`crate::continuous::ContinuousEngine`] snapshots append one more
 //! section (`SUBS`, tag 4) carrying the standing-query table;
 //! [`crate::multi::StreamSet`] snapshots wrap one framed tree snapshot
-//! per stream under their own header. Version 1 (the unframed,
-//! unchecksummed PR-era layout, which also predates `min_level`) is
-//! still readable.
+//! per stream under their own header. Version 2 is the only format:
+//! version 1 (unframed, unchecksummed; nothing writes it) is rejected
+//! as [`SnapshotError::BadVersion`] like any other unknown version, so
+//! no parser runs over bytes no checksum vouches for.
 //!
 //! Restores validate structure exhaustively; a corrupted or truncated
 //! buffer yields a [`SnapshotError`] carrying the byte offset of the
@@ -39,7 +40,6 @@ use swat_wavelet::HaarCoeffs;
 
 pub(crate) const MAGIC: &[u8; 4] = b"SWAT";
 pub(crate) const VERSION: u8 = 2;
-const VERSION_V1: u8 = 1;
 
 pub(crate) const SEC_CONFIG: u8 = 1;
 pub(crate) const SEC_STATE: u8 = 2;
@@ -182,8 +182,7 @@ fn expect_section<'a>(
 
 /// Parse the shared tree body (magic, version, CONFIG / STATE /
 /// SUMMARIES) from `c`, leaving the cursor positioned after the
-/// SUMMARIES section. Only the current version is accepted; v1 has no
-/// section structure and is handled by [`restore_v1`].
+/// SUMMARIES section.
 pub(crate) fn parse_tree_body(c: &mut Cursor<'_>) -> Result<SwatTree, SnapshotError> {
     if c.take(4)? != MAGIC {
         return Err(SnapshotError::BadMagic);
@@ -241,7 +240,10 @@ pub(crate) fn parse_tree_body(c: &mut Cursor<'_>) -> Result<SwatTree, SnapshotEr
         });
     }
 
-    assemble(config, t, last, queues, count_at)
+    SwatTree::from_restored(config, t, last, queues).map_err(|_| SnapshotError::Invalid {
+        what: "inconsistent structure",
+        offset: count_at,
+    })
 }
 
 /// Read `count` serialized summaries into per-level queues, validating
@@ -332,46 +334,6 @@ fn read_summaries(
     Ok(queues)
 }
 
-fn assemble(
-    config: SwatConfig,
-    t: u64,
-    last: Option<f64>,
-    queues: Vec<VecDeque<Summary>>,
-    offset: usize,
-) -> Result<SwatTree, SnapshotError> {
-    SwatTree::from_restored(config, t, last, queues).map_err(|_| SnapshotError::Invalid {
-        what: "inconsistent structure",
-        offset,
-    })
-}
-
-/// Parse the legacy unframed v1 layout (no checksums, no `min_level` —
-/// restored trees get `min_level = 0`, which is what v1 writers ran at).
-fn restore_v1(c: &mut Cursor<'_>) -> Result<SwatTree, SnapshotError> {
-    let config_at = c.offset();
-    let window = c.u64()? as usize;
-    let k = c.u64()? as usize;
-    let config = SwatConfig::with_coefficients(window, k).map_err(|_| SnapshotError::Invalid {
-        what: "bad window/coefficient config",
-        offset: config_at,
-    })?;
-    let t = c.u64()?;
-    let last = match c.u8()? {
-        0 => None,
-        1 => Some(c.f64()?),
-        _ => {
-            return Err(SnapshotError::Invalid {
-                what: "bad last-value tag",
-                offset: c.offset() - 1,
-            })
-        }
-    };
-    let count_at = c.offset();
-    let count = c.u64()? as usize;
-    let queues = read_summaries(c, &config, t, count, count_at)?;
-    assemble(config, t, last, queues, count_at)
-}
-
 impl SwatTree {
     /// Serialize the tree's complete state (format version 2: checksummed
     /// framed sections; see the module docs).
@@ -381,37 +343,13 @@ impl SwatTree {
         out
     }
 
-    /// Rebuild a tree from [`SwatTree::snapshot`] bytes. Accepts the
-    /// current checksummed v2 format and the legacy v1 layout.
+    /// Rebuild a tree from [`SwatTree::snapshot`] bytes.
     ///
     /// # Errors
     ///
     /// See [`SnapshotError`].
     pub fn restore(bytes: &[u8]) -> Result<SwatTree, SnapshotError> {
         let mut c = Cursor::new(bytes);
-        // Peek the version to dispatch without consuming (v1 and v2 share
-        // the magic prefix).
-        {
-            let mut peek = Cursor::new(bytes);
-            if peek.take(4)? != MAGIC {
-                return Err(SnapshotError::BadMagic);
-            }
-            let version = peek.u8()?;
-            if version == VERSION_V1 {
-                c.take(5).expect("peeked");
-                let tree = restore_v1(&mut c)?;
-                if !c.is_empty() {
-                    return Err(SnapshotError::Invalid {
-                        what: "trailing bytes",
-                        offset: c.offset(),
-                    });
-                }
-                return Ok(tree);
-            }
-            if version != VERSION {
-                return Err(SnapshotError::BadVersion(version));
-            }
-        }
         let tree = parse_tree_body(&mut c)?;
         if !c.is_empty() {
             // A continuous-engine snapshot carries a subscription section
@@ -448,11 +386,12 @@ mod tests {
         tree
     }
 
-    /// The v1 writer, frozen here so compatibility stays testable.
+    /// The v1 writer (unframed, unchecksummed), frozen here byte for
+    /// byte so its rejection stays testable.
     fn v1_snapshot(tree: &SwatTree) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.push(VERSION_V1);
+        out.push(1);
         out.extend_from_slice(&(tree.config().window() as u64).to_le_bytes());
         out.extend_from_slice(&(tree.config().coefficients() as u64).to_le_bytes());
         out.extend_from_slice(&tree.arrivals().to_le_bytes());
@@ -546,13 +485,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_remain_readable() {
+    fn v1_snapshots_are_rejected_by_version() {
+        // A well-formed v1 buffer is refused at the version byte — the
+        // unchecksummed body is never parsed, let alone restored.
         for (n, k, arrivals) in [(16, 1, 0), (16, 1, 40), (64, 4, 200)] {
-            let tree = sample_tree(n, k, arrivals);
-            let restored = SwatTree::restore(&v1_snapshot(&tree)).unwrap();
-            assert_eq!(restored.arrivals(), tree.arrivals());
-            assert_eq!(restored.answers_digest(), tree.answers_digest());
-            assert_eq!(restored.config().min_level(), 0);
+            let bytes = v1_snapshot(&sample_tree(n, k, arrivals));
+            for cut in 5..=bytes.len() {
+                assert_eq!(
+                    SwatTree::restore(&bytes[..cut]).unwrap_err(),
+                    SnapshotError::BadVersion(1)
+                );
+            }
         }
     }
 
@@ -580,20 +523,16 @@ mod tests {
 
     #[test]
     fn rejects_truncation_anywhere_with_positions() {
-        for bytes in [
-            sample_tree(16, 1, 40).snapshot(),
-            v1_snapshot(&sample_tree(16, 1, 40)),
-        ] {
-            // Chopping the buffer at any point must fail cleanly, never
-            // panic, and the reported offset must sit within the cut.
-            for cut in 0..bytes.len() {
-                match SwatTree::restore(&bytes[..cut]) {
-                    Err(SnapshotError::Truncated { offset }) => {
-                        assert!(offset <= cut, "cut {cut} reported offset {offset}")
-                    }
-                    Err(_) => {}
-                    Ok(_) => panic!("cut at {cut} unexpectedly succeeded"),
+        let bytes = sample_tree(16, 1, 40).snapshot();
+        // Chopping the buffer at any point must fail cleanly, never
+        // panic, and the reported offset must sit within the cut.
+        for cut in 0..bytes.len() {
+            match SwatTree::restore(&bytes[..cut]) {
+                Err(SnapshotError::Truncated { offset }) => {
+                    assert!(offset <= cut, "cut {cut} reported offset {offset}")
                 }
+                Err(_) => {}
+                Ok(_) => panic!("cut at {cut} unexpectedly succeeded"),
             }
         }
     }

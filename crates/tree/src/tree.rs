@@ -139,8 +139,8 @@ impl Order {
 /// top), so the inline slab costs nothing in capacity while eliminating
 /// one heap allocation per level per tree — at a million streams that
 /// per-stream fixed cost dominates, so the whole tree's node storage
-/// collapses to a single `Vec<Level>` allocation (`swat scale-bench`
-/// reports the resulting bytes/stream).
+/// collapses to a single `Vec<Level>` allocation (the benchmark's
+/// `tree.bytes_per_stream` reports the result).
 #[derive(Debug, Clone)]
 pub(crate) struct Level([Option<Summary>; 3]);
 

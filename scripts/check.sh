@@ -1,191 +1,178 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, lints, and the tier-1 build+test cycle.
-# Run from anywhere; the script cds to the repo root.
+# Full local gate: formatting, lints, the tier-1 build+test cycle and every
+# smoke, as one table. Run from anywhere; the script cds to the repo root.
+#
+# A row is three strings: a name, a command, and a gate. The loop at the
+# bottom prints the name, runs the command with its output in
+# target/check/<name>.log, then runs the gate (`grep -q` patterns over what
+# the command wrote, or `cmp` against a committed artifact; empty = the exit
+# status is the gate). Either failing tails the log and stops. Add a check by
+# adding a row.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check =="
-cargo fmt --check
+SWAT=target/release/swat
 
-echo "== cargo clippy (all targets, warnings denied) =="
-cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== tier-1: cargo build --release && cargo test -q =="
-cargo build --release
-cargo test -q
-
-echo "== benchmark/ builds against the crates (an API break fails here, not after every smoke) =="
-# benchmark/ is a package of its own outside the workspace and calls the
-# daemon's planning, merging and server API by name.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-
-echo "== workspace tests (every crate, release binaries for the smokes) =="
-cargo test -q --workspace
-cargo build --release -p swat-cli # swat + swatd binaries for the daemon smoke
-
-echo "== ingest equivalence (blocked path vs frozen scalar reference) =="
-cargo test -q -p swat-tree --test ingest_equivalence
-cargo test -q -p swat-tree --test ingest_alloc
-echo "ingest equivalence clean (bit-identity + zero-alloc steady state)"
-
-echo "== slot order, steadiness and both equivalence suites, optimized (what the benchmark runs; no debug_assert) =="
-cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence
-echo "release-mode equivalence clean (queue order = frozen reference, steady => canonical geometry)"
-
-echo "== CRC-32 kernel, optimized (the folded path as the benchmark runs it; debug builds run the same code, not the same codegen) =="
-cargo test -q --release -p swat-tree --lib codec
-echo "release-mode crc32 clean (folded and portable paths = bytewise loop at every length and alignment)"
-
-echo "== ingest-bench smoke (blocked batch must beat frozen reference) =="
-cargo run --release -q -p swat-cli -- ingest-bench --quick \
-    --values 262144 --windows 1024 --coeffs 1,8 \
-    --out target/ingest-smoke.json >/dev/null
-grep -q '"bench": "ingest"' target/ingest-smoke.json
-grep -q '"batch_ge_reference": true' target/ingest-smoke.json
-echo "ingest smoke clean (target/ingest-smoke.json)"
-
-echo "== chaos smoke (fault injection, quick grid) =="
-cargo run --release -q -p swat-cli -- chaos --quick --out target/chaos-smoke.json >/dev/null
-echo "chaos smoke clean (target/chaos-smoke.json)"
-
-echo "== recovery smoke (checkpoint, crash, fault-injected recovery) =="
-cargo run --release -q -p swat-cli -- recovery-bench --quick \
-    --out target/recovery-smoke.json >/dev/null
-grep -q '"bench": "recovery"' target/recovery-smoke.json
-grep -q '"digest_match": true' target/recovery-smoke.json
-grep -q '"violations": 0' target/recovery-smoke.json
-echo "recovery smoke clean (target/recovery-smoke.json)"
-
-echo "== store fuzz smoke (segment/manifest/WAL corruption, typed errors only) =="
-cargo test -q -p swat-store --test corruption_fuzz
-echo "store fuzz clean (every injected corruption -> typed error or verified prefix)"
-
-echo "== compaction smoke (crash at every flush/compaction step, digests bit-exact) =="
-cargo test -q -p swat-store --test crash_points
-cargo test -q -p swat-store --lib compaction
-echo "compaction smoke clean (crash-mid-compaction leaves inputs and manifest intact)"
-
-echo "== store-bench smoke (non-blocking flush + injected-fault grid) =="
-cargo run --release -q -p swat-cli -- store-bench --quick \
-    --out target/store-smoke.json >/dev/null
-grep -q '"bench": "store"' target/store-smoke.json
-grep -q '"flush_nonblocking": true' target/store-smoke.json
-grep -q '"acked_rows_lost": 0' target/store-smoke.json
-grep -q '"digest_mismatches": 0' target/store-smoke.json
-grep -q '"panics": 0' target/store-smoke.json
-echo "store-bench smoke clean (target/store-smoke.json)"
-
-echo "== query-bench smoke (tiny grid, fast-vs-slow agreement) =="
-cargo run --release -q -p swat-cli -- query-bench --quick \
-    --points 500 --inners 20 --ranges 5 \
-    --out target/query-smoke.json >/dev/null
-grep -q '"bench": "query"' target/query-smoke.json
-grep -q '"agreement": true' target/query-smoke.json
-echo "query-bench smoke clean (target/query-smoke.json)"
-
-echo "== repair smoke (self-healing vs static, quick grid) =="
-cargo run --release -q -p swat-cli -- repair-bench --quick \
-    --out target/repair-smoke.json >/dev/null
-grep -q '"bench": "repair"' target/repair-smoke.json
-grep -q '"all_dominate": true' target/repair-smoke.json
-if grep -q '"violations": [^0]' target/repair-smoke.json; then
-    echo "repair smoke found correctness violations" >&2
-    exit 1
-fi
-echo "repair smoke clean (target/repair-smoke.json)"
-
-echo "== scale smoke (sharded ingest vs unsharded oracle, quick sweep) =="
-cargo run --release -q -p swat-cli -- scale-bench --quick \
-    --out target/scale-smoke.json >/dev/null
-grep -q '"bench": "scale"' target/scale-smoke.json
-grep -q '"all_agree": true' target/scale-smoke.json
-if grep -q '"oracle_agrees": false' target/scale-smoke.json; then
-    echo "scale smoke found an oracle disagreement" >&2
-    exit 1
-fi
-echo "scale smoke clean (target/scale-smoke.json)"
-
-echo "== daemon smoke (2-node TCP cluster, SIGTERM drain, clean checkpoint) =="
-SMOKE_DIR=$(mktemp -d)
-cleanup_daemon_smoke() {
-    kill "${LEADER_PID:-}" "${REPLICA_PID:-}" 2>/dev/null || true
-    rm -rf "$SMOKE_DIR"
+# 2-node TCP cluster over the release binaries: ingest, point, top-k and
+# status through `swat client`, then SIGTERM both nodes — the leader must
+# drain and the replica must checkpoint. Runs in its row's subshell, which
+# is what the EXIT trap and the plain variables are scoped to.
+daemon_smoke() {
+    dir=$(mktemp -d)
+    trap 'kill "${leader_pid:-}" "${replica_pid:-}" 2>/dev/null || true; rm -rf "$dir"' EXIT
+    target/release/swatd --role replica --shard 0 --shards 1 --streams 4 \
+        --window 16 --dir "$dir/store" \
+        --port-file "$dir/replica.addr" >"$dir/replica.log" &
+    replica_pid=$!
+    for _ in $(seq 100); do [ -s "$dir/replica.addr" ] && break; sleep 0.05; done
+    target/release/swatd --role leader --shards 1 --streams 4 \
+        --window 16 --replica "$(head -n1 "$dir/replica.addr")" \
+        --port-file "$dir/leader.addr" >"$dir/leader.log" &
+    leader_pid=$!
+    for _ in $(seq 100); do [ -s "$dir/leader.addr" ] && break; sleep 0.05; done
+    $SWAT client --addr "$(head -n1 "$dir/leader.addr")" \
+        --ingest 1,2,3,4 --ingest 5,6,7,8 \
+        --point 0:0 --top-k 2 --status | tee "$dir/client.log"
+    grep -q 'applied req_id=0 duplicate=false' "$dir/client.log"
+    grep -q 'applied req_id=1 duplicate=false' "$dir/client.log"
+    grep -q '^point\[0:0\]: value=' "$dir/client.log"
+    grep -q '^top-k\[2\]: complete' "$dir/client.log"
+    if grep -Eq 'DEGRADED|OVERLOADED|UNAVAILABLE|ERROR' "$dir/client.log"; then
+        echo "daemon smoke: a request degraded on a healthy cluster" >&2
+        return 1
+    fi
+    kill -TERM "$leader_pid" && wait "$leader_pid"
+    kill -TERM "$replica_pid" && wait "$replica_pid"
+    cat "$dir/replica.log" "$dir/leader.log"
+    grep -q 'checkpointed: true' "$dir/replica.log"
+    grep -q 'swatd: drained' "$dir/leader.log"
 }
-trap cleanup_daemon_smoke EXIT
-./target/release/swatd --role replica --shard 0 --shards 1 --streams 4 \
-    --window 16 --dir "$SMOKE_DIR/store" \
-    --port-file "$SMOKE_DIR/replica.addr" >"$SMOKE_DIR/replica.log" &
-REPLICA_PID=$!
-for _ in $(seq 100); do [ -s "$SMOKE_DIR/replica.addr" ] && break; sleep 0.05; done
-REPLICA_ADDR=$(head -n1 "$SMOKE_DIR/replica.addr")
-./target/release/swatd --role leader --shards 1 --streams 4 \
-    --window 16 --replica "$REPLICA_ADDR" \
-    --port-file "$SMOKE_DIR/leader.addr" >"$SMOKE_DIR/leader.log" &
-LEADER_PID=$!
-for _ in $(seq 100); do [ -s "$SMOKE_DIR/leader.addr" ] && break; sleep 0.05; done
-LEADER_ADDR=$(head -n1 "$SMOKE_DIR/leader.addr")
-./target/release/swat client --addr "$LEADER_ADDR" \
-    --ingest 1,2,3,4 --ingest 5,6,7,8 \
-    --point 0:0 --top-k 2 --status >"$SMOKE_DIR/client.log"
-grep -q 'applied req_id=0 duplicate=false' "$SMOKE_DIR/client.log"
-grep -q 'applied req_id=1 duplicate=false' "$SMOKE_DIR/client.log"
-grep -q '^point\[0:0\]: value=' "$SMOKE_DIR/client.log"
-grep -q '^top-k\[2\]: complete' "$SMOKE_DIR/client.log"
-if grep -Eq 'DEGRADED|OVERLOADED|UNAVAILABLE|ERROR' "$SMOKE_DIR/client.log"; then
-    echo "daemon smoke: a request degraded on a healthy cluster" >&2
-    cat "$SMOKE_DIR/client.log" >&2
-    exit 1
-fi
-kill -TERM "$LEADER_PID" && wait "$LEADER_PID"
-kill -TERM "$REPLICA_PID" && wait "$REPLICA_PID"
-grep -q 'checkpointed: true' "$SMOKE_DIR/replica.log"
-grep -q 'swatd: drained' "$SMOKE_DIR/leader.log"
-trap - EXIT
-cleanup_daemon_smoke
-echo "daemon smoke clean (ingest, point, top-k, drain, checkpoint)"
 
-echo "== fan-out and freeze smokes (release mode: the timings the deadlines meet in production) =="
-# The buffered transport, the coalesced fan-out and its scripted-peer
-# failure cases, the driver's loops over the scripted fabric and in the
-# simulator (arithmetic and assertions as the shipped build has them),
-# the raw-socket connection-worker tests and the 2 000-row ring run of
-# tcp_cluster; then the freeze hand-off under the counting allocator and
-# extend_rows against the push_row loop.
-cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim::
-cargo test --release -q -p swat-daemon --test sim_oracle
-cargo test --release -q -p swat-daemon --test tcp_cluster
-cargo test --release -q -p swat-store --test freeze_alloc
-cargo test --release -q -p swat-tree --test ingest_equivalence extend_rows
-echo "fan-out and freeze smokes clean"
+ROWS=(
+    "fmt"
+    "cargo fmt --check"
+    ""
 
-echo "== daemon bench smoke (real-TCP latency, one replica killed) =="
-cargo run --release -q -p swat-cli -- daemon-bench --quick \
-    --out target/daemon-smoke.json >/dev/null
-grep -q '"bench": "daemon"' target/daemon-smoke.json
-grep -q '"zero_wrong_answers": true' target/daemon-smoke.json
-echo "daemon bench smoke clean (target/daemon-smoke.json)"
+    "clippy"
+    "cargo clippy --workspace --all-targets -- -D warnings"
+    ""
 
-echo "== failover smoke (3-node cluster, LEADER killed, re-election) =="
-# Kills the leader of a real-TCP failover cluster mid-run; the command
-# itself fails unless a survivor claims a new term, every retried row
-# re-acks, and the recovered cluster answers bit-exactly (zero wrong
-# answers over the acked prefix).
-cargo run --release -q -p swat-cli -- failover-bench --quick \
-    --out target/failover-smoke.json >/dev/null
-grep -q '"bench": "failover"' target/failover-smoke.json
-grep -q '"recovered": true' target/failover-smoke.json
-grep -q '"zero_wrong_answers": true' target/failover-smoke.json
-echo "failover smoke clean (target/failover-smoke.json)"
+    "tier-1"
+    "cargo build --release && cargo test -q"
+    ""
 
-echo "== benchmark smoke (benchmark/: its own tests, then every workload on toy shapes) =="
-# Built above, right after tier-1. Its tests pin the declared-vs-emitted
-# metric schema; --quick drives all four workloads, untraced and traced,
-# and exits non-zero on a wrong answer or a failed op.
-cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
-if ! benchmark/run.sh --quick >target/benchmark-smoke.log 2>&1; then
-    tail -n 40 target/benchmark-smoke.log >&2
-    exit 1
-fi
-echo "benchmark smoke clean (target/benchmark-smoke.log)"
+    # benchmark/ is a package of its own outside the workspace and calls the
+    # daemon's planning, merging and server API by name: an API break fails
+    # here, not after every smoke.
+    "benchmark build"
+    "cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+    ""
 
-echo "OK: fmt, clippy, tier-1, ingest, chaos, recovery, store, query-bench, repair, scale, daemon, fan-out, failover, and benchmark smokes all green"
+    # Every crate's tests, then the swat + swatd release binaries the
+    # smokes below drive.
+    "workspace tests"
+    "cargo test -q --workspace && cargo build --release -p swat-cli"
+    ""
+
+    # Blocked path vs frozen scalar reference: bit-identity, and a
+    # zero-allocation steady state.
+    "ingest equivalence"
+    "cargo test -q -p swat-tree --test ingest_equivalence && cargo test -q -p swat-tree --test ingest_alloc"
+    ""
+
+    # Slot order, steadiness and both equivalence suites optimized — what
+    # the benchmark runs; no debug_assert.
+    "release equivalence"
+    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence"
+    ""
+
+    # The folded CRC-32 path as the benchmark runs it: debug builds run the
+    # same code, not the same codegen.
+    "release crc32"
+    "cargo test -q --release -p swat-tree --lib codec"
+    ""
+
+    # The two simulator artifacts are counts, a function of the seed: the
+    # full sweeps must reproduce the committed files byte for byte. After a
+    # deliberate simulator change, scripts/bench.sh chaos|repair and commit.
+    "chaos artifact"
+    "$SWAT chaos --out target/check/BENCH_chaos.json"
+    "cmp target/check/BENCH_chaos.json results/BENCH_chaos.json"
+
+    "repair artifact"
+    "$SWAT repair-bench --out target/check/BENCH_repair.json"
+    "cmp target/check/BENCH_repair.json results/BENCH_repair.json"
+
+    # Segment/manifest/WAL corruption: typed error or verified prefix only.
+    "store fuzz"
+    "cargo test -q -p swat-store --test corruption_fuzz"
+    ""
+
+    # Every fault kind at every flush/compaction step, digests bit-exact;
+    # a crash mid-compaction leaves inputs and manifest intact.
+    "crash points"
+    "cargo test -q -p swat-store --test crash_points && cargo test -q -p swat-store --lib compaction"
+    ""
+
+    "daemon smoke"
+    "daemon_smoke"
+    ""
+
+    # Release mode, the timings the deadlines meet in production: the
+    # buffered transport, the coalesced fan-out and its scripted-peer
+    # failure cases, the driver's loops over the scripted fabric and in the
+    # simulator, the raw-socket connection-worker tests and the 2 000-row
+    # ring run of tcp_cluster; then the freeze hand-off under the counting
+    # allocator and extend_rows against the push_row loop.
+    "fan-out and freeze"
+    "cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: &&
+     cargo test --release -q -p swat-daemon --test sim_oracle &&
+     cargo test --release -q -p swat-daemon --test tcp_cluster &&
+     cargo test --release -q -p swat-store --test freeze_alloc &&
+     cargo test --release -q -p swat-tree --test ingest_equivalence extend_rows"
+    ""
+
+    # Kills the leader of a real-TCP failover cluster mid-run; the command
+    # itself fails unless a survivor claims a new term, every retried row
+    # re-acks, and the recovered cluster answers bit-exactly.
+    "failover smoke"
+    "$SWAT failover-bench --quick --out target/check/failover-smoke.json"
+    "grep -q '\"bench\": \"failover\"' target/check/failover-smoke.json &&
+     grep -q '\"recovered\": true' target/check/failover-smoke.json &&
+     grep -q '\"zero_wrong_answers\": true' target/check/failover-smoke.json"
+
+    # benchmark/'s own tests pin the declared-vs-emitted metric schema;
+    # --quick drives all four workloads, untraced and traced, and exits
+    # non-zero on a wrong answer or a failed op.
+    "benchmark smoke"
+    "cargo test --release --offline -q --manifest-path benchmark/Cargo.toml && benchmark/run.sh --quick"
+    ""
+)
+
+mkdir -p target/check
+passed=()
+for ((i = 0; i < ${#ROWS[@]}; i += 3)); do
+    name=${ROWS[i]} cmd=${ROWS[i + 1]} gate=${ROWS[i + 2]}
+    log=target/check/${name// /-}.log
+    echo "== $name =="
+    # Not `if ! (…)`: bash ignores `set -e` inside a tested command, and
+    # daemon_smoke relies on it.
+    set +e
+    (set -e; eval "$cmd") >"$log" 2>&1
+    status=$?
+    set -e
+    if [ "$status" -ne 0 ]; then
+        tail -n 60 "$log" >&2
+        echo "FAILED: $name (exit $status; full log: $log)" >&2
+        exit 1
+    fi
+    if [ -n "$gate" ] && ! eval "$gate"; then
+        tail -n 60 "$log" >&2
+        echo "FAILED: $name — gate: $gate" >&2
+        exit 1
+    fi
+    passed+=("$name")
+done
+
+printf -v list '%s, ' "${passed[@]}"
+echo "OK: ${list%, } all green"
