@@ -314,15 +314,15 @@ impl ClusterNode {
     }
 
     /// Aggregate durable-store health across this node's holdings:
-    /// degraded as soon as any holding has parked flush generations,
-    /// with the parked counts summed.
+    /// degraded as soon as any holding is, with the counts of freezes
+    /// awaiting their covering snapshot summed.
     pub fn store_health(&self) -> crate::proto::WireStoreHealth {
         let mut parked: u32 = 0;
         let mut degraded = false;
         for h in self.holdings.values() {
             if let crate::proto::WireStoreHealth::Degraded { parked: p } = h.rep.store_health() {
-                // A broken WAL reports degraded with zero parked
-                // generations, so the flag is tracked separately.
+                // A broken WAL reports degraded with nothing parked, so
+                // the flag is tracked separately.
                 degraded = true;
                 parked = parked.saturating_add(p);
             }

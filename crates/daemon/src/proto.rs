@@ -539,17 +539,20 @@ impl fmt::Display for WireHealth {
 }
 
 /// The responding node's *local durable-store* health: whether its
-/// background segment flushes are parked on a persistent disk fault.
+/// background snapshot flush is parked on a persistent disk fault.
 /// Distinct from [`WireHealth`], which is the leader's liveness view of
 /// its peers; a node can be perfectly reachable while its disk degrades.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireStoreHealth {
     /// Flushes are keeping up (or the node runs an in-memory backing).
     Healthy,
-    /// Frozen generations are parked on a disk fault; ingest continues
-    /// on the WAL and the store retries with bounded backoff.
+    /// A snapshot flush failed on a disk fault (or the live WAL did);
+    /// ingest continues and the store retries with bounded backoff.
     Degraded {
-        /// Parked frozen generations across the node's holdings.
+        /// Freezes whose covering snapshot is not yet committed, summed
+        /// across the node's holdings (0 or more: a broken WAL alone
+        /// degrades with none). Their rows are in the WAL, not yet
+        /// durable as state.
         parked: u32,
     },
 }

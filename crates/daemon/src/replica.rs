@@ -196,7 +196,7 @@ impl ReplicaNode {
     }
 
     /// The backing store's health: [`WireStoreHealth::Degraded`] when
-    /// background segment flushes are parked on a disk fault (in-memory
+    /// the background snapshot flush is parked on a disk fault (in-memory
     /// backings are always healthy).
     pub fn store_health(&self) -> crate::proto::WireStoreHealth {
         match &self.backing {

@@ -10,7 +10,6 @@ fn main() {
     let dir = std::env::args().nth(1).expect("usage: crash_store DIR");
     let opts = StoreOptions {
         freeze_rows: 8,
-        compact_fanin: 2,
         retry_backoff: Duration::from_millis(1),
         ..StoreOptions::default()
     };

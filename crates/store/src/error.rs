@@ -55,12 +55,12 @@ pub enum StoreError {
         /// Index of the offending stream within the row.
         stream: usize,
     },
-    /// The store is running but durability is behind: background flushes
-    /// are parked on a persistent disk fault (or the live WAL hit one),
-    /// so an operation that requires everything durable cannot complete.
-    /// Ingest continues; the store retries with bounded backoff.
+    /// The store is running but durability is behind: the background
+    /// flush is parked on a persistent disk fault (or the live WAL hit
+    /// one), so an operation that requires everything durable cannot
+    /// complete. Ingest continues; the store retries with bounded backoff.
     Degraded {
-        /// Frozen generations waiting to be flushed.
+        /// Freezes whose covering snapshot is not yet committed.
         parked: usize,
         /// The most recent underlying failure, rendered.
         message: String,
@@ -92,7 +92,7 @@ impl fmt::Display for StoreError {
             StoreError::Degraded { parked, message } => {
                 write!(
                     f,
-                    "store degraded: {parked} frozen generation(s) parked ({message})"
+                    "store degraded: {parked} freeze(s) await their snapshot ({message})"
                 )
             }
         }

@@ -14,8 +14,8 @@
 //!   (a prefix lands, then the error), or a simulated process crash
 //!   (that op and every later one fails). The live store must degrade
 //!   gracefully under these — park the flush, keep ingesting on the WAL —
-//!   and the crash-point property tests kill the store at every step of a
-//!   flush/compaction schedule this way.
+//!   and the crash-point property tests kill the store at every step of
+//!   the flush schedule this way.
 
 use std::fs::{self, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -215,7 +215,7 @@ pub struct IoFault {
 /// A seeded schedule of operation-level faults for one fault domain.
 ///
 /// The store keeps two independent domains — the foreground WAL path and
-/// the background flush/compaction path — each with its own step counter,
+/// the background flush path — each with its own step counter,
 /// so a plan aimed at "flush step 7" is deterministic regardless of how
 /// the two threads interleave.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

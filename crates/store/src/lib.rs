@@ -10,20 +10,19 @@
 //! and **no caller ever blocks on an `fsync`**:
 //!
 //! * [`store::DurableStore`] — the live object: every arrival row is a
-//!   checksummed WAL record plus an in-memory tree update; at every
-//!   `freeze_rows` boundary the accumulated rows freeze and a background
-//!   thread serializes them into an immutable, bloom-guarded
-//!   [`segment`] with an embedded snapshot, committing via the
-//!   [`manifest`] and only then pruning the covered WAL prefix.
-//! * [`compaction`] — background k-way merge of adjacent segments, with
-//!   the manifest rename as the single commit point; a crash at any step
-//!   leaves only reclaimable orphans, never lost rows.
+//!   checksummed WAL record plus an in-memory tree update, and the WAL is
+//!   the only copy of a row the store makes; at every `freeze_rows`
+//!   boundary the ingest thread encodes the live set's snapshot and a
+//!   background thread writes it as an immutable [`segment`], commits it
+//!   via the [`manifest`] and only then retires what is older than the
+//!   newest two snapshots and the WAL behind them.
 //! * [`recovery::RecoveryManager`] — rebuilds from the newest verifiable
-//!   manifest: base snapshot from the newest intact segment, newer
-//!   segments' verified rows rolled forward, then the WAL chain replayed
-//!   in bounded-memory chunks with torn tails truncated. The recovered
-//!   trees are bit-identical (by `answers_digest`) to a never-crashed
-//!   store at some verified prefix of the acknowledged rows.
+//!   manifest: base snapshot from the newest intact segment (falling
+//!   back onto the older kept one, whose WAL tail is retained for exactly
+//!   that), then the WAL chain replayed in bounded-memory chunks with
+//!   torn tails truncated. The recovered trees are bit-identical (by
+//!   `answers_digest`) to a never-crashed store at some verified prefix
+//!   of the acknowledged rows.
 //! * [`fault`] — two seeded fault families: [`fault::FaultPlan`] mutates
 //!   dead directories (bit rot, torn tails, lost files) and
 //!   [`fault::IoFaults`] makes live writes/fsyncs/renames fail
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod compaction;
 pub mod error;
 pub mod fault;
 pub mod image;

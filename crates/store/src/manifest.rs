@@ -1,13 +1,20 @@
 //! The segment manifest — the commit point of the tiered store.
 //!
-//! A manifest is a small checksummed file naming the live segments in
-//! chronological order plus `covered_t`, the arrival clock up to which
-//! segments (not the WAL) are the durable source of truth. Every flush
-//! and every compaction becomes visible by atomically writing
-//! `manifest-<seq+1>` — fsync, rename, directory fsync — so at any crash
-//! instant there is a complete old manifest or a complete new one, and
-//! any segment file not named by the newest valid manifest is an orphan
-//! that recovery reclaims.
+//! A manifest is a small checksummed file naming the kept snapshot
+//! segments in chronological order plus `covered_t`, the clock of the
+//! newest: the arrivals durable as state whatever becomes of the WAL.
+//! Every flush becomes visible by atomically writing `manifest-<seq+1>`
+//! — fsync, rename, directory fsync — so at any crash instant there is a
+//! complete old manifest or a complete new one, and any segment file not
+//! named by the newest valid manifest is an orphan that [`retire`] (the
+//! flusher's and recovery's retention pass) reclaims.
+//!
+//! ## Retention
+//!
+//! The newest [`KEPT_SNAPSHOTS`] segments stay, and so does every WAL
+//! generation holding a row at or after the *older* one's clock
+//! ([`Manifest::wal_floor`]): recovery falls back across a corrupt
+//! newest snapshot onto the older one and replays exactly those rows.
 //!
 //! ## On-disk layout
 //!
@@ -35,6 +42,9 @@ pub const MAN_VERSION: u8 = 1;
 /// Manifest generations kept on disk: the newest is truth, the previous
 /// one is the fallback if a crash lands mid-rename of the newest.
 pub const KEPT_MANIFESTS: usize = 2;
+/// Snapshot segments kept: the newest is the recovery base, the previous
+/// one the fallback if the newest fails verification.
+pub const KEPT_SNAPSHOTS: usize = 2;
 
 /// Name of the manifest with sequence number `seq`.
 pub fn manifest_name(seq: u64) -> String {
@@ -78,10 +88,22 @@ pub fn classify(name: &str) -> Option<StoreFile> {
 pub struct SegmentEntry {
     /// File name within the store directory.
     pub name: String,
-    /// First arrival the segment's rows carry.
+    /// Equal to `end_t`: a snapshot segment carries no rows (the field
+    /// is the byte format's, which predates snapshot-only segments).
     pub start_t: u64,
     /// Arrival clock of the segment's snapshot.
     pub end_t: u64,
+}
+
+impl SegmentEntry {
+    /// The entry of the snapshot segment at clock `t`.
+    pub fn snapshot_at(t: u64) -> SegmentEntry {
+        SegmentEntry {
+            name: segment::segment_name(t, t),
+            start_t: t,
+            end_t: t,
+        }
+    }
 }
 
 /// The live-segment list at one commit point.
@@ -91,11 +113,35 @@ pub struct Manifest {
     pub seq: u64,
     /// Arrivals durably captured by segments; the WAL owns `covered_t..`.
     pub covered_t: u64,
-    /// Live segments, chronological (`entries[i].end_t == entries[i+1].start_t`).
+    /// Live segments, chronological (`entries[i].end_t <= entries[i+1].start_t`).
     pub entries: Vec<SegmentEntry>,
 }
 
 impl Manifest {
+    /// The manifest after this one: the snapshot at `end_t` becomes the
+    /// newest entry and all but the newest [`KEPT_SNAPSHOTS`] are dropped.
+    pub fn advanced_to(&self, end_t: u64) -> Manifest {
+        let mut entries = self.entries.clone();
+        entries.push(SegmentEntry::snapshot_at(end_t));
+        entries.drain(..entries.len().saturating_sub(KEPT_SNAPSHOTS));
+        Manifest {
+            seq: self.seq + 1,
+            covered_t: end_t,
+            entries,
+        }
+    }
+
+    /// The clock from which WAL rows must stay on disk: the older kept
+    /// snapshot's, or 0 while there is no snapshot to fall back on but
+    /// the `wal-0` bootstrap.
+    pub fn wal_floor(&self) -> u64 {
+        if self.entries.len() < KEPT_SNAPSHOTS {
+            0
+        } else {
+            self.entries[0].end_t
+        }
+    }
+
     /// Serialize with the trailing whole-file checksum.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -174,10 +220,10 @@ impl Manifest {
                 .to_owned();
             let start_t = c.u64().map_err(corrupt)?;
             let end_t = c.u64().map_err(corrupt)?;
-            // Entries must name real segment files and chain: a manifest
-            // violating that is not one we wrote.
+            // Entries must name real segment files in clock order: a
+            // manifest violating that is not one we wrote.
             if segment::parse_segment_name(&name) != Some((start_t, end_t))
-                || prev_end.is_some_and(|p| p != start_t)
+                || prev_end.is_some_and(|p| p > start_t)
             {
                 return Err(corrupt(CodecError::Invalid {
                     what: "manifest entry chain",
@@ -233,6 +279,42 @@ pub fn commit(faults: &IoFaults, dir: &Path, manifest: &Manifest) -> Result<(), 
     Ok(())
 }
 
+/// The retention pass, over one listing of `dir`: delete every segment
+/// file `manifest` does not name and every WAL generation wholly below
+/// [`Manifest::wal_floor`] (generation `b_i` holds no row at or after
+/// the floor once the next base `b_(i+1) <= floor`; the newest never
+/// qualifies). Only ever called after `manifest` is committed, so what
+/// it deletes nothing can need again. Returns the files removed.
+pub(crate) fn retire(dir: &Path, manifest: &Manifest) -> usize {
+    let Ok(listing) = fs::read_dir(dir) else {
+        return 0;
+    };
+    let mut doomed = Vec::new();
+    let mut bases = Vec::new();
+    for entry in listing.flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        match classify(&name) {
+            Some(StoreFile::Segment(..)) if manifest.entries.iter().all(|e| e.name != name) => {
+                doomed.push(name);
+            }
+            Some(StoreFile::Wal(base)) => bases.push(base),
+            _ => {}
+        }
+    }
+    bases.sort_unstable();
+    let floor = manifest.wal_floor();
+    doomed.extend(
+        bases
+            .windows(2)
+            .filter(|pair| pair[1] <= floor)
+            .map(|pair| io::wal_name(pair[0])),
+    );
+    doomed
+        .iter()
+        .filter(|name| fs::remove_file(dir.join(name)).is_ok())
+        .count()
+}
+
 /// Sequence numbers of every manifest file present in `dir`.
 pub fn list_manifests(dir: &Path) -> Result<Vec<u64>, StoreError> {
     let mut seqs = Vec::new();
@@ -276,18 +358,7 @@ mod tests {
         Manifest {
             seq: 7,
             covered_t: 30,
-            entries: vec![
-                SegmentEntry {
-                    name: segment_name(0, 20),
-                    start_t: 0,
-                    end_t: 20,
-                },
-                SegmentEntry {
-                    name: segment_name(20, 30),
-                    start_t: 20,
-                    end_t: 30,
-                },
-            ],
+            entries: vec![SegmentEntry::snapshot_at(20), SegmentEntry::snapshot_at(30)],
         }
     }
 
@@ -319,6 +390,63 @@ mod tests {
                 assert!(Manifest::decode("m", &bad).is_err(), "flip {byte}.{bit}");
             }
         }
+    }
+
+    #[test]
+    fn advancing_keeps_the_newest_two_and_the_floor_follows_the_older() {
+        let first = Manifest::default().advanced_to(8);
+        assert_eq!((first.seq, first.covered_t, first.entries.len()), (1, 8, 1));
+        // One snapshot has no fallback but the bootstrap: keep every row.
+        assert_eq!(first.wal_floor(), 0);
+        let third = first.advanced_to(16).advanced_to(24);
+        assert_eq!(
+            third.entries,
+            [SegmentEntry::snapshot_at(16), SegmentEntry::snapshot_at(24)]
+        );
+        assert_eq!((third.seq, third.covered_t, third.wal_floor()), (3, 24, 16));
+        assert_eq!(Manifest::decode("m", &third.encode()).unwrap(), third);
+    }
+
+    #[test]
+    fn entries_out_of_clock_order_are_not_a_manifest_we_wrote() {
+        let mut m = sample();
+        m.entries.swap(0, 1);
+        m.covered_t = 20;
+        let err = Manifest::decode("m", &m.encode()).unwrap_err();
+        assert!(err.to_string().contains("entry chain"), "{err}");
+    }
+
+    #[test]
+    fn retire_drops_unnamed_segments_and_the_wal_behind_the_floor() {
+        let dir = tmp("retire");
+        let m = sample();
+        let files = [
+            segment_name(10, 10), // superseded
+            segment_name(20, 20),
+            segment_name(30, 30),
+            io::wal_name(0),  // wholly below the floor (20)
+            io::wal_name(10), // ends at 20: wholly below too
+            io::wal_name(20),
+            io::wal_name(30), // the live generation
+            "node-meta".to_owned(),
+        ];
+        for f in &files {
+            fs::write(dir.join(f), b"x").unwrap();
+        }
+        assert_eq!(retire(&dir, &m), 3);
+        let mut left: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        let mut want = [&files[1..3], &files[5..]].concat();
+        want.sort();
+        assert_eq!(left, want);
+        // A generation that spans the floor stays whole.
+        fs::remove_file(dir.join(io::wal_name(20))).unwrap();
+        fs::write(dir.join(io::wal_name(15)), b"x").unwrap();
+        assert_eq!(retire(&dir, &m), 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

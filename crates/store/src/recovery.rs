@@ -12,20 +12,21 @@
 //! 1. Load the newest manifest whose whole-file checksum verifies;
 //!    corrupt newer generations are counted and skipped.
 //! 2. Walk its segments newest-first for the **base**: the newest entry
-//!    whose embedded snapshot verifies end-to-end. Entries at or before
-//!    the base are kept as-is (they are the historical row index).
-//! 3. Roll forward: newer segments contribute their verified row
-//!    prefixes, then WAL generations chain from the replay clock — read
-//!    in bounded chunks (never materializing a whole log), each record
-//!    checksum-verified, a torn tail dropped. A generation may begin
-//!    before the clock; the overlap is skipped, not replayed twice.
-//! 4. Replayed rows are re-segmented as they stream through: every
-//!    `freeze_rows` rows a fresh segment (rows + snapshot) is written,
-//!    so the recovered store is fully covered by segments and memory
-//!    stays bounded no matter how long the log grew.
-//! 5. Commit a fresh manifest (the new commit point), then reclaim
-//!    orphans: `.tmp` staging files, segments no manifest names,
-//!    compaction leftovers and fully-covered WAL generations.
+//!    whose snapshot verifies end-to-end. The store keeps the WAL from
+//!    the older kept snapshot's clock on, so falling back one segment
+//!    loses nothing. With no base, bootstrap an empty set from the
+//!    `wal-0` header.
+//! 3. Roll forward: WAL generations chain from the base clock — read in
+//!    bounded chunks (never materializing a whole log), each record
+//!    checksum-verified and pushed straight into the set, a torn tail
+//!    dropped. A generation may begin before the clock; the overlap is
+//!    skipped, not replayed twice.
+//! 4. Write one snapshot segment at the recovered clock and commit a
+//!    fresh manifest naming the base and it (the new commit point), so
+//!    the recovered store starts fully covered.
+//! 5. Reclaim what the new commit point does not need: `.tmp` staging
+//!    files, segments no manifest names, WAL generations behind the
+//!    retention floor or ahead of the recovered clock.
 //!
 //! Files the store does not write (a `ckpt-*` of the flat layout nothing
 //! writes any more, say) are neither parsed nor deleted.
@@ -40,8 +41,8 @@ use swat_tree::StreamSet;
 use crate::error::StoreError;
 use crate::fault::IoFaults;
 use crate::io::{self, wal_name};
-use crate::manifest::{self, Manifest, SegmentEntry, StoreFile};
-use crate::segment::{self, segment_name, SegmentData};
+use crate::manifest::{self, Manifest};
+use crate::segment;
 use crate::store::{DurableStore, StoreOptions};
 use crate::wal::{WalBodyReader, WalHeader, HEADER_LEN};
 
@@ -60,10 +61,6 @@ pub struct RecoveryReport {
     pub checkpoints_skipped: usize,
     /// Sequence number of the manifest recovery started from.
     pub manifest_seq: Option<u64>,
-    /// Newer segments whose rows were rolled forward over the base.
-    pub segments_replayed: usize,
-    /// Manifest entries dropped (row sections torn or unverifiable).
-    pub segments_dropped: usize,
     /// Unreferenced files reclaimed after the fresh commit point.
     pub orphans_reclaimed: usize,
     /// WAL rows replayed on top of the base state.
@@ -79,70 +76,6 @@ pub struct RecoveryReport {
 /// live [`DurableStore`].
 pub struct RecoveryManager;
 
-/// Rows verified but not yet pushed into the recovering set; drained in
-/// `freeze_rows` slices, each becoming a fresh segment.
-struct Resegmenter {
-    acc: Vec<f64>,
-    emit_rows: usize,
-    entries: Vec<SegmentEntry>,
-}
-
-impl Resegmenter {
-    fn pending_rows(&self, streams: usize) -> u64 {
-        (self.acc.len() / streams) as u64
-    }
-
-    /// Buffer `rows` and emit full segments at every boundary.
-    fn push(&mut self, dir: &Path, set: &mut StreamSet, rows: &[f64]) -> Result<(), StoreError> {
-        self.acc.extend_from_slice(rows);
-        let streams = set.streams();
-        while self.acc.len() >= self.emit_rows * streams {
-            self.emit(dir, set, self.emit_rows)?;
-        }
-        Ok(())
-    }
-
-    /// Emit one segment of `take_rows` rows (pushing them into `set`
-    /// first, so the embedded snapshot is exactly the state at the
-    /// segment's end).
-    fn emit(
-        &mut self,
-        dir: &Path,
-        set: &mut StreamSet,
-        take_rows: usize,
-    ) -> Result<(), StoreError> {
-        let streams = set.streams();
-        let rows: Vec<f64> = self.acc.drain(..take_rows * streams).collect();
-        let start_t = set.tree(0).arrivals();
-        set.extend_rows(&rows);
-        let end_t = set.tree(0).arrivals();
-        let name = segment_name(start_t, end_t);
-        io::write_atomic(
-            &IoFaults::none(),
-            dir,
-            &name,
-            &segment::encode(start_t, &rows, set),
-            "write recovery segment",
-        )?;
-        self.entries.push(SegmentEntry {
-            name,
-            start_t,
-            end_t,
-        });
-        Ok(())
-    }
-
-    /// Emit whatever remains as a final (short) segment.
-    fn finish(&mut self, dir: &Path, set: &mut StreamSet) -> Result<(), StoreError> {
-        let streams = set.streams();
-        let rows = self.acc.len() / streams;
-        if rows > 0 {
-            self.emit(dir, set, rows)?;
-        }
-        Ok(())
-    }
-}
-
 impl RecoveryManager {
     /// Recover the store in `dir` with default [`StoreOptions`]. See the
     /// module docs for the procedure and the consistency contract.
@@ -151,7 +84,7 @@ impl RecoveryManager {
     }
 
     /// [`Self::recover`] with explicit options (the recovered store's
-    /// tuning, and the `freeze_rows` used to re-segment replayed rows).
+    /// tuning).
     pub fn recover_with(
         dir: impl Into<PathBuf>,
         opts: StoreOptions,
@@ -163,95 +96,62 @@ impl RecoveryManager {
         let (man, man_skipped) = manifest::load_newest(&dir)?;
         report.checkpoints_skipped += man_skipped;
 
-        let mut kept: Vec<SegmentEntry> = Vec::new();
-        let mut set: Option<StreamSet> = None;
-        let mut reseg = Resegmenter {
-            acc: Vec::new(),
-            emit_rows: if opts.freeze_rows == 0 {
-                4096
-            } else {
-                opts.freeze_rows as usize
-            },
-            entries: Vec::new(),
-        };
-
-        // 2. Base = newest segment with a verifiable snapshot.
-        if let Some(m) = &man {
+        // 2. Base = newest segment that verifies; the fresh manifest
+        // keeps the entries up to it.
+        let mut kept = Manifest::default();
+        let mut base = None;
+        if let Some(m) = man {
             report.manifest_seq = Some(m.seq);
-            let mut base_idx = None;
             for (i, e) in m.entries.iter().enumerate().rev() {
-                let ok = fs::read(dir.join(&e.name)).ok().and_then(|bytes| {
-                    let seg = SegmentData::parse(&e.name, &bytes).ok()?;
-                    if (seg.header.start_t, seg.header.end_t) != (e.start_t, e.end_t) {
-                        return None;
-                    }
-                    seg.snapshot(&e.name).ok()
-                });
-                match ok {
-                    Some(s) => {
-                        base_idx = Some(i);
-                        set = Some(s);
+                let restored = fs::read(dir.join(&e.name))
+                    .ok()
+                    .and_then(|bytes| segment::decode(&e.name, &bytes, e.end_t).ok());
+                match restored {
+                    Some(set) => {
+                        report.checkpoint_t = Some(e.end_t);
+                        kept.covered_t = e.end_t;
+                        kept.entries = m.entries[..=i].to_vec();
+                        base = Some(set);
                         break;
                     }
                     None => report.checkpoints_skipped += 1,
                 }
             }
-            if let Some(bi) = base_idx {
-                report.checkpoint_t = Some(m.entries[bi].end_t);
-                kept.extend(m.entries[..=bi].iter().cloned());
-                // 3a. Roll forward through newer segments' rows.
-                let set = set.as_mut().expect("base snapshot just restored");
-                for e in &m.entries[bi + 1..] {
-                    match roll_segment(&dir, e, set) {
-                        SegRoll::Complete => {
-                            kept.push(e.clone());
-                            report.segments_replayed += 1;
-                        }
-                        SegRoll::Partial(rows) => {
-                            report.segments_dropped += 1;
-                            if !rows.is_empty() {
-                                report.segments_replayed += 1;
-                                reseg.push(&dir, set, &rows)?;
-                            }
-                            break;
-                        }
-                    }
-                }
-            } else {
-                report.segments_dropped += m.entries.len();
-            }
         }
-
-        // 2b. Last resort: bootstrap an empty set from the wal-0 header.
-        let mut set = match set {
-            Some(s) => s,
-            None => match bootstrap(&dir)? {
-                Some(s) => s,
-                None => return Err(StoreError::NoState),
-            },
+        // 2b. Last resort: an empty set from the wal-0 header.
+        let mut set = match base {
+            Some(set) => set,
+            None => bootstrap(&dir)?.ok_or(StoreError::NoState)?,
         };
 
-        // 3b. Chain WAL generations forward, bounded-memory.
-        replay_wals(&dir, &mut set, &mut reseg, &mut report)?;
-        reseg.finish(&dir, &mut set)?;
+        // 3. Chain WAL generations forward, bounded-memory.
+        replay_wals(&dir, &mut set, &mut report);
         report.recovered_arrivals = set.tree(0).arrivals();
-        kept.append(&mut reseg.entries);
 
-        // 4. The fresh commit point. Its sequence number must beat every
-        // manifest file present, including corrupt newer ones.
-        let next_seq = manifest::list_manifests(&dir)?
+        // 4. The fresh commit point: a snapshot at the recovered clock
+        // (unless the base already is one). Its sequence number must beat
+        // every manifest file present, including corrupt newer ones.
+        let mut fresh = if report.recovered_arrivals > kept.covered_t {
+            let t = report.recovered_arrivals;
+            io::write_atomic(
+                &IoFaults::none(),
+                &dir,
+                &segment::segment_name(t, t),
+                &segment::encode(&set),
+                "write recovery segment",
+            )?;
+            kept.advanced_to(t)
+        } else {
+            kept
+        };
+        fresh.seq = manifest::list_manifests(&dir)?
             .into_iter()
             .max()
             .unwrap_or(0)
             + 1;
-        let fresh = Manifest {
-            seq: next_seq,
-            covered_t: report.recovered_arrivals,
-            entries: kept,
-        };
         manifest::commit(&IoFaults::none(), &dir, &fresh)?;
 
-        // 5. Reclaim everything the new commit point does not reference.
+        // 5. Reclaim everything the new commit point does not need.
         report.orphans_reclaimed = reclaim_orphans(&dir, &fresh)?;
 
         // The recovered store opens a fresh WAL generation at the
@@ -261,56 +161,20 @@ impl RecoveryManager {
     }
 }
 
-enum SegRoll {
-    /// Every declared row verified and was replayed; the entry stays.
-    Complete,
-    /// Only a prefix (possibly empty) verified; the entry is dropped and
-    /// the prefix rows are handed back for re-segmentation.
-    Partial(Vec<f64>),
-}
-
-/// Replay one newer segment's rows on top of `set`.
-fn roll_segment(dir: &Path, e: &SegmentEntry, set: &mut StreamSet) -> SegRoll {
-    let Ok(bytes) = fs::read(dir.join(&e.name)) else {
-        return SegRoll::Partial(Vec::new());
-    };
-    let Ok(seg) = SegmentData::parse(&e.name, &bytes) else {
-        return SegRoll::Partial(Vec::new());
-    };
-    if (seg.header.start_t, seg.header.end_t) != (e.start_t, e.end_t)
-        || e.start_t != set.tree(0).arrivals()
-    {
-        return SegRoll::Partial(Vec::new());
-    }
-    let prefix = seg.rows();
-    if prefix.values.len() == (e.end_t - e.start_t) as usize * set.streams() {
-        set.extend_rows(&prefix.values);
-        SegRoll::Complete
-    } else {
-        SegRoll::Partial(prefix.values)
-    }
-}
-
 /// Chain WAL generations from the replay clock, reading each in bounded
-/// chunks and re-segmenting as rows verify. A generation may start at or
-/// before the clock (the overlap is skipped); the chain ends when no
-/// generation extends it.
-fn replay_wals(
-    dir: &Path,
-    set: &mut StreamSet,
-    reseg: &mut Resegmenter,
-    report: &mut RecoveryReport,
-) -> Result<(), StoreError> {
-    let mut bases = wal_bases(dir)?;
-    bases.sort_unstable();
+/// chunks and pushing rows into `set` as they verify. A generation may
+/// start at or before the clock (the overlap is skipped); the chain ends
+/// when no generation extends it.
+fn replay_wals(dir: &Path, set: &mut StreamSet, report: &mut RecoveryReport) {
+    let bases = wal_bases(dir);
     let streams = set.streams();
     let mut tried: HashSet<u64> = HashSet::new();
     loop {
-        let logical = set.tree(0).arrivals() + reseg.pending_rows(streams);
+        let clock = set.tree(0).arrivals();
         let Some(&base) = bases
             .iter()
-            .rev()
-            .find(|b| **b <= logical && !tried.contains(b))
+            .filter(|b| **b <= clock && !tried.contains(b))
+            .max()
         else {
             break;
         };
@@ -322,32 +186,24 @@ fn replay_wals(
             continue;
         };
         let mut header_bytes = [0u8; HEADER_LEN];
-        let header = match file
+        let header = file
             .read_exact(&mut header_bytes)
             .ok()
-            .and_then(|()| WalHeader::decode(&header_bytes).ok())
-        {
-            Some(h) => h,
-            None => {
-                report.wal_bytes_dropped += file_len;
-                continue;
-            }
-        };
-        if header != WalHeader::describe(set.config(), streams, base) {
+            .and_then(|()| WalHeader::decode(&header_bytes).ok());
+        if header != Some(WalHeader::describe(set.config(), streams, base)) {
             report.wal_bytes_dropped += file_len;
             continue;
         }
-        let skip_rows = logical - base;
+        let skip_rows = clock - base;
         let mut seen: u64 = 0;
-        let mut appended: u64 = 0;
         let mut reader = WalBodyReader::new(file, streams, REPLAY_CHUNK_ROWS);
         while let Some(chunk) = reader.next_rows() {
             let rows = (chunk.len() / streams) as u64;
             let skip = skip_rows.saturating_sub(seen).min(rows);
             seen += rows;
-            reseg.push(dir, set, &chunk[skip as usize * streams..])?;
-            appended += rows - skip;
+            set.extend_rows(&chunk[skip as usize * streams..]);
         }
+        let appended = set.tree(0).arrivals() - clock;
         report.wal_rows_replayed += appended;
         report.wal_bytes_dropped += file_len
             .saturating_sub(HEADER_LEN as u64)
@@ -358,7 +214,6 @@ fn replay_wals(
             break;
         }
     }
-    Ok(())
 }
 
 /// An empty [`StreamSet`] reconstructed from the `wal-0` header, if that
@@ -385,40 +240,36 @@ fn bootstrap(dir: &Path) -> Result<Option<StreamSet>, StoreError> {
 }
 
 /// Base clocks of the WAL generations present in `dir`.
-fn wal_bases(dir: &Path) -> Result<Vec<u64>, StoreError> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir).map_err(StoreError::io("list store directory"))? {
-        let entry = entry.map_err(StoreError::io("list store directory"))?;
-        out.extend(io::parse_wal_name(&entry.file_name().to_string_lossy()));
-    }
-    Ok(out)
+fn wal_bases(dir: &Path) -> Vec<u64> {
+    let Ok(listing) = fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    listing
+        .flatten()
+        .filter_map(|e| io::parse_wal_name(&e.file_name().to_string_lossy()))
+        .collect()
 }
 
-/// Delete every store file the fresh manifest does not reference:
-/// `.tmp` staging debris, orphan segments (crashed flushes/compactions),
-/// fully-covered WAL generations, and manifest generations older than
-/// the kept window.
+/// Delete every store file the fresh manifest does not need: `.tmp`
+/// staging debris, WAL generations that start past the recovered clock
+/// (nothing chains to them, and the resumed store will reuse their
+/// names), then what [`manifest::retire`] retires on every flush —
+/// orphan segments and WAL generations behind the retention floor.
+/// Manifest generations beyond the kept window went with the commit.
 fn reclaim_orphans(dir: &Path, fresh: &Manifest) -> Result<usize, StoreError> {
-    let live: HashSet<&str> = fresh.entries.iter().map(|e| e.name.as_str()).collect();
     let mut reclaimed = 0;
-    let keep_manifests: HashSet<u64> = {
-        let mut seqs = manifest::list_manifests(dir)?;
-        seqs.sort_unstable_by(|a, b| b.cmp(a));
-        seqs.into_iter().take(manifest::KEPT_MANIFESTS).collect()
-    };
     for entry in fs::read_dir(dir).map_err(StoreError::io("list store directory"))? {
         let entry = entry.map_err(StoreError::io("list store directory"))?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        let doomed = match manifest::classify(&name) {
-            Some(StoreFile::Segment(..)) => !live.contains(name.as_str()),
-            Some(StoreFile::Wal(_)) => true,
-            Some(StoreFile::Manifest(seq)) => !keep_manifests.contains(&seq),
+        let doomed = match io::parse_wal_name(&name) {
+            Some(base) => base > fresh.covered_t,
             None => name.ends_with(".tmp"),
         };
         if doomed && fs::remove_file(dir.join(&name)).is_ok() {
             reclaimed += 1;
         }
     }
+    reclaimed += manifest::retire(dir, fresh);
     io::sync_dir(&IoFaults::none(), dir, "fsync store directory")?;
     Ok(reclaimed)
 }
@@ -429,6 +280,7 @@ mod tests {
     use std::time::Duration;
     use swat_tree::SwatConfig;
 
+    use crate::segment::segment_name;
     use crate::store::StoreHealth;
 
     fn tmp(name: &str) -> PathBuf {
@@ -474,41 +326,138 @@ mod tests {
 
         let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();
         assert_eq!(report.recovered_arrivals, 75);
-        // Freezes at 10..70 flushed; the base is the newest segment,
-        // the 5-row tail replays from the live WAL generation.
+        // The freeze at 70 was flushed before the drop; the base is that
+        // snapshot, the 5-row tail replays from the live WAL generation.
         assert_eq!(report.checkpoint_t, Some(70));
         assert_eq!(report.wal_rows_replayed, 5);
         assert_eq!(report.wal_bytes_dropped, 0);
         assert_eq!(recovered.answers_digest(), uncrashed(75).answers_digest());
-        // The recovered store is fully covered by segments.
+        // The recovered store is fully covered by a snapshot of its own.
         assert_eq!(recovered.status().covered_t, 75);
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Flip one bit in the middle of `name`.
+    fn corrupt(dir: &Path, name: &str) {
+        let mut bytes = fs::read(dir.join(name)).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0x40;
+        fs::write(dir.join(name), bytes).unwrap();
+    }
+
     #[test]
-    fn corrupt_newest_segment_snapshot_falls_back_and_replays_rows() {
+    fn corrupt_newest_snapshot_falls_back_onto_the_older_and_its_wal_tail() {
         let dir = tmp("fallback");
         let mut store = DurableStore::create_with(&dir, config(), 2, small_opts()).unwrap();
-        for i in 0..30 {
+        for i in 0..34 {
             store.push_row(&row(i)).unwrap();
+            store.settle();
         }
-        store.checkpoint().unwrap();
-        drop(store);
+        store.sync().unwrap(); // the ack: 34 rows
+        store.crash();
 
-        // Corrupt the newest segment's snapshot section (the last bytes);
-        // its rows stay intact, so no data is lost.
-        let name = segment_name(20, 30);
-        let mut bytes = fs::read(dir.join(&name)).unwrap();
-        let at = bytes.len() - 3;
-        bytes[at] ^= 0x40;
-        fs::write(dir.join(&name), bytes).unwrap();
-
+        // Snapshots at 20 and 30, the WAL from 20 on.
+        corrupt(&dir, &segment_name(30, 30));
         let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();
         assert_eq!(report.checkpoint_t, Some(20));
         assert_eq!(report.checkpoints_skipped, 1);
-        assert_eq!(report.segments_replayed, 1);
-        assert_eq!(report.recovered_arrivals, 30);
-        assert_eq!(recovered.answers_digest(), uncrashed(30).answers_digest());
+        assert_eq!(report.wal_rows_replayed, 14);
+        assert_eq!(report.recovered_arrivals, 34);
+        assert_eq!(recovered.answers_digest(), uncrashed(34).answers_digest());
+        // Re-anchored on the surviving base and a snapshot of its own.
+        let st = recovered.status();
+        assert_eq!((st.covered_t, st.segments), (34, 2));
+        assert!(!dir.join(segment_name(30, 30)).exists());
+        recovered.crash();
+
+        // Both kept snapshots gone: wal-0 was retired long ago, so there
+        // is nothing to bootstrap from — a typed error, not a panic and
+        // not an empty store passed off as the recovered one.
+        corrupt(&dir, &segment_name(20, 20));
+        corrupt(&dir, &segment_name(34, 34));
+        let err = RecoveryManager::recover_with(&dir, small_opts()).unwrap_err();
+        assert!(matches!(err, StoreError::NoState), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_young_store_with_every_snapshot_corrupt_bootstraps_from_wal_0() {
+        let dir = tmp("bootstrap");
+        let mut store = DurableStore::create_with(&dir, config(), 2, small_opts()).unwrap();
+        for i in 0..13 {
+            store.push_row(&row(i)).unwrap();
+            store.settle();
+        }
+        store.sync().unwrap();
+        store.crash();
+        // One snapshot so far: the floor is still 0 and wal-0 is kept.
+        corrupt(&dir, &segment_name(10, 10));
+        let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();
+        assert_eq!(report.checkpoint_t, None);
+        assert_eq!(report.wal_rows_replayed, 13);
+        assert_eq!(recovered.answers_digest(), uncrashed(13).answers_digest());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The one double fault that costs acked rows (DESIGN §3.15): a WAL
+    /// generation lost to a foreground write fault is durable only as
+    /// state in the snapshot that covers it; lose that snapshot too and
+    /// recovery ends at the tear — a shorter prefix, still a verified one.
+    #[test]
+    fn a_wal_hole_plus_its_covering_snapshot_costs_rows_never_answers() {
+        use crate::fault::{IoFaultKind, IoFaultPlan};
+        // Rows 0..8 freeze and are covered; rows 8..12 meet `fault` at
+        // their first write (a sync that fails, so nothing is acked);
+        // the freeze at 16 rolls the torn generation away and its
+        // snapshot covers the hole; the sync at 18 is the ack.
+        let run = |name: &str, fault: Option<u64>| {
+            let dir = tmp(name);
+            let wal_faults = match fault {
+                Some(step) => IoFaults::with_plan(IoFaultPlan::at(
+                    step,
+                    IoFaultKind::Torn { keep_permille: 600 },
+                )),
+                None => IoFaults::none(),
+            };
+            let opts = StoreOptions {
+                freeze_rows: 8,
+                wal_faults: wal_faults.clone(),
+                ..small_opts()
+            };
+            let mut store = DurableStore::create_with(&dir, config(), 2, opts).unwrap();
+            let mut fault_step = 0;
+            for i in 0..18 {
+                store.push_row(&row(i)).unwrap();
+                store.settle();
+                if i + 1 == 12 {
+                    fault_step = wal_faults.steps();
+                    assert_eq!(store.sync().is_ok(), fault.is_none());
+                }
+            }
+            store.sync().unwrap();
+            assert_eq!(store.status().covered_t, 16);
+            store.crash();
+            (dir, fault_step)
+        };
+        let (probe, step) = run("hole-probe", None);
+        let _ = fs::remove_dir_all(&probe);
+
+        // The single fault loses nothing.
+        let (dir, _) = run("hole-single", Some(step));
+        let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();
+        assert_eq!(report.recovered_arrivals, 18);
+        assert_eq!(recovered.answers_digest(), uncrashed(18).answers_digest());
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+
+        // The double fault recovers the rows before the tear.
+        let (dir, _) = run("hole-double", Some(step));
+        corrupt(&dir, &segment_name(16, 16));
+        let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();
+        assert_eq!(report.checkpoint_t, Some(8));
+        let p = report.recovered_arrivals;
+        assert!((8..12).contains(&p), "recovered {p}: the tear is in 8..12");
+        assert_eq!(recovered.answers_digest(), uncrashed(p).answers_digest());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,47 +1,44 @@
-//! Immutable checkpoint segments — the sorted-run tier of the store.
+//! Immutable snapshot segments — the recovery bases of the store.
 //!
-//! A segment captures one frozen generation of arrivals: the raw rows
-//! `[start_t, end_t)` plus a full [`StreamSet`] snapshot *at* `end_t`,
-//! so every segment is simultaneously a replayable log slice and a
-//! recovery base. Segments are written once by the background flusher
-//! (or by compaction, merging several into one) and never modified.
+//! A segment is the checksummed [`StreamSet`] snapshot at one arrival
+//! clock and nothing else: the paper's point (§2.3, §2.7) is that a
+//! stream's past *is* its `3 log N − 2` summaries, so the historical
+//! tier holds synopses; raw rows live once, in the WAL generations the
+//! store retains behind its oldest kept segment. A segment is encoded by
+//! the ingest thread at a freeze boundary, written once by the
+//! background flusher (or by recovery, at the recovered clock) and never
+//! modified.
 //!
-//! ## On-disk layout
+//! ## On-disk layout (SWSG v2)
 //!
 //! ```text
-//! header   "SSEG" version  start_t end_t streams  rows  bloom_len snap_len  crc32
-//!            4B      1B      8B     8B     8B      4B      4B        4B       4B
-//! rows     crc32  row[0] .. row[streams-1]      (rows records, WAL framing)
-//! bloom    crc32  bits                          (bloom_len bytes of bits)
-//! snap     crc32  StreamSet::snapshot()         (snap_len bytes)
+//! header   "SSEG" version=2  end_t  snap_len  snap_crc32  header_crc32
+//!            4B      1B       8B       8B         4B           4B
+//! snap     StreamSet::snapshot()                  (snap_len bytes, to EOF)
 //! ```
 //!
-//! Every section length is in the checksummed header, so a truncation is
-//! detected before any section is interpreted. The row records reuse the
-//! WAL's per-record CRC framing, which gives segments the same
-//! verified-prefix semantics: a torn or flipped row ends the replayable
-//! prefix without poisoning what came before. The bloom filter indexes
-//! which streams carry *any nonzero value* in this segment — a negative
-//! answer proves the stream was silent for the whole span, and a corrupt
-//! bloom section only degrades to "maybe", never to a wrong "silent". Its
-//! one reader, the raw-row `history` read, is gone; the section stays
-//! written and verified because dropping it is a format change.
+//! The header checksum covers every header byte before it, so the
+//! payload's length and checksum are trusted before the payload is read;
+//! a file that is shorter *or longer* than the header declares is
+//! corrupt. Version 1 (rows + bloom + snapshot; nothing writes it) is
+//! rejected as [`SnapshotError::BadVersion`] on the fifth byte, before
+//! any of its sections could be parsed.
 
 use swat_tree::codec::{crc32, CodecError, Cursor};
-use swat_tree::StreamSet;
+use swat_tree::{SnapshotError, StreamSet};
 
 use crate::error::StoreError;
-use crate::wal;
 
 /// First bytes of every segment file.
 pub const SEG_MAGIC: &[u8; 4] = b"SSEG";
 /// Current segment format version.
-pub const SEG_VERSION: u8 = 1;
+pub const SEG_VERSION: u8 = 2;
 /// Serialized header size in bytes.
-pub const SEG_HEADER_LEN: usize = 4 + 1 + 8 * 3 + 4 * 3 + 4;
+pub const SEG_HEADER_LEN: usize = 4 + 1 + 8 + 8 + 4 + 4;
 
-/// Name of the segment covering arrivals `[start_t, end_t)`. Zero-padded
-/// so lexicographic order is chronological.
+/// Name of the segment the manifest lists as `[start_t, end_t)`; a
+/// snapshot segment at clock `t` is `segment_name(t, t)`. Zero-padded so
+/// lexicographic order is chronological.
 pub fn segment_name(start_t: u64, end_t: u64) -> String {
     format!("seg-{start_t:020}-{end_t:020}.seg")
 }
@@ -63,314 +60,91 @@ pub fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
     Some((s, e))
 }
 
-/// The fixed-size checksummed header at the start of a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentHeader {
-    /// First arrival index the row section carries.
-    pub start_t: u64,
-    /// Arrival clock of the embedded snapshot; `end_t - start_t == rows`.
-    pub end_t: u64,
-    /// Streams per row.
-    pub streams: u64,
-    /// Records in the row section.
-    pub rows: u32,
-    /// Bytes of bloom bits.
-    pub bloom_len: u32,
-    /// Bytes of snapshot payload.
-    pub snap_len: u32,
+/// Overwrite `out` with the segment of `set` at its current clock. The
+/// snapshot is written in place behind a reserved header, so a recycled
+/// buffer of the right capacity makes this allocation-free.
+pub fn encode_into(out: &mut Vec<u8>, set: &StreamSet) {
+    out.clear();
+    out.resize(SEG_HEADER_LEN, 0);
+    set.snapshot_into(out);
+    let (header, snap) = out.split_at_mut(SEG_HEADER_LEN);
+    header[..4].copy_from_slice(SEG_MAGIC);
+    header[4] = SEG_VERSION;
+    header[5..13].copy_from_slice(&set.tree(0).arrivals().to_le_bytes());
+    header[13..21].copy_from_slice(&(snap.len() as u64).to_le_bytes());
+    header[21..25].copy_from_slice(&crc32(snap).to_le_bytes());
+    let crc = crc32(&header[..25]);
+    header[25..].copy_from_slice(&crc.to_le_bytes());
 }
 
-impl SegmentHeader {
-    /// Serialize to the fixed [`SEG_HEADER_LEN`]-byte layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(SEG_HEADER_LEN);
-        out.extend_from_slice(SEG_MAGIC);
-        out.push(SEG_VERSION);
-        for v in [self.start_t, self.end_t, self.streams] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in [self.rows, self.bloom_len, self.snap_len] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(out.len(), SEG_HEADER_LEN);
-        out
-    }
-
-    /// Parse and verify a header from the start of `bytes`.
-    pub fn decode(bytes: &[u8]) -> Result<SegmentHeader, CodecError> {
-        let mut c = Cursor::new(bytes);
-        let magic = c.take(4)?;
-        if magic != SEG_MAGIC {
-            return Err(CodecError::Invalid {
-                what: "segment magic",
-                offset: 0,
-            });
-        }
-        let version = c.u8()?;
-        if version != SEG_VERSION {
-            return Err(CodecError::Invalid {
-                what: "segment version",
-                offset: 4,
-            });
-        }
-        let start_t = c.u64()?;
-        let end_t = c.u64()?;
-        let streams = c.u64()?;
-        let rows = c.u32()?;
-        let bloom_len = c.u32()?;
-        let snap_len = c.u32()?;
-        let crc_at = c.offset();
-        let stored = c.u32()?;
-        let computed = crc32(&bytes[..crc_at]);
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch {
-                offset: crc_at,
-                stored,
-                computed,
-            });
-        }
-        let h = SegmentHeader {
-            start_t,
-            end_t,
-            streams,
-            rows,
-            bloom_len,
-            snap_len,
-        };
-        // The header is internally consistent only if the spans agree;
-        // a checksummed-but-nonsensical header is a file we never wrote.
-        if h.streams == 0
-            || h.streams > (u32::MAX / 8) as u64
-            || h.end_t.checked_sub(h.start_t) != Some(u64::from(h.rows))
-        {
-            return Err(CodecError::Invalid {
-                what: "segment span",
-                offset: 5,
-            });
-        }
-        Ok(h)
-    }
-}
-
-/// A small bloom filter over stream indices that carry any nonzero value
-/// within one segment.
-///
-/// False positives cost one wasted read; false negatives are impossible
-/// by construction, so a "not present" answer is a proof the stream was
-/// all-zero for the segment's whole span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamBloom {
-    bits: Vec<u8>,
-}
-
-/// Hash functions per key; fixed so files stay self-describing.
-const BLOOM_HASHES: u32 = 3;
-
-impl StreamBloom {
-    /// An empty filter sized for `streams` keys at ~10 bits/key (~1%
-    /// false positives), minimum 8 bytes.
-    pub fn sized_for(streams: usize) -> StreamBloom {
-        let bytes = ((streams * 10).div_ceil(8)).max(8);
-        StreamBloom {
-            bits: vec![0; bytes],
-        }
-    }
-
-    /// Wrap raw bits read back from a segment.
-    pub fn from_bits(bits: Vec<u8>) -> StreamBloom {
-        StreamBloom { bits }
-    }
-
-    /// The raw bits for serialization.
-    pub fn bits(&self) -> &[u8] {
-        &self.bits
-    }
-
-    fn probes(&self, stream: u64) -> impl Iterator<Item = usize> + '_ {
-        let nbits = (self.bits.len() * 8) as u64;
-        (0..BLOOM_HASHES).map(move |i| {
-            // splitmix64 over (stream, probe index): cheap, well-mixed,
-            // and stable across platforms.
-            let mut z = stream
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(u64::from(i).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % nbits) as usize
-        })
-    }
-
-    /// Record that `stream` carries a nonzero value.
-    pub fn insert(&mut self, stream: usize) {
-        let idx: Vec<usize> = self.probes(stream as u64).collect();
-        for i in idx {
-            self.bits[i / 8] |= 1 << (i % 8);
-        }
-    }
-
-    /// Whether `stream` may carry a nonzero value (false ⇒ certainly
-    /// all-zero in this segment).
-    pub fn may_contain(&self, stream: usize) -> bool {
-        if self.bits.is_empty() {
-            return true; // degraded filter: never a wrong skip
-        }
-        self.probes(stream as u64)
-            .all(|i| self.bits[i / 8] & (1 << (i % 8)) != 0)
-    }
-}
-
-/// Serialize a segment: `rows` (flattened with stride `set.streams()`)
-/// covering `[start_t, start_t + rows)`, plus a snapshot of `set`, whose
-/// arrival clock must equal `end_t`.
-pub fn encode(start_t: u64, rows: &[f64], set: &StreamSet) -> Vec<u8> {
-    let streams = set.streams();
-    debug_assert_eq!(rows.len() % streams, 0);
-    let n_rows = rows.len() / streams;
-
-    let mut bloom = StreamBloom::sized_for(streams);
-    let snap = set.snapshot();
-    let header = SegmentHeader {
-        start_t,
-        end_t: start_t + n_rows as u64,
-        streams: streams as u64,
-        rows: n_rows as u32,
-        bloom_len: bloom.bits().len() as u32,
-        snap_len: snap.len() as u32,
-    };
-    let mut out = header.encode();
-    out.reserve(n_rows * wal::record_len(streams) + 4 + bloom.bits().len() + 4 + snap.len());
-    // One flag per stream, ORed over each row as it is encoded, then one
-    // insert per flagged stream: the same bits as an insert per non-zero
-    // value.
-    let mut nonzero = vec![false; streams];
-    for row in rows.chunks_exact(streams) {
-        wal::encode_record(&mut out, row);
-        for (flag, &v) in nonzero.iter_mut().zip(row) {
-            *flag |= v != 0.0;
-        }
-    }
-    for (s, _) in nonzero.iter().enumerate().filter(|(_, &flag)| flag) {
-        bloom.insert(s);
-    }
-    out.extend_from_slice(&crc32(bloom.bits()).to_le_bytes());
-    out.extend_from_slice(bloom.bits());
-    out.extend_from_slice(&crc32(&snap).to_le_bytes());
-    out.extend_from_slice(&snap);
+/// [`encode_into`] a fresh buffer.
+pub fn encode(set: &StreamSet) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(&mut out, set);
     out
 }
 
-/// A segment parsed far enough to know its sections' byte ranges; each
-/// section is verified on demand so recovery can use a segment whose
-/// snapshot survives even when its row section is torn (or vice versa).
-#[derive(Debug)]
-pub struct SegmentData<'a> {
-    /// The verified header.
-    pub header: SegmentHeader,
-    bytes: &'a [u8],
-    rows_at: usize,
-    bloom_at: usize,
-    snap_at: usize,
-}
-
-impl<'a> SegmentData<'a> {
-    /// Verify the header of `bytes` and locate the sections. `file`
-    /// names the source for error context.
-    pub fn parse(file: &str, bytes: &'a [u8]) -> Result<SegmentData<'a>, StoreError> {
-        let corrupt = |source| StoreError::Corrupt {
-            file: file.to_owned(),
-            source,
-        };
-        let header = SegmentHeader::decode(bytes).map_err(corrupt)?;
-        let rows_at = SEG_HEADER_LEN;
-        let rows_len = header.rows as usize * wal::record_len(header.streams as usize);
-        let bloom_at = rows_at + rows_len;
-        let snap_at = bloom_at + 4 + header.bloom_len as usize;
-        Ok(SegmentData {
-            header,
-            bytes,
-            rows_at,
-            bloom_at,
-            snap_at,
-        })
+/// Verify `bytes` end to end and restore the state they hold, which must
+/// be the state at clock `end_t` (the clock the manifest entry or the
+/// file name promises). `file` names the source for error context.
+pub fn decode(file: &str, bytes: &[u8], end_t: u64) -> Result<StreamSet, StoreError> {
+    let corrupt = |source| StoreError::Corrupt {
+        file: file.to_owned(),
+        source,
+    };
+    let snapshot = |source| StoreError::Snapshot {
+        file: file.to_owned(),
+        source,
+    };
+    let mut c = Cursor::new(bytes);
+    if c.take(4).map_err(corrupt)? != SEG_MAGIC {
+        return Err(snapshot(SnapshotError::BadMagic));
     }
-
-    /// The longest verified prefix of the row section, flattened with
-    /// stride `streams`. A truncated file yields however many whole,
-    /// checksummed records physically survive.
-    pub fn rows(&self) -> wal::WalPrefix {
-        let end = self.bloom_at.min(self.bytes.len());
-        let body = &self.bytes[self.rows_at.min(end)..end];
-        wal::scan_records(body, self.header.streams as usize)
+    let version = c.u8().map_err(corrupt)?;
+    if version != SEG_VERSION {
+        return Err(snapshot(SnapshotError::BadVersion(version)));
     }
-
-    /// Whether the row section is complete: every declared record
-    /// verifies. Compaction and forward replay require this; recovery
-    /// from the snapshot does not.
-    pub fn rows_complete(&self) -> bool {
-        self.rows().values.len() == self.header.rows as usize * self.header.streams as usize
+    let clock = c.u64().map_err(corrupt)?;
+    let snap_len = c.u64().map_err(corrupt)?;
+    let snap_crc = c.u32().map_err(corrupt)?;
+    let crc_at = c.offset();
+    let stored = c.u32().map_err(corrupt)?;
+    let computed = crc32(&bytes[..crc_at]);
+    if stored != computed {
+        return Err(corrupt(CodecError::ChecksumMismatch {
+            offset: crc_at,
+            stored,
+            computed,
+        }));
     }
-
-    /// The bloom filter, or a degraded always-positive filter when its
-    /// section is torn or corrupt (a wrong *skip* is never possible).
-    pub fn bloom(&self) -> StreamBloom {
-        let start = self.bloom_at + 4;
-        let end = start + self.header.bloom_len as usize;
-        if end > self.bytes.len() {
-            return StreamBloom::from_bits(Vec::new());
-        }
-        let stored = u32::from_le_bytes(
-            self.bytes[self.bloom_at..self.bloom_at + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let bits = &self.bytes[start..end];
-        if crc32(bits) != stored {
-            return StreamBloom::from_bits(Vec::new());
-        }
-        StreamBloom::from_bits(bits.to_vec())
+    let snap = &bytes[SEG_HEADER_LEN..];
+    if (snap.len() as u64) < snap_len {
+        return Err(corrupt(CodecError::Truncated {
+            offset: bytes.len(),
+        }));
     }
-
-    /// Verify and restore the embedded snapshot — the state at `end_t`.
-    pub fn snapshot(&self, file: &str) -> Result<StreamSet, StoreError> {
-        let corrupt = |source| StoreError::Corrupt {
-            file: file.to_owned(),
-            source,
-        };
-        let start = self.snap_at + 4;
-        let end = start + self.header.snap_len as usize;
-        if self.snap_at + 4 > self.bytes.len() || end > self.bytes.len() {
-            return Err(corrupt(CodecError::Truncated {
-                offset: self.bytes.len(),
-            }));
-        }
-        let stored = u32::from_le_bytes(
-            self.bytes[self.snap_at..self.snap_at + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let payload = &self.bytes[start..end];
-        let computed = crc32(payload);
-        if computed != stored {
-            return Err(corrupt(CodecError::ChecksumMismatch {
-                offset: self.snap_at,
-                stored,
-                computed,
-            }));
-        }
-        let set = StreamSet::restore(payload).map_err(|source| StoreError::Snapshot {
-            file: file.to_owned(),
-            source,
-        })?;
-        if set.tree(0).arrivals() != self.header.end_t {
-            return Err(corrupt(CodecError::Invalid {
-                what: "segment snapshot clock",
-                offset: self.snap_at,
-            }));
-        }
-        Ok(set)
+    if snap.len() as u64 > snap_len {
+        return Err(corrupt(CodecError::Invalid {
+            what: "segment trailing bytes",
+            offset: SEG_HEADER_LEN + snap_len as usize,
+        }));
     }
+    let computed = crc32(snap);
+    if computed != snap_crc {
+        return Err(corrupt(CodecError::ChecksumMismatch {
+            offset: SEG_HEADER_LEN,
+            stored: snap_crc,
+            computed,
+        }));
+    }
+    let set = StreamSet::restore(snap).map_err(snapshot)?;
+    if clock != end_t || set.streams() == 0 || set.tree(0).arrivals() != clock {
+        return Err(corrupt(CodecError::Invalid {
+            what: "segment snapshot clock",
+            offset: 5,
+        }));
+    }
+    Ok(set)
 }
 
 #[cfg(test)]
@@ -378,23 +152,26 @@ mod tests {
     use super::*;
     use swat_tree::SwatConfig;
 
-    fn sample(rows_n: u64) -> (Vec<f64>, StreamSet) {
+    fn sample(rows_n: u64) -> StreamSet {
         let mut set = StreamSet::new(SwatConfig::with_coefficients(16, 2).unwrap(), 3);
-        let mut rows = Vec::new();
         for i in 0..rows_n {
-            // Stream 2 stays silent so the bloom filter has something to prove.
-            let row = [(i as f64 * 0.3).cos(), i as f64, 0.0];
-            set.push_row(&row);
-            rows.extend_from_slice(&row);
+            set.push_row(&[(i as f64 * 0.3).cos(), i as f64, 0.0]);
         }
-        (rows, set)
+        set
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
     }
 
     #[test]
     fn names_roundtrip_and_sort_chronologically() {
         assert_eq!(parse_segment_name(&segment_name(5, 9)), Some((5, 9)));
         assert_eq!(parse_segment_name(&segment_name(0, 0)), Some((0, 0)));
-        assert!(segment_name(9, 10) < segment_name(10, 20));
+        assert!(segment_name(9, 9) < segment_name(10, 10));
         assert_eq!(parse_segment_name("seg-5-9.seg"), None); // not padded
         assert_eq!(parse_segment_name("seg-x.seg"), None);
         let backwards = format!("seg-{:020}-{:020}.seg", 9, 5);
@@ -402,29 +179,61 @@ mod tests {
     }
 
     #[test]
-    fn segment_roundtrips_rows_bloom_and_snapshot() {
-        let (rows, set) = sample(24);
-        let bytes = encode(0, &rows, &set);
-        let seg = SegmentData::parse("seg", &bytes).unwrap();
-        assert_eq!(seg.header.start_t, 0);
-        assert_eq!(seg.header.end_t, 24);
-        assert!(seg.rows_complete());
-        assert_eq!(seg.rows().values, rows);
-        let restored = seg.snapshot("seg").unwrap();
+    fn segment_roundtrips_the_snapshot_into_a_recycled_buffer() {
+        let set = sample(24);
+        let mut buf = vec![0xAB; 7]; // whatever the last segment left
+        encode_into(&mut buf, &set);
+        assert_eq!(buf, encode(&set));
+        assert_eq!(&buf[SEG_HEADER_LEN..], set.snapshot());
+        let restored = decode("seg", &buf, 24).unwrap();
         assert_eq!(restored.answers_digest(), set.answers_digest());
-        let bloom = seg.bloom();
-        assert!(bloom.may_contain(0));
-        assert!(bloom.may_contain(1));
-        assert!(!bloom.may_contain(2), "silent stream must be skippable");
     }
 
-    /// Bytes `encode` produced at the commit before the per-stream
-    /// non-zero flags and the in-place record encoding (two streams, the
-    /// second silent, rows 2..5 of five, window 4, one coefficient): the
-    /// segment format, bloom bits included, has not moved.
+    /// SWSG v2 as this commit writes it (two streams, the second silent,
+    /// five rows, window 4, one coefficient): recorded on purpose when
+    /// the row and bloom sections were dropped from the format.
     #[test]
     fn golden_segment_reencodes_byte_identically() {
         const GOLDEN: &str = concat!(
+            "53534547020500000000000000590200000000000050730d200be8492a53574d",
+            "5302040000000000000001000000000000000000000000000000020000000000",
+            "000005110100004805eb9f53574154020118000000eec5af6404000000000000",
+            "000100000000000000000000000000000002110000000dc75901050000000000",
+            "000001d4793b94de30d73f03c8000000d7f5bc48040000000000000000000000",
+            "000000000500000000000000d4793b94de30d73f1de292963ae4e33f01000000",
+            "00000000079fb0e0a97cdf3f000000000000000004000000000000001de29296",
+            "3ae4e33f155b483c2669ea3f0100000000000000999e6d69b026e73f00000000",
+            "000000000300000000000000155b483c2669ea3fba092fd41d92ee3f01000000",
+            "0000000068b23b08a27dec3f010000000000000004000000000000001de29296",
+            "3ae4e33f000000000000f03f0100000000000000bb91c2a9df37eb3f05110100",
+            "001eb51ffd53574154020118000000eec5af6404000000000000000100000000",
+            "0000000000000000000000021100000072093a2a050000000000000001000000",
+            "000000000003c8000000cac8fab7040000000000000000000000000000000500",
+            "0000000000000000000000000000000000000000000001000000000000000000",
+            "0000000000000000000000000000040000000000000000000000000000000000",
+            "0000000000000100000000000000000000000000000000000000000000000300",
+            "0000000000000000000000000000000000000000000001000000000000000000",
+            "0000000000000100000000000000040000000000000000000000000000000000",
+            "00000000000001000000000000000000000000000000",
+        );
+        let golden = unhex(GOLDEN);
+        let mut set = StreamSet::new(SwatConfig::with_coefficients(4, 1).unwrap(), 2);
+        for i in 0..5u64 {
+            set.push_row(&[(i as f64 * 0.3).cos(), 0.0]);
+        }
+        assert_eq!(encode(&set), golden);
+        assert_eq!(
+            decode("golden", &golden, 5).unwrap().answers_digest(),
+            set.answers_digest()
+        );
+    }
+
+    /// The v1 segment the previous commit pinned as its golden bytes
+    /// (rows 2..5 + bloom + snapshot): refused on its version byte, with
+    /// every cut of it refused the same way — no v1 section is ever read.
+    #[test]
+    fn v1_segments_are_rejected_by_version() {
+        const V1: &str = concat!(
             "5353454701020000000000000005000000000000000200000000000000030000",
             "000800000059020000e06695bd1c1356c2155b483c2669ea3f00000000000000",
             "0059cf61531de292963ae4e33f00000000000000005e4f983dd4793b94de30d7",
@@ -449,80 +258,47 @@ mod tests {
             "0000010000000000000004000000000000000000000000000000000000000000",
             "000001000000000000000000000000000000",
         );
-        let golden: Vec<u8> = (0..GOLDEN.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
-            .collect();
-        let mut set = StreamSet::new(SwatConfig::with_coefficients(4, 1).unwrap(), 2);
-        let mut rows = Vec::new();
-        for i in 0..5u64 {
-            let row = [(i as f64 * 0.3).cos(), 0.0];
-            set.push_row(&row);
-            if i >= 2 {
-                rows.extend_from_slice(&row);
-            }
+        let v1 = unhex(V1);
+        for cut in 5..=v1.len() {
+            let err = decode("v1", &v1[..cut], 5).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::Snapshot {
+                        source: SnapshotError::BadVersion(1),
+                        ..
+                    }
+                ),
+                "cut {cut}: {err}"
+            );
         }
-        assert_eq!(encode(2, &rows, &set), golden);
-        let seg = SegmentData::parse("golden", &golden).unwrap();
-        assert_eq!(seg.rows().values, rows);
-        assert!(seg.bloom().may_contain(0) && !seg.bloom().may_contain(1));
-        assert_eq!(
-            seg.snapshot("golden").unwrap().answers_digest(),
-            set.answers_digest()
-        );
     }
 
     #[test]
-    fn every_flip_is_rejected_or_prefix_consistent() {
-        let (rows, set) = sample(6);
-        let bytes = encode(0, &rows, &set);
-        let reference = set.answers_digest();
+    fn every_flip_and_truncation_is_rejected() {
+        let set = sample(6);
+        let bytes = encode(&set);
+        for cut in 0..bytes.len() {
+            decode("seg", &bytes[..cut], 6).unwrap_err();
+        }
         for byte in 0..bytes.len() {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[byte] ^= 1 << bit;
-                let Ok(seg) = SegmentData::parse("seg", &bad) else {
-                    continue; // typed rejection is fine
-                };
-                // Rows: any surviving prefix must be a true prefix.
-                let p = seg.rows();
-                assert!(
-                    rows.starts_with(&p.values),
-                    "flip {byte}.{bit} changed replayable rows"
-                );
-                // Snapshot: verified means identical.
-                if let Ok(s) = seg.snapshot("seg") {
-                    assert_eq!(s.answers_digest(), reference, "flip {byte}.{bit}");
-                }
-                // Bloom: never a wrong skip.
-                let bloom = seg.bloom();
-                assert!(bloom.may_contain(0) && bloom.may_contain(1));
+                decode("seg", &bad, 6).unwrap_err();
             }
         }
-    }
-
-    #[test]
-    fn every_truncation_is_rejected_or_prefix_consistent() {
-        let (rows, set) = sample(6);
-        let bytes = encode(0, &rows, &set);
-        for cut in 0..bytes.len() {
-            let Ok(seg) = SegmentData::parse("seg", &bytes[..cut]) else {
-                continue;
-            };
-            let p = seg.rows();
-            assert!(rows.starts_with(&p.values), "cut {cut}");
-            assert!(seg.snapshot("seg").is_err() || cut == bytes.len());
-            assert!(seg.bloom().may_contain(0));
-        }
+        let mut long = bytes.clone();
+        long.push(0);
+        let err = decode("seg", &long, 6).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 
     #[test]
     fn snapshot_clock_mismatch_is_corrupt() {
-        let (rows, set) = sample(8);
-        // Claim the rows start at 100: end_t = 108 but the snapshot says 8.
-        let bytes = encode(100, &rows, &set);
-        let seg = SegmentData::parse("seg", &bytes).unwrap();
-        let err = seg.snapshot("seg").unwrap_err();
+        let bytes = encode(&sample(8));
+        // The manifest promised the state at 108; the file holds it at 8.
+        let err = decode("seg", &bytes, 108).unwrap_err();
         assert!(err.to_string().contains("snapshot clock"), "{err}");
     }
 }

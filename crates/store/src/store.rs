@@ -1,54 +1,58 @@
-//! The durable store: a tiered (LSM-style) hierarchy in which durability
+//! The durable store: two snapshots and a WAL tail, and durability that
 //! never stalls ingest.
 //!
-//! A store directory holds immutable segments, the manifest naming them,
-//! and the WAL generations extending the newest commit point:
+//! A store directory holds the newest two snapshot segments, the
+//! manifest naming them, and the WAL generations from the older
+//! snapshot's clock on:
 //!
 //! ```text
-//! seg-00000000000000000000-00000000000000004096.seg   rows 0..4096 + snapshot@4096
-//! seg-00000000000000004096-00000000000000008192.seg   rows 4096..8192 + snapshot@8192
+//! seg-00000000000000004096-00000000000000004096.seg   snapshot@4096 (the fallback)
+//! seg-00000000000000008192-00000000000000008192.seg   snapshot@8192 (the base)
 //! manifest-00000000000000000003.man                   the commit point
+//! wal-00000000000000004096.wal                        rows 4096..8192 (sealed)
 //! wal-00000000000000008192.wal                        arrivals 8192.. (the live log)
 //! ```
 //!
 //! [`DurableStore::push_row`] appends a checksummed record to the live
-//! WAL (buffered) and applies the row to the in-memory trees; every
-//! `freeze_rows` arrivals the active generation is *frozen* and handed —
-//! by move, never by copy — to a background flush thread, which
-//! serializes it into an immutable, CRC-framed, bloom-guarded segment,
-//! commits a new manifest (fsync → atomic rename → directory fsync), and
-//! only then prunes the WAL prefix the segment now covers. No caller ever
-//! blocks on that fsync, and the freezing `push_row` costs no more than
-//! any other: the row buffer changes hands and comes back, emptied, once
-//! its segment is committed.
+//! WAL (buffered) and applies the row to the in-memory trees: the WAL is
+//! the only copy of a row the store ever makes. Every `freeze_rows`
+//! arrivals the generation is *frozen*: the WAL rolls and the ingest
+//! thread encodes the live set's snapshot — the `3 log N − 2` summaries
+//! per stream that *are* the stream's past — into a buffer the flusher
+//! handed back, which costs about what copying the generation's rows
+//! beside the WAL used to. The background flush thread writes those
+//! bytes as an immutable segment, commits a new manifest (fsync → atomic
+//! rename → directory fsync), and only then retires the older segments
+//! and the WAL generations no kept snapshot needs. No caller ever blocks
+//! on that fsync, and no row passes through a tree twice.
 //!
 //! ## Degradation, not death
 //!
 //! Disk faults on the background path (ENOSPC, EIO, torn writes) park
-//! the frozen generation; the flusher retries with bounded backoff while
-//! ingest continues on the WAL, and [`DurableStore::status`] reports
-//! [`StoreHealth::Degraded`]. Faults on the foreground WAL path mark the
-//! live generation broken: ingest still continues in memory, acks via
-//! [`DurableStore::sync`] fail until either the WAL rolls to a healthy
-//! generation or the segment tier catches up past the damage. A fault
-//! mid-compaction aborts cleanly, leaving the input segments intact.
+//! the snapshot; the flusher retries with bounded backoff — a newer
+//! snapshot supersedes a parked one, so at most two snapshot buffers
+//! ever exist — while ingest continues on the WAL, and
+//! [`DurableStore::status`] reports [`StoreHealth::Degraded`]. Faults on
+//! the foreground WAL path mark the live generation broken: ingest still
+//! continues in memory, acks via [`DurableStore::sync`] fail until
+//! either the WAL rolls to a healthy generation or a committed snapshot
+//! covers the damage.
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use swat_tree::{StreamSet, SwatConfig, TreeError};
 
-use crate::compaction;
 use crate::error::StoreError;
 use crate::fault::IoFaults;
 use crate::io::{self, wal_name};
-use crate::manifest::{self, Manifest, SegmentEntry, StoreFile};
-use crate::segment::{self, segment_name};
+use crate::manifest::{self, Manifest};
+use crate::segment;
 use crate::wal::{self, WalHeader};
 
 /// Flush the buffered WAL to the kernel once this many bytes accumulate
@@ -75,17 +79,11 @@ pub struct StoreOptions {
     /// Arrivals per frozen generation; `0` disables automatic freezing
     /// (generations then freeze only on [`DurableStore::checkpoint`]).
     pub freeze_rows: u64,
-    /// Segments merged per compaction; compaction triggers once the
-    /// manifest holds at least `2 * compact_fanin` segments.
-    pub compact_fanin: usize,
-    /// Rows a merged segment may not exceed, bounding compaction memory
-    /// and keeping old giants from re-merging forever.
-    pub max_segment_rows: u64,
     /// Backoff between retries of a parked (failed) flush.
     pub retry_backoff: Duration,
     /// Fault domain of the foreground WAL path (production: no faults).
     pub wal_faults: Arc<IoFaults>,
-    /// Fault domain of the background flush/compaction path.
+    /// Fault domain of the background flush path.
     pub flush_faults: Arc<IoFaults>,
 }
 
@@ -93,8 +91,6 @@ impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
             freeze_rows: 4096,
-            compact_fanin: 4,
-            max_segment_rows: 1 << 18,
             retry_backoff: Duration::from_millis(25),
             wal_faults: IoFaults::none(),
             flush_faults: IoFaults::none(),
@@ -105,11 +101,12 @@ impl Default for StoreOptions {
 /// Whether durability is keeping up with ingest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreHealth {
-    /// No parked generations, live WAL intact.
+    /// No failed flush outstanding, live WAL intact.
     Healthy,
     /// A disk fault is outstanding; ingest continues, acks may lag.
     Degraded {
-        /// Frozen generations waiting to be flushed.
+        /// Freezes whose covering snapshot is not yet committed (0 or
+        /// more: their rows are in the WAL, not yet durable as state).
         parked: usize,
         /// The most recent underlying failure, rendered.
         last_error: String,
@@ -123,11 +120,13 @@ pub struct TierStatus {
     pub arrivals: u64,
     /// Arrivals durably captured by segments (the manifest clock).
     pub covered_t: u64,
-    /// Live segments in the manifest.
+    /// Live segments in the manifest (at most
+    /// [`manifest::KEPT_SNAPSHOTS`]).
     pub segments: usize,
     /// Successful background flushes so far.
     pub flushes: u64,
-    /// Successful compactions so far.
+    /// Retention passes so far that retired a file (a superseded segment
+    /// or a WAL generation no kept snapshot needs).
     pub compactions: u64,
     /// Degradation state.
     pub health: StoreHealth,
@@ -138,18 +137,42 @@ pub struct TierStatus {
 struct Shared {
     manifest: Manifest,
     flush_error: Option<String>,
-    parked: usize,
+    /// The newest frozen snapshot, until the flusher takes it; the next
+    /// freeze overwrites one still here.
+    pending: Option<Frozen>,
+    /// A buffer the flusher is done with, for the next freeze. With
+    /// `pending` and the flusher's one in hand, at most two exist.
+    spare: Option<Vec<u8>>,
+    /// Freezes so far, and how many of them the committed snapshot covers.
+    freezes: u64,
+    covered_freezes: u64,
     flushes: u64,
     compactions: u64,
 }
 
+/// One freeze's snapshot on its way to disk.
+#[derive(Debug)]
+struct Frozen {
+    end_t: u64,
+    /// The encoded segment.
+    bytes: Vec<u8>,
+    /// Which freeze produced it (the value of [`Shared::freezes`] then).
+    ordinal: u64,
+}
+
+impl Shared {
+    fn uncovered(&self) -> usize {
+        (self.freezes - self.covered_freezes) as usize
+    }
+}
+
 type SharedView = Arc<Mutex<Shared>>;
 
-/// Work items for the flush thread.
+/// Wake-ups for the flush thread.
 enum Job {
-    /// Serialize the frozen generation `[start_t, start_t + rows)`.
-    Flush { start_t: u64, rows: Vec<f64> },
-    /// Reply once every pending flush has been attempted: `Ok` when the
+    /// A snapshot is pending in [`Shared`].
+    Flush,
+    /// Reply once the pending snapshot has been attempted: `Ok` when the
     /// segment tier is fully caught up, `Err(last_error)` otherwise.
     Barrier(SyncSender<Result<(), String>>),
     /// Exit without draining (process-shutdown semantics; acked rows are
@@ -164,21 +187,19 @@ pub struct DurableStore {
     set: StreamSet,
     opts: StoreOptions,
     wal: WalWriter,
+    /// Clock of the last freeze (the live generation's first arrival,
+    /// unless the roll failed and it is still the previous one's).
     wal_base: u64,
-    /// Sealed, not-yet-fsynced WAL generation handles; [`Self::sync`]
-    /// drains them oldest-first so the ack order matches arrival order.
-    sealed: Vec<File>,
+    /// Sealed, not-yet-fsynced WAL generations `(end_t, handle)`, oldest
+    /// first so [`Self::sync`] acks in arrival order. One is dropped,
+    /// unsynced, as soon as a committed snapshot covers `end_t`: its
+    /// rows are durable as state.
+    sealed: VecDeque<(u64, File)>,
     /// Highest arrival clock guarded by a *broken* generation that was
     /// rolled away: rows below it may exist nowhere durable but the
     /// segment tier, so [`Self::sync`] must not ack until
     /// `covered_t` reaches it.
     wal_hole: Option<u64>,
-    /// Rows `[wal_base, arrivals)` of the active generation, flattened.
-    /// [`Self::freeze`] moves the whole buffer into [`Job::Flush`].
-    active: Vec<f64>,
-    /// Emptied generation buffers coming back from the flusher, so steady
-    /// state neither allocates a generation nor faults its pages in.
-    spare: Receiver<Vec<f64>>,
     shared: SharedView,
     jobs: Option<Sender<Job>>,
     flusher: Option<JoinHandle<()>>,
@@ -236,35 +257,22 @@ impl DurableStore {
         let base = set.tree(0).arrivals();
         debug_assert_eq!(manifest.covered_t, base);
         let wal = open_wal(&dir, &set, base, &opts.wal_faults)?;
-        // The flusher replays frozen rows into its own shadow set so
-        // segment snapshots are produced without ever borrowing (or
-        // blocking) the foreground trees; ingest determinism makes the
-        // shadow bit-identical at every generation boundary.
-        let shadow =
-            StreamSet::restore(&set.snapshot()).map_err(|source| StoreError::Snapshot {
-                file: "<live snapshot>".to_owned(),
-                source,
-            })?;
         let shared: SharedView = Arc::new(Mutex::new(Shared {
             manifest,
             flush_error: None,
-            parked: 0,
+            pending: None,
+            spare: None,
+            freezes: 0,
+            covered_freezes: 0,
             flushes: 0,
             compactions: 0,
         }));
         let (tx, rx) = mpsc::channel();
-        // One parked spare is all the writer can use before the next
-        // freeze; a flusher draining a backlog frees the rest itself.
-        let (recycle, spare) = mpsc::sync_channel(1);
         let flusher = Flusher {
             dir: dir.clone(),
-            shadow,
             faults: opts.flush_faults.clone(),
             shared: shared.clone(),
-            parked: VecDeque::new(),
-            recycle,
-            fanin: opts.compact_fanin,
-            max_rows: opts.max_segment_rows,
+            parked: None,
             backoff: opts.retry_backoff,
         };
         let handle = std::thread::Builder::new()
@@ -277,14 +285,19 @@ impl DurableStore {
             opts,
             wal,
             wal_base: base,
-            sealed: Vec::new(),
+            sealed: VecDeque::new(),
             wal_hole: None,
-            active: Vec::new(),
-            spare,
             shared,
             jobs: Some(tx),
             flusher: Some(handle),
         })
+    }
+
+    /// invariant (every `expect` on this lock): the mutex is only held
+    /// for short field moves; a poisoned lock means the flush thread
+    /// panicked, which no adversarial input can cause.
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("flush thread panicked")
     }
 
     /// Ingest one synchronized row: the in-memory trees take it and a
@@ -305,36 +318,36 @@ impl DurableStore {
             });
         }
         self.wal.append_record(row);
-        self.active.extend_from_slice(row);
         if self.opts.freeze_rows > 0 && self.rows_since_freeze() >= self.opts.freeze_rows {
             self.freeze();
         }
         Ok(())
     }
 
-    /// Freeze the active generation: move its rows to the background
-    /// flusher and roll the WAL to a fresh generation. Does not wait for
-    /// the flush, does not `fsync` anything and copies no row. No-op when
-    /// the active generation is empty.
+    /// Freeze the active generation: roll the WAL to a fresh generation
+    /// and leave the live set's snapshot for the background flusher.
+    /// Does not wait for the flush, does not `fsync` anything, and — once
+    /// a flushed buffer has come back — allocates nothing that grows
+    /// with the streams or the rows. No-op when the active generation is
+    /// empty.
     pub fn freeze(&mut self) {
         let end = self.set.tree(0).arrivals();
-        let start = self.wal_base;
-        if end == start {
+        if end == self.wal_base {
             return;
         }
         // Land buffered records with the kernel so the sealed handle's
         // later fsync covers them; a failure is already recorded in the
-        // writer and the rows still reach durability via the segment.
+        // writer and the rows still reach durability as state.
         let _ = self.wal.flush();
         match open_wal(&self.dir, &self.set, end, &self.opts.wal_faults) {
             Ok(next) => {
                 let old = std::mem::replace(&mut self.wal, next);
                 if old.broken.is_none() {
-                    self.sealed.push(old.file);
+                    self.sealed.push_back((end, old.file));
                 } else {
                     // The broken generation's rows now live only in the
-                    // frozen copy headed for the segment tier; until a
-                    // committed segment covers them, sync() must not ack.
+                    // snapshot headed for the segment tier; until that
+                    // (or a later one) is committed, sync() must not ack.
                     self.wal_hole = Some(end);
                 }
             }
@@ -345,16 +358,42 @@ impl DurableStore {
                 // spanning several freezes is merely untidy.
             }
         }
-        let next = self.spare.try_recv().unwrap_or_default();
-        let rows = std::mem::replace(&mut self.active, next);
-        debug_assert_eq!(rows.len(), ((end - start) as usize) * self.set.streams());
-        if let Some(jobs) = &self.jobs {
-            let _ = jobs.send(Job::Flush {
-                start_t: start,
-                rows,
+        // A snapshot the flusher has not taken yet is superseded by this
+        // one: its buffer is the one to reuse.
+        let (mut bytes, covered) = {
+            let mut s = self.shared();
+            let bytes = match s.pending.take() {
+                Some(superseded) => superseded.bytes,
+                None => s.spare.take().unwrap_or_default(),
+            };
+            (bytes, s.manifest.covered_t)
+        };
+        self.drop_covered(covered);
+        segment::encode_into(&mut bytes, &self.set);
+        {
+            let mut s = self.shared();
+            s.freezes += 1;
+            s.pending = Some(Frozen {
+                end_t: end,
+                bytes,
+                ordinal: s.freezes,
             });
         }
+        if let Some(jobs) = &self.jobs {
+            let _ = jobs.send(Job::Flush);
+        }
         self.wal_base = end;
+    }
+
+    /// Close the sealed generations a committed snapshot covers.
+    fn drop_covered(&mut self, covered_t: u64) {
+        while self
+            .sealed
+            .front()
+            .is_some_and(|(end, _)| *end <= covered_t)
+        {
+            self.sealed.pop_front();
+        }
     }
 
     /// The durability acknowledgment: when this returns `Ok`, every row
@@ -363,31 +402,21 @@ impl DurableStore {
     /// still succeeds once the segment tier has durably covered every
     /// arrival.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        // invariant (every `expect` on this lock): the mutex is only held
-        // for short field copies; a poisoned lock means the flush thread
-        // panicked, which no adversarial input can cause.
-        let covered = self
-            .shared
-            .lock()
-            .expect("flush thread panicked")
-            .manifest
-            .covered_t;
+        let covered = self.shared().manifest.covered_t;
+        self.drop_covered(covered);
         match self.sync_wal() {
             Ok(()) => {
                 // A healthy WAL chain is not enough if a broken
                 // generation was rolled away: those rows are durable only
-                // once a committed segment covers their clock.
+                // once a committed snapshot covers their clock.
                 match self.wal_hole {
-                    Some(hole) if covered < hole => {
-                        let parked = self.shared.lock().expect("flush thread panicked").parked;
-                        Err(StoreError::Degraded {
-                            parked,
-                            message: format!(
-                                "WAL generation below t={hole} was lost to a write fault; \
-                                 rows await the segment tier (covered t={covered})"
-                            ),
-                        })
-                    }
+                    Some(hole) if covered < hole => Err(StoreError::Degraded {
+                        parked: self.shared().uncovered(),
+                        message: format!(
+                            "WAL generation below t={hole} was lost to a write fault; \
+                             rows await the segment tier (covered t={covered})"
+                        ),
+                    }),
                     _ => {
                         self.wal_hole = None;
                         Ok(())
@@ -396,8 +425,8 @@ impl DurableStore {
             }
             Err(e) => {
                 if covered >= self.set.tree(0).arrivals() {
-                    // Everything acked is in fsynced segments; the broken
-                    // WAL generation no longer guards any data.
+                    // Everything acked is in an fsynced snapshot; the
+                    // broken WAL generation no longer guards any data.
                     self.sealed.clear();
                     self.wal_hole = None;
                     Ok(())
@@ -409,18 +438,18 @@ impl DurableStore {
     }
 
     fn sync_wal(&mut self) -> Result<(), StoreError> {
-        while let Some(file) = self.sealed.first() {
+        while let Some((_, file)) = self.sealed.front() {
             io::sync_file(&self.opts.wal_faults, file, "fsync sealed WAL")?;
-            self.sealed.remove(0);
+            self.sealed.pop_front();
         }
         self.wal.sync()?;
         io::sync_dir(&self.opts.wal_faults, &self.dir, "fsync store directory")
     }
 
-    /// Make everything durable *in segments*: freeze the active
-    /// generation, wait for the flush tier to drain, and `fsync` the
-    /// WAL. Returns [`StoreError::Degraded`] when parked generations
-    /// could not be flushed (acked data is still safe — in the WAL).
+    /// Make everything durable *as state*: freeze the active generation,
+    /// wait for the flusher to commit its snapshot, and `fsync` the WAL.
+    /// Returns [`StoreError::Degraded`] when the snapshot could not be
+    /// flushed (acked data is still safe — in the WAL).
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         self.freeze();
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
@@ -430,7 +459,7 @@ impl DurableStore {
         match reply_rx.recv() {
             Ok(Ok(())) => {}
             Ok(Err(message)) => {
-                let parked = self.shared.lock().expect("flush thread panicked").parked;
+                let parked = self.shared().uncovered();
                 return Err(StoreError::Degraded { parked, message });
             }
             Err(_) => {
@@ -445,10 +474,10 @@ impl DurableStore {
 
     /// A point-in-time view of the tier shape and degradation state.
     pub fn status(&self) -> TierStatus {
-        let s = self.shared.lock().expect("flush thread panicked");
-        let health = if s.parked > 0 || self.wal.broken.is_some() {
+        let s = self.shared();
+        let health = if s.flush_error.is_some() || self.wal.broken.is_some() {
             StoreHealth::Degraded {
-                parked: s.parked,
+                parked: s.uncovered(),
                 last_error: s
                     .flush_error
                     .clone()
@@ -464,7 +493,7 @@ impl DurableStore {
             segments: s.manifest.entries.len(),
             flushes: s.flushes,
             compactions: s.compactions,
-            health: health.clone(),
+            health,
         }
     }
 
@@ -523,8 +552,8 @@ impl DurableStore {
 impl Drop for DurableStore {
     fn drop(&mut self) {
         // Graceful-shutdown parity with the old BufWriter store: buffered
-        // records reach the kernel (no fsync); parked flushes are
-        // abandoned — their rows are already in the WAL.
+        // records reach the kernel (no fsync); a pending snapshot is
+        // abandoned — its rows are already in the WAL.
         let _ = self.wal.flush();
         self.shutdown();
     }
@@ -619,24 +648,20 @@ fn open_wal(
     })
 }
 
-/// The background flush/compaction worker.
+/// The background flush worker.
 struct Flusher {
     dir: PathBuf,
-    shadow: StreamSet,
     faults: Arc<IoFaults>,
     shared: SharedView,
-    parked: VecDeque<(u64, Vec<f64>)>,
-    /// Where committed generations' emptied buffers go back to the store.
-    recycle: SyncSender<Vec<f64>>,
-    fanin: usize,
-    max_rows: u64,
+    /// The snapshot whose flush failed, kept for the retry.
+    parked: Option<Frozen>,
     backoff: Duration,
 }
 
 impl Flusher {
     fn run(mut self, rx: Receiver<Job>) {
         loop {
-            let msg = if self.parked.is_empty() {
+            let msg = if self.parked.is_none() {
                 match rx.recv() {
                     Ok(m) => Some(m),
                     Err(_) => break,
@@ -649,141 +674,66 @@ impl Flusher {
                 }
             };
             match msg {
-                Some(Job::Flush { start_t, rows }) => {
-                    self.parked.push_back((start_t, rows));
-                    self.drain();
-                }
+                Some(Job::Flush) | None => self.drain(),
                 Some(Job::Barrier(reply)) => {
                     self.drain();
-                    let result = if self.parked.is_empty() {
-                        Ok(())
-                    } else {
-                        let s = self.shared.lock().expect("store dropped mid-lock");
-                        Err(s.flush_error.clone().unwrap_or_default())
+                    let result = match self.shared().flush_error.clone() {
+                        None => Ok(()),
+                        Some(e) => Err(e),
                     };
                     let _ = reply.send(result);
                 }
                 Some(Job::Stop) => break,
-                None => self.drain(),
             }
         }
     }
 
-    /// Flush parked generations oldest-first; stop at the first failure
-    /// (order is part of the format: segments must chain).
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("store dropped mid-lock")
+    }
+
+    /// Flush the newest snapshot there is — a pending one supersedes a
+    /// parked one — until none is left or one fails.
     fn drain(&mut self) {
-        while let Some((start_t, mut rows)) = self.parked.pop_front() {
-            match self.flush_one(start_t, &rows) {
-                Ok(()) => {
-                    rows.clear();
-                    // Refused (a spare is already parked, or the store is
-                    // gone): the buffer is freed here, off the ingest
-                    // thread.
-                    let _ = self.recycle.try_send(rows);
-                }
-                Err(e) => {
-                    self.parked.push_front((start_t, rows));
-                    let mut s = self.shared.lock().expect("store dropped mid-lock");
-                    s.flush_error = Some(e.to_string());
-                    s.parked = self.parked.len();
-                    return;
-                }
-            }
-        }
-        let mut s = self.shared.lock().expect("store dropped mid-lock");
-        s.parked = 0;
-        s.flush_error = None;
-    }
-
-    fn flush_one(&mut self, start_t: u64, rows: &[f64]) -> Result<(), StoreError> {
-        let streams = self.shadow.streams();
-        let end_t = start_t + (rows.len() / streams) as u64;
-        // invariant: jobs arrive in freeze order, so the shadow clock is
-        // always within [start_t, end_t]; a retry whose earlier attempt
-        // already replayed must not replay twice.
-        let at = self.shadow.tree(0).arrivals();
-        if at < end_t {
-            let skip = ((at - start_t) as usize) * streams;
-            self.shadow.extend_rows(&rows[skip..]);
-        }
-        let name = segment_name(start_t, end_t);
-        let bytes = segment::encode(start_t, rows, &self.shadow);
-        io::write_atomic(&self.faults, &self.dir, &name, &bytes, "write segment")?;
-        let mut m = {
-            self.shared
-                .lock()
-                .expect("store dropped mid-lock")
-                .manifest
-                .clone()
-        };
-        m.seq += 1;
-        m.covered_t = end_t;
-        m.entries.push(SegmentEntry {
-            name,
-            start_t,
-            end_t,
-        });
-        manifest::commit(&self.faults, &self.dir, &m)?;
-        {
-            let mut s = self.shared.lock().expect("store dropped mid-lock");
-            s.manifest = m.clone();
-            s.flushes += 1;
-        }
-        self.prune_wals(m.covered_t);
-        self.maybe_compact();
-        Ok(())
-    }
-
-    /// Remove WAL generations whose entire span is durably covered by
-    /// segments: generation `b_i` is unreachable once the next base
-    /// `b_(i+1) <= covered_t`. The newest generation never qualifies.
-    fn prune_wals(&self, covered_t: u64) {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut bases: Vec<u64> = entries
-            .flatten()
-            .filter_map(
-                |e| match manifest::classify(&e.file_name().to_string_lossy()) {
-                    Some(StoreFile::Wal(b)) => Some(b),
-                    _ => None,
-                },
-            )
-            .collect();
-        bases.sort_unstable();
-        for pair in bases.windows(2) {
-            if pair[1] <= covered_t {
-                let _ = fs::remove_file(self.dir.join(wal_name(pair[0])));
-            }
-        }
-    }
-
-    /// Run compactions until the policy is satisfied. A failure aborts
-    /// cleanly — inputs are untouched — and is recorded as degradation;
-    /// it retries after the next successful flush.
-    fn maybe_compact(&mut self) {
         loop {
-            let m = {
-                self.shared
-                    .lock()
-                    .expect("store dropped mid-lock")
-                    .manifest
-                    .clone()
-            };
-            match compaction::compact_once(&self.faults, &self.dir, &m, self.fanin, self.max_rows) {
-                Ok(Some(next)) => {
-                    let mut s = self.shared.lock().expect("store dropped mid-lock");
-                    s.manifest = next;
-                    s.compactions += 1;
+            let newer = self.shared().pending.take();
+            if let Some(newer) = newer {
+                if let Some(superseded) = self.parked.replace(newer) {
+                    self.shared().spare.get_or_insert(superseded.bytes);
                 }
-                Ok(None) => return,
+            }
+            let Some(job) = self.parked.take() else {
+                return;
+            };
+            match self.flush_one(job.end_t, &job.bytes) {
+                Ok(()) => {
+                    let mut s = self.shared();
+                    s.covered_freezes = job.ordinal;
+                    s.flush_error = None;
+                    s.spare.get_or_insert(job.bytes);
+                }
                 Err(e) => {
-                    let mut s = self.shared.lock().expect("store dropped mid-lock");
-                    s.flush_error = Some(e.to_string());
+                    self.parked = Some(job);
+                    self.shared().flush_error = Some(e.to_string());
                     return;
                 }
             }
         }
+    }
+
+    /// Segment, then manifest, then retention: a fault at any step leaves
+    /// the previous commit point and everything it needs in place.
+    fn flush_one(&self, end_t: u64, bytes: &[u8]) -> Result<(), StoreError> {
+        let next = self.shared().manifest.advanced_to(end_t);
+        let name = segment::segment_name(end_t, end_t);
+        io::write_atomic(&self.faults, &self.dir, &name, bytes, "write segment")?;
+        manifest::commit(&self.faults, &self.dir, &next)?;
+        let retired = manifest::retire(&self.dir, &next);
+        let mut s = self.shared();
+        s.manifest = next;
+        s.flushes += 1;
+        s.compactions += u64::from(retired > 0);
+        Ok(())
     }
 }
 
@@ -791,6 +741,23 @@ impl Flusher {
 mod tests {
     use super::*;
     use crate::fault::{IoFaultKind, IoFaultPlan};
+    use crate::manifest::StoreFile;
+
+    impl DurableStore {
+        /// Wait for the flusher to have dealt with the last freeze, one way
+        /// or the other: which snapshots a slow flusher skips is a matter of
+        /// timing, and the tests that count files or I/O steps want none
+        /// skipped.
+        pub(crate) fn settle(&self) {
+            loop {
+                let st = self.status();
+                if st.covered_t == self.wal_base || st.health != StoreHealth::Healthy {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("swat-store-{name}-{}", std::process::id()));
@@ -805,7 +772,6 @@ mod tests {
     fn small_opts() -> StoreOptions {
         StoreOptions {
             freeze_rows: 8,
-            compact_fanin: 2,
             retry_backoff: Duration::from_millis(1),
             ..StoreOptions::default()
         }
@@ -838,34 +804,41 @@ mod tests {
     }
 
     #[test]
-    fn freezes_flush_to_segments_and_prune_the_wal() {
+    fn freezes_leave_two_snapshots_and_the_wal_behind_the_older() {
         let dir = tmp("tiers");
         let mut store = DurableStore::create_with(&dir, config(), 1, small_opts()).unwrap();
         for i in 0..40 {
             store.push_row(&[i as f64]).unwrap();
+            store.settle();
         }
         store.checkpoint().unwrap();
         let st = store.status();
         assert_eq!(st.arrivals, 40);
         assert_eq!(st.covered_t, 40);
         assert_eq!(st.health, StoreHealth::Healthy);
-        assert!(st.flushes >= 5, "{st:?}");
-        assert!(st.compactions >= 1, "{st:?}");
+        assert_eq!(st.flushes, 5, "{st:?}");
+        // The first flush had nothing to retire; every later one did.
+        assert_eq!(st.compactions, 4, "{st:?}");
 
-        let mut wals = 0;
-        let mut segs = 0;
-        let mut mans = 0;
-        for entry in fs::read_dir(&dir).unwrap() {
-            match manifest::classify(&entry.unwrap().file_name().to_string_lossy()) {
-                Some(StoreFile::Wal(_)) => wals += 1,
-                Some(StoreFile::Segment(..)) => segs += 1,
-                Some(StoreFile::Manifest(_)) => mans += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(wals, 1, "covered generations must be pruned");
-        assert_eq!(st.segments, segs);
-        assert!(mans <= manifest::KEPT_MANIFESTS);
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let kinds: Vec<StoreFile> = names.iter().filter_map(|n| manifest::classify(n)).collect();
+        assert_eq!(
+            kinds,
+            [
+                StoreFile::Manifest(4),
+                StoreFile::Manifest(5),
+                StoreFile::Segment(32, 32),
+                StoreFile::Segment(40, 40),
+                StoreFile::Wal(32),
+                StoreFile::Wal(40),
+            ],
+            "{names:?}"
+        );
+        assert_eq!(st.segments, manifest::KEPT_SNAPSHOTS);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -889,6 +862,50 @@ mod tests {
     }
 
     #[test]
+    fn a_newer_snapshot_supersedes_a_parked_one() {
+        let dir = tmp("superseded");
+        let opts = StoreOptions {
+            flush_faults: IoFaults::with_plan(IoFaultPlan::at(0, IoFaultKind::Enospc)),
+            // No retry by the clock: only the next freeze wakes the flusher.
+            retry_backoff: Duration::from_secs(3600),
+            ..small_opts()
+        };
+        let mut store = DurableStore::create_with(&dir, config(), 1, opts).unwrap();
+        for i in 0..8 {
+            store.push_row(&[i as f64]).unwrap();
+        }
+        store.settle();
+        assert_eq!(
+            store.status().covered_t,
+            0,
+            "the snapshot at 8 is parked on ENOSPC"
+        );
+        assert!(
+            matches!(store.health(), StoreHealth::Degraded { parked: 1, .. }),
+            "{:?}",
+            store.health()
+        );
+        for i in 8..16 {
+            store.push_row(&[i as f64]).unwrap();
+        }
+        while store.status().covered_t != 16 {
+            std::thread::yield_now();
+        }
+        let st = store.status();
+        assert_eq!(
+            (st.covered_t, st.flushes, st.segments),
+            (16, 1, 1),
+            "{st:?}"
+        );
+        assert_eq!(st.health, StoreHealth::Healthy);
+        assert!(!dir.join(segment::segment_name(8, 8)).exists());
+        // Both freezes' rows are still in the WAL: nothing to fall back
+        // on but the bootstrap, so nothing may be pruned yet.
+        assert!(dir.join(wal_name(0)).exists() && dir.join(wal_name(8)).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn dead_disk_degrades_but_ingest_continues() {
         let dir = tmp("degraded");
         let opts = small_opts();
@@ -900,7 +917,7 @@ mod tests {
         }
         let err = store.checkpoint().unwrap_err();
         assert!(
-            matches!(err, StoreError::Degraded { parked, .. } if parked > 0),
+            matches!(err, StoreError::Degraded { parked: 5, .. }),
             "{err}"
         );
         assert!(matches!(store.health(), StoreHealth::Degraded { .. }));

@@ -9,9 +9,10 @@
 //!
 //! The per-format unit tests already fuzz decode functions in isolation;
 //! this test drives the whole `RecoveryManager` path end to end, where a
-//! corrupt segment snapshot must trigger base fallback, a corrupt
-//! manifest must fall back a manifest generation, and a corrupt WAL
-//! record must cut the replayed prefix.
+//! corrupt segment must trigger the fallback onto the older kept
+//! snapshot and its retained WAL tail, a corrupt manifest must fall back
+//! a manifest generation, and a corrupt WAL record must cut the replayed
+//! prefix.
 
 use std::fs;
 use std::path::Path;
@@ -23,13 +24,12 @@ use swat_tree::{StreamSet, SwatConfig};
 const ROWS: u64 = 30;
 const STREAMS: usize = 2;
 
-/// Small freeze/compaction knobs so 30 rows produce a genuinely tiered
-/// layout: several segments (one of them compacted), two manifest
-/// generations, and a live WAL tail.
+/// A small freeze interval so 30 rows produce the whole layout: both
+/// kept snapshots, two manifest generations, the sealed WAL generation
+/// behind the older snapshot and a live WAL tail.
 fn opts() -> StoreOptions {
     StoreOptions {
         freeze_rows: 8,
-        compact_fanin: 2,
         retry_backoff: Duration::from_millis(1),
         ..StoreOptions::default()
     }
@@ -56,11 +56,11 @@ fn row(i: u64) -> [f64; STREAMS] {
     [(i as f64 * 0.61).sin() * 8.0, (i % 11) as f64 - 5.0]
 }
 
-/// Build the reference directory — frozen segments up to t = 24 (with at
-/// least one compaction behind them), committed manifests, and a live WAL
-/// tail — and capture its files, so each fault case can reset the
-/// directory with plain writes instead of re-running the (fsync-heavy)
-/// store.
+/// Build the reference directory — snapshots at t = 20 and 28, the
+/// manifests that committed them, `wal-20` (sealed, the fallback's tail)
+/// and `wal-28` (live, two rows) — and capture its files, so each fault
+/// case can reset the directory with plain writes instead of re-running
+/// the (fsync-heavy) store.
 fn reference(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let _ = fs::remove_dir_all(dir);
     let mut store = DurableStore::create_with(dir, config(), STREAMS, opts()).unwrap();
@@ -68,6 +68,11 @@ fn reference(dir: &Path) -> Vec<(String, Vec<u8>)> {
         store.push_row(&row(i)).unwrap();
         if i + 1 == 20 {
             store.checkpoint().unwrap();
+        }
+        // No freeze is skipped by a slow flusher: the file set is the
+        // same on every run.
+        while store.status().covered_t < store.arrivals() - store.rows_since_freeze() {
+            std::thread::yield_now();
         }
     }
     store.sync().unwrap();
@@ -107,10 +112,15 @@ fn digests() -> Vec<u64> {
 }
 
 /// Recover `dir` and check the contract against the prefix digests.
+/// Damage to a segment (`what` names the file first) must lose nothing:
+/// the other kept snapshot and the retained WAL tail cover every row.
 fn check(dir: &Path, digests: &[u64], what: &str) {
     match RecoveryManager::recover(dir.to_path_buf()) {
         Ok((store, report)) => {
             let p = report.recovered_arrivals as usize;
+            if what.starts_with("seg-") {
+                assert_eq!(p as u64, ROWS, "{what}: a damaged snapshot cost rows");
+            }
             assert!(
                 p < digests.len(),
                 "{what}: recovered past the ingested rows"
@@ -124,6 +134,7 @@ fn check(dir: &Path, digests: &[u64], what: &str) {
         Err(e) => {
             // Typed degradation; exercise Display too, it must not panic.
             let _ = e.to_string();
+            assert!(!what.starts_with("seg-"), "{what}: {e}");
         }
     }
 }
@@ -136,9 +147,10 @@ fn every_single_bit_flip_recovers_consistently() {
     assert!(files.iter().any(|(f, _)| f.starts_with("seg-")));
     assert!(files.iter().any(|(f, _)| f.starts_with("manifest-")));
     assert!(files.iter().any(|(f, _)| f.starts_with("wal-")));
-    assert!(
-        files.len() >= 5,
-        "expected segments + manifests + live WAL, got {files:?}",
+    assert_eq!(
+        files.len(),
+        6,
+        "expected two segments, two manifests, a sealed and a live WAL, got {files:?}",
         files = files.iter().map(|(f, _)| f).collect::<Vec<_>>()
     );
 

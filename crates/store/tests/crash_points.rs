@@ -1,8 +1,9 @@
 //! Fault grid over the tiered store (ISSUE 10 satellite): inject each
 //! single fault — a process death, `ENOSPC`, `EIO`, a torn write — at
-//! **every I/O step** of a seeded flush/compaction schedule and,
-//! independently, at every step of the foreground WAL schedule, then
-//! kill the store, recover and require the acked-prefix contract:
+//! **every I/O step** of the background schedule (segment write,
+//! manifest commit, eight steps a flush) and, independently, at every
+//! step of the foreground WAL schedule, then kill the store, recover and
+//! require the acked-prefix contract:
 //!
 //! * zero acked-data loss: `recovered_arrivals >= rows acked by sync()`,
 //! * no invention: `recovered_arrivals <= rows pushed`,
@@ -15,13 +16,22 @@
 //! domain adjudicated; the grid then replays it once per step and fault
 //! kind ([`KINDS`]) with that fault injected at that step. A transient
 //! fault that fails a `sync()` leaves its rows un-acked; one that fails a
-//! flush parks the generation and the store degrades — neither may cost
+//! flush parks the snapshot and the store degrades — neither may cost
 //! an acked row.
+//!
+//! Which snapshots a slow flusher skips (a newer one supersedes one not
+//! yet written) is a matter of timing, so the workload lets the flusher
+//! finish after every freeze: up to the injected fault the schedule is
+//! the probed one, step for step. What happens *after* a fault — retry
+//! first, or superseded first — is left to the race, and every outcome
+//! must keep the contract.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use swat_store::{DurableStore, IoFaultKind, IoFaultPlan, IoFaults, RecoveryManager, StoreOptions};
+use swat_store::{
+    DurableStore, IoFaultKind, IoFaultPlan, IoFaults, RecoveryManager, StoreHealth, StoreOptions,
+};
 use swat_tree::{StreamSet, SwatConfig};
 
 const ROWS: u64 = 60;
@@ -44,11 +54,10 @@ fn row(i: u64) -> [f64; STREAMS] {
     [(i as f64 * 0.83).cos() * 12.0, (i % 7) as f64]
 }
 
-/// Small tiers so 60 rows exercise freeze, flush, and compaction.
+/// Small tiers so 60 rows exercise freeze, flush, and retention.
 fn opts() -> StoreOptions {
     StoreOptions {
         freeze_rows: 8,
-        compact_fanin: 2,
         retry_backoff: Duration::from_millis(1),
         ..StoreOptions::default()
     }
@@ -78,10 +87,16 @@ fn digests() -> Vec<u64> {
 }
 
 /// Run the seeded workload against a store whose fault domains are
-/// `wal` / `flush`; returns the highest arrival count acknowledged by a
+/// `wal` / `flush`, letting the flusher finish after every freeze when
+/// `settled`; returns the highest arrival count acknowledged by a
 /// successful `sync()`. Panics bubbling out of here fail the grid —
 /// faults must degrade, never explode.
-fn workload(dir: &Path, wal: std::sync::Arc<IoFaults>, flush: std::sync::Arc<IoFaults>) -> u64 {
+fn workload(
+    dir: &Path,
+    wal: std::sync::Arc<IoFaults>,
+    flush: std::sync::Arc<IoFaults>,
+    settled: bool,
+) -> u64 {
     let o = StoreOptions {
         wal_faults: wal,
         flush_faults: flush,
@@ -96,19 +111,36 @@ fn workload(dir: &Path, wal: std::sync::Arc<IoFaults>, flush: std::sync::Arc<IoF
     let mut acked = 0;
     for i in 0..ROWS {
         store.push_row(&row(i)).unwrap();
+        if settled {
+            settle(&store);
+        }
         if (i + 1) % SYNC_EVERY == 0 && store.sync().is_ok() {
             acked = store.arrivals();
         }
     }
-    // Drain the background schedule (barrier) so every flush/compaction
-    // the workload provoked is attempted before the simulated kill; a
-    // degraded barrier is fine, parked rows are the scenario under test.
+    // Drain the background schedule (barrier) so the last flush the
+    // workload provoked is attempted before the simulated kill; a
+    // degraded barrier is fine, a parked snapshot is the scenario under
+    // test.
     let _ = store.checkpoint();
     if store.sync().is_ok() {
         acked = store.arrivals();
     }
     store.crash();
     acked
+}
+
+/// Wait until the flusher has committed the last freeze's snapshot or
+/// failed trying (see the module docs).
+fn settle(store: &DurableStore) {
+    let frozen_at = store.arrivals() - store.rows_since_freeze();
+    loop {
+        let st = store.status();
+        if st.covered_t >= frozen_at || st.health != StoreHealth::Healthy {
+            return;
+        }
+        std::thread::yield_now();
+    }
 }
 
 fn check_cell(dir: &Path, acked: u64, digests: &[u64], what: &str) {
@@ -131,14 +163,14 @@ fn check_cell(dir: &Path, acked: u64, digests: &[u64], what: &str) {
 }
 
 #[test]
-fn every_fault_at_every_flush_and_compaction_step_preserves_acked_rows() {
+fn every_fault_at_every_flush_step_preserves_acked_rows() {
     let digests = digests();
 
     // Probe the background schedule's horizon with fault-free domains.
     let probe_flush = IoFaults::none();
     let dir = scratch("probe-flush", 0);
     let _ = std::fs::remove_dir_all(&dir);
-    let acked = workload(&dir, IoFaults::none(), probe_flush.clone());
+    let acked = workload(&dir, IoFaults::none(), probe_flush.clone(), true);
     assert_eq!(acked, ROWS);
     let horizon = probe_flush.steps();
     assert!(
@@ -146,13 +178,18 @@ fn every_fault_at_every_flush_and_compaction_step_preserves_acked_rows() {
         "schedule too small to be interesting: {horizon}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "flush domain: {horizon} steps x {} fault kinds = {} cells",
+        KINDS.len(),
+        horizon * KINDS.len() as u64
+    );
 
     for kind in KINDS {
         for step in 0..horizon {
             let dir = scratch("flush", step);
             let _ = std::fs::remove_dir_all(&dir);
             let flush = IoFaults::with_plan(IoFaultPlan::at(step, kind));
-            let acked = workload(&dir, IoFaults::none(), flush);
+            let acked = workload(&dir, IoFaults::none(), flush, true);
             check_cell(&dir, acked, &digests, &format!("flush {kind:?} at {step}"));
         }
     }
@@ -165,18 +202,23 @@ fn every_fault_at_every_wal_step_preserves_acked_rows() {
     let probe_wal = IoFaults::none();
     let dir = scratch("probe-wal", 0);
     let _ = std::fs::remove_dir_all(&dir);
-    let acked = workload(&dir, probe_wal.clone(), IoFaults::none());
+    let acked = workload(&dir, probe_wal.clone(), IoFaults::none(), true);
     assert_eq!(acked, ROWS);
     let horizon = probe_wal.steps();
     assert!(horizon > 5, "WAL schedule too small: {horizon}");
     let _ = std::fs::remove_dir_all(&dir);
+    println!(
+        "WAL domain: {horizon} steps x {} fault kinds = {} cells",
+        KINDS.len(),
+        horizon * KINDS.len() as u64
+    );
 
     for kind in KINDS {
         for step in 0..horizon {
             let dir = scratch("wal", step);
             let _ = std::fs::remove_dir_all(&dir);
             let wal = IoFaults::with_plan(IoFaultPlan::at(step, kind));
-            let acked = workload(&dir, wal, IoFaults::none());
+            let acked = workload(&dir, wal, IoFaults::none(), true);
             check_cell(&dir, acked, &digests, &format!("WAL {kind:?} at {step}"));
         }
     }
@@ -192,7 +234,7 @@ fn seeded_transient_fault_storms_never_lose_acked_rows() {
     let pf = IoFaults::none();
     let dir = scratch("probe-storm", 0);
     let _ = std::fs::remove_dir_all(&dir);
-    workload(&dir, pw.clone(), pf.clone());
+    workload(&dir, pw.clone(), pf.clone(), true);
     let (hw, hf) = (pw.steps(), pf.steps());
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -201,7 +243,9 @@ fn seeded_transient_fault_storms_never_lose_acked_rows() {
         let _ = std::fs::remove_dir_all(&dir);
         let wal = IoFaults::with_plan(IoFaultPlan::seeded(seed, hw, 3));
         let flush = IoFaults::with_plan(IoFaultPlan::seeded(seed ^ 0xA5A5, hf, 4));
-        let acked = workload(&dir, wal, flush);
+        // Unsettled: the storms are also where a slow flusher's skipped
+        // snapshots meet faults.
+        let acked = workload(&dir, wal, flush, false);
         check_cell(&dir, acked, &digests, &format!("fault storm seed {seed}"));
     }
 }

@@ -2,8 +2,9 @@
 //! PR 4's recovery read each WAL generation wholesale with `fs::read`,
 //! so a store that ran for a long time between checkpoints made recovery
 //! allocate the entire log at once. Recovery now streams the body in
-//! fixed-size chunks and re-segments every `freeze_rows` rows, so its
-//! peak heap usage is bounded by the chunk/segment size, not the log.
+//! fixed-size chunks straight into the set (one snapshot is written at
+//! the end), so its peak heap usage is bounded by the chunk size and the
+//! snapshot, not the log.
 //!
 //! The test synthesizes a multi-megabyte single-generation WAL, recovers
 //! it under a counting global allocator, and asserts the recovery-time
@@ -113,8 +114,8 @@ fn recovery_memory_is_bounded_by_chunks_not_log_size() {
     drop(recovered);
 
     // The log is ~8 MB; bounded replay must stay well under it. The
-    // budget leaves room for the recovered trees themselves plus one
-    // freeze_rows segment buffer, but a whole-log read would blow it.
+    // budget leaves room for the recovered trees themselves plus their
+    // snapshot, but a whole-log read would blow it.
     assert!(
         peak < wal_len / 2,
         "recovery peak {peak} bytes vs log {wal_len} bytes — replay is not bounded"

@@ -263,11 +263,33 @@ impl std::error::Error for CodecError {}
 /// Panics if `payload` exceeds `u32::MAX` bytes (no snapshot comes
 /// within orders of magnitude of that).
 pub fn write_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    let len = u32::try_from(payload.len()).expect("frame payload fits in u32");
-    out.push(tag);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let at = begin_frame(out, tag);
     out.extend_from_slice(payload);
+    finish_frame(out, at);
+}
+
+/// Open a frame whose payload the caller appends to `out` in place:
+/// writes the tag, reserves `len` and `crc`, and returns the offset the
+/// payload starts at — the handle [`finish_frame`] takes. Frames nest.
+pub fn begin_frame(out: &mut Vec<u8>, tag: u8) -> usize {
+    out.push(tag);
+    out.extend_from_slice(&[0; 8]);
+    out.len()
+}
+
+/// Close the frame [`begin_frame`] opened at `payload_at`: everything
+/// appended since is its payload, whose length and CRC-32 are patched
+/// into the reserved header.
+///
+/// # Panics
+///
+/// Panics if the payload exceeds `u32::MAX` bytes.
+pub fn finish_frame(out: &mut [u8], payload_at: usize) {
+    let (head, payload) = out.split_at_mut(payload_at);
+    let len = u32::try_from(payload.len()).expect("frame payload fits in u32");
+    let header = &mut head[payload_at - 8..];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// A bounds-checked little-endian reader that tracks its byte offset.

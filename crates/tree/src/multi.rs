@@ -11,7 +11,7 @@
 
 use std::borrow::Borrow;
 
-use crate::codec::{write_frame, Cursor};
+use crate::codec::{begin_frame, finish_frame, Cursor};
 use crate::config::{SwatConfig, TreeError};
 use crate::query::{InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions};
 use crate::scratch::QueryScratch;
@@ -431,16 +431,32 @@ impl StreamSet {
     /// on restore.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Append [`Self::snapshot`]'s bytes to `out`, each stream's frame
+    /// written in place — with a buffer that already has the capacity,
+    /// nothing is allocated.
+    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(SET_MAGIC);
         out.push(SET_VERSION);
         out.extend_from_slice(&(self.config.window() as u64).to_le_bytes());
         out.extend_from_slice(&(self.config.coefficients() as u64).to_le_bytes());
         out.extend_from_slice(&(self.config.min_level() as u64).to_le_bytes());
         out.extend_from_slice(&(self.trees.len() as u64).to_le_bytes());
-        for tree in &self.trees {
-            write_frame(&mut out, SEC_STREAM, &tree.snapshot());
+        for (i, tree) in self.trees.iter().enumerate() {
+            let start = out.len();
+            let frame = begin_frame(out, SEC_STREAM);
+            crate::snapshot::write_tree_body(tree, out);
+            finish_frame(out, frame);
+            if i == 0 {
+                // Every stream shares the configuration and the clock, so
+                // the frames are all as long as the first: one exact
+                // reservation instead of a doubling buffer.
+                out.reserve((out.len() - start) * (self.trees.len() - 1));
+            }
         }
-        out
     }
 
     /// Rebuild a set from [`StreamSet::snapshot`] bytes: the explicit
@@ -550,6 +566,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::write_frame;
 
     fn feed(set: &mut StreamSet, n: usize, f: impl Fn(usize) -> Vec<f64>) {
         for i in 0..n {

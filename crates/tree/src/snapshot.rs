@@ -31,7 +31,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::codec::{write_frame, CodecError, Cursor};
+use crate::codec::{begin_frame, finish_frame, CodecError, Cursor};
 use crate::config::SwatConfig;
 use crate::node::Summary;
 use crate::range::ValueRange;
@@ -131,39 +131,39 @@ pub(crate) fn write_tree_body(tree: &SwatTree, out: &mut Vec<u8>) {
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
 
-    let mut sec = Vec::with_capacity(24);
-    sec.extend_from_slice(&(tree.config().window() as u64).to_le_bytes());
-    sec.extend_from_slice(&(tree.config().coefficients() as u64).to_le_bytes());
-    sec.extend_from_slice(&(tree.config().min_level() as u64).to_le_bytes());
-    write_frame(out, SEC_CONFIG, &sec);
+    let sec = begin_frame(out, SEC_CONFIG);
+    out.extend_from_slice(&(tree.config().window() as u64).to_le_bytes());
+    out.extend_from_slice(&(tree.config().coefficients() as u64).to_le_bytes());
+    out.extend_from_slice(&(tree.config().min_level() as u64).to_le_bytes());
+    finish_frame(out, sec);
 
-    sec.clear();
-    sec.extend_from_slice(&tree.arrivals().to_le_bytes());
+    let sec = begin_frame(out, SEC_STATE);
+    out.extend_from_slice(&tree.arrivals().to_le_bytes());
     match tree.newest() {
         Some(v) => {
-            sec.push(1);
-            sec.extend_from_slice(&v.to_le_bytes());
+            out.push(1);
+            out.extend_from_slice(&v.to_le_bytes());
         }
-        None => sec.push(0),
+        None => out.push(0),
     }
-    write_frame(out, SEC_STATE, &sec);
+    finish_frame(out, sec);
 
-    sec.clear();
-    sec.extend_from_slice(&(tree.summary_count() as u64).to_le_bytes());
+    let sec = begin_frame(out, SEC_SUMMARIES);
+    out.extend_from_slice(&(tree.summary_count() as u64).to_le_bytes());
     // Summaries in query order (levels ascending, newest first): the
     // restore path rebuilds each level queue in that order.
     for (level, _, s) in tree.nodes() {
-        sec.extend_from_slice(&(level as u64).to_le_bytes());
-        sec.extend_from_slice(&s.created_at().to_le_bytes());
-        sec.extend_from_slice(&s.range().lo().to_le_bytes());
-        sec.extend_from_slice(&s.range().hi().to_le_bytes());
+        out.extend_from_slice(&(level as u64).to_le_bytes());
+        out.extend_from_slice(&s.created_at().to_le_bytes());
+        out.extend_from_slice(&s.range().lo().to_le_bytes());
+        out.extend_from_slice(&s.range().hi().to_le_bytes());
         let coeffs = s.coeffs().coefficients();
-        sec.extend_from_slice(&(coeffs.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(coeffs.len() as u64).to_le_bytes());
         for c in coeffs {
-            sec.extend_from_slice(&c.to_le_bytes());
+            out.extend_from_slice(&c.to_le_bytes());
         }
     }
-    write_frame(out, SEC_SUMMARIES, &sec);
+    finish_frame(out, sec);
 }
 
 /// Read a section frame and check its tag.

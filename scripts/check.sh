@@ -108,10 +108,21 @@ ROWS=(
     "cargo test -q -p swat-store --test corruption_fuzz"
     ""
 
-    # Every fault kind at every flush/compaction step, digests bit-exact;
-    # a crash mid-compaction leaves inputs and manifest intact.
+    # Every fault kind at every step of the flush schedule (segment write,
+    # manifest commit) and of the WAL schedule, digests bit-exact, the cell
+    # count printed; then the unit tests of retention (what a flush may
+    # delete), of the fall-back onto the older snapshot and of the one
+    # double fault that costs rows.
     "crash points"
-    "cargo test -q -p swat-store --test crash_points && cargo test -q -p swat-store --lib compaction"
+    "cargo test -q -p swat-store --test crash_points -- --nocapture && cargo test -q -p swat-store --lib -- manifest:: recovery::"
+    "grep -q 'flush domain: .* cells' target/check/crash-points.log && grep -q 'WAL domain: .* cells' target/check/crash-points.log"
+
+    # Two snapshots and a WAL tail on disk, set + two snapshot buffers on
+    # the heap, a constant number of descriptors with no sync(): release
+    # mode, because debug builds run the same code, not the same
+    # allocation pattern.
+    "store bounds"
+    "cargo test --release -q -p swat-store --test store_bounds"
     ""
 
     "daemon smoke"
@@ -122,8 +133,8 @@ ROWS=(
     # buffered transport, the coalesced fan-out and its scripted-peer
     # failure cases, the driver's loops over the scripted fabric and in the
     # simulator, the raw-socket connection-worker tests and the 2 000-row
-    # ring run of tcp_cluster; then the freeze hand-off under the counting
-    # allocator and extend_rows against the push_row loop.
+    # ring run of tcp_cluster; then the freezing push_row under the
+    # counting allocator and extend_rows against the push_row loop.
     "fan-out and freeze"
     "cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: &&
      cargo test --release -q -p swat-daemon --test sim_oracle &&
