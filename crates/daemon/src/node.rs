@@ -295,9 +295,12 @@ impl ClusterNode {
     }
 
     /// The answers digest of this node's holding of `shard`, if any —
-    /// the oracle-comparison hook the failover tests use.
-    pub fn holding_digest(&self, shard: usize) -> Option<u64> {
-        self.holdings.get(&shard).map(|h| h.rep.answers_digest())
+    /// the oracle-comparison hook the failover tests use. A standby's
+    /// held rows are applied first, so the digest covers every acked row.
+    pub fn holding_digest(&mut self, shard: usize) -> Option<u64> {
+        self.holdings
+            .get_mut(&shard)
+            .map(|h| h.rep.answers_digest())
     }
 
     /// Force every durable holding's WAL + checkpoint to disk (the
@@ -525,16 +528,13 @@ impl ClusterNode {
                         code: ErrorCode::WrongRole,
                     };
                 }
-                h.rep.handle(&Request::Ingest {
-                    req_id: *req_id,
-                    row: row.clone(),
-                })
+                h.rep.replicate(*req_id, row)
             }
             Request::FetchShard { term, shard } => {
                 if let Err(r) = self.fence_term(*term, term_owner(self.nodes, *term)) {
                     return r;
                 }
-                match self.holdings.get(&(*shard as usize)) {
+                match self.holdings.get_mut(&(*shard as usize)) {
                     Some(h) if h.primary => {
                         let (arrivals, applied, snapshot) = h.rep.export();
                         Response::ShardStateR {
@@ -579,7 +579,7 @@ impl ClusterNode {
                     Ok(rep) => {
                         // Overwrites any stale holding: the installed
                         // copy *is* the node's state for this shard now.
-                        self.holdings.insert(
+                        let previous = self.holdings.insert(
                             shard_ix,
                             Holding {
                                 rep,
@@ -587,14 +587,20 @@ impl ClusterNode {
                                 primary: false,
                             },
                         );
-                        match self.persist_meta() {
-                            Ok(()) => Response::EpochAck {
-                                shard: *shard,
-                                epoch: *epoch,
-                            },
-                            Err(_) => Response::ErrorR {
+                        if self.persist_meta().is_err() {
+                            // Never act on an unpersisted epoch: put the
+                            // previous holding (or none) back.
+                            match previous {
+                                Some(h) => self.holdings.insert(shard_ix, h),
+                                None => self.holdings.remove(&shard_ix),
+                            };
+                            return Response::ErrorR {
                                 code: ErrorCode::Internal,
-                            },
+                            };
+                        }
+                        Response::EpochAck {
+                            shard: *shard,
+                            epoch: *epoch,
                         }
                     }
                     Err(_) => Response::ErrorR {
@@ -621,16 +627,23 @@ impl ClusterNode {
                         epoch: h.epoch,
                     };
                 }
+                // A primary answers reads: a standby's held rows are
+                // applied before it becomes one.
+                h.rep.settle();
+                let was = (h.epoch, h.primary);
                 h.epoch = *epoch;
                 h.primary = true;
-                match self.persist_meta() {
-                    Ok(()) => Response::EpochAck {
-                        shard: *shard,
-                        epoch: *epoch,
-                    },
-                    Err(_) => Response::ErrorR {
+                if self.persist_meta().is_err() {
+                    // Never act on an unpersisted epoch: roll back.
+                    let h = self.holdings.get_mut(&shard_ix).expect("holding checked");
+                    (h.epoch, h.primary) = was;
+                    return Response::ErrorR {
                         code: ErrorCode::Internal,
-                    },
+                    };
+                }
+                Response::EpochAck {
+                    shard: *shard,
+                    epoch: *epoch,
                 }
             }
             // Client data requests: only the leader routes them.
@@ -1365,6 +1378,144 @@ mod tests {
         );
     }
 
+    /// A meta path `NodeMeta::save` fails under: a regular file.
+    fn unwritable_meta(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("swat-meta-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::write(&path, b"not a directory").unwrap();
+        path
+    }
+
+    fn internal() -> Response {
+        Response::ErrorR {
+            code: ErrorCode::Internal,
+        }
+    }
+
+    #[test]
+    fn an_unpersisted_promote_leaves_the_standby_as_it_was() {
+        let mut n = ClusterNode::replica(1, cfg(), 8, 2, 2, true);
+        let width = n.shard_members_of(1).len();
+        let replicate = |req_id| Request::Replicate {
+            term: 0,
+            shard: 1,
+            epoch: 0,
+            req_id,
+            row: vec![1.0; width],
+        };
+        let fenced = |epoch| Request::Fenced {
+            term: 0,
+            leader: 0,
+            shard: 1,
+            epoch,
+            inner: Box::new(Request::Ingest {
+                req_id: 9,
+                row: vec![2.0; width],
+            }),
+        };
+        let promote = Request::Promote {
+            term: 0,
+            shard: 1,
+            epoch: 1,
+        };
+        assert!(matches!(n.handle(&replicate(0)), Response::IngestOk { .. }));
+        let meta = unwritable_meta("promote");
+        n.meta_dir = Some(meta.clone());
+        assert_eq!(n.handle(&promote), internal());
+        // Still a standby at epoch 0: a fenced ingest at the new epoch is
+        // stale, at the old one the wrong role, and replication lands.
+        assert_eq!(
+            n.handle(&fenced(1)),
+            Response::StaleEpochR { shard: 1, epoch: 0 }
+        );
+        assert_eq!(
+            n.handle(&fenced(0)),
+            Response::ErrorR {
+                code: ErrorCode::WrongRole
+            }
+        );
+        assert!(matches!(
+            n.handle(&replicate(1)),
+            Response::IngestOk {
+                duplicate: false,
+                ..
+            }
+        ));
+        // Once the record can be written, the same promote goes through.
+        std::fs::remove_file(&meta).unwrap();
+        assert_eq!(
+            n.handle(&promote),
+            Response::EpochAck { shard: 1, epoch: 1 }
+        );
+        assert!(matches!(n.handle(&fenced(1)), Response::IngestOk { .. }));
+        std::fs::remove_dir_all(&meta).unwrap();
+    }
+
+    #[test]
+    fn an_unpersisted_install_keeps_the_previous_holding() {
+        let mut holder = ClusterNode::replica(2, cfg(), 8, 2, 2, false);
+        let width = holder.shard_members_of(1).len();
+        for r in 0..5u64 {
+            holder.handle(&Request::Fenced {
+                term: 0,
+                leader: 0,
+                shard: 1,
+                epoch: 0,
+                inner: Box::new(Request::Ingest {
+                    req_id: r,
+                    row: vec![r as f64; width],
+                }),
+            });
+        }
+        let Response::ShardStateR {
+            arrivals,
+            applied,
+            snapshot,
+            ..
+        } = holder.handle(&Request::FetchShard { term: 0, shard: 1 })
+        else {
+            panic!("a primary exports its shard");
+        };
+        let install = Request::InstallShard {
+            term: 0,
+            shard: 1,
+            epoch: 3,
+            arrivals,
+            applied,
+            snapshot,
+        };
+        let meta = unwritable_meta("install");
+        // A standby holding one replicated row keeps exactly that.
+        let mut n = ClusterNode::replica(1, cfg(), 8, 2, 2, true);
+        n.handle(&Request::Replicate {
+            term: 0,
+            shard: 1,
+            epoch: 0,
+            req_id: 0,
+            row: vec![7.0; width],
+        });
+        let digest = n.holding_digest(1);
+        n.meta_dir = Some(meta.clone());
+        assert_eq!(n.handle(&install), internal());
+        assert_eq!(n.holding_digest(1), digest);
+        assert_eq!(
+            n.handle(&Request::Replicate {
+                term: 0,
+                shard: 1,
+                epoch: 3,
+                req_id: 1,
+                row: vec![7.0; width],
+            }),
+            Response::StaleEpochR { shard: 1, epoch: 0 }
+        );
+        // A node that held nothing of the shard still holds nothing.
+        let mut bare = ClusterNode::replica(1, cfg(), 8, 2, 2, false);
+        bare.meta_dir = Some(meta.clone());
+        assert_eq!(bare.handle(&install), internal());
+        assert_eq!(bare.holding_digest(1), None);
+        std::fs::remove_file(&meta).unwrap();
+    }
+
     #[test]
     fn ring_cluster_ingests_and_queries_through_fences() {
         let mut mem = Mem::ring();
@@ -1383,7 +1534,7 @@ mod tests {
         // Primary and standby copies of each shard are identical.
         for shard in 0..2 {
             let d: Vec<u64> = mem.nodes[1..]
-                .iter()
+                .iter_mut()
                 .filter_map(|n| n.holding_digest(shard))
                 .collect();
             assert_eq!(d.len(), 2);

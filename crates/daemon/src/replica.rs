@@ -11,6 +11,19 @@
 //! in-memory [`StreamSet`] or by a [`DurableStore`] (WAL + checkpoints),
 //! and keeps the applied-write-id set that makes ingest retries
 //! duplicate-safe (the PR 5 scheme).
+//!
+//! # A standby is a row log until it has to be a tree
+//!
+//! A primary applies each row as it acks it: it answers reads, and a
+//! durable store logs and freezes what its trees hold. A standby answers
+//! nothing until it is promoted, so `ReplicaNode::replicate` only
+//! checks a row, holds it, and acks; the held rows reach the trees
+//! through the blocked cascade ([`StreamSet::extend_rows`]) once the
+//! set's clock plus the held rows is a multiple of [`STANDBY_TILE`] —
+//! one aligned chunk, no scalar head — and before anything reads the
+//! trees. The second half is enforced by type: the trees live behind
+//! `Trees`, whose only ways in take `&mut self` and apply the held
+//! rows first, so no `&self` path can see a tree missing an acked row.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -22,24 +35,134 @@ use swat_tree::{
 };
 
 use crate::proto::{ErrorCode, Request, Response, WirePointAnswer};
+use trees::{Backing, Trees};
 
-/// Where a replica's stream state lives.
-// One Backing exists per shard held, so the size gap between the
-// variants (the tiered store carries flush-thread plumbing) is noise
-// next to the StreamSet both contain; boxing would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum Backing {
-    /// Volatile: fast, lost on exit.
-    Memory(StreamSet),
-    /// Durable: WAL + checkpoints under a directory; survives crashes.
-    Durable(DurableStore),
-}
+/// Rows per standby tile: a standby applies the rows it holds when the
+/// set's clock plus the held rows reaches a multiple of this, so each
+/// tile is one clock-aligned chunk of the blocked cascade. The knee of
+/// the aligned-tile cost curve (DESIGN §3.14); 512 bytes of buffer per
+/// stream.
+pub const STANDBY_TILE: usize = 64;
 
-impl Backing {
-    fn set(&self) -> &StreamSet {
-        match self {
-            Backing::Memory(s) => s,
-            Backing::Durable(d) => d.set(),
+mod trees {
+    //! A shard's trees and a standby's unapplied rows, behind one door.
+
+    use super::*;
+
+    /// Where a replica's stream state lives.
+    // One Backing exists per shard held, so the size gap between the
+    // variants (the tiered store carries flush-thread plumbing) is noise
+    // next to the StreamSet both contain; boxing would buy nothing.
+    #[allow(clippy::large_enum_variant)]
+    pub(in crate::replica) enum Backing {
+        /// Volatile: fast, lost on exit.
+        Memory(StreamSet),
+        /// Durable: WAL + checkpoints under a directory; survives crashes.
+        Durable(DurableStore),
+    }
+
+    /// The backing plus the rows a standby acked and has not applied.
+    /// Every accessor that reaches a tree applies those rows first.
+    pub(in crate::replica) struct Trees {
+        backing: Backing,
+        /// Held rows, row-major; reserved once at `STANDBY_TILE` rows.
+        held: Vec<f64>,
+        /// Rows in `held` (a zero-stream shard's rows are empty).
+        held_rows: usize,
+    }
+
+    impl Trees {
+        pub(in crate::replica) fn new(backing: Backing) -> Self {
+            Trees {
+                backing,
+                held: Vec::new(),
+                held_rows: 0,
+            }
+        }
+
+        /// The set as of its last applied row — private, so the clock
+        /// and the row check are all anything outside reads of it.
+        fn applied(&self) -> &StreamSet {
+            match &self.backing {
+                Backing::Memory(s) => s,
+                Backing::Durable(d) => d.set(),
+            }
+        }
+
+        /// Rows acked but not yet in the trees (at most
+        /// `STANDBY_TILE - 1` between calls).
+        #[cfg_attr(not(test), allow(dead_code))] // the tile tests read it
+        pub(in crate::replica) fn held_rows(&self) -> usize {
+            self.held_rows
+        }
+
+        /// Check `row` as [`StreamSet::try_push_row`] would and, if it
+        /// passes, hold it; apply the held rows once the set's clock plus
+        /// their count is a multiple of [`STANDBY_TILE`]. A refused row
+        /// changes nothing.
+        pub(in crate::replica) fn hold(&mut self, row: &[f64]) -> bool {
+            if self.applied().check_row(row).is_err() {
+                return false;
+            }
+            if self.held.capacity() == 0 {
+                self.held.reserve_exact(STANDBY_TILE * row.len());
+            }
+            self.held.extend_from_slice(row);
+            self.held_rows += 1;
+            let clock = self.applied().arrivals() + self.held_rows as u64;
+            if clock.is_multiple_of(STANDBY_TILE as u64) {
+                self.settle();
+            }
+            true
+        }
+
+        /// Apply the held rows: one blocked extend in memory, row by row
+        /// through a store (whose WAL logs rows one record each).
+        pub(in crate::replica) fn settle(&mut self) {
+            if self.held_rows == 0 {
+                return;
+            }
+            match &mut self.backing {
+                Backing::Memory(set) => set.extend_rows(&self.held),
+                Backing::Durable(store) => {
+                    let width = store.set().streams();
+                    for r in 0..self.held_rows {
+                        store
+                            .push_row(&self.held[r * width..(r + 1) * width])
+                            .expect("held rows were checked on receipt");
+                    }
+                }
+            }
+            self.held.clear();
+            self.held_rows = 0;
+        }
+
+        /// The trees, every acked row applied.
+        pub(in crate::replica) fn settled(&mut self) -> &StreamSet {
+            self.settle();
+            self.applied()
+        }
+
+        /// The backing, every acked row applied — for writes.
+        pub(in crate::replica) fn settled_mut(&mut self) -> &mut Backing {
+            self.settle();
+            &mut self.backing
+        }
+
+        /// The backing store's health (in-memory backings are always
+        /// healthy).
+        pub(in crate::replica) fn health(&self) -> crate::proto::WireStoreHealth {
+            match &self.backing {
+                Backing::Memory(_) => crate::proto::WireStoreHealth::Healthy,
+                Backing::Durable(d) => match d.health() {
+                    swat_store::StoreHealth::Healthy => crate::proto::WireStoreHealth::Healthy,
+                    swat_store::StoreHealth::Degraded { parked, .. } => {
+                        crate::proto::WireStoreHealth::Degraded {
+                            parked: parked.min(u32::MAX as usize) as u32,
+                        }
+                    }
+                },
+            }
         }
     }
 }
@@ -51,9 +174,10 @@ pub struct ReplicaNode {
     /// Global ids of the streams this shard owns, ascending; local
     /// index ↦ global id.
     members: Vec<usize>,
-    backing: Backing,
-    /// Write ids already applied; retries re-ack without re-applying.
+    trees: Trees,
+    /// Write ids already acked; retries re-ack without re-applying.
     applied: HashSet<u64>,
+    /// Rows acked (deduplicated), held ones included.
     arrivals: u64,
 }
 
@@ -67,7 +191,7 @@ impl ReplicaNode {
             node,
             shard,
             members,
-            backing: Backing::Memory(set),
+            trees: Trees::new(Backing::Memory(set)),
             applied: HashSet::new(),
             arrivals: 0,
         }
@@ -100,7 +224,7 @@ impl ReplicaNode {
             node,
             shard,
             members,
-            backing: Backing::Durable(store),
+            trees: Trees::new(Backing::Durable(store)),
             applied: HashSet::new(),
             arrivals,
         })
@@ -136,7 +260,7 @@ impl ReplicaNode {
             node,
             shard,
             members,
-            backing: Backing::Memory(set),
+            trees: Trees::new(Backing::Memory(set)),
             applied: applied.into_iter().collect(),
             arrivals,
         })
@@ -145,10 +269,10 @@ impl ReplicaNode {
     /// Export this replica's full shard state — `(arrivals, applied
     /// write ids ascending, snapshot bytes)` — the payload a leader
     /// ships to seed a standby.
-    pub fn export(&self) -> (u64, Vec<u64>, Vec<u8>) {
+    pub fn export(&mut self) -> (u64, Vec<u64>, Vec<u8>) {
         let mut applied: Vec<u64> = self.applied.iter().copied().collect();
         applied.sort_unstable();
-        (self.arrivals, applied, self.backing.set().snapshot())
+        (self.arrivals, applied, self.trees.settled().snapshot())
     }
 
     /// This node's id.
@@ -166,20 +290,26 @@ impl ReplicaNode {
         &self.members
     }
 
-    /// Rows applied (deduplicated).
+    /// Rows acked (deduplicated), a standby's held rows included.
     pub fn arrivals(&self) -> u64 {
         self.arrivals
     }
 
-    /// The underlying stream set (read-only).
-    pub fn set(&self) -> &StreamSet {
-        self.backing.set()
+    /// The underlying stream set, every acked row applied.
+    pub fn set(&mut self) -> &StreamSet {
+        self.trees.settled()
     }
 
-    /// Order-sensitive digest over the owned trees — the oracle
-    /// comparison hook.
-    pub fn answers_digest(&self) -> u64 {
-        self.backing.set().answers_digest()
+    /// Apply a standby's held rows now — what `Promote` does before the
+    /// holding answers anything.
+    pub(crate) fn settle(&mut self) {
+        self.trees.settle();
+    }
+
+    /// Order-sensitive digest over the owned trees, every acked row
+    /// applied — the oracle comparison hook.
+    pub fn answers_digest(&mut self) -> u64 {
+        self.trees.settled().answers_digest()
     }
 
     /// Force WAL + checkpoint to disk (durable backing only). Called by
@@ -189,7 +319,7 @@ impl ReplicaNode {
     ///
     /// Any [`StoreError`] from the checkpoint.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        match &mut self.backing {
+        match self.trees.settled_mut() {
             Backing::Memory(_) => Ok(()),
             Backing::Durable(d) => d.checkpoint(),
         }
@@ -199,17 +329,7 @@ impl ReplicaNode {
     /// the background snapshot flush is parked on a disk fault (in-memory
     /// backings are always healthy).
     pub fn store_health(&self) -> crate::proto::WireStoreHealth {
-        match &self.backing {
-            Backing::Memory(_) => crate::proto::WireStoreHealth::Healthy,
-            Backing::Durable(d) => match d.health() {
-                swat_store::StoreHealth::Healthy => crate::proto::WireStoreHealth::Healthy,
-                swat_store::StoreHealth::Degraded { parked, .. } => {
-                    crate::proto::WireStoreHealth::Degraded {
-                        parked: parked.min(u32::MAX as usize) as u32,
-                    }
-                }
-            },
-        }
+        self.trees.health()
     }
 
     /// The local index of global stream `g`, if this shard owns it.
@@ -236,7 +356,7 @@ impl ReplicaNode {
                 oldest,
             } => self.range(*stream, *center, *radius, *newest, *oldest),
             Request::LocalTopK { k } => {
-                let summary = local_top_k(self.backing.set(), &self.members, *k as usize);
+                let summary = local_top_k(self.trees.settled(), &self.members, *k as usize);
                 Response::LocalTopKR {
                     threshold: summary.threshold(),
                     truncated: summary.len() == *k as usize,
@@ -245,7 +365,7 @@ impl ReplicaNode {
             }
             Request::TopKScan { tau } => {
                 let mut entries = Vec::new();
-                for_each_root_coeff(self.backing.set(), &self.members, |c| {
+                for_each_root_coeff(self.trees.settled(), &self.members, |c| {
                     if c.weight() >= *tau {
                         entries.push(c);
                     }
@@ -281,7 +401,26 @@ impl ReplicaNode {
         }
     }
 
+    /// A primary's row: applied before it is acked.
     fn ingest(&mut self, req_id: u64, row: &[f64]) -> Response {
+        self.accept(req_id, |trees| match trees.settled_mut() {
+            Backing::Memory(set) => set.try_push_row(row).is_ok(),
+            Backing::Durable(store) => store.push_row(row).is_ok(),
+        })
+    }
+
+    /// A standby's row (`Replicate`): checked, held and acked; applied
+    /// with the tile it completes, or when something first reads the
+    /// trees. Nothing here allocates once the tile buffer is reserved.
+    pub(crate) fn replicate(&mut self, req_id: u64, row: &[f64]) -> Response {
+        self.accept(req_id, |trees| trees.hold(row))
+    }
+
+    /// The write-id discipline both row paths share: a known id re-acks
+    /// as a duplicate; otherwise `take` must accept the row, or it is the
+    /// sender's fault and nothing changed (the set's all-or-nothing row
+    /// check is the only validation).
+    fn accept(&mut self, req_id: u64, take: impl FnOnce(&mut Trees) -> bool) -> Response {
         if self.applied.contains(&req_id) {
             return Response::IngestOk {
                 req_id,
@@ -289,14 +428,7 @@ impl ReplicaNode {
                 failed_shards: Vec::new(),
             };
         }
-        // The set's own all-or-nothing row check is the only validation:
-        // a row of the wrong arity or with a non-finite value changes
-        // nothing and is the sender's fault.
-        let applied = match &mut self.backing {
-            Backing::Memory(set) => set.try_push_row(row).is_ok(),
-            Backing::Durable(store) => store.push_row(row).is_ok(),
-        };
-        if !applied {
+        if !take(&mut self.trees) {
             return Response::ErrorR {
                 code: ErrorCode::BadRequest,
             };
@@ -317,8 +449,8 @@ impl ReplicaNode {
             };
         };
         match self
-            .backing
-            .set()
+            .trees
+            .settled()
             .tree(local)
             .point_with(index as usize, QueryOptions::default())
         {
@@ -350,7 +482,7 @@ impl ReplicaNode {
             };
         }
         let query = RangeQuery::new(center, radius, newest as usize, oldest as usize);
-        match self.backing.set().tree(local).range_query(&query) {
+        match self.trees.settled().tree(local).range_query(&query) {
             Ok(matches) => Response::RangeR {
                 matches: matches.into_iter().map(Into::into).collect(),
             },
@@ -415,6 +547,79 @@ mod tests {
         ));
         assert_eq!(node.answers_digest(), digest, "duplicate must not re-apply");
         assert_eq!(node.arrivals(), 1);
+    }
+
+    /// `width` values of replicated row `r`.
+    fn row_of(r: usize, width: usize) -> Vec<f64> {
+        (0..width).map(|i| ((r * 5 + i * 3) % 13) as f64).collect()
+    }
+
+    fn acked(resp: Response, duplicate: bool) -> bool {
+        matches!(resp, Response::IngestOk { duplicate: d, .. } if d == duplicate)
+    }
+
+    #[test]
+    fn tiles_end_on_clock_multiples_of_the_tile() {
+        // A standby installed at clock 37 applies a short first tile at
+        // 64 and whole tiles from then on; it never holds 64 rows.
+        let mut source = ReplicaNode::new(1, cfg(), 8, 2, 1);
+        let width = source.members().len();
+        for r in 0..37 {
+            source.ingest(r as u64, &row_of(r, width));
+        }
+        let (arrivals, applied, snapshot) = source.export();
+        let mut node = ReplicaNode::install(2, 8, 2, 1, arrivals, applied, &snapshot).unwrap();
+        let mut held = Vec::new();
+        for r in 37..37 + 27 + 2 * STANDBY_TILE {
+            assert!(acked(node.replicate(r as u64, &row_of(r, width)), false));
+            held.push(node.trees.held_rows());
+        }
+        assert_eq!(held[25..28], [26, 0, 1]);
+        assert_eq!(held[27 + 62..27 + 65], [63, 0, 1]);
+        assert!(held.iter().all(|&h| h < STANDBY_TILE));
+        assert_eq!(node.arrivals(), 37 + 27 + 2 * STANDBY_TILE as u64);
+        for r in 37..37 + 27 + 2 * STANDBY_TILE {
+            source.ingest(r as u64, &row_of(r, width));
+        }
+        assert_eq!(node.answers_digest(), source.answers_digest());
+    }
+
+    #[test]
+    fn a_refused_replicated_row_changes_nothing() {
+        let mut node = ReplicaNode::new(1, cfg(), 8, 2, 1);
+        let width = node.members().len();
+        for r in 0..10 {
+            assert!(acked(node.replicate(r as u64, &row_of(r, width)), false));
+        }
+        let before = (
+            node.trees.held_rows(),
+            node.applied.clone(),
+            node.arrivals(),
+        );
+        assert_eq!(before.0, 10);
+        let mut nan = row_of(10, width);
+        nan[1] = f64::NAN;
+        for bad in [nan, vec![1.0; width + 1], Vec::new()] {
+            assert_eq!(
+                node.replicate(10, &bad),
+                Response::ErrorR {
+                    code: ErrorCode::BadRequest
+                }
+            );
+            let after = (
+                node.trees.held_rows(),
+                node.applied.clone(),
+                node.arrivals(),
+            );
+            assert_eq!(after, before);
+        }
+        let mut twin = StreamSet::new(cfg(), width);
+        for r in 0..10 {
+            twin.push_row(&row_of(r, width));
+        }
+        assert_eq!(node.answers_digest(), twin.answers_digest());
+        // The refused id was not consumed.
+        assert!(acked(node.replicate(10, &row_of(10, width)), false));
     }
 
     #[test]
@@ -515,7 +720,7 @@ mod tests {
             node: 1,
             shard: 0,
             members,
-            backing: Backing::Durable(store),
+            trees: Trees::new(Backing::Durable(store)),
             applied: HashSet::new(),
             arrivals: 0,
         };
@@ -553,7 +758,7 @@ mod tests {
         let arrivals = node.arrivals();
         node.checkpoint().unwrap();
         drop(node);
-        let back = ReplicaNode::durable(1, cfg(), 8, 2, 0, &dir).unwrap();
+        let mut back = ReplicaNode::durable(1, cfg(), 8, 2, 0, &dir).unwrap();
         assert_eq!(back.answers_digest(), digest);
         assert_eq!(back.arrivals(), arrivals);
         let _ = std::fs::remove_dir_all(&dir);

@@ -220,12 +220,17 @@ impl Sim {
     /// The answers digest of every holding of every node, node-major
     /// (`None` where a node holds nothing of a shard) — the
     /// state-equality hook for comparing two arms.
-    pub fn digests(&self) -> Vec<Option<u64>> {
+    pub fn digests(&mut self) -> Vec<Option<u64>> {
         let shards = self.nodes.len() - 1;
         self.nodes
-            .iter()
-            .flat_map(|n| (0..shards).map(|s| n.holding_digest(s)))
+            .iter_mut()
+            .flat_map(|n| (0..shards).map(move |s| n.holding_digest(s)))
             .collect()
+    }
+
+    /// [`ClusterNode::holding_digest`] of node `id`'s holding of `shard`.
+    pub fn holding_digest(&mut self, id: u64, shard: usize) -> Option<u64> {
+        self.nodes[id as usize].holding_digest(shard)
     }
 
     fn down(&self, id: u64) -> bool {
@@ -510,7 +515,7 @@ mod tests {
         // Final state bit-identical to the oracle.
         for s in 0..shards {
             assert_eq!(
-                cluster.node(s as u64 + 1).holding_digest(s),
+                cluster.holding_digest(s as u64 + 1, s),
                 Some(oracle_digest(streams, shards, s, 40, row))
             );
         }
@@ -571,7 +576,7 @@ mod tests {
         for shard in 0..shards {
             let p = sim.primary_of(shard).unwrap();
             assert_eq!(
-                sim.node(p).holding_digest(shard),
+                sim.holding_digest(p, shard),
                 Some(oracle_digest(streams, shards, shard, 25, row)),
                 "shard {shard} primary diverged from the oracle"
             );
@@ -610,7 +615,7 @@ mod tests {
         for shard in 0..shards {
             let p = sim.primary_of(shard).expect("every shard serves");
             assert_eq!(
-                sim.node(p).holding_digest(shard),
+                sim.holding_digest(p, shard),
                 Some(oracle_digest(streams, shards, shard, 30, row)),
                 "shard {shard} lost acked rows across the failover"
             );

@@ -225,29 +225,39 @@ proptest! {
         }
     }
 
-    /// ≈ 0.1 s for the 24 cases in a debug build (each runs both arms;
-    /// 3 000 cases, run once while this was written, take 12 s).
+    /// ≈ 0.3 s for the 24 cases in a debug build (each runs both arms;
+    /// 1 000 cases of the 160-row form, run once in release while it was
+    /// written, take 2 s).
     ///
     /// The client retries a row, one period between walks, until every
     /// shard acked it, and goes on to the next row only then — so a
     /// serving copy of a shard holds exactly the acked rows, in order.
+    /// A row acks in one period when nothing is lost, so the crash opens
+    /// near row `64 · lap + residue`: a killed primary's standby is
+    /// promoted holding anywhere from 0 to 63 rows it has not applied
+    /// (`STANDBY_TILE`), and a standby killed instead is re-seeded from
+    /// a clock in the middle of a tile.
+    ///
     /// One crash window cannot take the cluster down, and without drops
     /// every row must ack. Drops can add a second fault to it, and a shard
     /// that loses both its holders stays refused for good: unavailability,
-    /// never wrongness (2 of the 3 000 cases end that way, seed 842739
-    /// with drop 0.2 and node 0 down for periods 3..23 among them;
-    /// DESIGN.md §3.18 has the mechanism). The run ends at a row the client
-    /// gives up on, and that row alone may or may not be in a copy.
+    /// never wrongness (2 of 3 000 cases of the earlier 24-row form ended
+    /// that way, seed 842739 with drop 0.2 and node 0 down for periods
+    /// 3..23 among them; DESIGN.md §3.18 has the mechanism). The run ends
+    /// at a row the client gives up on, and that row alone may or may not
+    /// be in a copy.
     #[test]
     fn elections_over_a_lossy_network_lose_no_acked_row(
         seed in 0u64..1_000_000,
         drop in prop::sample::select(vec![0.0f64, 0.05, 0.2]),
         delay_hi in prop::sample::select(vec![0u64, 2, 6]),
         victim in 0usize..3,
-        from in 0u64..20,
+        residue in 0u64..64,
+        lap in 0u64..2,
         len in prop::sample::select(vec![3u64, 20, 1_000_000]),
     ) {
-        const ROWS: u64 = 24;
+        const ROWS: u64 = 160;
+        let from = 64 * lap + residue;
         let streams = 6;
         let plan = lossy(seed, drop, delay_hi)
             .with_crash_any(NodeId(victim), from * Sim::PERIOD, (from + len) * Sim::PERIOD)
@@ -279,8 +289,8 @@ proptest! {
             }
             (seen, acked, sim)
         };
-        let (wire_seen, acked, wire) = run(SimMode::Wire);
-        let (model_seen, model_acked, model) = run(SimMode::Model);
+        let (wire_seen, acked, mut wire) = run(SimMode::Wire);
+        let (model_seen, model_acked, mut model) = run(SimMode::Model);
         prop_assert_eq!(wire_seen, model_seen);
         prop_assert_eq!(acked, model_acked);
         prop_assert_eq!(wire.digests(), model.digests());
@@ -304,7 +314,7 @@ proptest! {
             }
             // Whoever the newest live leader would route this shard to.
             if let Some(primary) = wire.primary_of(shard) {
-                let got = wire.node(primary).holding_digest(shard).expect("a primary holds its shard");
+                let got = wire.holding_digest(primary, shard).expect("a primary holds its shard");
                 prop_assert!(
                     allowed.contains(&got),
                     "shard {} on node {}: {} acked rows are not what it holds",
@@ -365,7 +375,7 @@ fn failover_schedule(victim: u64, kill_tick: u64, rows: usize) {
             want.push_row(&map.subrow(&row(r), s));
         }
         assert_eq!(
-            sim.node(primary).holding_digest(s),
+            sim.holding_digest(primary, s),
             Some(want.answers_digest()),
             "shard {s} digest diverged after killing node {victim}"
         );
@@ -402,8 +412,12 @@ fn leader_kill_schedules_preserve_the_acked_prefix() {
 #[test]
 fn primary_kill_schedules_promote_the_standby() {
     // Kill each replica in turn mid-run: its shard's standby must be
-    // promoted under a bumped epoch with no acked row lost.
+    // promoted under a bumped epoch with no acked row lost — early, when
+    // the standby has applied nothing, and at clock residues past one
+    // and two whole tiles.
     for victim in [1u64, 2] {
-        failover_schedule(victim, 7, 24);
+        for kill_tick in [7, 64 + 37, 128] {
+            failover_schedule(victim, kill_tick, 150);
+        }
     }
 }

@@ -81,6 +81,36 @@ impl StreamSet {
         &self.trees[i]
     }
 
+    /// Rows ingested so far — the clock every stream shares (0 for a set
+    /// with no streams).
+    pub fn arrivals(&self) -> u64 {
+        self.trees.first().map_or(0, SwatTree::arrivals)
+    }
+
+    /// The validation [`Self::try_push_row`] applies, without the push:
+    /// `Ok` exactly when that call would accept `row`. For callers that
+    /// accept a row now and apply it later (a standby's tile).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::try_push_row`].
+    pub fn check_row(&self, row: &[f64]) -> Result<(), TreeError> {
+        if row.len() != self.trees.len() {
+            return Err(TreeError::RowArity {
+                got: row.len(),
+                want: self.trees.len(),
+            });
+        }
+        if !row.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            let stream = row
+                .iter()
+                .position(|v| !v.is_finite())
+                .expect("the reduction found a non-finite value");
+            return Err(TreeError::NonFiniteInRow { stream });
+        }
+        Ok(())
+    }
+
     /// Feed one synchronized row: `row[i]` goes to stream `i`.
     ///
     /// # Panics
@@ -105,19 +135,7 @@ impl StreamSet {
     /// [`TreeError::NonFiniteInRow`] naming the first stream whose value
     /// is NaN or infinite.
     pub fn try_push_row(&mut self, row: &[f64]) -> Result<(), TreeError> {
-        if row.len() != self.trees.len() {
-            return Err(TreeError::RowArity {
-                got: row.len(),
-                want: self.trees.len(),
-            });
-        }
-        if !row.iter().fold(true, |ok, v| ok & v.is_finite()) {
-            let stream = row
-                .iter()
-                .position(|v| !v.is_finite())
-                .expect("the reduction found a non-finite value");
-            return Err(TreeError::NonFiniteInRow { stream });
-        }
+        self.check_row(row)?;
         let k = self.config.coefficients();
         for (tree, &v) in self.trees.iter_mut().zip(row) {
             tree.push_one(v, k);

@@ -8,9 +8,10 @@
 # worktree is registered, nothing to prune afterwards), then runs
 #   benchmark/run.sh --workload W --seed S --seconds 20 --trace 0
 # on both sides with a fresh seed per pair, alternating which side goes
-# first. Per run it prints `failed`/`correct` and the `max` of the
-# `ingest:` line of stderr (`push_row:` on lib-store) — the slowest acked
-# row; at the end, per end-to-end
+# first. Per run it prints `failed`/`correct`/`attempted` and the
+# `ingest:` line of stderr (`push_row:` on lib-store) — rows acked, the
+# per-chunk rate median, p99 median and the slowest acked row; at the
+# end, per end-to-end
 # metric of BENCHMARK.json, each side's median and quartiles and the pairs
 # the tree won (ties count for neither). It only calls the benchmark;
 # every result line is kept in target/bench-pairs/<side>.jsonl.
@@ -51,12 +52,13 @@ run_side() {
             exit 1
             ;;
     esac
-    local failed correct slowest
+    local failed correct attempted chunks
     failed=$(sed -n 's/.*"failed": \([0-9]*\).*/\1/p' <<<"$line")
     correct=$(sed -n 's/.*"correct": \([a-z]*\).*/\1/p' <<<"$line")
-    slowest=$(sed -n 's/^ *\(ingest\|push_row\):.* max \([0-9.]*\) us.*/\2/p' "$work/err" | head -n 1)
-    printf '  %-6s failed %s correct %s slowest ingest %s us\n' \
-        "$side" "$failed" "$correct" "${slowest:-?}"
+    attempted=$(sed -n 's/.*"attempted": \([0-9]*\).*/\1/p' <<<"$line")
+    chunks=$(sed -n 's/^ *\(ingest\|push_row\): //p' "$work/err" | head -n 1)
+    printf '  %-6s failed %s correct %s attempted %s; %s\n' \
+        "$side" "$failed" "$correct" "$attempted" "${chunks:-?}"
 }
 
 # The value of metric $2 on every line of file $1, one per line.

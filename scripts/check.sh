@@ -133,11 +133,15 @@ ROWS=(
     # buffered transport, the coalesced fan-out and its scripted-peer
     # failure cases, the driver's loops over the scripted fabric and in the
     # simulator, the raw-socket connection-worker tests and the 2 000-row
-    # ring run of tcp_cluster; then the freezing push_row under the
-    # counting allocator and extend_rows against the push_row loop.
-    "fan-out and freeze"
-    "cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: &&
-     cargo test --release -q -p swat-daemon --test sim_oracle &&
+    # ring run of tcp_cluster; a standby's clock-aligned tiles — promoted
+    # at every residue mod 64 against a row-by-row twin, duplicates and
+    # refused rows inside a tile, the unpersisted-promote/install
+    # rollbacks — and its Replicate path under the counting allocator;
+    # then the freezing push_row under the counting allocator and
+    # extend_rows against the push_row loop.
+    "fan-out standby freeze"
+    "cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: replica:: node:: &&
+     cargo test --release -q -p swat-daemon --test sim_oracle --test standby_equivalence --test standby_alloc &&
      cargo test --release -q -p swat-daemon --test tcp_cluster &&
      cargo test --release -q -p swat-store --test freeze_alloc &&
      cargo test --release -q -p swat-tree --test ingest_equivalence extend_rows"
