@@ -337,6 +337,12 @@ impl ClusterNode {
         }
     }
 
+    /// Whether a primary of this node is its shard's only holder: no
+    /// standby is configured (legacy mode, standbys off, or one shard).
+    fn sole_holder(&self) -> bool {
+        !self.standbys || self.shards < 2
+    }
+
     /// Persist the current term/leader/epochs, when durably backed.
     fn persist_meta(&self) -> Result<(), swat_store::StoreError> {
         let Some(dir) = &self.meta_dir else {
@@ -478,6 +484,7 @@ impl ClusterNode {
                 if let Err(r) = self.fence_epoch(shard, *epoch) {
                     return r;
                 }
+                let sole = self.sole_holder();
                 // invariant: fence_epoch verified the holding exists.
                 let h = self.holdings.get_mut(&shard).expect("holding checked");
                 if !h.primary {
@@ -487,7 +494,23 @@ impl ClusterNode {
                         code: ErrorCode::WrongRole,
                     };
                 }
-                h.rep.handle(inner)
+                let resp = h.rep.handle(inner);
+                // With no standby, the WAL is the row's only copy beyond
+                // this process: it reaches the kernel before the ack
+                // leaves (DESIGN §3.14).
+                let logged = matches!(
+                    resp,
+                    Response::IngestOk {
+                        duplicate: false,
+                        ..
+                    }
+                );
+                if sole && logged && h.rep.flush_log().is_err() {
+                    return Response::ErrorR {
+                        code: ErrorCode::Internal,
+                    };
+                }
+                resp
             }
             Request::NewTerm { term, leader } => {
                 if *term <= self.term || *leader != term_owner(self.nodes, *term) {
@@ -528,7 +551,7 @@ impl ClusterNode {
                         code: ErrorCode::WrongRole,
                     };
                 }
-                h.rep.replicate(*req_id, row)
+                h.rep.ingest(*req_id, row)
             }
             Request::FetchShard { term, shard } => {
                 if let Err(r) = self.fence_term(*term, term_owner(self.nodes, *term)) {
@@ -627,9 +650,6 @@ impl ClusterNode {
                         epoch: h.epoch,
                     };
                 }
-                // A primary answers reads: a standby's held rows are
-                // applied before it becomes one.
-                h.rep.settle();
                 let was = (h.epoch, h.primary);
                 h.epoch = *epoch;
                 h.primary = true;

@@ -235,8 +235,8 @@ proptest! {
     /// A row acks in one period when nothing is lost, so the crash opens
     /// near row `64 · lap + residue`: a killed primary's standby is
     /// promoted holding anywhere from 0 to 63 rows it has not applied
-    /// (`STANDBY_TILE`), and a standby killed instead is re-seeded from
-    /// a clock in the middle of a tile.
+    /// (`ROW_TILE`), and a standby killed instead is re-seeded from a
+    /// primary holding a partial tile.
     ///
     /// One crash window cannot take the cluster down, and without drops
     /// every row must ack. Drops can add a second fault to it, and a shard

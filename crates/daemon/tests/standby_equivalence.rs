@@ -1,12 +1,19 @@
-//! A standby holds replicated rows and applies them in clock-aligned
-//! tiles (`STANDBY_TILE`); a primary applies each row as it acks it.
-//! Promotion must make the difference invisible: a standby fed any
-//! number of rows — from a fresh set or from an installation at an
-//! unaligned clock — then promoted and fed more rows as a primary,
-//! answers bit-identically to a twin that was a primary all along.
+//! Every holding — standby or primary, in memory or durable — holds the
+//! rows it acks and applies them in clock-aligned tiles (`ROW_TILE`),
+//! and before anything reads its trees. That must be invisible:
+//!
+//! * a standby fed any number of rows — from a fresh set or from an
+//!   installation at an unaligned clock — then promoted and fed more rows
+//!   as a primary, answers bit-identically to a twin that was a primary
+//!   all along;
+//! * a primary read at any residue of its clock mod 64, fed more rows,
+//!   then exported and installed elsewhere, answers — on both nodes —
+//!   byte for byte as trees built one `push_row` at a time.
+
+use std::path::PathBuf;
 
 use swat_daemon::{encode_response, ClusterNode, Request, Response};
-use swat_tree::SwatConfig;
+use swat_tree::{StreamSet, SwatConfig};
 
 const STREAMS: usize = 10;
 const SHARDS: usize = 2;
@@ -19,18 +26,25 @@ fn row(r: u64, width: usize) -> Vec<f64> {
         .collect()
 }
 
-fn ingest(node: &mut ClusterNode, epoch: u64, req_id: u64) -> Response {
-    let width = node.shard_members_of(SHARD as usize).len();
-    node.handle(&Request::Fenced {
+fn fenced(epoch: u64, inner: Request) -> Request {
+    Request::Fenced {
         term: 0,
         leader: 0,
         shard: SHARD,
         epoch,
-        inner: Box::new(Request::Ingest {
+        inner: Box::new(inner),
+    }
+}
+
+fn ingest(node: &mut ClusterNode, epoch: u64, req_id: u64) -> Response {
+    let width = node.shard_members_of(SHARD as usize).len();
+    node.handle(&fenced(
+        epoch,
+        Request::Ingest {
             req_id,
             row: row(req_id, width),
-        }),
-    })
+        },
+    ))
 }
 
 fn replicate(node: &mut ClusterNode, epoch: u64, req_id: u64, row: Vec<f64>) -> Response {
@@ -47,25 +61,56 @@ fn acked(resp: &Response, duplicate: bool) -> bool {
     matches!(resp, Response::IngestOk { duplicate: d, .. } if *d == duplicate)
 }
 
-/// Every point answer the shard's primary gives, as encoded bytes:
-/// each member stream at each window index (typed errors included).
+/// Every answer the shard's primary gives, as encoded bytes: each
+/// member stream at each window index (typed errors included), then the
+/// shard's local top-3.
 fn answers(node: &mut ClusterNode, epoch: u64, window: usize) -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for g in node.shard_members_of(SHARD as usize) {
         for index in 0..window as u32 {
-            out.push(encode_response(&node.handle(&Request::Fenced {
-                term: 0,
-                leader: 0,
-                shard: SHARD,
-                epoch,
-                inner: Box::new(Request::Point {
-                    stream: g as u64,
-                    index,
-                }),
-            })));
+            let point = Request::Point {
+                stream: g as u64,
+                index,
+            };
+            out.push(encode_response(&node.handle(&fenced(epoch, point))));
         }
     }
+    let top = fenced(epoch, Request::LocalTopK { k: 3 });
+    out.push(encode_response(&node.handle(&top)));
     out
+}
+
+/// Install `snapshot` as node 1's holding of the shard at epoch 1 and
+/// promote it there.
+fn install(config: SwatConfig, arrivals: u64, applied: Vec<u64>, snapshot: Vec<u8>) -> ClusterNode {
+    let mut node = ClusterNode::replica(1, config, STREAMS, SHARDS, 2, false);
+    let installed = node.handle(&Request::InstallShard {
+        term: 0,
+        shard: SHARD,
+        epoch: 1,
+        arrivals,
+        applied,
+        snapshot,
+    });
+    let promoted = node.handle(&Request::Promote {
+        term: 0,
+        shard: SHARD,
+        epoch: 1,
+    });
+    let ack = Response::EpochAck {
+        shard: SHARD,
+        epoch: 1,
+    };
+    assert_eq!((&installed, &promoted), (&ack, &ack));
+    node
+}
+
+/// A primary serving `set`'s trees as they are — built row by row, and
+/// holding nothing: the oracle, answering through the shipped handlers
+/// at epoch 1.
+fn oracle(config: SwatConfig, set: &StreamSet) -> ClusterNode {
+    let arrivals = set.arrivals();
+    install(config, arrivals, (0..arrivals).collect(), set.snapshot())
 }
 
 /// Feed a standby `k` rows by `Replicate` — a ring standby from clock 0,
@@ -198,4 +243,90 @@ fn a_duplicate_inside_an_unflushed_tile_is_applied_once() {
         twin.holding_digest(SHARD as usize)
     );
     assert_eq!(answers(&mut standby, 1, 16), answers(&mut twin, 0, 16));
+}
+
+/// Feed shard 1's primary (node 2, in memory or durable under `dir`) `k`
+/// rows, read it once, feed it 100 more, export it to node 1 and compare
+/// both with the row-by-row twin.
+fn primary_against_rows(config: SwatConfig, dir: Option<PathBuf>, k: u64) {
+    let window = config.window();
+    let ctx = format!("window {window} durable {} k {k}", dir.is_some());
+    let mut node = match &dir {
+        None => ClusterNode::replica(2, config, STREAMS, SHARDS, 2, false),
+        Some(dir) => {
+            let _ = std::fs::remove_dir_all(dir);
+            ClusterNode::durable_replica(2, config, STREAMS, SHARDS, 2, false, dir.clone())
+                .expect("a fresh directory takes a store")
+        }
+    };
+    let members = node.shard_members_of(SHARD as usize);
+    let mut twin = StreamSet::new(config, members.len());
+    let feed = |node: &mut ClusterNode, twin: &mut StreamSet, rows: std::ops::Range<u64>| {
+        for r in rows {
+            assert!(acked(&ingest(node, 0, r), false), "{ctx}: row {r}");
+            twin.push_row(&row(r, members.len()));
+        }
+    };
+    feed(&mut node, &mut twin, 0..k);
+    // One read with k mod 64 rows held: the tile settles partway.
+    let read = if k.is_multiple_of(2) {
+        Request::Point {
+            stream: members[k as usize % members.len()] as u64,
+            index: (k as usize % window) as u32,
+        }
+    } else {
+        Request::LocalTopK { k: 3 }
+    };
+    assert_eq!(
+        encode_response(&node.handle(&fenced(0, read.clone()))),
+        encode_response(&oracle(config, &twin).handle(&fenced(1, read))),
+        "{ctx}: the read"
+    );
+    // Tiles after an unaligned settle, then the export/install round trip.
+    feed(&mut node, &mut twin, k..k + 100);
+    let Response::ShardStateR {
+        arrivals,
+        applied,
+        snapshot,
+        ..
+    } = node.handle(&Request::FetchShard {
+        term: 0,
+        shard: SHARD,
+    })
+    else {
+        panic!("{ctx}: the primary exports its shard");
+    };
+    assert_eq!(arrivals, k + 100, "{ctx}");
+    let mut joiner = install(config, arrivals, applied, snapshot);
+    let want = Some(twin.answers_digest());
+    assert_eq!(node.holding_digest(SHARD as usize), want, "{ctx}");
+    assert_eq!(joiner.holding_digest(SHARD as usize), want, "{ctx}");
+    let want = answers(&mut oracle(config, &twin), 1, window);
+    assert!(
+        answers(&mut node, 0, window) == want,
+        "{ctx}: primary answers differ"
+    );
+    assert!(
+        answers(&mut joiner, 1, window) == want,
+        "{ctx}: installed answers differ"
+    );
+    drop(node);
+    if let Some(dir) = dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn a_primary_holding_a_tile_answers_like_rows_pushed_one_by_one() {
+    // Every residue of the clock mod 64 at the read, more than two tiles
+    // deep; windows shorter and longer than a tile; both backings.
+    let base = std::env::temp_dir().join(format!("swat-primary-tile-{}", std::process::id()));
+    for window in [16, 128] {
+        let config = SwatConfig::with_coefficients(window, 4).expect("static config");
+        for k in 0..=130 {
+            primary_against_rows(config, None, k);
+            primary_against_rows(config, Some(base.join(format!("{window}-{k}"))), k);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -234,7 +234,7 @@ fn four_node_cluster_survives_a_killed_replica_and_drains_cleanly() {
         let sub: Vec<f64> = members0.iter().map(|&g| row(r)[g]).collect();
         want_set.push_row(&sub);
     }
-    assert_eq!(store.set().answers_digest(), want_set.answers_digest());
+    assert_eq!(store.answers_digest(), want_set.answers_digest());
     let _ = std::fs::remove_dir_all(&base);
 }
 

@@ -14,8 +14,10 @@
 //! ```
 //!
 //! [`DurableStore::push_row`] appends a checksummed record to the live
-//! WAL (buffered) and applies the row to the in-memory trees: the WAL is
-//! the only copy of a row the store ever makes. Every `freeze_rows`
+//! WAL (buffered) and holds the row for the in-memory trees, which take
+//! held rows one clock-aligned 64-row tile at a time and before anything
+//! reads them: the WAL is the only copy of a row the store ever makes,
+//! and the trees lag it by at most 63 rows. Every `freeze_rows`
 //! arrivals the generation is *frozen*: the WAL rolls and the ingest
 //! thread encodes the live set's snapshot — the `3 log N − 2` summaries
 //! per stream that *are* the stream's past — into a buffer the flusher
@@ -46,7 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use swat_tree::{StreamSet, SwatConfig, TreeError};
+use swat_tree::{StreamSet, SwatConfig, TiledSet, TreeError};
 
 use crate::error::StoreError;
 use crate::fault::IoFaults;
@@ -184,7 +186,8 @@ enum Job {
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
-    set: StreamSet,
+    /// The trees and the logged rows they have not taken yet.
+    tiles: TiledSet,
     opts: StoreOptions,
     wal: WalWriter,
     /// Clock of the last freeze (the live generation's first arrival,
@@ -254,9 +257,9 @@ impl DurableStore {
         manifest: Manifest,
         opts: StoreOptions,
     ) -> Result<DurableStore, StoreError> {
-        let base = set.tree(0).arrivals();
+        let base = set.arrivals();
         debug_assert_eq!(manifest.covered_t, base);
-        let wal = open_wal(&dir, &set, base, &opts.wal_faults)?;
+        let wal = open_wal(&dir, set.config(), set.streams(), base, &opts.wal_faults)?;
         let shared: SharedView = Arc::new(Mutex::new(Shared {
             manifest,
             flush_error: None,
@@ -281,7 +284,7 @@ impl DurableStore {
             .map_err(StoreError::io("spawn flush thread"))?;
         Ok(DurableStore {
             dir,
-            set,
+            tiles: TiledSet::new(set),
             opts,
             wal,
             wal_base: base,
@@ -300,20 +303,23 @@ impl DurableStore {
         self.shared.lock().expect("flush thread panicked")
     }
 
-    /// Ingest one synchronized row: the in-memory trees take it and a
-    /// checksummed WAL record is buffered, both before this returns and
-    /// neither before the whole row has validated (the trees' own
-    /// all-or-nothing check is the only scan of the row). Never blocks on
-    /// disk — call [`sync`](Self::sync) for the durability
-    /// acknowledgment. The only errors are row validation; I/O trouble
-    /// surfaces at `sync`.
+    /// Ingest one synchronized row: once the whole row has validated (the
+    /// tile's all-or-nothing check is the only scan of it), the trees'
+    /// tile holds it and a checksummed WAL record is buffered. The held
+    /// rows reach the trees one clock-aligned [`swat_tree::ROW_TILE`] at
+    /// a time, and before anything reads them ([`Self::set`],
+    /// [`Self::freeze`]); the tile a row completes is applied before its
+    /// record is encoded, which moves no byte and no I/O step of the WAL.
+    /// Never blocks on disk — call [`sync`](Self::sync) for the
+    /// durability acknowledgment. The only errors are row validation; I/O
+    /// trouble surfaces at `sync`.
     pub fn push_row(&mut self, row: &[f64]) -> Result<(), StoreError> {
-        if let Err(e) = self.set.try_push_row(row) {
+        if let Err(e) = self.tiles.hold(row) {
             return Err(match e {
                 TreeError::NonFiniteInRow { stream } => StoreError::BadValue { stream },
                 _ => StoreError::BadRow {
                     got: row.len(),
-                    want: self.set.streams(),
+                    want: self.tiles.streams(),
                 },
             });
         }
@@ -324,14 +330,15 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Freeze the active generation: roll the WAL to a fresh generation
-    /// and leave the live set's snapshot for the background flusher.
-    /// Does not wait for the flush, does not `fsync` anything, and — once
-    /// a flushed buffer has come back — allocates nothing that grows
-    /// with the streams or the rows. No-op when the active generation is
-    /// empty.
+    /// Freeze the active generation: apply the held rows, roll the WAL to
+    /// a fresh generation and leave the live set's snapshot for the
+    /// background flusher — so a snapshot holds exactly the rows its WAL
+    /// generations hold. Does not wait for the flush, does not `fsync`
+    /// anything, and — once a flushed buffer has come back — allocates
+    /// nothing that grows with the streams or the rows. No-op when the
+    /// active generation is empty.
     pub fn freeze(&mut self) {
-        let end = self.set.tree(0).arrivals();
+        let end = self.tiles.settled().arrivals();
         if end == self.wal_base {
             return;
         }
@@ -339,7 +346,8 @@ impl DurableStore {
         // later fsync covers them; a failure is already recorded in the
         // writer and the rows still reach durability as state.
         let _ = self.wal.flush();
-        match open_wal(&self.dir, &self.set, end, &self.opts.wal_faults) {
+        let (config, streams) = (self.tiles.config(), self.tiles.streams());
+        match open_wal(&self.dir, config, streams, end, &self.opts.wal_faults) {
             Ok(next) => {
                 let old = std::mem::replace(&mut self.wal, next);
                 if old.broken.is_none() {
@@ -369,7 +377,7 @@ impl DurableStore {
             (bytes, s.manifest.covered_t)
         };
         self.drop_covered(covered);
-        segment::encode_into(&mut bytes, &self.set);
+        segment::encode_into(&mut bytes, self.tiles.settled());
         {
             let mut s = self.shared();
             s.freezes += 1;
@@ -424,7 +432,7 @@ impl DurableStore {
                 }
             }
             Err(e) => {
-                if covered >= self.set.tree(0).arrivals() {
+                if covered >= self.tiles.arrivals() {
                     // Everything acked is in an fsynced snapshot; the
                     // broken WAL generation no longer guards any data.
                     self.sealed.clear();
@@ -435,6 +443,13 @@ impl DurableStore {
                 }
             }
         }
+    }
+
+    /// Hand the buffered WAL records to the kernel — a `write`, not an
+    /// `fsync`: when this returns `Ok`, every row pushed so far survives
+    /// a kill of the process, though not of the host.
+    pub fn flush(&mut self) -> Result<(), StoreError> {
+        self.wal.flush()
     }
 
     fn sync_wal(&mut self) -> Result<(), StoreError> {
@@ -488,7 +503,7 @@ impl DurableStore {
             StoreHealth::Healthy
         };
         TierStatus {
-            arrivals: self.set.tree(0).arrivals(),
+            arrivals: self.tiles.arrivals(),
             covered_t: s.manifest.covered_t,
             segments: s.manifest.entries.len(),
             flushes: s.flushes,
@@ -502,9 +517,9 @@ impl DurableStore {
         self.status().health
     }
 
-    /// The summarized streams.
-    pub fn set(&self) -> &StreamSet {
-        &self.set
+    /// The summarized streams, every pushed row applied.
+    pub fn set(&mut self) -> &StreamSet {
+        self.tiles.settled()
     }
 
     /// The store directory.
@@ -512,20 +527,22 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Arrivals ingested per stream (the durable clock).
+    /// Arrivals ingested per stream (the durable clock), held rows
+    /// included.
     pub fn arrivals(&self) -> u64 {
-        self.set.tree(0).arrivals()
+        self.tiles.arrivals()
     }
 
     /// Rows in the active (not yet frozen) generation.
     pub fn rows_since_freeze(&self) -> u64 {
-        self.set.tree(0).arrivals() - self.wal_base
+        self.tiles.arrivals() - self.wal_base
     }
 
-    /// The answers-identity digest of the underlying [`StreamSet`] — the
-    /// witness that recovery was bit-identical.
+    /// The answers-identity digest of the underlying [`StreamSet`] with
+    /// every pushed row applied — the witness that recovery was
+    /// bit-identical.
     pub fn answers_digest(&self) -> u64 {
-        self.set.answers_digest()
+        self.tiles.answers_digest()
     }
 
     /// Simulate a process kill: unflushed WAL buffer lost, both fault
@@ -629,7 +646,8 @@ fn degraded_io(msg: &str) -> StoreError {
 /// header becomes durable with the first [`DurableStore::sync`].
 fn open_wal(
     dir: &Path,
-    set: &StreamSet,
+    config: &SwatConfig,
+    streams: usize,
     base: u64,
     faults: &Arc<IoFaults>,
 ) -> Result<WalWriter, StoreError> {
@@ -642,7 +660,7 @@ fn open_wal(
         .map_err(StoreError::io("open WAL"))?;
     Ok(WalWriter {
         file,
-        buf: WalHeader::describe(set.config(), set.streams(), base).encode(),
+        buf: WalHeader::describe(config, streams, base).encode(),
         faults: faults.clone(),
         broken: None,
     })
@@ -706,8 +724,13 @@ impl Flusher {
                 return;
             };
             match self.flush_one(job.end_t, &job.bytes) {
-                Ok(()) => {
+                Ok((next, retired)) => {
+                    // One critical section: a status() that sees the new
+                    // commit point also sees the fault it cleared.
                     let mut s = self.shared();
+                    s.manifest = next;
+                    s.flushes += 1;
+                    s.compactions += u64::from(retired > 0);
                     s.covered_freezes = job.ordinal;
                     s.flush_error = None;
                     s.spare.get_or_insert(job.bytes);
@@ -722,18 +745,16 @@ impl Flusher {
     }
 
     /// Segment, then manifest, then retention: a fault at any step leaves
-    /// the previous commit point and everything it needs in place.
-    fn flush_one(&self, end_t: u64, bytes: &[u8]) -> Result<(), StoreError> {
+    /// the previous commit point and everything it needs in place. Returns
+    /// the committed manifest and how many files retention retired, for
+    /// the caller to publish.
+    fn flush_one(&self, end_t: u64, bytes: &[u8]) -> Result<(Manifest, usize), StoreError> {
         let next = self.shared().manifest.advanced_to(end_t);
         let name = segment::segment_name(end_t, end_t);
         io::write_atomic(&self.faults, &self.dir, &name, bytes, "write segment")?;
         manifest::commit(&self.faults, &self.dir, &next)?;
         let retired = manifest::retire(&self.dir, &next);
-        let mut s = self.shared();
-        s.manifest = next;
-        s.flushes += 1;
-        s.compactions += u64::from(retired > 0);
-        Ok(())
+        Ok((next, retired))
     }
 }
 
@@ -902,6 +923,91 @@ mod tests {
         // Both freezes' rows are still in the WAL: nothing to fall back
         // on but the bootstrap, so nothing may be pruned yet.
         assert!(dir.join(wal_name(0)).exists() && dir.join(wal_name(8)).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Row `i` of three streams.
+    fn row3(i: u64) -> [f64; 3] {
+        let x = i as f64;
+        [(x * 0.37).sin() * 5.0, x, (i % 7) as f64 - 3.0]
+    }
+
+    #[test]
+    fn a_crash_at_every_tile_residue_recovers_the_synced_prefix() {
+        let mut twin = StreamSet::new(config(), 3);
+        for n in 0..=130u64 {
+            let dir = tmp(&format!("residue-{n}"));
+            let mut store = DurableStore::create(&dir, config(), 3).unwrap();
+            for i in 0..n {
+                store.push_row(&row3(i)).unwrap();
+            }
+            assert_eq!(store.tiles.held_rows() as u64, n % 64);
+            store.sync().unwrap();
+            store.crash();
+            let (recovered, report) = crate::RecoveryManager::recover(&dir).unwrap();
+            assert_eq!(report.recovered_arrivals, n);
+            assert_eq!(recovered.answers_digest(), twin.answers_digest(), "n = {n}");
+            drop(recovered);
+            let _ = fs::remove_dir_all(&dir);
+            twin.push_row(&row3(n));
+        }
+    }
+
+    #[test]
+    fn a_freeze_with_rows_held_snapshots_the_row_by_row_trees() {
+        // At 8 rows a generation every freeze settles a partial tile; at
+        // 100 the freezes land 36, 8 and 44 rows into a tile.
+        for freeze_rows in [8, 100] {
+            let dir = tmp(&format!("held-freeze-{freeze_rows}"));
+            let opts = StoreOptions {
+                freeze_rows,
+                ..small_opts()
+            };
+            let mut store = DurableStore::create_with(&dir, config(), 3, opts).unwrap();
+            let mut twin = StreamSet::new(config(), 3);
+            let mut frozen = 0;
+            for t in 1..=300 {
+                store.push_row(&row3(t - 1)).unwrap();
+                twin.push_row(&row3(t - 1));
+                if store.rows_since_freeze() > 0 {
+                    continue;
+                }
+                store.settle();
+                let name = segment::segment_name(t, t);
+                let bytes = fs::read(dir.join(&name)).unwrap();
+                let snapshot = segment::decode(&name, &bytes, t).unwrap();
+                assert_eq!(
+                    snapshot.answers_digest(),
+                    twin.answers_digest(),
+                    "freeze_rows {freeze_rows}, t = {t}"
+                );
+                frozen += 1;
+            }
+            assert_eq!(frozen, 300 / freeze_rows);
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn answers_digest_counts_held_rows_without_applying_them() {
+        let dir = tmp("held-digest");
+        let mut store = DurableStore::create(&dir, config(), 3).unwrap();
+        let mut twin = StreamSet::new(config(), 3);
+        for t in 1..=64 + 63 {
+            store.push_row(&row3(t - 1)).unwrap();
+            twin.push_row(&row3(t - 1));
+            let held = store.tiles.held_rows();
+            assert_eq!(held as u64, t % 64);
+            assert_eq!(store.answers_digest(), twin.answers_digest(), "{held} held");
+            assert_eq!(
+                store.tiles.held_rows(),
+                held,
+                "a &self digest applies nothing"
+            );
+            assert_eq!((store.arrivals(), store.status().arrivals), (t, t));
+        }
+        drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
 

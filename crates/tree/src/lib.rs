@@ -98,7 +98,7 @@ pub use exact::ExactWindow;
 pub use explain::{PlanStep, QueryPlan};
 pub use growing::GrowingSwat;
 pub use ingest::IngestScratch;
-pub use multi::StreamSet;
+pub use multi::{StreamSet, TiledSet, ROW_TILE};
 pub use node::Summary;
 pub use query::{
     InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions, RangeMatch, RangeQuery,

@@ -24,6 +24,13 @@ use crate::tree::{digest, SwatTree};
 /// is gathered out of it.
 const TILE_ROWS: usize = 256;
 
+/// Rows per tile of a [`TiledSet`]: it applies the rows it holds when
+/// the set's clock plus the held rows reaches a multiple of this, so each
+/// tile is one clock-aligned chunk of [`StreamSet::extend_rows`] with no
+/// scalar head. The knee of the aligned-tile cost curve; 512 bytes of
+/// buffer per stream.
+pub const ROW_TILE: usize = 64;
+
 /// A set of synchronized streams, each summarized by its own SWAT.
 ///
 /// ```
@@ -37,7 +44,7 @@ const TILE_ROWS: usize = 256;
 /// let rho = set.correlation(0, 1, 64).unwrap();
 /// assert!(rho > 0.99);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StreamSet {
     /// The shared configuration, held by the set itself so that a set
     /// with zero streams still knows its window shape (the trees each
@@ -89,7 +96,7 @@ impl StreamSet {
 
     /// The validation [`Self::try_push_row`] applies, without the push:
     /// `Ok` exactly when that call would accept `row`. For callers that
-    /// accept a row now and apply it later (a standby's tile).
+    /// accept a row now and apply it later (a [`TiledSet`]).
     ///
     /// # Errors
     ///
@@ -558,6 +565,104 @@ impl StreamSet {
     }
 }
 
+/// A [`StreamSet`] that takes rows one clock-aligned tile at a time.
+///
+/// [`Self::hold`] checks a row and keeps it; the held rows reach the
+/// trees through [`StreamSet::extend_rows`] once the set's clock plus
+/// their count is a multiple of [`ROW_TILE`], and before anything reads
+/// the trees. The second half is enforced by type: the only way to the
+/// set is [`Self::settled`], which takes `&mut self` and applies the held
+/// rows first, so no `&self` path can see a tree missing a held row.
+/// `extend_rows` is `push_row` per row node for node, so what a reader
+/// sees is exactly what row-by-row ingest would have built.
+#[derive(Debug)]
+pub struct TiledSet {
+    set: StreamSet,
+    /// Held rows, row-major; reserved once at [`ROW_TILE`] rows.
+    held: Vec<f64>,
+    /// Rows in `held` (a zero-stream set's rows are empty).
+    held_rows: usize,
+}
+
+impl TiledSet {
+    /// Wrap `set`, holding nothing.
+    pub fn new(set: StreamSet) -> TiledSet {
+        TiledSet {
+            set,
+            held: Vec::new(),
+            held_rows: 0,
+        }
+    }
+
+    /// Number of streams.
+    pub fn streams(&self) -> usize {
+        self.set.streams()
+    }
+
+    /// The configuration shared by every stream's tree.
+    pub fn config(&self) -> &SwatConfig {
+        self.set.config()
+    }
+
+    /// Rows taken so far, the held ones included.
+    pub fn arrivals(&self) -> u64 {
+        self.set.arrivals() + self.held_rows as u64
+    }
+
+    /// Rows held and not yet in the trees (at most `ROW_TILE - 1`
+    /// between calls).
+    pub fn held_rows(&self) -> usize {
+        self.held_rows
+    }
+
+    /// Check `row` as [`StreamSet::try_push_row`] would and, if it passes,
+    /// hold it; apply the held rows if the row completes a tile. A
+    /// refused row changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamSet::check_row`].
+    pub fn hold(&mut self, row: &[f64]) -> Result<(), TreeError> {
+        self.set.check_row(row)?;
+        if self.held.capacity() == 0 {
+            self.held.reserve_exact(ROW_TILE * row.len());
+        }
+        self.held.extend_from_slice(row);
+        self.held_rows += 1;
+        if self.arrivals().is_multiple_of(ROW_TILE as u64) {
+            self.settle();
+        }
+        Ok(())
+    }
+
+    fn settle(&mut self) {
+        if self.held_rows == 0 {
+            return;
+        }
+        self.set.extend_rows(&self.held);
+        self.held.clear();
+        self.held_rows = 0;
+    }
+
+    /// The trees, every held row applied.
+    pub fn settled(&mut self) -> &StreamSet {
+        self.settle();
+        &self.set
+    }
+
+    /// [`StreamSet::answers_digest`] of the trees with every held row
+    /// applied, without applying them: a settled copy is digested when
+    /// rows are held — `O(set)`, for oracles.
+    pub fn answers_digest(&self) -> u64 {
+        if self.held_rows == 0 {
+            return self.set.answers_digest();
+        }
+        let mut copy = self.set.clone();
+        copy.extend_rows(&self.held);
+        copy.answers_digest()
+    }
+}
+
 /// Pearson correlation of two equal-length slices (0 for degenerate
 /// inputs).
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
@@ -684,6 +789,38 @@ mod tests {
         }
         // An empty set takes the empty block and nothing else.
         StreamSet::new(*set.config(), 0).extend_rows(&[]);
+    }
+
+    #[test]
+    fn a_tiled_set_applies_tiles_on_clock_multiples_and_answers_like_rows() {
+        // Restored at clock 37: a short first tile at 64, whole ones on.
+        let config = SwatConfig::with_coefficients(16, 4).unwrap();
+        let row =
+            |r: usize| -> Vec<f64> { (0..3).map(|s| ((r * 5 + s * 3) % 13) as f64).collect() };
+        let mut twin = StreamSet::new(config, 3);
+        feed(&mut twin, 37, row);
+        let mut tiled = TiledSet::new(StreamSet::restore(&twin.snapshot()).unwrap());
+        let mut held = Vec::new();
+        for r in 37..37 + 27 + 2 * ROW_TILE {
+            tiled.hold(&row(r)).unwrap();
+            twin.push_row(&row(r));
+            held.push(tiled.held_rows());
+            assert_eq!(tiled.arrivals(), r as u64 + 1);
+            // The digest of a holding set is the row-by-row one.
+            assert_eq!(tiled.answers_digest(), twin.answers_digest(), "row {r}");
+        }
+        assert_eq!(held[25..28], [26, 0, 1]);
+        assert_eq!(held[27 + 62..27 + 65], [63, 0, 1]);
+        assert!(held.iter().all(|&h| h < ROW_TILE));
+        // A refused row changes nothing, and a read settles.
+        tiled.hold(&row(0)).unwrap();
+        twin.push_row(&row(0));
+        for bad in [vec![1.0, f64::NAN, 2.0], vec![1.0; 4]] {
+            assert!(tiled.hold(&bad).is_err());
+        }
+        assert_eq!(tiled.held_rows(), 1);
+        assert_eq!(tiled.settled().answers_digest(), twin.answers_digest());
+        assert_eq!(tiled.held_rows(), 0);
     }
 
     #[test]

@@ -702,11 +702,11 @@ mod tests {
         assert!(tree.is_warm());
         let header_and_slab = size_of::<SwatTree>() + 6 * size_of::<Level>();
         assert_eq!(tree.space_bytes(), header_and_slab);
-        // k = 8: level 0 keeps 2 coefficients (inline), level 1 keeps 4
-        // and levels 2..=5 keep 8 each, on the heap.
+        // k = 8: levels 0 and 1 keep 2 and 4 coefficients (inline),
+        // levels 2..=5 keep 8 each, on the heap.
         let mut tree = SwatTree::new(SwatConfig::with_coefficients(64, 8).unwrap());
         tree.extend(values);
-        let heap_coefficients = 3 * 4 + (3 * 3 + 1) * 8;
+        let heap_coefficients = (3 * 3 + 1) * 8;
         assert_eq!(
             tree.space_bytes(),
             header_and_slab + heap_coefficients * size_of::<f64>()

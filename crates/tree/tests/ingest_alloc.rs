@@ -6,7 +6,7 @@
 //! buffers: the SoA level lanes and precompiled merge plans live in
 //! [`IngestScratch`]. Both paths fill a level slot by overwriting the
 //! generation it evicts, inside the coefficient storage that generation
-//! already owns (inline stores for `k <= 3` never touch the heap at
+//! already owns (inline stores for `k <= 4` never touch the heap at
 //! all), so there is no pool to warm: once every slot of a tree is
 //! populated, nothing allocates — for small budgets *and* for
 //! heap-backed `k = 16`.

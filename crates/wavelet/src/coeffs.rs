@@ -29,8 +29,10 @@
 //! # Representation
 //!
 //! Small coefficient budgets are stored inline: the paper's default
-//! `k = 1` — and anything up to three coefficients — never touches the
-//! heap. Larger budgets own one heap buffer per summary, and the
+//! `k = 1` — and anything up to four coefficients, the budget every
+//! benchmark workload runs — never touches the heap, so a summary lives
+//! in its tree's level slab wherever the path that built the tree put
+//! it. Larger budgets own one heap buffer per summary, and the
 //! in-place forms ([`HaarCoeffs::merge_into`], [`HaarCoeffs::assign_pair`],
 //! [`HaarCoeffs::assign_prefix`]) overwrite a summary inside the storage
 //! it already has, so a tree that refreshes its level slots in place
@@ -40,7 +42,7 @@ use crate::error::WaveletError;
 use crate::{haar, is_power_of_two};
 
 /// Coefficient budgets up to this size are stored inline.
-const INLINE_CAP: usize = 3;
+const INLINE_CAP: usize = 4;
 
 /// Inline-or-heap storage for the coefficient prefix.
 #[derive(Debug, Clone)]
@@ -54,7 +56,7 @@ impl Store {
     fn one(value: f64) -> Store {
         Store::Inline {
             len: 1,
-            buf: [value, 0.0, 0.0],
+            buf: [value, 0.0, 0.0, 0.0],
         }
     }
 
@@ -524,7 +526,7 @@ impl MergeScratch {
     }
 
     /// Return a retired summary's heap buffer to the pool. Inline
-    /// summaries (budgets `<= 3`) carry no heap storage and are simply
+    /// summaries (budgets `<= 4`) carry no heap storage and are simply
     /// dropped.
     pub fn reclaim(&mut self, coeffs: HaarCoeffs) {
         if let Store::Heap(buf) = coeffs.store {
@@ -550,13 +552,13 @@ mod tests {
     #[test]
     fn small_budgets_stay_inline_large_spill() {
         let sig: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        for k in 1..=3 {
+        for k in 1..=4 {
             let c = HaarCoeffs::from_signal(&sig, k).unwrap();
             assert_eq!(c.heap_coefficients(), 0, "k={k} should be inline");
             assert_eq!(c.stored(), k);
         }
-        let c = HaarCoeffs::from_signal(&sig, 4).unwrap();
-        assert_eq!(c.heap_coefficients(), 4);
+        let c = HaarCoeffs::from_signal(&sig, 5).unwrap();
+        assert_eq!(c.heap_coefficients(), 5);
     }
 
     #[test]
@@ -711,7 +713,7 @@ mod tests {
         // heap. Stale contents must never leak into the result.
         let destinations = [
             HaarCoeffs::scalar(f64::NAN),
-            HaarCoeffs::from_parts(8, vec![f64::NAN; 4]).unwrap(),
+            HaarCoeffs::from_parts(8, vec![f64::NAN; 5]).unwrap(),
             HaarCoeffs::from_parts(128, vec![f64::NAN; 100]).unwrap(),
         ];
         for log_len in 0..=6u32 {

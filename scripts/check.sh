@@ -120,9 +120,16 @@ ROWS=(
     # Two snapshots and a WAL tail on disk, set + two snapshot buffers on
     # the heap, a constant number of descriptors with no sync(): release
     # mode, because debug builds run the same code, not the same
-    # allocation pattern.
-    "store bounds"
-    "cargo test --release -q -p swat-store --test store_bounds"
+    # allocation pattern. Then the store's unit tests optimized — a crash
+    # at every residue of the 64-row tile, freezes with rows held, the
+    # &self digest of a holding store — and 200 runs of the parked-
+    # snapshot test, whose status() once saw the new commit point beside
+    # the fault it cleared.
+    "store"
+    "cargo test --release -q -p swat-store --test store_bounds &&
+     cargo test --release -q -p swat-store --lib -- store:: &&
+     bin=\$(cargo test --release -p swat-store --lib --no-run 2>&1 | sed -n 's/.*Executable.*(\\(.*\\))\$/\\1/p') &&
+     for _ in \$(seq 200); do \"\$bin\" --exact --quiet store::tests::a_newer_snapshot_supersedes_a_parked_one; done"
     ""
 
     "daemon smoke"
@@ -133,16 +140,21 @@ ROWS=(
     # buffered transport, the coalesced fan-out and its scripted-peer
     # failure cases, the driver's loops over the scripted fabric and in the
     # simulator, the raw-socket connection-worker tests and the 2 000-row
-    # ring run of tcp_cluster; a standby's clock-aligned tiles — promoted
-    # at every residue mod 64 against a row-by-row twin, duplicates and
-    # refused rows inside a tile, the unpersisted-promote/install
-    # rollbacks — and its Replicate path under the counting allocator;
-    # then the freezing push_row under the counting allocator and
-    # extend_rows against the push_row loop.
-    "fan-out standby freeze"
-    "cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: replica:: node:: &&
-     cargo test --release -q -p swat-daemon --test sim_oracle --test standby_equivalence --test standby_alloc &&
+    # ring run of tcp_cluster; every holding's clock-aligned tiles — the
+    # TiledSet itself, a standby promoted and a primary (in memory and
+    # durable) read at every residue mod 64 against a row-by-row twin,
+    # exported and installed, duplicates and refused rows inside a tile,
+    # the unpersisted-promote/install rollbacks — and warm standby and
+    # durable primary rows under the counting allocator; a real swatd sole
+    # holder SIGKILLed and recovered with every acked row; then the
+    # freezing push_row under the counting allocator and extend_rows
+    # against the push_row loop.
+    "fan-out holdings freeze"
+    "cargo test --release -q -p swat-tree --lib multi:: &&
+     cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: replica:: node:: &&
+     cargo test --release -q -p swat-daemon --test sim_oracle --test standby_equivalence --test holding_alloc &&
      cargo test --release -q -p swat-daemon --test tcp_cluster &&
+     cargo test --release -q -p swat-cli --test sole_holder_kill &&
      cargo test --release -q -p swat-store --test freeze_alloc &&
      cargo test --release -q -p swat-tree --test ingest_equivalence extend_rows"
     ""
