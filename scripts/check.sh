@@ -103,6 +103,13 @@ ROWS=(
     "$SWAT repair-bench --out target/check/BENCH_repair.json"
     "cmp target/check/BENCH_repair.json results/BENCH_repair.json"
 
+    # Every figure but the wall-clock Fig 6 is a function of the seed too
+    # (≈ 90 s, fig5 most of it). After a deliberate change of the numbers,
+    # scripts/bench.sh figures, commit, and restate EXPERIMENTS.md.
+    "figures artifact"
+    "scripts/bench.sh figures --out target/check/figures.txt"
+    "cmp target/check/figures.txt results/figures.txt"
+
     # Segment/manifest/WAL corruption: typed error or verified prefix only.
     "store fuzz"
     "cargo test -q -p swat-store --test corruption_fuzz"
