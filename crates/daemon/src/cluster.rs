@@ -251,22 +251,18 @@ impl LeaderCore {
         }
     }
 
-    /// Plan one client request. Fan plans must be completed with the
-    /// matching `finish_*` call.
+    /// Rows fully acked while this core led, or since the floor a rebuilt
+    /// core starts from: the leader's `Status` arrivals.
+    pub fn complete_rows(&self) -> u64 {
+        self.complete_rows
+    }
+
+    /// Plan one client data request (ingest, point, range, top-k). Fan
+    /// plans must be completed with the matching `finish_*` call.
+    /// Anything else is `WrongRole`: [`crate::node::ClusterNode::handle`]
+    /// answers it.
     pub fn plan(&self, req: &Request) -> Plan {
         match req {
-            Request::Hello { .. } => Plan::Done(Response::HelloOk { node: self.node }),
-            Request::Ping { nonce } => Plan::Done(Response::Pong { nonce: *nonce }),
-            Request::Status => Plan::Done(Response::StatusR {
-                node: self.node,
-                term: self.term,
-                leader: self.node,
-                arrivals: self.complete_rows,
-                replicas: self.registry.statuses(),
-                // The leader core holds no shard backing of its own; the
-                // holdings' store health is reported by `ClusterNode`.
-                store: crate::proto::WireStoreHealth::Healthy,
-            }),
             Request::Ingest { req_id, row } => self.plan_ingest(*req_id, row),
             Request::Point { stream, .. } | Request::Range { stream, .. } => {
                 match self.map.owner_of(*stream) {
@@ -309,20 +305,9 @@ impl LeaderCore {
                         .collect(),
                 )
             }
-            // Replica-internal and cluster-internal requests addressed
-            // to the leader's client surface.
-            Request::LocalTopK { .. }
-            | Request::TopKScan { .. }
-            | Request::Fenced { .. }
-            | Request::NewTerm { .. }
-            | Request::Replicate { .. }
-            | Request::FetchShard { .. }
-            | Request::InstallShard { .. }
-            | Request::Promote { .. } => Plan::Done(Response::ErrorR {
+            _ => Plan::Done(Response::ErrorR {
                 code: ErrorCode::WrongRole,
             }),
-            // The server handles Shutdown itself (it must drain).
-            Request::Shutdown => Plan::Done(Response::ShutdownOk { drained: 0 }),
         }
     }
 

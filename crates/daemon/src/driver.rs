@@ -75,7 +75,6 @@ pub fn deliver<F: Fabric>(
     }
     let wire: Vec<(u64, &Request)> = remote.iter().map(|&i| legs[i]).collect();
     let answers = fabric.exchange(&wire);
-    let at = fabric.now();
     fabric.with_node(|node| {
         let Some(lead) = node.lead_mut() else {
             return;
@@ -85,9 +84,9 @@ pub fn deliver<F: Fabric>(
                 continue;
             }
             if answer.is_some() {
-                lead.registry_mut().record_success(at, to);
+                lead.registry_mut().record_success(to);
             } else {
-                lead.registry_mut().record_failure(at, to);
+                lead.registry_mut().record_failure(to);
             }
         }
     });
@@ -264,20 +263,16 @@ pub fn monitor_pass<F: Fabric>(
         if !peer_table {
             return Some(());
         }
-        let at = fabric.now();
-        let calls = fabric.with_node(|node| node.repair_plan(at))?;
+        let calls = fabric.with_node(|node| node.repair_plan())?;
         if !calls.is_empty() {
             repair_round(fabric, &calls)?;
         }
-        let at = fabric.now();
-        if let Some(fetch) = fabric.with_node(|node| node.rejoin_plan(at))? {
+        if let Some(fetch) = fabric.with_node(|node| node.rejoin_plan())? {
             let results = deliver_calls(fabric, &fetch);
-            let at = fabric.now();
-            let install = fabric.with_node(|node| node.finish_fetch(at, &fetch, &results))?;
+            let install = fabric.with_node(|node| node.finish_fetch(&fetch, &results))?;
             if let Some(install) = install {
                 let result = deliver_calls(fabric, std::slice::from_ref(&install)).pop();
-                let at = fabric.now();
-                fabric.with_node(|node| node.finish_install(at, result.flatten()))?;
+                fabric.with_node(|node| node.finish_install(result.flatten()))?;
             }
         }
     } else if peer_table {
@@ -298,8 +293,7 @@ pub fn monitor_pass<F: Fabric>(
                 .copied()
                 .zip(deliver(fabric, &legs, false))
                 .collect();
-            let at = fabric.now();
-            if let Some(calls) = fabric.with_node(|node| node.finish_claim(at, &reports))? {
+            if let Some(calls) = fabric.with_node(|node| node.finish_claim(&reports))? {
                 repair_round(fabric, &calls)?;
             }
         }
@@ -319,8 +313,7 @@ fn deliver_calls<F: Fabric>(fabric: &mut F, calls: &[PeerCall]) -> Vec<Option<Re
 
 fn repair_round<F: Fabric>(fabric: &mut F, calls: &[PeerCall]) -> Option<()> {
     let results = deliver_calls(fabric, calls);
-    let at = fabric.now();
-    fabric.with_node(|node| node.finish_repair(at, calls, &results))
+    fabric.with_node(|node| node.finish_repair(calls, &results))
 }
 
 /// A client's walk over an `n`-node cluster, at most `n` questions: ask
@@ -468,6 +461,25 @@ mod tests {
         let lead = mem.nodes[0].lead_mut().expect("still leading");
         // `finish_ingest` would have booked every refusing primary here.
         assert!(lead.take_primary_faults().is_empty(), "no merge ran");
+    }
+
+    #[test]
+    fn a_leaders_status_counts_its_acked_rows() {
+        let mut mem = Mem::ring();
+        for req_id in 0..3 {
+            let row = Request::Ingest {
+                req_id,
+                row: vec![1.0; 8],
+            };
+            assert!(matches!(
+                mem.serve_at(0, &row),
+                Response::IngestOk { ref failed_shards, .. } if failed_shards.is_empty()
+            ));
+        }
+        match mem.serve_at(0, &Request::Status) {
+            Response::StatusR { arrivals, .. } => assert_eq!(arrivals, 3),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

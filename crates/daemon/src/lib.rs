@@ -15,8 +15,9 @@
 //!   `swat_replication::RetryPolicy` discipline) and **load shedding**
 //!   (a typed `Overloaded` response when the per-peer in-flight budget
 //!   is exhausted — never unbounded queueing),
-//! * **heartbeat-driven health** (`Alive`/`Suspect`/`Dead`) feeding the
-//!   `DynamicTopology` repair path ([`registry`]),
+//! * **heartbeat-driven health** (`Alive`/`Suspect`/`Dead`): the fan-out
+//!   skips the dead and the repair pass promotes around them
+//!   ([`registry`]),
 //! * **duplicate-safe request ids** so retries never double-apply,
 //! * **graceful shutdown** that drains in-flight requests and
 //!   checkpoints through `swat-store` ([`server`]),

@@ -35,7 +35,6 @@ use crate::cluster::{LeaderCore, PeerCall};
 use crate::failover::{next_term, term_owner, Assignment, ShardSlot};
 use crate::proto::{ErrorCode, Request, Response, WireHolding, NO_SHARD};
 use crate::registry::ReplicaRegistry;
-use swat_net::NodeRole;
 use swat_tree::shard_members;
 
 /// One shard this node currently holds, in some role.
@@ -286,7 +285,8 @@ impl ClusterNode {
     }
 
     /// Rows applied to the primary holding this node answers for
-    /// (0 when it holds no primary) — the replica `Status` arrivals.
+    /// (0 when it holds no primary) — the `Status` arrivals of a node
+    /// that is not leading (a leader reports its acked rows).
     pub fn arrivals(&self) -> u64 {
         self.holdings
             .values()
@@ -456,7 +456,10 @@ impl ClusterNode {
                 node: self.id,
                 term: self.term,
                 leader: self.leader,
-                arrivals: self.arrivals(),
+                arrivals: self
+                    .lead
+                    .as_ref()
+                    .map_or_else(|| self.arrivals(), LeaderCore::complete_rows),
                 replicas: self
                     .lead
                     .as_ref()
@@ -722,11 +725,7 @@ impl ClusterNode {
     /// every serving primary at its slot's epoch. Returns `None` (no
     /// calls, not leading) when a newer term was observed instead: the
     /// claim lost and the node has already adopted the winner.
-    pub fn finish_claim(
-        &mut self,
-        now: u64,
-        reports: &[(u64, Option<Response>)],
-    ) -> Option<Vec<PeerCall>> {
+    pub fn finish_claim(&mut self, reports: &[(u64, Option<Response>)]) -> Option<Vec<PeerCall>> {
         // The claim is already dead if some newer term was adopted
         // between begin_claim and now (e.g. the winner's NewTerm was
         // handled on this node): leading a term we no longer own would
@@ -764,12 +763,11 @@ impl ClusterNode {
                 }
                 _ => {
                     // No sync, no vote of life: dead until it rejoins.
-                    registry.record_dead(now, *peer);
+                    registry.record_dead(*peer);
                 }
             }
         }
         let mut slots = Vec::with_capacity(self.shards);
-        let mut promoted: Vec<(usize, u64)> = Vec::new();
         for shard in 0..self.shards {
             let of_shard: Vec<&(u64, WireHolding)> = candidates
                 .iter()
@@ -798,14 +796,11 @@ impl ClusterNode {
                             primary: Some(p),
                             standby,
                         },
-                        (None, Some(s)) => {
-                            promoted.push((shard, s));
-                            ShardSlot {
-                                epoch: emax + 1,
-                                primary: Some(s),
-                                standby: None,
-                            }
-                        }
+                        (None, Some(s)) => ShardSlot {
+                            epoch: emax + 1,
+                            primary: Some(s),
+                            standby: None,
+                        },
                         (None, None) => ShardSlot {
                             epoch: emax + 1,
                             primary: None,
@@ -815,11 +810,6 @@ impl ClusterNode {
                 }
             };
             slots.push(slot);
-        }
-        for &(_, node) in &promoted {
-            if registry.tracks(node) {
-                registry.note_role_change(now, node, NodeRole::Primary);
-            }
         }
         // A conservative fully-acked floor for Status reporting: no
         // primary can have fewer rows than the acked prefix.
@@ -875,7 +865,7 @@ impl ClusterNode {
     /// heartbeat round has updated the registry; deliver the returned
     /// calls and feed the results to [`ClusterNode::finish_repair`].
     /// Empty when not leading.
-    pub fn repair_plan(&mut self, now: u64) -> Vec<PeerCall> {
+    pub fn repair_plan(&mut self) -> Vec<PeerCall> {
         let Some(lead) = self.lead.as_mut() else {
             return Vec::new();
         };
@@ -898,16 +888,8 @@ impl ClusterNode {
                 if !standby_usable && slot.standby.is_some() {
                     lead.assignment_mut().drop_standby(shard);
                 }
-                let promoted = lead.assignment_mut().promote_standby(shard);
+                lead.assignment_mut().promote_standby(shard);
                 self.pending_promote.insert(shard);
-                if let Some(new_slot) = promoted {
-                    if let Some(p) = new_slot.primary {
-                        if lead.registry().tracks(p) {
-                            lead.registry_mut()
-                                .note_role_change(now, p, NodeRole::Primary);
-                        }
-                    }
-                }
                 if self.installing.map(|(s, _, _)| s) == Some(shard) {
                     self.installing = None;
                 }
@@ -953,7 +935,7 @@ impl ClusterNode {
     /// Absorb a repair round's results. A `Promote` that a primary
     /// refuses with a typed error escalates to standby promotion (the
     /// holder lost the shard); an unreachable target is a registry miss.
-    pub fn finish_repair(&mut self, now: u64, calls: &[PeerCall], results: &[Option<Response>]) {
+    pub fn finish_repair(&mut self, calls: &[PeerCall], results: &[Option<Response>]) {
         debug_assert_eq!(calls.len(), results.len());
         let self_id = self.id;
         for (call, result) in calls.iter().zip(results) {
@@ -967,7 +949,7 @@ impl ClusterNode {
                         self.pending_promote.remove(&shard);
                     }
                     if call.node != self_id && lead.registry().tracks(call.node) {
-                        lead.registry_mut().record_success(now, call.node);
+                        lead.registry_mut().record_success(call.node);
                     }
                 }
                 Some(Response::StaleTermR { term, leader }) => {
@@ -979,21 +961,13 @@ impl ClusterNode {
                     // the holding, or its epoch ran ahead under a
                     // leader we have since fenced out): fail over.
                     if lead.assignment().slot(call.shard).primary == Some(call.node) {
-                        let promoted = lead.assignment_mut().promote_standby(call.shard);
+                        lead.assignment_mut().promote_standby(call.shard);
                         self.pending_promote.insert(call.shard);
-                        if let Some(slot) = promoted {
-                            if let Some(p) = slot.primary {
-                                if lead.registry().tracks(p) {
-                                    lead.registry_mut()
-                                        .note_role_change(now, p, NodeRole::Primary);
-                                }
-                            }
-                        }
                     }
                 }
                 None => {
                     if call.node != self_id && lead.registry().tracks(call.node) {
-                        lead.registry_mut().record_failure(now, call.node);
+                        lead.registry_mut().record_failure(call.node);
                     }
                 }
             }
@@ -1013,7 +987,7 @@ impl ClusterNode {
     /// installation is in flight at a time, and none ever without
     /// standbys: a solo leader is itself a live node with no role, and
     /// must not make itself shard 0's standby.
-    pub fn rejoin_plan(&mut self, now: u64) -> Option<Vec<PeerCall>> {
+    pub fn rejoin_plan(&mut self) -> Option<Vec<PeerCall>> {
         if !self.standbys || self.installing.is_some() {
             return None;
         }
@@ -1034,10 +1008,6 @@ impl ClusterNode {
             .then_some(shard)
         })?;
         let slot = lead.assignment_mut().set_standby(shard, spare);
-        if lead.registry().tracks(spare) {
-            lead.registry_mut()
-                .note_role_change(now, spare, NodeRole::Standby);
-        }
         self.installing = Some((shard, spare, slot.epoch));
         // invariant: set_standby keeps the primary untouched.
         let primary = slot.primary.expect("primary chosen above");
@@ -1071,11 +1041,10 @@ impl ClusterNode {
     /// rolled back (standby dropped under a bumped epoch).
     pub fn finish_fetch(
         &mut self,
-        now: u64,
         calls: &[PeerCall],
         results: &[Option<Response>],
     ) -> Option<PeerCall> {
-        self.finish_repair(now, &calls[..1], &results[..1]);
+        self.finish_repair(&calls[..1], &results[..1]);
         let (shard, target, epoch) = self.installing?;
         match results.get(1).and_then(|r| r.as_ref()) {
             Some(Response::ShardStateR {
@@ -1098,7 +1067,7 @@ impl ClusterNode {
                 },
             }),
             _ => {
-                self.abort_install(now);
+                self.abort_install();
                 None
             }
         }
@@ -1106,7 +1075,7 @@ impl ClusterNode {
 
     /// Absorb the installation ack: on success the standby is live (all
     /// future rows require it); on failure the assignment rolls back.
-    pub fn finish_install(&mut self, now: u64, result: Option<Response>) {
+    pub fn finish_install(&mut self, result: Option<Response>) {
         let Some((shard, target, epoch)) = self.installing else {
             return;
         };
@@ -1117,18 +1086,18 @@ impl ClusterNode {
                 self.installing = None;
                 if let Some(lead) = self.lead.as_mut() {
                     if lead.registry().tracks(target) {
-                        lead.registry_mut().record_success(now, target);
+                        lead.registry_mut().record_success(target);
                     }
                 }
             }
             Some(Response::StaleTermR { term, leader }) => {
                 self.observe_stale_term(term, leader);
             }
-            _ => self.abort_install(now),
+            _ => self.abort_install(),
         }
     }
 
-    fn abort_install(&mut self, _now: u64) {
+    fn abort_install(&mut self) {
         if let Some((shard, _, _)) = self.installing.take() {
             if let Some(lead) = self.lead.as_mut() {
                 if lead.assignment().slot(shard).standby.is_some() {
@@ -1592,9 +1561,7 @@ mod tests {
         // Node 0 is gone: only node 2 answers.
         let r2 = mem.nodes[2].handle(&claim);
         let reports = vec![(0, None), (2, Some(r2))];
-        let calls = mem.nodes[1]
-            .finish_claim(7, &reports)
-            .expect("claim stands");
+        let calls = mem.nodes[1].finish_claim(&reports).expect("claim stands");
         assert!(mem.nodes[1].is_leader());
         let lead = mem.nodes[1].lead().unwrap();
         // Bootstrap ring survives intact: primaries kept at epoch 0.
@@ -1604,7 +1571,7 @@ mod tests {
         // Deliver the re-anchoring promotes (self-routing included).
         let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
-        mem.nodes[1].finish_repair(8, &calls2, &results);
+        mem.nodes[1].finish_repair(&calls2, &results);
         // The cluster serves again under term 1.
         for r in 12..20u64 {
             let row: Vec<f64> = (0..8).map(|i| ((r + i) % 5) as f64).collect();
@@ -1647,11 +1614,11 @@ mod tests {
         assert_eq!(claim2b, Request::NewTerm { term: 5, leader: 2 });
         let r1 = mem.nodes[1].handle(&claim2b);
         let reports = vec![(0, None), (1, Some(r1))];
-        assert!(mem.nodes[2].finish_claim(9, &reports).is_some());
+        assert!(mem.nodes[2].finish_claim(&reports).is_some());
         // Now node 1 hears a stale answer and bows out of its term 4.
         let stale = Response::StaleTermR { term: 5, leader: 2 };
         assert!(mem.nodes[1]
-            .finish_claim(10, &[(0, None), (2, Some(stale))])
+            .finish_claim(&[(0, None), (2, Some(stale))])
             .is_none());
         assert!(!mem.nodes[1].is_leader());
         assert_eq!((mem.nodes[1].term(), mem.nodes[1].leader_id()), (5, 2));
@@ -1668,11 +1635,11 @@ mod tests {
         // leader's registry learns via heartbeat misses.
         {
             let lead = mem.nodes[0].lead_mut().unwrap();
-            for t in 0..2 {
-                lead.registry_mut().record_failure(t, 1);
+            for _ in 0..2 {
+                lead.registry_mut().record_failure(1);
             }
         }
-        let calls = mem.nodes[0].repair_plan(5);
+        let calls = mem.nodes[0].repair_plan();
         // Shard 0 fails over to node 2; shard 1 drops its dead standby.
         let lead = mem.nodes[0].lead().unwrap();
         assert_eq!(lead.assignment().slot(0).primary, Some(2));
@@ -1681,7 +1648,7 @@ mod tests {
         assert!(lead.assignment().slot(0).epoch > 0);
         let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
-        mem.nodes[0].finish_repair(6, &calls2, &results);
+        mem.nodes[0].finish_repair(&calls2, &results);
         assert!(
             mem.nodes[0].pending_promote.is_empty(),
             "all promotes acked"
@@ -1706,7 +1673,7 @@ mod tests {
     #[test]
     fn without_standbys_nothing_is_ever_reseeded() {
         let mut solo = ClusterNode::bootstrap_leader(cfg(), 8, 2, 2, false);
-        assert_eq!(solo.rejoin_plan(1), None);
+        assert_eq!(solo.rejoin_plan(), None);
         assert!(solo.installing.is_none());
         let slot = solo.lead().unwrap().assignment().slot(0);
         assert_eq!((slot.epoch, slot.standby), (0, None));
@@ -1727,27 +1694,27 @@ mod tests {
             .drop_standby(0);
         // …re-anchor the primary at the bumped epoch first.
         mem.nodes[0].pending_promote.insert(0);
-        let calls = mem.nodes[0].repair_plan(3);
+        let calls = mem.nodes[0].repair_plan();
         let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
-        mem.nodes[0].finish_repair(3, &calls2, &results);
+        mem.nodes[0].finish_repair(&calls2, &results);
         assert!(mem.nodes[0].pending_promote.is_empty());
         // The leader itself holds no shard role, so it is the spare that
         // picks up shard 0's standby duty.
-        let calls = mem.nodes[0].rejoin_plan(4).expect("a spare exists");
+        let calls = mem.nodes[0].rejoin_plan().expect("a spare exists");
         assert_eq!(calls.len(), 2, "promote + fetch to the primary");
         assert!(calls.iter().all(|c| c.node == 1));
         let results = deliver(&mut mem.nodes, &calls);
         let calls2 = calls.clone();
         let install = mem.nodes[0]
-            .finish_fetch(5, &calls2, &results)
+            .finish_fetch(&calls2, &results)
             .expect("export succeeded");
         assert_eq!(install.node, 0, "ships to the spare (the leader)");
         let result = deliver(&mut mem.nodes, std::slice::from_ref(&install))
             .into_iter()
             .next()
             .flatten();
-        mem.nodes[0].finish_install(6, result);
+        mem.nodes[0].finish_install(result);
         assert!(mem.nodes[0].installing.is_none(), "installation completed");
         let slot = mem.nodes[0].lead().unwrap().assignment().slot(0);
         assert_eq!(slot.standby, Some(0));

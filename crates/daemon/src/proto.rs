@@ -15,12 +15,16 @@
 //! stored CRC is a mismatch by definition. The frame fuzz test pins this
 //! for every bit of every representative message.
 //!
-//! Decoding is strict: the body must parse completely ([`ProtoError::
-//! TrailingBytes`] otherwise), lengths are bounded by [`MAX_FRAME`]
-//! before any allocation, counts are validated against the remaining
-//! bytes (a hostile length cannot force an allocation), and `f64` fields
-//! go through the NaN-rejecting cursor. Nothing in this module panics on
-//! adversarial input.
+//! A body is its message's fields in declaration order, each field type
+//! written and read by one private `Field` impl (DESIGN.md §3.12 has the
+//! table). Decoding is strict, and a message decodes only from the bytes
+//! it encodes to: the body must parse completely ([`ProtoError::
+//! TrailingBytes`] otherwise), lengths are bounded by [`MAX_FRAME`], a
+//! sequence's count is checked against the bytes left before anything
+//! is allocated, a bool is 0 or 1, `f64` fields reject NaN, and a fenced
+//! envelope's inner kind is checked before its body is read, so nesting
+//! is [`ProtoError::NestedFence`] at the first level and decode depth is
+//! bounded. Nothing in this module panics on adversarial input.
 
 use std::fmt;
 
@@ -261,25 +265,6 @@ pub enum ErrorCode {
     Internal,
 }
 
-impl ErrorCode {
-    fn to_wire(self) -> u8 {
-        match self {
-            ErrorCode::BadRequest => 1,
-            ErrorCode::WrongRole => 2,
-            ErrorCode::Internal => 3,
-        }
-    }
-
-    fn from_wire(b: u8) -> Option<Self> {
-        Some(match b {
-            1 => ErrorCode::BadRequest,
-            2 => ErrorCode::WrongRole,
-            3 => ErrorCode::Internal,
-            _ => return None,
-        })
-    }
-}
-
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -509,25 +494,6 @@ pub enum WireHealth {
     Dead,
 }
 
-impl WireHealth {
-    fn to_wire(self) -> u8 {
-        match self {
-            WireHealth::Alive => 0,
-            WireHealth::Suspect => 1,
-            WireHealth::Dead => 2,
-        }
-    }
-
-    fn from_wire(b: u8) -> Option<Self> {
-        Some(match b {
-            0 => WireHealth::Alive,
-            1 => WireHealth::Suspect,
-            2 => WireHealth::Dead,
-            _ => return None,
-        })
-    }
-}
-
 impl fmt::Display for WireHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -555,26 +521,6 @@ pub enum WireStoreHealth {
         /// durable as state.
         parked: u32,
     },
-}
-
-impl WireStoreHealth {
-    fn put(self, p: &mut Vec<u8>) {
-        match self {
-            WireStoreHealth::Healthy => p.push(0),
-            WireStoreHealth::Degraded { parked } => {
-                p.push(1);
-                put_u32(p, parked);
-            }
-        }
-    }
-
-    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
-        Ok(match c.u8()? {
-            0 => WireStoreHealth::Healthy,
-            1 => WireStoreHealth::Degraded { parked: c.u32()? },
-            b => return Err(ProtoError::UnknownKind(b)),
-        })
-    }
 }
 
 impl fmt::Display for WireStoreHealth {
@@ -625,88 +571,326 @@ const K_SHARD_STATE_R: u8 = 0x91;
 const K_EPOCH_ACK: u8 = 0x92;
 const K_STALE_EPOCH_R: u8 = 0x93;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// One wire field type, encoded and decoded in exactly one place. A
+/// message body is its fields' encodings in declaration order, so each
+/// message kind is one `put` per field and one struct literal of `take`s.
+trait Field: Sized {
+    /// The fewest bytes one value encodes to: what the sequence count
+    /// guard multiplies a declared count by.
+    const LEN: usize;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    /// Append the value's encoding.
+    fn put(&self, out: &mut Vec<u8>);
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    /// Read one value.
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError>;
 
-fn put_coeffs(out: &mut Vec<u8>, entries: &[TopCoeff]) {
-    put_u32(out, entries.len() as u32);
-    for e in entries {
-        put_u64(out, e.stream);
-        put_u32(out, e.index);
-        put_f64(out, e.value);
+    /// Append a sequence's elements; its count is already written.
+    fn put_slice(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.put(out);
+        }
+    }
+
+    /// Read a sequence's `count` elements; the count is already guarded
+    /// against the bytes left.
+    fn take_vec(c: &mut Cursor<'_>, count: usize) -> Result<Vec<Self>, ProtoError> {
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::take(c)?);
+        }
+        Ok(items)
     }
 }
 
-/// Guard a declared element count against the bytes actually present,
-/// so a corrupt count cannot force a huge allocation.
-fn checked_count(
-    c: &Cursor<'_>,
-    what: &'static str,
-    count: u64,
-    elem_bytes: usize,
-) -> Result<usize, ProtoError> {
-    let need = count.checked_mul(elem_bytes as u64);
-    match need {
-        Some(n) if n <= c.remaining() as u64 => Ok(count as usize),
-        _ => Err(ProtoError::BadCount { what, count }),
+/// [`Field::take`] with the type left to inference.
+fn take<T: Field>(c: &mut Cursor<'_>) -> Result<T, ProtoError> {
+    T::take(c)
+}
+
+impl Field for u8 {
+    const LEN: usize = std::mem::size_of::<u8>();
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(c.u8()?)
+    }
+
+    fn put_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn take_vec(c: &mut Cursor<'_>, count: usize) -> Result<Vec<u8>, ProtoError> {
+        Ok(c.take(count)?.to_vec())
     }
 }
 
-fn take_coeffs(c: &mut Cursor<'_>) -> Result<Vec<TopCoeff>, ProtoError> {
-    let count = c.u32()? as u64;
-    let count = checked_count(c, "top-k entries", count, 20)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(TopCoeff {
-            stream: c.u64()?,
-            index: c.u32()?,
-            value: c.f64()?,
+/// Strict: 0 or 1. Any other byte would decode to a message that
+/// encodes differently, so it is an error, not `true`.
+impl Field for bool {
+    const LEN: usize = u8::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let offset = c.offset();
+        match c.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(ProtoError::Codec(CodecError::Invalid {
+                what: "bool",
+                offset,
+            })),
+        }
+    }
+}
+
+impl Field for u32 {
+    const LEN: usize = std::mem::size_of::<u32>();
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(c.u32()?)
+    }
+}
+
+impl Field for u64 {
+    const LEN: usize = std::mem::size_of::<u64>();
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(c.u64()?)
+    }
+}
+
+/// NaN is rejected at its byte offset; a row (a 16 KB `Vec<f64>` on
+/// `wire-wide`) is copied in one pass each way.
+impl Field for f64 {
+    const LEN: usize = std::mem::size_of::<f64>();
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(c.f64()?)
+    }
+
+    fn put_slice(items: &[f64], out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + Self::LEN * items.len(), 0);
+        for (dst, v) in out[start..].chunks_exact_mut(Self::LEN).zip(items) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    fn take_vec(c: &mut Cursor<'_>, count: usize) -> Result<Vec<f64>, ProtoError> {
+        let at = c.offset();
+        let values: Vec<f64> = c
+            .take(Self::LEN * count)?
+            .chunks_exact(Self::LEN)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect();
+        // One branch-free pass; the position search runs only on a hit.
+        if values.iter().fold(false, |nan, v| nan | v.is_nan()) {
+            let i = values
+                .iter()
+                .position(|v| v.is_nan())
+                .expect("the reduction found a NaN");
+            return Err(ProtoError::Codec(CodecError::Invalid {
+                what: "NaN value",
+                offset: at + Self::LEN * i,
+            }));
+        }
+        Ok(values)
+    }
+}
+
+/// A length-prefixed sequence: a `u32` count, then the elements. This is
+/// the one count guard: a count the bytes left cannot hold is
+/// [`ProtoError::BadCount`] before anything is allocated.
+impl<T: Field> Field for Vec<T> {
+    const LEN: usize = u32::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        T::put_slice(self, out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let count: u32 = take(c)?;
+        if u64::from(count) * T::LEN as u64 > c.remaining() as u64 {
+            return Err(ProtoError::BadCount {
+                what: std::any::type_name::<T>(),
+                count: count.into(),
+            });
+        }
+        T::take_vec(c, count as usize)
+    }
+}
+
+/// A `StatusR` registry entry: the peer, then its health.
+impl Field for (u64, WireHealth) {
+    const LEN: usize = u64::LEN + WireHealth::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok((take(c)?, take(c)?))
+    }
+}
+
+impl Field for TopCoeff {
+    const LEN: usize = u64::LEN + u32::LEN + f64::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.stream.put(out);
+        self.index.put(out);
+        self.value.put(out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(TopCoeff {
+            stream: take(c)?,
+            index: take(c)?,
+            value: take(c)?,
+        })
+    }
+}
+
+impl Field for WirePointAnswer {
+    const LEN: usize = f64::LEN + f64::LEN + u32::LEN + bool::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.value.put(out);
+        self.error_bound.put(out);
+        self.level.put(out);
+        self.extrapolated.put(out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(WirePointAnswer {
+            value: take(c)?,
+            error_bound: take(c)?,
+            level: take(c)?,
+            extrapolated: take(c)?,
+        })
+    }
+}
+
+impl Field for WireRangeMatch {
+    const LEN: usize = u32::LEN + f64::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.index.put(out);
+        self.value.put(out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(WireRangeMatch {
+            index: take(c)?,
+            value: take(c)?,
+        })
+    }
+}
+
+impl Field for WireHolding {
+    const LEN: usize = u32::LEN + u64::LEN + bool::LEN + u64::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.shard.put(out);
+        self.epoch.put(out);
+        self.primary.put(out);
+        self.arrivals.put(out);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(WireHolding {
+            shard: take(c)?,
+            epoch: take(c)?,
+            primary: take(c)?,
+            arrivals: take(c)?,
+        })
+    }
+}
+
+impl Field for WireHealth {
+    const LEN: usize = u8::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            WireHealth::Alive => 0,
+            WireHealth::Suspect => 1,
+            WireHealth::Dead => 2,
         });
     }
-    Ok(entries)
-}
 
-/// One synchronized row: a count, then the values' little-endian bits.
-fn put_row(out: &mut Vec<u8>, row: &[f64]) {
-    put_u32(out, row.len() as u32);
-    let start = out.len();
-    out.resize(start + 8 * row.len(), 0);
-    for (dst, v) in out[start..].chunks_exact_mut(8).zip(row) {
-        dst.copy_from_slice(&v.to_le_bytes());
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.u8()? {
+            0 => Ok(WireHealth::Alive),
+            1 => Ok(WireHealth::Suspect),
+            2 => Ok(WireHealth::Dead),
+            b => Err(ProtoError::UnknownKind(b)),
+        }
     }
 }
 
-/// Read a [`put_row`] row, rejecting NaN at its byte offset exactly as
-/// [`Cursor::f64`] would.
-fn take_row(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<f64>, ProtoError> {
-    let count = c.u32()? as u64;
-    let count = checked_count(c, what, count, 8)?;
-    let at = c.offset();
-    let row: Vec<f64> = c
-        .take(8 * count)?
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes(b.try_into().expect("8 bytes")))
-        .collect();
-    if row.iter().fold(false, |nan, v| nan | v.is_nan()) {
-        let i = row
-            .iter()
-            .position(|v| v.is_nan())
-            .expect("the reduction found a NaN");
-        return Err(ProtoError::Codec(CodecError::Invalid {
-            what: "NaN value",
-            offset: at + 8 * i,
-        }));
+impl Field for ErrorCode {
+    const LEN: usize = u8::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            ErrorCode::BadRequest => 1,
+            ErrorCode::WrongRole => 2,
+            ErrorCode::Internal => 3,
+        });
     }
-    Ok(row)
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.u8()? {
+            1 => Ok(ErrorCode::BadRequest),
+            2 => Ok(ErrorCode::WrongRole),
+            3 => Ok(ErrorCode::Internal),
+            b => Err(ProtoError::UnknownKind(b)),
+        }
+    }
+}
+
+/// A tag byte, then `parked` for `Degraded` only.
+impl Field for WireStoreHealth {
+    const LEN: usize = u8::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            WireStoreHealth::Healthy => out.push(0),
+            WireStoreHealth::Degraded { parked } => {
+                out.push(1);
+                parked.put(out);
+            }
+        }
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.u8()? {
+            0 => Ok(WireStoreHealth::Healthy),
+            1 => Ok(WireStoreHealth::Degraded { parked: take(c)? }),
+            b => Err(ProtoError::UnknownKind(b)),
+        }
+    }
 }
 
 /// A frame under construction: the header's eight bytes reserved, the
@@ -725,34 +909,6 @@ fn finish_frame(mut frame: Vec<u8>) -> Vec<u8> {
     frame
 }
 
-fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
-    put_u32(out, ids.len() as u32);
-    for &id in ids {
-        put_u64(out, id);
-    }
-}
-
-fn take_ids(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u64>, ProtoError> {
-    let count = c.u32()? as u64;
-    let count = checked_count(c, what, count, 8)?;
-    let mut ids = Vec::with_capacity(count);
-    for _ in 0..count {
-        ids.push(c.u64()?);
-    }
-    Ok(ids)
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn take_bytes(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<u8>, ProtoError> {
-    let count = c.u32()? as u64;
-    let count = checked_count(c, what, count, 1)?;
-    Ok(c.take(count)?.to_vec())
-}
-
 /// Encode `req` as a complete wire frame (header + payload).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut frame = begin_frame();
@@ -767,21 +923,21 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
     match req {
         Request::Hello { node } => {
             p.push(K_HELLO);
-            put_u64(p, *node);
+            node.put(p);
         }
         Request::Ping { nonce } => {
             p.push(K_PING);
-            put_u64(p, *nonce);
+            nonce.put(p);
         }
         Request::Ingest { req_id, row } => {
             p.push(K_INGEST);
-            put_u64(p, *req_id);
-            put_row(p, row);
+            req_id.put(p);
+            row.put(p);
         }
         Request::Point { stream, index } => {
             p.push(K_POINT);
-            put_u64(p, *stream);
-            put_u32(p, *index);
+            stream.put(p);
+            index.put(p);
         }
         Request::Range {
             stream,
@@ -791,23 +947,23 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
             oldest,
         } => {
             p.push(K_RANGE);
-            put_u64(p, *stream);
-            put_f64(p, *center);
-            put_f64(p, *radius);
-            put_u32(p, *newest);
-            put_u32(p, *oldest);
+            stream.put(p);
+            center.put(p);
+            radius.put(p);
+            newest.put(p);
+            oldest.put(p);
         }
         Request::TopK { k } => {
             p.push(K_TOPK);
-            put_u32(p, *k);
+            k.put(p);
         }
         Request::LocalTopK { k } => {
             p.push(K_LOCAL_TOPK);
-            put_u32(p, *k);
+            k.put(p);
         }
         Request::TopKScan { tau } => {
             p.push(K_TOPK_SCAN);
-            put_f64(p, *tau);
+            tau.put(p);
         }
         Request::Status => p.push(K_STATUS),
         Request::Shutdown => p.push(K_SHUTDOWN),
@@ -819,10 +975,10 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
             inner,
         } => {
             p.push(K_FENCED);
-            put_u64(p, *term);
-            put_u64(p, *leader);
-            put_u32(p, *shard);
-            put_u64(p, *epoch);
+            term.put(p);
+            leader.put(p);
+            shard.put(p);
+            epoch.put(p);
             debug_assert!(
                 !matches!(**inner, Request::Fenced { .. }),
                 "fences never nest"
@@ -831,8 +987,8 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
         }
         Request::NewTerm { term, leader } => {
             p.push(K_NEW_TERM);
-            put_u64(p, *term);
-            put_u64(p, *leader);
+            term.put(p);
+            leader.put(p);
         }
         Request::Replicate {
             term,
@@ -842,16 +998,16 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
             row,
         } => {
             p.push(K_REPLICATE);
-            put_u64(p, *term);
-            put_u32(p, *shard);
-            put_u64(p, *epoch);
-            put_u64(p, *req_id);
-            put_row(p, row);
+            term.put(p);
+            shard.put(p);
+            epoch.put(p);
+            req_id.put(p);
+            row.put(p);
         }
         Request::FetchShard { term, shard } => {
             p.push(K_FETCH_SHARD);
-            put_u64(p, *term);
-            put_u32(p, *shard);
+            term.put(p);
+            shard.put(p);
         }
         Request::InstallShard {
             term,
@@ -862,33 +1018,34 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
             snapshot,
         } => {
             p.push(K_INSTALL_SHARD);
-            put_u64(p, *term);
-            put_u32(p, *shard);
-            put_u64(p, *epoch);
-            put_u64(p, *arrivals);
-            put_ids(p, applied);
-            put_bytes(p, snapshot);
+            term.put(p);
+            shard.put(p);
+            epoch.put(p);
+            arrivals.put(p);
+            applied.put(p);
+            snapshot.put(p);
         }
         Request::Promote { term, shard, epoch } => {
             p.push(K_PROMOTE);
-            put_u64(p, *term);
-            put_u32(p, *shard);
-            put_u64(p, *epoch);
+            term.put(p);
+            shard.put(p);
+            epoch.put(p);
         }
     }
 }
 
 /// Encode `resp` as a complete wire frame (header + payload).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut p = begin_frame();
+    let mut frame = begin_frame();
+    let p = &mut frame;
     match resp {
         Response::HelloOk { node } => {
             p.push(K_HELLO_OK);
-            put_u64(&mut p, *node);
+            node.put(p);
         }
         Response::Pong { nonce } => {
             p.push(K_PONG);
-            put_u64(&mut p, *nonce);
+            nonce.put(p);
         }
         Response::IngestOk {
             req_id,
@@ -896,32 +1053,22 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             failed_shards,
         } => {
             p.push(K_INGEST_OK);
-            put_u64(&mut p, *req_id);
-            p.push(*duplicate as u8);
-            put_u32(&mut p, failed_shards.len() as u32);
-            for &s in failed_shards {
-                put_u32(&mut p, s);
-            }
+            req_id.put(p);
+            duplicate.put(p);
+            failed_shards.put(p);
         }
         Response::PointR { answer } => {
             p.push(K_POINT_R);
-            put_f64(&mut p, answer.value);
-            put_f64(&mut p, answer.error_bound);
-            put_u32(&mut p, answer.level);
-            p.push(answer.extrapolated as u8);
+            answer.put(p);
         }
         Response::RangeR { matches } => {
             p.push(K_RANGE_R);
-            put_u32(&mut p, matches.len() as u32);
-            for m in matches {
-                put_u32(&mut p, m.index);
-                put_f64(&mut p, m.value);
-            }
+            matches.put(p);
         }
         Response::TopKR { complete, entries } => {
             p.push(K_TOPK_R);
-            p.push(*complete as u8);
-            put_coeffs(&mut p, entries);
+            complete.put(p);
+            entries.put(p);
         }
         Response::LocalTopKR {
             threshold,
@@ -929,13 +1076,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             entries,
         } => {
             p.push(K_LOCAL_TOPK_R);
-            put_f64(&mut p, *threshold);
-            p.push(*truncated as u8);
-            put_coeffs(&mut p, entries);
+            threshold.put(p);
+            truncated.put(p);
+            entries.put(p);
         }
         Response::ScanR { entries } => {
             p.push(K_SCAN_R);
-            put_coeffs(&mut p, entries);
+            entries.put(p);
         }
         Response::StatusR {
             node,
@@ -946,50 +1093,40 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             store,
         } => {
             p.push(K_STATUS_R);
-            put_u64(&mut p, *node);
-            put_u64(&mut p, *term);
-            put_u64(&mut p, *leader);
-            put_u64(&mut p, *arrivals);
-            put_u32(&mut p, replicas.len() as u32);
-            for (n, h) in replicas {
-                put_u64(&mut p, *n);
-                p.push(h.to_wire());
-            }
-            store.put(&mut p);
+            node.put(p);
+            term.put(p);
+            leader.put(p);
+            arrivals.put(p);
+            replicas.put(p);
+            store.put(p);
         }
         Response::ShutdownOk { drained } => {
             p.push(K_SHUTDOWN_OK);
-            put_u64(&mut p, *drained);
+            drained.put(p);
         }
         Response::Overloaded => p.push(K_OVERLOADED),
         Response::Unavailable { node } => {
             p.push(K_UNAVAILABLE);
-            put_u64(&mut p, *node);
+            node.put(p);
         }
         Response::ErrorR { code } => {
             p.push(K_ERROR_R);
-            p.push(code.to_wire());
+            code.put(p);
         }
         Response::StaleTermR { term, leader } => {
             p.push(K_STALE_TERM_R);
-            put_u64(&mut p, *term);
-            put_u64(&mut p, *leader);
+            term.put(p);
+            leader.put(p);
         }
         Response::NotLeaderR { leader, term } => {
             p.push(K_NOT_LEADER_R);
-            put_u64(&mut p, *leader);
-            put_u64(&mut p, *term);
+            leader.put(p);
+            term.put(p);
         }
         Response::SyncR { term, holdings } => {
             p.push(K_SYNC_R);
-            put_u64(&mut p, *term);
-            put_u32(&mut p, holdings.len() as u32);
-            for h in holdings {
-                put_u32(&mut p, h.shard);
-                put_u64(&mut p, h.epoch);
-                p.push(h.primary as u8);
-                put_u64(&mut p, h.arrivals);
-            }
+            term.put(p);
+            holdings.put(p);
         }
         Response::ShardStateR {
             shard,
@@ -999,24 +1136,24 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             snapshot,
         } => {
             p.push(K_SHARD_STATE_R);
-            put_u32(&mut p, *shard);
-            put_u64(&mut p, *epoch);
-            put_u64(&mut p, *arrivals);
-            put_ids(&mut p, applied);
-            put_bytes(&mut p, snapshot);
+            shard.put(p);
+            epoch.put(p);
+            arrivals.put(p);
+            applied.put(p);
+            snapshot.put(p);
         }
         Response::EpochAck { shard, epoch } => {
             p.push(K_EPOCH_ACK);
-            put_u32(&mut p, *shard);
-            put_u64(&mut p, *epoch);
+            shard.put(p);
+            epoch.put(p);
         }
         Response::StaleEpochR { shard, epoch } => {
             p.push(K_STALE_EPOCH_R);
-            put_u32(&mut p, *shard);
-            put_u64(&mut p, *epoch);
+            shard.put(p);
+            epoch.put(p);
         }
     }
-    finish_frame(p)
+    finish_frame(frame)
 }
 
 /// Split a complete frame into its verified payload: checks the length
@@ -1061,249 +1198,167 @@ pub fn check_frame(frame: &[u8]) -> Result<&[u8], ProtoError> {
     Ok(payload)
 }
 
-/// Decode a verified payload (from [`check_frame`]) as a request.
-pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
+/// Read a whole payload: its kind byte, the body `body` decodes for that
+/// kind, and nothing after it.
+fn decode_whole<T>(
+    payload: &[u8],
+    body: impl FnOnce(u8, &mut Cursor<'_>) -> Result<T, ProtoError>,
+) -> Result<T, ProtoError> {
     let mut c = Cursor::new(payload);
-    let kind = c.u8()?;
-    let req = match kind {
-        K_HELLO => Request::Hello { node: c.u64()? },
-        K_PING => Request::Ping { nonce: c.u64()? },
-        K_INGEST => {
-            let req_id = c.u64()?;
-            let row = take_row(&mut c, "row values")?;
-            Request::Ingest { req_id, row }
-        }
-        K_POINT => Request::Point {
-            stream: c.u64()?,
-            index: c.u32()?,
-        },
-        K_RANGE => Request::Range {
-            stream: c.u64()?,
-            center: c.f64()?,
-            radius: c.f64()?,
-            newest: c.u32()?,
-            oldest: c.u32()?,
-        },
-        K_TOPK => Request::TopK { k: c.u32()? },
-        K_LOCAL_TOPK => Request::LocalTopK { k: c.u32()? },
-        K_TOPK_SCAN => Request::TopKScan { tau: c.f64()? },
-        K_STATUS => Request::Status,
-        K_SHUTDOWN => Request::Shutdown,
-        K_FENCED => {
-            let term = c.u64()?;
-            let leader = c.u64()?;
-            let shard = c.u32()?;
-            let epoch = c.u64()?;
-            let rest = c.take(c.remaining())?;
-            let inner = decode_request(rest)?;
-            if matches!(inner, Request::Fenced { .. }) {
-                return Err(ProtoError::NestedFence);
-            }
-            Request::Fenced {
-                term,
-                leader,
-                shard,
-                epoch,
-                inner: Box::new(inner),
-            }
-        }
-        K_NEW_TERM => Request::NewTerm {
-            term: c.u64()?,
-            leader: c.u64()?,
-        },
-        K_REPLICATE => {
-            let term = c.u64()?;
-            let shard = c.u32()?;
-            let epoch = c.u64()?;
-            let req_id = c.u64()?;
-            let row = take_row(&mut c, "replicated row values")?;
-            Request::Replicate {
-                term,
-                shard,
-                epoch,
-                req_id,
-                row,
-            }
-        }
-        K_FETCH_SHARD => Request::FetchShard {
-            term: c.u64()?,
-            shard: c.u32()?,
-        },
-        K_INSTALL_SHARD => {
-            let term = c.u64()?;
-            let shard = c.u32()?;
-            let epoch = c.u64()?;
-            let arrivals = c.u64()?;
-            let applied = take_ids(&mut c, "installed write ids")?;
-            let snapshot = take_bytes(&mut c, "shard snapshot bytes")?;
-            Request::InstallShard {
-                term,
-                shard,
-                epoch,
-                arrivals,
-                applied,
-                snapshot,
-            }
-        }
-        K_PROMOTE => Request::Promote {
-            term: c.u64()?,
-            shard: c.u32()?,
-            epoch: c.u64()?,
-        },
-        other => return Err(ProtoError::UnknownKind(other)),
-    };
+    let kind = take(&mut c)?;
+    let msg = body(kind, &mut c)?;
     if !c.is_empty() {
         return Err(ProtoError::TrailingBytes {
             extra: c.remaining(),
         });
     }
-    Ok(req)
+    Ok(msg)
+}
+
+/// Decode a verified payload (from [`check_frame`]) as a request.
+pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
+    decode_whole(payload, request_body)
+}
+
+/// The body of a request of kind `kind`.
+fn request_body(kind: u8, c: &mut Cursor<'_>) -> Result<Request, ProtoError> {
+    Ok(match kind {
+        K_HELLO => Request::Hello { node: take(c)? },
+        K_PING => Request::Ping { nonce: take(c)? },
+        K_INGEST => Request::Ingest {
+            req_id: take(c)?,
+            row: take(c)?,
+        },
+        K_POINT => Request::Point {
+            stream: take(c)?,
+            index: take(c)?,
+        },
+        K_RANGE => Request::Range {
+            stream: take(c)?,
+            center: take(c)?,
+            radius: take(c)?,
+            newest: take(c)?,
+            oldest: take(c)?,
+        },
+        K_TOPK => Request::TopK { k: take(c)? },
+        K_LOCAL_TOPK => Request::LocalTopK { k: take(c)? },
+        K_TOPK_SCAN => Request::TopKScan { tau: take(c)? },
+        K_STATUS => Request::Status,
+        K_SHUTDOWN => Request::Shutdown,
+        K_FENCED => Request::Fenced {
+            term: take(c)?,
+            leader: take(c)?,
+            shard: take(c)?,
+            epoch: take(c)?,
+            // The inner kind is checked before the inner body is read, so
+            // decoding recurses at most one level, whatever the frame.
+            inner: match take(c)? {
+                K_FENCED => return Err(ProtoError::NestedFence),
+                inner => Box::new(request_body(inner, c)?),
+            },
+        },
+        K_NEW_TERM => Request::NewTerm {
+            term: take(c)?,
+            leader: take(c)?,
+        },
+        K_REPLICATE => Request::Replicate {
+            term: take(c)?,
+            shard: take(c)?,
+            epoch: take(c)?,
+            req_id: take(c)?,
+            row: take(c)?,
+        },
+        K_FETCH_SHARD => Request::FetchShard {
+            term: take(c)?,
+            shard: take(c)?,
+        },
+        K_INSTALL_SHARD => Request::InstallShard {
+            term: take(c)?,
+            shard: take(c)?,
+            epoch: take(c)?,
+            arrivals: take(c)?,
+            applied: take(c)?,
+            snapshot: take(c)?,
+        },
+        K_PROMOTE => Request::Promote {
+            term: take(c)?,
+            shard: take(c)?,
+            epoch: take(c)?,
+        },
+        other => return Err(ProtoError::UnknownKind(other)),
+    })
 }
 
 /// Decode a verified payload (from [`check_frame`]) as a response.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let kind = c.u8()?;
-    let resp = match kind {
-        K_HELLO_OK => Response::HelloOk { node: c.u64()? },
-        K_PONG => Response::Pong { nonce: c.u64()? },
-        K_INGEST_OK => {
-            let req_id = c.u64()?;
-            let duplicate = c.u8()? != 0;
-            let count = c.u32()? as u64;
-            let count = checked_count(&c, "failed shards", count, 4)?;
-            let mut failed_shards = Vec::with_capacity(count);
-            for _ in 0..count {
-                failed_shards.push(c.u32()?);
-            }
-            Response::IngestOk {
-                req_id,
-                duplicate,
-                failed_shards,
-            }
-        }
-        K_POINT_R => Response::PointR {
-            answer: WirePointAnswer {
-                value: c.f64()?,
-                error_bound: c.f64()?,
-                level: c.u32()?,
-                extrapolated: c.u8()? != 0,
-            },
+    decode_whole(payload, response_body)
+}
+
+/// The body of a response of kind `kind`.
+fn response_body(kind: u8, c: &mut Cursor<'_>) -> Result<Response, ProtoError> {
+    Ok(match kind {
+        K_HELLO_OK => Response::HelloOk { node: take(c)? },
+        K_PONG => Response::Pong { nonce: take(c)? },
+        K_INGEST_OK => Response::IngestOk {
+            req_id: take(c)?,
+            duplicate: take(c)?,
+            failed_shards: take(c)?,
         },
-        K_RANGE_R => {
-            let count = c.u32()? as u64;
-            let count = checked_count(&c, "range matches", count, 12)?;
-            let mut matches = Vec::with_capacity(count);
-            for _ in 0..count {
-                matches.push(WireRangeMatch {
-                    index: c.u32()?,
-                    value: c.f64()?,
-                });
-            }
-            Response::RangeR { matches }
-        }
+        K_POINT_R => Response::PointR { answer: take(c)? },
+        K_RANGE_R => Response::RangeR { matches: take(c)? },
         K_TOPK_R => Response::TopKR {
-            complete: c.u8()? != 0,
-            entries: take_coeffs(&mut c)?,
+            complete: take(c)?,
+            entries: take(c)?,
         },
+        // Infinity is a legal threshold (a k = 0 summary prunes all);
+        // NaN is not, and the f64 field rejects it.
         K_LOCAL_TOPK_R => Response::LocalTopKR {
-            threshold: {
-                // Infinity is legal here (a k=0 summary prunes all),
-                // NaN is not; the cursor rejects NaN.
-                c.f64()?
-            },
-            truncated: c.u8()? != 0,
-            entries: take_coeffs(&mut c)?,
+            threshold: take(c)?,
+            truncated: take(c)?,
+            entries: take(c)?,
         },
-        K_SCAN_R => Response::ScanR {
-            entries: take_coeffs(&mut c)?,
+        K_SCAN_R => Response::ScanR { entries: take(c)? },
+        K_STATUS_R => Response::StatusR {
+            node: take(c)?,
+            term: take(c)?,
+            leader: take(c)?,
+            arrivals: take(c)?,
+            replicas: take(c)?,
+            store: take(c)?,
         },
-        K_STATUS_R => {
-            let node = c.u64()?;
-            let term = c.u64()?;
-            let leader = c.u64()?;
-            let arrivals = c.u64()?;
-            let count = c.u32()? as u64;
-            let count = checked_count(&c, "replica health entries", count, 9)?;
-            let mut replicas = Vec::with_capacity(count);
-            for _ in 0..count {
-                let n = c.u64()?;
-                let h = c.u8()?;
-                let h = WireHealth::from_wire(h).ok_or(ProtoError::UnknownKind(h))?;
-                replicas.push((n, h));
-            }
-            let store = WireStoreHealth::take(&mut c)?;
-            Response::StatusR {
-                node,
-                term,
-                leader,
-                arrivals,
-                replicas,
-                store,
-            }
-        }
-        K_SHUTDOWN_OK => Response::ShutdownOk { drained: c.u64()? },
+        K_SHUTDOWN_OK => Response::ShutdownOk { drained: take(c)? },
         K_OVERLOADED => Response::Overloaded,
-        K_UNAVAILABLE => Response::Unavailable { node: c.u64()? },
-        K_ERROR_R => {
-            let b = c.u8()?;
-            Response::ErrorR {
-                code: ErrorCode::from_wire(b).ok_or(ProtoError::UnknownKind(b))?,
-            }
-        }
+        K_UNAVAILABLE => Response::Unavailable { node: take(c)? },
+        K_ERROR_R => Response::ErrorR { code: take(c)? },
         K_STALE_TERM_R => Response::StaleTermR {
-            term: c.u64()?,
-            leader: c.u64()?,
+            term: take(c)?,
+            leader: take(c)?,
         },
         K_NOT_LEADER_R => Response::NotLeaderR {
-            leader: c.u64()?,
-            term: c.u64()?,
+            leader: take(c)?,
+            term: take(c)?,
         },
-        K_SYNC_R => {
-            let term = c.u64()?;
-            let count = c.u32()? as u64;
-            let count = checked_count(&c, "sync holdings", count, 21)?;
-            let mut holdings = Vec::with_capacity(count);
-            for _ in 0..count {
-                holdings.push(WireHolding {
-                    shard: c.u32()?,
-                    epoch: c.u64()?,
-                    primary: c.u8()? != 0,
-                    arrivals: c.u64()?,
-                });
-            }
-            Response::SyncR { term, holdings }
-        }
-        K_SHARD_STATE_R => {
-            let shard = c.u32()?;
-            let epoch = c.u64()?;
-            let arrivals = c.u64()?;
-            let applied = take_ids(&mut c, "exported write ids")?;
-            let snapshot = take_bytes(&mut c, "shard snapshot bytes")?;
-            Response::ShardStateR {
-                shard,
-                epoch,
-                arrivals,
-                applied,
-                snapshot,
-            }
-        }
+        K_SYNC_R => Response::SyncR {
+            term: take(c)?,
+            holdings: take(c)?,
+        },
+        K_SHARD_STATE_R => Response::ShardStateR {
+            shard: take(c)?,
+            epoch: take(c)?,
+            arrivals: take(c)?,
+            applied: take(c)?,
+            snapshot: take(c)?,
+        },
         K_EPOCH_ACK => Response::EpochAck {
-            shard: c.u32()?,
-            epoch: c.u64()?,
+            shard: take(c)?,
+            epoch: take(c)?,
         },
         K_STALE_EPOCH_R => Response::StaleEpochR {
-            shard: c.u32()?,
-            epoch: c.u64()?,
+            shard: take(c)?,
+            epoch: take(c)?,
         },
         other => return Err(ProtoError::UnknownKind(other)),
-    };
-    if !c.is_empty() {
-        return Err(ProtoError::TrailingBytes {
-            extra: c.remaining(),
-        });
-    }
-    Ok(resp)
+    })
 }
 
 /// One representative message of every request kind, exercising every
@@ -1531,8 +1586,8 @@ mod tests {
         // An Ingest frame whose row count says "u32::MAX values" but
         // whose body holds none: BadCount, not an OOM attempt.
         let mut p = vec![K_INGEST];
-        put_u64(&mut p, 1);
-        put_u32(&mut p, u32::MAX);
+        1u64.put(&mut p);
+        u32::MAX.put(&mut p);
         let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert!(matches!(
@@ -1569,8 +1624,8 @@ mod tests {
     fn nan_in_a_row_is_rejected_at_its_offset() {
         // kind (1) + req_id (8) + count (4), then the third value.
         let mut p = vec![K_INGEST];
-        put_u64(&mut p, 9);
-        put_row(&mut p, &[1.0, 2.0, f64::NAN, f64::NAN]);
+        9u64.put(&mut p);
+        vec![1.0, 2.0, f64::NAN, f64::NAN].put(&mut p);
         let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert_eq!(
@@ -1578,6 +1633,24 @@ mod tests {
             Err(ProtoError::Codec(CodecError::Invalid {
                 what: "NaN value",
                 offset: 13 + 2 * 8,
+            }))
+        );
+    }
+
+    #[test]
+    fn bools_are_strict() {
+        // IngestOk: kind (1) + req_id (8), then `duplicate` as a 2.
+        let mut p = vec![K_INGEST_OK];
+        42u64.put(&mut p);
+        2u8.put(&mut p);
+        Vec::<u32>::new().put(&mut p);
+        let frame = frame_of(p);
+        let payload = check_frame(&frame).unwrap();
+        assert_eq!(
+            decode_response(payload),
+            Err(ProtoError::Codec(CodecError::Invalid {
+                what: "bool",
+                offset: 9,
             }))
         );
     }
@@ -1615,10 +1688,10 @@ mod tests {
             },
         );
         let mut p = vec![K_FENCED];
-        put_u64(&mut p, 2);
-        put_u64(&mut p, 2);
-        put_u32(&mut p, NO_SHARD);
-        put_u64(&mut p, 0);
+        2u64.put(&mut p);
+        2u64.put(&mut p);
+        NO_SHARD.put(&mut p);
+        0u64.put(&mut p);
         p.extend_from_slice(&inner);
         let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
@@ -1630,10 +1703,10 @@ mod tests {
         // A fence whose inner payload is zero bytes: the inner decoder
         // hits end-of-input reading the kind byte.
         let mut p = vec![K_FENCED];
-        put_u64(&mut p, 1);
-        put_u64(&mut p, 1);
-        put_u32(&mut p, 0);
-        put_u64(&mut p, 0);
+        1u64.put(&mut p);
+        1u64.put(&mut p);
+        0u32.put(&mut p);
+        0u64.put(&mut p);
         let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert!(matches!(
@@ -1646,12 +1719,12 @@ mod tests {
     fn hostile_snapshot_length_cannot_allocate() {
         // An InstallShard whose snapshot length claims 4 GiB: BadCount.
         let mut p = vec![K_INSTALL_SHARD];
-        put_u64(&mut p, 1); // term
-        put_u32(&mut p, 0); // shard
-        put_u64(&mut p, 1); // epoch
-        put_u64(&mut p, 0); // arrivals
-        put_u32(&mut p, 0); // applied: none
-        put_u32(&mut p, u32::MAX); // snapshot: a lie
+        1u64.put(&mut p); // term
+        0u32.put(&mut p); // shard
+        1u64.put(&mut p); // epoch
+        0u64.put(&mut p); // arrivals
+        0u32.put(&mut p); // applied: none
+        u32::MAX.put(&mut p); // snapshot: a lie
         let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();
         assert!(matches!(

@@ -1,5 +1,4 @@
-//! The leader's peer registry: heartbeat-driven health states feeding
-//! the `swat_net::DynamicTopology` repair path.
+//! The leader's peer registry: heartbeat-driven health states.
 //!
 //! Health is a three-state machine per tracked peer:
 //!
@@ -8,22 +7,15 @@
 //!   Alive ─────────▶ Suspect ─────────────────▶ Dead
 //!     ▲                │  ▲                       │
 //!     └────────────────┘  └───────────────────────┘
-//!          success                 success (rejoin recorded)
+//!          success                 success
 //! ```
 //!
-//! Every transition to `Dead` triggers spanning-tree repair: the dead
-//! node's children (none in the star deployment, but the machinery is
-//! topology-general) re-parent to their nearest live ancestor, and every
-//! recovery is recorded as a rejoin — the same audited
-//! [`swat_net::RepairEvent`] log the PR 5 healing layer uses. Since
-//! PR 9, role transitions (elections, shard promotions/demotions) land
-//! in the same log via [`ReplicaRegistry::note_role_change`].
+//! `Dead` is what the fan-out skips and the repair pass promotes
+//! around; a `Dead` peer that answers again is simply `Alive`.
 //!
 //! Any node can lead a term, so the registry tracks an explicit peer-id
 //! set ([`ReplicaRegistry::tracking`]): a freshly promoted node 2
 //! tracks `{0, 1, 3, ...}`, not the bootstrap leader's `1..=shards`.
-
-use swat_net::{DynamicTopology, NodeId, NodeRole, RepairEvent, Topology};
 
 use crate::proto::WireHealth;
 
@@ -35,11 +27,8 @@ struct ReplicaState {
 }
 
 /// Health tracking for the peers of whichever node currently leads.
-/// Tracked peers map onto a star topology: the registry owner is the
-/// source, peer `i` (ascending id order) is tree node `i + 1`.
 #[derive(Debug)]
 pub struct ReplicaRegistry {
-    topo: DynamicTopology,
     peers: Vec<u64>,
     states: Vec<ReplicaState>,
     miss_threshold: u32,
@@ -76,7 +65,6 @@ impl ReplicaRegistry {
             peers.len()
         ];
         ReplicaRegistry {
-            topo: DynamicTopology::new(Topology::star(peers.len())),
             peers,
             states,
             miss_threshold,
@@ -121,24 +109,10 @@ impl ReplicaRegistry {
             .count()
     }
 
-    /// The audited repair log (re-parents, rejoins, role changes).
-    pub fn events(&self) -> &[RepairEvent] {
-        self.topo.events()
-    }
-
-    /// The repairable tree itself (read-only).
-    pub fn topology(&self) -> &DynamicTopology {
-        &self.topo
-    }
-
-    /// A heartbeat (or any request) succeeded at tick/instant `at`:
-    /// reset the miss counter; a dead peer's recovery is recorded as a
-    /// rejoin. Returns the new health (always [`WireHealth::Alive`]).
-    pub fn record_success(&mut self, at: u64, node: u64) -> WireHealth {
+    /// A heartbeat (or any request) to `node` succeeded: reset the miss
+    /// counter. Returns the new health (always [`WireHealth::Alive`]).
+    pub fn record_success(&mut self, node: u64) -> WireHealth {
         let slot = self.slot(node);
-        if self.states[slot].health == WireHealth::Dead {
-            self.topo.note_rejoin(at, NodeId(slot + 1));
-        }
         self.states[slot] = ReplicaState {
             health: WireHealth::Alive,
             misses: 0,
@@ -146,54 +120,29 @@ impl ReplicaRegistry {
         WireHealth::Alive
     }
 
-    /// A heartbeat (or request) to `node` failed at `at`. One miss
-    /// makes an `Alive` peer `Suspect`; reaching the threshold makes it
-    /// `Dead` and repairs the tree around it. Returns the new health.
-    pub fn record_failure(&mut self, at: u64, node: u64) -> WireHealth {
+    /// A heartbeat (or request) to `node` failed. One miss makes an
+    /// `Alive` peer `Suspect`; reaching the threshold makes it `Dead`.
+    /// Returns the new health.
+    pub fn record_failure(&mut self, node: u64) -> WireHealth {
         let slot = self.slot(node);
         let s = &mut self.states[slot];
         s.misses = s.misses.saturating_add(1);
-        if s.misses >= self.miss_threshold {
-            if s.health != WireHealth::Dead {
-                s.health = WireHealth::Dead;
-                self.repair_around(at, NodeId(slot + 1));
-            }
+        s.health = if s.misses >= self.miss_threshold {
+            WireHealth::Dead
         } else {
-            s.health = WireHealth::Suspect;
-        }
-        self.states[slot].health
+            WireHealth::Suspect
+        };
+        s.health
     }
 
     /// Mark `node` dead outright (election bootstrap: a peer that never
     /// answered the term claim is dead to the new leader, no grace
     /// heartbeats owed). Returns the new health.
-    pub fn record_dead(&mut self, at: u64, node: u64) -> WireHealth {
+    pub fn record_dead(&mut self, node: u64) -> WireHealth {
         for _ in 0..self.miss_threshold {
-            self.record_failure(at, node);
+            self.record_failure(node);
         }
         self.states[self.slot(node)].health
-    }
-
-    /// Record a role transition for `node` in the audited event log
-    /// (shard promotion/demotion, leadership adoption).
-    pub fn note_role_change(&mut self, at: u64, node: u64, role: NodeRole) {
-        let slot = self.slot(node);
-        self.topo.note_role_change(at, NodeId(slot + 1), role);
-    }
-
-    /// Re-parent every child of the newly dead `node` to its nearest
-    /// live ancestor (never inside its own subtree, so never a cycle).
-    fn repair_around(&mut self, at: u64, node: NodeId) {
-        let children: Vec<NodeId> = self.topo.children(node).to_vec();
-        for child in children {
-            let dead = |n: NodeId| {
-                n != NodeId::SOURCE && self.states[n.index() - 1].health == WireHealth::Dead
-            };
-            let adopter = self.topo.nearest_live_ancestor(child, dead);
-            // `Unchanged` is fine (already under a live parent); any
-            // other error would be a bug in the walk.
-            let _ = self.topo.reparent(at, child, adopter);
-        }
     }
 
     fn slot(&self, node: u64) -> usize {
@@ -215,33 +164,29 @@ mod tests {
     fn health_transitions_follow_the_state_machine() {
         let mut r = ReplicaRegistry::new(3, 3);
         assert_eq!(r.health(2), WireHealth::Alive);
-        assert_eq!(r.record_failure(1, 2), WireHealth::Suspect);
-        assert_eq!(r.record_failure(2, 2), WireHealth::Suspect);
-        assert_eq!(r.record_failure(3, 2), WireHealth::Dead);
+        assert_eq!(r.record_failure(2), WireHealth::Suspect);
+        assert_eq!(r.record_failure(2), WireHealth::Suspect);
+        assert_eq!(r.record_failure(2), WireHealth::Dead);
         assert_eq!(r.live_count(), 2);
         // Staying dead on further misses.
-        assert_eq!(r.record_failure(4, 2), WireHealth::Dead);
-        // Recovery is a rejoin.
-        assert_eq!(r.record_success(9, 2), WireHealth::Alive);
+        assert_eq!(r.record_failure(2), WireHealth::Dead);
+        // One answer brings it back.
+        assert_eq!(r.record_success(2), WireHealth::Alive);
         assert_eq!(r.live_count(), 3);
-        assert!(r
-            .events()
-            .iter()
-            .any(|e| matches!(e.kind, swat_net::RepairKind::Rejoin { .. })));
     }
 
     #[test]
     fn one_success_resets_the_miss_count() {
         let mut r = ReplicaRegistry::new(1, 2);
-        r.record_failure(1, 1);
-        r.record_success(2, 1);
-        assert_eq!(r.record_failure(3, 1), WireHealth::Suspect, "count reset");
+        r.record_failure(1);
+        r.record_success(1);
+        assert_eq!(r.record_failure(1), WireHealth::Suspect, "count reset");
     }
 
     #[test]
     fn statuses_cover_every_replica_in_order() {
         let mut r = ReplicaRegistry::new(2, 1);
-        r.record_failure(5, 2);
+        r.record_failure(2);
         assert_eq!(
             r.statuses(),
             vec![(1, WireHealth::Alive), (2, WireHealth::Dead)]
@@ -253,7 +198,7 @@ mod tests {
         // Node 2 leads a 4-node cluster: it tracks {0, 1, 3}.
         let mut r = ReplicaRegistry::tracking(vec![0, 1, 3], 2);
         assert!(r.tracks(0) && r.tracks(3) && !r.tracks(2));
-        assert_eq!(r.record_dead(1, 0), WireHealth::Dead);
+        assert_eq!(r.record_dead(0), WireHealth::Dead);
         assert_eq!(
             r.statuses(),
             vec![
@@ -263,12 +208,5 @@ mod tests {
             ]
         );
         assert_eq!(r.live_count(), 2);
-        r.note_role_change(2, 3, NodeRole::Primary);
-        assert!(r.events().iter().any(|e| matches!(
-            e.kind,
-            swat_net::RepairKind::RoleChange {
-                role: NodeRole::Primary
-            }
-        )));
     }
 }

@@ -263,13 +263,12 @@ impl ReplicaNode {
             .and_then(|g| self.members.binary_search(&g).ok())
     }
 
-    /// Serve one request. Leader-only requests get
-    /// [`ErrorCode::WrongRole`]; everything else is total — no input
-    /// panics.
+    /// Serve one shard request: ingest, point, range, or either top-k
+    /// round. Anything else is node- or cluster-level traffic that
+    /// [`crate::node::ClusterNode`] answers, and gets
+    /// [`ErrorCode::WrongRole`] here. Total — no input panics.
     pub fn handle(&mut self, req: &Request) -> Response {
         match req {
-            Request::Hello { .. } => Response::HelloOk { node: self.node },
-            Request::Ping { nonce } => Response::Pong { nonce: *nonce },
             Request::Ingest { req_id, row } => self.ingest(*req_id, row),
             Request::Point { stream, index } => self.point(*stream, *index),
             Request::Range {
@@ -296,30 +295,7 @@ impl ReplicaNode {
                 });
                 Response::ScanR { entries }
             }
-            // Term and leader are cluster-level state the shard engine
-            // does not track; `ClusterNode` answers Status itself and
-            // fills them in — this arm only serves direct unit-level use.
-            Request::Status => Response::StatusR {
-                node: self.node,
-                term: 0,
-                leader: 0,
-                arrivals: self.arrivals,
-                replicas: Vec::new(),
-                store: self.store_health(),
-            },
-            Request::Shutdown => Response::ShutdownOk { drained: 0 },
-            // Distributed fan-out is the leader's job.
-            Request::TopK { .. } => Response::ErrorR {
-                code: ErrorCode::WrongRole,
-            },
-            // Fencing, claims, and replication control live a level up
-            // in `ClusterNode`; the bare shard engine refuses them.
-            Request::Fenced { .. }
-            | Request::NewTerm { .. }
-            | Request::Replicate { .. }
-            | Request::FetchShard { .. }
-            | Request::InstallShard { .. }
-            | Request::Promote { .. } => Response::ErrorR {
+            _ => Response::ErrorR {
                 code: ErrorCode::WrongRole,
             },
         }
@@ -639,7 +615,8 @@ mod tests {
         assert_eq!(node.store_health(), crate::proto::WireStoreHealth::Healthy);
 
         // The disk dies under the background flusher; ingest continues
-        // and Status surfaces the degradation instead of hiding it.
+        // and the health `Status` reports surfaces the degradation
+        // instead of hiding it.
         flush_faults.kill();
         warm(&mut node, 20);
         // The drain barrier forces every parked flush to be attempted
@@ -649,9 +626,7 @@ mod tests {
             matches!(err, StoreError::Degraded { parked, .. } if parked > 0),
             "checkpoint on a dead disk must report Degraded, got {err}"
         );
-        let Response::StatusR { store, .. } = node.handle(&Request::Status) else {
-            panic!("Status must answer StatusR");
-        };
+        let store = node.store_health();
         assert!(
             matches!(store, crate::proto::WireStoreHealth::Degraded { .. }),
             "faulted flush path must surface as degraded, got {store}"

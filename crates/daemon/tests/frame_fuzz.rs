@@ -6,13 +6,17 @@
 //! The frame format puts the kind byte *inside* the CRC, so every
 //! single-bit flip anywhere in a frame — length field, CRC field, kind,
 //! or body — is detectable; these tests enforce that exhaustively for
-//! every sample frame.
+//! every sample frame. Since the CRC stops every such mutation before the
+//! decoder runs, the decoder is fuzzed separately: every truncation and
+//! bit flip of every sample *payload*, re-framed with a valid CRC, must
+//! fail typed or decode to a message that encodes back to exactly it.
 
 use swat_daemon::proto::{
     check_frame, decode_request, decode_response, encode_request, encode_response, sample_requests,
-    sample_responses,
+    sample_responses, HEADER_LEN, NO_SHARD,
 };
-use swat_daemon::{Request, Response};
+use swat_daemon::{ProtoError, Request, Response};
+use swat_tree::codec::crc32;
 
 /// Every sample frame, both directions, with a tag telling the decoder
 /// to use.
@@ -152,6 +156,92 @@ fn the_sample_set_covers_every_failover_wire_variant() {
     assert!(resps
         .iter()
         .any(|r| matches!(r, Response::StatusR { term, .. } if *term > 0)));
+}
+
+/// `payload` behind a header whose length and CRC are right for it, so
+/// a mutation of the payload reaches the decoder instead of the CRC.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Decode a CRC-valid `frame` on the side `is_request` names; a decoded
+/// message must encode back to exactly `frame` — one message, one
+/// encoding — and anything else must be a typed error.
+fn decodes_exactly_or_fails(is_request: bool, frame: &[u8]) -> Result<(), String> {
+    let again = check_frame(frame).and_then(|payload| {
+        if is_request {
+            decode_request(payload).map(|r| encode_request(&r))
+        } else {
+            decode_response(payload).map(|r| encode_response(&r))
+        }
+    });
+    match again {
+        Ok(again) if again != frame => Err(format!("decoded, but re-encodes as {again:02x?}")),
+        _ => Ok(()),
+    }
+}
+
+#[test]
+fn every_truncated_payload_reaches_the_decoder_and_fails_typed() {
+    for (is_request, frame) in all_frames() {
+        let payload = &frame[HEADER_LEN..];
+        for n in 0..payload.len() {
+            if let Err(why) = decodes_exactly_or_fails(is_request, &framed(&payload[..n])) {
+                panic!("{n} of {} payload bytes: {why}", payload.len());
+            }
+        }
+    }
+}
+
+#[test]
+fn every_bit_flipped_payload_decodes_exactly_or_fails_typed() {
+    for (is_request, frame) in all_frames() {
+        let payload = &frame[HEADER_LEN..];
+        for byte in 0..payload.len() {
+            for bit in 0..8 {
+                let mut mutated = payload.to_vec();
+                mutated[byte] ^= 1 << bit;
+                if let Err(why) = decodes_exactly_or_fails(is_request, &framed(&mutated)) {
+                    panic!("bit {bit} of payload byte {byte} of {payload:02x?}: {why}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn deeply_nested_fences_are_rejected_without_recursing() {
+    // Ten thousand fence headers around one ping: ≈ 290 KB, far inside
+    // MAX_FRAME. A decoder that recursed before checking would need far
+    // more than the 2 MiB a spawned thread's stack holds.
+    const DEPTH: usize = 10_000;
+    let mut payload = Vec::with_capacity(DEPTH * 29 + 9);
+    for _ in 0..DEPTH {
+        payload.push(0x0B); // Fenced
+        payload.extend_from_slice(&1u64.to_le_bytes()); // term
+        payload.extend_from_slice(&1u64.to_le_bytes()); // leader
+        payload.extend_from_slice(&NO_SHARD.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes()); // epoch
+    }
+    payload.push(0x02); // Ping
+    payload.extend_from_slice(&7u64.to_le_bytes()); // nonce
+    let frame = framed(&payload);
+    let decoded = std::thread::spawn(move || decode_request(check_frame(&frame)?))
+        .join()
+        .expect("the decoding thread returns");
+    assert_eq!(decoded, Err(ProtoError::NestedFence));
+}
+
+#[test]
+fn the_sample_frames_keep_their_bytes() {
+    // Every sample frame, requests then responses, concatenated: the
+    // wire format is these bytes, whatever code produces them.
+    let bytes: Vec<u8> = all_frames().into_iter().flat_map(|(_, f)| f).collect();
+    assert_eq!((bytes.len(), crc32(&bytes)), (1077, 0x5685_512D));
 }
 
 #[test]

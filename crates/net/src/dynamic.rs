@@ -39,38 +39,6 @@ pub enum RepairKind {
         /// Whether the node came back with no remaining children.
         as_leaf: bool,
     },
-    /// `node` changed its cluster role (`old_parent == new_parent`; the
-    /// tree shape is untouched). The daemon's failover layer records
-    /// leader elections and shard promotions/demotions here, so the one
-    /// audited log covers role transitions as well as tree repairs.
-    RoleChange {
-        /// The role the node took on.
-        role: NodeRole,
-    },
-}
-
-/// A node's cluster role, as recorded by [`RepairKind::RoleChange`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeRole {
-    /// Elected cluster leader.
-    Leader,
-    /// Primary holder of a data shard.
-    Primary,
-    /// Warm standby for a data shard.
-    Standby,
-    /// Holds no role (demoted, or awaiting assignment after a rejoin).
-    Follower,
-}
-
-impl fmt::Display for NodeRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NodeRole::Leader => write!(f, "leader"),
-            NodeRole::Primary => write!(f, "primary"),
-            NodeRole::Standby => write!(f, "standby"),
-            NodeRole::Follower => write!(f, "follower"),
-        }
-    }
 }
 
 /// One audited mutation of the tree.
@@ -331,21 +299,6 @@ impl DynamicTopology {
         })
     }
 
-    /// Record a role transition for `node` (leader election, shard
-    /// promotion/demotion). The tree shape is untouched — the event
-    /// exists so one audited log tells the whole failover story.
-    pub fn note_role_change(&mut self, at: u64, node: NodeId, role: NodeRole) -> RepairEvent {
-        let parent = self.parent(node).unwrap_or(NodeId::SOURCE);
-        self.record(RepairEvent {
-            version: self.version + 1,
-            at,
-            node,
-            old_parent: parent,
-            new_parent: parent,
-            kind: RepairKind::RoleChange { role },
-        })
-    }
-
     /// Commit one already-built event: bump the version to the event's
     /// and append it to the log. Returning the value that was pushed —
     /// rather than re-reading `events.last()` — keeps the repair layer
@@ -491,32 +444,6 @@ mod tests {
         let ev = t.note_rejoin(21, NodeId(2));
         assert_eq!(ev.kind, RepairKind::Rejoin { as_leaf: false });
         assert_eq!(t.events().len(), 3);
-    }
-
-    #[test]
-    fn role_changes_are_audited_without_moving_the_tree() {
-        let mut t = DynamicTopology::new(Topology::star(3));
-        let before_parent = t.parent(NodeId(2));
-        let ev = t.note_role_change(30, NodeId(2), NodeRole::Leader);
-        assert_eq!(
-            ev.kind,
-            RepairKind::RoleChange {
-                role: NodeRole::Leader
-            }
-        );
-        assert_eq!(ev.old_parent, ev.new_parent);
-        assert_eq!(t.parent(NodeId(2)), before_parent, "shape untouched");
-        assert_eq!(t.version(), 1);
-        let ev = t.note_role_change(31, NodeId(2), NodeRole::Standby);
-        assert_eq!(ev.version, 2);
-        for role in [
-            NodeRole::Leader,
-            NodeRole::Primary,
-            NodeRole::Standby,
-            NodeRole::Follower,
-        ] {
-            assert!(!role.to_string().is_empty());
-        }
     }
 
     mod props {

@@ -31,7 +31,7 @@ pub mod fault;
 pub mod ledger;
 pub mod topology;
 
-pub use dynamic::{DynamicTopology, NodeRole, RepairError, RepairEvent, RepairKind};
+pub use dynamic::{DynamicTopology, RepairError, RepairEvent, RepairKind};
 pub use fault::{CrashWindow, DelayDist, Delivery, FaultPlan, FaultPlanError, Link};
 pub use ledger::{MessageLedger, MsgKind};
 pub use topology::{NodeId, Topology, TopologyError};

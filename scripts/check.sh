@@ -92,6 +92,12 @@ ROWS=(
     "cargo test -q --release -p swat-tree --lib codec"
     ""
 
+    # The wire codec optimized: the stack a decode needs (the nested-fence
+    # frame) and the bulk row paths are release-build behaviour.
+    "release codec"
+    "cargo test -q --release -p swat-daemon --test frame_fuzz && cargo test -q --release -p swat-daemon --lib proto::"
+    ""
+
     # The two simulator artifacts are counts, a function of the seed: the
     # full sweeps must reproduce the committed files byte for byte. After a
     # deliberate simulator change, scripts/bench.sh chaos|repair and commit.
