@@ -111,12 +111,25 @@ fn round<F: Fabric>(fabric: &mut F, calls: &[PeerCall]) -> Result<Vec<Option<Res
     let results = deliver_calls(fabric, calls);
     match stale_term_in(&results) {
         None => Ok(results),
-        Some((term, leader)) => Err(fabric
-            .with_node(|node| {
-                node.observe_stale_term(term, leader);
-                not_leader(node)
-            })
-            .unwrap_or(INTERNAL)),
+        Some((term, leader)) => {
+            let now = fabric.now();
+            Err(fabric
+                .with_node(|node| {
+                    node.observe_stale_term(term, leader);
+                    restart_clock_if_deposed(node, now);
+                    not_leader(node)
+                })
+                .unwrap_or(INTERNAL))
+        }
+    }
+}
+
+/// A node the driver just stepped down restarts its election clock, so it
+/// waits a full election timeout before it claims again — not the clock
+/// it had before it led, which would let it claim at its next pass.
+fn restart_clock_if_deposed(node: &mut ClusterNode, now: u64) {
+    if !node.is_leader() {
+        node.note_leader_contact(now);
     }
 }
 
@@ -258,23 +271,24 @@ pub fn monitor_pass<F: Fabric>(
             .flat_map(|&peer| deliver(fabric, &[(peer, &heartbeat)], false))
             .collect();
         if let Some((term, leader)) = stale_term_in(&answers) {
-            return fabric.with_node(|node| node.observe_stale_term(term, leader));
-        }
-        if !peer_table {
-            return Some(());
-        }
-        let calls = fabric.with_node(|node| node.repair_plan())?;
-        if !calls.is_empty() {
-            repair_round(fabric, &calls)?;
-        }
-        if let Some(fetch) = fabric.with_node(|node| node.rejoin_plan())? {
-            let results = deliver_calls(fabric, &fetch);
-            let install = fabric.with_node(|node| node.finish_fetch(&fetch, &results))?;
-            if let Some(install) = install {
-                let result = deliver_calls(fabric, std::slice::from_ref(&install)).pop();
-                fabric.with_node(|node| node.finish_install(result.flatten()))?;
+            fabric.with_node(|node| node.observe_stale_term(term, leader))?;
+        } else if peer_table {
+            let calls = fabric.with_node(|node| node.repair_plan())?;
+            if !calls.is_empty() {
+                repair_round(fabric, &calls)?;
+            }
+            if let Some(fetch) = fabric.with_node(|node| node.rejoin_plan())? {
+                let results = deliver_calls(fabric, &fetch);
+                let install = fabric.with_node(|node| node.finish_fetch(&fetch, &results))?;
+                if let Some(install) = install {
+                    let result = deliver_calls(fabric, std::slice::from_ref(&install)).pop();
+                    fabric.with_node(|node| node.finish_install(result.flatten()))?;
+                }
             }
         }
+        // A heartbeat, repair, fetch or install answer may have fenced it.
+        let at = fabric.now();
+        fabric.with_node(|node| restart_clock_if_deposed(node, at))?;
     } else if peer_table {
         if now.saturating_sub(last_contact) < election_timeout + id * period {
             return Some(());
@@ -441,6 +455,40 @@ mod tests {
         );
         assert!(!mem.nodes[0].is_leader());
         assert!(mem.script.is_empty(), "both rounds were delivered");
+    }
+
+    /// A deposed leader keeps quiet for a full election timeout from its
+    /// step-down, then claims a silent cluster (term 3).
+    #[test]
+    fn a_fenced_out_leader_waits_a_full_election_timeout_before_it_claims() {
+        let fenced = Some(Response::StaleTermR { term: 1, leader: 1 });
+        // Fenced out by the legs of a client request...
+        let mut mem = Mem::ring();
+        mem.now = 1_000;
+        mem.script.push_back(vec![fenced.clone(); 4]);
+        let row = Request::Ingest {
+            req_id: 0,
+            row: vec![1.0; 8],
+        };
+        assert_eq!(
+            mem.serve_at(0, &row),
+            Response::NotLeaderR { leader: 1, term: 1 }
+        );
+        // ...or by its own heartbeats, one round per peer.
+        let mut beat = Mem::ring();
+        beat.now = 1_000;
+        beat.script.push_back(vec![fenced.clone()]);
+        beat.script.push_back(vec![fenced]);
+        monitor_pass(&mut beat, true, 100, 1).unwrap();
+        for mem in [&mut mem, &mut beat] {
+            assert!(!mem.nodes[0].is_leader());
+            mem.now = 1_050;
+            monitor_pass(mem, true, 100, 1).unwrap();
+            assert_eq!(mem.nodes[0].term(), 1, "no claim inside the timeout");
+            mem.now = 1_100;
+            monitor_pass(mem, true, 100, 1).unwrap();
+            assert_eq!(mem.nodes[0].term(), 3, "a silent cluster is re-claimed");
+        }
     }
 
     #[test]

@@ -194,13 +194,6 @@ impl Assignment {
     }
 }
 
-/// Deterministic successor selection: the lowest-id live node. Every
-/// node computes the same answer from the same liveness view, so the
-/// probe order during elections is stable and replayable.
-pub fn successor(live: impl IntoIterator<Item = u64>) -> Option<u64> {
-    live.into_iter().min()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,11 +283,5 @@ mod tests {
         assert_eq!(a.slot(1).epoch, 2);
         a.adopt_epoch(1, 9);
         assert_eq!(a.slot(1).epoch, 9);
-    }
-
-    #[test]
-    fn successor_is_the_lowest_live_id() {
-        assert_eq!(successor([3, 1, 2]), Some(1));
-        assert_eq!(successor([]), None);
     }
 }

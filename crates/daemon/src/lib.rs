@@ -57,7 +57,7 @@ pub mod transport;
 
 pub use client::{ClientError, DaemonClient, FailoverClient, InflightGuard, PeerPool};
 pub use cluster::{stale_term_in, LeaderCore, PeerCall, Plan, ShardMap};
-pub use failover::{next_term, successor, term_owner, Assignment, ShardSlot};
+pub use failover::{next_term, term_owner, Assignment, ShardSlot};
 pub use node::ClusterNode;
 pub use proto::{
     check_frame, decode_request, decode_response, encode_request, encode_response, ErrorCode,

@@ -1,7 +1,7 @@
 //! The cluster node: every `swatd` process is one of these.
 //!
 //! A [`ClusterNode`] wraps the shard holdings a node currently serves
-//! (each a [`ReplicaNode`]), the node's term/leader view, and — while
+//! (each a [`crate::ReplicaNode`]), the node's term/leader view, and — while
 //! the node leads — the [`LeaderCore`] routing machine. Like the layers
 //! below it, it is strictly sans-io: [`ClusterNode::handle`] answers any
 //! wire request that can be answered locally, and the election / repair

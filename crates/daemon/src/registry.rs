@@ -71,11 +71,6 @@ impl ReplicaRegistry {
         }
     }
 
-    /// Number of peers tracked.
-    pub fn replicas(&self) -> usize {
-        self.states.len()
-    }
-
     /// Whether `node` is one of the tracked peers.
     pub fn tracks(&self, node: u64) -> bool {
         self.peers.binary_search(&node).is_ok()
@@ -99,14 +94,6 @@ impl ReplicaRegistry {
             .zip(&self.states)
             .map(|(&n, s)| (n, s.health))
             .collect()
-    }
-
-    /// Peers currently not `Dead`.
-    pub fn live_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| s.health != WireHealth::Dead)
-            .count()
     }
 
     /// A heartbeat (or any request) to `node` succeeded: reset the miss
@@ -167,12 +154,19 @@ mod tests {
         assert_eq!(r.record_failure(2), WireHealth::Suspect);
         assert_eq!(r.record_failure(2), WireHealth::Suspect);
         assert_eq!(r.record_failure(2), WireHealth::Dead);
-        assert_eq!(r.live_count(), 2);
+        assert_eq!(
+            r.statuses(),
+            vec![
+                (1, WireHealth::Alive),
+                (2, WireHealth::Dead),
+                (3, WireHealth::Alive)
+            ]
+        );
         // Staying dead on further misses.
         assert_eq!(r.record_failure(2), WireHealth::Dead);
         // One answer brings it back.
         assert_eq!(r.record_success(2), WireHealth::Alive);
-        assert_eq!(r.live_count(), 3);
+        assert!(r.statuses().iter().all(|&(_, h)| h == WireHealth::Alive));
     }
 
     #[test]
@@ -207,6 +201,5 @@ mod tests {
                 (3, WireHealth::Alive)
             ]
         );
-        assert_eq!(r.live_count(), 2);
     }
 }

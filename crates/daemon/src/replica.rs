@@ -249,7 +249,7 @@ impl ReplicaNode {
         }
     }
 
-    /// The backing store's health: [`WireStoreHealth::Degraded`] when
+    /// The backing store's health: [`crate::proto::WireStoreHealth::Degraded`] when
     /// the background snapshot flush is parked on a disk fault (in-memory
     /// backings are always healthy).
     pub fn store_health(&self) -> crate::proto::WireStoreHealth {

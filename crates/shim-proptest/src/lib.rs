@@ -457,7 +457,7 @@ pub mod prop {
         use crate::{Strategy, TestRng};
         use std::ops::{Range, RangeInclusive};
 
-        /// Admissible length specifications for [`vec`].
+        /// Admissible length specifications for [`vec()`].
         #[derive(Debug, Clone)]
         pub struct SizeRange {
             lo: usize,
@@ -490,7 +490,7 @@ pub mod prop {
             }
         }
 
-        /// Strategy for vectors of `element` values (see [`vec`]).
+        /// Strategy for vectors of `element` values (see [`vec()`]).
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

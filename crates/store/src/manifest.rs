@@ -6,7 +6,7 @@
 //! Every flush becomes visible by atomically writing `manifest-<seq+1>`
 //! — fsync, rename, directory fsync — so at any crash instant there is a
 //! complete old manifest or a complete new one, and any segment file not
-//! named by the newest valid manifest is an orphan that [`retire`] (the
+//! named by the newest valid manifest is an orphan that `retire` (the
 //! flusher's and recovery's retention pass) reclaims.
 //!
 //! ## Retention
@@ -260,7 +260,7 @@ impl Manifest {
 
 /// Atomically commit `manifest` to `dir` through the given fault domain,
 /// then drop manifest generations beyond the newest [`KEPT_MANIFESTS`].
-/// The rename inside [`io::write_atomic`] is the commit point: before it
+/// The rename inside `io::write_atomic` is the commit point: before it
 /// the old manifest is truth, after it the new one is.
 pub fn commit(faults: &IoFaults, dir: &Path, manifest: &Manifest) -> Result<(), StoreError> {
     io::write_atomic(

@@ -55,9 +55,9 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 
 /// IEEE CRC-32 of `bytes`. Same polynomial, bit order and values on
 /// every path, so every stored checksum verifies: inputs of at least
-/// [`clmul::MIN_LEN`] bytes on an x86-64 with PCLMULQDQ are folded by
+/// `clmul::MIN_LEN` bytes on an x86-64 with PCLMULQDQ are folded by
 /// carry-less multiplication, everything else (and the sub-16-byte tail
-/// of a folded input) goes through the portable [`crc32_sliced`] loop.
+/// of a folded input) goes through the portable `crc32_sliced` loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if bytes.len() >= clmul::MIN_LEN

@@ -43,7 +43,7 @@
 //! per coefficient is the same expression in the same order, truncation
 //! commutes with the blocked merge (see `swat_wavelet::block`), and the
 //! range lanes replay `ValueRange::of`/`union` exactly. The frozen copy
-//! of the pre-block scalar path lives in [`reference`] and the
+//! of the pre-block scalar path lives in [`reference`](mod@reference) and the
 //! `ingest_equivalence` property suite pins the two together node by
 //! node across window sizes, budgets, chunk alignments, and interleaved
 //! `push`/`push_batch` call patterns.

@@ -46,8 +46,8 @@
 //!   and the frozen scalar reference path it is pinned against,
 //! * [`query`] — point / range / inner-product evaluation (Figure 3b),
 //! * [`scratch`] — the zero-allocation query engine: reusable
-//!   [`QueryScratch`] buffers, a cached serving-map cover index, batched
-//!   entry points, and the wavelet-domain inner-product kernel,
+//!   [`QueryScratch`] buffers, a cached serving-map cover index and
+//!   batched entry points,
 //! * [`node`] — immutable per-block summaries with aging coverage,
 //! * [`range`] — `[min, max]` ranges backing sound error bounds,
 //! * [`error_model`] — the paper's §2.6 closed-form error bounds,

@@ -25,7 +25,7 @@
 //!
 //! Evaluation is carried out by the zero-allocation engine in
 //! [`crate::scratch`]; the public methods here route through a
-//! thread-local [`crate::QueryScratch`]. The [`reference`] module keeps
+//! thread-local [`crate::QueryScratch`]. The [`reference`](mod@reference) module keeps
 //! the original allocating implementations frozen as the bit-identity
 //! baseline for property tests and benchmarks.
 
@@ -69,11 +69,11 @@ pub struct PointAnswer {
 
 /// The shape of an inner-product weight vector.
 ///
-/// The profile constructors tag their queries so the coefficient-domain
-/// kernel ([`SwatTree::inner_product_coeffs`]) can use closed-form
-/// transformed weights; [`WeightProfile::General`] queries fall back to a
-/// dense adjoint transform. The tag never affects the exact evaluation
-/// path or query equality.
+/// The profile constructors tag their queries as contiguous ascending
+/// index runs, so index validation is one comparison instead of a scan;
+/// [`WeightProfile::General`] queries are checked index by index. The
+/// continuous-query snapshot encodes the tag. It never affects an answer
+/// or query equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightProfile {
     /// Arbitrary weights with no known closed form (explicit vectors and
@@ -96,7 +96,7 @@ pub struct InnerProductQuery {
     profile: WeightProfile,
 }
 
-// Equality ignores the profile tag: it is a kernel hint derivable from the
+// Equality ignores the profile tag: it is a validation hint derivable from the
 // weights, not part of the query's meaning.
 impl PartialEq for InnerProductQuery {
     fn eq(&self, other: &Self) -> bool {
@@ -272,7 +272,7 @@ impl InnerProductQuery {
         self.delta
     }
 
-    /// The weight-profile tag (a kernel hint; see [`WeightProfile`]).
+    /// The weight-profile tag (a validation hint; see [`WeightProfile`]).
     pub fn profile(&self) -> WeightProfile {
         self.profile
     }
@@ -280,8 +280,8 @@ impl InnerProductQuery {
     /// Re-apply a serialized profile tag, but only after verifying the
     /// weights really have the closed form the tag promises (bitwise —
     /// the constructors are deterministic). Returns whether the tag was
-    /// accepted; an untrusted snapshot cannot smuggle a lying hint into
-    /// the coefficient-domain kernel.
+    /// accepted; an untrusted snapshot cannot smuggle a lying hint past
+    /// the one-comparison index check.
     pub(crate) fn try_set_profile(&mut self, profile: WeightProfile) -> bool {
         let ok = match profile {
             WeightProfile::General => true,

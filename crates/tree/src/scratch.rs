@@ -1,11 +1,9 @@
 //! The zero-allocation query engine: reusable scratch buffers, a cached
-//! node-cover index, batched entry points, and the coefficient-domain
-//! inner-product kernel.
+//! node-cover index, and batched entry points.
 //!
 //! # Bit-identity contract
 //!
-//! Every evaluation path in this module (except the explicitly
-//! approximate [`SwatTree::inner_product_coeffs`]) produces answers
+//! Every evaluation path in this module produces answers
 //! **bit-identical** to the frozen implementations in
 //! [`crate::query::reference`]: the same greedy cover, the same traversal
 //! order, the same floating-point operations in the same order. The
@@ -52,9 +50,6 @@ use crate::query::{
     WeightProfile,
 };
 use crate::tree::SwatTree;
-use swat_wavelet::dot::{
-    adjoint_into, dot_coeffs, dot_coeffs_clipped, profile_sum, CanonicalProfile, ProfileTable,
-};
 
 /// Sentinel in the serving map: no eligible node covers this index.
 const UNSERVED: u32 = u32::MAX;
@@ -224,12 +219,6 @@ pub struct QueryScratch {
     /// The serving map can be shared across trees with equal geometry;
     /// reconstructed *values* never can, so this resets every batch.
     blocks: Vec<Vec<f64>>,
-    /// Dense weight layout, adjoint output, adjoint ping-pong (kernel).
-    wdense: Vec<f64>,
-    wadj: Vec<f64>,
-    wtmp: Vec<f64>,
-    /// Cached transformed weights for the closed-form profiles.
-    profiles: ProfileTable,
 }
 
 impl QueryScratch {
@@ -251,12 +240,7 @@ impl QueryScratch {
             + self.sel.capacity() * size_of::<SelNode>()
             + self.entries.capacity() * size_of::<usize>()
             + self.uncovered.capacity() * size_of::<usize>()
-            + (self.block.capacity()
-                + self.tmp.capacity()
-                + self.wdense.capacity()
-                + self.wadj.capacity()
-                + self.wtmp.capacity())
-                * size_of::<f64>()
+            + (self.block.capacity() + self.tmp.capacity()) * size_of::<f64>()
             + self.blocks.capacity() * size_of::<Vec<f64>>()
             + self
                 .blocks
@@ -817,172 +801,6 @@ impl SwatTree {
         }
         Ok(())
     }
-
-    /// Answer an inner-product query **entirely in the wavelet domain**:
-    /// per covered node, `⟨w, x̂⟩ = ⟨adjoint(w), c⟩` is evaluated over the
-    /// node's `k` stored coefficients — `O(k)` per node for the tagged
-    /// exponential/linear profiles (closed-form transformed weights,
-    /// cached per (width, profile) in the scratch's
-    /// [`swat_wavelet::ProfileTable`]) — with no time-domain
-    /// reconstruction at all.
-    ///
-    /// Differences from the exact path ([`Self::inner_product_with`]):
-    ///
-    /// * reconstructed values are **not** clamped into the node's exact
-    ///   range, so `value` may differ from the exact path at
-    ///   floating-point-ulp scale (and wherever clamping genuinely bites);
-    /// * `error_bound` is the looser—but still **sound**—per-node bound
-    ///   `Σ|w| · (hi − lo)`: the unclamped reconstruction provably lies
-    ///   within the node's `[lo, hi]` alongside the truth, so each entry's
-    ///   error is at most the range width. It is at most 2× the exact
-    ///   path's bound.
-    ///
-    /// [`WeightProfile::General`] queries fall back to a dense adjoint
-    /// transform per node (`O(width)`, like a reconstruction, but still
-    /// allocation-free).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::inner_product_with`].
-    pub fn inner_product_coeffs(
-        &self,
-        query: &InnerProductQuery,
-        opts: QueryOptions,
-        scratch: &mut QueryScratch,
-    ) -> Result<InnerProductAnswer, TreeError> {
-        self.check_query_indices(query)?;
-        scratch.cover_mapped(self, IdxList::Slice(query.indices()), opts);
-        let QueryScratch {
-            sel,
-            entries,
-            uncovered,
-            wdense,
-            wadj,
-            wtmp,
-            profiles,
-            ..
-        } = scratch;
-        if !uncovered.is_empty() && opts.min_level == 0 {
-            return Err(TreeError::Uncovered {
-                index: query.indices()[uncovered[0]],
-            });
-        }
-        let now = self.arrivals();
-        let qstart = query.indices()[0];
-        let mut value = 0.0;
-        let mut error_bound = 0.0;
-        for sn in sel.iter() {
-            let s = self
-                .summary_at(sn.level, sn.queue_index)
-                .expect("cover refers to a live node");
-            let width = s.width();
-            let range_width = s.range().width();
-            let coeffs = s.coeffs().coefficients();
-            let (start, _) = s.coverage(now);
-            let served = &entries[sn.entries_start..sn.entries_start + sn.entries_len];
-            // Served positions are ascending; for the tagged profiles the
-            // query indices are contiguous from `qstart`, so a contiguous
-            // position run is a contiguous local range of the block.
-            let contiguous = served[served.len() - 1] - served[0] == served.len() - 1;
-            let profile = match query.profile() {
-                WeightProfile::Exponential if contiguous => Some(CanonicalProfile::Geometric),
-                WeightProfile::Linear if contiguous => Some(CanonicalProfile::Ones),
-                _ => None,
-            };
-            match profile {
-                Some(CanonicalProfile::Geometric) => {
-                    let a = query.indices()[served[0]] - start;
-                    let b = query.indices()[served[served.len() - 1]] - start;
-                    // w(local p) = (1/2)^(p + shift), shift = start − qstart.
-                    let shift = start as i64 - qstart as i64;
-                    let scale = 0.5f64.powi(shift as i32);
-                    if a == 0 && b == width - 1 {
-                        let tw = profiles.weights(CanonicalProfile::Geometric, width, coeffs.len());
-                        value += scale * dot_coeffs(coeffs, tw);
-                    } else {
-                        value += scale
-                            * dot_coeffs_clipped(coeffs, width, a, b, |lo, hi| {
-                                profile_sum(CanonicalProfile::Geometric, lo, hi)
-                            });
-                    }
-                    let sum_w = scale * profile_sum(CanonicalProfile::Geometric, a, b);
-                    error_bound += sum_w * range_width;
-                }
-                Some(_) => {
-                    let a = query.indices()[served[0]] - start;
-                    let b = query.indices()[served[served.len() - 1]] - start;
-                    // w(local p) = (m − (p + shift))/m = α + β·p.
-                    let m = query.len() as f64;
-                    let shift = (start as i64 - qstart as i64) as f64;
-                    let alpha = (m - shift) / m;
-                    let beta = -1.0 / m;
-                    if a == 0 && b == width - 1 {
-                        let ones = profiles.weights(CanonicalProfile::Ones, width, coeffs.len());
-                        value += alpha * dot_coeffs(coeffs, ones);
-                        let ramp = profiles.weights(CanonicalProfile::Ramp, width, coeffs.len());
-                        value += beta * dot_coeffs(coeffs, ramp);
-                    } else {
-                        value += alpha
-                            * dot_coeffs_clipped(coeffs, width, a, b, |lo, hi| {
-                                profile_sum(CanonicalProfile::Ones, lo, hi)
-                            });
-                        value += beta
-                            * dot_coeffs_clipped(coeffs, width, a, b, |lo, hi| {
-                                profile_sum(CanonicalProfile::Ramp, lo, hi)
-                            });
-                    }
-                    // Linear weights are positive over the query, so
-                    // Σ|w| = Σw = α·count + β·ramp-sum.
-                    let sum_w = alpha * profile_sum(CanonicalProfile::Ones, a, b)
-                        + beta * profile_sum(CanonicalProfile::Ramp, a, b);
-                    error_bound += sum_w * range_width;
-                }
-                None => {
-                    // Dense adjoint fallback: lay the served weights into
-                    // block-local positions (zeros elsewhere) and transform.
-                    wdense.clear();
-                    wdense.resize(width, 0.0);
-                    let mut sum_abs = 0.0;
-                    for &pos in served {
-                        let local = query.indices()[pos] - start;
-                        let w = query.weights()[pos];
-                        wdense[local] = w;
-                        sum_abs += w.abs();
-                    }
-                    adjoint_into(wdense, wadj, wtmp).expect("node width is a power of two");
-                    value += dot_coeffs(coeffs, wadj);
-                    error_bound += sum_abs * range_width;
-                }
-            }
-        }
-        // Extrapolation mirrors the exact path (the bound there is already
-        // the range width per entry).
-        if !uncovered.is_empty() {
-            let nearest = self
-                .nodes()
-                .filter(|(l, _, _)| *l >= opts.min_level)
-                .min_by_key(|(_, _, s)| s.coverage(now).0);
-            let Some((_, _, s)) = nearest else {
-                return Err(TreeError::Uncovered {
-                    index: query.indices()[uncovered[0]],
-                });
-            };
-            let (start, _) = s.coverage(now);
-            let v = s.value_at(now, start);
-            for &pos in uncovered.iter() {
-                let w = query.weights()[pos];
-                value += w * v;
-                error_bound += w.abs() * s.range().width();
-            }
-        }
-        Ok(InnerProductAnswer {
-            value,
-            error_bound,
-            meets_precision: error_bound <= query.delta(),
-            nodes_used: sel.len(),
-            extrapolated: uncovered.len(),
-        })
-    }
 }
 
 /// Push helper kept out of the hot loop body so the borrow of `out` stays
@@ -1225,10 +1043,6 @@ mod tests {
                 .unwrap();
             tree.inner_product_many(&queries, QueryOptions::default(), scratch, ips)
                 .unwrap();
-            for q in &queries {
-                tree.inner_product_coeffs(q, QueryOptions::default(), scratch)
-                    .unwrap();
-            }
             tree.reconstruct_window_into(scratch, win).unwrap();
         };
         run(&mut scratch, &mut pts, &mut ips, &mut win);
@@ -1237,71 +1051,6 @@ mod tests {
         for _ in 0..10 {
             run(&mut scratch, &mut pts, &mut ips, &mut win);
             assert_eq!(scratch.bytes_reserved(), warm, "buffers regrew");
-        }
-    }
-
-    #[test]
-    fn kernel_is_close_and_sound_on_lossless_trees() {
-        // With k = width the unclamped reconstruction is exact, so the
-        // kernel value must match the exact inner product to fp tolerance.
-        let values: Vec<f64> = (0..96).map(|i| ((i * 31) % 17) as f64 - 5.0).collect();
-        let tree = warm_tree(32, 32, values.iter().copied());
-        let window: Vec<f64> = (0..32).map(|i| values[values.len() - 1 - i]).collect();
-        let mut scratch = QueryScratch::new();
-        for q in [
-            InnerProductQuery::exponential(32, 1e9),
-            InnerProductQuery::exponential_at(3, 20, 1e9),
-            InnerProductQuery::linear(16, 1e9),
-            InnerProductQuery::linear_at(7, 21, 1e9),
-            InnerProductQuery::point(11, 1e9),
-            InnerProductQuery::new(vec![1, 4, 9, 16, 25], vec![0.5, -2.0, 3.0, 1.0, -0.25], 1e9)
-                .unwrap(),
-        ] {
-            let exact = q.exact(&window);
-            let ans = tree
-                .inner_product_coeffs(&q, QueryOptions::default(), &mut scratch)
-                .unwrap();
-            assert!(
-                (ans.value - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
-                "{q:?}: kernel {} vs exact {exact}",
-                ans.value
-            );
-        }
-    }
-
-    #[test]
-    fn kernel_bound_is_sound_and_at_most_twice_reference() {
-        let values: Vec<f64> = (0..300).map(|i| ((i * 37) % 97) as f64 * 0.5).collect();
-        let tree = warm_tree(64, 4, values.iter().copied());
-        let window: Vec<f64> = (0..64).map(|i| values[values.len() - 1 - i]).collect();
-        let mut scratch = QueryScratch::new();
-        for q in [
-            InnerProductQuery::exponential(64, 1e9),
-            InnerProductQuery::exponential_at(9, 40, 1e9),
-            InnerProductQuery::linear(48, 1e9),
-            InnerProductQuery::linear_at(20, 44, 1e9),
-            InnerProductQuery::new(vec![0, 5, 33, 60], vec![1.5, -0.5, 2.0, 1.0], 1e9).unwrap(),
-        ] {
-            let exact = q.exact(&window);
-            let kernel = tree
-                .inner_product_coeffs(&q, QueryOptions::default(), &mut scratch)
-                .unwrap();
-            let reference =
-                crate::query::reference::inner_product_with(&tree, &q, QueryOptions::default())
-                    .unwrap();
-            assert!(
-                (kernel.value - exact).abs() <= kernel.error_bound + 1e-9,
-                "{q:?}: |{} - {exact}| > {}",
-                kernel.value,
-                kernel.error_bound
-            );
-            assert!(
-                kernel.error_bound <= 2.0 * reference.error_bound + 1e-9,
-                "{q:?}: kernel bound {} vs reference {}",
-                kernel.error_bound,
-                reference.error_bound
-            );
-            assert_eq!(kernel.nodes_used, reference.nodes_used);
         }
     }
 }

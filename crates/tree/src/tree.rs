@@ -9,9 +9,9 @@
 //! describes a dyadic block of `2^(l+1)` consecutive stream values and
 //! never changes while retained; the paper's shift `L := S; S := R;
 //! R := new` renames three nodes and writes one, and so does this tree:
-//! which slot of a level is `R` lives in the tree header ([`Order`]), a
+//! which slot of a level is `R` lives in the tree header (`Order`), a
 //! refresh steps it and overwrites the slot that held the evicted
-//! generation in place ([`Level::refresh`]), and no summary ever moves.
+//! generation in place (`Level::refresh`), and no summary ever moves.
 //!
 //! # Update (the paper's Figure 3a)
 //!

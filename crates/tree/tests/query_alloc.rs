@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator wraps `System`; after warming the tree,
 //! the scratch, and the output buffers, a block of mixed queries (point,
-//! batched point, inner product — exact and kernel — range, and window
+//! batched point, single and batched inner product, range, and window
 //! reconstruction) must not allocate at all. This is a dedicated
 //! single-test integration binary so no concurrent test can perturb the
 //! counter. Only allocations made by the test thread itself are
@@ -105,14 +105,13 @@ fn steady_state_query_serving_does_not_allocate() {
                 .unwrap();
             for q in &queries {
                 tree.inner_product_with_scratch(q, opts, scratch).unwrap();
-                tree.inner_product_coeffs(q, opts, scratch).unwrap();
             }
             tree.range_query_with_scratch(&range, opts, scratch, matches)
                 .unwrap();
             tree.reconstruct_window_into(scratch, window).unwrap();
         };
 
-        // Warm-up: buffers (scratch, outputs, profile weight tables) grow
+        // Warm-up: buffers (scratch and outputs) grow
         // to the workload's high-water mark.
         serve(
             &mut scratch,

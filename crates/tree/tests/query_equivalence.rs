@@ -232,40 +232,6 @@ proptest! {
         }
     }
 
-    /// The wavelet-domain kernel is sound (truth within its bound) and
-    /// its bound is at most 2x the exact path's.
-    #[test]
-    fn kernel_is_sound((n, k, values) in tree_inputs()) {
-        let tree = build(n, k, &values);
-        if !tree.is_warm() {
-            // Soundness vs. ground truth needs a full window; cold and
-            // extrapolated cases are covered by the equivalence tests.
-            continue;
-        }
-        let mut truth = swat_tree::ExactWindow::new(n);
-        for &v in &values {
-            truth.push(v);
-        }
-        let window: Vec<f64> = (0..n).map(|i| truth.get(i).unwrap()).collect();
-        let mut scratch = QueryScratch::new();
-        for q in query_mix(n) {
-            let exact = q.exact(&window);
-            let ans = tree
-                .inner_product_coeffs(&q, QueryOptions::default(), &mut scratch)
-                .unwrap();
-            prop_assert!(
-                (ans.value - exact).abs() <= ans.error_bound + 1e-9,
-                "{q:?}: |{} - {exact}| > {}", ans.value, ans.error_bound
-            );
-            let reference_ans = tree.inner_product(&q).unwrap();
-            prop_assert!(
-                ans.error_bound <= 2.0 * reference_ans.error_bound + 1e-9,
-                "{q:?}: kernel bound {} vs exact-path bound {}",
-                ans.error_bound, reference_ans.error_bound
-            );
-        }
-    }
-
     /// StreamSet query fan-out is deterministic: identical answers for
     /// every thread count, bit for bit.
     #[test]

@@ -1,6 +1,6 @@
 //! Block (SoA) kernels for batched Haar maintenance.
 //!
-//! The scalar ingest path builds one [`HaarCoeffs`] per merge: a struct
+//! The scalar ingest path builds one [`crate::HaarCoeffs`] per merge: a struct
 //! with an inline-or-heap store, constructed and moved around once per
 //! arrival per level. That is exact but branchy, and the compiler cannot
 //! vectorize across arrivals because every merge round-trips through the
@@ -21,7 +21,7 @@
 //!
 //! # Bit-identity
 //!
-//! These kernels are *drop-in* replacements for [`HaarCoeffs::merge`]:
+//! These kernels are *drop-in* replacements for [`crate::HaarCoeffs::merge`]:
 //! the plan is compiled by replaying the exact control flow of the scalar
 //! merge (root average, depth-1 detail, then the children's detail blocks
 //! interleaved breadth-first, truncated at the parent budget), and each

@@ -8,12 +8,12 @@
 //! analysis convolves-and-decimates periodically and synthesis applies
 //! the transpose, which for orthogonal filters is the exact inverse.
 //!
-//! Predefined filters: [`DAUBECHIES_4`], [`DAUBECHIES_6`], [`COIFLET_1`]
-//! and [`SYMLET_4`] (coefficients from the standard tables; each is
-//! checked for orthonormality by the test suite). The dedicated
-//! [`crate::daubechies`] module remains the hand-written D4 used in the
-//! benchmarks; `DAUBECHIES_4` here reproduces it through the generic
-//! path.
+//! Predefined filters, all listed by [`predefined`]: the orthonormal
+//! [`haar`] (scaling by `1/√2`, so the transform preserves L2 energy —
+//! the form of largest-`B`-coefficient synopses; the tree keeps the
+//! non-normalized [`crate::haar`]), [`DAUBECHIES_4`], [`DAUBECHIES_6`],
+//! [`COIFLET_1`] and [`SYMLET_4`] (coefficients from the standard tables;
+//! each is checked for orthonormality by the test suite).
 
 use crate::error::WaveletError;
 use crate::is_power_of_two;
@@ -23,6 +23,14 @@ use crate::is_power_of_two;
 pub struct OrthogonalFilter {
     name: &'static str,
     taps: Vec<f64>,
+}
+
+/// The orthonormal Haar (db1) scaling filter. Its pyramid order is the
+/// breadth-first order of [`crate::haar`], each coefficient scaled by the
+/// square root of its block's width.
+pub fn haar() -> OrthogonalFilter {
+    let tap = std::f64::consts::FRAC_1_SQRT_2;
+    OrthogonalFilter::new("haar", vec![tap, tap])
 }
 
 /// The Daubechies-4 (db2) scaling filter.
@@ -234,9 +242,15 @@ impl OrthogonalFilter {
     }
 }
 
-/// All predefined filters, for iteration in tests and benchmarks.
+/// All predefined filters, for iteration in tests.
 pub fn predefined() -> Vec<OrthogonalFilter> {
-    vec![daubechies_4(), daubechies_6(), coiflet_1(), symlet_4()]
+    vec![
+        haar(),
+        daubechies_4(),
+        daubechies_6(),
+        coiflet_1(),
+        symlet_4(),
+    ]
 }
 
 #[cfg(test)]
@@ -311,25 +325,61 @@ mod tests {
                 "{}: {e1} vs {e2}",
                 f.name()
             );
+            // Parseval: zeroing a suffix of the coefficients and inverting
+            // costs exactly the energy of what was dropped.
+            for keep in [1usize, 9, 64] {
+                let mut truncated = coeffs.clone();
+                truncated[keep..].fill(0.0);
+                let approx = f.inverse(&truncated).unwrap();
+                let err: f64 = sig
+                    .iter()
+                    .zip(&approx)
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum();
+                let dropped: f64 = coeffs[keep..].iter().map(|c| c * c).sum();
+                assert!(
+                    (err - dropped).abs() < 1e-6 * dropped.max(1.0),
+                    "{} keep {keep}: {err} vs {dropped}",
+                    f.name()
+                );
+            }
         }
     }
 
     #[test]
-    fn generic_d4_matches_dedicated_module() {
-        let sig: Vec<f64> = (0..64).map(|i| ((i * 7) % 23) as f64).collect();
-        let generic = daubechies_4().forward(&sig).unwrap();
-        let dedicated = crate::daubechies::forward(&sig).unwrap();
-        for (a, b) in generic.iter().zip(&dedicated) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+    fn two_tap_haar_is_the_scaled_non_normalized_transform() {
+        let n = 64;
+        let sig: Vec<f64> = (0..n).map(|i| ((i * 7) % 23) as f64).collect();
+        let ortho = haar().forward(&sig).unwrap();
+        let plain = crate::haar::forward(&sig).unwrap();
+        for (c, (a, b)) in ortho.iter().zip(&plain).enumerate() {
+            // Entry c >= 1 describes a block of n >> floor(log2 c) values,
+            // entry 0 the whole signal.
+            let halvings = (usize::BITS - c.leading_zeros()).max(1) - 1;
+            let width = (n >> halvings) as f64;
+            assert!(
+                (a - b * width.sqrt()).abs() < 1e-9 * (1.0 + a.abs()),
+                "entry {c}: {a} vs {b}"
+            );
         }
     }
 
     #[test]
     fn vanishing_moments_annihilate_polynomials() {
-        // db2 has 2 vanishing moments, db3 has 3: on a *quadratic* signal
-        // db3's interior detail coefficients vanish while db2's do not
-        // (boundary coefficients are excluded — periodic wrap-around sees
-        // the polynomial's jump).
+        // db2 has 2 vanishing moments: the details of a linear ramp vanish
+        // except the last, which straddles the periodic wrap-around.
+        let ramp: Vec<f64> = (0..32).map(|i| 2.0 * i as f64 + 1.0).collect();
+        let mut avg = vec![0.0; 16];
+        let mut det = vec![0.0; 16];
+        daubechies_4().forward_step(&ramp, &mut avg, &mut det);
+        for d in &det[..15] {
+            assert!(d.abs() < 1e-9, "interior detail {d} should vanish");
+        }
+        assert!(det[15].abs() > 1.0);
+
+        // db3 has 3: on a *quadratic* signal db3's interior detail
+        // coefficients vanish while db2's do not (boundary coefficients are
+        // excluded — periodic wrap-around sees the polynomial's jump).
         let n = 256;
         let sig: Vec<f64> = (0..n)
             .map(|i| (i as f64 / n as f64).powi(2) * 10.0)
@@ -349,22 +399,26 @@ mod tests {
 
     #[test]
     fn short_signals_pass_through() {
-        let f = symlet_4(); // 8 taps
-        assert_eq!(
-            f.forward(&[1.0, 2.0, 3.0, 4.0]).unwrap(),
-            vec![1.0, 2.0, 3.0, 4.0]
-        );
-        assert_eq!(
-            f.inverse(&[1.0, 2.0, 3.0, 4.0]).unwrap(),
-            vec![1.0, 2.0, 3.0, 4.0]
-        );
+        for f in predefined() {
+            for n in [1usize, 2, 4, 8]
+                .into_iter()
+                .filter(|&n| n < f.scaling().len())
+            {
+                let sig: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+                assert_eq!(f.forward(&sig).unwrap(), sig, "{} n={n}", f.name());
+                assert_eq!(f.inverse(&sig).unwrap(), sig, "{} n={n}", f.name());
+            }
+        }
     }
 
     #[test]
     fn rejects_non_power_of_two() {
-        let f = daubechies_6();
-        assert!(f.forward(&[0.0; 12]).is_err());
-        assert!(f.inverse(&[0.0; 12]).is_err());
+        for f in predefined() {
+            for n in [0usize, 3, 12] {
+                assert!(f.forward(&vec![0.0; n]).is_err(), "{} n={n}", f.name());
+                assert!(f.inverse(&vec![0.0; n]).is_err(), "{} n={n}", f.name());
+            }
+        }
     }
 
     #[test]

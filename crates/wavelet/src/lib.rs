@@ -13,15 +13,10 @@
 //!   [`PairMergePlan`] sibling merges, bit-identical to the scalar
 //!   [`HaarCoeffs::merge`] — the substrate of `swat-tree`'s chunked
 //!   ingest fast path,
-//! * [`ortho`] — the orthonormal Haar variant (scaling by `1/sqrt(2)`),
-//!   useful when energy preservation (Parseval) matters,
-//! * [`daubechies`] — a periodic Daubechies-4 transform, demonstrating the
-//!   paper's remark that "any of the wavelet bases such as Haar,
-//!   Daubechies, … can be used",
-//! * [`dot`] — wavelet-domain inner products: the adjoint transform and
-//!   an `O(k)` dot-product kernel over truncated coefficient vectors,
-//!   with closed-form transformed weights for the paper's §2.4 query
-//!   profiles cached in a [`ProfileTable`],
+//! * [`filterbank`] — periodic orthogonal filter banks, one generic
+//!   transform for the paper's remark that "any of the wavelet bases such
+//!   as Haar, Daubechies, … can be used": the orthonormal Haar (Parseval
+//!   holds), Daubechies-4/6, Coiflet-1 and Symlet-4,
 //! * [`thresholded`] — largest-`k` (energy-optimal) synopses in the
 //!   style of Gilbert et al., provided for contrast: they beat the
 //!   prefix form in L2 for static signals but are not mergeable, which
@@ -75,18 +70,14 @@
 
 pub mod block;
 pub mod coeffs;
-pub mod daubechies;
-pub mod dot;
 pub mod error;
 pub mod filterbank;
 pub mod haar;
-pub mod ortho;
 pub mod thresholded;
 pub mod topk;
 
 pub use block::{forward_block, PairMergePlan, PairOp};
 pub use coeffs::{HaarCoeffs, MergeScratch};
-pub use dot::{CanonicalProfile, ProfileTable};
 pub use error::WaveletError;
 pub use filterbank::OrthogonalFilter;
 pub use thresholded::ThresholdedCoeffs;

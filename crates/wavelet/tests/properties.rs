@@ -1,7 +1,7 @@
 //! Property-based tests for the wavelet substrate.
 
 use proptest::prelude::*;
-use swat_wavelet::{daubechies, haar, ortho, HaarCoeffs};
+use swat_wavelet::{filterbank, haar, HaarCoeffs};
 
 /// A random power-of-two-length signal with values in a bounded range.
 fn signal(max_log: u32) -> impl Strategy<Value = Vec<f64>> {
@@ -21,24 +21,19 @@ proptest! {
         }
     }
 
+    /// Every predefined orthogonal filter bank inverts its own transform
+    /// and preserves energy (Parseval).
     #[test]
-    fn ortho_roundtrip_and_parseval(sig in signal(9)) {
-        let coeffs = ortho::forward(&sig).unwrap();
-        let back = ortho::inverse(&coeffs, sig.len()).unwrap();
-        for (a, b) in sig.iter().zip(&back) {
-            prop_assert!((a - b).abs() < 1e-6);
-        }
-        let e1 = ortho::energy(&sig);
-        let e2 = ortho::energy(&coeffs);
-        prop_assert!((e1 - e2).abs() <= 1e-6 * e1.max(1.0));
-    }
-
-    #[test]
-    fn daubechies_roundtrip(sig in signal(9)) {
-        let coeffs = daubechies::forward(&sig).unwrap();
-        let back = daubechies::inverse(&coeffs).unwrap();
-        for (a, b) in sig.iter().zip(&back) {
-            prop_assert!((a - b).abs() < 1e-6);
+    fn filterbank_roundtrip_and_parseval(sig in signal(9)) {
+        for f in filterbank::predefined() {
+            let coeffs = f.forward(&sig).unwrap();
+            let back = f.inverse(&coeffs).unwrap();
+            for (a, b) in sig.iter().zip(&back) {
+                prop_assert!((a - b).abs() < 1e-6, "{}: {} vs {}", f.name(), a, b);
+            }
+            let e1: f64 = sig.iter().map(|x| x * x).sum();
+            let e2: f64 = coeffs.iter().map(|x| x * x).sum();
+            prop_assert!((e1 - e2).abs() <= 1e-6 * e1.max(1.0), "{}: {} vs {}", f.name(), e1, e2);
         }
     }
 

@@ -57,6 +57,12 @@ ROWS=(
     "cargo clippy --workspace --all-targets -- -D warnings"
     ""
 
+    # Every intra-doc link resolves: a deleted item a doc comment still
+    # names fails here.
+    "docs"
+    "RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
+    ""
+
     "tier-1"
     "cargo build --release && cargo test -q"
     ""
