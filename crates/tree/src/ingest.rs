@@ -8,16 +8,23 @@
 //! the same with one merge per refreshed level. Correct and `O(k)`
 //! amortized — but branchy and opaque to the vectorizer.
 //!
-//! [`SwatTree::push_batch`] instead splits the batch into chunks of
-//! `C = 2^L` values aligned to the stream clock (`t0 ≡ 0 (mod C)`), and
-//! runs each chunk's *entire* cascade level by level over flat
-//! structure-of-arrays slabs (`swat_wavelet::block`):
+//! The blocked path runs over a *block* of `W` trees that share a clock —
+//! one tree for [`SwatTree::push_batch`], sixteen streams of a
+//! [`StreamSet`](crate::StreamSet) for
+//! [`extend_rows`](crate::StreamSet::extend_rows). It splits the rows into
+//! chunks of `C = 2^L` aligned to the clock (`t0 ≡ 0 (mod C)`) and runs
+//! each chunk's *entire* cascade level by level over *lanes*
+//! (`swat_wavelet::block`): a lane is `[f64; W]`, one coefficient or range
+//! bound of the block's `W` summaries with the tree index innermost, so
+//! each op of a precompiled merge plan is decoded once and applied to `W`
+//! trees as one loop the optimizer vectorizes.
 //!
 //! * Level 0: the summaries of even arrivals `t0 + 2m` come straight off
-//!   the input slice as `avg`/`det` lanes ([`forward_block`]) plus
-//!   `min`/`max` range lanes. Odd arrivals' summaries are skipped — they
-//!   never feed a higher level, and only the one at `t0 + C − 1` can
-//!   survive into the final slab, where it is computed directly.
+//!   the rows — `W` contiguous values of each — as `avg`/`det` lanes
+//!   ([`forward_block`]) plus `min`/`max` range lanes. Odd arrivals'
+//!   summaries are skipped — they never feed a higher level, and only the
+//!   one at `t0 + C − 1` can survive into the final slab, where it is
+//!   computed directly.
 //! * Level `l ≥ 1` refreshes at `t0 + n·2^l`, merging the child level's
 //!   summaries created at that instant and `2^l` earlier. Only the
 //!   *even*-`n` refreshes feed level `l + 1`, and they form the slab
@@ -27,29 +34,34 @@
 //! * Each level then installs its *slab tail*: the last
 //!   `min(capacity, refreshes)` summaries of the chunk, which is exactly
 //!   what the per-arrival pushes would have retained. Odd-`n` tail
-//!   entries are merged on the spot from the child slab; the `n = 1`
-//!   entry reads the child's newest summary as of `t0` (slab slot 0,
-//!   copied in before any mutation).
+//!   entries are merged on the spot from the child slab, as lanes too;
+//!   the `n = 1` entry reads the child's newest summary as of `t0` (slab
+//!   slot 0, copied in before any mutation). Installing an entry copies
+//!   each tree's lane out into the slot its level refreshes next.
 //! * Refreshes taller than the chunk (when `2^(L+1) | t0 + C`) finish
-//!   through the ordinary scalar cascade.
+//!   through the ordinary scalar cascade, tree by tree.
 //!
-//! Unaligned batch heads, sub-chunk tails, and pathological restored
-//! slab states fall back to the scalar path value by value, so any batch
-//! decomposition yields the same tree.
+//! Unaligned batch heads and sub-chunk tails take the scalar path value by
+//! value, every tree of the block alike. A tree whose chunk-start slab
+//! state fails verification — only a hand-restored tree can — takes the
+//! scalar path alone for that chunk while the rest of its block installs
+//! lanes, so any batch decomposition and any block yields the same trees.
 //!
 //! # Bit-identity
 //!
-//! The result is **bit-identical** to the scalar path — the arithmetic
-//! per coefficient is the same expression in the same order, truncation
-//! commutes with the blocked merge (see `swat_wavelet::block`), and the
-//! range lanes replay `ValueRange::of`/`union` exactly. The frozen copy
-//! of the pre-block scalar path lives in [`reference`](mod@reference) and the
+//! The result is **bit-identical** to the scalar path — every lane op is
+//! the scalar expression with the scalar operand order (`(n + o) * 0.5`,
+//! `(n - o) * 0.5`, `n.min(o)`), truncation commutes with the blocked
+//! merge (see `swat_wavelet::block`), and the range lanes replay
+//! `ValueRange::of`/`union` exactly. The frozen copy of the pre-block
+//! scalar path lives in [`reference`](mod@reference) and the
 //! `ingest_equivalence` property suite pins the two together node by
-//! node across window sizes, budgets, chunk alignments, and interleaved
-//! `push`/`push_batch` call patterns.
+//! node across window sizes, budgets, chunk alignments, stream counts,
+//! and interleaved `push`/`push_batch` call patterns.
 
 use std::cell::RefCell;
 
+use crate::node::Summary;
 use crate::tree::SwatTree;
 use swat_wavelet::{forward_block, PairMergePlan};
 
@@ -58,26 +70,90 @@ use swat_wavelet::{forward_block, PairMergePlan};
 /// construction may reach before the chunk.
 const MIN_BLOCK: usize = 8;
 
-/// Default upper bound on the blocked chunk size (values per cascade
-/// sweep): large enough to amortize per-level bookkeeping, small enough
-/// that a chunk's lanes stay cache-resident.
+/// Default upper bound on the blocked chunk size of one tree (values per
+/// cascade sweep): large enough to amortize per-level bookkeeping, small
+/// enough that a chunk's lanes stay cache-resident.
 const DEFAULT_MAX_CHUNK: usize = 1024;
 
 /// The `extend` staging buffer size.
 const EXTEND_BUF: usize = DEFAULT_MAX_CHUNK;
 
-/// Flat per-level scratch lanes: entry `m` of a level's slab holds the
-/// stored coefficient prefix (stride = stored count) and range bounds of
-/// the summary created at `t0 + m * width`.
+/// One level's lanes: entry `m` holds the stored coefficient prefix
+/// (`kl` lanes, `kl` = the level's stored count) and the range bounds of
+/// the block's summaries created at `t0 + m * 2^(l+1)`.
 #[derive(Debug, Default, Clone)]
-struct Lanes {
-    coeffs: Vec<f64>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
+struct Slab<const W: usize> {
+    coeffs: Vec<[f64; W]>,
+    lo: Vec<[f64; W]>,
+    hi: Vec<[f64; W]>,
 }
 
-/// Reusable buffers for the blocked ingest path — the ingestion
-/// counterpart of [`crate::QueryScratch`].
+/// Reusable lanes and merge plans of the blocked cascade over `W` trees.
+/// Every buffer grows to a high-water mark set by the chunk cap and the
+/// budget and is reused, so steady-state ingest allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneScratch<const W: usize> {
+    max_chunk: usize,
+    slabs: Vec<Slab<W>>,
+    /// `plans[l - 1]` merges level-`(l-1)` siblings into level `l`.
+    plans: Vec<PairMergePlan>,
+    /// Budget the plans were compiled for.
+    plan_k: usize,
+    /// One odd tail entry's coefficient lanes.
+    odd: Vec<[f64; W]>,
+}
+
+impl<const W: usize> LaneScratch<W> {
+    /// Empty lanes for chunks of at most `max_chunk` rows (a power of two
+    /// `>= MIN_BLOCK`). Allocates nothing until first use.
+    pub(crate) fn new(max_chunk: usize) -> Self {
+        debug_assert!(max_chunk >= MIN_BLOCK && max_chunk.is_power_of_two());
+        LaneScratch {
+            max_chunk,
+            slabs: Vec::new(),
+            plans: Vec::new(),
+            plan_k: 0,
+            odd: Vec::new(),
+        }
+    }
+
+    /// Size lanes and plans for a chunk of `c` rows under budget `k`,
+    /// with materialized slabs for levels `0..=l_cap` and merge plans for
+    /// parent levels `1..=l_top`.
+    fn prepare(&mut self, k: usize, l_cap: usize, l_top: usize, c: usize) {
+        if self.plan_k != k {
+            self.plans.clear();
+            self.plan_k = k;
+        }
+        while self.plans.len() < l_top {
+            let child_len = 1usize << (self.plans.len() + 1);
+            self.plans.push(
+                PairMergePlan::new(child_len, k.min(child_len), k)
+                    .expect("positive budget, power-of-two child"),
+            );
+        }
+        if self.slabs.len() < l_cap + 1 {
+            self.slabs.resize_with(l_cap + 1, Slab::default);
+        }
+        for (l, slab) in self.slabs.iter_mut().enumerate().take(l_cap + 1) {
+            let entries = (c >> (l + 1)) + 1;
+            let kl = k.min(1 << (l + 1));
+            if slab.coeffs.len() < entries * kl {
+                slab.coeffs.resize(entries * kl, [0.0; W]);
+            }
+            if slab.lo.len() < entries {
+                slab.lo.resize(entries, [0.0; W]);
+                slab.hi.resize(entries, [0.0; W]);
+            }
+        }
+        if self.odd.len() < k {
+            self.odd.resize(k, [0.0; W]);
+        }
+    }
+}
+
+/// Reusable buffers for the blocked ingest path of one tree — the
+/// ingestion counterpart of [`crate::QueryScratch`].
 ///
 /// [`SwatTree::push_batch`] borrows a thread-local scratch
 /// automatically; callers driving many trees from one loop (or wanting a
@@ -87,14 +163,7 @@ struct Lanes {
 /// performs no heap allocation (see `tests/ingest_alloc.rs`).
 #[derive(Debug, Clone)]
 pub struct IngestScratch {
-    max_chunk: usize,
-    lanes: Vec<Lanes>,
-    /// `plans[l - 1]` merges level-`(l-1)` siblings into level `l`.
-    plans: Vec<PairMergePlan>,
-    /// Budget the plans were compiled for.
-    plan_k: usize,
-    /// Staging for tail merges computed one pair at a time.
-    stash: Vec<f64>,
+    lanes: LaneScratch<1>,
     /// Staging buffer for the iterator-fed `extend` path.
     buf: Vec<f64>,
 }
@@ -110,11 +179,7 @@ impl IngestScratch {
     /// until first use.
     pub fn new() -> Self {
         IngestScratch {
-            max_chunk: DEFAULT_MAX_CHUNK,
-            lanes: Vec::new(),
-            plans: Vec::new(),
-            plan_k: 0,
-            stash: Vec::new(),
+            lanes: LaneScratch::new(DEFAULT_MAX_CHUNK),
             buf: Vec::new(),
         }
     }
@@ -126,48 +191,14 @@ impl IngestScratch {
     pub fn with_max_chunk(max_chunk: usize) -> Self {
         let clamped = max_chunk.clamp(MIN_BLOCK, 1 << 20);
         IngestScratch {
-            max_chunk: floor_pow2(clamped),
-            ..Self::new()
+            lanes: LaneScratch::new(floor_pow2(clamped)),
+            buf: Vec::new(),
         }
     }
 
     /// The configured chunk cap.
     pub fn max_chunk(&self) -> usize {
-        self.max_chunk
-    }
-
-    /// Size lanes, plans, and stash for a chunk of `c` values under
-    /// budget `k`, with materialized slabs for levels `0..=l_cap` and
-    /// merge plans for parent levels `1..=l_top`.
-    fn prepare(&mut self, k: usize, l_cap: usize, l_top: usize, c: usize) {
-        if self.plan_k != k {
-            self.plans.clear();
-            self.plan_k = k;
-        }
-        while self.plans.len() < l_top {
-            let child_len = 1usize << (self.plans.len() + 1);
-            self.plans.push(
-                PairMergePlan::new(child_len, k.min(child_len), k)
-                    .expect("positive budget, power-of-two child"),
-            );
-        }
-        if self.lanes.len() < l_cap + 1 {
-            self.lanes.resize_with(l_cap + 1, Lanes::default);
-        }
-        for (l, lane) in self.lanes.iter_mut().enumerate().take(l_cap + 1) {
-            let entries = (c >> (l + 1)) + 1;
-            let kl = k.min(1 << (l + 1));
-            if lane.coeffs.len() < entries * kl {
-                lane.coeffs.resize(entries * kl, 0.0);
-            }
-            if lane.lo.len() < entries {
-                lane.lo.resize(entries, 0.0);
-                lane.hi.resize(entries, 0.0);
-            }
-        }
-        if self.stash.len() < k {
-            self.stash.resize(k, 0.0);
-        }
+        self.lanes.max_chunk
     }
 }
 
@@ -205,219 +236,282 @@ fn chunk_len(t: u64, remaining: usize, max_chunk: usize) -> usize {
 }
 
 impl SwatTree {
-    /// The chunk loop behind every batched entry point: blocked cascades
-    /// over aligned chunks, scalar pushes for everything else. Callers
-    /// have validated finiteness.
+    /// The chunk loop behind every batched entry point of one tree: the
+    /// blocked cascade with a block of one. Callers have validated
+    /// finiteness.
     pub(crate) fn push_batch_core(&mut self, values: &[f64], scratch: &mut IngestScratch) {
-        let k = self.config.coefficients();
-        let mut rest = values;
-        while !rest.is_empty() {
-            let c = chunk_len(self.t, rest.len(), scratch.max_chunk);
-            if c < MIN_BLOCK {
-                // Unaligned head or sub-chunk tail: one scalar push
-                // realigns the clock for the next round.
-                self.push_one(rest[0], k);
-                rest = &rest[1..];
-            } else if self.push_chunk_blocked(&rest[..c], k, scratch) {
-                rest = &rest[c..];
-            } else {
-                // Slab state a stream-grown tree cannot have (restored
-                // by hand): the scalar path is the semantics.
-                for &v in &rest[..c] {
-                    self.push_one(v, k);
+        ingest_block(std::slice::from_mut(self), values, 1, 0, &mut scratch.lanes);
+    }
+}
+
+/// Ingest `rows` into `trees`, a block of at most `W` trees that share a
+/// clock: tree `i` takes value `rows[r * stride + first + i]` of each row
+/// `r`. Blocked cascades over aligned chunks, scalar pushes for
+/// everything else. Callers have validated finiteness.
+pub(crate) fn ingest_block<const W: usize>(
+    trees: &mut [SwatTree],
+    rows: &[f64],
+    stride: usize,
+    first: usize,
+    scratch: &mut LaneScratch<W>,
+) {
+    debug_assert!((1..=W).contains(&trees.len()) && first + trees.len() <= stride);
+    debug_assert!(
+        trees.iter().all(|tree| tree.t == trees[0].t),
+        "a block shares one clock"
+    );
+    let k = trees[0].config.coefficients();
+    let n_rows = rows.len() / stride;
+    let mut r = 0;
+    while r < n_rows {
+        let c = chunk_len(trees[0].t, n_rows - r, scratch.max_chunk);
+        if c < MIN_BLOCK {
+            // Unaligned head or sub-chunk tail: one scalar push realigns
+            // the clock for the next round.
+            for (tree, &v) in trees.iter_mut().zip(&rows[r * stride + first..]) {
+                tree.push_one(v, k);
+            }
+            r += 1;
+        } else {
+            let chunk = &rows[r * stride..(r + c) * stride];
+            push_chunk_blocked(trees, chunk, stride, first, k, scratch);
+            r += c;
+        }
+    }
+}
+
+/// One row's values for a block of trees, zero-padded past the block's
+/// last tree.
+#[inline]
+fn lane<const W: usize>(values: &[f64]) -> [f64; W] {
+    <[f64; W]>::try_from(values).unwrap_or_else(|_| {
+        let mut lane = [0.0; W];
+        lane[..values.len()].copy_from_slice(values);
+        lane
+    })
+}
+
+/// `newer.min(older)` per lane: `ValueRange::of(&[newer, older])` and
+/// `newer.union(older)`, operand order included — it decides which zero
+/// a `[-0.0, 0.0]` bound keeps.
+#[inline]
+fn lanes_min<const W: usize>(newer: &[f64; W], older: &[f64; W]) -> [f64; W] {
+    std::array::from_fn(|w| newer[w].min(older[w]))
+}
+
+/// `newer.max(older)` per lane (see [`lanes_min`]).
+#[inline]
+fn lanes_max<const W: usize>(newer: &[f64; W], older: &[f64; W]) -> [f64; W] {
+    std::array::from_fn(|w| newer[w].max(older[w]))
+}
+
+/// The child-level summary a tail merge at `t0` reads (level `cl`'s
+/// newest), if it is the one a stream-grown tree holds there.
+fn boundary_summary(tree: &SwatTree, cl: usize, t0: u64, k: usize) -> Option<&Summary> {
+    tree.summary_at(cl, 0).filter(|s| {
+        s.created_at() == t0
+            && s.coeffs().len() == 1 << (cl + 1)
+            && s.coeffs().stored() == k.min(1 << (cl + 1))
+    })
+}
+
+/// Write one tail entry — coefficient lanes and range lanes — into the
+/// slot level `l` of every lane-taking tree refreshes next.
+#[inline]
+fn install<const W: usize>(
+    trees: &mut [SwatTree],
+    takes_lanes: &[bool; W],
+    l: usize,
+    coeffs: &[[f64; W]],
+    lo: &[f64; W],
+    hi: &[f64; W],
+    created: u64,
+) {
+    for (w, tree) in trees.iter_mut().enumerate() {
+        if takes_lanes[w] {
+            tree.levels[l]
+                .refresh(l, &mut tree.order)
+                .set_lane(coeffs, w, lo[w], hi[w], created);
+        }
+    }
+}
+
+/// Ingest one aligned power-of-two chunk of rows into a block of trees
+/// through the blocked cascade. A tree whose chunk-start slab state fails
+/// verification takes the chunk through the scalar path instead.
+fn push_chunk_blocked<const W: usize>(
+    trees: &mut [SwatTree],
+    chunk: &[f64],
+    stride: usize,
+    first: usize,
+    k: usize,
+    scratch: &mut LaneScratch<W>,
+) {
+    let c = chunk.len() / stride;
+    debug_assert!(c >= MIN_BLOCK && c.is_power_of_two());
+    let width = trees.len();
+    let t0 = trees[0].t;
+    debug_assert_eq!(t0 % c as u64, 0, "chunks start aligned");
+    // Every tree of a block has the same shape: one tree's answers
+    // capacity questions for all.
+    let order = trees[0].order;
+    let n_levels = trees[0].levels.len();
+    let big_l = c.trailing_zeros() as usize;
+    // Highest level refreshed within the chunk, and the highest one
+    // whose slab of even refreshes is materialized (the chunk-top level
+    // refreshes at most twice; its entries are built one pair at a time).
+    let l_top = big_l.min(n_levels - 1);
+    let l_cap = l_top.min(big_l - 1);
+    // On a cold stream the refresh at t0 + 2^l is still warming (level l
+    // first refreshes at t = 2^(l+1)); for t0 >= c every in-chunk refresh
+    // is valid.
+    let n_min: usize = if t0 == 0 { 2 } else { 1 };
+    let row = |r: usize| lane::<W>(&chunk[r * stride + first..][..width]);
+
+    // Level l's tail includes the n = 1 refresh exactly when the chunk's
+    // refresh count fits in its slab; that merge reads the child level's
+    // newest summary as of t0. Which levels need one is a matter of
+    // shape; whether it is there, of each tree — a stream-grown tree
+    // always passes.
+    let mut boundary = [false; 64];
+    if t0 > 0 {
+        for l in 1..=l_top {
+            boundary[l - 1] = c >> l <= order.capacity(l);
+        }
+    }
+    let mut takes_lanes = [false; W];
+    for (ok, tree) in takes_lanes.iter_mut().zip(trees.iter()) {
+        *ok = (0..l_top).all(|cl| !boundary[cl] || boundary_summary(tree, cl, t0, k).is_some());
+    }
+
+    scratch.prepare(k, l_cap, l_top, c);
+    let LaneScratch {
+        slabs, plans, odd, ..
+    } = scratch;
+
+    // Level-0 lanes: summaries of the even arrivals t0 + 2m, m = 1..=c/2,
+    // straight off the rows. Entry m pairs row 2m-1 (newer) with row 2m-2
+    // (older).
+    let k0 = k.min(2);
+    {
+        let slab = &mut slabs[0];
+        let entries = (slab.coeffs[k0..].chunks_exact_mut(k0))
+            .zip(&mut slab.lo[1..])
+            .zip(&mut slab.hi[1..]);
+        for (((coeffs, lo), hi), pair) in entries.zip(chunk.chunks_exact(2 * stride)) {
+            let older = lane::<W>(&pair[first..][..width]);
+            let newer = lane::<W>(&pair[stride + first..][..width]);
+            forward_block(&newer, &older, k, coeffs);
+            *lo = lanes_min(&newer, &older);
+            *hi = lanes_max(&newer, &older);
+        }
+    }
+    // Chunk-start boundary summaries (slab slot 0) where a tail merge will
+    // read them — copied before any tree changes.
+    for (cl, slab) in slabs.iter_mut().enumerate().take(l_cap + 1) {
+        if !boundary[cl] {
+            continue;
+        }
+        for (w, tree) in trees.iter().enumerate() {
+            if let Some(s) = boundary_summary(tree, cl, t0, k) {
+                for (lane, &v) in slab.coeffs.iter_mut().zip(s.coeffs().coefficients()) {
+                    lane[w] = v;
                 }
-                rest = &rest[c..];
+                slab.lo[0][w] = s.range().lo();
+                slab.hi[0][w] = s.range().hi();
             }
         }
     }
 
-    /// Ingest one aligned power-of-two chunk through the blocked cascade.
-    /// Returns `false` — before any mutation — if the chunk-start slab
-    /// state fails verification and the caller should fall back to the
-    /// scalar path.
-    fn push_chunk_blocked(&mut self, chunk: &[f64], k: usize, scratch: &mut IngestScratch) -> bool {
-        let c = chunk.len();
-        debug_assert!(c >= MIN_BLOCK && c.is_power_of_two());
-        let t0 = self.t;
-        debug_assert_eq!(t0 % c as u64, 0, "chunks start aligned");
-        let n_levels = self.levels.len();
-        let big_l = c.trailing_zeros() as usize;
-        // Highest level refreshed within the chunk, and the highest one
-        // whose slab of even refreshes is materialized (the chunk-top
-        // level refreshes at most twice; its entries are built one pair
-        // at a time).
-        let l_top = big_l.min(n_levels - 1);
-        let l_cap = l_top.min(big_l - 1);
-        // On a cold stream the refresh at t0 + 2^l is still warming
-        // (level l first refreshes at t = 2^(l+1)); for t0 >= c every
-        // in-chunk refresh is valid.
-        let n_min: usize = if t0 == 0 { 2 } else { 1 };
+    // Higher lanes: F_l[m] = merge(F_{l-1}[2m] newer, F_{l-1}[2m-1]
+    // older) — adjacent child entries once slot 0 is skipped. The range
+    // lanes replay right.range().union(left.range()).
+    for l in 1..=l_cap {
+        let kl = k.min(1 << (l + 1));
+        let ck = k.min(1 << l);
+        let pairs = c >> (l + 1);
+        let (children, parents) = slabs.split_at_mut(l);
+        let child = &children[l - 1];
+        let slab = &mut parents[0];
+        plans[l - 1].merge_adjacent(&child.coeffs[ck..], &mut slab.coeffs[kl..], pairs);
+        for i in 0..pairs {
+            slab.lo[i + 1] = lanes_min(&child.lo[2 * i + 2], &child.lo[2 * i + 1]);
+            slab.hi[i + 1] = lanes_max(&child.hi[2 * i + 2], &child.hi[2 * i + 1]);
+        }
+    }
 
-        // Level l's tail includes the n = 1 refresh exactly when the
-        // chunk's refresh count fits in its slab; that merge reads the
-        // child level's newest summary as of t0. Verify those boundary
-        // summaries up front — a stream-grown tree always passes.
-        let mut boundary_needed = [false; 64];
-        if t0 > 0 {
-            for l in 1..=l_top {
-                let count = c >> l;
-                if count <= self.order.capacity(l) {
-                    let cl = l - 1;
-                    let ck = k.min(1 << (cl + 1));
-                    let ok = self.summary_at(cl, 0).is_some_and(|s| {
-                        s.created_at() == t0
-                            && s.coeffs().len() == 1 << (cl + 1)
-                            && s.coeffs().stored() == ck
-                    });
-                    if !ok {
-                        return false;
-                    }
-                    boundary_needed[cl] = true;
-                }
+    // Install level 0's slab tail: the last min(capacity, 3) of the
+    // chunk's per-arrival summaries — created at t0+c-2 (even), t0+c-1
+    // (odd, computed here from the rows), t0+c (even). Level 0 keeps
+    // three unless it is the top level, which keeps one.
+    {
+        let slab = &slabs[0];
+        let m = c / 2;
+        let t_end = t0 + c as u64;
+        if order.capacity(0) == 3 {
+            let coeffs = &slab.coeffs[(m - 1) * k0..][..k0];
+            let (lo, hi) = (&slab.lo[m - 1], &slab.hi[m - 1]);
+            install(trees, &takes_lanes, 0, coeffs, lo, hi, t_end - 2);
+            let (newer, older) = (row(c - 2), row(c - 3));
+            forward_block(&newer, &older, k, &mut odd[..k0]);
+            let (lo, hi) = (lanes_min(&newer, &older), lanes_max(&newer, &older));
+            install(trees, &takes_lanes, 0, &odd[..k0], &lo, &hi, t_end - 1);
+        }
+        let coeffs = &slab.coeffs[m * k0..][..k0];
+        let (lo, hi) = (&slab.lo[m], &slab.hi[m]);
+        install(trees, &takes_lanes, 0, coeffs, lo, hi, t_end);
+    }
+
+    // Install levels 1..=l_top: each level's last min(capacity, valid
+    // refreshes), oldest first — exactly what the scalar per-arrival
+    // pushes retain. None while a cold stream's tall level warms up.
+    for l in 1..=l_top {
+        let count = c >> l;
+        let take = order.capacity(l).min((count + 1).saturating_sub(n_min));
+        let kl = k.min(1 << (l + 1));
+        let ck = k.min(1 << l);
+        for n in (count + 1 - take)..=count {
+            let created = t0 + ((n as u64) << l);
+            if n % 2 == 0 && l <= l_cap {
+                let (slab, m) = (&slabs[l], n / 2);
+                let coeffs = &slab.coeffs[m * kl..][..kl];
+                let (lo, hi) = (&slab.lo[m], &slab.hi[m]);
+                install(trees, &takes_lanes, l, coeffs, lo, hi, created);
+            } else {
+                // Odd refresh (or the chunk-top level, whose slab is not
+                // materialized): merge child entries n (newer) and n-1
+                // (older) on the spot.
+                let child = &slabs[l - 1];
+                plans[l - 1].merge_one(
+                    &child.coeffs[n * ck..][..ck],
+                    &child.coeffs[(n - 1) * ck..][..ck],
+                    &mut odd[..kl],
+                );
+                let lo = lanes_min(&child.lo[n], &child.lo[n - 1]);
+                let hi = lanes_max(&child.hi[n], &child.hi[n - 1]);
+                install(trees, &takes_lanes, l, &odd[..kl], &lo, &hi, created);
             }
         }
+    }
 
-        scratch.prepare(k, l_cap, l_top, c);
-        let IngestScratch {
-            lanes,
-            plans,
-            stash,
-            ..
-        } = scratch;
-
-        // Level-0 lanes: summaries of the even arrivals t0 + 2m,
-        // m = 1..=c/2, straight off the input slice. Entry m pairs
-        // chunk[2m-1] (newer) with chunk[2m-2] (older); the lane min/max
-        // replay ValueRange::of(&[newer, older]) exactly.
-        let k0 = k.min(2);
-        {
-            let lane = &mut lanes[0];
-            forward_block(chunk, k, &mut lane.coeffs[k0..]);
-            for (i, p) in chunk.chunks_exact(2).enumerate() {
-                lane.lo[i + 1] = p[1].min(p[0]);
-                lane.hi[i + 1] = p[1].max(p[0]);
+    // Advance each clock past the chunk and finish any cascade taller than
+    // the chunk (2^(L+1) may divide t0 + c).
+    let top_refreshed = (c >> l_top) >= n_min;
+    for (w, tree) in trees.iter_mut().enumerate() {
+        let value = |r: usize| chunk[r * stride + first + w];
+        if takes_lanes[w] {
+            tree.t += c as u64;
+            tree.last = Some(value(c - 1));
+            if top_refreshed && l_top < n_levels - 1 {
+                tree.cascade_from(l_top + 1, k);
+            }
+        } else {
+            // Slab state a stream-grown tree cannot have (restored by
+            // hand): the scalar path is the semantics.
+            for r in 0..c {
+                tree.push_one(value(r), k);
             }
         }
-        // Chunk-start boundary summaries (slab slot 0) where a tail
-        // merge will read them — copied before any slab mutation.
-        for (cl, lane) in lanes.iter_mut().enumerate().take(l_cap + 1) {
-            if boundary_needed[cl] {
-                let s = self.summary_at(cl, 0).expect("verified above");
-                let ck = k.min(1 << (cl + 1));
-                lane.coeffs[..ck].copy_from_slice(s.coeffs().coefficients());
-                lane.lo[0] = s.range().lo();
-                lane.hi[0] = s.range().hi();
-            }
-        }
-
-        // Higher lanes: F_l[m] = merge(F_{l-1}[2m] newer, F_{l-1}[2m-1]
-        // older) — adjacent child entries once slot 0 is skipped. The
-        // range lanes replay right.range().union(left.range()).
-        for l in 1..=l_cap {
-            let kl = k.min(1 << (l + 1));
-            let ck = k.min(1 << l);
-            let pairs = c >> (l + 1);
-            let (childs, rest) = lanes.split_at_mut(l);
-            let child = &childs[l - 1];
-            let lane = &mut rest[0];
-            plans[l - 1].merge_adjacent(&child.coeffs[ck..], &mut lane.coeffs[kl..], pairs);
-            for i in 0..pairs {
-                lane.lo[i + 1] = child.lo[2 * i + 2].min(child.lo[2 * i + 1]);
-                lane.hi[i + 1] = child.hi[2 * i + 2].max(child.hi[2 * i + 1]);
-            }
-        }
-
-        // Install level 0's slab tail: the last min(capacity, 3) of the
-        // chunk's per-arrival summaries — created at t0+c-2 (even),
-        // t0+c-1 (odd, computed here from the slice), t0+c (even).
-        {
-            let cap0 = self.order.capacity(0);
-            let lane = &lanes[0];
-            let m_last = c / 2;
-            let odd_newer = chunk[c - 2];
-            let odd_older = chunk[c - 3];
-            stash[0] = (odd_newer + odd_older) * 0.5;
-            if k0 == 2 {
-                stash[1] = (odd_newer - odd_older) * 0.5;
-            }
-            let entries: [(u64, &[f64], f64, f64); 3] = [
-                (
-                    t0 + c as u64 - 2,
-                    &lane.coeffs[(m_last - 1) * k0..][..k0],
-                    lane.lo[m_last - 1],
-                    lane.hi[m_last - 1],
-                ),
-                (
-                    t0 + c as u64 - 1,
-                    &stash[..k0],
-                    odd_newer.min(odd_older),
-                    odd_newer.max(odd_older),
-                ),
-                (
-                    t0 + c as u64,
-                    &lane.coeffs[m_last * k0..][..k0],
-                    lane.lo[m_last],
-                    lane.hi[m_last],
-                ),
-            ];
-            let take = cap0.min(3);
-            for &(created, coeffs, lo, hi) in &entries[3 - take..] {
-                self.levels[0]
-                    .refresh(0, &mut self.order)
-                    .set_prefix(coeffs, lo, hi, created);
-            }
-        }
-
-        // Install levels 1..=l_top: each level's last min(capacity,
-        // valid refreshes), oldest first — exactly what the scalar
-        // per-arrival pushes retain.
-        for l in 1..=l_top {
-            let cap = self.order.capacity(l);
-            let count = c >> l;
-            let valid = (count + 1).saturating_sub(n_min);
-            let take = cap.min(valid);
-            if take == 0 {
-                continue; // Still warming up (cold stream, tall level).
-            }
-            let kl = k.min(1 << (l + 1));
-            let ck = k.min(1 << l);
-            for n in (count - take + 1)..=count {
-                let created = t0 + ((n as u64) << l);
-                let (coeffs, lo, hi): (&[f64], f64, f64) = if n % 2 == 0 && l <= l_cap {
-                    let m = n / 2;
-                    let lane = &lanes[l];
-                    (&lane.coeffs[m * kl..][..kl], lane.lo[m], lane.hi[m])
-                } else {
-                    // Odd refresh (or the chunk-top level, whose slab is
-                    // not materialized): merge child entries n (newer)
-                    // and n-1 (older) on the spot.
-                    let child = &lanes[l - 1];
-                    plans[l - 1].merge_one(
-                        &child.coeffs[n * ck..][..ck],
-                        &child.coeffs[(n - 1) * ck..][..ck],
-                        &mut stash[..kl],
-                    );
-                    (
-                        &stash[..kl],
-                        child.lo[n].min(child.lo[n - 1]),
-                        child.hi[n].max(child.hi[n - 1]),
-                    )
-                };
-                self.levels[l]
-                    .refresh(l, &mut self.order)
-                    .set_prefix(coeffs, lo, hi, created);
-            }
-        }
-
-        // Advance the clock past the chunk and finish any cascade taller
-        // than the chunk (2^(L+1) may divide t0 + c).
-        self.t += c as u64;
-        self.last = Some(chunk[c - 1]);
-        let top_refreshed = (c >> l_top) >= n_min;
-        if top_refreshed && l_top < n_levels - 1 {
-            self.cascade_from(l_top + 1, k);
-        }
-        true
     }
 }
 

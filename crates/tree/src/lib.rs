@@ -42,8 +42,9 @@
 //!
 //! * [`tree`] — the structure and its update algorithm (Figure 3a),
 //! * [`ingest`] — the blocked batch-ingest fast path: chunk-aligned
-//!   cascades over flat SoA lanes, reusable [`IngestScratch`] buffers,
-//!   and the frozen scalar reference path it is pinned against,
+//!   cascades over lanes of a block of trees that share a clock,
+//!   reusable [`IngestScratch`] buffers, and the frozen scalar reference
+//!   path it is pinned against,
 //! * [`query`] — point / range / inner-product evaluation (Figure 3b),
 //! * [`scratch`] — the zero-allocation query engine: reusable
 //!   [`QueryScratch`] buffers, a cached serving-map cover index and

@@ -10,25 +10,40 @@
 //! lossless trees).
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 
 use crate::codec::{begin_frame, finish_frame, Cursor};
 use crate::config::{SwatConfig, TreeError};
+use crate::ingest::{ingest_block, LaneScratch};
 use crate::query::{InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions};
 use crate::scratch::QueryScratch;
 use crate::snapshot::SnapshotError;
 use crate::tree::{digest, SwatTree};
 
-/// Rows per tile of [`StreamSet::extend_rows`]: long enough for the
-/// blocked cascade to amortize its per-chunk set-up, short enough that a
-/// tile of a thousand streams stays in cache while each stream's column
-/// is gathered out of it.
-const TILE_ROWS: usize = 256;
+/// Streams per block of [`StreamSet::extend_rows`]: the blocked cascade
+/// runs over this many trees at once, each op of its merge plans applied
+/// to all of them as one vectorized loop. A measured constant: of 4, 8,
+/// 16, 32 and 64 streams per block, 16 applied a 64-row tile of 1024
+/// streams fastest.
+const BLOCK: usize = 16;
+
+/// Rows per cascade chunk of [`StreamSet::extend_rows`], at most. Bounds
+/// the per-thread lanes: at budget 4, about 100 KB of coefficient lanes
+/// and 65 KB of range lanes for 256 rows, a quarter of that for one
+/// [`ROW_TILE`].
+const BLOCK_MAX_CHUNK: usize = 256;
+
+thread_local! {
+    static BLOCK_SCRATCH: RefCell<LaneScratch<BLOCK>> =
+        RefCell::new(LaneScratch::new(BLOCK_MAX_CHUNK));
+}
 
 /// Rows per tile of a [`TiledSet`]: it applies the rows it holds when
 /// the set's clock plus the held rows reaches a multiple of this, so each
 /// tile is one clock-aligned chunk of [`StreamSet::extend_rows`] with no
-/// scalar head. The knee of the aligned-tile cost curve; 512 bytes of
-/// buffer per stream.
+/// scalar head. 512 bytes of buffer per stream. Longer aligned tiles cost
+/// less per value (DESIGN.md §3.14 has the curve) but make the pause
+/// every tile-completing row pays longer in proportion.
 pub const ROW_TILE: usize = 64;
 
 /// A set of synchronized streams, each summarized by its own SWAT.
@@ -153,11 +168,10 @@ impl StreamSet {
     /// Feed a block of whole rows, row-major (`rows[r * streams() + i]` is
     /// stream `i`'s value in row `r`) — the layout rows are logged and
     /// replayed in. Equivalent to [`Self::push_row`] per row, node for
-    /// node (`ingest_equivalence` pins it), but each stream's values
-    /// reach its tree through the blocked cascade of
-    /// [`SwatTree::push_batch`]: the block is cut into tiles of at most
-    /// 256 rows, and per tile each stream's column is gathered and pushed
-    /// as one batch.
+    /// node (`ingest_equivalence` pins it), but the rows reach the trees
+    /// through the blocked cascade of `crate::ingest` run over blocks of
+    /// 16 streams: each row's 16 contiguous values are one lane, and
+    /// every merge of the cascade is one vectorized op over the block.
     ///
     /// # Panics
     ///
@@ -175,16 +189,10 @@ impl StreamSet {
             rows.iter().fold(true, |ok, v| ok & v.is_finite()),
             "stream values must be finite"
         );
-        let mut column = [0.0f64; TILE_ROWS];
-        crate::ingest::with_thread_scratch(|scratch| {
-            for tile in rows.chunks(TILE_ROWS * streams) {
-                let n = tile.len() / streams;
-                for (i, tree) in self.trees.iter_mut().enumerate() {
-                    for (slot, row) in column.iter_mut().zip(tile.chunks_exact(streams)) {
-                        *slot = row[i];
-                    }
-                    tree.push_batch_core(&column[..n], scratch);
-                }
+        BLOCK_SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut();
+            for (b, block) in self.trees.chunks_mut(BLOCK).enumerate() {
+                ingest_block(block, rows, streams, b * BLOCK, scratch);
             }
         });
     }
@@ -569,10 +577,12 @@ impl StreamSet {
 ///
 /// [`Self::hold`] checks a row and keeps it; the held rows reach the
 /// trees through [`StreamSet::extend_rows`] once the set's clock plus
-/// their count is a multiple of [`ROW_TILE`], and before anything reads
-/// the trees. The second half is enforced by type: the only way to the
-/// set is [`Self::settled`], which takes `&mut self` and applies the held
-/// rows first, so no `&self` path can see a tree missing a held row.
+/// their count is a multiple of [`ROW_TILE`] — one aligned chunk of the
+/// blocked cascade per block of 16 streams, the rows read in place — and
+/// before anything reads the trees. The second half is enforced by type:
+/// the only way to the set is [`Self::settled`], which takes `&mut self`
+/// and applies the held rows first, so no `&self` path can see a tree
+/// missing a held row.
 /// `extend_rows` is `push_row` per row node for node, so what a reader
 /// sees is exactly what row-by-row ingest would have built.
 #[derive(Debug)]
@@ -821,6 +831,61 @@ mod tests {
         assert_eq!(tiled.held_rows(), 1);
         assert_eq!(tiled.settled().answers_digest(), twin.answers_digest());
         assert_eq!(tiled.held_rows(), 0);
+    }
+
+    #[test]
+    fn a_hand_built_stream_takes_the_scalar_path_alone() {
+        // Stream 5 of 17 keeps only its three lowest levels: not warm, so
+        // not steady, and the chunk-start summaries a tile's tail merges
+        // read above level 2 are missing until the scalar path refills
+        // them. Until then the blocked cascade leaves that stream to the
+        // scalar path while the rest of its block of 16, and stream 16 in
+        // the next, partial block, take lanes; from then on it takes lanes
+        // too. Both twins are restored from one set snapshot, so the
+        // hand-built tree travels through the set's framing. Signed zeros
+        // in the rows pin the operand order of the range lanes.
+        let config = SwatConfig::with_coefficients(256, 5).unwrap();
+        let streams = 17;
+        let value = |i: usize| match i % 13 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((i * 2_654_435_761) % 10_007) as f64 * 0.037 - 180.0,
+        };
+        let rows = |from: usize, count: usize| -> Vec<f64> {
+            (from * streams..(from + count) * streams)
+                .map(value)
+                .collect()
+        };
+        let mut at = 3 * 256 + 64;
+        let mut set = StreamSet::new(config, streams);
+        set.extend_rows(&rows(0, at));
+        let hand = {
+            let grown = &set.trees[5];
+            let mut queues = vec![std::collections::VecDeque::new(); config.levels()];
+            for (l, _, s) in grown.nodes().filter(|&(l, _, _)| l < 3) {
+                queues[l].push_back(s.clone());
+            }
+            SwatTree::from_restored(config, grown.arrivals(), grown.newest(), queues).unwrap()
+        };
+        set.trees[5] = hand;
+        assert!(!set.tree(5).is_steady());
+        let bytes = set.snapshot();
+        let mut blocked = StreamSet::restore(&bytes).unwrap();
+        let mut rowwise = StreamSet::restore(&bytes).unwrap();
+        for len in [64, 64, 256, 3, 61, 600] {
+            let block = rows(at, len);
+            at += len;
+            blocked.extend_rows(&block);
+            for row in block.chunks_exact(streams) {
+                rowwise.push_row(row);
+            }
+            for s in 0..streams {
+                let (a, b) = (blocked.tree(s), rowwise.tree(s));
+                assert!(a.nodes().eq(b.nodes()), "stream {s}, clock {at}");
+                assert_eq!(a.answers_digest(), b.answers_digest(), "stream {s}");
+            }
+        }
+        assert!(blocked.tree(5).is_warm(), "the hand-built stream refilled");
     }
 
     #[test]

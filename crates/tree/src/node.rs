@@ -102,12 +102,19 @@ impl Summary {
         self.created_at = created_at;
     }
 
-    /// Overwrite this slot from a stored coefficient prefix and range
-    /// bounds (the blocked path's SoA lanes).
+    /// Overwrite this slot from lane `w` of a stored coefficient prefix
+    /// and range bounds (the blocked path's lanes).
     #[inline]
-    pub(crate) fn set_prefix(&mut self, prefix: &[f64], lo: f64, hi: f64, created_at: u64) {
+    pub(crate) fn set_lane<const W: usize>(
+        &mut self,
+        prefix: &[[f64; W]],
+        w: usize,
+        lo: f64,
+        hi: f64,
+        created_at: u64,
+    ) {
         self.coeffs
-            .assign_prefix(1 << (self.level + 1), prefix)
+            .assign_lane(1 << (self.level + 1), prefix, w)
             .expect("lane prefixes fit their level's width");
         self.range = ValueRange::new(lo, hi);
         self.created_at = created_at;

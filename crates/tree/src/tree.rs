@@ -334,13 +334,13 @@ impl SwatTree {
     /// proves it node by node against the frozen
     /// [`crate::ingest::reference`] path), but the batch is processed in
     /// `2^L`-aligned chunks through the blocked cascade of
-    /// [`crate::ingest`]: level-0 summaries come straight off the input
-    /// slice as flat `avg`/`det` lanes, each level's refreshes for the
-    /// whole chunk run as one precompiled SoA merge kernel, and slab
-    /// updates, budget reads, and `ValueRange` unions are amortized per
-    /// chunk instead of per value. Once every level slot is populated
-    /// nothing allocates at any budget: refreshed slots are overwritten
-    /// in place (see `tests/ingest_alloc`).
+    /// [`crate::ingest`] with a block of one tree: level-0 summaries come
+    /// straight off the input slice as `avg`/`det` lanes, each level's
+    /// refreshes for the whole chunk run as one precompiled merge sweep,
+    /// and slab updates, budget reads, and `ValueRange` unions are
+    /// amortized per chunk instead of per value. Once every level slot is
+    /// populated nothing allocates at any budget: refreshed slots are
+    /// overwritten in place (see `tests/ingest_alloc`).
     ///
     /// # Panics
     ///

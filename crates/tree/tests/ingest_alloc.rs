@@ -1,10 +1,11 @@
-//! Steady-state ingestion performs **zero heap allocations**, batched or
-//! row at a time, and a set-wide point query allocates its result and
-//! nothing else.
+//! Steady-state ingestion performs **zero heap allocations**, batched, in
+//! row tiles or row at a time, and a set-wide point query allocates its
+//! result and nothing else.
 //!
 //! The blocked ingest path keeps all per-chunk state in reusable
-//! buffers: the SoA level lanes and precompiled merge plans live in
-//! [`IngestScratch`]. Both paths fill a level slot by overwriting the
+//! buffers: the level lanes and precompiled merge plans live in
+//! [`IngestScratch`] for one tree and in a per-thread scratch for
+//! `StreamSet::extend_rows`. Both paths fill a level slot by overwriting the
 //! generation it evicts, inside the coefficient storage that generation
 //! already owns (inline stores for `k <= 4` never touch the heap at
 //! all), so there is no pool to warm: once every slot of a tree is
@@ -24,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use swat_tree::{IngestScratch, QueryOptions, StreamSet, SwatConfig, SwatTree};
+use swat_tree::{IngestScratch, QueryOptions, StreamSet, SwatConfig, SwatTree, ROW_TILE};
 
 thread_local! {
     static MEASURED_THREAD: Cell<bool> = const { Cell::new(false) };
@@ -154,5 +155,32 @@ fn steady_state_batched_ingest_does_not_allocate() {
             "set-wide point_many allocated {delta} times (k = {k})"
         );
         assert!(answers.iter().all(|a| a.len() == indices.len()));
+    }
+
+    // Every holding's path: `extend_rows` of clock-aligned `ROW_TILE`-row
+    // tiles, over two blocks of 16 streams and a partial one of 5. The
+    // first tile after warm-up grows the per-thread lanes to their
+    // high-water mark; nothing allocates after it.
+    let streams = 37;
+    for k in [1usize, 4, 5, 8, 16] {
+        let mut set = StreamSet::new(SwatConfig::with_coefficients(n, k).unwrap(), streams);
+        let rows: Vec<f64> = (0..ROW_TILE * streams)
+            .map(|i| ((i * 31 + 7) % 193) as f64 - 96.0)
+            .collect();
+        for row in rows.chunks_exact(streams).cycle().take(2 * n) {
+            set.push_row(row);
+        }
+        assert!((0..streams).all(|s| set.tree(s).is_warm()));
+        set.extend_rows(&rows);
+
+        let before = allocations();
+        for _ in 0..3 * n / ROW_TILE {
+            set.extend_rows(&rows);
+        }
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "steady-state extend_rows allocated {delta} times (k = {k})"
+        );
     }
 }

@@ -340,16 +340,27 @@ fn reference_matches_scalar_push() {
     assert_identical(&extended, &frozen, "reference extend vs push");
 }
 
-/// `StreamSet::extend_rows` (row-major block, tiled, one `push_batch` per
-/// stream and tile) against the `push_row` loop it replaces in the flusher
-/// and in recovery: node for node, for block lengths around the 256-row
-/// tile and beyond a whole generation, from cold sets and from sets
-/// warmed to an unaligned clock — and again after a second block, which
-/// starts from whatever clock the first one left.
+/// `StreamSet::extend_rows` (row-major block, the blocked cascade over
+/// blocks of 16 streams) against the `push_row` loop it replaces in every
+/// holding and in recovery: node for node, for block lengths around the
+/// 256-row chunk cap and beyond a whole generation, from cold sets and
+/// from sets warmed to an unaligned clock — and again after a second
+/// block, which starts from whatever clock the first one left. Stream
+/// counts below, at and above one block of 16 and with a partial last
+/// block (37); budgets whose level-≥ 1 coefficients live inline (≤ 4) and
+/// on the heap (5, 8).
 #[test]
 fn extend_rows_matches_the_push_row_loop() {
     let value = |i: usize| ((i * 2_654_435_761) % 10_007) as f64 * 0.037 - 180.0;
-    for (streams, window, k) in [(1usize, 16usize, 1usize), (5, 64, 3), (9, 1024, 4)] {
+    for (streams, window, k) in [
+        (1usize, 16usize, 1usize),
+        (5, 64, 3),
+        (9, 1024, 4),
+        (15, 32, 2),
+        (16, 64, 5),
+        (17, 128, 8),
+        (37, 64, 5),
+    ] {
         let config = SwatConfig::with_coefficients(window, k).unwrap();
         for warm in [0, 2 * window + 5] {
             for len in [0usize, 1, 255, 256, 257, 4096 + 3] {

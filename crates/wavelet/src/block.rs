@@ -1,23 +1,28 @@
-//! Block (SoA) kernels for batched Haar maintenance.
+//! Lane kernels for batched Haar maintenance over a block of summaries.
 //!
 //! The scalar ingest path builds one [`crate::HaarCoeffs`] per merge: a struct
-//! with an inline-or-heap store, constructed and moved around once per
-//! arrival per level. That is exact but branchy, and the compiler cannot
-//! vectorize across arrivals because every merge round-trips through the
-//! `Store` enum.
+//! with an inline-or-heap store, written once per arrival per level. That
+//! is exact but branchy, and the compiler cannot vectorize across arrivals
+//! or across streams because every merge round-trips through the `Store`
+//! enum.
 //!
-//! This module provides the batched alternative: coefficient prefixes of
-//! *many* sibling summaries laid out back to back in one flat `&[f64]`
-//! slab (structure-of-arrays: entry `i`'s stored prefix occupies
-//! `slab[i*stride .. (i+1)*stride]`), and two kernels over such slabs:
+//! This module is the batched alternative. A *lane* is `[f64; W]`: one
+//! coefficient of `W` summaries at once — the summaries of `W` streams
+//! that share a clock, the stream index innermost. A stored prefix of `kl`
+//! coefficients of `W` summaries is `kl` consecutive lanes, and a slab of
+//! such entries lays them back to back (entry `i`'s prefix occupies
+//! `slab[i * kl .. (i + 1) * kl]`). Two kernels work on lanes:
 //!
-//! * [`forward_block`] — level-0 summaries for a whole chunk of raw
-//!   values at once: `avg`/`det` lanes over `(values[2i], values[2i+1])`
-//!   pairs, replacing one `scalar` + `merge` round-trip per arrival,
+//! * [`forward_block`] — the level-0 summaries of `W` raw-value pairs:
+//!   `avg`/`det` lanes over `(newer, older)`,
 //! * [`PairMergePlan`] — a precompiled description of where each parent
-//!   coefficient of a sibling merge comes from, applied to adjacent
-//!   slab entries with [`PairMergePlan::merge_adjacent`] (or one pair at
-//!   a time with [`PairMergePlan::merge_one`]).
+//!   coefficient of a sibling merge comes from, applied to one pair of
+//!   entries with [`PairMergePlan::merge_one`] or to the adjacent entries
+//!   of a slab with [`PairMergePlan::merge_adjacent`].
+//!
+//! Every op is decoded once per lane and applied to `W` summaries in one
+//! loop of known length, which the optimizer unrolls and vectorizes; with
+//! `W = 1` the same source is the per-summary kernel.
 //!
 //! # Bit-identity
 //!
@@ -25,11 +30,12 @@
 //! the plan is compiled by replaying the exact control flow of the scalar
 //! merge (root average, depth-1 detail, then the children's detail blocks
 //! interleaved breadth-first, truncated at the parent budget), and each
-//! op applies the same arithmetic expression — `(a + b) * 0.5`,
-//! `(a - b) * 0.5`, or a verbatim copy. Rust never contracts `a * b + c`
-//! into fused multiply-adds, so the vectorized loops produce the same
-//! bits as the scalar path, value for value. The `plan_matches_merge`
-//! tests below pin this.
+//! op applies the same arithmetic expression with the same operand order
+//! — `(newer + older) * 0.5`, `(newer - older) * 0.5`, or a verbatim copy
+//! — to every lane. Rust never contracts `a * b + c` into fused
+//! multiply-adds and never reassociates floating point, so the vectorized
+//! loops produce the same bits as the scalar path, value for value. The
+//! `plan_matches_merge` tests below pin this at `W = 1` and `W = 16`.
 //!
 //! # Why truncation still commutes
 //!
@@ -45,36 +51,43 @@
 use crate::error::WaveletError;
 use crate::{is_power_of_two, log2};
 
-/// Level-0 block kernel: the stored coefficient prefixes of the summaries
-/// of adjacent raw-value pairs, computed for a whole chunk at once.
+/// `dst[w] = f(a[w], b[w])` for every lane `w`.
+#[inline(always)]
+fn zip_lanes<const W: usize>(
+    dst: &mut [f64; W],
+    a: &[f64; W],
+    b: &[f64; W],
+    f: impl Fn(f64, f64) -> f64,
+) {
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d = f(x, y);
+    }
+}
+
+/// Level-0 kernel: the stored coefficient prefixes of the summaries of
+/// `W` raw-value pairs at once.
 ///
-/// Pair `i` is `(older, newer) = (values[2i], values[2i+1])` — the SWAT
-/// convention where the higher index arrived later. Each pair's summary
-/// keeps `min(k, 2)` coefficients: the average `(newer + older) * 0.5`
-/// and, if the budget allows, the detail `(newer - older) * 0.5` —
-/// bit-identical to `HaarCoeffs::merge(scalar(newer), scalar(older), k)`.
-///
-/// Writes `values.len() / 2` entries of stride `min(k, 2)` into `out`
-/// (a trailing odd value is ignored).
+/// Lane `w` summarizes `(newer[w], older[w])` — the SWAT convention where
+/// the newer value arrived later. Each summary keeps `min(k, 2)`
+/// coefficients: the average `(newer + older) * 0.5` and, if the budget
+/// allows, the detail `(newer - older) * 0.5` — bit-identical to
+/// `HaarCoeffs::merge(scalar(newer), scalar(older), k)`. Writes
+/// `min(k, 2)` lanes into `out`.
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `out` is shorter than `(values.len() / 2) *
-/// min(k, 2)`.
-pub fn forward_block(values: &[f64], k: usize, out: &mut [f64]) {
+/// Panics if `k == 0` or `out` is shorter than `min(k, 2)` lanes.
+#[inline]
+pub fn forward_block<const W: usize>(
+    newer: &[f64; W],
+    older: &[f64; W],
+    k: usize,
+    out: &mut [[f64; W]],
+) {
     assert!(k > 0, "zero coefficient budget");
-    let pairs = values.len() / 2;
-    let keep = k.min(2);
-    let out = &mut out[..pairs * keep];
-    if keep == 1 {
-        for (o, p) in out.iter_mut().zip(values.chunks_exact(2)) {
-            *o = (p[1] + p[0]) * 0.5;
-        }
-    } else {
-        for (o, p) in out.chunks_exact_mut(2).zip(values.chunks_exact(2)) {
-            o[0] = (p[1] + p[0]) * 0.5;
-            o[1] = (p[1] - p[0]) * 0.5;
-        }
+    zip_lanes(&mut out[0], newer, older, |n, o| (n + o) * 0.5);
+    if k > 1 {
+        zip_lanes(&mut out[1], newer, older, |n, o| (n - o) * 0.5);
     }
 }
 
@@ -97,10 +110,11 @@ pub enum PairOp {
 /// stored count, and parent budget, the source of every parent
 /// coefficient.
 ///
-/// Compiling the plan once per tree level and replaying it over a flat
-/// slab of child prefixes turns the scalar merge's nested branchy loops
-/// into a tight copy/fma-free kernel the compiler can unroll and
-/// vectorize — with bit-identical output (see the module docs).
+/// Compiling the plan once per tree level and replaying it over lanes
+/// turns the scalar merge's nested branchy loops into a flat op list
+/// whose every op is one vectorized copy or one vectorized
+/// add-and-halve over `W` summaries — with bit-identical output (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct PairMergePlan {
     child_len: usize,
@@ -170,38 +184,45 @@ impl PairMergePlan {
         self.child_len
     }
 
-    /// Stored coefficient count of each child entry (the slab stride).
+    /// Stored coefficient count of each child entry (the slab stride, in
+    /// lanes).
     #[inline]
     pub fn child_stored(&self) -> usize {
         self.child_stored
     }
 
     /// Number of parent coefficients produced per pair (the output
-    /// stride).
+    /// stride, in lanes).
     #[inline]
     pub fn parent_stored(&self) -> usize {
         self.ops.len()
     }
 
-    /// Merge one sibling pair: `newer`/`older` are stored prefixes of
-    /// length [`Self::child_stored`], `out` receives
-    /// [`Self::parent_stored`] parent coefficients.
+    /// Merge one pair of entries of `W` summaries: `newer`/`older` are
+    /// stored prefixes of [`Self::child_stored`] lanes, `out` receives
+    /// [`Self::parent_stored`] parent lanes. Lane `w` of the output is the
+    /// merge of lane `w` of the inputs.
     ///
     /// # Panics
     ///
     /// Panics if any slice is shorter than the plan requires.
     #[inline]
-    pub fn merge_one(&self, newer: &[f64], older: &[f64], out: &mut [f64]) {
+    pub fn merge_one<const W: usize>(
+        &self,
+        newer: &[[f64; W]],
+        older: &[[f64; W]],
+        out: &mut [[f64; W]],
+    ) {
         let newer = &newer[..self.child_stored];
         let older = &older[..self.child_stored];
         for (dst, op) in out[..self.ops.len()].iter_mut().zip(&self.ops) {
-            *dst = match *op {
-                PairOp::Avg => (newer[0] + older[0]) * 0.5,
-                PairOp::Diff => (newer[0] - older[0]) * 0.5,
-                PairOp::Newer(q) => newer[q as usize],
-                PairOp::Older(q) => older[q as usize],
-                PairOp::Zero => 0.0,
-            };
+            match *op {
+                PairOp::Avg => zip_lanes(dst, &newer[0], &older[0], |n, o| (n + o) * 0.5),
+                PairOp::Diff => zip_lanes(dst, &newer[0], &older[0], |n, o| (n - o) * 0.5),
+                PairOp::Newer(q) => *dst = newer[q as usize],
+                PairOp::Older(q) => *dst = older[q as usize],
+                PairOp::Zero => *dst = [0.0; W],
+            }
         }
     }
 
@@ -213,23 +234,20 @@ impl PairMergePlan {
     /// # Panics
     ///
     /// Panics if `children` is shorter than `2 * pairs * child_stored`
-    /// or `out` shorter than `pairs * parent_stored`.
-    pub fn merge_adjacent(&self, children: &[f64], out: &mut [f64], pairs: usize) {
+    /// lanes or `out` shorter than `pairs * parent_stored`.
+    pub fn merge_adjacent<const W: usize>(
+        &self,
+        children: &[[f64; W]],
+        out: &mut [[f64; W]],
+        pairs: usize,
+    ) {
         let cs = self.child_stored;
         let ps = self.ops.len();
         let children = &children[..pairs * 2 * cs];
         let out = &mut out[..pairs * ps];
         for (o, pair) in out.chunks_exact_mut(ps).zip(children.chunks_exact(2 * cs)) {
             let (older, newer) = pair.split_at(cs);
-            for (dst, op) in o.iter_mut().zip(&self.ops) {
-                *dst = match *op {
-                    PairOp::Avg => (newer[0] + older[0]) * 0.5,
-                    PairOp::Diff => (newer[0] - older[0]) * 0.5,
-                    PairOp::Newer(q) => newer[q as usize],
-                    PairOp::Older(q) => older[q as usize],
-                    PairOp::Zero => 0.0,
-                };
-            }
+            self.merge_one(newer, older, o);
         }
     }
 }
@@ -239,40 +257,72 @@ mod tests {
     use super::*;
     use crate::coeffs::HaarCoeffs;
 
-    fn prefixes(stored: usize, count: usize) -> Vec<Vec<f64>> {
+    /// Entry `e`, coefficient `i`, lane `w` of a deterministic test slab.
+    fn coefficient(e: usize, i: usize, w: usize) -> f64 {
+        ((e * 31 + i * 7 + w * 13 + 3) % 23) as f64 - 11.0 + (i as f64) * 0.125 - (w as f64) * 0.5
+    }
+
+    /// `count` entries of `stored` lanes each.
+    fn lanes<const W: usize>(stored: usize, count: usize) -> Vec<Vec<[f64; W]>> {
         (0..count)
             .map(|e| {
                 (0..stored)
-                    .map(|i| ((e * 31 + i * 7 + 3) % 23) as f64 - 11.0 + (i as f64) * 0.125)
+                    .map(|i| std::array::from_fn(|w| coefficient(e, i, w)))
                     .collect()
             })
             .collect()
     }
 
-    #[test]
-    fn forward_block_matches_scalar_merge() {
-        let values: Vec<f64> = (0..32).map(|i| ((i * 13 + 5) % 41) as f64 - 20.0).collect();
+    /// Lane `w` of a prefix, as the scalar path stores it.
+    fn column<const W: usize>(prefix: &[[f64; W]], w: usize) -> Vec<f64> {
+        prefix.iter().map(|lane| lane[w]).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn forward_matches<const W: usize>() {
+        let value = |i: usize| ((i * 13 + 5) % 41) as f64 - 20.0;
+        // Signed zeros and a cancelling pair too: the operand order shows.
+        let extremes = [(-0.0, 0.0), (0.0, -0.0), (1e300, 1e300), (0.1, 0.2)];
         for k in [1usize, 2, 3, 8] {
             let keep = k.min(2);
-            let mut out = vec![0.0; (values.len() / 2) * keep];
-            forward_block(&values, k, &mut out);
-            for i in 0..values.len() / 2 {
-                let scalar = HaarCoeffs::merge(
-                    &HaarCoeffs::scalar(values[2 * i + 1]),
-                    &HaarCoeffs::scalar(values[2 * i]),
-                    k,
-                )
-                .unwrap();
-                let got = &out[i * keep..(i + 1) * keep];
-                for (a, b) in got.iter().zip(scalar.coefficients()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} pair={i}");
+            for pair in 0..8 {
+                let newer: [f64; W] = std::array::from_fn(|w| match extremes.get(w) {
+                    Some(&(n, _)) if pair == 0 => n,
+                    _ => value(2 * (pair * W + w) + 1),
+                });
+                let older: [f64; W] = std::array::from_fn(|w| match extremes.get(w) {
+                    Some(&(_, o)) if pair == 0 => o,
+                    _ => value(2 * (pair * W + w)),
+                });
+                let mut out = vec![[f64::NAN; W]; keep];
+                forward_block(&newer, &older, k, &mut out);
+                for w in 0..W {
+                    let scalar = HaarCoeffs::merge(
+                        &HaarCoeffs::scalar(newer[w]),
+                        &HaarCoeffs::scalar(older[w]),
+                        k,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        bits(&column(&out, w)),
+                        bits(scalar.coefficients()),
+                        "W={W} k={k} pair={pair} lane={w}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn plan_matches_merge_bit_for_bit() {
+    fn forward_block_matches_scalar_merge() {
+        forward_matches::<1>();
+        forward_matches::<16>();
+    }
+
+    fn plan_matches<const W: usize>() {
         // Every (child_len, k) combination the tree can produce: children
         // store min(k, child_len) coefficients.
         for log_len in 1..=5u32 {
@@ -282,17 +332,21 @@ mod tests {
                 let plan = PairMergePlan::new(child_len, stored, k).unwrap();
                 let ps = plan.parent_stored();
                 assert_eq!(ps, k.min(2 * child_len));
-                let entries = prefixes(stored, 8);
-                let mut out = vec![0.0; ps];
+                let entries = lanes::<W>(stored, 8);
+                let mut out = vec![[f64::NAN; W]; ps];
                 for pair in entries.chunks(2) {
                     let (older, newer) = (&pair[0], &pair[1]);
                     plan.merge_one(newer, older, &mut out);
-                    let a = HaarCoeffs::from_parts(child_len, newer.clone()).unwrap();
-                    let b = HaarCoeffs::from_parts(child_len, older.clone()).unwrap();
-                    let merged = HaarCoeffs::merge(&a, &b, k).unwrap();
-                    assert_eq!(merged.stored(), ps, "child_len={child_len} k={k}");
-                    for (x, y) in out.iter().zip(merged.coefficients()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "child_len={child_len} k={k}");
+                    for w in 0..W {
+                        let a = HaarCoeffs::from_parts(child_len, column(newer, w)).unwrap();
+                        let b = HaarCoeffs::from_parts(child_len, column(older, w)).unwrap();
+                        let merged = HaarCoeffs::merge(&a, &b, k).unwrap();
+                        assert_eq!(merged.stored(), ps, "child_len={child_len} k={k}");
+                        assert_eq!(
+                            bits(&column(&out, w)),
+                            bits(merged.coefficients()),
+                            "W={W} child_len={child_len} k={k} lane={w}"
+                        );
                     }
                 }
             }
@@ -300,23 +354,38 @@ mod tests {
     }
 
     #[test]
-    fn merge_adjacent_matches_merge_one() {
+    fn plan_matches_merge_bit_for_bit() {
+        plan_matches::<1>();
+        plan_matches::<16>();
+    }
+
+    fn adjacent_matches<const W: usize>() {
         let child_len = 8;
         for k in [1usize, 3, 8, 16] {
             let stored = k.min(child_len);
             let plan = PairMergePlan::new(child_len, stored, k).unwrap();
             let ps = plan.parent_stored();
-            let entries = prefixes(stored, 12);
-            let slab: Vec<f64> = entries.iter().flatten().copied().collect();
+            let entries = lanes::<W>(stored, 12);
+            let slab: Vec<[f64; W]> = entries.iter().flatten().copied().collect();
             let pairs = entries.len() / 2;
-            let mut blocked = vec![0.0; pairs * ps];
+            let mut blocked = vec![[f64::NAN; W]; pairs * ps];
             plan.merge_adjacent(&slab, &mut blocked, pairs);
-            let mut one = vec![0.0; ps];
+            let mut one = vec![[f64::NAN; W]; ps];
             for i in 0..pairs {
                 plan.merge_one(&entries[2 * i + 1], &entries[2 * i], &mut one);
-                assert_eq!(&blocked[i * ps..(i + 1) * ps], &one[..], "k={k} pair={i}");
+                assert_eq!(
+                    &blocked[i * ps..(i + 1) * ps],
+                    &one[..],
+                    "W={W} k={k} pair={i}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn merge_adjacent_matches_merge_one() {
+        adjacent_matches::<1>();
+        adjacent_matches::<16>();
     }
 
     #[test]
@@ -328,14 +397,14 @@ mod tests {
         let k = 12;
         let plan = PairMergePlan::new(child_len, stored, k).unwrap();
         assert!(plan.ops.contains(&PairOp::Zero));
-        let newer = vec![3.5, -1.25];
-        let older = vec![-0.5, 2.0];
-        let mut out = vec![f64::NAN; plan.parent_stored()];
+        let newer = [[3.5], [-1.25]];
+        let older = [[-0.5], [2.0]];
+        let mut out = vec![[f64::NAN]; plan.parent_stored()];
         plan.merge_one(&newer, &older, &mut out);
-        let a = HaarCoeffs::from_parts(child_len, newer).unwrap();
-        let b = HaarCoeffs::from_parts(child_len, older).unwrap();
+        let a = HaarCoeffs::from_parts(child_len, column(&newer, 0)).unwrap();
+        let b = HaarCoeffs::from_parts(child_len, column(&older, 0)).unwrap();
         let merged = HaarCoeffs::merge(&a, &b, k).unwrap();
-        assert_eq!(&out[..], merged.coefficients());
+        assert_eq!(column(&out, 0), merged.coefficients());
     }
 
     #[test]
@@ -357,6 +426,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero coefficient budget")]
     fn forward_block_rejects_zero_budget() {
-        forward_block(&[1.0, 2.0], 0, &mut [0.0; 2]);
+        forward_block(&[1.0], &[2.0], 0, &mut [[0.0]; 2]);
     }
 }

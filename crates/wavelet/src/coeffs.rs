@@ -34,7 +34,7 @@
 //! in its tree's level slab wherever the path that built the tree put
 //! it. Larger budgets own one heap buffer per summary, and the
 //! in-place forms ([`HaarCoeffs::merge_into`], [`HaarCoeffs::assign_pair`],
-//! [`HaarCoeffs::assign_prefix`]) overwrite a summary inside the storage
+//! [`HaarCoeffs::assign_lane`]) overwrite a summary inside the storage
 //! it already has, so a tree that refreshes its level slots in place
 //! allocates nothing in steady state at any budget.
 
@@ -211,17 +211,32 @@ impl HaarCoeffs {
     }
 
     /// Overwrite `self` with the summary of a `len`-value segment whose
-    /// stored breadth-first prefix is `prefix` — the blocked ingest path's
-    /// bridge from SoA coefficient slabs back into a level slot. Writes
-    /// into the storage `self` already owns (see [`Self::merge_into`]).
+    /// stored breadth-first prefix is lane `w` of `prefix` (coefficient
+    /// `j` is `prefix[j][w]`, the layout of [`crate::block`]) — the
+    /// blocked ingest path's bridge from its lanes back into a level slot.
+    /// Writes into the storage `self` already owns (see
+    /// [`Self::merge_into`]).
     ///
     /// # Errors
     ///
     /// Same as [`Self::from_parts`]; `self` is unchanged on error.
-    pub fn assign_prefix(&mut self, len: usize, prefix: &[f64]) -> Result<(), WaveletError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w >= W`.
+    #[inline]
+    pub fn assign_lane<const W: usize>(
+        &mut self,
+        len: usize,
+        prefix: &[[f64; W]],
+        w: usize,
+    ) -> Result<(), WaveletError> {
+        assert!(w < W, "lane {w} of {W}");
         Self::check_parts(len, prefix.len())?;
         self.len = len;
-        self.store.reset(prefix.len()).copy_from_slice(prefix);
+        for (c, lane) in self.store.reset(prefix.len()).iter_mut().zip(prefix) {
+            *c = lane[w];
+        }
         Ok(())
     }
 
@@ -811,27 +826,29 @@ mod tests {
     }
 
     #[test]
-    fn assign_prefix_matches_from_parts() {
+    fn assign_lane_matches_from_parts() {
         for prefix in [
             vec![1.0],
             vec![1.0, 2.0, 3.0],
             vec![1.0, 2.0, 3.0, 4.0, 5.0],
         ] {
             let want = HaarCoeffs::from_parts(8, prefix.clone()).unwrap();
+            // Lane 1 of three holds the prefix; its neighbours must not leak.
+            let lanes: Vec<[f64; 3]> = prefix.iter().map(|&c| [f64::NAN, c, -c]).collect();
             for dst in [
                 HaarCoeffs::scalar(f64::NAN),
                 HaarCoeffs::from_parts(16, vec![f64::NAN; 9]).unwrap(),
             ] {
                 let mut got = dst;
-                got.assign_prefix(8, &prefix).unwrap();
+                got.assign_lane(8, &lanes, 1).unwrap();
                 assert_eq!(got, want);
                 assert_eq!(got.heap_coefficients(), want.heap_coefficients());
             }
         }
         let mut c = HaarCoeffs::scalar(7.0);
-        assert!(c.assign_prefix(3, &[1.0]).is_err());
-        assert!(c.assign_prefix(4, &[]).is_err());
-        assert!(c.assign_prefix(2, &[1.0, 2.0, 3.0]).is_err());
+        assert!(c.assign_lane(3, &[[1.0]], 0).is_err());
+        assert!(c.assign_lane::<1>(4, &[], 0).is_err());
+        assert!(c.assign_lane(2, &[[1.0], [2.0], [3.0]], 0).is_err());
         assert_eq!(c, HaarCoeffs::scalar(7.0), "failed assigns change nothing");
     }
 

@@ -8,11 +8,11 @@
 //! * [`haar`] — the non-normalized Haar transform (pairwise average /
 //!   half-difference) used throughout the paper, with full forward and
 //!   inverse multilevel transforms over power-of-two signals,
-//! * [`block`] — flat SoA batch kernels over slabs of stored coefficient
-//!   prefixes: [`forward_block`] level-0 lanes and precompiled
-//!   [`PairMergePlan`] sibling merges, bit-identical to the scalar
-//!   [`HaarCoeffs::merge`] — the substrate of `swat-tree`'s chunked
-//!   ingest fast path,
+//! * [`block`] — lane kernels over the stored coefficient prefixes of
+//!   `W` summaries at once (`[f64; W]` per coefficient):
+//!   [`forward_block`] level-0 lanes and precompiled [`PairMergePlan`]
+//!   sibling merges, bit-identical to the scalar [`HaarCoeffs::merge`] —
+//!   the substrate of `swat-tree`'s blocked ingest fast path,
 //! * [`filterbank`] — periodic orthogonal filter banks, one generic
 //!   transform for the paper's remark that "any of the wavelet bases such
 //!   as Haar, Daubechies, … can be used": the orthonormal Haar (Parseval

@@ -87,9 +87,11 @@ ROWS=(
     ""
 
     # Slot order, steadiness and both equivalence suites optimized — what
-    # the benchmark runs; no debug_assert.
+    # the benchmark runs; no debug_assert. The lane kernels against the
+    # scalar merge too: the lanes are where the optimizer vectorizes.
     "release equivalence"
-    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence"
+    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence &&
+     cargo test -q --release -p swat-wavelet --lib block"
     ""
 
     # The folded CRC-32 path as the benchmark runs it: debug builds run the
