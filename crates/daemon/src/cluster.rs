@@ -4,10 +4,12 @@
 //! holding. It routes: ingest rows split into per-shard sub-rows (one
 //! fenced leg to the shard's primary, one `Replicate` leg to its
 //! standby), point/range queries route to the owning shard's primary,
-//! and the distributed top-k runs the exact two-round Jestes–Yi–Li
-//! merge — the *same* decision sequence `ShardedStreamSet::global_top_k`
-//! executes in-process, so a daemon cluster and the in-process oracle
-//! produce bit-identical answers.
+//! and the distributed top-k is one round: a `LocalTopK` to every
+//! shard's primary, the answers merged in shard order — the merge
+//! `ShardedStreamSet::global_top_k` runs in-process, so a daemon cluster
+//! and the in-process oracle produce bit-identical answers. One round is
+//! exact because shards own disjoint streams (`swat_tree::shard`'s
+//! module docs give the argument).
 //!
 //! Everything leaving the leader is stamped with its term (and, for
 //! shard traffic, the shard's configuration epoch) via
@@ -33,7 +35,7 @@ use swat_tree::{shard_members, shard_of};
 use swat_wavelet::TopKSummary;
 
 use crate::failover::Assignment;
-use crate::proto::{ErrorCode, Request, Response, NO_SHARD};
+use crate::proto::{ErrorCode, Request, Response, MAX_TOP_K, NO_SHARD};
 use crate::registry::ReplicaRegistry;
 
 /// The deterministic global↔shard routing table every node agrees on.
@@ -286,7 +288,8 @@ impl LeaderCore {
                 }
             }
             Request::TopK { k } => {
-                if *k == 0 {
+                // Above MAX_TOP_K a shard's answer could not fit one frame.
+                if *k == 0 || *k > MAX_TOP_K {
                     return Plan::Done(Response::ErrorR {
                         code: ErrorCode::BadRequest,
                     });
@@ -448,106 +451,44 @@ impl LeaderCore {
         }
     }
 
-    /// Round one → round two: given every planned round-one call and its
-    /// result (`None` for unreachable shards), compute the pruning
-    /// threshold τ and the refinement calls, exactly as
-    /// `ShardedStreamSet::global_top_k` would. Returns `(tau,
-    /// refine_calls)`; shards not refined are either pruned (their
-    /// round-one entries suffice) or missing.
+    /// Kept only because `benchmark/src/inline.rs` calls it between the
+    /// top-k round and [`Self::finish_topk`]: the top-k has one round, so
+    /// this always returns `(0.0, [])`. It goes when that file drives
+    /// `driver::serve` (ROADMAP item 1(a)).
     pub fn plan_topk_round2(
         &self,
         _k: u32,
-        calls: &[PeerCall],
-        locals: &[Option<Response>],
+        _calls: &[PeerCall],
+        _locals: &[Option<Response>],
     ) -> (f64, Vec<PeerCall>) {
-        let k = match calls.first().map(|c| &c.request) {
-            Some(Request::Fenced { inner, .. }) => match **inner {
-                Request::LocalTopK { k } => k,
-                _ => 0,
-            },
-            _ => 0,
-        };
-        let mut merged = TopKSummary::new(k as usize);
-        for local in locals.iter().flatten() {
-            if let Response::LocalTopKR { entries, .. } = local {
-                for &e in entries {
-                    merged.offer(e);
-                }
-            }
-        }
-        let tau = merged.threshold();
-        let mut refines = Vec::new();
-        for (call, local) in calls.iter().zip(locals) {
-            if let Some(Response::LocalTopKR {
-                threshold,
-                truncated,
-                ..
-            }) = local
-            {
-                if *truncated && *threshold >= tau {
-                    refines.push(PeerCall {
-                        node: call.node,
-                        shard: call.shard,
-                        standby_leg: false,
-                        request: self.fence(call.shard, Request::TopKScan { tau }),
-                    });
-                }
-            }
-        }
-        (tau, refines)
+        (0.0, Vec::new())
     }
 
-    /// Final top-k merge: refined shards contribute their scan results,
-    /// pruned shards their round-one entries, in shard order — the
-    /// offer sequence `ShardedStreamSet::global_top_k` uses, so the
-    /// result is bit-identical to the in-process oracle whenever every
-    /// shard answered. Any shard that is unreachable, mid-
-    /// reconfiguration, or missing a primary (either round) flips
-    /// `complete` to `false`; the entries remain exact over the shards
-    /// that answered.
+    /// Merge the top-k: every shard's `LocalTopKR` entries, offered in
+    /// shard order — the merge `ShardedStreamSet::global_top_k` runs, so
+    /// the result is bit-identical to the in-process oracle whenever
+    /// every shard answered. A shard that is unreachable, answered
+    /// anything else, or had no primary to ask (no call at all) flips
+    /// `complete` to `false`; the entries stay exact over the shards that
+    /// answered. `_scans` is ignored, and kept in the signature only for
+    /// `benchmark/src/inline.rs` (see [`Self::plan_topk_round2`]).
     pub fn finish_topk(
         &self,
         k: u32,
         calls: &[PeerCall],
         locals: &[Option<Response>],
-        scans: &[(usize, Option<Response>)],
+        _scans: &[(usize, Option<Response>)],
     ) -> Response {
-        let mut complete = true;
+        // `plan` makes one call per shard that has a primary.
+        let mut complete = calls.len() == self.map.shards();
         let mut result = TopKSummary::new(k as usize);
-        for shard in 0..self.map.shards() {
-            let local = calls
-                .iter()
-                .zip(locals)
-                .find(|(c, _)| c.shard == shard)
-                .and_then(|(_, l)| l.as_ref());
+        for local in locals {
             match local {
-                Some(Response::LocalTopKR { entries, .. }) => {
-                    match scans.iter().find(|(s, _)| *s == shard) {
-                        Some((_, Some(Response::ScanR { entries: scanned }))) => {
-                            for &e in scanned {
-                                result.offer(e);
-                            }
-                        }
-                        Some((_, _)) => {
-                            // Refinement was needed but unreachable: its
-                            // round-one entries are still valid
-                            // candidates, the deeper ones are missing.
-                            complete = false;
-                            for &e in entries {
-                                result.offer(e);
-                            }
-                        }
-                        None => {
-                            // Pruned: round-one entries are everything
-                            // this shard can contribute.
-                            for &e in entries {
-                                result.offer(e);
-                            }
-                        }
+                Some(Response::LocalTopKR { entries }) => {
+                    for &e in entries {
+                        result.offer(e);
                     }
                 }
-                // Unreachable, typed error, or the shard had no primary
-                // to ask (no round-one call at all).
                 _ => complete = false,
             }
         }
@@ -575,6 +516,10 @@ pub fn stale_term_in(results: &[Option<Response>]) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{encode_response, HEADER_LEN, MAX_FRAME};
+    use crate::replica::ReplicaNode;
+    use swat_tree::{root_summary, SwatConfig};
+    use swat_wavelet::TopCoeff;
 
     fn fan(plan: Plan) -> Vec<PeerCall> {
         match plan {
@@ -729,14 +674,7 @@ mod tests {
         assert_eq!(leader.take_primary_faults(), vec![1]);
         // Top-k with a missing shard: complete = false.
         let calls = fan(leader.plan(&Request::TopK { k: 3 }));
-        let locals = vec![
-            Some(Response::LocalTopKR {
-                threshold: 0.0,
-                truncated: false,
-                entries: vec![],
-            }),
-            None,
-        ];
+        let locals = vec![Some(Response::LocalTopKR { entries: vec![] }), None];
         match leader.finish_topk(3, &calls, &locals, &[]) {
             Response::TopKR { complete, .. } => assert!(!complete),
             other => panic!("unexpected {other:?}"),
@@ -767,15 +705,11 @@ mod tests {
             }),
             Plan::Done(Response::Unavailable { node: 2 })
         );
-        // Top-k round one simply has no call for the dead shard, and the
-        // merge marks the result incomplete.
+        // The top-k simply has no call for the dead shard, and the merge
+        // marks the result incomplete.
         let calls = fan(leader.plan(&Request::TopK { k: 2 }));
         assert_eq!(calls.len(), 1);
-        let locals = vec![Some(Response::LocalTopKR {
-            threshold: 0.0,
-            truncated: false,
-            entries: vec![],
-        })];
+        let locals = vec![Some(Response::LocalTopKR { entries: vec![] })];
         match leader.finish_topk(2, &calls, &locals, &[]) {
             Response::TopKR { complete, .. } => assert!(!complete),
             other => panic!("unexpected {other:?}"),
@@ -800,6 +734,124 @@ mod tests {
                 code: ErrorCode::BadRequest
             })
         );
+    }
+
+    #[test]
+    fn top_k_is_bounded_by_what_one_frame_carries() {
+        let leader = LeaderCore::bootstrap(4, 2, 3, false);
+        assert_eq!(MAX_TOP_K, 209_714);
+        assert_eq!(fan(leader.plan(&Request::TopK { k: MAX_TOP_K })).len(), 2);
+        assert_eq!(
+            leader.plan(&Request::TopK { k: 209_715 }),
+            Plan::Done(Response::ErrorR {
+                code: ErrorCode::BadRequest
+            })
+        );
+        // A full answer fits one frame; one more entry would not.
+        let c = TopCoeff {
+            stream: 1,
+            index: 0,
+            value: 1.0,
+        };
+        let full = encode_response(&Response::TopKR {
+            complete: true,
+            entries: vec![c; MAX_TOP_K as usize],
+        });
+        let payload = full.len() - HEADER_LEN;
+        assert!(payload <= MAX_FRAME && payload + 20 > MAX_FRAME);
+    }
+
+    /// Brute-force top-k over the root-summary coefficients of the
+    /// `answering` replicas' streams, ranked by |value| desc then
+    /// (stream, index) asc.
+    fn brute_force_top_k(
+        replicas: &mut [ReplicaNode],
+        answering: &[usize],
+        k: usize,
+    ) -> Vec<TopCoeff> {
+        let mut all = Vec::new();
+        for &s in answering {
+            let members = replicas[s].members().to_vec();
+            let set = replicas[s].set();
+            for (local, &g) in members.iter().enumerate() {
+                let Some(root) = root_summary(set.tree(local)) else {
+                    continue;
+                };
+                for (index, &value) in root.coeffs().coefficients().iter().enumerate() {
+                    all.push(TopCoeff {
+                        stream: g as u64,
+                        index: index as u32,
+                        value,
+                    });
+                }
+            }
+        }
+        all.sort_by(|a, b| {
+            b.weight()
+                .partial_cmp(&a.weight())
+                .unwrap()
+                .then_with(|| (a.stream, a.index).cmp(&(b.stream, b.index)))
+        });
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn a_partial_top_k_is_exact_over_the_shards_that_answered() {
+        let (streams, shards, k) = (12, 3, 5);
+        let cfg = SwatConfig::with_coefficients(16, 4).unwrap();
+        let leader = LeaderCore::bootstrap(streams, shards, 3, false);
+        let mut replicas: Vec<ReplicaNode> = (0..shards)
+            .map(|s| ReplicaNode::new(s as u64 + 1, cfg, streams, shards, s))
+            .collect();
+        for req_id in 0..40u64 {
+            let row: Vec<f64> = (0..streams)
+                .map(|g| ((req_id as usize * 7 + g * 13) % 23) as f64 - 11.0)
+                .collect();
+            for (s, replica) in replicas.iter_mut().enumerate() {
+                let sub = leader.map().subrow(&row, s);
+                let resp = replica.handle(&Request::Ingest { req_id, row: sub });
+                assert!(matches!(resp, Response::IngestOk { .. }));
+            }
+        }
+        let calls = fan(leader.plan(&Request::TopK { k: k as u32 }));
+        let answers: Vec<Option<Response>> = calls
+            .iter()
+            .map(|call| match &call.request {
+                Request::Fenced { inner, .. } => Some(replicas[call.shard].handle(inner)),
+                other => panic!("unfenced leg {other:?}"),
+            })
+            .collect();
+        let all: Vec<usize> = (0..shards).collect();
+        let whole = brute_force_top_k(&mut replicas, &all, k);
+        assert_eq!(
+            leader.finish_topk(k as u32, &calls, &answers, &[]),
+            Response::TopKR {
+                complete: true,
+                entries: whole.clone()
+            }
+        );
+        // Lose the shard holding the largest coefficient, so the answer
+        // must change: first unreachable, then answering a typed error.
+        let lost = shard_of(whole[0].stream, shards);
+        let rest: Vec<usize> = all.iter().copied().filter(|&s| s != lost).collect();
+        let want = brute_force_top_k(&mut replicas, &rest, k);
+        assert_ne!(want, whole);
+        let leg = calls.iter().position(|c| c.shard == lost).unwrap();
+        let refusal = Response::ErrorR {
+            code: ErrorCode::Internal,
+        };
+        for failed in [None, Some(refusal)] {
+            let mut partial = answers.clone();
+            partial[leg] = failed;
+            assert_eq!(
+                leader.finish_topk(k as u32, &calls, &partial, &[]),
+                Response::TopKR {
+                    complete: false,
+                    entries: want.clone()
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The protocol loops, once: the request cycle, the monitor pass and the
-//! client's redirect loop, written against [`ClusterNode`] and a
-//! [`Fabric`].
+//! The protocol loops, once: the request cycle (plan, one round of legs,
+//! merge — for every data request, the distributed top-k included), the
+//! monitor pass and the client's redirect loop, written against
+//! [`ClusterNode`] and a [`Fabric`].
 //!
 //! [`ClusterNode`] and [`LeaderCore`] decide; something has to carry
 //! their plans to other nodes and bring the answers back. That something
@@ -103,10 +104,10 @@ fn health_of(node: &ClusterNode, peer: u64) -> Option<WireHealth> {
 }
 
 /// One planned round, the known-dead skipped; then the fence check that
-/// follows **every** round: a `StaleTermR` anywhere in it means someone
-/// leads a newer term, so the node adopts it (a forged pair it refuses)
-/// and the request ends in a redirect drawn from the node's own view —
-/// before any merge touches a core that may just have been dropped.
+/// follows it: a `StaleTermR` anywhere in it means someone leads a newer
+/// term, so the node adopts it (a forged pair it refuses) and the request
+/// ends in a redirect drawn from the node's own view — before any merge
+/// touches a core that may just have been dropped.
 fn round<F: Fabric>(fabric: &mut F, calls: &[PeerCall]) -> Result<Vec<Option<Response>>, Response> {
     let results = deliver_calls(fabric, calls);
     match stale_term_in(&results) {
@@ -186,16 +187,17 @@ pub fn plan<F: Fabric>(fabric: &mut F, req: &Request) -> Plan {
         .unwrap_or(Plan::Done(INTERNAL))
 }
 
-/// Second half of [`serve`]: deliver the planned round, run top-k's
-/// refine round (Jestes–Yi–Li round two) if the first asks for one, and
-/// merge. Stepping down mid-request — fenced out in any round, or
-/// deposed by a claim handled meanwhile — ends in a `NotLeaderR`
-/// redirect, never in a wrong or silently partial answer.
+/// Second half of [`serve`]: deliver the planned round and merge. Every
+/// data request is one round, the distributed top-k included (shards own
+/// disjoint streams, so the merged local top-k lists are the answer).
+/// Stepping down mid-request — fenced out by the round, or deposed by a
+/// claim handled meanwhile — ends in a `NotLeaderR` redirect, never in a
+/// wrong or silently partial answer.
 pub fn finish<F: Fabric>(fabric: &mut F, req: &Request, calls: &[PeerCall]) -> Response {
-    rounds(fabric, req, calls).unwrap_or_else(|redirect| redirect)
+    merge(fabric, req, calls).unwrap_or_else(|redirect| redirect)
 }
 
-fn rounds<F: Fabric>(
+fn merge<F: Fabric>(
     fabric: &mut F,
     req: &Request,
     calls: &[PeerCall],
@@ -210,13 +212,7 @@ fn rounds<F: Fabric>(
             let result = results.into_iter().next().flatten();
             with_lead(fabric, |lead| lead.finish_routed(&calls[0], result))
         }
-        Request::TopK { k } => {
-            let refines = with_lead(fabric, |lead| lead.plan_topk_round2(*k, calls, &results).1)?;
-            let scans = round(fabric, &refines)?;
-            let scans: Vec<(usize, Option<Response>)> =
-                refines.iter().map(|c| c.shard).zip(scans).collect();
-            with_lead(fabric, |lead| lead.finish_topk(*k, calls, &results, &scans))
-        }
+        Request::TopK { k } => with_lead(fabric, |lead| lead.finish_topk(*k, calls, &results, &[])),
         // invariant: `plan` fans the four data requests only.
         _ => Err(INTERNAL),
     }
@@ -431,30 +427,21 @@ mod tests {
         SwatConfig::with_coefficients(16, 4).unwrap()
     }
 
-    fn truncated() -> Option<Response> {
-        Some(Response::LocalTopKR {
-            threshold: 1.0,
-            truncated: true,
-            entries: vec![],
-        })
-    }
-
-    /// The bug the fold fixes: the parent's `serve_fan` looked for
-    /// `StaleTermR` in round one only, answered `TopKR { complete: false }`
-    /// and kept leading until its next heartbeat.
+    /// A leader fenced out by its top-k legs steps down and redirects
+    /// instead of answering `TopKR { complete: false }` and leading on
+    /// until its next heartbeat.
     #[test]
-    fn a_leader_fenced_out_in_the_refine_round_steps_down_and_redirects() {
+    fn a_leader_fenced_out_by_its_top_k_legs_steps_down_and_redirects() {
         let mut mem = Mem::ring();
         // Term 1 of a 3-node cluster is node 1's to claim.
         let fenced = Some(Response::StaleTermR { term: 1, leader: 1 });
-        mem.script.push_back(vec![truncated(), truncated()]);
         mem.script.push_back(vec![fenced.clone(), fenced]);
         assert_eq!(
             mem.serve_at(0, &Request::TopK { k: 2 }),
             Response::NotLeaderR { leader: 1, term: 1 }
         );
         assert!(!mem.nodes[0].is_leader());
-        assert!(mem.script.is_empty(), "both rounds were delivered");
+        assert!(mem.script.is_empty(), "the one round was delivered");
     }
 
     /// A deposed leader keeps quiet for a full election timeout from its

@@ -61,7 +61,7 @@ pub use failover::{next_term, term_owner, Assignment, ShardSlot};
 pub use node::ClusterNode;
 pub use proto::{
     check_frame, decode_request, decode_response, encode_request, encode_response, ErrorCode,
-    ProtoError, Request, Response, WireHealth, WireStoreHealth, MAX_FRAME,
+    ProtoError, Request, Response, WireHealth, WireStoreHealth, MAX_FRAME, MAX_TOP_K,
 };
 pub use registry::ReplicaRegistry;
 pub use replica::ReplicaNode;

@@ -678,7 +678,7 @@ impl ClusterNode {
                 term: self.term,
             },
             // Shard-internal requests must arrive fenced.
-            Request::LocalTopK { .. } | Request::TopKScan { .. } => Response::ErrorR {
+            Request::LocalTopK { .. } => Response::ErrorR {
                 code: ErrorCode::WrongRole,
             },
         }

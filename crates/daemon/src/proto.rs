@@ -25,6 +25,12 @@
 //! envelope's inner kind is checked before its body is read, so nesting
 //! is [`ProtoError::NestedFence`] at the first level and decode depth is
 //! bounded. Nothing in this module panics on adversarial input.
+//!
+//! The top-k path keeps to the same bound on the sending side:
+//! [`MAX_TOP_K`] is the largest `k` whose answer fits one frame, and the
+//! distributed top-k is one round — a `LocalTopK` to each shard's
+//! primary, merged by the leader — so every frame on its path holds at
+//! most `k` coefficients.
 
 use std::fmt;
 
@@ -36,6 +42,14 @@ use swat_wavelet::TopCoeff;
 /// 4 MiB leaves headroom while keeping a hostile length word from
 /// provoking a large allocation.
 pub const MAX_FRAME: usize = 4 << 20;
+
+/// The largest `k` a top-k answer can carry: a [`Response::TopKR`] of
+/// `k` entries — kind, `complete`, count, then `k` 20-byte coefficients —
+/// fits in [`MAX_FRAME`] (209 714 at 4 MiB). A replica's
+/// [`Response::LocalTopKR`] is a byte shorter, so one bound covers every
+/// frame of the top-k path.
+pub const MAX_TOP_K: u32 =
+    ((MAX_FRAME - u8::LEN - bool::LEN - u32::LEN) / <TopCoeff as Field>::LEN) as u32;
 
 /// Bytes before the payload: the length and checksum words.
 pub const HEADER_LEN: usize = 8;
@@ -147,21 +161,18 @@ pub enum Request {
         /// Oldest index (inclusive).
         oldest: u32,
     },
-    /// Exact distributed top-k over every stream (client→leader).
+    /// Exact distributed top-k over every stream (client→leader), for
+    /// `1 ≤ k ≤` [`MAX_TOP_K`].
     TopK {
         /// How many coefficients.
         k: u32,
     },
-    /// Round one of the distributed top-k (leader→replica): the
-    /// replica's local top-k summary.
+    /// A shard's part of the distributed top-k (leader→replica): the
+    /// replica's local top-k. Merging every shard's answer is the whole
+    /// answer, because shards own disjoint streams.
     LocalTopK {
         /// How many coefficients.
         k: u32,
-    },
-    /// Round two (leader→replica): every candidate with weight ≥ `tau`.
-    TopKScan {
-        /// The pruning threshold τ from round one.
-        tau: f64,
     },
     /// Health/introspection snapshot.
     Status,
@@ -321,18 +332,9 @@ pub enum Response {
         /// The merged top-k, rank order.
         entries: Vec<TopCoeff>,
     },
-    /// A replica's round-one message.
+    /// A replica's local top-k.
     LocalTopKR {
-        /// The replica's local pruning threshold.
-        threshold: f64,
-        /// Whether the summary truncated (held exactly `k`).
-        truncated: bool,
         /// The local top-k entries, rank order.
-        entries: Vec<TopCoeff>,
-    },
-    /// A replica's round-two refinement: all candidates ≥ τ.
-    ScanR {
-        /// Candidates, (stream, index) order.
         entries: Vec<TopCoeff>,
     },
     /// Health snapshot.
@@ -542,7 +544,9 @@ const K_POINT: u8 = 0x04;
 const K_RANGE: u8 = 0x05;
 const K_TOPK: u8 = 0x06;
 const K_LOCAL_TOPK: u8 = 0x07;
-const K_TOPK_SCAN: u8 = 0x08;
+// 0x08 and 0x88 stay unassigned: they named the two-round top-k's
+// refine request and answer, and a peer still sending them must get
+// `UnknownKind`, not another message.
 const K_STATUS: u8 = 0x09;
 const K_SHUTDOWN: u8 = 0x0A;
 const K_FENCED: u8 = 0x0B;
@@ -558,7 +562,6 @@ const K_POINT_R: u8 = 0x84;
 const K_RANGE_R: u8 = 0x85;
 const K_TOPK_R: u8 = 0x86;
 const K_LOCAL_TOPK_R: u8 = 0x87;
-const K_SCAN_R: u8 = 0x88;
 const K_STATUS_R: u8 = 0x89;
 const K_SHUTDOWN_OK: u8 = 0x8A;
 const K_OVERLOADED: u8 = 0x8B;
@@ -961,10 +964,6 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
             p.push(K_LOCAL_TOPK);
             k.put(p);
         }
-        Request::TopKScan { tau } => {
-            p.push(K_TOPK_SCAN);
-            tau.put(p);
-        }
         Request::Status => p.push(K_STATUS),
         Request::Shutdown => p.push(K_SHUTDOWN),
         Request::Fenced {
@@ -1070,18 +1069,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             complete.put(p);
             entries.put(p);
         }
-        Response::LocalTopKR {
-            threshold,
-            truncated,
-            entries,
-        } => {
+        Response::LocalTopKR { entries } => {
             p.push(K_LOCAL_TOPK_R);
-            threshold.put(p);
-            truncated.put(p);
-            entries.put(p);
-        }
-        Response::ScanR { entries } => {
-            p.push(K_SCAN_R);
             entries.put(p);
         }
         Response::StatusR {
@@ -1242,7 +1231,6 @@ fn request_body(kind: u8, c: &mut Cursor<'_>) -> Result<Request, ProtoError> {
         },
         K_TOPK => Request::TopK { k: take(c)? },
         K_LOCAL_TOPK => Request::LocalTopK { k: take(c)? },
-        K_TOPK_SCAN => Request::TopKScan { tau: take(c)? },
         K_STATUS => Request::Status,
         K_SHUTDOWN => Request::Shutdown,
         K_FENCED => Request::Fenced {
@@ -1310,14 +1298,7 @@ fn response_body(kind: u8, c: &mut Cursor<'_>) -> Result<Response, ProtoError> {
             complete: take(c)?,
             entries: take(c)?,
         },
-        // Infinity is a legal threshold (a k = 0 summary prunes all);
-        // NaN is not, and the f64 field rejects it.
-        K_LOCAL_TOPK_R => Response::LocalTopKR {
-            threshold: take(c)?,
-            truncated: take(c)?,
-            entries: take(c)?,
-        },
-        K_SCAN_R => Response::ScanR { entries: take(c)? },
+        K_LOCAL_TOPK_R => Response::LocalTopKR { entries: take(c)? },
         K_STATUS_R => Response::StatusR {
             node: take(c)?,
             term: take(c)?,
@@ -1384,7 +1365,6 @@ pub fn sample_requests() -> Vec<Request> {
         },
         Request::TopK { k: 5 },
         Request::LocalTopK { k: 3 },
-        Request::TopKScan { tau: 4.75 },
         Request::Status,
         Request::Shutdown,
         Request::Fenced {
@@ -1469,15 +1449,12 @@ pub fn sample_responses() -> Vec<Response> {
             }],
         },
         Response::LocalTopKR {
-            threshold: 2.5,
-            truncated: true,
             entries: vec![TopCoeff {
                 stream: 1,
                 index: 2,
                 value: 2.5,
             }],
         },
-        Response::ScanR { entries: vec![] },
         Response::StatusR {
             node: 0,
             term: 4,
@@ -1610,7 +1587,9 @@ mod tests {
 
     #[test]
     fn nan_values_are_rejected() {
-        let mut p = vec![K_TOPK_SCAN];
+        // Range: kind (1) + stream (8), then a NaN `center`.
+        let mut p = vec![K_RANGE];
+        2u64.put(&mut p);
         p.extend_from_slice(&f64::NAN.to_le_bytes());
         let frame = frame_of(p);
         let payload = check_frame(&frame).unwrap();

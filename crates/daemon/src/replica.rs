@@ -10,7 +10,9 @@
 //! partition (`swat_tree::shard_members`), backed either by an
 //! in-memory [`TiledSet`] or by a [`DurableStore`] (WAL + checkpoints),
 //! and keeps the applied-write-id set that makes ingest retries
-//! duplicate-safe (the PR 5 scheme).
+//! duplicate-safe (the PR 5 scheme). Its part in the distributed top-k
+//! is one answer: the shard's local top-k ([`swat_tree::local_top_k`]),
+//! which the leader merges with the other shards'.
 //!
 //! # A holding is a row log until something reads it
 //!
@@ -30,11 +32,10 @@ use std::path::Path;
 
 use swat_store::{DurableStore, RecoveryManager, StoreError};
 use swat_tree::{
-    for_each_root_coeff, local_top_k, shard_members, QueryOptions, RangeQuery, StreamSet,
-    SwatConfig, TiledSet,
+    local_top_k, shard_members, QueryOptions, RangeQuery, StreamSet, SwatConfig, TiledSet,
 };
 
-use crate::proto::{ErrorCode, Request, Response, WirePointAnswer};
+use crate::proto::{ErrorCode, Request, Response, WirePointAnswer, MAX_TOP_K};
 
 /// Where a replica's stream state lives.
 // One Backing exists per shard held, so the size gap between the
@@ -263,9 +264,10 @@ impl ReplicaNode {
             .and_then(|g| self.members.binary_search(&g).ok())
     }
 
-    /// Serve one shard request: ingest, point, range, or either top-k
-    /// round. Anything else is node- or cluster-level traffic that
-    /// [`crate::node::ClusterNode`] answers, and gets
+    /// Serve one shard request: ingest, point, range, or this shard's
+    /// local top-k (`BadRequest` above [`MAX_TOP_K`], whose answer would
+    /// not fit one frame). Anything else is node- or cluster-level
+    /// traffic that [`crate::node::ClusterNode`] answers, and gets
     /// [`ErrorCode::WrongRole`] here. Total — no input panics.
     pub fn handle(&mut self, req: &Request) -> Response {
         match req {
@@ -278,23 +280,14 @@ impl ReplicaNode {
                 newest,
                 oldest,
             } => self.range(*stream, *center, *radius, *newest, *oldest),
-            Request::LocalTopK { k } => {
-                let summary = local_top_k(self.backing.settled(), &self.members, *k as usize);
-                Response::LocalTopKR {
-                    threshold: summary.threshold(),
-                    truncated: summary.len() == *k as usize,
-                    entries: summary.entries().to_vec(),
-                }
-            }
-            Request::TopKScan { tau } => {
-                let mut entries = Vec::new();
-                for_each_root_coeff(self.backing.settled(), &self.members, |c| {
-                    if c.weight() >= *tau {
-                        entries.push(c);
-                    }
-                });
-                Response::ScanR { entries }
-            }
+            Request::LocalTopK { k } if *k > MAX_TOP_K => Response::ErrorR {
+                code: ErrorCode::BadRequest,
+            },
+            Request::LocalTopK { k } => Response::LocalTopKR {
+                entries: local_top_k(self.backing.settled(), &self.members, *k as usize)
+                    .entries()
+                    .to_vec(),
+            },
             _ => Response::ErrorR {
                 code: ErrorCode::WrongRole,
             },
@@ -588,6 +581,28 @@ mod tests {
             }),
             Response::ErrorR {
                 code: ErrorCode::BadRequest
+            }
+        );
+    }
+
+    #[test]
+    fn a_local_top_k_is_bounded_by_what_one_frame_carries() {
+        let mut node = ReplicaNode::new(1, cfg(), 10, 3, 1);
+        warm(&mut node, 40);
+        assert_eq!(
+            node.handle(&Request::LocalTopK { k: MAX_TOP_K + 1 }),
+            Response::ErrorR {
+                code: ErrorCode::BadRequest
+            }
+        );
+        // At the bound the shard answers with everything it holds.
+        let members = node.members().to_vec();
+        let all = local_top_k(node.set(), &members, MAX_TOP_K as usize);
+        assert!(!all.is_empty());
+        assert_eq!(
+            node.handle(&Request::LocalTopK { k: MAX_TOP_K }),
+            Response::LocalTopKR {
+                entries: all.entries().to_vec()
             }
         );
     }

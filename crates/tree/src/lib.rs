@@ -67,8 +67,8 @@
 //! * [`multi`] — multiple streams and summary-based correlation (the
 //!   concluding remarks' future work),
 //! * [`shard`] — hash-partitioned million-stream ingest with mergeable
-//!   per-shard top-k coefficient summaries and the exact two-round
-//!   distributed top-k merge (the paper's "large networks" setting at
+//!   per-shard top-k coefficient summaries, whose one-round merge is the
+//!   exact distributed top-k (the paper's "large networks" setting at
 //!   scale).
 
 #![warn(missing_docs)]
@@ -107,9 +107,6 @@ pub use query::{
 };
 pub use range::ValueRange;
 pub use scratch::QueryScratch;
-pub use shard::{
-    for_each_root_coeff, local_top_k, root_summary, shard_members, shard_of, MergeStats,
-    ShardedStreamSet,
-};
+pub use shard::{local_top_k, root_summary, shard_members, shard_of, ShardedStreamSet};
 pub use snapshot::SnapshotError;
 pub use tree::{NodePos, SwatTree};

@@ -458,37 +458,6 @@ impl HaarCoeffs {
     pub fn value_at(&self, idx: usize) -> f64 {
         haar::point(self.store.as_slice(), self.len, idx).expect("invariant: len is a power of two")
     }
-
-    /// Accumulate another summary coefficient-wise: because the Haar
-    /// transform is linear, the sum of two signals' coefficient vectors
-    /// is exactly the coefficient vector of the summed signal. This is
-    /// the aggregate-merge primitive a partitioned stream tier uses to
-    /// combine per-shard aggregate summaries into one global summary
-    /// without touching raw data. A shorter stored prefix on either side
-    /// behaves as zero-padded detail, matching reconstruction semantics;
-    /// the result keeps the longer prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`WaveletError::LengthMismatch`] if the operands summarize
-    /// signals of different lengths.
-    pub fn add_assign(&mut self, other: &Self) -> Result<(), WaveletError> {
-        if self.len != other.len {
-            return Err(WaveletError::LengthMismatch {
-                newer: self.len,
-                older: other.len,
-            });
-        }
-        let ours = self.store.as_slice();
-        let theirs = other.store.as_slice();
-        let keep = ours.len().max(theirs.len());
-        let mut sum = Vec::with_capacity(keep);
-        for i in 0..keep {
-            sum.push(ours.get(i).copied().unwrap_or(0.0) + theirs.get(i).copied().unwrap_or(0.0));
-        }
-        self.store = Store::from_vec(sum);
-        Ok(())
-    }
 }
 
 /// A pool of reusable heap buffers for [`HaarCoeffs::merge_with`].
@@ -890,45 +859,6 @@ mod tests {
         assert!(matches!(
             HaarCoeffs::merge_with(&a, &a, 0, &mut scratch),
             Err(WaveletError::ZeroBudget)
-        ));
-    }
-
-    #[test]
-    fn add_assign_matches_summed_signal() {
-        // Linearity: coefficients of x + coefficients of y = coefficients
-        // of (x + y), including across unequal stored prefixes (the
-        // shorter side's missing details are zero-padded).
-        let x: Vec<f64> = (0..8).map(|i| ((i * 5) % 11) as f64).collect();
-        let y: Vec<f64> = (0..8).map(|i| ((i * 3 + 1) % 13) as f64 - 6.0).collect();
-        let summed: Vec<f64> = x.iter().zip(&y).map(|(a, b)| a + b).collect();
-        for (ka, kb) in [(8, 8), (3, 8), (8, 2), (1, 1)] {
-            let mut a = HaarCoeffs::from_signal(&x, ka).unwrap();
-            let b = HaarCoeffs::from_signal(&y, kb).unwrap();
-            a.add_assign(&b).unwrap();
-            let direct = HaarCoeffs::from_signal(&summed, ka.max(kb)).unwrap();
-            // Stored prefixes match where both sides kept detail; the
-            // tail of the longer side carries the other's coefficients
-            // verbatim (zero-padded shorter operand).
-            assert_eq!(a.len(), 8);
-            assert_eq!(a.stored(), ka.max(kb), "ka={ka} kb={kb}");
-            if ka == kb {
-                assert_eq!(a, direct, "ka={ka} kb={kb}");
-            } else {
-                // Shared prefix must still be the exact sum.
-                for i in 0..ka.min(kb) {
-                    assert!(
-                        (a.coefficients()[i] - direct.coefficients()[i]).abs() < 1e-12,
-                        "ka={ka} kb={kb} i={i}"
-                    );
-                }
-            }
-        }
-        // Mismatched signal lengths are rejected.
-        let mut a = HaarCoeffs::scalar(1.0);
-        let b = HaarCoeffs::from_signal(&[1.0, 2.0], 2).unwrap();
-        assert!(matches!(
-            a.add_assign(&b),
-            Err(WaveletError::LengthMismatch { .. })
         ));
     }
 

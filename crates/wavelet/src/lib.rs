@@ -22,8 +22,8 @@
 //!   prefix form in L2 for static signals but are not mergeable, which
 //!   is why the tree does not use them,
 //! * [`topk`] — mergeable top-k coefficient summaries for partitioned
-//!   stream sets, the per-shard state behind the Jestes–Yi–Li exact
-//!   distributed top-k merge in `swat_tree::shard`,
+//!   stream sets: each shard's local top-k, whose merge is the exact
+//!   one-round distributed top-k of `swat_tree::shard`,
 //! * [`HaarCoeffs`] — the central data type: a *truncated* Haar coefficient
 //!   vector in breadth-first (coarsest-first) order supporting the exact
 //!   `O(k)` sibling **merge** that powers the SWAT update algorithm

@@ -2,17 +2,17 @@
 //!
 //! A partitioned ingest tier (see `swat_tree::shard`) keeps one SWAT tree
 //! per stream, spread across shards. Cross-stream queries of the form
-//! "which coefficients are globally largest" must not scan every shard's
-//! every tree; instead each shard maintains a small [`TopKSummary`] over
-//! the coefficients it owns, and summaries **merge**: the merge of two
-//! shards' summaries is exactly the summary the union of their
+//! "which coefficients are globally largest" must not ship every shard's
+//! every coefficient; instead each shard builds a small [`TopKSummary`]
+//! over the coefficients it owns, and summaries **merge**: the merge of
+//! two shards' summaries is exactly the summary the union of their
 //! coefficients would produce. This is the property Ganguly's
 //! deterministic update-stream summaries call for — per-partition state
-//! that combines without re-scanning — and it is what makes the
-//! Jestes–Yi–Li exact distributed top-k algorithm (arXiv:1110.6649) work:
-//! each partition ships its local top-k′ plus a threshold, the
-//! coordinator merges and prunes, and one refinement round makes the
-//! result exact.
+//! that combines without re-scanning — and with disjoint shards it makes
+//! the distributed top-k one round: merging every shard's local top-k is
+//! the global top-k. (Jestes–Yi–Li, arXiv:1110.6649, need a second,
+//! refining round only because their coefficient is a sum of partial
+//! coefficients from every split.)
 //!
 //! Every coefficient is identified by the stream that produced it and its
 //! breadth-first index within that stream's root summary, so candidates
@@ -76,12 +76,9 @@ pub struct TopKSummary {
 }
 
 impl TopKSummary {
-    /// An empty summary retaining at most `k` entries.
-    ///
-    /// `k == 0` is legal and degenerate: the summary retains nothing,
-    /// ignores every offer, and its [`threshold`](Self::threshold) is
-    /// `+∞` — *every* candidate is provably outside an empty top-0, so
-    /// distributed pruning can skip such shards entirely.
+    /// An empty summary retaining at most `k` entries. `k == 0` is legal
+    /// and degenerate: the summary retains nothing and ignores every
+    /// offer.
     pub fn new(k: usize) -> Self {
         TopKSummary {
             k,
@@ -107,21 +104,6 @@ impl TopKSummary {
     /// Whether no coefficient has been observed yet.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The summary's pruning threshold: the weight of its `k`-th entry,
-    /// or `0` while it holds fewer than `k` (anything could still enter).
-    /// Every coefficient ever offered with weight strictly below the
-    /// threshold is provably outside the summary's top-k. For `k == 0`
-    /// the threshold is `+∞`: nothing can ever enter a top-0.
-    pub fn threshold(&self) -> f64 {
-        if self.k == 0 {
-            f64::INFINITY
-        } else if self.entries.len() < self.k {
-            0.0
-        } else {
-            self.entries[self.k - 1].weight()
-        }
     }
 
     /// Offer one coefficient. Non-finite values are ignored (they carry
@@ -186,19 +168,6 @@ mod tests {
         }
         let weights: Vec<f64> = s.entries().iter().map(TopCoeff::weight).collect();
         assert_eq!(weights, vec![5.0, 3.0, 2.0]);
-        assert_eq!(s.threshold(), 2.0);
-    }
-
-    #[test]
-    fn threshold_is_zero_while_underfull() {
-        let mut s = TopKSummary::new(4);
-        assert_eq!(s.threshold(), 0.0);
-        s.offer(c(0, 0, 9.0));
-        assert_eq!(s.threshold(), 0.0, "underfull summaries cannot prune");
-        for i in 1..4 {
-            s.offer(c(0, i, 1.0));
-        }
-        assert_eq!(s.threshold(), 1.0);
     }
 
     #[test]
@@ -275,10 +244,8 @@ mod tests {
         let mut s = TopKSummary::new(0);
         assert_eq!(s.k(), 0);
         assert!(s.is_empty());
-        assert_eq!(s.threshold(), f64::INFINITY, "top-0 prunes everything");
         s.offer(c(0, 0, 42.0));
         assert!(s.is_empty(), "a top-0 summary retains nothing");
-        assert_eq!(s.threshold(), f64::INFINITY);
 
         // Merging in either direction neither panics nor leaks entries
         // into the zero-capacity side.
@@ -312,7 +279,7 @@ mod tests {
     #[test]
     fn k_larger_than_population_keeps_everything() {
         // k far above the candidate count: the summary is just a ranked
-        // copy of the population and the threshold stays 0 (underfull).
+        // copy of the population.
         let all: Vec<TopCoeff> = (0..5).map(|i| c(i, i as u32, (i as f64) - 2.0)).collect();
         let mut merged = TopKSummary::new(100);
         for shard in all.chunks(2) {
@@ -323,7 +290,6 @@ mod tests {
             merged.merge(&local);
         }
         assert_eq!(merged.len(), all.len());
-        assert_eq!(merged.threshold(), 0.0, "underfull: cannot prune");
         assert_eq!(merged.entries(), &oracle(all, 100)[..]);
     }
 

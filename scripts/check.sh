@@ -160,7 +160,8 @@ ROWS=(
     # Release mode, the timings the deadlines meet in production: the
     # buffered transport, the coalesced fan-out and its scripted-peer
     # failure cases, the driver's loops over the scripted fabric and in the
-    # simulator, the raw-socket connection-worker tests and the 2 000-row
+    # simulator, the leader's merges (the top-k and the ingest ack rule),
+    # the raw-socket connection-worker tests and the 2 000-row
     # ring run of tcp_cluster; every holding's clock-aligned tiles — the
     # TiledSet itself, a standby promoted and a primary (in memory and
     # durable) read at every residue mod 64 against a row-by-row twin,
@@ -172,7 +173,7 @@ ROWS=(
     # against the push_row loop.
     "fan-out holdings freeze"
     "cargo test --release -q -p swat-tree --lib multi:: &&
-     cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: replica:: node:: &&
+     cargo test --release -q -p swat-daemon --lib -- transport:: client:: driver:: sim:: replica:: node:: cluster:: &&
      cargo test --release -q -p swat-daemon --test sim_oracle --test standby_equivalence --test holding_alloc &&
      cargo test --release -q -p swat-daemon --test tcp_cluster &&
      cargo test --release -q -p swat-cli --test sole_holder_kill &&
