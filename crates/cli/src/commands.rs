@@ -232,6 +232,9 @@ fn parse_inner(raw: &str) -> Result<InnerProductQuery, String> {
             .map_err(|_| format!("--inner {raw:?}: bad delta"))?,
         None => f64::INFINITY,
     };
+    if delta.is_nan() || delta < 0.0 {
+        return Err(format!("--inner {raw:?}: delta must be >= 0"));
+    }
     match *shape {
         "exp" | "exponential" => Ok(InnerProductQuery::exponential(m, delta)),
         "lin" | "linear" => Ok(InnerProductQuery::linear(m, delta)),
@@ -660,6 +663,16 @@ mod tests {
         assert!(parse_inner("exp:0").is_err());
         assert!(parse_inner("wavy:4").is_err());
         assert!(parse_inner("exp:x").is_err());
+    }
+
+    #[test]
+    fn inner_spec_rejects_a_nan_or_negative_delta() {
+        for raw in ["exp:8:nan", "lin:4:NaN", "exp:8:-1", "lin:4:-inf"] {
+            let err = parse_inner(raw).unwrap_err();
+            assert!(err.contains("delta must be >= 0"), "{raw}: {err}");
+        }
+        assert_eq!(parse_inner("exp:8:0").unwrap().delta(), 0.0);
+        assert!(parse_inner("lin:4:inf").unwrap().delta().is_infinite());
     }
 
     #[test]

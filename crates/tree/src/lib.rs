@@ -47,8 +47,9 @@
 //!   path it is pinned against,
 //! * [`query`] — point / range / inner-product evaluation (Figure 3b),
 //! * [`scratch`] — the zero-allocation query engine: reusable
-//!   [`QueryScratch`] buffers, a cached serving-map cover index and
-//!   batched entry points,
+//!   [`QueryScratch`] buffers, a cached serving-map cover index, the
+//!   truncated Haar walk every value takes, and the set-level pass behind
+//!   the batched entry points,
 //! * [`node`] — immutable per-block summaries with aging coverage,
 //! * [`range`] — `[min, max]` ranges backing sound error bounds,
 //! * [`error_model`] — the paper's §2.6 closed-form error bounds,

@@ -16,7 +16,7 @@ use crate::codec::{begin_frame, finish_frame, Cursor};
 use crate::config::{SwatConfig, TreeError};
 use crate::ingest::{ingest_block, LaneScratch};
 use crate::query::{InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions};
-use crate::scratch::QueryScratch;
+use crate::scratch::{IdxList, QueryScratch};
 use crate::snapshot::SnapshotError;
 use crate::tree::{digest, SwatTree};
 
@@ -260,25 +260,27 @@ impl StreamSet {
     /// batched engine so the whole span shares one cover-cache lookup
     /// table.
     fn recent(&self, i: usize, m: usize, opts: QueryOptions) -> Result<Vec<f64>, TreeError> {
-        let tree = &self.trees[i];
-        let mut out = Vec::with_capacity(m);
+        let span = IdxList::Span { first: 0, len: m };
         crate::scratch::with_thread_scratch(|scratch| {
-            tree.point_span_into(0, m, opts, scratch, &mut out)
-        })?;
-        Ok(out)
+            let answers = scratch.points_over(std::slice::from_ref(&self.trees[i]), span, opts)?;
+            Ok(answers.iter().map(|a| a.value).collect())
+        })
     }
 
-    /// Answer the same block of point queries against **every** stream,
-    /// fanning the independent trees out across at most `threads` scoped
-    /// worker threads exactly as [`Self::extend_batched`] shards
-    /// ingestion: contiguous shards of `ceil(streams / workers)` trees,
-    /// one [`QueryScratch`] per worker, `threads == 1` degenerating to a
-    /// plain loop without spawning.
+    /// Answer the same block of point queries against **every** stream in
+    /// one pass of the query engine's set pass: once every tree is steady
+    /// the streams share one cover, resolved once per call, and each
+    /// stream only walks its own coefficients (`crate::scratch`'s module
+    /// docs). With `threads > 1` the trees are split into contiguous
+    /// shards of `ceil(streams / workers)` trees exactly as
+    /// [`Self::extend_batched`] shards ingestion, each worker running the
+    /// pass over its shard with its own [`QueryScratch`]; `threads == 1`
+    /// runs it on the calling thread without spawning.
     ///
     /// Returns one answer vector per stream, in stream order. Each answer
     /// is bit-identical to [`SwatTree::point_with`] on that stream's tree,
     /// **for every thread count** — workers only partition read-only trees
-    /// and write disjoint result slots, so scheduling cannot influence any
+    /// and write disjoint results, so scheduling cannot influence any
     /// value. On error, the error the lowest-numbered failing stream would
     /// report sequentially is returned.
     ///
@@ -295,8 +297,8 @@ impl StreamSet {
         opts: QueryOptions,
         threads: usize,
     ) -> Result<Vec<Vec<PointAnswer>>, TreeError> {
-        query_fan_out(&self.trees, threads, |tree, scratch, out| {
-            tree.point_many(indices, opts, scratch, out)
+        query_fan_out(&self.trees, threads, indices.len(), |trees, scratch| {
+            scratch.points_over(trees, IdxList::Slice(indices), opts)
         })
     }
 
@@ -319,8 +321,8 @@ impl StreamSet {
         opts: QueryOptions,
         threads: usize,
     ) -> Result<Vec<Vec<InnerProductAnswer>>, TreeError> {
-        query_fan_out(&self.trees, threads, |tree, scratch, out| {
-            tree.inner_product_many(queries, opts, scratch, out)
+        query_fan_out(&self.trees, threads, queries.len(), |trees, scratch| {
+            scratch.inners_over(trees, queries, opts)
         })
     }
 
@@ -391,16 +393,26 @@ impl StreamSet {
     }
 }
 
-/// Deterministic query fan-out: run `eval` once per tree, partitioned
-/// into the same contiguous shards as [`StreamSet::extend_batched`], and
-/// collect per-stream results in stream order — the first error in stream
+/// Deterministic query fan-out: the trees are partitioned into the same
+/// contiguous shards as [`StreamSet::extend_batched`], each shard answered
+/// by one `pass` of [`QueryScratch`]'s set pass with that worker's own
+/// scratch (`threads == 1` runs the thread's scratch over every tree,
+/// without spawning), and the flat answers — `per_tree` a tree — are split
+/// into per-stream vectors in stream order. The first error in stream
 /// order wins, whichever worker met it first in wall-clock time.
-pub(crate) fn query_fan_out<T: Send, S: Borrow<SwatTree> + Sync>(
+pub(crate) fn query_fan_out<T: Copy + Send, S: Borrow<SwatTree> + Sync>(
     trees: &[S],
     threads: usize,
-    eval: impl Fn(&SwatTree, &mut QueryScratch, &mut Vec<T>) -> Result<(), TreeError> + Sync,
+    per_tree: usize,
+    pass: impl for<'s> Fn(&[S], &'s mut QueryScratch) -> Result<&'s [T], TreeError> + Sync,
 ) -> Result<Vec<Vec<T>>, TreeError> {
     assert!(threads > 0, "need at least one thread");
+    let split = |trees: &[S], scratch: &mut QueryScratch| -> Result<Vec<Vec<T>>, TreeError> {
+        let answers = pass(trees, scratch)?;
+        Ok((0..trees.len())
+            .map(|i| answers[i * per_tree..(i + 1) * per_tree].to_vec())
+            .collect())
+    };
     // Zero streams: nothing to answer, and `div_ceil(workers)` below
     // would divide by zero.
     if trees.is_empty() {
@@ -408,38 +420,27 @@ pub(crate) fn query_fan_out<T: Send, S: Borrow<SwatTree> + Sync>(
     }
     let workers = threads.min(trees.len());
     if workers == 1 {
-        // The thread's own scratch: the serving map a previous call (or
-        // the previous stream) built is still there, and steady trees at
-        // one clock share it. Every stream answers the same block, so
-        // each answer vector is sized by the one before it.
-        return crate::scratch::with_thread_scratch(|scratch| {
-            let mut results = Vec::with_capacity(trees.len());
-            let mut answers = 0;
-            for tree in trees {
-                let mut out = Vec::with_capacity(answers);
-                eval(tree.borrow(), scratch, &mut out)?;
-                answers = out.len();
-                results.push(out);
-            }
-            Ok(results)
-        });
+        // The thread's own scratch: the serving map and the answer
+        // buffer a previous call grew are still there.
+        return crate::scratch::with_thread_scratch(|scratch| split(trees, scratch));
     }
-    let mut results: Vec<Result<Vec<T>, TreeError>> =
-        (0..trees.len()).map(|_| Ok(Vec::new())).collect();
     let shard = trees.len().div_ceil(workers);
-    let eval = &eval;
-    std::thread::scope(|scope| {
-        for (tree_shard, slot_shard) in trees.chunks(shard).zip(results.chunks_mut(shard)) {
-            scope.spawn(move || {
-                let mut scratch = QueryScratch::new();
-                for (tree, slot) in tree_shard.iter().zip(slot_shard.iter_mut()) {
-                    let mut out = Vec::new();
-                    *slot = eval(tree.borrow(), &mut scratch, &mut out).map(|()| out);
-                }
-            });
-        }
+    let split = &split;
+    let parts: Vec<Result<Vec<Vec<T>>, TreeError>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = trees
+            .chunks(shard)
+            .map(|part| scope.spawn(move || split(part, &mut QueryScratch::new())))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("a query worker panicked"))
+            .collect()
     });
-    results.into_iter().collect()
+    let mut results = Vec::with_capacity(trees.len());
+    for part in parts {
+        results.extend(part?);
+    }
+    Ok(results)
 }
 
 /// Magic prefix of a [`StreamSet::snapshot`] buffer.

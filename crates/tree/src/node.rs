@@ -199,17 +199,6 @@ impl Summary {
             .collect()
     }
 
-    /// As [`Self::reconstruct`], writing into caller-provided buffers —
-    /// the same inverse transform and the same clamp, so the values are
-    /// bit-identical, with zero allocation once the buffers have grown to
-    /// the block width.
-    pub fn reconstruct_clamped_into(&self, out: &mut Vec<f64>, tmp: &mut Vec<f64>) {
-        self.coeffs.reconstruct_into(out, tmp);
-        for v in out.iter_mut() {
-            *v = self.range.clamp(*v);
-        }
-    }
-
     /// A sound bound on `|true - approx|` for any single value answered
     /// from this summary: the worst distance from the reconstructed value
     /// to the ends of the exact range.

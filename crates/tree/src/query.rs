@@ -152,8 +152,7 @@ impl InnerProductQuery {
                 }
             }
         }
-        // +infinity is allowed: "no precision requirement".
-        if delta.is_nan() || delta < 0.0 {
+        if !delta_is_valid(delta) {
             return Err(TreeError::BadQuery {
                 reason: "precision must be >= 0",
             });
@@ -168,7 +167,12 @@ impl InnerProductQuery {
 
     /// A point query `([idx], [1], δ)` — the paper's point queries are
     /// exactly this special case.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delta` is NaN or negative (see [`Self::new`]).
     pub fn point(idx: usize, delta: f64) -> Self {
+        assert_delta(delta);
         InnerProductQuery {
             indices: vec![idx],
             weights: vec![1.0],
@@ -184,9 +188,10 @@ impl InnerProductQuery {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0`.
+    /// Panics if `m == 0`, or if `delta` is NaN or negative.
     pub fn exponential_at(start: usize, m: usize, delta: f64) -> Self {
         assert!(m > 0, "query length must be positive");
+        assert_delta(delta);
         InnerProductQuery {
             indices: (start..start + m).collect(),
             weights: (0..m).map(|j| 0.5f64.powi(j as i32)).collect(),
@@ -202,9 +207,10 @@ impl InnerProductQuery {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0`.
+    /// Panics if `m == 0`, or if `delta` is NaN or negative.
     pub fn set_exponential_at(&mut self, start: usize, m: usize, delta: f64) {
         assert!(m > 0, "query length must be positive");
+        assert_delta(delta);
         self.indices.clear();
         self.indices.extend(start..start + m);
         self.weights.clear();
@@ -215,6 +221,10 @@ impl InnerProductQuery {
 
     /// [`Self::exponential_at`] anchored at the newest value (`start = 0`)
     /// — the paper's *fixed query mode*.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::exponential_at`].
     pub fn exponential(m: usize, delta: f64) -> Self {
         Self::exponential_at(0, m, delta)
     }
@@ -224,9 +234,10 @@ impl InnerProductQuery {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0`.
+    /// Panics if `m == 0`, or if `delta` is NaN or negative.
     pub fn linear_at(start: usize, m: usize, delta: f64) -> Self {
         assert!(m > 0, "query length must be positive");
+        assert_delta(delta);
         InnerProductQuery {
             indices: (start..start + m).collect(),
             weights: (0..m).map(|j| (m - j) as f64 / m as f64).collect(),
@@ -240,9 +251,10 @@ impl InnerProductQuery {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0`.
+    /// Panics if `m == 0`, or if `delta` is NaN or negative.
     pub fn set_linear_at(&mut self, start: usize, m: usize, delta: f64) {
         assert!(m > 0, "query length must be positive");
+        assert_delta(delta);
         self.indices.clear();
         self.indices.extend(start..start + m);
         self.weights.clear();
@@ -253,6 +265,10 @@ impl InnerProductQuery {
     }
 
     /// [`Self::linear_at`] anchored at the newest value.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::linear_at`].
     pub fn linear(m: usize, delta: f64) -> Self {
         Self::linear_at(0, m, delta)
     }
@@ -338,6 +354,21 @@ impl InnerProductQuery {
             .map(|(&i, &w)| w * window[i])
             .sum()
     }
+}
+
+/// Whether `delta` is a precision a query can carry: `≥ 0`, with
+/// `+∞` meaning "no precision requirement". NaN and negative values are
+/// refused — no error bound could ever meet them.
+fn delta_is_valid(delta: f64) -> bool {
+    delta >= 0.0
+}
+
+/// The profile constructors' check: they panic on a precision
+/// [`InnerProductQuery::new`] refuses as [`TreeError::BadQuery`], as they
+/// do on an empty query.
+#[track_caller]
+fn assert_delta(delta: f64) {
+    assert!(delta_is_valid(delta), "precision must be >= 0, got {delta}");
 }
 
 /// Answer to an inner-product query.
@@ -837,6 +868,44 @@ mod tests {
         .unwrap();
         assert_eq!(explicit, want);
         assert_ne!(explicit.profile(), want.profile());
+    }
+
+    #[test]
+    fn profile_constructors_panic_on_a_nan_or_negative_delta() {
+        // Each builds (and drops) a query with the given precision.
+        type Build = fn(f64);
+        let constructors: [(&str, Build); 7] = [
+            ("point", |d| drop(InnerProductQuery::point(3, d))),
+            ("exponential", |d| {
+                drop(InnerProductQuery::exponential(4, d))
+            }),
+            ("exponential_at", |d| {
+                drop(InnerProductQuery::exponential_at(1, 4, d))
+            }),
+            ("linear", |d| drop(InnerProductQuery::linear(4, d))),
+            ("linear_at", |d| drop(InnerProductQuery::linear_at(1, 4, d))),
+            ("set_exponential_at", |d| {
+                InnerProductQuery::point(0, 1.0).set_exponential_at(1, 4, d)
+            }),
+            ("set_linear_at", |d| {
+                InnerProductQuery::point(0, 1.0).set_linear_at(1, 4, d)
+            }),
+        ];
+        for (name, build) in constructors {
+            for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+                let panicked = std::panic::catch_unwind(|| build(bad)).is_err();
+                assert!(panicked, "{name} accepted delta {bad}");
+                // What `new` refuses, typed.
+                assert!(matches!(
+                    InnerProductQuery::new(vec![0], vec![1.0], bad),
+                    Err(TreeError::BadQuery { .. })
+                ));
+            }
+            // Zero and +∞ ("no requirement") stay legal.
+            for good in [0.0, -0.0, 2.5, f64::INFINITY] {
+                build(good);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The zero-allocation query engine: reusable scratch buffers, a cached
-//! node-cover index, and batched entry points.
+//! node-cover index, one value evaluator, and the set-level pass behind
+//! every batched entry point.
 //!
 //! # Bit-identity contract
 //!
@@ -9,9 +10,21 @@
 //! order, the same floating-point operations in the same order. The
 //! equivalence property tests in `tests/query_equivalence.rs` enforce
 //! this; the engine differs from the reference only in *where the bytes
-//! live* (caller-owned buffers instead of per-call `Vec`s) and in hoisting
-//! arithmetic that is identical by inlining (e.g. computing a point value
-//! once instead of re-walking the coefficient tree for its error bound).
+//! live* (caller-owned buffers instead of per-call `Vec`s) and in steps
+//! that provably cannot change a bit (computing a point value once
+//! instead of re-walking the coefficient tree for its error bound, and
+//! skipping the Haar steps that add a literal `0.0`).
+//!
+//! # The evaluator
+//!
+//! A node of level `l` stores at most `k` of the `2^(l+1)` breadth-first
+//! coefficients of its piece of the window, so below depth
+//! `D = ⌈log₂ min(k, 2^(l+1))⌉` every detail [`haar::point`] would add is
+//! the literal `0.0`. A value is that walk from the root down to `D` plus
+//! one signed-zero fix-up ([`haar::point_truncated`]), clamped into the
+//! node's range — `D` steps instead of `l + 1`. Where the node's piece
+//! of the window starts, its width and `D` are all the walk needs besides
+//! the coefficients.
 //!
 //! # The cover cache
 //!
@@ -25,26 +38,44 @@
 //! stable counting sort, instead of the reference's nodes × indices scan.
 //!
 //! **Invalidation rule**: the cache is keyed on the exact cover geometry —
-//! the window, the arrival count and the `(level, created_at)` sequence
-//! of all populated nodes (and `min_level`). Any `push` advances the
-//! arrival count, so every mutation invalidates; the comparison is exact
-//! (no hashing), so a stale cache can never be mistaken for a fresh one.
-//! Once a tree is steady ([`SwatTree::is_steady`]) that node sequence is a
-//! function of the window and the arrival count alone, so a map built for
-//! a steady tree is accepted for any steady tree on those two words, in
-//! `O(1)`; a tree that is not steady (warming up, or restored from a
-//! hand-built snapshot) is compared node for node.
+//! the window, the coefficient budget, the arrival count and the
+//! `(level, created_at)` sequence of all populated nodes (and
+//! `min_level`). Any `push` advances the arrival count, so every mutation
+//! invalidates; the comparison is exact (no hashing), so a stale cache can
+//! never be mistaken for a fresh one. Once a tree is steady
+//! ([`SwatTree::is_steady`]) that node sequence is a function of the
+//! window and the arrival count alone, so a map built for a steady tree is
+//! accepted for any steady tree on those words, in `O(1)`; a tree that is
+//! not steady (warming up, or restored from a hand-built snapshot) is
+//! compared node for node.
+//!
+//! # The set pass
+//!
+//! Every stream of a [`crate::StreamSet`] shares one clock, so once its
+//! trees are steady they share one cover. The set pass
+//! (`QueryScratch::points_over` and `inners_over`) answers a query on
+//! every tree of a slice in one pass: when every tree is steady at one
+//! window, budget and clock, the index checks, the serving-map lookups
+//! and the counting sort run once per query, and each tree only loads
+//! its coefficients and walks; otherwise the cover is staged again for
+//! each tree. Answers go to a flat buffer in the scratch, tree-major. A
+//! single tree's
+//! [`SwatTree::point_many`] and [`SwatTree::inner_product_many`] are the
+//! pass over a slice of one.
 //!
 //! Single-shot queries (`point_with`, `inner_product_with`, …) instead use
 //! a buffered variant of the reference scan — same `O(3 log N · M)`
 //! complexity, zero allocation — so one-off queries on a churning tree
-//! never pay a map rebuild. The batched entry points ([`SwatTree::point_many`],
-//! [`SwatTree::inner_product_many`]) and full-window paths use the map and
-//! amortize it across the block.
+//! never pay a map rebuild.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::ops::Range;
+
+use swat_wavelet::haar;
 
 use crate::config::TreeError;
+use crate::node::Summary;
 use crate::query::{
     InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions, RangeMatch, RangeQuery,
     WeightProfile,
@@ -58,7 +89,7 @@ const UNSERVED: u32 = u32::MAX;
 /// span (range queries and window reconstruction), so interval queries
 /// never materialize `(a..=b).collect()`.
 #[derive(Clone, Copy)]
-enum IdxList<'a> {
+pub(crate) enum IdxList<'a> {
     Slice(&'a [usize]),
     Span { first: usize, len: usize },
 }
@@ -80,29 +111,92 @@ impl IdxList<'_> {
             IdxList::Span { first, .. } => first + pos,
         }
     }
+
+    /// [`SwatTree::check_indices`] over these indices: the error its
+    /// walk would report first.
+    fn check(&self, tree: &SwatTree) -> Result<(), TreeError> {
+        match *self {
+            IdxList::Slice(s) => tree.check_indices(s),
+            IdxList::Span { first, len } => {
+                let window = tree.config().window();
+                if len > 0 && first + len > window {
+                    // First failing index of an ascending scan.
+                    return Err(TreeError::IndexOutOfWindow {
+                        index: window.max(first),
+                        window,
+                    });
+                }
+                Ok(())
+            }
+        }
+    }
 }
 
-/// One node selected by the greedy cover: where it lives in the tree and
-/// which slice of the shared `entries` buffer holds the query positions
-/// it serves.
+/// One node's piece of the window at the cover's clock: where the node
+/// lives in the tree, where its piece starts, and how deep its walk goes.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    level: usize,
+    queue_index: usize,
+    /// Window index of the piece's newest value.
+    start: usize,
+    /// `log₂` of the piece's width (`level + 1`).
+    log_width: u32,
+    /// Depth below which every detail of the piece is absent.
+    depth: u32,
+}
+
+impl Piece {
+    /// The piece `s`, at `(level, queue_index)` of a tree on budget `k`,
+    /// covers at arrival count `now`.
+    fn new(level: usize, queue_index: usize, s: &Summary, now: u64, k: usize) -> Piece {
+        let log_width = level as u32 + 1;
+        Piece {
+            level,
+            queue_index,
+            start: s.coverage(now).0,
+            log_width,
+            depth: haar::stored_depth(k.min(1 << log_width)),
+        }
+    }
+
+    /// This piece's summary in `tree` (which the cover was staged for, or
+    /// shares its geometry).
+    #[inline]
+    fn summary<'t>(&self, tree: &'t SwatTree) -> &'t Summary {
+        tree.summary_at(self.level, self.queue_index)
+            .expect("cover refers to a live node")
+    }
+
+    /// The value `s` gives window index `idx` — bit-identical to
+    /// [`Summary::value_at`] (see the module docs).
+    #[inline]
+    fn value(&self, s: &Summary, idx: usize) -> f64 {
+        let v = haar::point_truncated(
+            s.coeffs().coefficients(),
+            self.log_width,
+            self.depth,
+            idx - self.start,
+        );
+        s.range().clamp(v)
+    }
+}
+
+/// One node selected by the greedy cover, and which slice of the shared
+/// `entries` buffer holds the query positions it serves.
 #[derive(Debug, Clone, Copy)]
 struct SelNode {
-    level: usize,
-    queue_index: usize,
+    piece: Piece,
     entries_start: usize,
     entries_len: usize,
-    /// Index into the cover cache's `slots` (and the scratch's per-batch
-    /// block cache), or [`UNSERVED`] for scan-mode covers, which carry no
-    /// slot identity.
-    slot: u32,
 }
 
-/// One eligible node in traversal order, with its coverage at the cached
-/// arrival count.
-#[derive(Debug, Clone, Copy)]
-struct SlotInfo {
-    level: usize,
-    queue_index: usize,
+/// One inner-product query's cover, staged in the scratch's `sel` and
+/// `uncovered` buffers (see [`QueryScratch::inners_over`]).
+#[derive(Debug)]
+struct Staged {
+    sel: Range<usize>,
+    uncovered: Range<usize>,
 }
 
 /// The lazily built serving-map index over a tree's nodes (see the module
@@ -112,6 +206,7 @@ struct CoverCache {
     valid: bool,
     min_level: usize,
     window: usize,
+    coefficients: usize,
     arrivals: u64,
     /// Whether the tree this cache was built for was steady.
     steady: bool,
@@ -119,7 +214,7 @@ struct CoverCache {
     /// the exact cover geometry this cache was built for.
     geom: Vec<(u32, u64)>,
     /// Eligible nodes (level ≥ `min_level`), traversal order.
-    slots: Vec<SlotInfo>,
+    slots: Vec<Piece>,
     /// Window index → index into `slots` of the first eligible covering
     /// node, or [`UNSERVED`].
     serving: Vec<u32>,
@@ -146,6 +241,7 @@ impl CoverCache {
         if self.valid
             && self.min_level == min_level
             && self.window == tree.config().window()
+            && self.coefficients == tree.config().coefficients()
             && self.arrivals == tree.arrivals()
             && ((self.steady && tree.is_steady()) || self.geom_matches(tree))
         {
@@ -156,23 +252,23 @@ impl CoverCache {
 
     fn rebuild(&mut self, tree: &SwatTree, min_level: usize) {
         let window = tree.config().window();
+        let k = tree.config().coefficients();
         let now = tree.arrivals();
         self.geom.clear();
         self.slots.clear();
         self.serving.clear();
         self.serving.resize(window, UNSERVED);
         for (level, pos, s) in tree.nodes() {
-            let queue_index = pos as usize;
             self.geom.push((level as u32, s.created_at()));
             if level < min_level {
                 continue;
             }
-            let (start, end) = s.coverage(now);
+            let piece = Piece::new(level, pos as usize, s, now, k);
             let slot = self.slots.len() as u32;
-            self.slots.push(SlotInfo { level, queue_index });
+            self.slots.push(piece);
             // First eligible node in traversal order wins each index —
             // exactly the reference greedy cover's per-index decision.
-            for idx in start..window.min(end + 1) {
+            for idx in piece.start..window.min(piece.start + s.width()) {
                 if self.serving[idx] == UNSERVED {
                     self.serving[idx] = slot;
                 }
@@ -181,13 +277,27 @@ impl CoverCache {
         self.valid = true;
         self.min_level = min_level;
         self.window = window;
+        self.coefficients = k;
         self.arrivals = now;
         self.steady = tree.is_steady();
         self.rebuilds += 1;
     }
 }
 
-/// Reusable buffers for query evaluation over a [`SwatTree`].
+/// Whether one cover serves every tree of `trees`: all steady, at the
+/// first one's configuration and clock — the cover cache's `O(1)`
+/// acceptance rule, applied to the whole slice up front.
+fn shares_cover<S: Borrow<SwatTree>>(trees: &[S]) -> bool {
+    let Some(first) = trees.first().map(Borrow::borrow) else {
+        return true;
+    };
+    trees
+        .iter()
+        .map(Borrow::borrow)
+        .all(|t| t.is_steady() && t.arrivals() == first.arrivals() && t.config() == first.config())
+}
+
+/// Reusable buffers for query evaluation over [`SwatTree`]s.
 ///
 /// One scratch serves any number of trees and query shapes; buffers grow
 /// to the working-set high-water mark and are then reused, so steady-state
@@ -205,20 +315,18 @@ pub struct QueryScratch {
     covered: Vec<bool>,
     /// Per-slot counts, then write cursors (mapped mode counting sort).
     counts: Vec<usize>,
-    /// Selected nodes, traversal order.
+    /// Selected nodes, traversal order (one run per staged cover).
     sel: Vec<SelNode>,
     /// Query positions grouped by selected node (ascending within each).
     entries: Vec<usize>,
     /// Query positions no eligible node covers, ascending.
     uncovered: Vec<usize>,
-    /// Time-domain block reconstruction + its ping-pong buffer.
-    block: Vec<f64>,
-    tmp: Vec<f64>,
-    /// Per-slot reconstructed node blocks, valid for one batched call
-    /// against one tree (empty inner vec = not yet built this batch).
-    /// The serving map can be shared across trees with equal geometry;
-    /// reconstructed *values* never can, so this resets every batch.
-    blocks: Vec<Vec<f64>>,
+    /// Per inner-product query of a set pass: its staged cover, or the
+    /// index error that stops the block there.
+    staged: Vec<Result<Staged, TreeError>>,
+    /// The set pass's answers, tree-major.
+    points: Vec<PointAnswer>,
+    inners: Vec<InnerProductAnswer>,
 }
 
 impl QueryScratch {
@@ -233,34 +341,23 @@ impl QueryScratch {
     pub fn bytes_reserved(&self) -> usize {
         use std::mem::size_of;
         self.cover.geom.capacity() * size_of::<(u32, u64)>()
-            + self.cover.slots.capacity() * size_of::<SlotInfo>()
+            + self.cover.slots.capacity() * size_of::<Piece>()
             + self.cover.serving.capacity() * size_of::<u32>()
             + self.covered.capacity()
             + self.counts.capacity() * size_of::<usize>()
             + self.sel.capacity() * size_of::<SelNode>()
             + self.entries.capacity() * size_of::<usize>()
             + self.uncovered.capacity() * size_of::<usize>()
-            + (self.block.capacity() + self.tmp.capacity()) * size_of::<f64>()
-            + self.blocks.capacity() * size_of::<Vec<f64>>()
-            + self
-                .blocks
-                .iter()
-                .map(|b| b.capacity() * size_of::<f64>())
-                .sum::<usize>()
+            + self.staged.capacity() * size_of::<Result<Staged, TreeError>>()
+            + self.points.capacity() * size_of::<PointAnswer>()
+            + self.inners.capacity() * size_of::<InnerProductAnswer>()
     }
 
-    /// Invalidate the per-batch node-block cache: inner vectors keep
-    /// their capacity but are marked unbuilt, and the outer vector grows
-    /// to cover every current slot. Called at the start of each batched
-    /// evaluation — cached blocks hold tree-specific *values* and must
-    /// never outlive one (tree, batch) pairing.
-    fn reset_blocks(&mut self) {
-        for b in &mut self.blocks {
-            b.clear();
-        }
-        while self.blocks.len() < self.cover.slots.len() {
-            self.blocks.push(Vec::new());
-        }
+    /// Empty the staged covers.
+    fn clear_covers(&mut self) {
+        self.sel.clear();
+        self.entries.clear();
+        self.uncovered.clear();
     }
 
     /// Reference-order greedy cover via a nodes × positions scan into the
@@ -268,14 +365,12 @@ impl QueryScratch {
     /// `query::reference::cover`.
     fn cover_scan(&mut self, tree: &SwatTree, idx: IdxList<'_>, opts: QueryOptions) {
         let now = tree.arrivals();
-        self.sel.clear();
-        self.entries.clear();
-        self.uncovered.clear();
+        let k = tree.config().coefficients();
+        self.clear_covers();
         self.covered.clear();
         self.covered.resize(idx.len(), false);
         let mut remaining = idx.len();
         for (level, pos, summary) in tree.nodes() {
-            let queue_index = pos as usize;
             if level < opts.min_level {
                 continue;
             }
@@ -295,11 +390,9 @@ impl QueryScratch {
             let entries_len = self.entries.len() - entries_start;
             if entries_len > 0 {
                 self.sel.push(SelNode {
-                    level,
-                    queue_index,
+                    piece: Piece::new(level, pos as usize, summary, now, k),
                     entries_start,
                     entries_len,
-                    slot: UNSERVED,
                 });
             }
         }
@@ -310,7 +403,8 @@ impl QueryScratch {
         }
     }
 
-    /// Greedy cover via the serving map plus a stable counting sort.
+    /// Greedy cover via the serving map plus a stable counting sort,
+    /// appended to the staged covers.
     ///
     /// Produces exactly the `cover_scan` result: the map encodes the same
     /// first-covering-node decision per index, positions are emitted in
@@ -327,9 +421,6 @@ impl QueryScratch {
             uncovered,
             ..
         } = self;
-        sel.clear();
-        entries.clear();
-        uncovered.clear();
         counts.clear();
         counts.resize(cover.slots.len(), 0);
         for pos in 0..idx.len() {
@@ -338,17 +429,14 @@ impl QueryScratch {
                 slot => counts[slot as usize] += 1,
             }
         }
-        let mut offset = 0usize;
-        for (slot, count) in counts.iter_mut().enumerate() {
+        let mut offset = entries.len();
+        for (piece, count) in cover.slots.iter().zip(counts.iter_mut()) {
             let c = *count;
             if c > 0 {
-                let info = cover.slots[slot];
                 sel.push(SelNode {
-                    level: info.level,
-                    queue_index: info.queue_index,
+                    piece: *piece,
                     entries_start: offset,
                     entries_len: c,
-                    slot: slot as u32,
                 });
             }
             *count = offset;
@@ -364,6 +452,107 @@ impl QueryScratch {
             }
         }
     }
+
+    /// Answer the point queries `idx` on every tree of `trees` in one
+    /// pass; the answers, tree-major, each bit-identical to
+    /// [`SwatTree::point_with`] on its tree.
+    ///
+    /// The cover is resolved once when [`shares_cover`] holds, once per
+    /// tree otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The error the first tree in slice order that fails would return
+    /// from [`SwatTree::point_many`].
+    pub(crate) fn points_over<S: Borrow<SwatTree>>(
+        &mut self,
+        trees: &[S],
+        idx: IdxList<'_>,
+        opts: QueryOptions,
+    ) -> Result<&[PointAnswer], TreeError> {
+        self.points.clear();
+        let shared = shares_cover(trees);
+        for (i, tree) in trees.iter().enumerate() {
+            let tree = tree.borrow();
+            if i == 0 || !shared {
+                idx.check(tree)?;
+                self.cover.ensure(tree, opts.min_level);
+            }
+            for pos in 0..idx.len() {
+                let at = idx.get(pos);
+                let answer = match self.cover.serving[at] {
+                    UNSERVED if opts.min_level == 0 => Err(TreeError::Uncovered { index: at }),
+                    UNSERVED => {
+                        extrapolate_point(tree, opts).ok_or(TreeError::Uncovered { index: at })
+                    }
+                    slot => Ok(covered_point(tree, &self.cover.slots[slot as usize], at)),
+                };
+                self.points.push(answer?);
+            }
+        }
+        Ok(&self.points)
+    }
+
+    /// Answer the block `queries` on every tree of `trees` in one pass;
+    /// the answers, tree-major, each bit-identical to
+    /// [`SwatTree::inner_product_with`] on its tree.
+    ///
+    /// Every query's cover is staged — index check, serving-map lookups
+    /// and counting sort — once when [`shares_cover`] holds, once per tree
+    /// otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The error the first tree in slice order that fails would return
+    /// from [`SwatTree::inner_product_many`].
+    pub(crate) fn inners_over<S: Borrow<SwatTree>>(
+        &mut self,
+        trees: &[S],
+        queries: &[InnerProductQuery],
+        opts: QueryOptions,
+    ) -> Result<&[InnerProductAnswer], TreeError> {
+        self.inners.clear();
+        let shared = shares_cover(trees);
+        for (i, tree) in trees.iter().enumerate() {
+            let tree = tree.borrow();
+            if i == 0 || !shared {
+                self.stage_inners(tree, queries, opts);
+            }
+            for (query, staged) in queries.iter().zip(&self.staged) {
+                let staged = staged.as_ref().map_err(Clone::clone)?;
+                let answer = inner_answer(
+                    tree,
+                    query,
+                    opts,
+                    &self.sel[staged.sel.clone()],
+                    &self.entries,
+                    &self.uncovered[staged.uncovered.clone()],
+                )?;
+                self.inners.push(answer);
+            }
+        }
+        Ok(&self.inners)
+    }
+
+    /// Stage the cover of each of `queries` on `tree`, in order, up to
+    /// the first query `tree` refuses an index of — staged as that error,
+    /// which is where [`SwatTree::inner_product_many`] stops.
+    fn stage_inners(&mut self, tree: &SwatTree, queries: &[InnerProductQuery], opts: QueryOptions) {
+        self.clear_covers();
+        self.staged.clear();
+        for query in queries {
+            if let Err(e) = tree.check_query_indices(query) {
+                self.staged.push(Err(e));
+                return;
+            }
+            let (sel, uncovered) = (self.sel.len(), self.uncovered.len());
+            self.cover_mapped(tree, IdxList::Slice(query.indices()), opts);
+            self.staged.push(Ok(Staged {
+                sel: sel..self.sel.len(),
+                uncovered: uncovered..self.uncovered.len(),
+            }));
+        }
+    }
 }
 
 thread_local! {
@@ -376,50 +565,100 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> 
     THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-impl SwatTree {
-    /// Reduced-level extrapolation source: the freshest node at an
-    /// eligible level, answered from its newest covered position — the
-    /// reference implementations' extrapolation verbatim.
-    fn extrapolate_point(&self, opts: QueryOptions) -> Option<PointAnswer> {
-        let now = self.arrivals();
-        let (_, _, s) = self
-            .nodes()
-            .filter(|(l, _, _)| *l >= opts.min_level)
-            .min_by_key(|(_, _, s)| s.coverage(now).0)?;
-        let (start, _) = s.coverage(now);
-        Some(PointAnswer {
-            value: s.value_at(now, start),
-            error_bound: s.range().width(),
-            level: s.level(),
-            extrapolated: true,
-        })
-    }
+/// The reduced-level extrapolation source: the freshest node at an
+/// eligible level, with its piece — the reference implementations' choice
+/// verbatim.
+fn nearest_eligible(tree: &SwatTree, opts: QueryOptions) -> Option<(Piece, &Summary)> {
+    let now = tree.arrivals();
+    let (level, pos, s) = tree
+        .nodes()
+        .filter(|(l, _, _)| *l >= opts.min_level)
+        .min_by_key(|(_, _, s)| s.coverage(now).0)?;
+    let piece = Piece::new(level, pos as usize, s, now, tree.config().coefficients());
+    Some((piece, s))
+}
 
-    /// The answer served by `sel`'s summary for covered index `idx`.
-    ///
-    /// `error_bound` hoists [`crate::node::Summary::error_bound_at`]'s
-    /// arithmetic over the already-computed value — identical operations,
-    /// one coefficient walk instead of two.
-    fn covered_point_answer(
-        &self,
-        sel_level: usize,
-        queue_index: usize,
-        idx: usize,
-    ) -> PointAnswer {
-        let now = self.arrivals();
-        let s = self
-            .summary_at(sel_level, queue_index)
-            .expect("cover refers to a live node");
-        let value = s.value_at(now, idx);
-        let error_bound = (value - s.range().lo()).max(s.range().hi() - value);
-        PointAnswer {
-            value,
-            error_bound,
-            level: s.level(),
-            extrapolated: false,
+/// An index no eligible node covers, answered from the nearest one's
+/// newest covered position.
+fn extrapolate_point(tree: &SwatTree, opts: QueryOptions) -> Option<PointAnswer> {
+    let (piece, s) = nearest_eligible(tree, opts)?;
+    Some(PointAnswer {
+        value: piece.value(s, piece.start),
+        error_bound: s.range().width(),
+        level: s.level(),
+        extrapolated: true,
+    })
+}
+
+/// The answer `tree`'s node at `piece` gives covered index `idx`.
+///
+/// `error_bound` hoists [`Summary::error_bound_at`]'s arithmetic over the
+/// already-computed value — identical operations, one coefficient walk
+/// instead of two.
+#[inline]
+fn covered_point(tree: &SwatTree, piece: &Piece, idx: usize) -> PointAnswer {
+    let s = piece.summary(tree);
+    let value = piece.value(s, idx);
+    let error_bound = (value - s.range().lo()).max(s.range().hi() - value);
+    PointAnswer {
+        value,
+        error_bound,
+        level: s.level(),
+        extrapolated: false,
+    }
+}
+
+/// One inner-product answer on `tree` from a staged cover — `sel` with
+/// its `entries`, and the `uncovered` positions: the reference
+/// arithmetic, operation for operation.
+fn inner_answer(
+    tree: &SwatTree,
+    query: &InnerProductQuery,
+    opts: QueryOptions,
+    sel: &[SelNode],
+    entries: &[usize],
+    uncovered: &[usize],
+) -> Result<InnerProductAnswer, TreeError> {
+    let first_uncovered = || TreeError::Uncovered {
+        index: query.indices()[uncovered[0]],
+    };
+    if !uncovered.is_empty() && opts.min_level == 0 {
+        return Err(first_uncovered());
+    }
+    let (indices, weights) = (query.indices(), query.weights());
+    let mut value = 0.0;
+    let mut error_bound = 0.0;
+    for sn in sel {
+        let s = sn.piece.summary(tree);
+        let (lo, hi) = (s.range().lo(), s.range().hi());
+        for &pos in &entries[sn.entries_start..sn.entries_start + sn.entries_len] {
+            let w = weights[pos];
+            // error_bound_at's arithmetic over the shared value.
+            let v = sn.piece.value(s, indices[pos]);
+            value += w * v;
+            error_bound += w.abs() * (v - lo).max(hi - v);
         }
     }
+    // Extrapolate whatever reduced-level mode left uncovered.
+    if !uncovered.is_empty() {
+        let (piece, s) = nearest_eligible(tree, opts).ok_or_else(first_uncovered)?;
+        let v = piece.value(s, piece.start);
+        for &pos in uncovered {
+            let w = weights[pos];
+            value += w * v;
+            error_bound += w.abs() * s.range().width();
+        }
+    }
+    Ok(InnerProductAnswer {
+        value,
+        error_bound,
+        meets_precision: error_bound <= query.delta(),
+        nodes_used: sel.len(),
+        extrapolated: uncovered.len(),
+    })
+}
 
+impl SwatTree {
     /// [`Self::point_with`] against an explicit [`QueryScratch`] —
     /// bit-identical answers, zero steady-state allocation.
     ///
@@ -435,19 +674,18 @@ impl SwatTree {
         self.check_indices(&[idx])?;
         scratch.cover_scan(self, IdxList::Span { first: idx, len: 1 }, opts);
         if let Some(sn) = scratch.sel.first() {
-            return Ok(self.covered_point_answer(sn.level, sn.queue_index, idx));
+            return Ok(covered_point(self, &sn.piece, idx));
         }
         debug_assert_eq!(scratch.uncovered, [0]);
         if opts.min_level == 0 {
             return Err(TreeError::Uncovered { index: idx });
         }
-        self.extrapolate_point(opts)
-            .ok_or(TreeError::Uncovered { index: idx })
+        extrapolate_point(self, opts).ok_or(TreeError::Uncovered { index: idx })
     }
 
     /// Answer a block of point queries, amortizing the cover cache across
     /// the batch: after `check_indices` and one (usually cached) serving-map
-    /// lookup table, each answer costs `O(log N)`.
+    /// lookup table, each answer costs `O(log k)`.
     ///
     /// `out` is cleared and filled with one answer per index, in order —
     /// each bit-identical to [`Self::point_with`] on the same tree.
@@ -463,173 +701,11 @@ impl SwatTree {
         scratch: &mut QueryScratch,
         out: &mut Vec<PointAnswer>,
     ) -> Result<(), TreeError> {
-        self.check_indices(indices)?;
-        scratch.cover.ensure(self, opts.min_level);
+        let answers =
+            scratch.points_over(std::slice::from_ref(self), IdxList::Slice(indices), opts)?;
         out.clear();
-        for &idx in indices {
-            match scratch.cover.serving[idx] {
-                UNSERVED => {
-                    if opts.min_level == 0 {
-                        return Err(TreeError::Uncovered { index: idx });
-                    }
-                    let ans = self
-                        .extrapolate_point(opts)
-                        .ok_or(TreeError::Uncovered { index: idx })?;
-                    out.push(ans);
-                }
-                slot => {
-                    let info = scratch.cover.slots[slot as usize];
-                    out.push(self.covered_point_answer(info.level, info.queue_index, idx));
-                }
-            }
-        }
+        out.extend_from_slice(answers);
         Ok(())
-    }
-
-    /// Values of the contiguous span `first..first + len`, one per index —
-    /// the batched core behind [`crate::StreamSet`]'s recent-window reads.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::point_many`] over the same indices.
-    pub(crate) fn point_span_into(
-        &self,
-        first: usize,
-        len: usize,
-        opts: QueryOptions,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), TreeError> {
-        let window = self.config().window();
-        if len > 0 && first + len > window {
-            // First failing index of an ascending scan.
-            return Err(TreeError::IndexOutOfWindow {
-                index: window.max(first),
-                window,
-            });
-        }
-        scratch.cover.ensure(self, opts.min_level);
-        out.clear();
-        for idx in first..first + len {
-            match scratch.cover.serving[idx] {
-                UNSERVED => {
-                    if opts.min_level == 0 {
-                        return Err(TreeError::Uncovered { index: idx });
-                    }
-                    let ans = self
-                        .extrapolate_point(opts)
-                        .ok_or(TreeError::Uncovered { index: idx })?;
-                    out.push(ans.value);
-                }
-                slot => {
-                    let info = scratch.cover.slots[slot as usize];
-                    let now = self.arrivals();
-                    let s = self
-                        .summary_at(info.level, info.queue_index)
-                        .expect("cover refers to a live node");
-                    out.push(s.value_at(now, idx));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Shared inner-product evaluation over a cover already staged in
-    /// `scratch` — the reference arithmetic, operation for operation.
-    fn inner_eval(
-        &self,
-        query: &InnerProductQuery,
-        opts: QueryOptions,
-        scratch: &mut QueryScratch,
-    ) -> Result<InnerProductAnswer, TreeError> {
-        let QueryScratch {
-            sel,
-            entries,
-            uncovered,
-            block,
-            tmp,
-            blocks,
-            ..
-        } = scratch;
-        if !uncovered.is_empty() && opts.min_level == 0 {
-            return Err(TreeError::Uncovered {
-                index: query.indices()[uncovered[0]],
-            });
-        }
-        let now = self.arrivals();
-        let mut value = 0.0;
-        let mut error_bound = 0.0;
-        for sn in sel.iter() {
-            let s = self
-                .summary_at(sn.level, sn.queue_index)
-                .expect("cover refers to a live node");
-            let width = s.width();
-            let lo = s.range().lo();
-            let hi = s.range().hi();
-            let served = &entries[sn.entries_start..sn.entries_start + sn.entries_len];
-            // Per-point evaluation costs O(log width) each; one full
-            // reconstruction costs O(width) and then O(1) per point.
-            // Pick whichever is cheaper for this node's share.
-            let log_w = usize::BITS - width.leading_zeros();
-            if served.len() * log_w as usize > width {
-                // Mapped covers carry a slot identity: reconstruct each
-                // node once per batch and reuse the block for every query
-                // it serves (bit-identical values either way).
-                let block: &[f64] = if sn.slot != UNSERVED {
-                    let cached = &mut blocks[sn.slot as usize];
-                    if cached.is_empty() {
-                        s.reconstruct_clamped_into(cached, tmp);
-                    }
-                    cached
-                } else {
-                    s.reconstruct_clamped_into(block, tmp);
-                    block
-                };
-                let (start, _) = s.coverage(now);
-                for &pos in served {
-                    let idx = query.indices()[pos];
-                    let w = query.weights()[pos];
-                    let v = block[idx - start];
-                    value += w * v;
-                    error_bound += w.abs() * (v - lo).max(hi - v);
-                }
-            } else {
-                for &pos in served {
-                    let idx = query.indices()[pos];
-                    let w = query.weights()[pos];
-                    // error_bound_at's arithmetic over the shared value.
-                    let v = s.value_at(now, idx);
-                    value += w * v;
-                    error_bound += w.abs() * (v - lo).max(hi - v);
-                }
-            }
-        }
-        // Extrapolate whatever reduced-level mode left uncovered.
-        if !uncovered.is_empty() {
-            let nearest = self
-                .nodes()
-                .filter(|(l, _, _)| *l >= opts.min_level)
-                .min_by_key(|(_, _, s)| s.coverage(now).0);
-            let Some((_, _, s)) = nearest else {
-                return Err(TreeError::Uncovered {
-                    index: query.indices()[uncovered[0]],
-                });
-            };
-            let (start, _) = s.coverage(now);
-            let v = s.value_at(now, start);
-            for &pos in uncovered.iter() {
-                let w = query.weights()[pos];
-                value += w * v;
-                error_bound += w.abs() * s.range().width();
-            }
-        }
-        Ok(InnerProductAnswer {
-            value,
-            error_bound,
-            meets_precision: error_bound <= query.delta(),
-            nodes_used: sel.len(),
-            extrapolated: uncovered.len(),
-        })
     }
 
     /// [`Self::inner_product_with`] against an explicit [`QueryScratch`]
@@ -646,7 +722,14 @@ impl SwatTree {
     ) -> Result<InnerProductAnswer, TreeError> {
         self.check_query_indices(query)?;
         scratch.cover_scan(self, IdxList::Slice(query.indices()), opts);
-        self.inner_eval(query, opts, scratch)
+        inner_answer(
+            self,
+            query,
+            opts,
+            &scratch.sel,
+            &scratch.entries,
+            &scratch.uncovered,
+        )
     }
 
     /// Answer a block of inner-product queries through the cover cache,
@@ -667,15 +750,9 @@ impl SwatTree {
         scratch: &mut QueryScratch,
         out: &mut Vec<InnerProductAnswer>,
     ) -> Result<(), TreeError> {
+        let answers = scratch.inners_over(std::slice::from_ref(self), queries, opts)?;
         out.clear();
-        scratch.cover.ensure(self, opts.min_level);
-        scratch.reset_blocks();
-        for query in queries {
-            self.check_query_indices(query)?;
-            scratch.cover_mapped(self, IdxList::Slice(query.indices()), opts);
-            let ans = self.inner_eval(query, opts, scratch)?;
-            out.push(ans);
-        }
+        out.extend_from_slice(answers);
         Ok(())
     }
 
@@ -689,15 +766,11 @@ impl SwatTree {
             return self.check_indices(indices);
         }
         debug_assert!(indices.windows(2).all(|w| w[1] == w[0] + 1));
-        let window = self.config().window();
-        if indices[indices.len() - 1] >= window {
-            // First failing index of an ascending contiguous run.
-            return Err(TreeError::IndexOutOfWindow {
-                index: window.max(indices[0]),
-                window,
-            });
+        IdxList::Span {
+            first: indices[0],
+            len: indices.len(),
         }
-        Ok(())
+        .check(self)
     }
 
     /// [`Self::range_query_with`] against an explicit [`QueryScratch`],
@@ -730,20 +803,18 @@ impl SwatTree {
         // Interval queries touch a large slice of the window, so the
         // serving map (one lookup per position) beats the nodes × span
         // scan even counting an occasional rebuild.
+        scratch.clear_covers();
         scratch.cover_mapped(self, span, opts);
         if let Some(&pos) = scratch.uncovered.first() {
             return Err(TreeError::Uncovered {
                 index: query.newest + pos,
             });
         }
-        let now = self.arrivals();
         let band =
             crate::range::ValueRange::new(query.center - query.radius, query.center + query.radius);
         out.clear();
         for sn in &scratch.sel {
-            let s = self
-                .summary_at(sn.level, sn.queue_index)
-                .expect("cover refers to a live node");
+            let s = sn.piece.summary(self);
             // Prune: if the node's exact range cannot reach the band, no
             // value reconstructed from it (clamped into the range) can.
             if !s.range().intersects(&band) {
@@ -752,9 +823,12 @@ impl SwatTree {
             let served = &scratch.entries[sn.entries_start..sn.entries_start + sn.entries_len];
             for &pos in served {
                 let idx = query.newest + pos;
-                let v = s.value_at(now, idx);
+                let v = sn.piece.value(s, idx);
                 if (v - query.center).abs() <= query.radius {
-                    matches_push(out, idx, v);
+                    out.push(RangeMatch {
+                        index: idx,
+                        value: v,
+                    });
                 }
             }
         }
@@ -778,6 +852,7 @@ impl SwatTree {
         out: &mut Vec<f64>,
     ) -> Result<(), TreeError> {
         let n = self.config().window();
+        scratch.clear_covers();
         scratch.cover_mapped(
             self,
             IdxList::Span { first: 0, len: n },
@@ -787,27 +862,17 @@ impl SwatTree {
             // Position equals window index for the identity span.
             return Err(TreeError::Uncovered { index: pos });
         }
-        let now = self.arrivals();
         out.clear();
         out.resize(n, 0.0);
         for sn in &scratch.sel {
-            let s = self
-                .summary_at(sn.level, sn.queue_index)
-                .expect("cover refers to a live node");
+            let s = sn.piece.summary(self);
             let served = &scratch.entries[sn.entries_start..sn.entries_start + sn.entries_len];
             for &pos in served {
-                out[pos] = s.value_at(now, pos);
+                out[pos] = sn.piece.value(s, pos);
             }
         }
         Ok(())
     }
-}
-
-/// Push helper kept out of the hot loop body so the borrow of `out` stays
-/// narrow.
-#[inline]
-fn matches_push(out: &mut Vec<RangeMatch>, index: usize, value: f64) {
-    out.push(RangeMatch { index, value });
 }
 
 #[cfg(test)]
@@ -822,11 +887,19 @@ mod tests {
         tree
     }
 
+    /// One mapped cover, alone in the staged buffers.
+    fn stage(scratch: &mut QueryScratch, tree: &SwatTree, idx: IdxList<'_>, opts: QueryOptions) {
+        scratch.clear_covers();
+        scratch.cover_mapped(tree, idx, opts);
+    }
+
     fn covers_equal(a: &QueryScratch, b: &QueryScratch) -> bool {
         a.sel.len() == b.sel.len()
             && a.sel.iter().zip(&b.sel).all(|(x, y)| {
-                x.level == y.level
-                    && x.queue_index == y.queue_index
+                x.piece.level == y.piece.level
+                    && x.piece.queue_index == y.piece.queue_index
+                    && x.piece.start == y.piece.start
+                    && x.piece.depth == y.piece.depth
                     && x.entries_start == y.entries_start
                     && x.entries_len == y.entries_len
             })
@@ -851,7 +924,7 @@ mod tests {
             let opts = QueryOptions::at_level(min_level);
             for idx in &cases {
                 scan.cover_scan(&tree, IdxList::Slice(idx), opts);
-                mapped.cover_mapped(&tree, IdxList::Slice(idx), opts);
+                stage(&mut mapped, &tree, IdxList::Slice(idx), opts);
                 assert!(
                     covers_equal(&scan, &mapped),
                     "cover mismatch at min_level {min_level} for {idx:?}"
@@ -861,32 +934,77 @@ mod tests {
     }
 
     #[test]
-    fn block_cache_never_leaks_values_across_trees() {
-        // Two trees with *identical geometry* (same window, k, arrival
-        // count) but different data: the serving map may be reused across
-        // them, reconstructed value blocks must not be.
+    fn a_shared_cover_never_shares_values() {
+        // Trees with *identical geometry* (same window, k, arrival count)
+        // but different data: one pass stages the cover once for all of
+        // them, and each answer is still its own tree's, bit for bit —
+        // in either order, and with each tree's answers next to its own.
         let n = 128;
         let a = warm_tree(n, 8, (0..3 * n).map(|i| ((i * 31) % 101) as f64));
         let b = warm_tree(n, 8, (0..3 * n).map(|i| ((i * 17) % 89) as f64 - 40.0));
+        assert!(a.is_steady() && b.is_steady());
         let queries = [
             InnerProductQuery::exponential(n, 1e9),
             InnerProductQuery::linear_at(5, n - 5, 1e9),
         ];
-        assert!(a.is_steady() && b.is_steady());
+        let indices = [0usize, 1, 63, n - 1];
+        let opts = QueryOptions::default();
         let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        for tree in [&a, &b, &a] {
-            tree.inner_product_many(&queries, QueryOptions::default(), &mut scratch, &mut out)
-                .unwrap();
+        for trees in [[&a, &b, &a], [&b, &a, &b]] {
+            let inners = scratch
+                .inners_over(&trees, &queries, opts)
+                .unwrap()
+                .to_vec();
+            let points = scratch
+                .points_over(&trees, IdxList::Slice(&indices), opts)
+                .unwrap()
+                .to_vec();
             assert_eq!(scratch.cover.rebuilds, 1, "steady trees share the map");
-            for (q, got) in queries.iter().zip(&out) {
-                let want =
-                    crate::query::reference::inner_product_with(tree, q, QueryOptions::default())
-                        .unwrap();
-                assert_eq!(got.value.to_bits(), want.value.to_bits());
-                assert_eq!(got.error_bound.to_bits(), want.error_bound.to_bits());
+            for (t, tree) in trees.iter().enumerate() {
+                for (q, query) in queries.iter().enumerate() {
+                    let want =
+                        crate::query::reference::inner_product_with(tree, query, opts).unwrap();
+                    let got = inners[t * queries.len() + q];
+                    assert_eq!(got.value.to_bits(), want.value.to_bits());
+                    assert_eq!(got.error_bound.to_bits(), want.error_bound.to_bits());
+                }
+                for (p, &idx) in indices.iter().enumerate() {
+                    let want = crate::query::reference::point_with(tree, idx, opts).unwrap();
+                    let got = points[t * indices.len() + p];
+                    assert_eq!(got.value.to_bits(), want.value.to_bits());
+                    assert_eq!(got.error_bound.to_bits(), want.error_bound.to_bits());
+                }
             }
         }
+        assert_ne!(
+            a.point(n - 1).unwrap().value.to_bits(),
+            b.point(n - 1).unwrap().value.to_bits(),
+            "the trees answer differently"
+        );
+    }
+
+    #[test]
+    fn a_cover_is_never_shared_across_budgets() {
+        // Same window, same clock, both steady: the geometry agrees, but
+        // a piece's walk depth comes from the budget, so the map is
+        // rebuilt for the other budget and the answers stay exact.
+        let n = 64;
+        let values = |i: usize| ((i * 37) % 61) as f64 - 30.0;
+        let deep = warm_tree(n, 16, (0..3 * n).map(values));
+        let shallow = warm_tree(n, 2, (0..3 * n).map(values));
+        let indices: Vec<usize> = (0..n).collect();
+        let opts = QueryOptions::default();
+        let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
+        for tree in [&shallow, &deep, &shallow] {
+            tree.point_many(&indices, opts, &mut scratch, &mut out)
+                .unwrap();
+            for (&idx, got) in indices.iter().zip(&out) {
+                let want = crate::query::reference::point_with(tree, idx, opts).unwrap();
+                assert_eq!(got.value.to_bits(), want.value.to_bits(), "idx {idx}");
+            }
+        }
+        assert_eq!(scratch.cover.rebuilds, 3);
     }
 
     #[test]
@@ -894,19 +1012,35 @@ mod tests {
         let mut tree = warm_tree(32, 2, (0..96).map(|i| i as f64));
         let mut scratch = QueryScratch::new();
         let opts = QueryOptions::default();
-        scratch.cover_mapped(&tree, IdxList::Span { first: 0, len: 32 }, opts);
+        stage(
+            &mut scratch,
+            &tree,
+            IdxList::Span { first: 0, len: 32 },
+            opts,
+        );
         assert_eq!(scratch.cover.rebuilds, 1);
         // Same tree, same options: cached.
         for _ in 0..5 {
-            scratch.cover_mapped(&tree, IdxList::Span { first: 0, len: 32 }, opts);
+            stage(
+                &mut scratch,
+                &tree,
+                IdxList::Span { first: 0, len: 32 },
+                opts,
+            );
         }
         assert_eq!(scratch.cover.rebuilds, 1);
         // A push changes the arrival count: invalidated.
         tree.push(7.0);
-        scratch.cover_mapped(&tree, IdxList::Span { first: 0, len: 32 }, opts);
+        stage(
+            &mut scratch,
+            &tree,
+            IdxList::Span { first: 0, len: 32 },
+            opts,
+        );
         assert_eq!(scratch.cover.rebuilds, 2);
         // Changing min_level also invalidates.
-        scratch.cover_mapped(
+        stage(
+            &mut scratch,
             &tree,
             IdxList::Span { first: 0, len: 32 },
             QueryOptions::at_level(1),
@@ -914,7 +1048,8 @@ mod tests {
         assert_eq!(scratch.cover.rebuilds, 3);
         // A different tree with a different age is caught too.
         let other = warm_tree(32, 2, (0..100).map(|i| i as f64));
-        scratch.cover_mapped(
+        stage(
+            &mut scratch,
             &other,
             IdxList::Span { first: 0, len: 32 },
             QueryOptions::at_level(1),
@@ -1001,24 +1136,24 @@ mod tests {
         let span = IdxList::Span { first: 1, len: 31 };
         let opts = QueryOptions::default();
         let mut scratch = QueryScratch::new();
-        scratch.cover_mapped(&odd, span, opts);
+        stage(&mut scratch, &odd, span, opts);
         assert_eq!(scratch.cover.rebuilds, 1);
         // The same unsteady tree again: compared node for node, cached.
-        scratch.cover_mapped(&odd, span, opts);
+        stage(&mut scratch, &odd, span, opts);
         assert_eq!(scratch.cover.rebuilds, 1);
         // Equal (window, arrivals) but one side is not steady: the walk
         // sees the different geometry, in either direction.
-        scratch.cover_mapped(&grown, span, opts);
+        stage(&mut scratch, &grown, span, opts);
         assert_eq!(scratch.cover.rebuilds, 2);
         assert!(scratch.uncovered.is_empty());
-        scratch.cover_mapped(&odd, span, opts);
+        stage(&mut scratch, &odd, span, opts);
         assert_eq!(scratch.cover.rebuilds, 3);
         // And it still invalidates as any tree does: on another age, on
         // another `min_level`.
         let older = hand_built(n, 2, 100);
-        scratch.cover_mapped(&older, span, opts);
+        stage(&mut scratch, &older, span, opts);
         assert_eq!(scratch.cover.rebuilds, 4);
-        scratch.cover_mapped(&older, span, QueryOptions::at_level(1));
+        stage(&mut scratch, &older, span, QueryOptions::at_level(1));
         assert_eq!(scratch.cover.rebuilds, 5);
     }
 

@@ -38,7 +38,7 @@ use crate::config::{SwatConfig, TreeError};
 use crate::multi::StreamSet;
 use crate::node::Summary;
 use crate::query::{InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions};
-use crate::scratch::QueryScratch;
+use crate::scratch::{IdxList, QueryScratch};
 use crate::tree::{digest, NodePos, SwatTree};
 use swat_wavelet::{TopCoeff, TopKSummary};
 
@@ -231,8 +231,8 @@ impl ShardedStreamSet {
         opts: QueryOptions,
         threads: usize,
     ) -> Result<Vec<Vec<PointAnswer>>, TreeError> {
-        self.query_fan_out(threads, |tree, scratch, out| {
-            tree.point_many(indices, opts, scratch, out)
+        self.query_fan_out(threads, indices.len(), |trees, scratch| {
+            scratch.points_over(trees, IdxList::Slice(indices), opts)
         })
     }
 
@@ -253,8 +253,8 @@ impl ShardedStreamSet {
         opts: QueryOptions,
         threads: usize,
     ) -> Result<Vec<Vec<InnerProductAnswer>>, TreeError> {
-        self.query_fan_out(threads, |tree, scratch, out| {
-            tree.inner_product_many(queries, opts, scratch, out)
+        self.query_fan_out(threads, queries.len(), |trees, scratch| {
+            scratch.inners_over(trees, queries, opts)
         })
     }
 
@@ -262,13 +262,14 @@ impl ShardedStreamSet {
     /// the routing table into their global order and handed to the
     /// fan-out [`StreamSet`] uses, so answers — and the first-error
     /// choice — cannot depend on the shard layout.
-    fn query_fan_out<T: Send>(
+    fn query_fan_out<T: Copy + Send>(
         &self,
         threads: usize,
-        eval: impl Fn(&SwatTree, &mut QueryScratch, &mut Vec<T>) -> Result<(), TreeError> + Sync,
+        per_tree: usize,
+        pass: impl for<'s> Fn(&[&SwatTree], &'s mut QueryScratch) -> Result<&'s [T], TreeError> + Sync,
     ) -> Result<Vec<Vec<T>>, TreeError> {
         let trees: Vec<&SwatTree> = (0..self.streams).map(|g| self.tree(g)).collect();
-        crate::multi::query_fan_out(&trees, threads, eval)
+        crate::multi::query_fan_out(&trees, threads, per_tree, pass)
     }
 
     /// Order-sensitive digest over every stream's tree in **global**

@@ -1,6 +1,6 @@
 //! Steady-state ingestion performs **zero heap allocations**, batched, in
-//! row tiles or row at a time, and a set-wide point query allocates its
-//! result and nothing else.
+//! row tiles or row at a time, and a set-wide point or inner-product
+//! query allocates its result and nothing else.
 //!
 //! The blocked ingest path keeps all per-chunk state in reusable
 //! buffers: the level lanes and precompiled merge plans live in
@@ -25,7 +25,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use swat_tree::{IngestScratch, QueryOptions, StreamSet, SwatConfig, SwatTree, ROW_TILE};
+use swat_tree::{
+    IngestScratch, InnerProductQuery, QueryOptions, StreamSet, SwatConfig, SwatTree, ROW_TILE,
+};
 
 thread_local! {
     static MEASURED_THREAD: Cell<bool> = const { Cell::new(false) };
@@ -155,6 +157,20 @@ fn steady_state_batched_ingest_does_not_allocate() {
             "set-wide point_many allocated {delta} times (k = {k})"
         );
         assert!(answers.iter().all(|a| a.len() == indices.len()));
+
+        // The same for a one-query inner-product block: the staged cover
+        // and the flat answers live in the thread's scratch.
+        let query = [InnerProductQuery::exponential(n / 2, 1e9)];
+        set.inner_product_many(&query, opts, 1).unwrap();
+        let before = allocations();
+        let answers = set.inner_product_many(&query, opts, 1).unwrap();
+        let delta = allocations() - before;
+        assert_eq!(
+            delta,
+            streams as u64 + 1,
+            "set-wide inner_product_many allocated {delta} times (k = {k})"
+        );
+        assert!(answers.iter().all(|a| a.len() == 1));
     }
 
     // Every holding's path: `extend_rows` of clock-aligned `ROW_TILE`-row

@@ -8,10 +8,11 @@
 //! sizes, coefficient budgets, warm-up states, and reduced-level options.
 
 use proptest::prelude::*;
-use swat_tree::multi::StreamSet;
+use swat_tree::codec::write_frame;
 use swat_tree::query::reference;
 use swat_tree::{
-    InnerProductQuery, QueryOptions, QueryScratch, RangeQuery, SwatConfig, SwatTree, TreeError,
+    InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions, QueryScratch, RangeQuery,
+    ShardedStreamSet, StreamSet, SwatConfig, SwatTree, TreeError,
 };
 
 /// Window exponent, coefficient budget, and a stream that may leave the
@@ -232,36 +233,194 @@ proptest! {
         }
     }
 
-    /// StreamSet query fan-out is deterministic: identical answers for
-    /// every thread count, bit for bit.
+    /// The set pass ≡ the reference, stream by stream: `StreamSet` and
+    /// `ShardedStreamSet` `point_many`/`inner_product_many`, on one and on
+    /// several threads, answer every stream (or fail with the first
+    /// failing stream's error) exactly as `reference::point_with` and
+    /// `reference::inner_product_with` do on that stream's tree — cold,
+    /// warming and steady, at every `min_level` 0..=3, over rows full of
+    /// signed zeros, and with one hand-built, non-steady stream restored
+    /// through the set snapshot.
     #[test]
-    fn stream_set_fan_out_is_deterministic(
-        streams in 1usize..9,
-        seed in 0u64..1000,
+    fn set_queries_match_the_reference_per_stream(
+        (n, k) in (2u32..=7).prop_flat_map(|log_n| (Just(1usize << log_n), 1..=1usize << log_n)),
+        streams in 1usize..12,
+        shards in 1usize..4,
+        extra in 0usize..64,
+        seed in 0u64..1_000_000,
+        hand_cut in 0usize..4,
     ) {
-        let n = 32;
-        let mut set = StreamSet::new(SwatConfig::with_coefficients(n, 4).unwrap(), streams);
-        let cols: Vec<Vec<f64>> = (0..streams)
-            .map(|s| {
-                (0..3 * n)
-                    .map(|i| (((i as u64 + seed) * (2 * s as u64 + 3)) % 101) as f64 - 50.0)
-                    .collect()
-            })
-            .collect();
-        set.extend_batched(&cols, 2);
-        let indices: Vec<usize> = vec![0, 3, n / 2, n - 1];
-        let queries = query_mix(n);
-        let pts1 = set.point_many(&indices, QueryOptions::default(), 1).unwrap();
-        let ips1 = set
-            .inner_product_many(&queries, QueryOptions::default(), 1)
-            .unwrap();
-        for threads in [2usize, 3, 7, 16] {
-            let pts = set.point_many(&indices, QueryOptions::default(), threads).unwrap();
-            prop_assert_eq!(&pts, &pts1, "threads={}", threads);
-            let ips = set
-                .inner_product_many(&queries, QueryOptions::default(), threads)
-                .unwrap();
-            prop_assert_eq!(&ips, &ips1, "threads={}", threads);
+        let config = SwatConfig::with_coefficients(n, k).unwrap();
+        let value = |row: usize, stream: usize| -> f64 {
+            let h = (row as u64 * 31 + stream as u64 * 7 + seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+            // Every third stream is signed zeros only.
+            match (h % 5, stream % 3) {
+                (0 | 1, _) | (_, 0) if h & 1 == 0 => 0.0,
+                (0 | 1, _) | (_, 0) => -0.0,
+                _ => (h % 10_007) as f64 * 0.01 - 50.0,
+            }
+        };
+        let mut set = StreamSet::new(config, streams);
+        let mut sharded = ShardedStreamSet::new(config, streams, shards);
+        let mut clock = 0;
+        // Cold, barely started, warming, just warm, steady.
+        for until in [0, 1, n / 2 + 1, 2 * n, 3 * n + extra] {
+            for row in clock..until {
+                let row: Vec<f64> = (0..streams).map(|s| value(row, s)).collect();
+                set.push_row(&row);
+                sharded.push_row(&row);
+            }
+            clock = until;
+            if until == n / 2 + 1 && hand_cut > 0 {
+                // From here on one stream keeps only its levels below
+                // `hand_cut` until the stream refills them: not steady.
+                set = hand_built(&set, streams / 2, hand_cut);
+            }
+            for min_level in 0..=3usize {
+                let opts = QueryOptions::at_level(min_level);
+                let indices: Vec<usize> = (0..n).chain([n / 2, 0]).collect();
+                let queries = query_mix(n);
+                let trees: Vec<&SwatTree> = (0..streams).map(|s| set.tree(s)).collect();
+                let shard_trees: Vec<&SwatTree> = (0..streams).map(|s| sharded.tree(s)).collect();
+                let want_points = reference_points(&trees, &indices, opts);
+                let want_inners = reference_inners(&trees, &queries, opts);
+                let shard_points = reference_points(&shard_trees, &indices, opts);
+                let shard_inners = reference_inners(&shard_trees, &queries, opts);
+                for threads in [1usize, 3] {
+                    let ctx = format!("n={n} k={k} streams={streams} clock={clock} min_level={min_level} threads={threads}");
+                    prop_assert!(same_points(&set.point_many(&indices, opts, threads), &want_points), "{ctx}");
+                    prop_assert!(same_inners(&set.inner_product_many(&queries, opts, threads), &want_inners), "{ctx}");
+                    prop_assert!(same_points(&sharded.point_many(&indices, opts, threads), &shard_points), "sharded {ctx}");
+                    prop_assert!(same_inners(&sharded.inner_product_many(&queries, opts, threads), &shard_inners), "sharded {ctx}");
+                }
+            }
         }
     }
+}
+
+type SetResult<T> = Result<Vec<Vec<T>>, TreeError>;
+
+/// Per stream, every index through the reference; the first failing
+/// stream's first error in place of the answers.
+fn reference_points(
+    trees: &[&SwatTree],
+    indices: &[usize],
+    opts: QueryOptions,
+) -> SetResult<PointAnswer> {
+    trees
+        .iter()
+        .map(|tree| {
+            indices
+                .iter()
+                .map(|&i| reference::point_with(tree, i, opts))
+                .collect()
+        })
+        .collect()
+}
+
+/// As [`reference_points`] for a block of inner-product queries.
+fn reference_inners(
+    trees: &[&SwatTree],
+    queries: &[InnerProductQuery],
+    opts: QueryOptions,
+) -> SetResult<InnerProductAnswer> {
+    trees
+        .iter()
+        .map(|tree| {
+            queries
+                .iter()
+                .map(|q| reference::inner_product_with(tree, q, opts))
+                .collect()
+        })
+        .collect()
+}
+
+/// Whether two set answers agree: the same error, or per stream the
+/// same number of answers, each `same` as its counterpart.
+fn same_sets<T>(got: &SetResult<T>, want: &SetResult<T>, same: impl Fn(&T, &T) -> bool) -> bool {
+    match (got, want) {
+        (Ok(g), Ok(w)) => {
+            g.len() == w.len()
+                && g.iter()
+                    .zip(w)
+                    .all(|(g, w)| g.len() == w.len() && g.iter().zip(w).all(|(a, b)| same(a, b)))
+        }
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+fn same_points(got: &SetResult<PointAnswer>, want: &SetResult<PointAnswer>) -> bool {
+    same_sets(got, want, |a, b| point_answers_identical(&Ok(*a), &Ok(*b)))
+}
+
+fn same_inners(got: &SetResult<InnerProductAnswer>, want: &SetResult<InnerProductAnswer>) -> bool {
+    same_sets(got, want, |a, b| inner_answers_identical(&Ok(*a), &Ok(*b)))
+}
+
+/// `set` with stream `stream` cut down to its levels below `cut`, taken
+/// through the set snapshot: its SWAT v2 body written here from the
+/// tree's nodes, the other streams' as their trees write them.
+fn hand_built(set: &StreamSet, stream: usize, cut: usize) -> StreamSet {
+    let config = set.config();
+    let mut bytes = b"SWMS".to_vec();
+    bytes.push(2);
+    for word in [
+        config.window(),
+        config.coefficients(),
+        config.min_level(),
+        set.streams(),
+    ] {
+        bytes.extend_from_slice(&(word as u64).to_le_bytes());
+    }
+    for s in 0..set.streams() {
+        let tree = set.tree(s);
+        let body = if s == stream {
+            tree_body_below(tree, cut)
+        } else {
+            tree.snapshot()
+        };
+        write_frame(&mut bytes, 5, &body);
+    }
+    let restored = StreamSet::restore(&bytes).unwrap();
+    assert!(!restored.tree(stream).is_steady());
+    restored
+}
+
+/// A SWAT v2 tree snapshot of `tree` keeping only its levels below `cut`.
+fn tree_body_below(tree: &SwatTree, cut: usize) -> Vec<u8> {
+    let config = tree.config();
+    let mut out = b"SWAT".to_vec();
+    out.push(2);
+    let mut payload = Vec::new();
+    for word in [config.window(), config.coefficients(), config.min_level()] {
+        payload.extend_from_slice(&(word as u64).to_le_bytes());
+    }
+    write_frame(&mut out, 1, &payload);
+    payload.clear();
+    payload.extend_from_slice(&tree.arrivals().to_le_bytes());
+    match tree.newest() {
+        Some(v) => {
+            payload.push(1);
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        None => payload.push(0),
+    }
+    write_frame(&mut out, 2, &payload);
+    payload.clear();
+    let kept: Vec<_> = tree.nodes().filter(|&(level, _, _)| level < cut).collect();
+    payload.extend_from_slice(&(kept.len() as u64).to_le_bytes());
+    for (level, _, s) in kept {
+        payload.extend_from_slice(&(level as u64).to_le_bytes());
+        payload.extend_from_slice(&s.created_at().to_le_bytes());
+        payload.extend_from_slice(&s.range().lo().to_le_bytes());
+        payload.extend_from_slice(&s.range().hi().to_le_bytes());
+        let coeffs = s.coeffs().coefficients();
+        payload.extend_from_slice(&(coeffs.len() as u64).to_le_bytes());
+        for c in coeffs {
+            payload.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+    write_frame(&mut out, 3, &payload);
+    out
 }

@@ -442,14 +442,6 @@ impl HaarCoeffs {
         haar::inverse(self.store.as_slice(), self.len).expect("invariant: len is a power of two")
     }
 
-    /// As [`Self::reconstruct`], writing into caller-provided buffers via
-    /// [`haar::inverse_into`] — bit-identical values, no allocation once
-    /// the buffers have grown to the signal length.
-    pub fn reconstruct_into(&self, out: &mut Vec<f64>, tmp: &mut Vec<f64>) {
-        haar::inverse_into(self.store.as_slice(), self.len, out, tmp)
-            .expect("invariant: len is a power of two");
-    }
-
     /// Approximate signal value at position `idx` in `O(log len)`.
     ///
     /// # Panics

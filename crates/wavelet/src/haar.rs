@@ -117,55 +117,6 @@ pub fn inverse(coeffs: &[f64], n: usize) -> Result<Vec<f64>, WaveletError> {
     Ok(current)
 }
 
-/// As [`inverse`], writing the reconstruction into `out` using `tmp` as a
-/// ping-pong buffer so steady-state callers allocate nothing once both
-/// buffers have grown to length `n`.
-///
-/// The per-level arithmetic (detail lookup with zero padding, `+ det` then
-/// `- det`) is exactly that of [`inverse`], so the result is bit-identical.
-///
-/// # Errors
-///
-/// Same validation as [`inverse`].
-pub fn inverse_into(
-    coeffs: &[f64],
-    n: usize,
-    out: &mut Vec<f64>,
-    tmp: &mut Vec<f64>,
-) -> Result<(), WaveletError> {
-    if !is_power_of_two(n) {
-        return Err(WaveletError::NotPowerOfTwo { len: n });
-    }
-    if coeffs.is_empty() {
-        return Err(WaveletError::TooShort { len: 0, min: 1 });
-    }
-    let depth = log2(n) as usize;
-    out.clear();
-    out.resize(n, 0.0);
-    tmp.clear();
-    tmp.resize(n, 0.0);
-    // Each level doubles the working length; alternate between the two
-    // buffers, starting so the final level lands in `out`.
-    let (mut cur, mut next): (&mut [f64], &mut [f64]) = if depth.is_multiple_of(2) {
-        (&mut out[..], &mut tmp[..])
-    } else {
-        (&mut tmp[..], &mut out[..])
-    };
-    cur[0] = coeffs[0];
-    let mut m = 1;
-    for d in 1..=depth {
-        let offset = 1usize << (d - 1);
-        for i in 0..m {
-            let det = coeffs.get(offset + i).copied().unwrap_or(0.0);
-            next[2 * i] = cur[i] + det;
-            next[2 * i + 1] = cur[i] - det;
-        }
-        std::mem::swap(&mut cur, &mut next);
-        m *= 2;
-    }
-    Ok(())
-}
-
 /// Reconstruct a single point of the signal from breadth-first coefficients
 /// in `O(log n)` time without materializing the whole signal.
 ///
@@ -203,9 +154,65 @@ pub fn point(coeffs: &[f64], n: usize, idx: usize) -> Result<f64, WaveletError> 
     Ok(value)
 }
 
+/// The depth below which a breadth-first prefix of `stored` coefficients
+/// holds no detail: `⌈log₂ stored⌉`. Depth `d`'s details sit at offsets
+/// `2^(d−1)..2^d`, so every one deeper than this is past the prefix.
+///
+/// # Panics
+///
+/// Panics in debug builds if `stored == 0`.
+#[inline]
+pub fn stored_depth(stored: usize) -> u32 {
+    debug_assert!(stored > 0, "a prefix holds at least the average");
+    usize::BITS - (stored - 1).leading_zeros()
+}
+
+/// [`point`] for a prefix whose details all lie at depth `≤ depth`
+/// ([`stored_depth`] of its length, or more), bit for bit: the same walk
+/// from the root, stopped at `depth` instead of `log_n`.
+///
+/// Each step the walk skips adds or subtracts a literal `0.0`, which
+/// leaves every value but `−0.0` unchanged. `−0.0 − 0.0` is `−0.0` and
+/// `−0.0 + 0.0` is `+0.0`, and `+0.0` stays `+0.0` either way, so a `−0.0`
+/// survives exactly when every skipped step subtracts: when the low
+/// `log_n − depth` bits of `idx` are all 1. One comparison replaces the
+/// steps.
+///
+/// `idx` is the position within the signal of length `2^log_n`.
+///
+/// # Panics
+///
+/// Panics if `coeffs` is empty; in debug builds, if `depth > log_n`,
+/// `idx ≥ 2^log_n` or the prefix reaches below `depth`.
+#[inline]
+pub fn point_truncated(coeffs: &[f64], log_n: u32, depth: u32, idx: usize) -> f64 {
+    debug_assert!(depth <= log_n && idx >> log_n == 0);
+    debug_assert!(coeffs.len() <= 1 << depth, "a detail lies below depth");
+    let mut value = coeffs[0];
+    for d in 1..=depth {
+        let block = idx >> (log_n - d);
+        let det = coeffs
+            .get((1usize << (d - 1)) + (block >> 1))
+            .copied()
+            .unwrap_or(0.0);
+        if block & 1 == 0 {
+            value += det;
+        } else {
+            value -= det;
+        }
+    }
+    let skipped = (1usize << (log_n - depth)) - 1;
+    if value == 0.0 && idx & skipped != skipped {
+        0.0
+    } else {
+        value
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(signal: &[f64]) {
         let coeffs = forward(signal).unwrap();
@@ -303,46 +310,57 @@ mod tests {
     }
 
     #[test]
-    fn inverse_into_is_bit_identical_to_inverse() {
-        let sig: Vec<f64> = (0..128)
-            .map(|i| ((i * 37) % 101) as f64 * 0.37 - 9.1)
-            .collect();
-        let coeffs = forward(&sig).unwrap();
-        let mut out = Vec::new();
-        let mut tmp = Vec::new();
-        for n in [1usize, 2, 4, 8, 64, 128] {
-            for k in [1usize, 2, 3, 5, n] {
-                let want = inverse(&coeffs[..k.min(n)], n).unwrap();
-                inverse_into(&coeffs[..k.min(n)], n, &mut out, &mut tmp).unwrap();
-                assert_eq!(out.len(), n);
-                for (i, (a, b)) in out.iter().zip(&want).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} k={k} idx={i}");
-                }
-            }
-        }
-        // Same validation as the allocating path.
-        assert!(matches!(
-            inverse_into(&[1.0], 6, &mut out, &mut tmp),
-            Err(WaveletError::NotPowerOfTwo { len: 6 })
-        ));
-        assert!(matches!(
-            inverse_into(&[], 4, &mut out, &mut tmp),
-            Err(WaveletError::TooShort { .. })
-        ));
+    fn stored_depth_is_the_ceiling_log() {
+        let depths: Vec<u32> = (1..=9).map(stored_depth).collect();
+        assert_eq!(depths, [0, 1, 2, 2, 3, 3, 3, 3, 4]);
     }
 
-    #[test]
-    fn inverse_into_does_not_regrow_buffers() {
-        let coeffs = forward(&[8.0, 6.0, 4.0, 2.0]).unwrap();
-        let mut out = Vec::new();
-        let mut tmp = Vec::new();
-        inverse_into(&coeffs, 4, &mut out, &mut tmp).unwrap();
-        let (co, ct) = (out.capacity(), tmp.capacity());
-        for _ in 0..8 {
-            inverse_into(&coeffs[..2], 4, &mut out, &mut tmp).unwrap();
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The truncated walk with its signed-zero fix-up is `point`, bit
+        /// for bit, at every length up to 2^8, every stored count and
+        /// every index — over coefficients drawn from {−0.0, 0.0, ±x}, so
+        /// that the walk ends on `−0.0` often and the fix-up both keeps it
+        /// and turns it into `+0.0`.
+        #[test]
+        fn truncated_walk_is_point_bit_for_bit(
+            picks in prop::collection::vec(0usize..4, 256),
+            x in 0.001..1000.0f64,
+        ) {
+            let mut coeffs: Vec<f64> = picks.iter().map(|&p| [-0.0, 0.0, x, -x][p]).collect();
+            let (mut kept, mut flipped) = (0, 0);
+            for root in [coeffs[0], -0.0] {
+                coeffs[0] = root;
+                for log_n in 0..=8u32 {
+                    let n = 1usize << log_n;
+                    for stored in 1..=n {
+                        let prefix = &coeffs[..stored];
+                        let depth = stored_depth(stored);
+                        for idx in 0..n {
+                            let want = point(prefix, n, idx).unwrap();
+                            let got = point_truncated(prefix, log_n, depth, idx);
+                            prop_assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "n={} stored={} idx={}", n, stored, idx
+                            );
+                            // The walk before the fix-up: the same steps
+                            // on the signal of length 2^depth.
+                            let walked = point(prefix, 1 << depth, idx >> (log_n - depth)).unwrap();
+                            if depth < log_n && walked.to_bits() == (-0.0f64).to_bits() {
+                                if want.is_sign_negative() {
+                                    kept += 1;
+                                } else {
+                                    flipped += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert!(kept > 0 && flipped > 0, "kept {} flipped {}", kept, flipped);
         }
-        assert_eq!(out.capacity(), co);
-        assert_eq!(tmp.capacity(), ct);
     }
 
     #[test]
