@@ -24,8 +24,9 @@ use crate::tree::{digest, SwatTree};
 /// runs over this many trees at once, each op of its merge plans applied
 /// to all of them as one vectorized loop. A measured constant: of 4, 8,
 /// 16, 32 and 64 streams per block, 16 applied a 64-row tile of 1024
-/// streams fastest.
-const BLOCK: usize = 16;
+/// streams fastest. The query set pass evaluates a shared cover over
+/// blocks of the same width (`crate::scratch`).
+pub(crate) const BLOCK: usize = 16;
 
 /// Rows per cascade chunk of [`StreamSet::extend_rows`], at most. Bounds
 /// the per-thread lanes: at budget 4, about 100 KB of coefficient lanes
@@ -269,9 +270,9 @@ impl StreamSet {
 
     /// Answer the same block of point queries against **every** stream in
     /// one pass of the query engine's set pass: once every tree is steady
-    /// the streams share one cover, resolved once per call, and each
-    /// stream only walks its own coefficients (`crate::scratch`'s module
-    /// docs). With `threads > 1` the trees are split into contiguous
+    /// the streams share one cover, resolved once per call, and it is
+    /// evaluated over sixteen streams per lane op, each lane reading only
+    /// its own stream's coefficients (`crate::scratch`'s module docs). With `threads > 1` the trees are split into contiguous
     /// shards of `ceil(streams / workers)` trees exactly as
     /// [`Self::extend_batched`] shards ingestion, each worker running the
     /// pass over its shard with its own [`QueryScratch`]; `threads == 1`

@@ -12,8 +12,9 @@
 //! this; the engine differs from the reference only in *where the bytes
 //! live* (caller-owned buffers instead of per-call `Vec`s) and in steps
 //! that provably cannot change a bit (computing a point value once
-//! instead of re-walking the coefficient tree for its error bound, and
-//! skipping the Haar steps that add a literal `0.0`).
+//! instead of re-walking the coefficient tree for its error bound,
+//! skipping the Haar steps that add a literal `0.0`, and running each
+//! operation on several trees' operands at once).
 //!
 //! # The evaluator
 //!
@@ -25,6 +26,14 @@
 //! node's range — `D` steps instead of `l + 1`. Where the node's piece
 //! of the window starts, its width and `D` are all the walk needs besides
 //! the coefficients.
+//!
+//! Point and inner-product answers come from one evaluator over `W`
+//! lanes ([`haar::point_lanes`]): a piece's stored coefficients and range
+//! are gathered from up to `W` trees into lane rows, and every step —
+//! the walk, the fix-up, the clamp, the error bound and an inner
+//! product's sums — is the scalar expression applied to each lane, in
+//! the scalar order, so every lane's answer is its tree's, bit for bit.
+//! One tree is the `W = 1` instance.
 //!
 //! # The cover cache
 //!
@@ -56,10 +65,12 @@
 //! (`QueryScratch::points_over` and `inners_over`) answers a query on
 //! every tree of a slice in one pass: when every tree is steady at one
 //! window, budget and clock, the index checks, the serving-map lookups
-//! and the counting sort run once per query, and each tree only loads
-//! its coefficients and walks; otherwise the cover is staged again for
-//! each tree. Answers go to a flat buffer in the scratch, tree-major. A
-//! single tree's
+//! and the counting sort run once per query, and the evaluator runs over
+//! blocks of 16 trees (`multi::BLOCK`, the blocked cascade's width), one
+//! lane per tree (a ragged last block's spare lanes are padded and never
+//! written out). Otherwise the cover is
+//! staged again for each tree and the evaluator runs at `W = 1`. Answers
+//! go to a flat buffer in the scratch, tree-major. A single tree's
 //! [`SwatTree::point_many`] and [`SwatTree::inner_product_many`] are the
 //! pass over a slice of one.
 //!
@@ -75,6 +86,7 @@ use std::ops::Range;
 use swat_wavelet::haar;
 
 use crate::config::TreeError;
+use crate::multi::BLOCK;
 use crate::node::Summary;
 use crate::query::{
     InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions, RangeMatch, RangeQuery,
@@ -197,7 +209,105 @@ struct SelNode {
 struct Staged {
     sel: Range<usize>,
     uncovered: Range<usize>,
+    extrapolate: Option<Piece>,
 }
+
+/// One staged cover as the evaluator reads it: the selected nodes, the
+/// query positions each serves, the positions none serves, and the piece
+/// those extrapolate from (see [`extrapolation`]).
+#[derive(Clone, Copy)]
+struct CoverView<'a> {
+    sel: &'a [SelNode],
+    entries: &'a [usize],
+    uncovered: &'a [usize],
+    extrapolate: Option<Piece>,
+}
+
+/// One piece gathered from a block of up to `W` trees that share its
+/// geometry, one lane per tree: the operands of the evaluator.
+#[derive(Debug)]
+struct Lanes<const W: usize> {
+    /// Row `r` holds every lane's stored coefficient `r`: `+0.0` where a
+    /// tree stores fewer, and in a lane past the block's end.
+    rows: Vec<[f64; W]>,
+    lo: [f64; W],
+    hi: [f64; W],
+}
+
+impl<const W: usize> Default for Lanes<W> {
+    fn default() -> Self {
+        Lanes {
+            rows: Vec::new(),
+            lo: [0.0; W],
+            hi: [0.0; W],
+        }
+    }
+}
+
+impl<const W: usize> Lanes<W> {
+    /// Gather `piece` from every tree of `block` (at most `W` trees).
+    #[inline]
+    fn gather<S: Borrow<SwatTree>>(&mut self, block: &[S], piece: &Piece) {
+        debug_assert!(block.len() <= W);
+        self.rows.clear();
+        self.rows.resize(1 << piece.depth, [0.0; W]);
+        self.lo = [0.0; W];
+        self.hi = [0.0; W];
+        for (w, tree) in block.iter().enumerate() {
+            let s = piece.summary(tree.borrow());
+            for (row, &c) in self.rows.iter_mut().zip(s.coeffs().coefficients()) {
+                row[w] = c;
+            }
+            self.lo[w] = s.range().lo();
+            self.hi[w] = s.range().hi();
+        }
+    }
+
+    /// Every lane's value at window index `idx` of the gathered `piece`:
+    /// [`Piece::value`] per lane, bit for bit.
+    #[inline]
+    fn values(&self, piece: &Piece, idx: usize) -> [f64; W] {
+        let mut v = haar::point_lanes(&self.rows, piece.log_width, piece.depth, idx - piece.start);
+        for ((v, &lo), &hi) in v.iter_mut().zip(&self.lo).zip(&self.hi) {
+            // `f64::clamp`'s two steps. Its assertion is left out: a
+            // range is never NaN or inverted, nor is a padded lane's.
+            if *v < lo {
+                *v = lo;
+            }
+            if *v > hi {
+                *v = hi;
+            }
+        }
+        v
+    }
+
+    /// Every lane's error bound for its value in `v`:
+    /// [`Summary::error_bound_at`]'s arithmetic over the value.
+    #[inline]
+    fn bounds(&self, v: &[f64; W]) -> [f64; W] {
+        std::array::from_fn(|w| (v[w] - self.lo[w]).max(self.hi[w] - v[w]))
+    }
+
+    /// Every lane's range width: an extrapolated value's error bound.
+    fn widths(&self) -> [f64; W] {
+        std::array::from_fn(|w| self.hi[w] - self.lo[w])
+    }
+}
+
+/// A slot of the set pass's answer buffers before the evaluator fills it.
+const UNANSWERED_POINT: PointAnswer = PointAnswer {
+    value: 0.0,
+    error_bound: 0.0,
+    level: 0,
+    extrapolated: false,
+};
+const UNANSWERED_INNER: InnerProductAnswer = InnerProductAnswer {
+    value: 0.0,
+    error_bound: 0.0,
+    meets_precision: false,
+    nodes_used: 0,
+    extrapolated: 0,
+};
 
 /// The lazily built serving-map index over a tree's nodes (see the module
 /// docs for the invalidation rule).
@@ -321,9 +431,11 @@ pub struct QueryScratch {
     entries: Vec<usize>,
     /// Query positions no eligible node covers, ascending.
     uncovered: Vec<usize>,
-    /// Per inner-product query of a set pass: its staged cover, or the
-    /// index error that stops the block there.
-    staged: Vec<Result<Staged, TreeError>>,
+    /// Per inner-product query of a set pass: its staged cover.
+    staged: Vec<Staged>,
+    /// The evaluator's lane rows: a block of trees, and one tree.
+    block: Lanes<BLOCK>,
+    one: Lanes<1>,
     /// The set pass's answers, tree-major.
     points: Vec<PointAnswer>,
     inners: Vec<InnerProductAnswer>,
@@ -348,7 +460,9 @@ impl QueryScratch {
             + self.sel.capacity() * size_of::<SelNode>()
             + self.entries.capacity() * size_of::<usize>()
             + self.uncovered.capacity() * size_of::<usize>()
-            + self.staged.capacity() * size_of::<Result<Staged, TreeError>>()
+            + self.staged.capacity() * size_of::<Staged>()
+            + self.block.rows.capacity() * size_of::<[f64; BLOCK]>()
+            + self.one.rows.capacity() * size_of::<[f64; 1]>()
             + self.points.capacity() * size_of::<PointAnswer>()
             + self.inners.capacity() * size_of::<InnerProductAnswer>()
     }
@@ -457,8 +571,9 @@ impl QueryScratch {
     /// pass; the answers, tree-major, each bit-identical to
     /// [`SwatTree::point_with`] on its tree.
     ///
-    /// The cover is resolved once when [`shares_cover`] holds, once per
-    /// tree otherwise.
+    /// The cover is staged once and evaluated over blocks of [`BLOCK`]
+    /// trees when [`shares_cover`] holds (and there is more than one
+    /// tree), once per tree and evaluated at `W = 1` otherwise.
     ///
     /// # Errors
     ///
@@ -470,24 +585,31 @@ impl QueryScratch {
         idx: IdxList<'_>,
         opts: QueryOptions,
     ) -> Result<&[PointAnswer], TreeError> {
+        let len = idx.len();
         self.points.clear();
+        self.points.resize(trees.len() * len, UNANSWERED_POINT);
         let shared = shares_cover(trees);
-        for (i, tree) in trees.iter().enumerate() {
-            let tree = tree.borrow();
-            if i == 0 || !shared {
+        let width = if shared && trees.len() > 1 { BLOCK } else { 1 };
+        let mut extrapolate = None;
+        for (b, block) in trees.chunks(width).enumerate() {
+            if b == 0 || !shared {
+                let tree = block[0].borrow();
                 idx.check(tree)?;
-                self.cover.ensure(tree, opts.min_level);
+                self.clear_covers();
+                self.cover_mapped(tree, idx, opts);
+                extrapolate = extrapolation(tree, opts, &self.uncovered, |pos| idx.get(pos))?;
             }
-            for pos in 0..idx.len() {
-                let at = idx.get(pos);
-                let answer = match self.cover.serving[at] {
-                    UNSERVED if opts.min_level == 0 => Err(TreeError::Uncovered { index: at }),
-                    UNSERVED => {
-                        extrapolate_point(tree, opts).ok_or(TreeError::Uncovered { index: at })
-                    }
-                    slot => Ok(covered_point(tree, &self.cover.slots[slot as usize], at)),
-                };
-                self.points.push(answer?);
+            let cover = CoverView {
+                sel: &self.sel,
+                entries: &self.entries,
+                uncovered: &self.uncovered,
+                extrapolate,
+            };
+            let out = &mut self.points[b * width * len..][..block.len() * len];
+            if width == BLOCK {
+                lane_points(&mut self.block, block, idx, cover, out);
+            } else {
+                lane_points(&mut self.one, block, idx, cover, out);
             }
         }
         Ok(&self.points)
@@ -498,8 +620,7 @@ impl QueryScratch {
     /// [`SwatTree::inner_product_with`] on its tree.
     ///
     /// Every query's cover is staged — index check, serving-map lookups
-    /// and counting sort — once when [`shares_cover`] holds, once per tree
-    /// otherwise.
+    /// and counting sort — and evaluated as [`Self::points_over`] does.
     ///
     /// # Errors
     ///
@@ -511,47 +632,63 @@ impl QueryScratch {
         queries: &[InnerProductQuery],
         opts: QueryOptions,
     ) -> Result<&[InnerProductAnswer], TreeError> {
+        let per_tree = queries.len();
         self.inners.clear();
+        self.inners.resize(trees.len() * per_tree, UNANSWERED_INNER);
         let shared = shares_cover(trees);
-        for (i, tree) in trees.iter().enumerate() {
-            let tree = tree.borrow();
-            if i == 0 || !shared {
-                self.stage_inners(tree, queries, opts);
+        let width = if shared && trees.len() > 1 { BLOCK } else { 1 };
+        for (b, block) in trees.chunks(width).enumerate() {
+            if b == 0 || !shared {
+                self.stage_inners(block[0].borrow(), queries, opts)?;
             }
-            for (query, staged) in queries.iter().zip(&self.staged) {
-                let staged = staged.as_ref().map_err(Clone::clone)?;
-                let answer = inner_answer(
-                    tree,
-                    query,
-                    opts,
-                    &self.sel[staged.sel.clone()],
-                    &self.entries,
-                    &self.uncovered[staged.uncovered.clone()],
-                )?;
-                self.inners.push(answer);
+            for (q, (query, staged)) in queries.iter().zip(&self.staged).enumerate() {
+                let cover = CoverView {
+                    sel: &self.sel[staged.sel.clone()],
+                    entries: &self.entries,
+                    uncovered: &self.uncovered[staged.uncovered.clone()],
+                    extrapolate: staged.extrapolate,
+                };
+                let out = &mut self.inners[b * width * per_tree + q..];
+                if width == BLOCK {
+                    lane_inner(&mut self.block, block, query, cover, out, per_tree);
+                } else {
+                    lane_inner(&mut self.one, block, query, cover, out, per_tree);
+                }
             }
         }
         Ok(&self.inners)
     }
 
-    /// Stage the cover of each of `queries` on `tree`, in order, up to
-    /// the first query `tree` refuses an index of — staged as that error,
-    /// which is where [`SwatTree::inner_product_many`] stops.
-    fn stage_inners(&mut self, tree: &SwatTree, queries: &[InnerProductQuery], opts: QueryOptions) {
+    /// Stage the cover of each of `queries` on `tree`, in order.
+    ///
+    /// # Errors
+    ///
+    /// The first error in query order — refused indices or an uncovered
+    /// position — which is where [`SwatTree::inner_product_many`] stops.
+    fn stage_inners(
+        &mut self,
+        tree: &SwatTree,
+        queries: &[InnerProductQuery],
+        opts: QueryOptions,
+    ) -> Result<(), TreeError> {
         self.clear_covers();
         self.staged.clear();
         for query in queries {
-            if let Err(e) = tree.check_query_indices(query) {
-                self.staged.push(Err(e));
-                return;
-            }
+            tree.check_query_indices(query)?;
             let (sel, uncovered) = (self.sel.len(), self.uncovered.len());
             self.cover_mapped(tree, IdxList::Slice(query.indices()), opts);
-            self.staged.push(Ok(Staged {
+            let uncovered = uncovered..self.uncovered.len();
+            let extrapolate =
+                extrapolation(tree, opts, &self.uncovered[uncovered.clone()], |pos| {
+                    query.indices()[pos]
+                })?;
+            self.staged.push(Staged {
                 sel: sel..self.sel.len(),
-                uncovered: uncovered..self.uncovered.len(),
-            }));
+                uncovered,
+                extrapolate,
+            });
         }
+        Ok(())
     }
 }
 
@@ -565,97 +702,152 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> 
     THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// The reduced-level extrapolation source: the freshest node at an
-/// eligible level, with its piece — the reference implementations' choice
+/// The reduced-level extrapolation source: the piece of the freshest
+/// node at an eligible level — the reference implementations' choice
 /// verbatim.
-fn nearest_eligible(tree: &SwatTree, opts: QueryOptions) -> Option<(Piece, &Summary)> {
+fn nearest_eligible(tree: &SwatTree, opts: QueryOptions) -> Option<Piece> {
     let now = tree.arrivals();
     let (level, pos, s) = tree
         .nodes()
         .filter(|(l, _, _)| *l >= opts.min_level)
         .min_by_key(|(_, _, s)| s.coverage(now).0)?;
-    let piece = Piece::new(level, pos as usize, s, now, tree.config().coefficients());
-    Some((piece, s))
+    Some(Piece::new(
+        level,
+        pos as usize,
+        s,
+        now,
+        tree.config().coefficients(),
+    ))
 }
 
-/// An index no eligible node covers, answered from the nearest one's
-/// newest covered position.
-fn extrapolate_point(tree: &SwatTree, opts: QueryOptions) -> Option<PointAnswer> {
-    let (piece, s) = nearest_eligible(tree, opts)?;
-    Some(PointAnswer {
-        value: piece.value(s, piece.start),
-        error_bound: s.range().width(),
-        level: s.level(),
-        extrapolated: true,
-    })
-}
-
-/// The answer `tree`'s node at `piece` gives covered index `idx`.
+/// Where the `uncovered` positions of a cover staged on `tree`
+/// extrapolate from: nowhere if there are none, else the nearest eligible
+/// node's piece.
 ///
-/// `error_bound` hoists [`Summary::error_bound_at`]'s arithmetic over the
-/// already-computed value — identical operations, one coefficient walk
-/// instead of two.
+/// # Errors
+///
+/// [`TreeError::Uncovered`] at the first uncovered position's window
+/// index (`index_of` maps a query position to it) when `opts` reads every
+/// level or no node is eligible — the reference's error.
+fn extrapolation(
+    tree: &SwatTree,
+    opts: QueryOptions,
+    uncovered: &[usize],
+    index_of: impl Fn(usize) -> usize,
+) -> Result<Option<Piece>, TreeError> {
+    let Some(&first) = uncovered.first() else {
+        return Ok(None);
+    };
+    let error = TreeError::Uncovered {
+        index: index_of(first),
+    };
+    if opts.min_level == 0 {
+        return Err(error);
+    }
+    nearest_eligible(tree, opts).map(Some).ok_or(error)
+}
+
+/// The point answers every tree of `block` (at most `W`) gives the
+/// queries `idx` over `cover`, written to `out` tree-major
+/// (`block.len() × idx.len()`): the reference arithmetic per lane, with
+/// the error bound computed from the value already walked.
 #[inline]
-fn covered_point(tree: &SwatTree, piece: &Piece, idx: usize) -> PointAnswer {
-    let s = piece.summary(tree);
-    let value = piece.value(s, idx);
-    let error_bound = (value - s.range().lo()).max(s.range().hi() - value);
-    PointAnswer {
-        value,
-        error_bound,
-        level: s.level(),
-        extrapolated: false,
+fn lane_points<const W: usize, S: Borrow<SwatTree>>(
+    lanes: &mut Lanes<W>,
+    block: &[S],
+    idx: IdxList<'_>,
+    cover: CoverView<'_>,
+    out: &mut [PointAnswer],
+) {
+    let len = idx.len();
+    let mut emit = |pos: usize, v: &[f64; W], bound: &[f64; W], level: usize, extrapolated| {
+        for (answer, (&value, &error_bound)) in
+            out[pos..].iter_mut().step_by(len).zip(v.iter().zip(bound))
+        {
+            *answer = PointAnswer {
+                value,
+                error_bound,
+                level,
+                extrapolated,
+            };
+        }
+    };
+    for sn in cover.sel {
+        lanes.gather(block, &sn.piece);
+        for &pos in &cover.entries[sn.entries_start..sn.entries_start + sn.entries_len] {
+            let v = lanes.values(&sn.piece, idx.get(pos));
+            emit(pos, &v, &lanes.bounds(&v), sn.piece.level, false);
+        }
+    }
+    if let Some(piece) = cover.extrapolate {
+        // Every uncovered index gets the nearest node's newest value.
+        lanes.gather(block, &piece);
+        let v = lanes.values(&piece, piece.start);
+        let widths = lanes.widths();
+        for &pos in cover.uncovered {
+            emit(pos, &v, &widths, piece.level, true);
+        }
     }
 }
 
-/// One inner-product answer on `tree` from a staged cover — `sel` with
-/// its `entries`, and the `uncovered` positions: the reference
-/// arithmetic, operation for operation.
-fn inner_answer(
-    tree: &SwatTree,
+/// The answer every tree of `block` (at most `W`) gives `query` over
+/// `cover`, written to `out` every `stride` slots: the reference
+/// arithmetic per lane, operation for operation — selected nodes in
+/// traversal order, each one's positions ascending, then the
+/// extrapolated positions.
+fn lane_inner<const W: usize, S: Borrow<SwatTree>>(
+    lanes: &mut Lanes<W>,
+    block: &[S],
     query: &InnerProductQuery,
-    opts: QueryOptions,
-    sel: &[SelNode],
-    entries: &[usize],
-    uncovered: &[usize],
-) -> Result<InnerProductAnswer, TreeError> {
-    let first_uncovered = || TreeError::Uncovered {
-        index: query.indices()[uncovered[0]],
-    };
-    if !uncovered.is_empty() && opts.min_level == 0 {
-        return Err(first_uncovered());
-    }
+    cover: CoverView<'_>,
+    out: &mut [InnerProductAnswer],
+    stride: usize,
+) {
     let (indices, weights) = (query.indices(), query.weights());
-    let mut value = 0.0;
-    let mut error_bound = 0.0;
-    for sn in sel {
-        let s = sn.piece.summary(tree);
-        let (lo, hi) = (s.range().lo(), s.range().hi());
-        for &pos in &entries[sn.entries_start..sn.entries_start + sn.entries_len] {
+    let mut value = [0.0; W];
+    let mut error_bound = [0.0; W];
+    for sn in cover.sel {
+        lanes.gather(block, &sn.piece);
+        for &pos in &cover.entries[sn.entries_start..sn.entries_start + sn.entries_len] {
             let w = weights[pos];
-            // error_bound_at's arithmetic over the shared value.
-            let v = sn.piece.value(s, indices[pos]);
-            value += w * v;
-            error_bound += w.abs() * (v - lo).max(hi - v);
+            let v = lanes.values(&sn.piece, indices[pos]);
+            let bound = lanes.bounds(&v);
+            for ((sum, err), (&v, &bound)) in value
+                .iter_mut()
+                .zip(&mut error_bound)
+                .zip(v.iter().zip(&bound))
+            {
+                *sum += w * v;
+                *err += w.abs() * bound;
+            }
         }
     }
-    // Extrapolate whatever reduced-level mode left uncovered.
-    if !uncovered.is_empty() {
-        let (piece, s) = nearest_eligible(tree, opts).ok_or_else(first_uncovered)?;
-        let v = piece.value(s, piece.start);
-        for &pos in uncovered {
+    if let Some(piece) = cover.extrapolate {
+        lanes.gather(block, &piece);
+        let v = lanes.values(&piece, piece.start);
+        let widths = lanes.widths();
+        for &pos in cover.uncovered {
             let w = weights[pos];
-            value += w * v;
-            error_bound += w.abs() * s.range().width();
+            for ((sum, err), (&v, &width)) in value
+                .iter_mut()
+                .zip(&mut error_bound)
+                .zip(v.iter().zip(&widths))
+            {
+                *sum += w * v;
+                *err += w.abs() * width;
+            }
         }
     }
-    Ok(InnerProductAnswer {
-        value,
-        error_bound,
-        meets_precision: error_bound <= query.delta(),
-        nodes_used: sel.len(),
-        extrapolated: uncovered.len(),
-    })
+    let answers = out.iter_mut().step_by(stride).take(block.len());
+    for (answer, (&value, &error_bound)) in answers.zip(value.iter().zip(&error_bound)) {
+        *answer = InnerProductAnswer {
+            value,
+            error_bound,
+            meets_precision: error_bound <= query.delta(),
+            nodes_used: cover.sel.len(),
+            extrapolated: cover.uncovered.len(),
+        };
+    }
 }
 
 impl SwatTree {
@@ -672,15 +864,24 @@ impl SwatTree {
         scratch: &mut QueryScratch,
     ) -> Result<PointAnswer, TreeError> {
         self.check_indices(&[idx])?;
-        scratch.cover_scan(self, IdxList::Span { first: idx, len: 1 }, opts);
-        if let Some(sn) = scratch.sel.first() {
-            return Ok(covered_point(self, &sn.piece, idx));
-        }
-        debug_assert_eq!(scratch.uncovered, [0]);
-        if opts.min_level == 0 {
-            return Err(TreeError::Uncovered { index: idx });
-        }
-        extrapolate_point(self, opts).ok_or(TreeError::Uncovered { index: idx })
+        let at = IdxList::Span { first: idx, len: 1 };
+        scratch.cover_scan(self, at, opts);
+        let extrapolate = extrapolation(self, opts, &scratch.uncovered, |_| idx)?;
+        let cover = CoverView {
+            sel: &scratch.sel,
+            entries: &scratch.entries,
+            uncovered: &scratch.uncovered,
+            extrapolate,
+        };
+        let mut answer = [UNANSWERED_POINT];
+        lane_points(
+            &mut scratch.one,
+            std::slice::from_ref(self),
+            at,
+            cover,
+            &mut answer,
+        );
+        Ok(answer[0])
     }
 
     /// Answer a block of point queries, amortizing the cover cache across
@@ -722,14 +923,24 @@ impl SwatTree {
     ) -> Result<InnerProductAnswer, TreeError> {
         self.check_query_indices(query)?;
         scratch.cover_scan(self, IdxList::Slice(query.indices()), opts);
-        inner_answer(
-            self,
+        let extrapolate =
+            extrapolation(self, opts, &scratch.uncovered, |pos| query.indices()[pos])?;
+        let cover = CoverView {
+            sel: &scratch.sel,
+            entries: &scratch.entries,
+            uncovered: &scratch.uncovered,
+            extrapolate,
+        };
+        let mut answer = [UNANSWERED_INNER];
+        lane_inner(
+            &mut scratch.one,
+            std::slice::from_ref(self),
             query,
-            opts,
-            &scratch.sel,
-            &scratch.entries,
-            &scratch.uncovered,
-        )
+            cover,
+            &mut answer,
+            1,
+        );
+        Ok(answer[0])
     }
 
     /// Answer a block of inner-product queries through the cover cache,
@@ -789,16 +1000,22 @@ impl SwatTree {
         out: &mut Vec<RangeMatch>,
     ) -> Result<(), TreeError> {
         let window = self.config().window();
-        if query.oldest >= window {
+        let len = if query.newest > query.oldest {
+            // An inverted interval holds no index: the reference scans an
+            // empty span and finds nothing.
+            0
+        } else if query.oldest >= window {
             // First failing index of the reference's ascending scan.
             return Err(TreeError::IndexOutOfWindow {
                 index: window.max(query.newest),
                 window,
             });
-        }
+        } else {
+            query.oldest - query.newest + 1
+        };
         let span = IdxList::Span {
             first: query.newest,
-            len: query.oldest - query.newest + 1,
+            len,
         };
         // Interval queries touch a large slice of the window, so the
         // serving map (one lookup per position) beats the nodes × span
@@ -937,12 +1154,21 @@ mod tests {
     fn a_shared_cover_never_shares_values() {
         // Trees with *identical geometry* (same window, k, arrival count)
         // but different data: one pass stages the cover once for all of
-        // them, and each answer is still its own tree's, bit for bit —
-        // in either order, and with each tree's answers next to its own.
+        // them, and each answer is still its own tree's, bit for bit — in
+        // any order, with each tree's answers next to its own, in a
+        // ragged block of three and over a full 16-lane block plus three.
         let n = 128;
-        let a = warm_tree(n, 8, (0..3 * n).map(|i| ((i * 31) % 101) as f64));
-        let b = warm_tree(n, 8, (0..3 * n).map(|i| ((i * 17) % 89) as f64 - 40.0));
-        assert!(a.is_steady() && b.is_steady());
+        let forest: Vec<SwatTree> = (0..19)
+            .map(|t| {
+                warm_tree(
+                    n,
+                    8,
+                    (0..3 * n).map(|i| ((i * (17 + 2 * t)) % (89 + t)) as f64 - 40.0),
+                )
+            })
+            .collect();
+        assert!(forest.iter().all(SwatTree::is_steady));
+        let (a, b) = (&forest[0], &forest[1]);
         let queries = [
             InnerProductQuery::exponential(n, 1e9),
             InnerProductQuery::linear_at(5, n - 5, 1e9),
@@ -950,7 +1176,9 @@ mod tests {
         let indices = [0usize, 1, 63, n - 1];
         let opts = QueryOptions::default();
         let mut scratch = QueryScratch::new();
-        for trees in [[&a, &b, &a], [&b, &a, &b]] {
+        let all: Vec<&SwatTree> = forest.iter().collect();
+        let reversed: Vec<&SwatTree> = forest.iter().rev().collect();
+        for trees in [vec![a, b, a], vec![b, a, b], all, reversed] {
             let inners = scratch
                 .inners_over(&trees, &queries, opts)
                 .unwrap()
@@ -976,11 +1204,13 @@ mod tests {
                 }
             }
         }
-        assert_ne!(
-            a.point(n - 1).unwrap().value.to_bits(),
-            b.point(n - 1).unwrap().value.to_bits(),
-            "the trees answer differently"
-        );
+        let mut newest: Vec<u64> = forest
+            .iter()
+            .map(|t| t.point(n - 1).unwrap().value.to_bits())
+            .collect();
+        newest.sort_unstable();
+        newest.dedup();
+        assert_eq!(newest.len(), forest.len(), "every tree answers differently");
     }
 
     #[test]
@@ -1167,6 +1397,11 @@ mod tests {
             InnerProductQuery::exponential(64, 1e9),
             InnerProductQuery::linear_at(10, 100, 1e9),
         ];
+        // A set pass over two 16-lane blocks, the second ragged, each
+        // tree on its own data.
+        let forest: Vec<SwatTree> = (0..21)
+            .map(|t| warm_tree(128, 4, (0..400).map(|i| ((i * (7 + t)) % (53 + t)) as f64)))
+            .collect();
         let mut pts = Vec::new();
         let mut ips = Vec::new();
         let mut win = Vec::new();
@@ -1179,6 +1414,12 @@ mod tests {
             tree.inner_product_many(&queries, QueryOptions::default(), scratch, ips)
                 .unwrap();
             tree.reconstruct_window_into(scratch, win).unwrap();
+            scratch
+                .points_over(&forest, IdxList::Slice(&indices), QueryOptions::default())
+                .unwrap();
+            scratch
+                .inners_over(&forest, &queries, QueryOptions::default())
+                .unwrap();
         };
         run(&mut scratch, &mut pts, &mut ips, &mut win);
         let warm = scratch.bytes_reserved();

@@ -140,37 +140,7 @@ fn steady_state_batched_ingest_does_not_allocate() {
             "steady-state push_row allocated {delta} times (k = {k})"
         );
 
-        // A set-wide point query returns one answer vector per stream and
-        // a vector of those: exactly that many allocations per call, each
-        // sized once. The serving map lives in the thread's scratch and
-        // every (steady, equally old) stream shares it, so nothing else
-        // allocates after the first call.
-        let indices = [0usize, 3, 17, n - 1];
-        let opts = QueryOptions::default();
-        set.point_many(&indices, opts, 1).unwrap();
-        let before = allocations();
-        let answers = set.point_many(&indices, opts, 1).unwrap();
-        let delta = allocations() - before;
-        assert_eq!(
-            delta,
-            streams as u64 + 1,
-            "set-wide point_many allocated {delta} times (k = {k})"
-        );
-        assert!(answers.iter().all(|a| a.len() == indices.len()));
-
-        // The same for a one-query inner-product block: the staged cover
-        // and the flat answers live in the thread's scratch.
-        let query = [InnerProductQuery::exponential(n / 2, 1e9)];
-        set.inner_product_many(&query, opts, 1).unwrap();
-        let before = allocations();
-        let answers = set.inner_product_many(&query, opts, 1).unwrap();
-        let delta = allocations() - before;
-        assert_eq!(
-            delta,
-            streams as u64 + 1,
-            "set-wide inner_product_many allocated {delta} times (k = {k})"
-        );
-        assert!(answers.iter().all(|a| a.len() == 1));
+        set_queries_allocate_per_stream(&set, n, k);
     }
 
     // Every holding's path: `extend_rows` of clock-aligned `ROW_TILE`-row
@@ -198,5 +168,46 @@ fn steady_state_batched_ingest_does_not_allocate() {
             delta, 0,
             "steady-state extend_rows allocated {delta} times (k = {k})"
         );
+
+        // The set pass at a ragged width: two 16-lane blocks and one of 5.
+        set_queries_allocate_per_stream(&set, n, k);
     }
+}
+
+/// A set-wide point query returns one answer vector per stream and a
+/// vector of those: exactly that many allocations per call, each sized
+/// once. The serving map, the lane rows and the flat answers live in the
+/// thread's scratch and every (steady, equally old) stream shares the
+/// map, so nothing else allocates after the first call. The same for a
+/// one-query inner-product block.
+fn set_queries_allocate_per_stream(set: &StreamSet, n: usize, k: usize) {
+    let streams = set.streams();
+    assert!(
+        (0..streams).all(|s| set.tree(s).is_steady()),
+        "the pass shares one cover"
+    );
+    let indices = [0usize, 3, 17, n - 1];
+    let opts = QueryOptions::default();
+    set.point_many(&indices, opts, 1).unwrap();
+    let before = allocations();
+    let answers = set.point_many(&indices, opts, 1).unwrap();
+    let delta = allocations() - before;
+    assert_eq!(
+        delta,
+        streams as u64 + 1,
+        "set-wide point_many allocated {delta} times (k = {k})"
+    );
+    assert!(answers.iter().all(|a| a.len() == indices.len()));
+
+    let query = [InnerProductQuery::exponential(n / 2, 1e9)];
+    set.inner_product_many(&query, opts, 1).unwrap();
+    let before = allocations();
+    let answers = set.inner_product_many(&query, opts, 1).unwrap();
+    let delta = allocations() - before;
+    assert_eq!(
+        delta,
+        streams as u64 + 1,
+        "set-wide inner_product_many allocated {delta} times (k = {k})"
+    );
+    assert!(answers.iter().all(|a| a.len() == 1));
 }

@@ -180,7 +180,7 @@ proptest! {
     }
 
     /// Scratch range path ≡ reference: same matches, same order, same
-    /// errors.
+    /// errors — an inverted interval included, which both answer empty.
     #[test]
     fn range_engine_matches_reference(
         (n, k, values) in tree_inputs(),
@@ -190,9 +190,11 @@ proptest! {
         let tree = build(n, k, &values);
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
-        let spans = [(0usize, n - 1), (0, 0), (n / 2, n - 1), (1, n / 2 + 1)];
+        // The last two are inverted (`newest > oldest`, only a literal can
+        // build one): inside the window and past it.
+        let spans = [(0usize, n - 1), (0, 0), (n / 2, n - 1), (1, n / 2 + 1), (n / 2 + 1, 1), (n + 3, n)];
         for (newest, oldest) in spans {
-            let q = RangeQuery { center, radius, newest, oldest: oldest.max(newest) };
+            let q = RangeQuery { center, radius, newest, oldest };
             let want = reference::range_query_with(&tree, &q, QueryOptions::default());
             let got = tree
                 .range_query_with_scratch(&q, QueryOptions::default(), &mut scratch, &mut out)
@@ -240,11 +242,12 @@ proptest! {
     /// `reference::inner_product_with` do on that stream's tree — cold,
     /// warming and steady, at every `min_level` 0..=3, over rows full of
     /// signed zeros, and with one hand-built, non-steady stream restored
-    /// through the set snapshot.
+    /// through the set snapshot. Up to 39 streams: one 16-lane block, two,
+    /// and a ragged last block, split mid-block at three threads.
     #[test]
     fn set_queries_match_the_reference_per_stream(
         (n, k) in (2u32..=7).prop_flat_map(|log_n| (Just(1usize << log_n), 1..=1usize << log_n)),
-        streams in 1usize..12,
+        streams in 1usize..40,
         shards in 1usize..4,
         extra in 0usize..64,
         seed in 0u64..1_000_000,

@@ -178,35 +178,81 @@ pub fn stored_depth(stored: usize) -> u32 {
 /// `log_n − depth` bits of `idx` are all 1. One comparison replaces the
 /// steps.
 ///
-/// `idx` is the position within the signal of length `2^log_n`.
+/// `idx` is the position within the signal of length `2^log_n`. This is
+/// the one-lane instance of [`point_lanes`].
 ///
 /// # Panics
 ///
-/// Panics if `coeffs` is empty; in debug builds, if `depth > log_n`,
+/// In debug builds, if `coeffs` is empty, `depth > log_n`,
 /// `idx ≥ 2^log_n` or the prefix reaches below `depth`.
 #[inline]
 pub fn point_truncated(coeffs: &[f64], log_n: u32, depth: u32, idx: usize) -> f64 {
-    debug_assert!(depth <= log_n && idx >> log_n == 0);
+    debug_assert!(!coeffs.is_empty(), "a prefix holds at least the average");
     debug_assert!(coeffs.len() <= 1 << depth, "a detail lies below depth");
-    let mut value = coeffs[0];
+    let [value] = truncated_walk(
+        |r| [coeffs.get(r).copied().unwrap_or(0.0)],
+        log_n,
+        depth,
+        idx,
+    );
+    value
+}
+
+/// [`point_truncated`] over `W` prefixes at once, lane by lane: row `r`
+/// of `rows` holds every lane's coefficient `r`, `+0.0` where a lane
+/// stores fewer (what [`point_truncated`] reads past its prefix). Each
+/// lane's result is [`point_truncated`] of its own prefix, bit for bit:
+/// every step and the signed-zero fix-up are the same expressions in the
+/// same order, applied to each lane.
+///
+/// # Panics
+///
+/// Panics if `rows` holds fewer than `2^depth` rows; in debug builds, if
+/// `depth > log_n` or `idx ≥ 2^log_n`.
+#[inline]
+pub fn point_lanes<const W: usize>(
+    rows: &[[f64; W]],
+    log_n: u32,
+    depth: u32,
+    idx: usize,
+) -> [f64; W] {
+    truncated_walk(|r| rows[r], log_n, depth, idx)
+}
+
+/// The walk of [`point_truncated`] and [`point_lanes`], reading row `r`
+/// of every lane through `row`.
+#[inline(always)]
+fn truncated_walk<const W: usize>(
+    row: impl Fn(usize) -> [f64; W],
+    log_n: u32,
+    depth: u32,
+    idx: usize,
+) -> [f64; W] {
+    debug_assert!(depth <= log_n && idx >> log_n == 0);
+    let mut value = row(0);
     for d in 1..=depth {
         let block = idx >> (log_n - d);
-        let det = coeffs
-            .get((1usize << (d - 1)) + (block >> 1))
-            .copied()
-            .unwrap_or(0.0);
+        let det = row((1usize << (d - 1)) + (block >> 1));
         if block & 1 == 0 {
-            value += det;
+            for (v, x) in value.iter_mut().zip(det) {
+                *v += x;
+            }
         } else {
-            value -= det;
+            for (v, x) in value.iter_mut().zip(det) {
+                *v -= x;
+            }
         }
     }
     let skipped = (1usize << (log_n - depth)) - 1;
-    if value == 0.0 && idx & skipped != skipped {
-        0.0
-    } else {
-        value
+    if idx & skipped != skipped {
+        for v in &mut value {
+            // A `−0.0` becomes `+0.0`; every other value stays.
+            if *v == 0.0 {
+                *v = 0.0;
+            }
+        }
     }
+    value
 }
 
 #[cfg(test)]
@@ -360,6 +406,73 @@ mod tests {
                 }
             }
             prop_assert!(kept > 0 && flipped > 0, "kept {} flipped {}", kept, flipped);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The lane walk is `point` in every lane, bit for bit, at every
+        /// length up to 2^8, every stored count and every index. Each of
+        /// the 16 lanes draws its coefficients independently from
+        /// {−0.0, 0.0, ±x}, and odd lanes store one coefficient fewer
+        /// (padded with `+0.0`). So lanes walk to `−0.0` beside lanes
+        /// that do not, in one call: the fix-up is a per-lane select.
+        #[test]
+        fn lane_walk_is_point_in_every_lane(
+            picks in prop::collection::vec(0usize..4, 16 * 256),
+            x in 0.001..1000.0f64,
+        ) {
+            const W: usize = 16;
+            let lanes: Vec<Vec<f64>> = picks
+                .chunks(256)
+                .map(|c| c.iter().map(|&p| [-0.0, 0.0, x, -x][p]).collect())
+                .collect();
+            let (mut kept, mut flipped, mut mixed) = (0, 0, 0);
+            let mut rows = Vec::new();
+            for log_n in 0..=8u32 {
+                let n = 1usize << log_n;
+                for stored in 1..=n {
+                    let depth = stored_depth(stored);
+                    let held = |w: usize| if w % 2 == 1 { (stored - 1).max(1) } else { stored };
+                    rows.clear();
+                    rows.resize(1 << depth, [0.0; W]);
+                    for (w, lane) in lanes.iter().enumerate() {
+                        for (row, &c) in rows.iter_mut().zip(&lane[..held(w)]) {
+                            row[w] = c;
+                        }
+                    }
+                    for idx in 0..n {
+                        let got = point_lanes(&rows, log_n, depth, idx);
+                        let (mut negative, mut other) = (false, false);
+                        for (w, lane) in lanes.iter().enumerate() {
+                            let prefix = &lane[..held(w)];
+                            let want = point(prefix, n, idx).unwrap();
+                            prop_assert_eq!(
+                                got[w].to_bits(),
+                                want.to_bits(),
+                                "n={} stored={} idx={} lane={}", n, stored, idx, w
+                            );
+                            let walked = point(prefix, 1 << depth, idx >> (log_n - depth)).unwrap();
+                            if walked.to_bits() == (-0.0f64).to_bits() {
+                                negative = true;
+                                if depth < log_n && want.is_sign_negative() {
+                                    kept += 1;
+                                } else if depth < log_n {
+                                    flipped += 1;
+                                }
+                            } else {
+                                other = true;
+                            }
+                        }
+                        mixed += usize::from(negative && other && depth < log_n);
+                    }
+                }
+            }
+            prop_assert!(
+                kept > 0 && flipped > 0 && mixed > 0,
+                "kept {} flipped {} mixed {}", kept, flipped, mixed
+            );
         }
     }
 

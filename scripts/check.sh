@@ -90,11 +90,13 @@ ROWS=(
     # the benchmark runs; no debug_assert. The lane kernels against the
     # scalar merge too: the lanes are where the optimizer vectorizes. And
     # the truncated Haar walk every query runs against the full walk, bit
-    # for bit over signed zeros, as optimized code.
+    # for bit over signed zeros, one lane and sixteen, as optimized code;
+    # and the set pass's own unit tests, whose lanes vectorize too.
     "release equivalence"
     "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence &&
      cargo test -q --release -p swat-wavelet --lib block &&
-     cargo test -q --release -p swat-wavelet --lib haar::"
+     cargo test -q --release -p swat-wavelet --lib haar:: &&
+     cargo test -q --release -p swat-tree --lib scratch::"
     ""
 
     # The folded CRC-32 path as the benchmark runs it: debug builds run the
