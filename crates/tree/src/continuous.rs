@@ -171,7 +171,7 @@ impl ContinuousEngine {
     /// a truncation can never silently drop the subscriptions.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        snapshot::write_tree_body(&self.tree, &mut out);
+        snapshot::write_tree_body(self.tree.view(), &mut out);
         {
             let mut sec = Vec::new();
             sec.extend_from_slice(&(self.subs.len() as u64).to_le_bytes());

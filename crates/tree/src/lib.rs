@@ -40,7 +40,10 @@
 //!
 //! ## Modules
 //!
-//! * [`tree`] — the structure and its update algorithm (Figure 3a),
+//! * [`tree`] — the structure and its update algorithm (Figure 3a), and
+//!   [`TreeView`], the read API of one tree of a block,
+//! * `block` — lane-major storage: a block of trees that share a clock,
+//!   one geometry header and one `[f64; W]` lane per stored number,
 //! * [`ingest`] — the blocked batch-ingest fast path: chunk-aligned
 //!   cascades over lanes of a block of trees that share a clock,
 //!   reusable [`IngestScratch`] buffers, and the frozen scalar reference
@@ -76,6 +79,7 @@
 #![warn(clippy::all)]
 
 pub mod aggregate;
+mod block;
 pub mod codec;
 pub mod config;
 pub mod continuous;
@@ -110,4 +114,4 @@ pub use range::ValueRange;
 pub use scratch::QueryScratch;
 pub use shard::{local_top_k, root_summary, shard_members, shard_of, ShardedStreamSet};
 pub use snapshot::SnapshotError;
-pub use tree::{NodePos, SwatTree};
+pub use tree::{NodePos, SwatTree, TreeView};

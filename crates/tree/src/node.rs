@@ -6,10 +6,15 @@
 //! time). A summary never changes while it is retained — the paper's
 //! `R -> S -> L` shifting never recomputes one, it only keeps the last
 //! three generations per level — so a level in this implementation is
-//! three slots whose order lives in the tree header, and the "shift" is
+//! three slots whose order lives in the block header, and the "shift" is
 //! one step of that order: the slot of the generation that falls off the
 //! end becomes the one the fresh summary is written into
-//! (`Level::refresh` in `tree.rs`), reusing its coefficient storage.
+//! (`Block::refresh` in `block.rs`), in the lanes it already has.
+//!
+//! A tree stores its summaries as lanes of a block (`crate::block`), not
+//! as [`Summary`] values: a `Summary` is the owned form one tree's node
+//! takes when it leaves the tree — [`crate::TreeView::node`], snapshots
+//! restored, the growing tree and the frozen references.
 //!
 //! # Coverage
 //!
@@ -25,8 +30,8 @@
 use crate::range::ValueRange;
 use swat_wavelet::HaarCoeffs;
 
-/// Content of one tree node: a summary of one dyadic block, immutable
-/// from the outside (the ingest paths overwrite evicted generations).
+/// Content of one tree node: a summary of one dyadic block, as an owned
+/// value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     coeffs: HaarCoeffs,
@@ -60,66 +65,6 @@ impl Summary {
         }
     }
 
-    /// A level slot nothing has been written to yet: callers overwrite
-    /// it through one of the `set_*` methods before it is ever read.
-    pub(crate) fn blank(level: usize) -> Self {
-        Summary {
-            coeffs: HaarCoeffs::scalar(0.0),
-            range: ValueRange::new(0.0, 0.0),
-            created_at: 0,
-            level,
-        }
-    }
-
-    /// Overwrite this level-0 slot with the summary of the two newest raw
-    /// values, created at `created_at`.
-    #[inline]
-    pub(crate) fn set_pair(&mut self, newer: f64, older: f64, k: usize, created_at: u64) {
-        debug_assert_eq!(self.level, 0);
-        self.coeffs
-            .assign_pair(newer, older, k)
-            .expect("configs have a positive budget");
-        self.range = ValueRange::of(&[newer, older]);
-        self.created_at = created_at;
-    }
-
-    /// Overwrite this slot with the merge of the child level's `right`
-    /// (newer) and `left` (older) summaries, created at `created_at` —
-    /// `contents(R_l) := DWT(R_{l-1}, L_{l-1})`.
-    #[inline]
-    pub(crate) fn set_merged(
-        &mut self,
-        right: &Summary,
-        left: &Summary,
-        k: usize,
-        created_at: u64,
-    ) {
-        debug_assert_eq!(self.level, right.level + 1);
-        self.coeffs
-            .merge_into(&right.coeffs, &left.coeffs, k)
-            .expect("sibling blocks have equal widths");
-        self.range = right.range.union(&left.range);
-        self.created_at = created_at;
-    }
-
-    /// Overwrite this slot from lane `w` of a stored coefficient prefix
-    /// and range bounds (the blocked path's lanes).
-    #[inline]
-    pub(crate) fn set_lane<const W: usize>(
-        &mut self,
-        prefix: &[[f64; W]],
-        w: usize,
-        lo: f64,
-        hi: f64,
-        created_at: u64,
-    ) {
-        self.coeffs
-            .assign_lane(1 << (self.level + 1), prefix, w)
-            .expect("lane prefixes fit their level's width");
-        self.range = ValueRange::new(lo, hi);
-        self.created_at = created_at;
-    }
-
     /// Tree level of this summary.
     pub fn level(&self) -> usize {
         self.level
@@ -143,13 +88,6 @@ impl Summary {
     /// The stored wavelet coefficients.
     pub fn coeffs(&self) -> &HaarCoeffs {
         &self.coeffs
-    }
-
-    /// Consume the summary, yielding its coefficient vector — used by the
-    /// frozen reference ingest path to recycle evicted generations' heap
-    /// storage.
-    pub fn into_coeffs(self) -> HaarCoeffs {
-        self.coeffs
     }
 
     /// Window indices `[start, end]` covered at arrival count `now`

@@ -1,14 +1,16 @@
-//! Query evaluation over a [`SwatTree`] — the paper's Figure 3(b).
+//! Query evaluation over a [`TreeView`] — one tree of a block, a
+//! [`SwatTree`](crate::SwatTree) or a stream of a set — the paper's
+//! Figure 3(b).
 //!
 //! Three query classes are supported, all over window indices where
 //! index 0 is the newest value:
 //!
-//! * **point queries** — a single index ([`SwatTree::point`]),
+//! * **point queries** — a single index ([`TreeView::point`]),
 //! * **inner-product queries** — `(I, W, δ)` triples
-//!   ([`SwatTree::inner_product`]), with convenience constructors for the
+//!   ([`TreeView::inner_product`]), with convenience constructors for the
 //!   paper's *exponential* and *linear* weight profiles,
 //! * **range queries** — a value rectangle over a time interval
-//!   ([`SwatTree::range_query`]).
+//!   ([`TreeView::range_query`]).
 //!
 //! Evaluation follows the paper's greedy cover: walk the nodes from the
 //! lowest level upward, `R → S → L` within a level, select every node that
@@ -31,7 +33,7 @@
 
 use crate::config::TreeError;
 use crate::node::Summary;
-use crate::tree::SwatTree;
+use crate::tree::TreeView;
 
 /// Options modulating query evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -427,18 +429,7 @@ pub struct RangeMatch {
     pub value: f64,
 }
 
-impl SwatTree {
-    /// Validate that every query index is inside the window.
-    pub(crate) fn check_indices(&self, indices: &[usize]) -> Result<(), TreeError> {
-        let window = self.config().window();
-        for &idx in indices {
-            if idx >= window {
-                return Err(TreeError::IndexOutOfWindow { index: idx, window });
-            }
-        }
-        Ok(())
-    }
-
+impl TreeView<'_> {
     /// Answer a point query for window index `idx` (0 = newest).
     ///
     /// # Errors
@@ -555,8 +546,8 @@ pub mod reference {
 
     /// A node selected by the greedy cover, with the query entries it
     /// serves.
-    struct CoverEntry<'a> {
-        summary: &'a Summary,
+    struct CoverEntry {
+        summary: Summary,
         /// Positions *within the query's index vector* this node serves.
         entries: Vec<usize>,
     }
@@ -567,15 +558,15 @@ pub mod reference {
     ///
     /// Returns the selected nodes plus the positions of query entries left
     /// uncovered (possible during warm-up or with `min_level > 0`).
-    fn cover<'a>(
-        tree: &'a SwatTree,
+    fn cover(
+        tree: TreeView<'_>,
         indices: &[usize],
         opts: QueryOptions,
-    ) -> (Vec<CoverEntry<'a>>, Vec<usize>) {
+    ) -> (Vec<CoverEntry>, Vec<usize>) {
         let now = tree.arrivals();
         let mut covered = vec![false; indices.len()];
         let mut remaining = indices.len();
-        let mut selected: Vec<CoverEntry<'a>> = Vec::new();
+        let mut selected: Vec<CoverEntry> = Vec::new();
         for (level, _, summary) in tree.nodes() {
             if level < opts.min_level {
                 continue;
@@ -600,21 +591,22 @@ pub mod reference {
         (selected, uncovered)
     }
 
-    /// The pre-engine [`SwatTree::point_with`].
+    /// The pre-engine [`TreeView::point_with`].
     ///
     /// # Errors
     ///
-    /// As [`SwatTree::point_with`].
-    pub fn point_with(
-        tree: &SwatTree,
+    /// As [`TreeView::point_with`].
+    pub fn point_with<'a>(
+        tree: impl Into<TreeView<'a>>,
         idx: usize,
         opts: QueryOptions,
     ) -> Result<PointAnswer, TreeError> {
+        let tree = tree.into();
         tree.check_indices(&[idx])?;
         let now = tree.arrivals();
         let (selected, uncovered) = cover(tree, &[idx], opts);
         if let Some(entry) = selected.first() {
-            let s = entry.summary;
+            let s = &entry.summary;
             return Ok(PointAnswer {
                 value: s.value_at(now, idx),
                 error_bound: s.error_bound_at(now, idx),
@@ -642,16 +634,17 @@ pub mod reference {
         })
     }
 
-    /// The pre-engine [`SwatTree::inner_product_with`].
+    /// The pre-engine [`TreeView::inner_product_with`].
     ///
     /// # Errors
     ///
-    /// As [`SwatTree::inner_product_with`].
-    pub fn inner_product_with(
-        tree: &SwatTree,
+    /// As [`TreeView::inner_product_with`].
+    pub fn inner_product_with<'a>(
+        tree: impl Into<TreeView<'a>>,
         query: &InnerProductQuery,
         opts: QueryOptions,
     ) -> Result<InnerProductAnswer, TreeError> {
+        let tree = tree.into();
         tree.check_indices(query.indices())?;
         let now = tree.arrivals();
         let (selected, uncovered) = cover(tree, query.indices(), opts);
@@ -663,7 +656,7 @@ pub mod reference {
         let mut value = 0.0;
         let mut error_bound = 0.0;
         for entry in &selected {
-            let s = entry.summary;
+            let s = &entry.summary;
             let width = s.width();
             let lo = s.range().lo();
             let hi = s.range().hi();
@@ -718,16 +711,17 @@ pub mod reference {
         })
     }
 
-    /// The pre-engine [`SwatTree::range_query_with`].
+    /// The pre-engine [`TreeView::range_query_with`].
     ///
     /// # Errors
     ///
-    /// As [`SwatTree::range_query_with`].
-    pub fn range_query_with(
-        tree: &SwatTree,
+    /// As [`TreeView::range_query_with`].
+    pub fn range_query_with<'a>(
+        tree: impl Into<TreeView<'a>>,
         query: &RangeQuery,
         opts: QueryOptions,
     ) -> Result<Vec<RangeMatch>, TreeError> {
+        let tree = tree.into();
         let indices: Vec<usize> = (query.newest..=query.oldest).collect();
         tree.check_indices(&indices)?;
         let now = tree.arrivals();
@@ -741,7 +735,7 @@ pub mod reference {
             crate::range::ValueRange::new(query.center - query.radius, query.center + query.radius);
         let mut matches = Vec::new();
         for entry in &selected {
-            let s = entry.summary;
+            let s = &entry.summary;
             // Prune: if the node's exact range cannot reach the band, no
             // value reconstructed from it (clamped into the range) can.
             if !s.range().intersects(&band) {
@@ -762,12 +756,13 @@ pub mod reference {
         Ok(matches)
     }
 
-    /// The pre-engine [`SwatTree::reconstruct_window`].
+    /// The pre-engine [`TreeView::reconstruct_window`].
     ///
     /// # Errors
     ///
-    /// As [`SwatTree::reconstruct_window`].
-    pub fn reconstruct_window(tree: &SwatTree) -> Result<Vec<f64>, TreeError> {
+    /// As [`TreeView::reconstruct_window`].
+    pub fn reconstruct_window<'a>(tree: impl Into<TreeView<'a>>) -> Result<Vec<f64>, TreeError> {
+        let tree = tree.into();
         let n = tree.config().window();
         let indices: Vec<usize> = (0..n).collect();
         let now = tree.arrivals();
@@ -791,6 +786,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::config::SwatConfig;
+    use crate::tree::SwatTree;
 
     fn warm_tree(n: usize, values: impl IntoIterator<Item = f64>) -> SwatTree {
         let mut tree = SwatTree::new(SwatConfig::new(n).unwrap());

@@ -35,7 +35,7 @@ use crate::codec::{begin_frame, finish_frame, CodecError, Cursor};
 use crate::config::SwatConfig;
 use crate::node::Summary;
 use crate::range::ValueRange;
-use crate::tree::SwatTree;
+use crate::tree::{SwatTree, TreeView};
 use swat_wavelet::HaarCoeffs;
 
 pub(crate) const MAGIC: &[u8; 4] = b"SWAT";
@@ -127,7 +127,7 @@ impl From<CodecError> for SnapshotError {
 /// Write the shared tree body — magic, version, and the CONFIG / STATE /
 /// SUMMARIES sections — used by plain tree snapshots and (with a SUBS
 /// section appended) continuous-engine snapshots.
-pub(crate) fn write_tree_body(tree: &SwatTree, out: &mut Vec<u8>) {
+pub(crate) fn write_tree_body(tree: TreeView<'_>, out: &mut Vec<u8>) {
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
 
@@ -151,16 +151,19 @@ pub(crate) fn write_tree_body(tree: &SwatTree, out: &mut Vec<u8>) {
     let sec = begin_frame(out, SEC_SUMMARIES);
     out.extend_from_slice(&(tree.summary_count() as u64).to_le_bytes());
     // Summaries in query order (levels ascending, newest first): the
-    // restore path rebuilds each level queue in that order.
-    for (level, _, s) in tree.nodes() {
+    // restore path rebuilds each level queue in that order. Read from the
+    // header and the lane's rows in place.
+    let head = tree.head;
+    for (level, _, id) in head.nodes() {
+        let slot = head.slots[id];
+        let at = slot.at as usize;
         out.extend_from_slice(&(level as u64).to_le_bytes());
-        out.extend_from_slice(&s.created_at().to_le_bytes());
-        out.extend_from_slice(&s.range().lo().to_le_bytes());
-        out.extend_from_slice(&s.range().hi().to_le_bytes());
-        let coeffs = s.coeffs().coefficients();
-        out.extend_from_slice(&(coeffs.len() as u64).to_le_bytes());
-        for c in coeffs {
-            out.extend_from_slice(&c.to_le_bytes());
+        out.extend_from_slice(&slot.created_at.to_le_bytes());
+        out.extend_from_slice(&tree.row(at).to_le_bytes());
+        out.extend_from_slice(&tree.row(at + 1).to_le_bytes());
+        out.extend_from_slice(&u64::from(slot.stored).to_le_bytes());
+        for j in 0..slot.stored as usize {
+            out.extend_from_slice(&tree.row(at + 2 + j).to_le_bytes());
         }
     }
     finish_frame(out, sec);
@@ -334,15 +337,17 @@ fn read_summaries(
     Ok(queues)
 }
 
-impl SwatTree {
+impl TreeView<'_> {
     /// Serialize the tree's complete state (format version 2: checksummed
     /// framed sections; see the module docs).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.summary_count() * 64);
-        write_tree_body(self, &mut out);
+        write_tree_body(*self, &mut out);
         out
     }
+}
 
+impl SwatTree {
     /// Rebuild a tree from [`SwatTree::snapshot`] bytes.
     ///
     /// # Errors

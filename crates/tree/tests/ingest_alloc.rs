@@ -5,12 +5,10 @@
 //! The blocked ingest path keeps all per-chunk state in reusable
 //! buffers: the level lanes and precompiled merge plans live in
 //! [`IngestScratch`] for one tree and in a per-thread scratch for
-//! `StreamSet::extend_rows`. Both paths fill a level slot by overwriting the
-//! generation it evicts, inside the coefficient storage that generation
-//! already owns (inline stores for `k <= 4` never touch the heap at
-//! all), so there is no pool to warm: once every slot of a tree is
-//! populated, nothing allocates — for small budgets *and* for
-//! heap-backed `k = 16`.
+//! `StreamSet::extend_rows`. Every path fills a level slot by overwriting
+//! the lanes of the generation it evicts, which a block allocates once,
+//! with the block: nothing allocates after warm-up, for small budgets
+//! *and* for `k = 16`.
 //!
 //! Mirrors `query_alloc.rs`: a counting global allocator wrapping
 //! `System`, in a dedicated single-test integration binary so no
@@ -167,6 +165,18 @@ fn steady_state_batched_ingest_does_not_allocate() {
         assert_eq!(
             delta, 0,
             "steady-state extend_rows allocated {delta} times (k = {k})"
+        );
+
+        // The one-row lane step over the same blocks, unaligned: a row is
+        // one lane op per block, written into the slots in place.
+        let before = allocations();
+        for row in rows.chunks_exact(streams).cycle().take(3 * n + 1) {
+            set.push_row(row);
+        }
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "steady-state push_row over 37 streams allocated {delta} times (k = {k})"
         );
 
         // The set pass at a ragged width: two 16-lane blocks and one of 5.

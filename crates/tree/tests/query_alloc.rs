@@ -3,7 +3,8 @@
 //! A counting global allocator wraps `System`; after warming the tree,
 //! the scratch, and the output buffers, a block of mixed queries (point,
 //! batched point, single and batched inner product, range, and window
-//! reconstruction) must not allocate at all. This is a dedicated
+//! reconstruction) must not allocate at all — on a lone tree, and on one
+//! stream of a set through its view. This is a dedicated
 //! single-test integration binary so no concurrent test can perturb the
 //! counter. Only allocations made by the test thread itself are
 //! counted: the libtest harness thread wakes at timing-dependent
@@ -16,7 +17,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use swat_tree::{InnerProductQuery, QueryOptions, QueryScratch, RangeQuery, SwatConfig, SwatTree};
+use swat_tree::{
+    InnerProductQuery, QueryOptions, QueryScratch, RangeQuery, StreamSet, SwatConfig, SwatTree,
+};
 
 thread_local! {
     static MEASURED_THREAD: Cell<bool> = const { Cell::new(false) };
@@ -143,5 +146,42 @@ fn steady_state_query_serving_does_not_allocate() {
             delta, 0,
             "steady-state serving allocated {delta} times (k = {k})"
         );
+    }
+
+    // One stream of a set, through its view: the lane is read where its
+    // block stores it, at budgets whose summaries would live on the heap
+    // as owned values — nothing is materialized.
+    let streams = 37;
+    for k in [5usize, 8, 16] {
+        let mut set = StreamSet::new(SwatConfig::with_coefficients(n, k).unwrap(), streams);
+        for i in 0..3 * n {
+            let row: Vec<f64> = (0..streams)
+                .map(|s| ((i * 31 + s * 17) % 101) as f64 - 50.0)
+                .collect();
+            set.push_row(&row);
+        }
+        let opts = QueryOptions::default();
+        let query = InnerProductQuery::exponential(n / 2, 1e9);
+        let range = RangeQuery::new(0.0, 30.0, 3, n - 1);
+        let mut scratch = QueryScratch::new();
+        let mut matches = Vec::new();
+        let serve = |scratch: &mut QueryScratch, matches: &mut Vec<_>| {
+            for s in [0, 15, 16, 36] {
+                let tree = set.tree(s);
+                for idx in [0, 1, 17, n - 1] {
+                    tree.point_with(idx, opts).unwrap();
+                }
+                tree.inner_product_with(&query, opts).unwrap();
+                tree.range_query_with_scratch(&range, opts, scratch, matches)
+                    .unwrap();
+            }
+        };
+        serve(&mut scratch, &mut matches);
+        let before = allocations();
+        for _ in 0..16 {
+            serve(&mut scratch, &mut matches);
+        }
+        let delta = allocations() - before;
+        assert_eq!(delta, 0, "view queries allocated {delta} times (k = {k})");
     }
 }

@@ -12,7 +12,7 @@ use swat_tree::codec::write_frame;
 use swat_tree::query::reference;
 use swat_tree::{
     InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions, QueryScratch, RangeQuery,
-    ShardedStreamSet, StreamSet, SwatConfig, SwatTree, TreeError,
+    ShardedStreamSet, StreamSet, SwatConfig, SwatTree, TreeError, TreeView,
 };
 
 /// Window exponent, coefficient budget, and a stream that may leave the
@@ -241,9 +241,10 @@ proptest! {
     /// failing stream's error) exactly as `reference::point_with` and
     /// `reference::inner_product_with` do on that stream's tree — cold,
     /// warming and steady, at every `min_level` 0..=3, over rows full of
-    /// signed zeros, and with one hand-built, non-steady stream restored
-    /// through the set snapshot. Up to 39 streams: one 16-lane block, two,
-    /// and a ragged last block, split mid-block at three threads.
+    /// signed zeros, and with a hand-built, non-steady set restored
+    /// through the set snapshot (every stream cut alike: a set has one
+    /// geometry). Up to 39 streams: one 16-lane block, two, and a ragged
+    /// last block, split at a block boundary at three threads.
     #[test]
     fn set_queries_match_the_reference_per_stream(
         (n, k) in (2u32..=7).prop_flat_map(|log_n| (Just(1usize << log_n), 1..=1usize << log_n)),
@@ -275,16 +276,16 @@ proptest! {
             }
             clock = until;
             if until == n / 2 + 1 && hand_cut > 0 {
-                // From here on one stream keeps only its levels below
-                // `hand_cut` until the stream refills them: not steady.
-                set = hand_built(&set, streams / 2, hand_cut);
+                // From here on every stream keeps only its levels below
+                // `hand_cut` until the streams refill them: not steady.
+                set = hand_built(&set, hand_cut);
             }
             for min_level in 0..=3usize {
                 let opts = QueryOptions::at_level(min_level);
                 let indices: Vec<usize> = (0..n).chain([n / 2, 0]).collect();
                 let queries = query_mix(n);
-                let trees: Vec<&SwatTree> = (0..streams).map(|s| set.tree(s)).collect();
-                let shard_trees: Vec<&SwatTree> = (0..streams).map(|s| sharded.tree(s)).collect();
+                let trees: Vec<TreeView> = (0..streams).map(|s| set.tree(s)).collect();
+                let shard_trees: Vec<TreeView> = (0..streams).map(|s| sharded.tree(s)).collect();
                 let want_points = reference_points(&trees, &indices, opts);
                 let want_inners = reference_inners(&trees, &queries, opts);
                 let shard_points = reference_points(&shard_trees, &indices, opts);
@@ -306,7 +307,7 @@ type SetResult<T> = Result<Vec<Vec<T>>, TreeError>;
 /// Per stream, every index through the reference; the first failing
 /// stream's first error in place of the answers.
 fn reference_points(
-    trees: &[&SwatTree],
+    trees: &[TreeView],
     indices: &[usize],
     opts: QueryOptions,
 ) -> SetResult<PointAnswer> {
@@ -315,7 +316,7 @@ fn reference_points(
         .map(|tree| {
             indices
                 .iter()
-                .map(|&i| reference::point_with(tree, i, opts))
+                .map(|&i| reference::point_with(*tree, i, opts))
                 .collect()
         })
         .collect()
@@ -323,7 +324,7 @@ fn reference_points(
 
 /// As [`reference_points`] for a block of inner-product queries.
 fn reference_inners(
-    trees: &[&SwatTree],
+    trees: &[TreeView],
     queries: &[InnerProductQuery],
     opts: QueryOptions,
 ) -> SetResult<InnerProductAnswer> {
@@ -332,7 +333,7 @@ fn reference_inners(
         .map(|tree| {
             queries
                 .iter()
-                .map(|q| reference::inner_product_with(tree, q, opts))
+                .map(|q| reference::inner_product_with(*tree, q, opts))
                 .collect()
         })
         .collect()
@@ -361,10 +362,10 @@ fn same_inners(got: &SetResult<InnerProductAnswer>, want: &SetResult<InnerProduc
     same_sets(got, want, |a, b| inner_answers_identical(&Ok(*a), &Ok(*b)))
 }
 
-/// `set` with stream `stream` cut down to its levels below `cut`, taken
-/// through the set snapshot: its SWAT v2 body written here from the
-/// tree's nodes, the other streams' as their trees write them.
-fn hand_built(set: &StreamSet, stream: usize, cut: usize) -> StreamSet {
+/// `set` with every stream cut down to its levels below `cut`, taken
+/// through the set snapshot: each SWAT v2 body written here from the
+/// tree's nodes.
+fn hand_built(set: &StreamSet, cut: usize) -> StreamSet {
     let config = set.config();
     let mut bytes = b"SWMS".to_vec();
     bytes.push(2);
@@ -377,21 +378,15 @@ fn hand_built(set: &StreamSet, stream: usize, cut: usize) -> StreamSet {
         bytes.extend_from_slice(&(word as u64).to_le_bytes());
     }
     for s in 0..set.streams() {
-        let tree = set.tree(s);
-        let body = if s == stream {
-            tree_body_below(tree, cut)
-        } else {
-            tree.snapshot()
-        };
-        write_frame(&mut bytes, 5, &body);
+        write_frame(&mut bytes, 5, &tree_body_below(set.tree(s), cut));
     }
     let restored = StreamSet::restore(&bytes).unwrap();
-    assert!(!restored.tree(stream).is_steady());
+    assert!(!restored.tree(0).is_steady());
     restored
 }
 
 /// A SWAT v2 tree snapshot of `tree` keeping only its levels below `cut`.
-fn tree_body_below(tree: &SwatTree, cut: usize) -> Vec<u8> {
+fn tree_body_below(tree: TreeView, cut: usize) -> Vec<u8> {
     let config = tree.config();
     let mut out = b"SWAT".to_vec();
     out.push(2);

@@ -76,7 +76,7 @@ pub mod haar;
 pub mod thresholded;
 pub mod topk;
 
-pub use block::{forward_block, PairMergePlan, PairOp};
+pub use block::{forward_block, merge_pair, PairMergePlan, PairOp};
 pub use coeffs::{HaarCoeffs, MergeScratch};
 pub use error::WaveletError;
 pub use filterbank::OrthogonalFilter;

@@ -91,12 +91,15 @@ ROWS=(
     # scalar merge too: the lanes are where the optimizer vectorizes. And
     # the truncated Haar walk every query runs against the full walk, bit
     # for bit over signed zeros, one lane and sixteen, as optimized code;
-    # and the set pass's own unit tests, whose lanes vectorize too.
+    # the set pass's own unit tests, whose lanes vectorize too; the
+    # lane-major storage's unit tests; and the pinned snapshot bytes and
+    # digests, as the optimized writers produce them.
     "release equivalence"
-    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence &&
+    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence --test golden &&
      cargo test -q --release -p swat-wavelet --lib block &&
      cargo test -q --release -p swat-wavelet --lib haar:: &&
-     cargo test -q --release -p swat-tree --lib scratch::"
+     cargo test -q --release -p swat-tree --lib scratch:: &&
+     cargo test -q --release -p swat-tree --lib block::"
     ""
 
     # The folded CRC-32 path as the benchmark runs it: debug builds run the
