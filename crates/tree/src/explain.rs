@@ -25,7 +25,8 @@ pub struct PlanStep {
     pub serves: Vec<usize>,
 }
 
-/// The greedy cover of one query.
+/// The greedy cover of one query: the cover the query engine evaluates
+/// for a single query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryPlan {
     /// Selected nodes, in the paper's traversal order.
@@ -93,47 +94,11 @@ impl SwatTree {
         query: &InnerProductQuery,
         opts: QueryOptions,
     ) -> Result<QueryPlan, TreeError> {
-        let window = self.config().window();
-        for &idx in query.indices() {
-            if idx >= window {
-                return Err(TreeError::IndexOutOfWindow { index: idx, window });
-            }
-        }
-        let now = self.arrivals();
-        let mut covered = vec![false; query.len()];
-        let mut steps = Vec::new();
-        for (level, pos, summary) in self.nodes() {
-            if level < opts.min_level {
-                continue;
-            }
-            if covered.iter().all(|&c| c) {
-                break;
-            }
-            let (start, end) = summary.coverage(now);
-            let mut serves = Vec::new();
-            for (p, &idx) in query.indices().iter().enumerate() {
-                if !covered[p] && (start..=end).contains(&idx) {
-                    covered[p] = true;
-                    serves.push(idx);
-                }
-            }
-            if !serves.is_empty() {
-                steps.push(PlanStep {
-                    level,
-                    pos,
-                    coverage: (start, end),
-                    serves,
-                });
-            }
-        }
-        let uncovered: Vec<usize> = query
-            .indices()
-            .iter()
-            .zip(&covered)
-            .filter(|(_, &c)| !c)
-            .map(|(&idx, _)| idx)
-            .collect();
-        Ok(QueryPlan { steps, uncovered })
+        let tree = self.view();
+        tree.check_indices(query.indices())?;
+        Ok(crate::scratch::with_thread_scratch(|scratch| {
+            scratch.plan(tree.head, query.indices(), opts)
+        }))
     }
 }
 

@@ -14,7 +14,7 @@
 //! A tree stores its summaries as lanes of a block (`crate::block`), not
 //! as [`Summary`] values: a `Summary` is the owned form one tree's node
 //! takes when it leaves the tree — [`crate::TreeView::node`], snapshots
-//! restored, the growing tree and the frozen references.
+//! restored and the frozen references.
 //!
 //! # Coverage
 //!
@@ -102,13 +102,6 @@ impl Summary {
         (start, start + self.width() - 1)
     }
 
-    /// Whether this summary covers window index `idx` at arrival count
-    /// `now`.
-    pub fn covers(&self, now: u64, idx: usize) -> bool {
-        let (start, end) = self.coverage(now);
-        (start..=end).contains(&idx)
-    }
-
     /// Approximate value for window index `idx` at arrival count `now`,
     /// reconstructed from the truncated coefficients in `O(log width)` and
     /// clamped into the summary's exact range (clamping can only reduce
@@ -171,9 +164,6 @@ mod tests {
         assert_eq!(s.coverage(8), (0, 3));
         assert_eq!(s.coverage(9), (1, 4));
         assert_eq!(s.coverage(11), (3, 6));
-        assert!(s.covers(8, 0) && s.covers(8, 3));
-        assert!(!s.covers(8, 4));
-        assert!(s.covers(10, 2) && !s.covers(10, 1));
     }
 
     #[test]

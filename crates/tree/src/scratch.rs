@@ -88,11 +88,12 @@ use swat_wavelet::haar;
 
 use crate::block::{Block, Head};
 use crate::config::TreeError;
+use crate::explain::{PlanStep, QueryPlan};
 use crate::query::{
     InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions, RangeMatch, RangeQuery,
     WeightProfile,
 };
-use crate::tree::{SwatTree, TreeView};
+use crate::tree::{NodePos, SwatTree, TreeView};
 
 /// Sentinel in the serving map: no eligible node covers this index.
 const UNSERVED: u32 = u32::MAX;
@@ -522,6 +523,31 @@ impl QueryScratch {
                 self.uncovered.push(pos);
             }
         }
+    }
+
+    /// The greedy cover [`Self::cover_scan`] stages for `indices` on
+    /// `head`, as a [`QueryPlan`]: each selected node's place, coverage
+    /// and served indices, then the indices no eligible node covers.
+    pub(crate) fn plan(&mut self, head: &Head, indices: &[usize], opts: QueryOptions) -> QueryPlan {
+        self.cover_scan(head, IdxList::Slice(indices), opts);
+        let steps = self
+            .sel
+            .iter()
+            .map(|sn| PlanStep {
+                level: sn.piece.level,
+                pos: NodePos::ORDER[sn.piece.queue_index],
+                coverage: (
+                    sn.piece.start,
+                    sn.piece.start + (1 << sn.piece.log_width) - 1,
+                ),
+                serves: self.entries[sn.entries_start..][..sn.entries_len]
+                    .iter()
+                    .map(|&pos| indices[pos])
+                    .collect(),
+            })
+            .collect();
+        let uncovered = self.uncovered.iter().map(|&pos| indices[pos]).collect();
+        QueryPlan { steps, uncovered }
     }
 
     /// Greedy cover via the serving map plus a stable counting sort,
