@@ -86,16 +86,18 @@ ROWS=(
     "cargo test -q -p swat-tree --test ingest_equivalence && cargo test -q -p swat-tree --test ingest_alloc"
     ""
 
-    # Slot order, steadiness and both equivalence suites optimized — what
-    # the benchmark runs; no debug_assert. The lane kernels against the
-    # scalar merge too: the lanes are where the optimizer vectorizes. And
+    # Slot order, steadiness and the equivalence suites optimized — what
+    # the benchmark runs; no debug_assert — the growing tree's included,
+    # so its grow step's lane resize runs as optimized code. The lane
+    # kernels against the scalar merge too: the lanes are where the
+    # optimizer vectorizes. And
     # the truncated Haar walk every query runs against the full walk, bit
     # for bit over signed zeros, one lane and sixteen, as optimized code;
     # the set pass's own unit tests, whose lanes vectorize too; the
     # lane-major storage's unit tests; and the pinned snapshot bytes and
     # digests, as the optimized writers produce them.
     "release equivalence"
-    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence --test golden &&
+    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence --test golden --test growing_equivalence &&
      cargo test -q --release -p swat-wavelet --lib block &&
      cargo test -q --release -p swat-wavelet --lib haar:: &&
      cargo test -q --release -p swat-tree --lib scratch:: &&
