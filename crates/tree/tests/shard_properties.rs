@@ -24,13 +24,21 @@ fn column(len: usize) -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
-/// An arbitrary sharded workload: window shape, shard/thread counts,
-/// and the rows (one value per stream, enough of them to exercise
-/// several refresh cascades).
+/// An arbitrary sharded workload of up to `max_streams` streams: window
+/// shape, shard/thread counts, and the rows (one value per stream,
+/// enough of them to exercise several refresh cascades).
 #[allow(clippy::type_complexity)]
-fn workload() -> impl Strategy<Value = (usize, usize, Vec<Vec<f64>>, usize, usize)> {
-    (2u32..=5, 1usize..=4, 0usize..=17, 1usize..=9, 1usize..=9).prop_flat_map(
-        |(log_n, k, streams, shards, threads)| {
+fn workload(
+    max_streams: usize,
+) -> impl Strategy<Value = (usize, usize, Vec<Vec<f64>>, usize, usize)> {
+    (
+        2u32..=5,
+        1usize..=4,
+        0..=max_streams,
+        1usize..=9,
+        1usize..=9,
+    )
+        .prop_flat_map(|(log_n, k, streams, shards, threads)| {
             let n = 1usize << log_n;
             let k = k.min(n);
             let len = 2 * n + 3;
@@ -40,8 +48,7 @@ fn workload() -> impl Strategy<Value = (usize, usize, Vec<Vec<f64>>, usize, usiz
                     .collect();
                 (n, k, rows, shards, threads)
             })
-        },
-    )
+        })
 }
 
 /// The unsharded oracle and the sharded set over the same rows.
@@ -92,7 +99,7 @@ proptest! {
     /// global-order digests agree for every shard count.
     #[test]
     fn sharded_ingest_digest_matches_oracle(
-        (n, k, rows, shards, _threads) in workload()
+        (n, k, rows, shards, _threads) in workload(17)
     ) {
         let config = SwatConfig::with_coefficients(n, k).unwrap();
         let streams = rows[0].len();
@@ -104,7 +111,7 @@ proptest! {
     /// for every shard and thread count (success paths).
     #[test]
     fn sharded_queries_match_oracle(
-        (n, k, rows, shards, threads) in workload()
+        (n, k, rows, shards, threads) in workload(17)
     ) {
         let config = SwatConfig::with_coefficients(n, k).unwrap();
         let streams = rows[0].len();
@@ -123,11 +130,14 @@ proptest! {
     /// every shard count, thread count, and retention bound — both
     /// in-process and the way the daemon computes it: one free-standing
     /// `StreamSet` per shard fed its sub-rows, their `local_top_k`s
-    /// merged in shard order.
+    /// merged in shard order. Up to 40 streams, so a shard spans up to
+    /// three blocks, the last one ragged; `top_k` past 40 × 4
+    /// candidates, so some summaries never fill and others fill and
+    /// raise their floor partway through a block.
     #[test]
     fn distributed_top_k_is_exact(
-        (n, k, rows, shards, threads) in workload(),
-        top_k in 1usize..=20,
+        (n, k, rows, shards, threads) in workload(40),
+        top_k in 1usize..=170,
     ) {
         let config = SwatConfig::with_coefficients(n, k).unwrap();
         let streams = rows[0].len();
