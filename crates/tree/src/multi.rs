@@ -363,29 +363,28 @@ impl StreamSet {
         })
     }
 
-    /// The coefficients of every stream's root summary — the newest at
-    /// the highest populated level — lane by lane in stream order, for
-    /// `f(stream, coefficient index, value)`; nothing before the first
-    /// level-0 summary exists. Read from each block's rows in place.
-    pub(crate) fn for_each_root_coefficient(&self, mut f: impl FnMut(usize, usize, f64)) {
-        let Some(head) = self.blocks.first().map(|b| &b.head) else {
-            return;
-        };
-        let Some(id) = (0..self.config.levels())
-            .rev()
-            .find_map(|l| head.slot(l, 0))
-        else {
-            return;
-        };
-        let slot = head.slots[id];
-        let coeffs = slot.at as usize + 2..slot.at as usize + 2 + slot.stored as usize;
-        for (b, block) in self.blocks.iter().enumerate() {
-            for w in 0..self.used(b) {
-                for (index, lane) in block.lanes[coeffs.clone()].iter().enumerate() {
-                    f(b * BLOCK + w, index, lane[w]);
-                }
-            }
-        }
+    /// The coefficient rows of every stream's root summary — the newest
+    /// at the highest populated level — block by block, read in place:
+    /// `(first, rows)` with `rows[index][w]` coefficient `index` of
+    /// stream `first + w`. A ragged block's spare lanes hold zeros; the
+    /// rows are empty before the first level-0 summary exists.
+    pub(crate) fn root_rows(&self) -> impl Iterator<Item = (usize, &[[f64; BLOCK]])> {
+        let coeffs = self
+            .blocks
+            .first()
+            .and_then(|block| {
+                let head = &block.head;
+                let id = (0..self.config.levels())
+                    .rev()
+                    .find_map(|l| head.slot(l, 0))?;
+                let at = head.slots[id].at as usize + 2;
+                Some(at..at + head.slots[id].stored as usize)
+            })
+            .unwrap_or(0..0);
+        self.blocks
+            .iter()
+            .enumerate()
+            .map(move |(b, block)| (b * BLOCK, &block.lanes[coeffs.clone()]))
     }
 
     /// Approximate inner product `Σ x_a[i] · x_b[i]` over the `m` newest

@@ -81,7 +81,7 @@ pub use coeffs::{HaarCoeffs, MergeScratch};
 pub use error::WaveletError;
 pub use filterbank::OrthogonalFilter;
 pub use thresholded::ThresholdedCoeffs;
-pub use topk::{TopCoeff, TopKSummary};
+pub use topk::{row_reaches, TopCoeff, TopKSummary};
 
 /// Returns `true` if `n` is a power of two (and nonzero).
 #[inline]

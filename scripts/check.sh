@@ -94,10 +94,13 @@ ROWS=(
     # the truncated Haar walk every query runs against the full walk, bit
     # for bit over signed zeros, one lane and sixteen, as optimized code;
     # the set pass's own unit tests, whose lanes vectorize too; the
-    # lane-major storage's unit tests; and the pinned snapshot bytes and
-    # digests, as the optimized writers produce them.
+    # lane-major storage's unit tests; the pinned snapshot bytes and
+    # digests, as the optimized writers produce them; and the sharded
+    # top-k against its brute-force ranking with the row-floor test, a
+    # loop the optimizer vectorizes, beside its own unit tests.
     "release equivalence"
-    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence --test golden --test growing_equivalence &&
+    "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence --test golden --test growing_equivalence --test shard_properties &&
+     cargo test -q --release -p swat-wavelet --lib topk &&
      cargo test -q --release -p swat-wavelet --lib block &&
      cargo test -q --release -p swat-wavelet --lib haar:: &&
      cargo test -q --release -p swat-tree --lib scratch:: &&
