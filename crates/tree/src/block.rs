@@ -41,7 +41,7 @@
 
 use crate::config::SwatConfig;
 use crate::node::Summary;
-use swat_wavelet::{forward_block, merge_pair};
+use swat_wavelet::merge_pair;
 
 /// The slot order of every level at once, kept in the block header
 /// beside the clock: two bits per level name the slot that holds the
@@ -322,12 +322,11 @@ impl<const W: usize> Block<W> {
             return; // First value ever: no pair to summarize yet.
         }
         // Level 0: summarize the two newest raw values (d_0, d_1).
-        let k = self.head.k();
         let t = self.head.t;
         let slot = self.refresh(0, t);
         slot[0] = lanes_min(row, &prev);
         slot[1] = lanes_max(row, &prev);
-        forward_block(row, &prev, k, &mut slot[2..]);
+        merge_pair(&[*row], &[prev], &mut slot[2..]);
         self.cascade_from(1);
     }
 

@@ -8,11 +8,11 @@
 //! * [`haar`] — the non-normalized Haar transform (pairwise average /
 //!   half-difference) used throughout the paper, with full forward and
 //!   inverse multilevel transforms over power-of-two signals,
-//! * [`block`] — lane kernels over the stored coefficient prefixes of
-//!   `W` summaries at once (`[f64; W]` per coefficient):
-//!   [`forward_block`] level-0 lanes and precompiled [`PairMergePlan`]
-//!   sibling merges, bit-identical to the scalar [`HaarCoeffs::merge`] —
-//!   the substrate of `swat-tree`'s blocked ingest fast path,
+//! * [`block`] — the lane merge [`merge_pair`]: the sibling merge of the
+//!   stored coefficient prefixes of `W` summaries at once (`[f64; W]`
+//!   per coefficient), level 0 included, on the one merge core
+//!   [`HaarCoeffs::merge`] runs — every merge of `swat-tree`'s per-arrival
+//!   and blocked cascades,
 //! * [`filterbank`] — periodic orthogonal filter banks, one generic
 //!   transform for the paper's remark that "any of the wavelet bases such
 //!   as Haar, Daubechies, … can be used": the orthonormal Haar (Parseval
@@ -76,7 +76,7 @@ pub mod haar;
 pub mod thresholded;
 pub mod topk;
 
-pub use block::{forward_block, merge_pair, PairMergePlan, PairOp};
+pub use block::merge_pair;
 pub use coeffs::{HaarCoeffs, MergeScratch};
 pub use error::WaveletError;
 pub use filterbank::OrthogonalFilter;

@@ -89,8 +89,9 @@ ROWS=(
     # Slot order, steadiness and the equivalence suites optimized — what
     # the benchmark runs; no debug_assert — the growing tree's included,
     # so its grow step's lane resize runs as optimized code. The lane
-    # kernels against the scalar merge too: the lanes are where the
-    # optimizer vectorizes. And
+    # merge against the scalar merge too: the lanes are where the
+    # optimizer vectorizes; and the scalar merge's own tests, the literal
+    # zero-pad cases and the one-summary instance of the merge core. And
     # the truncated Haar walk every query runs against the full walk, bit
     # for bit over signed zeros, one lane and sixteen, as optimized code;
     # the set pass's own unit tests, whose lanes vectorize too; the
@@ -102,6 +103,7 @@ ROWS=(
     "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence --test golden --test growing_equivalence --test shard_properties &&
      cargo test -q --release -p swat-wavelet --lib topk &&
      cargo test -q --release -p swat-wavelet --lib block &&
+     cargo test -q --release -p swat-wavelet --lib coeffs &&
      cargo test -q --release -p swat-wavelet --lib haar:: &&
      cargo test -q --release -p swat-tree --lib scratch:: &&
      cargo test -q --release -p swat-tree --lib block::"
