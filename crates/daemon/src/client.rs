@@ -28,7 +28,7 @@ use std::time::Duration;
 use swat_replication::RetryPolicy;
 
 use crate::driver::follow_redirects;
-use crate::proto::{check_frame, decode_response, encode_request, ProtoError, Request, Response};
+use crate::proto::{check_frame, decode_response, ProtoError, Request, Response};
 use crate::transport::{TcpTransport, Transport, TransportError};
 
 /// Why a client call failed.
@@ -90,9 +90,10 @@ impl DaemonClient {
     ///
     /// [`ClientError`] on transport or protocol failure.
     pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.tp.send_frame(&encode_request(req))?;
+        self.tp.queue_request(req);
+        self.tp.flush()?;
         let frame = self.tp.recv_frame()?;
-        let payload = check_frame(&frame).map_err(ClientError::Proto)?;
+        let payload = check_frame(frame).map_err(ClientError::Proto)?;
         decode_response(payload).map_err(ClientError::Proto)
     }
 
@@ -393,10 +394,8 @@ impl PeerPool {
             }
             // invariant: the branch above just filled `conn`.
             let tp = conn.as_mut().expect("just connected");
-            let answer = tp
-                .send_frame(&encode_request(req))
-                .ok()
-                .and_then(|()| recv_response(tp));
+            tp.queue_request(req);
+            let answer = tp.flush().ok().and_then(|()| recv_response(tp));
             match answer {
                 Some(resp) => return Some(resp),
                 None => *conn = None,
@@ -436,7 +435,7 @@ impl PeerPool {
             };
             for &(peer, req) in legs {
                 if let Some(tp) = conns[slot(peer)].as_mut() {
-                    tp.queue_frame(&encode_request(req));
+                    tp.queue_request(req);
                 }
             }
             for conn in &mut conns {
@@ -483,7 +482,7 @@ impl PeerPool {
 /// failure or protocol violation (the caller drops the connection).
 fn recv_response(tp: &mut TcpTransport) -> Option<Response> {
     let frame = tp.recv_frame().ok()?;
-    check_frame(&frame).and_then(decode_response).ok()
+    check_frame(frame).and_then(decode_response).ok()
 }
 
 #[cfg(test)]
@@ -526,7 +525,7 @@ mod tests {
     fn scripted_peer(
         script: impl Fn(usize, u64) -> Act + Send + Sync + 'static,
     ) -> (SocketAddr, PeerLog) {
-        use crate::proto::{decode_request, encode_response};
+        use crate::proto::decode_request;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let log = std::sync::Arc::new(Mutex::new(Vec::new()));
@@ -540,22 +539,22 @@ mod tests {
                     let mut tp = TcpTransport::new(stream, long, long).unwrap();
                     while let Ok(frame) = tp.recv_frame() {
                         let Ok(Request::Ping { nonce }) =
-                            check_frame(&frame).and_then(decode_request)
+                            check_frame(frame).and_then(decode_request)
                         else {
                             return;
                         };
                         seen.lock().unwrap().push((conn, nonce));
-                        let pong = |nonce| encode_response(&Response::Pong { nonce });
+                        let pong = |nonce| Response::Pong { nonce };
                         match script(conn, nonce) {
-                            Act::Reply => tp.queue_frame(&pong(nonce)),
+                            Act::Reply => tp.queue_response(&pong(nonce)),
                             Act::ReplyThenClose => {
-                                tp.queue_frame(&pong(nonce));
+                                tp.queue_response(&pong(nonce));
                                 let _ = tp.flush();
                                 return;
                             }
                             Act::ReplyLate(after) => {
                                 std::thread::sleep(after);
-                                tp.queue_frame(&pong(LATE));
+                                tp.queue_response(&pong(LATE));
                             }
                         }
                         if !tp.frame_buffered() && tp.flush().is_err() {

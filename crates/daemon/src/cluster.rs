@@ -31,7 +31,7 @@
 
 use std::collections::BTreeSet;
 
-use swat_tree::{shard_members, shard_of};
+use swat_tree::{all_finite, shard_members, shard_of};
 use swat_wavelet::TopKSummary;
 
 use crate::failover::Assignment;
@@ -315,7 +315,7 @@ impl LeaderCore {
     }
 
     fn plan_ingest(&self, req_id: u64, row: &[f64]) -> Plan {
-        if row.len() != self.map.streams() || row.iter().any(|v| !v.is_finite()) {
+        if row.len() != self.map.streams() || !all_finite(row) {
             return Plan::Done(Response::ErrorR {
                 code: ErrorCode::BadRequest,
             });

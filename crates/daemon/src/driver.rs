@@ -499,6 +499,30 @@ mod tests {
     }
 
     #[test]
+    fn a_leader_refuses_an_infinite_value_before_any_leg_is_sent() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 5, 7] {
+                let mut mem = Mem::ring();
+                // A round no leg may consume: any exchange would take it.
+                mem.script.push_back(Vec::new());
+                let mut row = vec![1.0; 8];
+                row[at] = bad;
+                assert_eq!(
+                    mem.serve_at(0, &Request::Ingest { req_id: 0, row }),
+                    Response::ErrorR {
+                        code: ErrorCode::BadRequest
+                    },
+                    "{bad} at {at}"
+                );
+                assert_eq!(mem.script.len(), 1, "no exchange ran");
+                for replica in &mem.nodes[1..] {
+                    assert_eq!(replica.arrivals(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_leaders_status_counts_its_acked_rows() {
         let mut mem = Mem::ring();
         for req_id in 0..3 {

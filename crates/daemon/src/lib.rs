@@ -60,8 +60,9 @@ pub use cluster::{stale_term_in, LeaderCore, PeerCall, Plan, ShardMap};
 pub use failover::{next_term, term_owner, Assignment, ShardSlot};
 pub use node::ClusterNode;
 pub use proto::{
-    check_frame, decode_request, decode_response, encode_request, encode_response, ErrorCode,
-    ProtoError, Request, Response, WireHealth, WireStoreHealth, MAX_FRAME, MAX_TOP_K,
+    check_frame, decode_request, decode_response, encode_request, encode_request_into,
+    encode_response, encode_response_into, ErrorCode, ProtoError, Request, Response, WireHealth,
+    WireStoreHealth, MAX_FRAME, MAX_TOP_K,
 };
 pub use registry::ReplicaRegistry;
 pub use replica::ReplicaNode;

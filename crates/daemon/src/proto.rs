@@ -7,6 +7,14 @@
 //! [u32 len] [u32 crc32(payload)] [payload = [u8 kind] [body...]]
 //! ```
 //!
+//! A frame is written where it is needed: [`encode_request_into`] and
+//! [`encode_response_into`] append one sealed frame — header reserved,
+//! payload appended behind it, then its length and CRC patched in over
+//! that payload alone — to a caller's buffer, typically a connection's
+//! write queue with other frames already in it; [`encode_request`] and
+//! [`encode_response`] are the same into a fresh `Vec`. Either way the
+//! bytes are the same.
+//!
 //! The kind byte lives *inside* the checksummed payload — unlike the
 //! snapshot section frame, which keeps its tag outside the CRC — so
 //! **every** single-bit flip anywhere in a frame is detected: a flip in
@@ -896,27 +904,32 @@ impl Field for WireStoreHealth {
     }
 }
 
-/// A frame under construction: the header's eight bytes reserved, the
-/// payload (kind + body) to be appended behind them.
-fn begin_frame() -> Vec<u8> {
-    vec![0; HEADER_LEN]
-}
-
-/// Complete a [`begin_frame`] buffer: patch the payload's length and
-/// CRC-32 into the reserved header.
-fn finish_frame(mut frame: Vec<u8>) -> Vec<u8> {
-    let (header, payload) = frame.split_at_mut(HEADER_LEN);
+/// Append one sealed frame to `out`: the header's eight bytes reserved,
+/// the payload (kind + body) `payload` appends behind them, then its
+/// length and CRC-32 patched in. Whatever `out` held before is left as it
+/// was, so frames queue back to back in one buffer.
+fn seal_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    payload(out);
+    let (header, payload) = out[at..].split_at_mut(HEADER_LEN);
     debug_assert!(payload.len() <= MAX_FRAME, "outbound frame within bound");
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    frame
+}
+
+/// Append `req` to `out` as one complete wire frame (header + payload):
+/// the bytes [`encode_request`] returns, written where the caller wants
+/// them — a connection's write queue, say.
+pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
+    seal_into(out, |p| put_request(p, req));
 }
 
 /// Encode `req` as a complete wire frame (header + payload).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut frame = begin_frame();
-    put_request(&mut frame, req);
-    finish_frame(frame)
+    let mut frame = Vec::new();
+    encode_request_into(req, &mut frame);
+    frame
 }
 
 /// Append the unframed payload (kind + body) of `req`. [`Request::Fenced`]
@@ -1033,10 +1046,21 @@ fn put_request(p: &mut Vec<u8>, req: &Request) {
     }
 }
 
+/// Append `resp` to `out` as one complete wire frame (header + payload),
+/// as [`encode_request_into`] does a request.
+pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
+    seal_into(out, |p| put_response(p, resp));
+}
+
 /// Encode `resp` as a complete wire frame (header + payload).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut frame = begin_frame();
-    let p = &mut frame;
+    let mut frame = Vec::new();
+    encode_response_into(resp, &mut frame);
+    frame
+}
+
+/// Append the unframed payload (kind + body) of `resp`.
+fn put_response(p: &mut Vec<u8>, resp: &Response) {
     match resp {
         Response::HelloOk { node } => {
             p.push(K_HELLO_OK);
@@ -1142,7 +1166,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             epoch.put(p);
         }
     }
-    finish_frame(frame)
 }
 
 /// Split a complete frame into its verified payload: checks the length
@@ -1506,9 +1529,9 @@ mod tests {
 
     /// Frame a hand-built payload (kind + body).
     fn frame_of(payload: Vec<u8>) -> Vec<u8> {
-        let mut frame = begin_frame();
-        frame.extend_from_slice(&payload);
-        finish_frame(frame)
+        let mut frame = Vec::new();
+        seal_into(&mut frame, |p| p.extend_from_slice(&payload));
+        frame
     }
 
     #[test]
@@ -1546,6 +1569,29 @@ mod tests {
             let payload = check_frame(&frame).unwrap();
             assert_eq!(decode_response(payload).unwrap(), resp, "{resp:?}");
         }
+    }
+
+    #[test]
+    fn a_frame_encoded_into_a_queue_is_its_standalone_encoding() {
+        // Bytes already queued ahead, as on a connection: each frame must
+        // be sealed over its own payload only, and leave them alone.
+        let ahead = encode_request(&Request::Ping { nonce: 3 });
+        let mut queue = ahead.clone();
+        for req in sample_requests() {
+            let at = queue.len();
+            encode_request_into(&req, &mut queue);
+            assert_eq!(queue[at..], encode_request(&req), "{req:?}");
+            let payload = check_frame(&queue[at..]).unwrap();
+            assert_eq!(decode_request(payload).unwrap(), req);
+        }
+        for resp in sample_responses() {
+            let at = queue.len();
+            encode_response_into(&resp, &mut queue);
+            assert_eq!(queue[at..], encode_response(&resp), "{resp:?}");
+            let payload = check_frame(&queue[at..]).unwrap();
+            assert_eq!(decode_response(payload).unwrap(), resp);
+        }
+        assert_eq!(queue[..ahead.len()], ahead);
     }
 
     #[test]

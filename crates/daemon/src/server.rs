@@ -35,7 +35,7 @@
 //!   silently.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,7 +49,7 @@ use crate::client::PeerPool;
 use crate::cluster::Plan;
 use crate::driver::{self, Fabric};
 use crate::node::ClusterNode;
-use crate::proto::{check_frame, decode_request, encode_response, Request, Response};
+use crate::proto::{check_frame, decode_request, Request, Response};
 use crate::transport::{TcpTransport, Transport, TransportError, READ_CHUNK};
 
 /// Which role this node boots as.
@@ -258,6 +258,22 @@ impl ServerHandle {
         // deliberate — teardown must finish for the remaining threads,
         // and the panic already surfaced on stderr.
         if let Some(t) = self.accept_thread.take() {
+            // The accept loop blocks in `accept`: one connection of our own
+            // wakes it to see the stop flag. A refused or timed-out dial is
+            // tried again until the loop has gone.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            while !t.is_finished() {
+                if TcpStream::connect_timeout(&wake, Duration::from_millis(100)).is_ok() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
             let _ = t.join();
         }
         if let Some(t) = self.hb_thread.take() {
@@ -302,7 +318,7 @@ pub fn spawn(cfg: DaemonConfig) -> io::Result<ServerHandle> {
 /// Store-recovery or listener-configuration failures.
 pub fn spawn_on(listener: TcpListener, cfg: DaemonConfig) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
 
     let cluster = !cfg.peers.is_empty();
     let standbys = cluster && cfg.standbys;
@@ -383,11 +399,15 @@ pub fn spawn_on(listener: TcpListener, cfg: DaemonConfig) -> io::Result<ServerHa
 
     let accept_inner = inner.clone();
     let accept_threads = conn_threads.clone();
+    // Blocks in `accept`; `stop` and `kill` raise the flag, then connect
+    // once to wake it (`ServerHandle::join_all`), and that connection is
+    // dropped unserved.
     let accept_thread = std::thread::spawn(move || loop {
+        let accepted = listener.accept();
         if accept_inner.stop.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let conn_inner = accept_inner.clone();
                 let t = std::thread::spawn(move || {
@@ -397,9 +417,8 @@ pub fn spawn_on(listener: TcpListener, cfg: DaemonConfig) -> io::Result<ServerHa
                     g.push(t);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A connection reset before it was taken costs only itself.
+            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
             Err(_) => break,
         }
     });
@@ -470,7 +489,7 @@ fn serve_connection(inner: Arc<Inner>, stream: std::net::TcpStream, io_timeout: 
             // upstream as ProtoError::Oversize).
             Err(_) => break,
         };
-        let req = match check_frame(&frame).and_then(decode_request) {
+        let req = match check_frame(frame).and_then(decode_request) {
             Ok(r) => r,
             // Malformed frame: typed error, closed connection. Never a
             // panic, and the violator cannot keep the thread busy.
@@ -481,7 +500,7 @@ fn serve_connection(inner: Arc<Inner>, stream: std::net::TcpStream, io_timeout: 
         if inner.killed.load(Ordering::SeqCst) {
             return;
         }
-        tp.queue_frame(&encode_response(&resp));
+        tp.queue_response(&resp);
         let last = matches!(req, Request::Shutdown);
         if (last || !tp.frame_buffered() || tp.queued() >= READ_CHUNK) && tp.flush().is_err() {
             return;

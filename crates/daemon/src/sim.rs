@@ -270,7 +270,7 @@ impl Sim {
             };
             let arrived = match self.mode {
                 SimMode::Wire => {
-                    let payload = check_frame(&frame).expect("the sim link never corrupts frames");
+                    let payload = check_frame(frame).expect("the sim link never corrupts frames");
                     decode_request(payload).expect("a valid frame decodes")
                 }
                 SimMode::Model => req.clone(),
@@ -285,7 +285,7 @@ impl Sim {
             };
             return Some(match self.mode {
                 SimMode::Wire => {
-                    let payload = check_frame(&frame).expect("the sim link never corrupts frames");
+                    let payload = check_frame(frame).expect("the sim link never corrupts frames");
                     decode_response(payload).expect("a valid frame decodes")
                 }
                 SimMode::Model => resp,

@@ -1,22 +1,30 @@
 //! The blocking frame transport: one trait, two worlds.
 //!
 //! [`Transport`] moves complete wire frames (header + payload, see
-//! [`crate::proto`]) between two endpoints. The daemon logic above it
-//! is identical for both implementations:
+//! [`crate::proto`]) between two endpoints. A received frame is lent,
+//! not handed over: [`Transport::recv_frame`] returns a slice of the
+//! transport's own storage, valid until the next call, which the caller
+//! checks and decodes in place. The daemon logic above it is identical
+//! for both implementations:
 //!
 //! * [`TcpTransport`] — a real `std::net::TcpStream` with **read and
 //!   write deadlines on every socket operation** (no call can hang a
 //!   connection thread forever), the [`MAX_FRAME`] bound enforced
 //!   before any allocation, and a buffer on each side of the socket: one
-//!   `read` per burst of frames, one `write` per queue of them. The
-//!   trait is unaware of that; pipelining callers use the inherent
-//!   `queue_frame` / `flush` / `frame_buffered`.
+//!   `read` per burst of frames, each lent out of the read buffer where
+//!   it landed, and one `write` per queue of frames, each encoded
+//!   straight into the queue. The trait is unaware of that; pipelining
+//!   callers use the inherent `queue_request` / `queue_response` /
+//!   `flush` / `frame_buffered`. A row's bytes are therefore copied once
+//!   per hop on each side: decoded out of the read buffer, encoded into
+//!   the write queue.
 //! * [`SimTransport`] — a deterministic in-process endpoint pair over a
 //!   shared [`SimNet`], where every send is adjudicated by the
 //!   `swat-net` fault injector ([`swat_net::Link`]): delivered at a
 //!   tick, dropped, or refused because an endpoint is inside a crash
 //!   window. Same seed, same plan, same call sequence ⇒ same fates —
-//!   the property the oracle test builds on.
+//!   the property the oracle test builds on. It lends the frame it last
+//!   took from its inbox.
 //!
 //! Failures are typed ([`TransportError`]); a timeout is
 //! distinguishable from a peer close, and a protocol violation carries
@@ -32,7 +40,9 @@ use std::time::Duration;
 
 use swat_net::{Delivery, FaultPlan, Link, NodeId};
 
-use crate::proto::{ProtoError, HEADER_LEN, MAX_FRAME};
+use crate::proto::{
+    encode_request_into, encode_response_into, ProtoError, Request, Response, HEADER_LEN, MAX_FRAME,
+};
 
 /// Why a frame could not cross the transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,14 +92,16 @@ pub trait Transport {
     /// is the fault model, not an error here.
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError>;
 
-    /// Receive one complete frame.
+    /// Receive one complete frame, lent out of the transport's own
+    /// storage until the next call: the caller checks and decodes it in
+    /// place, and no frame is copied on the way in.
     ///
     /// # Errors
     ///
     /// [`TransportError::TimedOut`] if no frame arrives within the
     /// deadline, [`TransportError::Closed`] on EOF, or a typed
     /// protocol/I/O failure.
-    fn recv_frame(&mut self) -> Result<Vec<u8>, TransportError>;
+    fn recv_frame(&mut self) -> Result<&[u8], TransportError>;
 }
 
 fn io_err(context: &'static str, e: &std::io::Error) -> TransportError {
@@ -100,31 +112,34 @@ fn io_err(context: &'static str, e: &std::io::Error) -> TransportError {
     }
 }
 
-/// Bytes asked of the socket per `read`, the read buffer's resting
-/// size, and the queue length past which a server flushes held-back
-/// responses: several frames of any workload's row, one loopback
-/// segment.
+/// Bytes asked of the socket per `read`, the resting size of the read
+/// buffer and of the write queue, and the queue length past which a
+/// server flushes held-back responses: several frames of any workload's
+/// row, one loopback segment.
 pub const READ_CHUNK: usize = 64 * 1024;
 
 /// A deadline-bounded, buffered TCP frame stream.
 ///
 /// Reads go through an owned buffer: one `read` takes whatever the
 /// socket holds — often several pipelined frames — and
-/// [`recv_frame`](Transport::recv_frame) touches the socket again only
-/// when the buffer does not hold a complete frame. Bytes of a partial
-/// frame stay buffered across a [`TransportError::TimedOut`], so a peer
-/// that pauses mid-frame resumes where it stopped. Writes can be queued
-/// ([`queue_frame`](Self::queue_frame)) and sent with one `write`
+/// [`recv_frame`](Transport::recv_frame) lends the next frame out of it
+/// in place, touching the socket again only when the buffer does not
+/// hold a complete frame. Bytes of a partial frame stay buffered across
+/// a [`TransportError::TimedOut`], so a peer that pauses mid-frame
+/// resumes where it stopped. Writes can be queued, each frame encoded
+/// straight into the queue ([`queue_request`](Self::queue_request),
+/// [`queue_response`](Self::queue_response)), and sent with one `write`
 /// ([`flush`](Self::flush)).
 pub struct TcpTransport {
     stream: TcpStream,
     /// Read storage, initialized once so a `read` needs no zeroing.
     /// `rbuf[rpos..rend]` holds received bytes not yet handed out and
-    /// starts at a frame boundary.
+    /// starts at a frame boundary; the frame lent out last lies just
+    /// before `rpos`.
     rbuf: Vec<u8>,
     rpos: usize,
     rend: usize,
-    /// Frames queued by [`Self::queue_frame`], not yet written.
+    /// Frames queued, not yet written.
     wbuf: Vec<u8>,
     /// `write`s issued: direct sends plus flushes of a non-empty queue.
     writes: u64,
@@ -156,10 +171,17 @@ impl TcpTransport {
         &self.stream
     }
 
-    /// Append one complete frame to the write queue. Nothing reaches the
-    /// socket before [`Self::flush`].
-    pub fn queue_frame(&mut self, frame: &[u8]) {
-        self.wbuf.extend_from_slice(frame);
+    /// Append `req` to the write queue as one sealed frame, encoded in
+    /// place ([`encode_request_into`]). Nothing reaches the socket before
+    /// [`Self::flush`].
+    pub fn queue_request(&mut self, req: &Request) {
+        encode_request_into(req, &mut self.wbuf);
+    }
+
+    /// Append `resp` to the write queue as one sealed frame, encoded in
+    /// place ([`encode_response_into`]).
+    pub fn queue_response(&mut self, resp: &Response) {
+        encode_response_into(resp, &mut self.wbuf);
     }
 
     /// Bytes queued and not yet flushed.
@@ -181,6 +203,9 @@ impl TcpTransport {
         self.writes += 1;
         let sent = self.stream.write_all(&self.wbuf);
         self.wbuf.clear();
+        // A queue beyond one read chunk (a shard snapshot, a long
+        // pipeline) grew the buffer; an idle connection does not keep it.
+        self.wbuf.shrink_to(READ_CHUNK);
         sent.map_err(|e| io_err("writing queued frames", &e))
     }
 
@@ -206,10 +231,9 @@ impl TcpTransport {
             .is_some_and(|len| len <= MAX_FRAME && self.rend - self.rpos >= HEADER_LEN + len)
     }
 
-    /// Hand out the `total` buffered bytes of the next frame.
-    fn take_frame(&mut self, total: usize) -> Vec<u8> {
-        let frame = self.rbuf[self.rpos..self.rpos + total].to_vec();
-        self.rpos += total;
+    /// Once every buffered byte has been handed out (the last frame lent
+    /// is no longer borrowed by now), start the buffer over at its front.
+    fn release_drained(&mut self) {
         if self.rpos == self.rend {
             self.rpos = 0;
             self.rend = 0;
@@ -220,7 +244,6 @@ impl TcpTransport {
                 self.rbuf.shrink_to_fit();
             }
         }
-        frame
     }
 
     /// One `read` into the buffer, which must end up holding `want` bytes
@@ -250,7 +273,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         if !self.wbuf.is_empty() {
-            self.queue_frame(frame);
+            self.wbuf.extend_from_slice(frame);
             return self.flush();
         }
         self.writes += 1;
@@ -259,8 +282,9 @@ impl Transport for TcpTransport {
             .map_err(|e| io_err("writing frame", &e))
     }
 
-    fn recv_frame(&mut self) -> Result<Vec<u8>, TransportError> {
-        loop {
+    fn recv_frame(&mut self) -> Result<&[u8], TransportError> {
+        self.release_drained();
+        let total = loop {
             let want = match self.buffered_len() {
                 None => HEADER_LEN,
                 // Checked from the header alone, before the buffer grows.
@@ -269,13 +293,14 @@ impl Transport for TcpTransport {
                         len: len as u64,
                     }));
                 }
-                Some(len) if self.rend - self.rpos >= HEADER_LEN + len => {
-                    return Ok(self.take_frame(HEADER_LEN + len));
-                }
+                Some(len) if self.rend - self.rpos >= HEADER_LEN + len => break HEADER_LEN + len,
                 Some(len) => HEADER_LEN + len,
             };
             self.fill(want)?;
-        }
+        };
+        let at = self.rpos;
+        self.rpos += total;
+        Ok(&self.rbuf[at..self.rpos])
     }
 }
 
@@ -367,6 +392,8 @@ pub struct SimTransport {
     peer: NodeId,
     /// Ticks a receive may wait before reporting [`TransportError::TimedOut`].
     recv_deadline: u64,
+    /// The frame received last, lent out by [`Transport::recv_frame`].
+    last: Vec<u8>,
 }
 
 impl SimTransport {
@@ -378,6 +405,7 @@ impl SimTransport {
             me,
             peer,
             recv_deadline,
+            last: Vec::new(),
         }
     }
 }
@@ -399,10 +427,13 @@ impl Transport for SimTransport {
         }
     }
 
-    fn recv_frame(&mut self) -> Result<Vec<u8>, TransportError> {
+    fn recv_frame(&mut self) -> Result<&[u8], TransportError> {
         let mut net = self.net.borrow_mut();
         match net.take_within(self.me, self.recv_deadline) {
-            Some(frame) => Ok(frame),
+            Some(frame) => {
+                self.last = frame;
+                Ok(&self.last)
+            }
             None => {
                 // The deadline elapsed waiting.
                 net.advance(self.recv_deadline);
@@ -466,15 +497,74 @@ mod tests {
             }
         });
         for frame in frames.iter().chain(&frames).chain(&frames) {
-            assert_eq!(&tp.recv_frame().unwrap(), frame);
+            assert_eq!(tp.recv_frame().unwrap(), &frame[..]);
         }
         writer.join().unwrap();
         assert!(!tp.frame_buffered());
+        assert_eq!(tp.recv_frame(), Err(TransportError::Closed));
         assert_eq!(
             tp.rbuf.len(),
             READ_CHUNK,
             "the long frame's growth is given back"
         );
+    }
+
+    #[test]
+    fn a_frame_is_lent_in_place_and_a_long_one_is_given_back_once_drained() {
+        let (mut raw, mut tp) = pair(Duration::from_millis(50));
+        let long = encode_request(&Request::Ingest {
+            req_id: 3,
+            row: (0..READ_CHUNK / 2).map(|i| i as f64 - 7.5).collect(),
+        });
+        let short = encode_request(&Request::Ping { nonce: 4 });
+        assert!(long.len() > 4 * READ_CHUNK);
+        raw.write_all(&long).unwrap();
+        let at = {
+            let frame = tp.recv_frame().unwrap();
+            assert_eq!(frame, &long[..]);
+            frame.as_ptr()
+        };
+        assert!(tp.rbuf.as_ptr_range().contains(&at), "lent, not copied");
+        // Drained, but the frame may still be lent: nothing moves until
+        // the next receive.
+        assert!(tp.rbuf.len() >= long.len(), "grown to hold the frame");
+        assert_eq!(tp.recv_frame(), Err(TransportError::TimedOut));
+        assert_eq!(tp.rbuf.len(), READ_CHUNK, "the growth is given back");
+        // The buffer starts over at its front and still frames.
+        raw.write_all(&short).unwrap();
+        assert_eq!(tp.recv_frame().unwrap(), &short[..]);
+        assert_eq!(tp.rbuf.len(), READ_CHUNK);
+    }
+
+    #[test]
+    fn a_queue_is_encoded_in_place_and_a_long_one_is_given_back() {
+        let (raw, mut b) = pair(Duration::from_secs(5));
+        let mut a = TcpTransport::new(raw, Duration::from_secs(5), Duration::from_secs(5)).unwrap();
+        let reqs = sample_requests();
+        let resps = sample_responses();
+        for req in &reqs {
+            a.queue_request(req);
+        }
+        for resp in &resps {
+            a.queue_response(resp);
+        }
+        let long = Response::ShardStateR {
+            shard: 0,
+            epoch: 1,
+            arrivals: 2,
+            applied: Vec::new(),
+            snapshot: vec![0xA5; 3 * READ_CHUNK],
+        };
+        a.queue_response(&long);
+        a.flush().unwrap();
+        assert_eq!(a.writes(), 1);
+        assert!(a.wbuf.capacity() <= READ_CHUNK, "the growth is given back");
+        for req in &reqs {
+            assert_eq!(b.recv_frame().unwrap(), encode_request(req));
+        }
+        for resp in resps.iter().chain([&long]) {
+            assert_eq!(b.recv_frame().unwrap(), encode_response(resp));
+        }
     }
 
     #[test]
@@ -484,24 +574,24 @@ mod tests {
         let pings: Vec<Vec<u8>> = (0..5)
             .map(|nonce| encode_request(&Request::Ping { nonce }))
             .collect();
-        for ping in &pings {
-            a.queue_frame(ping);
+        for nonce in 0..5 {
+            a.queue_request(&Request::Ping { nonce });
         }
         assert_eq!((a.writes(), a.queued()), (0, pings.concat().len()));
         a.flush().unwrap();
         a.flush().unwrap(); // an empty queue writes nothing
         assert_eq!((a.writes(), a.queued()), (1, 0));
         for (i, ping) in pings.iter().enumerate() {
-            assert_eq!(&b.recv_frame().unwrap(), ping);
+            assert_eq!(b.recv_frame().unwrap(), &ping[..]);
             // The one segment came in with the first read.
             assert_eq!(b.frame_buffered(), i + 1 < pings.len());
         }
         // `send_frame` behind a non-empty queue keeps the order.
-        a.queue_frame(&pings[3]);
+        a.queue_request(&Request::Ping { nonce: 3 });
         a.send_frame(&pings[1]).unwrap();
         assert_eq!(a.writes(), 2);
-        assert_eq!(b.recv_frame().unwrap(), pings[3]);
-        assert_eq!(b.recv_frame().unwrap(), pings[1]);
+        assert_eq!(b.recv_frame().unwrap(), &pings[3][..]);
+        assert_eq!(b.recv_frame().unwrap(), &pings[1][..]);
     }
 
     #[test]
@@ -519,8 +609,8 @@ mod tests {
         assert!(!tp.frame_buffered());
         raw.write_all(&first[cut..]).unwrap();
         raw.write_all(&second).unwrap();
-        assert_eq!(tp.recv_frame().unwrap(), first);
-        assert_eq!(tp.recv_frame().unwrap(), second);
+        assert_eq!(tp.recv_frame().unwrap(), &first[..]);
+        assert_eq!(tp.recv_frame().unwrap(), &second[..]);
     }
 
     #[test]
@@ -541,7 +631,7 @@ mod tests {
         let mut header = [0u8; HEADER_LEN];
         header[0..4].copy_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
         raw.write_all(&[&ok[..], &header[..]].concat()).unwrap();
-        assert_eq!(tp.recv_frame().unwrap(), ok);
+        assert_eq!(tp.recv_frame().unwrap(), &ok[..]);
         assert!(!tp.frame_buffered());
         assert_eq!(
             tp.recv_frame(),
@@ -560,7 +650,7 @@ mod tests {
         let req = Request::Ping { nonce: 77 };
         a.send_frame(&encode_request(&req)).unwrap();
         let frame = b.recv_frame().unwrap();
-        assert_eq!(decode_request(check_frame(&frame).unwrap()).unwrap(), req);
+        assert_eq!(decode_request(check_frame(frame).unwrap()).unwrap(), req);
         assert_eq!(b.recv_frame(), Err(TransportError::TimedOut));
     }
 

@@ -7,14 +7,24 @@
 //! thread's. (A standby used to re-wrap each row in a synthetic
 //! `Request::Ingest`: one row-sized copy per call.)
 //!
+//! The connection around a holding copies nothing either: a frame is
+//! checked and decoded where the socket's read left it, and the answer is
+//! encoded straight into the write queue, so a warm connection allocates
+//! only what the decoded request owns.
+//!
 //! Counted with a global allocator that only books allocations made by
 //! the thread under test, as in `ingest_alloc.rs` and `freeze_alloc.rs`;
 //! the tallies are per thread too, so the tests may run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
-use swat_daemon::{ClusterNode, Request, Response};
+use swat_daemon::{
+    check_frame, decode_request, decode_response, ClusterNode, Request, Response, TcpTransport,
+    Transport,
+};
 use swat_tree::{SwatConfig, ROW_TILE};
 
 struct CountingAlloc;
@@ -170,4 +180,90 @@ fn a_warm_durable_primary_ingests_without_allocating() {
         drop(node);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Fenced ingests of shard 1's sub-row, as a leader sends them.
+fn fenced_ingest(req_id: u64, width: usize) -> Request {
+    Request::Fenced {
+        term: 0,
+        leader: 0,
+        shard: 1,
+        epoch: 0,
+        inner: Box::new(Request::Ingest {
+            req_id,
+            row: row(req_id, width),
+        }),
+    }
+}
+
+#[test]
+fn a_warm_connection_receives_and_answers_in_place() {
+    const BURST: u64 = 8;
+    let width = STREAMS / SHARDS;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let deadline = Duration::from_secs(30);
+    let mut leader = TcpTransport::new(stream, deadline, deadline).unwrap();
+    let mut holder = TcpTransport::new(listener.accept().unwrap().0, deadline, deadline).unwrap();
+    // The leader's side is another thread, so none of it is booked: it
+    // sends bursts of frames and reads their answers before the next.
+    let sender = std::thread::spawn(move || {
+        for first in (0..WARM + MEASURED).step_by(BURST as usize) {
+            for req_id in first..first + BURST {
+                leader.queue_request(&fenced_ingest(req_id, width));
+            }
+            leader.flush().unwrap();
+            for req_id in first..first + BURST {
+                let frame = leader.recv_frame().unwrap();
+                let answer = decode_response(check_frame(frame).unwrap()).unwrap();
+                assert!(matches!(answer, Response::IngestOk { req_id: r, .. } if r == req_id));
+            }
+        }
+    });
+    // One request the way `serve_connection` takes it: received, checked
+    // and decoded in place, answered into the queue, flushed once no
+    // further frame is buffered. Returns what was decoded.
+    fn serve(holder: &mut TcpTransport) -> Request {
+        let req = decode_request(check_frame(holder.recv_frame().unwrap()).unwrap()).unwrap();
+        let Request::Fenced { ref inner, .. } = req else {
+            panic!("{req:?}");
+        };
+        let Request::Ingest { req_id, .. } = **inner else {
+            panic!("{inner:?}");
+        };
+        holder.queue_response(&Response::IngestOk {
+            req_id,
+            duplicate: false,
+            failed_shards: Vec::new(),
+        });
+        if !holder.frame_buffered() {
+            holder.flush().unwrap();
+        }
+        req
+    }
+    for _ in 0..WARM {
+        serve(&mut holder);
+    }
+    COUNT.with(|c| c.set(0));
+    BYTES.with(|b| b.set(0));
+    BOOKED.with(|b| b.set(true));
+    for _ in 0..MEASURED {
+        // Dropped at once: only its allocation is the request's.
+        serve(&mut holder);
+    }
+    BOOKED.with(|b| b.set(false));
+    let (count, bytes) = (COUNT.with(Cell::get), BYTES.with(Cell::get));
+    sender.join().unwrap();
+    // Per frame, the decoded request owns exactly two heap blocks: the
+    // box of the fenced inner request (one `Request`) and the row (`width`
+    // values). The frame itself is lent from the read buffer allocated at
+    // connect, its header and CRC are checked in place, and the answer
+    // is encoded into a write queue that reached its size during warm-up:
+    // none of that allocates.
+    let per_frame = std::mem::size_of::<Request>() + width * std::mem::size_of::<f64>();
+    assert_eq!(
+        (count, bytes),
+        (2 * MEASURED as usize, MEASURED as usize * per_frame),
+        "{MEASURED} fenced ingests received and answered"
+    );
 }

@@ -13,7 +13,8 @@
 //!    queries, a **replica** killed mid-run.
 //! 4. The connection worker itself, over raw sockets: requests that
 //!    arrive in one segment, a pause inside a frame, a violation behind
-//!    a valid request.
+//!    a valid request; and the accept loop woken from `accept` by `stop`
+//!    and `kill`.
 //!
 //! The acceptance bar: zero wrong answers. Degraded answers (explicit
 //! `failed_shards`, `Unavailable`, `complete: false`) are fine; silent
@@ -494,7 +495,7 @@ fn lone_node(io_timeout: Duration) -> (ServerHandle, TcpStream, TcpTransport) {
 
 fn next_response(reader: &mut TcpTransport) -> Response {
     let frame = reader.recv_frame().expect("a response frame");
-    decode_response(check_frame(&frame).expect("valid frame")).expect("valid response")
+    decode_response(check_frame(frame).expect("valid frame")).expect("valid response")
 }
 
 #[test]
@@ -515,14 +516,14 @@ fn requests_written_in_one_segment_are_answered_in_order() {
     )
     .expect("transport");
     // One `write` carries the row and the query that must see it.
-    pipelined.queue_frame(&encode_request(&Request::Ingest {
+    pipelined.queue_request(&Request::Ingest {
         req_id: 20,
         row: row(20),
-    }));
-    pipelined.queue_frame(&encode_request(&Request::Point {
+    });
+    pipelined.queue_request(&Request::Point {
         stream: 4,
         index: 0,
-    }));
+    });
     pipelined.flush().expect("one write");
     assert_eq!(pipelined.writes(), 1);
     oracle.push_row(&row(20));
@@ -574,6 +575,28 @@ fn a_pause_inside_a_frame_does_not_desynchronise_the_connection() {
         .expect("a whole frame");
     assert_eq!(next_response(&mut reader), Response::Pong { nonce: 42 });
     let _ = node.stop();
+}
+
+#[test]
+fn a_node_waiting_in_accept_is_woken_by_stop_and_by_kill() {
+    for kill in [false, true] {
+        let mut rc = DaemonConfig::localhost(Role::Replica { shard: 0 }, cfg(), STREAMS, 1);
+        // Bound to every interface: the wake-up dials loopback instead.
+        rc.listen = "0.0.0.0:0".parse().expect("static addr");
+        let node = spawn(rc).expect("node binds");
+        let local = SocketAddr::from(([127, 0, 0, 1], node.addr().port()));
+        let mut client = DaemonClient::connect(local, Duration::from_secs(2)).expect("connects");
+        assert!(matches!(client.status(), Ok(Response::StatusR { .. })));
+        drop(client);
+        let t0 = Instant::now();
+        if kill {
+            node.kill();
+        } else {
+            let _ = node.stop();
+        }
+        // An accept loop left blocked would never return: the join hangs.
+        assert!(t0.elapsed() < Duration::from_secs(5), "kill {kill}");
+    }
 }
 
 #[test]

@@ -47,6 +47,31 @@ thread_local! {
 /// every tile-completing row pays longer in proportion.
 pub const ROW_TILE: usize = 64;
 
+/// Whether every value is finite: no NaN, no ±∞. The one finiteness
+/// pass every row gets before a holding logs or applies it, and before a
+/// leader splits it into legs.
+///
+/// Branch-free, in eight independent lanes the optimizer keeps in vector
+/// registers: `v - v` is `0.0` for every finite `v` and NaN for NaN and
+/// ±∞, and a lane's running sum of those stays `0.0` until it meets the
+/// first NaN, which it keeps. The lanes' sum is therefore `0.0` exactly
+/// when every value is finite.
+#[allow(clippy::eq_op)] // `v - v` is the test: 0 when finite, NaN otherwise
+pub fn all_finite(values: &[f64]) -> bool {
+    const LANES: usize = 8;
+    let mut lanes = [0.0; LANES];
+    let mut chunks = values.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane += v - v;
+        }
+    }
+    for (lane, v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane += v - v;
+    }
+    lanes.iter().sum::<f64>() == 0.0
+}
+
 /// A set of synchronized streams, each summarized by its own SWAT.
 ///
 /// The trees are stored sixteen to a block, lane-major (`crate::block`):
@@ -142,7 +167,8 @@ impl StreamSet {
                 want: self.streams,
             });
         }
-        if !row.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        if !all_finite(row) {
+            // The position search runs only on a refused row.
             let stream = row
                 .iter()
                 .position(|v| !v.is_finite())
@@ -844,6 +870,68 @@ mod tests {
         });
         assert_eq!(grown.answers_digest(), restored.answers_digest());
         assert_eq!(grown.snapshot(), golden);
+    }
+
+    #[test]
+    fn all_finite_finds_every_non_finite_at_every_position() {
+        // Lengths 0..=40 cover no whole lane group, several, and every
+        // remainder of the eight lanes.
+        for len in 0..=40 {
+            let good: Vec<f64> = (0..len).map(|i| i as f64 * 0.75 - 9.0).collect();
+            assert!(all_finite(&good), "len {len}");
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in 0..len {
+                    let mut row = good.clone();
+                    row[at] = bad;
+                    assert!(!all_finite(&row), "{bad} at {at} of {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_finite_takes_every_finite_extreme() {
+        let extremes = [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+        ];
+        for len in 0..=40 {
+            let row: Vec<f64> = (0..len).map(|i| extremes[i % extremes.len()]).collect();
+            assert!(all_finite(&row), "len {len}");
+        }
+        // Extremes of both signs in one lane: their `v - v` terms are all
+        // zero, so no sum of them overflows.
+        assert!(all_finite(&[f64::MAX; 64]));
+        assert!(all_finite(&[f64::MIN, f64::MAX].repeat(32)));
+    }
+
+    #[test]
+    fn check_row_names_the_first_non_finite_stream() {
+        let set = StreamSet::new(SwatConfig::with_coefficients(16, 4).unwrap(), 37);
+        let good: Vec<f64> = (0..37).map(|i| i as f64).collect();
+        assert_eq!(set.check_row(&good), Ok(()));
+        for first in 0..37 {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut row = good.clone();
+                row[first] = bad;
+                // A second bad value further on is not the one named.
+                if let Some(later) = row.get_mut(first + 9) {
+                    *later = f64::NAN;
+                }
+                assert_eq!(
+                    set.check_row(&row),
+                    Err(TreeError::NonFiniteInRow { stream: first }),
+                    "{bad} at {first}"
+                );
+            }
+        }
     }
 
     #[test]

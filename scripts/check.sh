@@ -173,7 +173,10 @@ ROWS=(
     ""
 
     # Release mode, the timings the deadlines meet in production: the
-    # buffered transport, the coalesced fan-out and its scripted-peer
+    # finiteness pass every row gets (multi::, a loop the optimizer
+    # vectorizes), the buffered transport — frames lent from the read
+    # buffer, a long one's growth given back, frames encoded into the
+    # write queue — the coalesced fan-out and its scripted-peer
     # failure cases, the driver's loops over the scripted fabric and in the
     # simulator, the leader's merges (the top-k and the ingest ack rule),
     # the raw-socket connection-worker tests and the 2 000-row
@@ -182,7 +185,8 @@ ROWS=(
     # durable) read at every residue mod 64 against a row-by-row twin,
     # exported and installed, duplicates and refused rows inside a tile,
     # the unpersisted-promote/install rollbacks — and warm standby and
-    # durable primary rows under the counting allocator; a real swatd sole
+    # durable primary rows, and a warm connection's frames in and answers
+    # out, under the counting allocator; a real swatd sole
     # holder SIGKILLed and recovered with every acked row; then the
     # freezing push_row under the counting allocator and extend_rows
     # against the push_row loop.
