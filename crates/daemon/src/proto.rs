@@ -23,15 +23,21 @@
 //! stored CRC is a mismatch by definition. The frame fuzz test pins this
 //! for every bit of every representative message.
 //!
-//! A body is its message's fields in declaration order, each field type
-//! written and read by one private `Field` impl (DESIGN.md §3.12 has the
-//! table). Decoding is strict, and a message decodes only from the bytes
-//! it encodes to: the body must parse completely ([`ProtoError::
+//! Each message is declared once, as an entry of one `messages!` table
+//! per direction: its docs, its kind byte and its fields in wire order.
+//! The table generates the enum, the kind constants, the encoder and the
+//! decoder, so a body is its fields in declaration order both ways. Each
+//! field type is written and read by one private `Field` impl (DESIGN.md
+//! §3.12 has the table); a struct carried whole is one line of the
+//! `records!` table.
+//! Decoding is strict, and a message decodes only from the bytes it
+//! encodes to: the body must parse completely ([`ProtoError::
 //! TrailingBytes`] otherwise), lengths are bounded by [`MAX_FRAME`], a
 //! sequence's count is checked against the bytes left before anything
-//! is allocated, a bool is 0 or 1, `f64` fields reject NaN, and a fenced
-//! envelope's inner kind is checked before its body is read, so nesting
-//! is [`ProtoError::NestedFence`] at the first level and decode depth is
+//! is allocated, a bool or tag byte must name a value, `f64` fields
+//! reject NaN, and a fenced envelope's inner request (a `Box<Request>`
+//! field) has its kind checked before its body is read, so nesting is
+//! [`ProtoError::NestedFence`] at the first level and decode depth is
 //! bounded. Nothing in this module panics on adversarial input.
 //!
 //! The top-k path keeps to the same bound on the sending side:
@@ -124,148 +130,229 @@ impl From<CodecError> for ProtoError {
     }
 }
 
-/// A client- or leader-originated request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Handshake: the sender announces itself (0 = an external client).
-    Hello {
-        /// Sender's node id.
-        node: u64,
-    },
-    /// Liveness probe; answered with [`Response::Pong`] echoing `nonce`.
-    Ping {
-        /// Echo token tying the pong to this ping.
-        nonce: u64,
-    },
-    /// Apply one synchronized row. On the client→leader hop `row` is the
-    /// full global row; on the leader→replica hop it is the shard's
-    /// sub-row. `req_id` makes retries duplicate-safe end to end.
-    Ingest {
-        /// Write id (PR 5 scheme): retries reuse it; replicas re-ack
-        /// duplicates without re-applying.
-        req_id: u64,
-        /// The values, one per (global or shard-local) stream.
-        row: Vec<f64>,
-    },
-    /// Point query against one global stream.
-    Point {
-        /// Global stream id.
-        stream: u64,
-        /// Window index.
-        index: u32,
-    },
-    /// Range query (§"range" of the paper's query families) against one
-    /// global stream: indices in `newest..=oldest` whose approximate
-    /// value falls within `center ± radius`.
-    Range {
-        /// Global stream id.
-        stream: u64,
-        /// Center value `p`.
-        center: f64,
-        /// Radius `ε ≥ 0`.
-        radius: f64,
-        /// Most recent index (inclusive).
-        newest: u32,
-        /// Oldest index (inclusive).
-        oldest: u32,
-    },
-    /// Exact distributed top-k over every stream (client→leader), for
-    /// `1 ≤ k ≤` [`MAX_TOP_K`].
-    TopK {
-        /// How many coefficients.
-        k: u32,
-    },
-    /// A shard's part of the distributed top-k (leader→replica): the
-    /// replica's local top-k. Merging every shard's answer is the whole
-    /// answer, because shards own disjoint streams.
-    LocalTopK {
-        /// How many coefficients.
-        k: u32,
-    },
-    /// Health/introspection snapshot.
-    Status,
-    /// Graceful shutdown: drain, checkpoint, exit.
-    Shutdown,
-    /// A term/epoch-stamped envelope around intra-cluster traffic. The
-    /// receiver rejects it with [`Response::StaleTermR`] unless `term`
-    /// is current (adopting any newer term first), and — when `shard`
-    /// names a shard — with [`Response::StaleEpochR`] unless `epoch`
-    /// matches its holding. `shard == NO_SHARD` fences node-level
-    /// traffic (heartbeats) on the term alone. Nested fences are a
-    /// decode error ([`ProtoError::NestedFence`]).
-    Fenced {
-        /// The sender's leadership term.
-        term: u64,
-        /// The sender (the node claiming leadership of `term`).
-        leader: u64,
-        /// Target shard, or [`NO_SHARD`] for node-level traffic.
-        shard: u32,
-        /// The shard's configuration epoch (0 when `shard == NO_SHARD`).
-        epoch: u64,
-        /// The fenced request. Never itself a `Fenced`.
-        inner: Box<Request>,
-    },
-    /// A leadership claim: "I am the leader of `term`". Accepted iff
-    /// `term` is newer than the receiver's; the acceptance reply is
-    /// [`Response::SyncR`] describing the receiver's shard holdings, so
-    /// one round both fences the old leader out and rebuilds the new
-    /// leader's state.
-    NewTerm {
-        /// The claimed term.
-        term: u64,
-        /// The claimant's node id.
-        leader: u64,
-    },
-    /// Stream one acked row to a shard's standby (leader→standby), under
-    /// the same duplicate-safe `req_id` scheme as client ingest.
-    Replicate {
-        /// The sender's leadership term.
-        term: u64,
-        /// The shard being replicated.
-        shard: u32,
-        /// The shard's configuration epoch.
-        epoch: u64,
-        /// Write id; retries re-ack without re-applying.
-        req_id: u64,
-        /// The shard-local sub-row.
-        row: Vec<f64>,
-    },
-    /// Read a shard's full state off its current primary (leader-only),
-    /// answered with [`Response::ShardStateR`]. Used to seed a rejoined
-    /// node's standby copy.
-    FetchShard {
-        /// The sender's leadership term.
-        term: u64,
-        /// The shard to export.
-        shard: u32,
-    },
-    /// Install a full shard copy on the receiver as a standby at
-    /// `epoch` (leader→rejoined node). Overwrites any stale holding.
-    InstallShard {
-        /// The sender's leadership term.
-        term: u64,
-        /// The shard being installed.
-        shard: u32,
-        /// The configuration epoch the copy is current at.
-        epoch: u64,
-        /// Rows applied to the copy.
-        arrivals: u64,
-        /// The applied write ids (ascending), for duplicate absorption.
-        applied: Vec<u64>,
-        /// The shard's `StreamSet` snapshot (SWMS v2 bytes).
-        snapshot: Vec<u8>,
-    },
-    /// Make the receiver the shard's primary at `epoch` (leader-only).
-    /// Sent to a standby on primary death, and to a surviving primary
-    /// when a configuration change bumps the epoch under it.
-    Promote {
-        /// The sender's leadership term.
-        term: u64,
-        /// The shard.
-        shard: u32,
-        /// The new configuration epoch.
-        epoch: u64,
-    },
+/// One direction's messages, each declared once: its docs, then
+/// `#[kind(K_NAME = byte)]`, then the variant as the enum has it, fields
+/// in wire order. Generates the enum, one `u8` constant per kind, the
+/// encoder `$put` (the kind byte, then each field's [`Field::put`]) and
+/// the decoder `$body` (the same fields' [`Field::take`]s in the same
+/// order, an unlisted kind [`ProtoError::UnknownKind`]).
+macro_rules! messages {
+    (
+        encoder $put:ident, decoder $body:ident;
+
+        $(#[$attr:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[doc = $doc:literal])*
+                #[kind($kind:ident = $byte:literal)]
+                $variant:ident $({
+                    $(
+                        $(#[$field_attr:meta])*
+                        $field:ident: $ty:ty,
+                    )*
+                })?,
+            )*
+        }
+    ) => {
+        $(#[$attr])*
+        pub enum $name {
+            $(
+                $(#[doc = $doc])*
+                $variant $({
+                    $(
+                        $(#[$field_attr])*
+                        $field: $ty,
+                    )*
+                })?,
+            )*
+        }
+
+        $(const $kind: u8 = $byte;)*
+
+        /// Append the unframed payload (kind + body) of `msg`.
+        fn $put(p: &mut Vec<u8>, msg: &$name) {
+            match msg {
+                $($name::$variant $({ $($field),* })? => {
+                    p.push($kind);
+                    $($($field.put(p);)*)?
+                })*
+            }
+        }
+
+        /// The body of a message of kind `kind`.
+        fn $body(kind: u8, c: &mut Cursor<'_>) -> Result<$name, ProtoError> {
+            Ok(match kind {
+                $($kind => $name::$variant $({ $($field: take(c)?),* })?,)*
+                other => return Err(ProtoError::UnknownKind(other)),
+            })
+        }
+    };
+}
+
+// Requests are < 0x80. 0x08 stays unassigned: it named the two-round
+// top-k's refine request, and a peer still sending it must get
+// `UnknownKind`, not another message.
+messages! {
+    encoder put_request, decoder request_body;
+
+    /// A client- or leader-originated request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Handshake: the sender announces itself (0 = an external client).
+        #[kind(K_HELLO = 0x01)]
+        Hello {
+            /// Sender's node id.
+            node: u64,
+        },
+        /// Liveness probe; answered with [`Response::Pong`] echoing `nonce`.
+        #[kind(K_PING = 0x02)]
+        Ping {
+            /// Echo token tying the pong to this ping.
+            nonce: u64,
+        },
+        /// Apply one synchronized row. On the client→leader hop `row` is the
+        /// full global row; on the leader→replica hop it is the shard's
+        /// sub-row. `req_id` makes retries duplicate-safe end to end.
+        #[kind(K_INGEST = 0x03)]
+        Ingest {
+            /// Write id (PR 5 scheme): retries reuse it; replicas re-ack
+            /// duplicates without re-applying.
+            req_id: u64,
+            /// The values, one per (global or shard-local) stream.
+            row: Vec<f64>,
+        },
+        /// Point query against one global stream.
+        #[kind(K_POINT = 0x04)]
+        Point {
+            /// Global stream id.
+            stream: u64,
+            /// Window index.
+            index: u32,
+        },
+        /// Range query (§"range" of the paper's query families) against one
+        /// global stream: indices in `newest..=oldest` whose approximate
+        /// value falls within `center ± radius`.
+        #[kind(K_RANGE = 0x05)]
+        Range {
+            /// Global stream id.
+            stream: u64,
+            /// Center value `p`.
+            center: f64,
+            /// Radius `ε ≥ 0`.
+            radius: f64,
+            /// Most recent index (inclusive).
+            newest: u32,
+            /// Oldest index (inclusive).
+            oldest: u32,
+        },
+        /// Exact distributed top-k over every stream (client→leader), for
+        /// `1 ≤ k ≤` [`MAX_TOP_K`].
+        #[kind(K_TOPK = 0x06)]
+        TopK {
+            /// How many coefficients.
+            k: u32,
+        },
+        /// A shard's part of the distributed top-k (leader→replica): the
+        /// replica's local top-k. Merging every shard's answer is the whole
+        /// answer, because shards own disjoint streams.
+        #[kind(K_LOCAL_TOPK = 0x07)]
+        LocalTopK {
+            /// How many coefficients.
+            k: u32,
+        },
+        /// Health/introspection snapshot.
+        #[kind(K_STATUS = 0x09)]
+        Status,
+        /// Graceful shutdown: drain, checkpoint, exit.
+        #[kind(K_SHUTDOWN = 0x0A)]
+        Shutdown,
+        /// A term/epoch-stamped envelope around intra-cluster traffic. The
+        /// receiver rejects it with [`Response::StaleTermR`] unless `term`
+        /// is current (adopting any newer term first), and — when `shard`
+        /// names a shard — with [`Response::StaleEpochR`] unless `epoch`
+        /// matches its holding. `shard == NO_SHARD` fences node-level
+        /// traffic (heartbeats) on the term alone. Nested fences are a
+        /// decode error ([`ProtoError::NestedFence`]).
+        #[kind(K_FENCED = 0x0B)]
+        Fenced {
+            /// The sender's leadership term.
+            term: u64,
+            /// The sender (the node claiming leadership of `term`).
+            leader: u64,
+            /// Target shard, or [`NO_SHARD`] for node-level traffic.
+            shard: u32,
+            /// The shard's configuration epoch (0 when `shard == NO_SHARD`).
+            epoch: u64,
+            /// The fenced request. Never itself a `Fenced`.
+            inner: Box<Request>,
+        },
+        /// A leadership claim: "I am the leader of `term`". Accepted iff
+        /// `term` is newer than the receiver's; the acceptance reply is
+        /// [`Response::SyncR`] describing the receiver's shard holdings, so
+        /// one round both fences the old leader out and rebuilds the new
+        /// leader's state.
+        #[kind(K_NEW_TERM = 0x0C)]
+        NewTerm {
+            /// The claimed term.
+            term: u64,
+            /// The claimant's node id.
+            leader: u64,
+        },
+        /// Stream one acked row to a shard's standby (leader→standby), under
+        /// the same duplicate-safe `req_id` scheme as client ingest.
+        #[kind(K_REPLICATE = 0x0D)]
+        Replicate {
+            /// The sender's leadership term.
+            term: u64,
+            /// The shard being replicated.
+            shard: u32,
+            /// The shard's configuration epoch.
+            epoch: u64,
+            /// Write id; retries re-ack without re-applying.
+            req_id: u64,
+            /// The shard-local sub-row.
+            row: Vec<f64>,
+        },
+        /// Read a shard's full state off its current primary (leader-only),
+        /// answered with [`Response::ShardStateR`]. Used to seed a rejoined
+        /// node's standby copy.
+        #[kind(K_FETCH_SHARD = 0x0E)]
+        FetchShard {
+            /// The sender's leadership term.
+            term: u64,
+            /// The shard to export.
+            shard: u32,
+        },
+        /// Install a full shard copy on the receiver as a standby at
+        /// `epoch` (leader→rejoined node). Overwrites any stale holding.
+        #[kind(K_INSTALL_SHARD = 0x0F)]
+        InstallShard {
+            /// The sender's leadership term.
+            term: u64,
+            /// The shard being installed.
+            shard: u32,
+            /// The configuration epoch the copy is current at.
+            epoch: u64,
+            /// Rows applied to the copy.
+            arrivals: u64,
+            /// The applied write ids (ascending), for duplicate absorption.
+            applied: Vec<u64>,
+            /// The shard's `StreamSet` snapshot (SWMS v2 bytes).
+            snapshot: Vec<u8>,
+        },
+        /// Make the receiver the shard's primary at `epoch` (leader-only).
+        /// Sent to a standby on primary death, and to a surviving primary
+        /// when a configuration change bumps the epoch under it.
+        #[kind(K_PROMOTE = 0x10)]
+        Promote {
+            /// The sender's leadership term.
+            term: u64,
+            /// The shard.
+            shard: u32,
+            /// The new configuration epoch.
+            epoch: u64,
+        },
+    }
 }
 
 /// The `shard` value in [`Request::Fenced`] meaning "no shard: fence on
@@ -294,145 +381,169 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// A response. Degradation is explicit: [`Response::Overloaded`],
-/// [`Response::Unavailable`], and the `failed_shards` / `complete`
-/// fields say exactly what was *not* done — silent loss is a protocol
-/// violation the tests hunt for.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Handshake accepted; the responder announces its node id.
-    HelloOk {
-        /// Responder's node id.
-        node: u64,
-    },
-    /// Liveness echo.
-    Pong {
-        /// The ping's nonce.
-        nonce: u64,
-    },
-    /// Ingest outcome. `failed_shards` empty ⇔ the row is fully
-    /// applied; non-empty names every shard whose sub-row did **not**
-    /// apply (explicit degradation, never silent).
-    IngestOk {
-        /// The request's write id.
-        req_id: u64,
-        /// Whether this id had already been applied (retry absorbed).
-        duplicate: bool,
-        /// Shards that failed to apply the sub-row.
-        failed_shards: Vec<u32>,
-    },
-    /// Point answer.
-    PointR {
-        /// The approximation and its error bound.
-        answer: WirePointAnswer,
-    },
-    /// Range matches, ascending by index.
-    RangeR {
-        /// Matching indices and their approximate values.
-        matches: Vec<WireRangeMatch>,
-    },
-    /// Distributed top-k result. `complete == false` means one or more
-    /// shards were unreachable and their candidates are missing — the
-    /// entries present are still exact for the shards that answered.
-    TopKR {
-        /// Whether every shard contributed.
-        complete: bool,
-        /// The merged top-k, rank order.
-        entries: Vec<TopCoeff>,
-    },
-    /// A replica's local top-k.
-    LocalTopKR {
-        /// The local top-k entries, rank order.
-        entries: Vec<TopCoeff>,
-    },
-    /// Health snapshot.
-    StatusR {
-        /// This node's id.
-        node: u64,
-        /// The node's current leadership term.
-        term: u64,
-        /// Who the node believes leads that term.
-        leader: u64,
-        /// Rows applied so far (replica: local; leader: acked rows).
-        arrivals: u64,
-        /// Per-peer health, leader only: `(node, health)` pairs.
-        replicas: Vec<(u64, WireHealth)>,
-        /// This node's local durable-store health.
-        store: WireStoreHealth,
-    },
-    /// Graceful shutdown acknowledged; the node drains and exits.
-    ShutdownOk {
-        /// In-flight requests drained before the ack.
-        drained: u64,
-    },
-    /// Load shed: the per-peer outbound budget is exhausted. Retry
-    /// later; nothing was applied.
-    Overloaded,
-    /// The shard owning the referenced stream is unreachable.
-    Unavailable {
-        /// The dead/unreachable node.
-        node: u64,
-    },
-    /// Typed failure.
-    ErrorR {
-        /// What kind of failure.
-        code: ErrorCode,
-    },
-    /// The sender's term is stale: the receiver has adopted a newer
-    /// one. A leader seeing this steps down immediately — the fence
-    /// that makes split-brain impossible.
-    StaleTermR {
-        /// The receiver's current term.
-        term: u64,
-        /// Who the receiver believes leads that term.
-        leader: u64,
-    },
-    /// The receiver is not the leader; retry against `leader` (the
-    /// client-side failover hint).
-    NotLeaderR {
-        /// The node to ask instead.
-        leader: u64,
-        /// The term that node leads, as far as the receiver knows.
-        term: u64,
-    },
-    /// Acceptance of a [`Request::NewTerm`] claim, carrying everything
-    /// the new leader needs to rebuild its routing state: the adopted
-    /// term and the responder's shard holdings.
-    SyncR {
-        /// The term the responder just adopted.
-        term: u64,
-        /// The responder's shard holdings.
-        holdings: Vec<WireHolding>,
-    },
-    /// A full shard export ([`Request::FetchShard`] answer).
-    ShardStateR {
-        /// The exported shard.
-        shard: u32,
-        /// The holder's configuration epoch for it.
-        epoch: u64,
-        /// Rows applied.
-        arrivals: u64,
-        /// The applied write ids (ascending).
-        applied: Vec<u64>,
-        /// The shard's `StreamSet` snapshot (SWMS v2 bytes).
-        snapshot: Vec<u8>,
-    },
-    /// A shard configuration change ([`Request::Promote`] /
-    /// [`Request::InstallShard`]) took effect at `epoch`.
-    EpochAck {
-        /// The shard.
-        shard: u32,
-        /// The epoch now in force on the responder.
-        epoch: u64,
-    },
-    /// The sender's shard epoch is stale (the term was fine). The
-    /// leader re-issues the configuration; nothing was applied.
-    StaleEpochR {
-        /// The shard.
-        shard: u32,
-        /// The receiver's current epoch for it.
-        epoch: u64,
-    },
+// Responses are ≥ 0x80. 0x88 stays unassigned: it named the two-round
+// top-k's refine answer (see 0x08 above).
+messages! {
+    encoder put_response, decoder response_body;
+
+    /// A response. Degradation is explicit: [`Response::Overloaded`],
+    /// [`Response::Unavailable`], and the `failed_shards` / `complete`
+    /// fields say exactly what was *not* done — silent loss is a protocol
+    /// violation the tests hunt for.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Handshake accepted; the responder announces its node id.
+        #[kind(K_HELLO_OK = 0x81)]
+        HelloOk {
+            /// Responder's node id.
+            node: u64,
+        },
+        /// Liveness echo.
+        #[kind(K_PONG = 0x82)]
+        Pong {
+            /// The ping's nonce.
+            nonce: u64,
+        },
+        /// Ingest outcome. `failed_shards` empty ⇔ the row is fully
+        /// applied; non-empty names every shard whose sub-row did **not**
+        /// apply (explicit degradation, never silent).
+        #[kind(K_INGEST_OK = 0x83)]
+        IngestOk {
+            /// The request's write id.
+            req_id: u64,
+            /// Whether this id had already been applied (retry absorbed).
+            duplicate: bool,
+            /// Shards that failed to apply the sub-row.
+            failed_shards: Vec<u32>,
+        },
+        /// Point answer.
+        #[kind(K_POINT_R = 0x84)]
+        PointR {
+            /// The approximation and its error bound.
+            answer: WirePointAnswer,
+        },
+        /// Range matches, ascending by index.
+        #[kind(K_RANGE_R = 0x85)]
+        RangeR {
+            /// Matching indices and their approximate values.
+            matches: Vec<WireRangeMatch>,
+        },
+        /// Distributed top-k result. `complete == false` means one or more
+        /// shards were unreachable and their candidates are missing — the
+        /// entries present are still exact for the shards that answered.
+        #[kind(K_TOPK_R = 0x86)]
+        TopKR {
+            /// Whether every shard contributed.
+            complete: bool,
+            /// The merged top-k, rank order.
+            entries: Vec<TopCoeff>,
+        },
+        /// A replica's local top-k.
+        #[kind(K_LOCAL_TOPK_R = 0x87)]
+        LocalTopKR {
+            /// The local top-k entries, rank order.
+            entries: Vec<TopCoeff>,
+        },
+        /// Health snapshot.
+        #[kind(K_STATUS_R = 0x89)]
+        StatusR {
+            /// This node's id.
+            node: u64,
+            /// The node's current leadership term.
+            term: u64,
+            /// Who the node believes leads that term.
+            leader: u64,
+            /// Rows applied so far (replica: local; leader: acked rows).
+            arrivals: u64,
+            /// Per-peer health, leader only: `(node, health)` pairs.
+            replicas: Vec<(u64, WireHealth)>,
+            /// This node's local durable-store health.
+            store: WireStoreHealth,
+        },
+        /// Graceful shutdown acknowledged; the node drains and exits.
+        #[kind(K_SHUTDOWN_OK = 0x8A)]
+        ShutdownOk {
+            /// In-flight requests drained before the ack.
+            drained: u64,
+        },
+        /// Load shed: the per-peer outbound budget is exhausted. Retry
+        /// later; nothing was applied.
+        #[kind(K_OVERLOADED = 0x8B)]
+        Overloaded,
+        /// The shard owning the referenced stream is unreachable.
+        #[kind(K_UNAVAILABLE = 0x8C)]
+        Unavailable {
+            /// The dead/unreachable node.
+            node: u64,
+        },
+        /// Typed failure.
+        #[kind(K_ERROR_R = 0x8D)]
+        ErrorR {
+            /// What kind of failure.
+            code: ErrorCode,
+        },
+        /// The sender's term is stale: the receiver has adopted a newer
+        /// one. A leader seeing this steps down immediately — the fence
+        /// that makes split-brain impossible.
+        #[kind(K_STALE_TERM_R = 0x8E)]
+        StaleTermR {
+            /// The receiver's current term.
+            term: u64,
+            /// Who the receiver believes leads that term.
+            leader: u64,
+        },
+        /// The receiver is not the leader; retry against `leader` (the
+        /// client-side failover hint).
+        #[kind(K_NOT_LEADER_R = 0x8F)]
+        NotLeaderR {
+            /// The node to ask instead.
+            leader: u64,
+            /// The term that node leads, as far as the receiver knows.
+            term: u64,
+        },
+        /// Acceptance of a [`Request::NewTerm`] claim, carrying everything
+        /// the new leader needs to rebuild its routing state: the adopted
+        /// term and the responder's shard holdings.
+        #[kind(K_SYNC_R = 0x90)]
+        SyncR {
+            /// The term the responder just adopted.
+            term: u64,
+            /// The responder's shard holdings.
+            holdings: Vec<WireHolding>,
+        },
+        /// A full shard export ([`Request::FetchShard`] answer).
+        #[kind(K_SHARD_STATE_R = 0x91)]
+        ShardStateR {
+            /// The exported shard.
+            shard: u32,
+            /// The holder's configuration epoch for it.
+            epoch: u64,
+            /// Rows applied.
+            arrivals: u64,
+            /// The applied write ids (ascending).
+            applied: Vec<u64>,
+            /// The shard's `StreamSet` snapshot (SWMS v2 bytes).
+            snapshot: Vec<u8>,
+        },
+        /// A shard configuration change ([`Request::Promote`] /
+        /// [`Request::InstallShard`]) took effect at `epoch`.
+        #[kind(K_EPOCH_ACK = 0x92)]
+        EpochAck {
+            /// The shard.
+            shard: u32,
+            /// The epoch now in force on the responder.
+            epoch: u64,
+        },
+        /// The sender's shard epoch is stale (the term was fine). The
+        /// leader re-issues the configuration; nothing was applied.
+        #[kind(K_STALE_EPOCH_R = 0x93)]
+        StaleEpochR {
+            /// The shard.
+            shard: u32,
+            /// The receiver's current epoch for it.
+            epoch: u64,
+        },
+    }
 }
 
 /// One shard holding in a [`Response::SyncR`]: what the responder holds
@@ -544,44 +655,6 @@ impl fmt::Display for WireStoreHealth {
     }
 }
 
-// Kind bytes. Requests are < 0x80, responses ≥ 0x80.
-const K_HELLO: u8 = 0x01;
-const K_PING: u8 = 0x02;
-const K_INGEST: u8 = 0x03;
-const K_POINT: u8 = 0x04;
-const K_RANGE: u8 = 0x05;
-const K_TOPK: u8 = 0x06;
-const K_LOCAL_TOPK: u8 = 0x07;
-// 0x08 and 0x88 stay unassigned: they named the two-round top-k's
-// refine request and answer, and a peer still sending them must get
-// `UnknownKind`, not another message.
-const K_STATUS: u8 = 0x09;
-const K_SHUTDOWN: u8 = 0x0A;
-const K_FENCED: u8 = 0x0B;
-const K_NEW_TERM: u8 = 0x0C;
-const K_REPLICATE: u8 = 0x0D;
-const K_FETCH_SHARD: u8 = 0x0E;
-const K_INSTALL_SHARD: u8 = 0x0F;
-const K_PROMOTE: u8 = 0x10;
-const K_HELLO_OK: u8 = 0x81;
-const K_PONG: u8 = 0x82;
-const K_INGEST_OK: u8 = 0x83;
-const K_POINT_R: u8 = 0x84;
-const K_RANGE_R: u8 = 0x85;
-const K_TOPK_R: u8 = 0x86;
-const K_LOCAL_TOPK_R: u8 = 0x87;
-const K_STATUS_R: u8 = 0x89;
-const K_SHUTDOWN_OK: u8 = 0x8A;
-const K_OVERLOADED: u8 = 0x8B;
-const K_UNAVAILABLE: u8 = 0x8C;
-const K_ERROR_R: u8 = 0x8D;
-const K_STALE_TERM_R: u8 = 0x8E;
-const K_NOT_LEADER_R: u8 = 0x8F;
-const K_SYNC_R: u8 = 0x90;
-const K_SHARD_STATE_R: u8 = 0x91;
-const K_EPOCH_ACK: u8 = 0x92;
-const K_STALE_EPOCH_R: u8 = 0x93;
-
 /// One wire field type, encoded and decoded in exactly one place. A
 /// message body is its fields' encodings in declaration order, so each
 /// message kind is one `put` per field and one struct literal of `take`s.
@@ -619,6 +692,12 @@ fn take<T: Field>(c: &mut Cursor<'_>) -> Result<T, ProtoError> {
     T::take(c)
 }
 
+/// A byte at `offset` that names no value of `what`: a bool other than 0
+/// or 1, an unknown tag, a NaN.
+fn invalid(what: &'static str, offset: usize) -> ProtoError {
+    ProtoError::Codec(CodecError::Invalid { what, offset })
+}
+
 impl Field for u8 {
     const LEN: usize = std::mem::size_of::<u8>();
 
@@ -653,10 +732,7 @@ impl Field for bool {
         match c.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(ProtoError::Codec(CodecError::Invalid {
-                what: "bool",
-                offset,
-            })),
+            _ => Err(invalid("bool", offset)),
         }
     }
 }
@@ -719,10 +795,7 @@ impl Field for f64 {
                 .iter()
                 .position(|v| v.is_nan())
                 .expect("the reduction found a NaN");
-            return Err(ProtoError::Codec(CodecError::Invalid {
-                what: "NaN value",
-                offset: at + Self::LEN * i,
-            }));
+            return Err(invalid("NaN value", at + Self::LEN * i));
         }
         Ok(values)
     }
@@ -751,6 +824,29 @@ impl<T: Field> Field for Vec<T> {
     }
 }
 
+/// A fenced envelope's inner request: its kind and body, unframed, so
+/// fencing a message never re-frames it. The inner kind is read before
+/// the inner body, and a second fence is [`ProtoError::NestedFence`]
+/// there, so decoding recurses at most one level, whatever the frame.
+impl Field for Box<Request> {
+    const LEN: usize = u8::LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        debug_assert!(
+            !matches!(**self, Request::Fenced { .. }),
+            "fences never nest"
+        );
+        put_request(out, self);
+    }
+
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match take(c)? {
+            K_FENCED => Err(ProtoError::NestedFence),
+            kind => Ok(Box::new(request_body(kind, c)?)),
+        }
+    }
+}
+
 /// A `StatusR` registry entry: the peer, then its health.
 impl Field for (u64, WireHealth) {
     const LEN: usize = u64::LEN + WireHealth::LEN;
@@ -765,78 +861,31 @@ impl Field for (u64, WireHealth) {
     }
 }
 
-impl Field for TopCoeff {
-    const LEN: usize = u64::LEN + u32::LEN + f64::LEN;
+/// `Field` for each struct carried whole, one per line: its fields in
+/// the order listed, `LEN` the sum of theirs. Each is put and taken as
+/// the type listed, so a line that names a wrong type, or leaves a field
+/// out, does not compile.
+macro_rules! records {
+    ($($t:ident { $($field:ident: $ty:ty),* })*) => {$(
+        impl Field for $t {
+            const LEN: usize = 0 $(+ <$ty as Field>::LEN)*;
 
-    fn put(&self, out: &mut Vec<u8>) {
-        self.stream.put(out);
-        self.index.put(out);
-        self.value.put(out);
-    }
+            fn put(&self, out: &mut Vec<u8>) {
+                $(<$ty as Field>::put(&self.$field, out);)*
+            }
 
-    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
-        Ok(TopCoeff {
-            stream: take(c)?,
-            index: take(c)?,
-            value: take(c)?,
-        })
-    }
+            fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+                Ok($t { $($field: <$ty as Field>::take(c)?),* })
+            }
+        }
+    )*};
 }
 
-impl Field for WirePointAnswer {
-    const LEN: usize = f64::LEN + f64::LEN + u32::LEN + bool::LEN;
-
-    fn put(&self, out: &mut Vec<u8>) {
-        self.value.put(out);
-        self.error_bound.put(out);
-        self.level.put(out);
-        self.extrapolated.put(out);
-    }
-
-    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
-        Ok(WirePointAnswer {
-            value: take(c)?,
-            error_bound: take(c)?,
-            level: take(c)?,
-            extrapolated: take(c)?,
-        })
-    }
-}
-
-impl Field for WireRangeMatch {
-    const LEN: usize = u32::LEN + f64::LEN;
-
-    fn put(&self, out: &mut Vec<u8>) {
-        self.index.put(out);
-        self.value.put(out);
-    }
-
-    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
-        Ok(WireRangeMatch {
-            index: take(c)?,
-            value: take(c)?,
-        })
-    }
-}
-
-impl Field for WireHolding {
-    const LEN: usize = u32::LEN + u64::LEN + bool::LEN + u64::LEN;
-
-    fn put(&self, out: &mut Vec<u8>) {
-        self.shard.put(out);
-        self.epoch.put(out);
-        self.primary.put(out);
-        self.arrivals.put(out);
-    }
-
-    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
-        Ok(WireHolding {
-            shard: take(c)?,
-            epoch: take(c)?,
-            primary: take(c)?,
-            arrivals: take(c)?,
-        })
-    }
+records! {
+    TopCoeff { stream: u64, index: u32, value: f64 }
+    WirePointAnswer { value: f64, error_bound: f64, level: u32, extrapolated: bool }
+    WireRangeMatch { index: u32, value: f64 }
+    WireHolding { shard: u32, epoch: u64, primary: bool, arrivals: u64 }
 }
 
 impl Field for WireHealth {
@@ -851,11 +900,12 @@ impl Field for WireHealth {
     }
 
     fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let offset = c.offset();
         match c.u8()? {
             0 => Ok(WireHealth::Alive),
             1 => Ok(WireHealth::Suspect),
             2 => Ok(WireHealth::Dead),
-            b => Err(ProtoError::UnknownKind(b)),
+            _ => Err(invalid("health tag", offset)),
         }
     }
 }
@@ -872,11 +922,12 @@ impl Field for ErrorCode {
     }
 
     fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let offset = c.offset();
         match c.u8()? {
             1 => Ok(ErrorCode::BadRequest),
             2 => Ok(ErrorCode::WrongRole),
             3 => Ok(ErrorCode::Internal),
-            b => Err(ProtoError::UnknownKind(b)),
+            _ => Err(invalid("error code", offset)),
         }
     }
 }
@@ -896,10 +947,11 @@ impl Field for WireStoreHealth {
     }
 
     fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let offset = c.offset();
         match c.u8()? {
             0 => Ok(WireStoreHealth::Healthy),
             1 => Ok(WireStoreHealth::Degraded { parked: take(c)? }),
-            b => Err(ProtoError::UnknownKind(b)),
+            _ => Err(invalid("store health tag", offset)),
         }
     }
 }
@@ -932,120 +984,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     frame
 }
 
-/// Append the unframed payload (kind + body) of `req`. [`Request::Fenced`]
-/// embeds its inner request's payload verbatim, so fencing a message
-/// never re-frames it.
-fn put_request(p: &mut Vec<u8>, req: &Request) {
-    match req {
-        Request::Hello { node } => {
-            p.push(K_HELLO);
-            node.put(p);
-        }
-        Request::Ping { nonce } => {
-            p.push(K_PING);
-            nonce.put(p);
-        }
-        Request::Ingest { req_id, row } => {
-            p.push(K_INGEST);
-            req_id.put(p);
-            row.put(p);
-        }
-        Request::Point { stream, index } => {
-            p.push(K_POINT);
-            stream.put(p);
-            index.put(p);
-        }
-        Request::Range {
-            stream,
-            center,
-            radius,
-            newest,
-            oldest,
-        } => {
-            p.push(K_RANGE);
-            stream.put(p);
-            center.put(p);
-            radius.put(p);
-            newest.put(p);
-            oldest.put(p);
-        }
-        Request::TopK { k } => {
-            p.push(K_TOPK);
-            k.put(p);
-        }
-        Request::LocalTopK { k } => {
-            p.push(K_LOCAL_TOPK);
-            k.put(p);
-        }
-        Request::Status => p.push(K_STATUS),
-        Request::Shutdown => p.push(K_SHUTDOWN),
-        Request::Fenced {
-            term,
-            leader,
-            shard,
-            epoch,
-            inner,
-        } => {
-            p.push(K_FENCED);
-            term.put(p);
-            leader.put(p);
-            shard.put(p);
-            epoch.put(p);
-            debug_assert!(
-                !matches!(**inner, Request::Fenced { .. }),
-                "fences never nest"
-            );
-            put_request(p, inner);
-        }
-        Request::NewTerm { term, leader } => {
-            p.push(K_NEW_TERM);
-            term.put(p);
-            leader.put(p);
-        }
-        Request::Replicate {
-            term,
-            shard,
-            epoch,
-            req_id,
-            row,
-        } => {
-            p.push(K_REPLICATE);
-            term.put(p);
-            shard.put(p);
-            epoch.put(p);
-            req_id.put(p);
-            row.put(p);
-        }
-        Request::FetchShard { term, shard } => {
-            p.push(K_FETCH_SHARD);
-            term.put(p);
-            shard.put(p);
-        }
-        Request::InstallShard {
-            term,
-            shard,
-            epoch,
-            arrivals,
-            applied,
-            snapshot,
-        } => {
-            p.push(K_INSTALL_SHARD);
-            term.put(p);
-            shard.put(p);
-            epoch.put(p);
-            arrivals.put(p);
-            applied.put(p);
-            snapshot.put(p);
-        }
-        Request::Promote { term, shard, epoch } => {
-            p.push(K_PROMOTE);
-            term.put(p);
-            shard.put(p);
-            epoch.put(p);
-        }
-    }
-}
-
 /// Append `resp` to `out` as one complete wire frame (header + payload),
 /// as [`encode_request_into`] does a request.
 pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
@@ -1057,115 +995,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut frame = Vec::new();
     encode_response_into(resp, &mut frame);
     frame
-}
-
-/// Append the unframed payload (kind + body) of `resp`.
-fn put_response(p: &mut Vec<u8>, resp: &Response) {
-    match resp {
-        Response::HelloOk { node } => {
-            p.push(K_HELLO_OK);
-            node.put(p);
-        }
-        Response::Pong { nonce } => {
-            p.push(K_PONG);
-            nonce.put(p);
-        }
-        Response::IngestOk {
-            req_id,
-            duplicate,
-            failed_shards,
-        } => {
-            p.push(K_INGEST_OK);
-            req_id.put(p);
-            duplicate.put(p);
-            failed_shards.put(p);
-        }
-        Response::PointR { answer } => {
-            p.push(K_POINT_R);
-            answer.put(p);
-        }
-        Response::RangeR { matches } => {
-            p.push(K_RANGE_R);
-            matches.put(p);
-        }
-        Response::TopKR { complete, entries } => {
-            p.push(K_TOPK_R);
-            complete.put(p);
-            entries.put(p);
-        }
-        Response::LocalTopKR { entries } => {
-            p.push(K_LOCAL_TOPK_R);
-            entries.put(p);
-        }
-        Response::StatusR {
-            node,
-            term,
-            leader,
-            arrivals,
-            replicas,
-            store,
-        } => {
-            p.push(K_STATUS_R);
-            node.put(p);
-            term.put(p);
-            leader.put(p);
-            arrivals.put(p);
-            replicas.put(p);
-            store.put(p);
-        }
-        Response::ShutdownOk { drained } => {
-            p.push(K_SHUTDOWN_OK);
-            drained.put(p);
-        }
-        Response::Overloaded => p.push(K_OVERLOADED),
-        Response::Unavailable { node } => {
-            p.push(K_UNAVAILABLE);
-            node.put(p);
-        }
-        Response::ErrorR { code } => {
-            p.push(K_ERROR_R);
-            code.put(p);
-        }
-        Response::StaleTermR { term, leader } => {
-            p.push(K_STALE_TERM_R);
-            term.put(p);
-            leader.put(p);
-        }
-        Response::NotLeaderR { leader, term } => {
-            p.push(K_NOT_LEADER_R);
-            leader.put(p);
-            term.put(p);
-        }
-        Response::SyncR { term, holdings } => {
-            p.push(K_SYNC_R);
-            term.put(p);
-            holdings.put(p);
-        }
-        Response::ShardStateR {
-            shard,
-            epoch,
-            arrivals,
-            applied,
-            snapshot,
-        } => {
-            p.push(K_SHARD_STATE_R);
-            shard.put(p);
-            epoch.put(p);
-            arrivals.put(p);
-            applied.put(p);
-            snapshot.put(p);
-        }
-        Response::EpochAck { shard, epoch } => {
-            p.push(K_EPOCH_ACK);
-            shard.put(p);
-            epoch.put(p);
-        }
-        Response::StaleEpochR { shard, epoch } => {
-            p.push(K_STALE_EPOCH_R);
-            shard.put(p);
-            epoch.put(p);
-        }
-    }
 }
 
 /// Split a complete frame into its verified payload: checks the length
@@ -1232,137 +1061,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
     decode_whole(payload, request_body)
 }
 
-/// The body of a request of kind `kind`.
-fn request_body(kind: u8, c: &mut Cursor<'_>) -> Result<Request, ProtoError> {
-    Ok(match kind {
-        K_HELLO => Request::Hello { node: take(c)? },
-        K_PING => Request::Ping { nonce: take(c)? },
-        K_INGEST => Request::Ingest {
-            req_id: take(c)?,
-            row: take(c)?,
-        },
-        K_POINT => Request::Point {
-            stream: take(c)?,
-            index: take(c)?,
-        },
-        K_RANGE => Request::Range {
-            stream: take(c)?,
-            center: take(c)?,
-            radius: take(c)?,
-            newest: take(c)?,
-            oldest: take(c)?,
-        },
-        K_TOPK => Request::TopK { k: take(c)? },
-        K_LOCAL_TOPK => Request::LocalTopK { k: take(c)? },
-        K_STATUS => Request::Status,
-        K_SHUTDOWN => Request::Shutdown,
-        K_FENCED => Request::Fenced {
-            term: take(c)?,
-            leader: take(c)?,
-            shard: take(c)?,
-            epoch: take(c)?,
-            // The inner kind is checked before the inner body is read, so
-            // decoding recurses at most one level, whatever the frame.
-            inner: match take(c)? {
-                K_FENCED => return Err(ProtoError::NestedFence),
-                inner => Box::new(request_body(inner, c)?),
-            },
-        },
-        K_NEW_TERM => Request::NewTerm {
-            term: take(c)?,
-            leader: take(c)?,
-        },
-        K_REPLICATE => Request::Replicate {
-            term: take(c)?,
-            shard: take(c)?,
-            epoch: take(c)?,
-            req_id: take(c)?,
-            row: take(c)?,
-        },
-        K_FETCH_SHARD => Request::FetchShard {
-            term: take(c)?,
-            shard: take(c)?,
-        },
-        K_INSTALL_SHARD => Request::InstallShard {
-            term: take(c)?,
-            shard: take(c)?,
-            epoch: take(c)?,
-            arrivals: take(c)?,
-            applied: take(c)?,
-            snapshot: take(c)?,
-        },
-        K_PROMOTE => Request::Promote {
-            term: take(c)?,
-            shard: take(c)?,
-            epoch: take(c)?,
-        },
-        other => return Err(ProtoError::UnknownKind(other)),
-    })
-}
-
 /// Decode a verified payload (from [`check_frame`]) as a response.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
     decode_whole(payload, response_body)
-}
-
-/// The body of a response of kind `kind`.
-fn response_body(kind: u8, c: &mut Cursor<'_>) -> Result<Response, ProtoError> {
-    Ok(match kind {
-        K_HELLO_OK => Response::HelloOk { node: take(c)? },
-        K_PONG => Response::Pong { nonce: take(c)? },
-        K_INGEST_OK => Response::IngestOk {
-            req_id: take(c)?,
-            duplicate: take(c)?,
-            failed_shards: take(c)?,
-        },
-        K_POINT_R => Response::PointR { answer: take(c)? },
-        K_RANGE_R => Response::RangeR { matches: take(c)? },
-        K_TOPK_R => Response::TopKR {
-            complete: take(c)?,
-            entries: take(c)?,
-        },
-        K_LOCAL_TOPK_R => Response::LocalTopKR { entries: take(c)? },
-        K_STATUS_R => Response::StatusR {
-            node: take(c)?,
-            term: take(c)?,
-            leader: take(c)?,
-            arrivals: take(c)?,
-            replicas: take(c)?,
-            store: take(c)?,
-        },
-        K_SHUTDOWN_OK => Response::ShutdownOk { drained: take(c)? },
-        K_OVERLOADED => Response::Overloaded,
-        K_UNAVAILABLE => Response::Unavailable { node: take(c)? },
-        K_ERROR_R => Response::ErrorR { code: take(c)? },
-        K_STALE_TERM_R => Response::StaleTermR {
-            term: take(c)?,
-            leader: take(c)?,
-        },
-        K_NOT_LEADER_R => Response::NotLeaderR {
-            leader: take(c)?,
-            term: take(c)?,
-        },
-        K_SYNC_R => Response::SyncR {
-            term: take(c)?,
-            holdings: take(c)?,
-        },
-        K_SHARD_STATE_R => Response::ShardStateR {
-            shard: take(c)?,
-            epoch: take(c)?,
-            arrivals: take(c)?,
-            applied: take(c)?,
-            snapshot: take(c)?,
-        },
-        K_EPOCH_ACK => Response::EpochAck {
-            shard: take(c)?,
-            epoch: take(c)?,
-        },
-        K_STALE_EPOCH_R => Response::StaleEpochR {
-            shard: take(c)?,
-            epoch: take(c)?,
-        },
-        other => return Err(ProtoError::UnknownKind(other)),
-    })
 }
 
 /// One representative message of every request kind, exercising every
@@ -1676,6 +1377,64 @@ mod tests {
             Err(ProtoError::Codec(CodecError::Invalid {
                 what: "bool",
                 offset: 9,
+            }))
+        );
+    }
+
+    #[test]
+    fn health_tags_are_strict() {
+        // StatusR: kind (1) + node, term, leader, arrivals (32) + count
+        // (4) + the peer's id (8), then its health as a 3.
+        let mut p = vec![K_STATUS_R];
+        for word in [0u64, 4, 0, 1000] {
+            word.put(&mut p);
+        }
+        1u32.put(&mut p);
+        1u64.put(&mut p);
+        3u8.put(&mut p);
+        WireStoreHealth::Healthy.put(&mut p);
+        let frame = frame_of(p);
+        let payload = check_frame(&frame).unwrap();
+        assert_eq!(
+            decode_response(payload),
+            Err(ProtoError::Codec(CodecError::Invalid {
+                what: "health tag",
+                offset: 45,
+            }))
+        );
+    }
+
+    #[test]
+    fn error_codes_are_strict() {
+        // ErrorR: kind (1), then code 0 (codes start at 1).
+        let frame = frame_of(vec![K_ERROR_R, 0]);
+        let payload = check_frame(&frame).unwrap();
+        assert_eq!(
+            decode_response(payload),
+            Err(ProtoError::Codec(CodecError::Invalid {
+                what: "error code",
+                offset: 1,
+            }))
+        );
+    }
+
+    #[test]
+    fn store_health_tags_are_strict() {
+        // StatusR: kind (1) + node, term, leader, arrivals (32) + an empty
+        // peer list (4), then the store's health as a 2.
+        let mut p = vec![K_STATUS_R];
+        for word in [0u64, 4, 0, 1000] {
+            word.put(&mut p);
+        }
+        Vec::<(u64, WireHealth)>::new().put(&mut p);
+        2u8.put(&mut p);
+        let frame = frame_of(p);
+        let payload = check_frame(&frame).unwrap();
+        assert_eq!(
+            decode_response(payload),
+            Err(ProtoError::Codec(CodecError::Invalid {
+                what: "store health tag",
+                offset: 37,
             }))
         );
     }

@@ -240,8 +240,48 @@ fn deeply_nested_fences_are_rejected_without_recursing() {
 fn the_sample_frames_keep_their_bytes() {
     // Every sample frame, requests then responses, concatenated: the
     // wire format is these bytes, whatever code produces them.
+    // Per message first, so a moved pin names the message that moved
+    // (the harness shows a test's output only when it fails).
+    for (_, frame) in all_frames() {
+        println!(
+            "kind {:#04x}: {:3} bytes, crc32 {:#010x}",
+            frame[HEADER_LEN],
+            frame.len(),
+            crc32(&frame)
+        );
+    }
     let bytes: Vec<u8> = all_frames().into_iter().flat_map(|(_, f)| f).collect();
     assert_eq!((bytes.len(), crc32(&bytes)), (1038, 0x2CAD_86D5));
+}
+
+#[test]
+fn a_kind_byte_is_unknown_exactly_when_no_sample_has_it() {
+    // Every one-byte payload, both directions: a kind some sample of that
+    // direction carries decodes (a bodiless message) or fails on its
+    // missing body; any other is `UnknownKind`. So a table entry without
+    // a sample fails here.
+    let frames = all_frames();
+    for is_request in [true, false] {
+        for kind in 0..=u8::MAX {
+            let sampled = frames
+                .iter()
+                .any(|(req, frame)| *req == is_request && frame[HEADER_LEN] == kind);
+            let decoded = if is_request {
+                decode_request(&[kind]).map(|_| ())
+            } else {
+                decode_response(&[kind]).map(|_| ())
+            };
+            assert_eq!(
+                decoded == Err(ProtoError::UnknownKind(kind)),
+                !sampled,
+                "kind {kind:#04x} (request: {is_request}) decodes as {decoded:?}"
+            );
+        }
+    }
+    // The two-round top-k's refine pair stays retired: a peer still
+    // sending it gets `UnknownKind`, not another message.
+    assert_eq!(decode_request(&[0x08]), Err(ProtoError::UnknownKind(0x08)));
+    assert_eq!(decode_response(&[0x88]), Err(ProtoError::UnknownKind(0x88)));
 }
 
 #[test]
