@@ -30,38 +30,32 @@
 //! never a silent gap.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
-use swat_tree::{all_finite, shard_members, shard_of};
+use swat_tree::{all_finite, shard_of, shard_range};
 use swat_wavelet::TopKSummary;
 
 use crate::failover::Assignment;
 use crate::proto::{ErrorCode, Request, Response, MAX_TOP_K, NO_SHARD};
 use crate::registry::ReplicaRegistry;
 
-/// The deterministic global↔shard routing table every node agrees on.
+/// The global↔shard partition every node agrees on: shard `s` owns the
+/// contiguous stream range [`shard_range`] gives it.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     streams: usize,
     shards: usize,
-    members: Vec<Vec<usize>>,
 }
 
 impl ShardMap {
-    /// The routing table for `streams` streams over `shards` shards.
+    /// The partition of `streams` streams over `shards` shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     pub fn new(streams: usize, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        let members = (0..shards)
-            .map(|s| shard_members(streams, shards, s))
-            .collect();
-        ShardMap {
-            streams,
-            shards,
-            members,
-        }
+        ShardMap { streams, shards }
     }
 
     /// Total global streams.
@@ -76,17 +70,17 @@ impl ShardMap {
 
     /// The shard owning global stream `g`, if in range.
     pub fn owner_of(&self, g: u64) -> Option<usize> {
-        (g < self.streams as u64).then(|| shard_of(g, self.shards))
+        (g < self.streams as u64).then(|| shard_of(g, self.streams, self.shards))
     }
 
-    /// Global stream ids shard `s` owns, ascending.
-    pub fn members(&self, s: usize) -> &[usize] {
-        &self.members[s]
+    /// Global stream ids shard `s` owns.
+    pub fn members(&self, s: usize) -> Range<usize> {
+        shard_range(self.streams, self.shards, s)
     }
 
     /// Shard `s`'s sub-row of a full global row.
-    pub fn subrow(&self, row: &[f64], s: usize) -> Vec<f64> {
-        self.members[s].iter().map(|&g| row[g]).collect()
+    pub fn subrow<'r>(&self, row: &'r [f64], s: usize) -> &'r [f64] {
+        &row[self.members(s)]
     }
 }
 
@@ -332,7 +326,7 @@ impl LeaderCore {
                         shard,
                         Request::Ingest {
                             req_id,
-                            row: sub.clone(),
+                            row: sub.to_vec(),
                         },
                     ),
                 });
@@ -347,7 +341,7 @@ impl LeaderCore {
                         shard: shard as u32,
                         epoch: slot.epoch,
                         req_id,
-                        row: sub,
+                        row: sub.to_vec(),
                     },
                 });
             }
@@ -653,7 +647,7 @@ mod tests {
         );
         // Point at a stream owned by the unreachable shard.
         let dead_stream = (0..streams)
-            .find(|&g| shard_of(g as u64, shards) == 1)
+            .find(|&g| shard_of(g as u64, streams, shards) == 1)
             .unwrap();
         let calls = fan(leader.plan(&Request::Point {
             stream: dead_stream as u64,
@@ -697,7 +691,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Queries at the primary-less shard fail fast and typed.
-        let dead_stream = (0..8).find(|&g| shard_of(g as u64, 2) == 1).unwrap();
+        let dead_stream = (0..8).find(|&g| shard_of(g as u64, 8, 2) == 1).unwrap();
         assert_eq!(
             leader.plan(&Request::Point {
                 stream: dead_stream as u64,
@@ -802,7 +796,7 @@ mod tests {
     ) -> Vec<TopCoeff> {
         let mut all = Vec::new();
         for &s in answering {
-            let members = replicas[s].members().to_vec();
+            let members: Vec<usize> = replicas[s].members().collect();
             all.extend(root_coefficients(replicas[s].set(), &members));
         }
         ranked(all, k)
@@ -821,7 +815,7 @@ mod tests {
                 .map(|g| ((req_id as usize * 7 + g * 13) % 23) as f64 - 11.0)
                 .collect();
             for (s, replica) in replicas.iter_mut().enumerate() {
-                let sub = leader.map().subrow(&row, s);
+                let sub = leader.map().subrow(&row, s).to_vec();
                 let resp = replica.handle(&Request::Ingest { req_id, row: sub });
                 assert!(matches!(resp, Response::IngestOk { .. }));
             }
@@ -845,7 +839,7 @@ mod tests {
         );
         // Lose the shard holding the largest coefficient, so the answer
         // must change: first unreachable, then answering a typed error.
-        let lost = shard_of(whole[0].stream, shards);
+        let lost = shard_of(whole[0].stream, streams, shards);
         let rest: Vec<usize> = all.iter().copied().filter(|&s| s != lost).collect();
         let want = brute_force_top_k(&mut replicas, &rest, k);
         assert_ne!(want, whole);

@@ -5,7 +5,7 @@
 //! This crate promotes the sharded summarization tier to a real
 //! deployment shape: one long-running process per node, speaking a
 //! small length-framed CRC-checked wire protocol ([`proto`]), with the
-//! leader/replica split of the hash-partitioned stream space
+//! leader/replica split of the stream space into contiguous ranges
 //! ([`cluster`], [`replica`]).
 //!
 //! The robustness surface is the point:

@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use swat_store::NodeMeta;
+use swat_store::{NodeMeta, Placement};
 use swat_tree::SwatConfig;
 
 use crate::cluster::{LeaderCore, PeerCall};
@@ -65,6 +65,9 @@ pub struct ClusterNode {
     lead: Option<LeaderCore>,
     /// Where the durable [`NodeMeta`] record lives, if anywhere.
     meta_dir: Option<PathBuf>,
+    /// The placement that record carries: what the store beside it
+    /// holds. Every rewrite of the record keeps it.
+    placement: Option<Placement>,
     /// Shards whose current primary may not have adopted the slot's
     /// epoch yet — the repair loop re-sends `Promote` until acked.
     pending_promote: std::collections::BTreeSet<usize>,
@@ -104,6 +107,7 @@ impl ClusterNode {
                 standbys,
             )),
             meta_dir: None,
+            placement: None,
             pending_promote: std::collections::BTreeSet::new(),
             installing: None,
         }
@@ -138,6 +142,7 @@ impl ClusterNode {
             holdings: BTreeMap::new(),
             lead: None,
             meta_dir: None,
+            placement: None,
             pending_promote: std::collections::BTreeSet::new(),
             installing: None,
         };
@@ -194,6 +199,7 @@ impl ClusterNode {
         if let Some(meta) = NodeMeta::load(&dir)? {
             node.term = meta.term;
             node.leader = meta.leader;
+            node.placement = meta.placement;
             for (shard, epoch) in meta.epochs {
                 if let Some(h) = node.holdings.get_mut(&(shard as usize)) {
                     h.epoch = epoch;
@@ -219,6 +225,7 @@ impl ClusterNode {
         if let Some(meta) = NodeMeta::load(&dir)? {
             self.term = meta.term;
             self.leader = meta.leader;
+            self.placement = meta.placement;
             for (shard, epoch) in meta.epochs {
                 if let Some(h) = self.holdings.get_mut(&(shard as usize)) {
                     h.epoch = epoch;
@@ -356,6 +363,7 @@ impl ClusterNode {
                 .iter()
                 .map(|(&s, h)| (s as u32, h.epoch))
                 .collect(),
+            placement: self.placement,
         };
         meta.save(dir)
     }
@@ -1198,6 +1206,27 @@ mod tests {
             Response::StaleTermR { term: 3, leader: 0 }
         );
         assert_eq!(n.term(), 3, "forgery must not advance the term");
+    }
+
+    #[test]
+    fn a_term_rewrite_keeps_the_placement_record() {
+        let dir = std::env::temp_dir().join(format!("swat-placed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let placement = Some(Placement {
+            streams: 8,
+            shards: 2,
+            shard: 0,
+        });
+        let mut n = ClusterNode::durable_replica(1, cfg(), 8, 2, 2, true, dir.clone()).unwrap();
+        assert_eq!(NodeMeta::load(&dir).unwrap().unwrap().placement, placement);
+        n.adopt(3, 0).unwrap();
+        let meta = NodeMeta::load(&dir).unwrap().unwrap();
+        assert_eq!((meta.term, meta.placement), (3, placement));
+        drop(n);
+        // The rewritten record still opens the store it describes.
+        let back = ClusterNode::durable_replica(1, cfg(), 8, 2, 2, true, dir.clone()).unwrap();
+        assert_eq!(back.term(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

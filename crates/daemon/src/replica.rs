@@ -6,12 +6,12 @@
 //! property-test arm and the production arm literally share this code,
 //! which is what makes "bit-identical to the oracle" a meaningful claim.
 //!
-//! A replica owns the streams of one shard of the global hash
-//! partition (`swat_tree::shard_members`), backed either by an
+//! A replica owns one shard's contiguous range of the streams
+//! (`swat_tree::shard_range`), backed either by an
 //! in-memory [`TiledSet`] or by a [`DurableStore`] (WAL + checkpoints),
 //! and keeps the applied-write-id set that makes ingest retries
 //! duplicate-safe (the PR 5 scheme). Its part in the distributed top-k
-//! is one answer: the shard's local top-k ([`swat_tree::local_top_k`]),
+//! is one answer: the shard's local top-k ([`swat_tree::range_top_k`]),
 //! which the leader merges with the other shards'.
 //!
 //! # A holding is a row log until something reads it
@@ -30,9 +30,9 @@
 use std::collections::HashSet;
 use std::path::Path;
 
-use swat_store::{DurableStore, RecoveryManager, StoreError};
+use swat_store::{DurableStore, Placement, StoreError};
 use swat_tree::{
-    local_top_k, shard_members, QueryOptions, RangeQuery, StreamSet, SwatConfig, TiledSet,
+    range_top_k, shard_range, QueryOptions, RangeQuery, StreamSet, SwatConfig, TiledSet,
 };
 
 use crate::proto::{ErrorCode, Request, Response, WirePointAnswer, MAX_TOP_K};
@@ -88,9 +88,9 @@ impl Backing {
 pub struct ReplicaNode {
     node: u64,
     shard: usize,
-    /// Global ids of the streams this shard owns, ascending; local
-    /// index ↦ global id.
-    members: Vec<usize>,
+    /// Global ids of the streams this shard owns; local index `i` is
+    /// global id `members.start + i`.
+    members: std::ops::Range<usize>,
     backing: Backing,
     /// Write ids already acked; retries re-ack without re-applying.
     applied: HashSet<u64>,
@@ -102,7 +102,7 @@ impl ReplicaNode {
     /// An in-memory replica: node id `node` owning shard `shard` of
     /// `shards` over `streams` global streams.
     pub fn new(node: u64, config: SwatConfig, streams: usize, shards: usize, shard: usize) -> Self {
-        let members = shard_members(streams, shards, shard);
+        let members = shard_range(streams, shards, shard);
         let set = StreamSet::new(config, members.len());
         ReplicaNode {
             node,
@@ -115,11 +115,12 @@ impl ReplicaNode {
     }
 
     /// A durable replica rooted at `dir`: recovers an existing store if
-    /// one is present, creates a fresh one otherwise.
+    /// one is present, creates a fresh one otherwise ([`Placement::open`]).
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`] from creation or recovery.
+    /// As [`Placement::open`]: a directory holding another shard's
+    /// streams, or written under another configuration, is refused.
     pub fn durable(
         node: u64,
         config: SwatConfig,
@@ -128,14 +129,13 @@ impl ReplicaNode {
         shard: usize,
         dir: &Path,
     ) -> Result<Self, StoreError> {
-        let members = shard_members(streams, shards, shard);
-        // Only parseable store files count: the node-meta image shares
-        // this directory and must not flip a fresh node into recovery.
-        let store = if swat_store::holds_store(dir) {
-            RecoveryManager::recover(dir)?.0
-        } else {
-            DurableStore::create(dir, config, members.len())?
-        };
+        let members = shard_range(streams, shards, shard);
+        let store = Placement {
+            streams,
+            shards,
+            shard,
+        }
+        .open(dir, config)?;
         let arrivals = store.arrivals();
         Ok(ReplicaNode {
             node,
@@ -165,7 +165,7 @@ impl ReplicaNode {
         applied: Vec<u64>,
         snapshot: &[u8],
     ) -> Result<Self, swat_tree::SnapshotError> {
-        let members = shard_members(streams, shards, shard);
+        let members = shard_range(streams, shards, shard);
         let set = StreamSet::restore(snapshot)?;
         if set.streams() != members.len() {
             return Err(swat_tree::SnapshotError::Invalid {
@@ -202,9 +202,9 @@ impl ReplicaNode {
         self.shard
     }
 
-    /// Global ids of the owned streams, ascending.
-    pub fn members(&self) -> &[usize] {
-        &self.members
+    /// Global ids of the owned streams.
+    pub fn members(&self) -> std::ops::Range<usize> {
+        self.members.clone()
     }
 
     /// Rows acked (deduplicated), held rows included.
@@ -259,9 +259,8 @@ impl ReplicaNode {
 
     /// The local index of global stream `g`, if this shard owns it.
     fn local_of(&self, g: u64) -> Option<usize> {
-        usize::try_from(g)
-            .ok()
-            .and_then(|g| self.members.binary_search(&g).ok())
+        let g = usize::try_from(g).ok()?;
+        self.members.contains(&g).then(|| g - self.members.start)
     }
 
     /// Serve one shard request: ingest, point, range, or this shard's
@@ -284,7 +283,7 @@ impl ReplicaNode {
                 code: ErrorCode::BadRequest,
             },
             Request::LocalTopK { k } => Response::LocalTopKR {
-                entries: local_top_k(self.backing.settled(), &self.members, *k as usize)
+                entries: range_top_k(self.backing.settled(), self.members.start, *k as usize)
                     .entries()
                     .to_vec(),
             },
@@ -378,7 +377,7 @@ impl ReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swat_tree::{shard_of, ROW_TILE};
+    use swat_tree::{local_top_k, shard_members, shard_of, ROW_TILE};
 
     fn cfg() -> SwatConfig {
         SwatConfig::with_coefficients(16, 4).unwrap()
@@ -509,7 +508,7 @@ mod tests {
         warm(&mut node, 40);
         // The same state built directly.
         let members = shard_members(10, 3, 1);
-        assert_eq!(node.members(), &members[..]);
+        assert_eq!(node.members().collect::<Vec<_>>(), members);
         let mut set = StreamSet::new(cfg(), members.len());
         for r in 0..40 {
             let row: Vec<f64> = (0..members.len())
@@ -518,7 +517,7 @@ mod tests {
             set.push_row(&row);
         }
         for (local, &global) in members.iter().enumerate() {
-            assert_eq!(shard_of(global as u64, 3), 1);
+            assert_eq!(shard_of(global as u64, 10, 3), 1);
             let want = set
                 .tree(local)
                 .point_with(3, QueryOptions::default())
@@ -542,7 +541,7 @@ mod tests {
         let mut node = ReplicaNode::new(1, cfg(), 10, 3, 1);
         // A stream another shard owns.
         let foreign = (0..10)
-            .find(|&g| shard_of(g as u64, 3) != 1)
+            .find(|&g| shard_of(g as u64, 10, 3) != 1)
             .expect("some stream routes elsewhere");
         assert_eq!(
             node.handle(&Request::Point {
@@ -573,7 +572,7 @@ mod tests {
         // Inverted range interval must not panic.
         assert_eq!(
             node.handle(&Request::Range {
-                stream: node.members()[0] as u64,
+                stream: node.members().start as u64,
                 center: 0.0,
                 radius: 1.0,
                 newest: 9,
@@ -596,7 +595,7 @@ mod tests {
             }
         );
         // At the bound the shard answers with everything it holds.
-        let members = node.members().to_vec();
+        let members: Vec<usize> = node.members().collect();
         let all = local_top_k(node.set(), &members, MAX_TOP_K as usize);
         assert!(!all.is_empty());
         assert_eq!(
@@ -611,7 +610,7 @@ mod tests {
     fn disk_faulted_replica_reports_degraded_status() {
         let dir = std::env::temp_dir().join(format!("swatd-degraded-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let members = shard_members(8, 2, 0);
+        let members = shard_range(8, 2, 0);
         let opts = swat_store::StoreOptions {
             freeze_rows: 4,
             retry_backoff: std::time::Duration::from_millis(1),
@@ -664,5 +663,58 @@ mod tests {
         assert_eq!(back.answers_digest(), digest);
         assert_eq!(back.arrivals(), arrivals);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory holding shard 0 of 2 over 8 streams, 20 rows
+    /// checkpointed, for test `tag`.
+    fn durable_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("swatd-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut node = ReplicaNode::durable(1, cfg(), 8, 2, 0, &dir).unwrap();
+        warm(&mut node, 20);
+        node.checkpoint().unwrap();
+        dir
+    }
+
+    /// Opening `dir` as shard 0 of `shards` over `streams` under `config`
+    /// is a [`StoreError::Mismatch`] naming `what`.
+    fn refused(dir: &Path, config: SwatConfig, streams: usize, shards: usize, what: &str) {
+        match ReplicaNode::durable(1, config, streams, shards, 0, dir) {
+            Err(StoreError::Mismatch { what: got, .. }) => assert_eq!(got, what),
+            Err(other) => panic!("expected a {what} mismatch, got {other}"),
+            Ok(_) => panic!("a {what} mismatch was opened"),
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_durable_holding_refuses_another_stream_count() {
+        refused(&durable_dir("streams"), cfg(), 16, 2, "placement");
+    }
+
+    #[test]
+    fn a_durable_holding_refuses_another_shard_count() {
+        refused(&durable_dir("shards"), cfg(), 8, 4, "placement");
+    }
+
+    #[test]
+    fn a_durable_holding_refuses_another_config() {
+        let config = SwatConfig::with_coefficients(32, 4).unwrap();
+        refused(&durable_dir("config"), config, 8, 2, "config");
+    }
+
+    #[test]
+    fn a_durable_holding_refuses_a_store_without_a_placement() {
+        // A store written before placement records: its rows may belong
+        // to any streams.
+        let dir = std::env::temp_dir().join(format!("swatd-unplaced-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = DurableStore::create(&dir, cfg(), 4).unwrap();
+        for r in 0..20 {
+            store.push_row(&[r as f64; 4]).unwrap();
+        }
+        store.checkpoint().unwrap();
+        drop(store);
+        refused(&dir, cfg(), 8, 2, "placement");
     }
 }

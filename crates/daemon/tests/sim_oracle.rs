@@ -305,11 +305,11 @@ proptest! {
         for shard in 0..2 {
             let mut want = StreamSet::new(cfg(), map.members(shard).len());
             for r in 0..acked {
-                want.push_row(&map.subrow(&row(r), shard));
+                want.push_row(map.subrow(&row(r), shard));
             }
             let mut allowed = vec![want.answers_digest()];
             if acked < ROWS {
-                want.push_row(&map.subrow(&row(acked), shard));
+                want.push_row(map.subrow(&row(acked), shard));
                 allowed.push(want.answers_digest());
             }
             // Whoever the newest live leader would route this shard to.
@@ -372,7 +372,7 @@ fn failover_schedule(victim: u64, kill_tick: u64, rows: usize) {
         assert_ne!(primary, victim, "a dead node cannot be primary");
         let mut want = StreamSet::new(cfg(), map.members(s).len());
         for r in 0..rows as u64 {
-            want.push_row(&map.subrow(&row(r), s));
+            want.push_row(map.subrow(&row(r), s));
         }
         assert_eq!(
             sim.holding_digest(primary, s),

@@ -200,7 +200,7 @@ fn four_node_cluster_survives_a_killed_replica_and_drains_cleanly() {
     // never a stale number. (After heartbeats mark the node dead the
     // answer is immediate; before that it is the same after retries.)
     let dead_stream = (0..STREAMS as u64)
-        .find(|&s| shard_of(s, SHARDS) == killed_shard)
+        .find(|&s| shard_of(s, STREAMS, SHARDS) == killed_shard)
         .expect("some stream lives on the killed shard");
     match client.point(dead_stream, 0).expect("point call") {
         Response::Unavailable { node } => assert_eq!(node, (killed_shard + 1) as u64),

@@ -65,6 +65,18 @@ pub enum StoreError {
         /// The most recent underlying failure, rendered.
         message: String,
     },
+    /// The directory holds a store other than the one asked for: one
+    /// with no placement record (written under an earlier partition
+    /// rule), or one whose placement, stream count or configuration
+    /// differs from the requested one. Opening it would misread its rows.
+    Mismatch {
+        /// What differs (`"placement"`, `"stream count"`, `"config"`).
+        what: &'static str,
+        /// What the directory holds, rendered.
+        found: String,
+        /// What was requested, rendered.
+        want: String,
+    },
 }
 
 impl StoreError {
@@ -95,6 +107,10 @@ impl fmt::Display for StoreError {
                     "store degraded: {parked} freeze(s) await their snapshot ({message})"
                 )
             }
+            StoreError::Mismatch { what, found, want } => write!(
+                f,
+                "store directory mismatch: {what} on disk is {found}, requested {want}"
+            ),
         }
     }
 }
@@ -108,7 +124,8 @@ impl std::error::Error for StoreError {
             StoreError::NoState
             | StoreError::BadRow { .. }
             | StoreError::BadValue { .. }
-            | StoreError::Degraded { .. } => None,
+            | StoreError::Degraded { .. }
+            | StoreError::Mismatch { .. } => None,
         }
     }
 }

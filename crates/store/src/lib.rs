@@ -54,6 +54,6 @@ pub use error::StoreError;
 pub use fault::{Fault, FaultInjector, FaultPlan, IoFaultKind, IoFaultPlan, IoFaults, IoOp};
 pub use image::{read_image, ImageWriter};
 pub use manifest::{Manifest, SegmentEntry, StoreFile};
-pub use meta::NodeMeta;
+pub use meta::{NodeMeta, Placement};
 pub use recovery::{RecoveryManager, RecoveryReport};
 pub use store::{holds_store, DurableStore, StoreHealth, StoreOptions, TierStatus};

@@ -1,5 +1,6 @@
-//! Durable per-node failover metadata: the leadership term and the
-//! per-shard configuration epochs.
+//! Durable per-node failover metadata: the leadership term, the
+//! per-shard configuration epochs, and which streams the node's store
+//! holds.
 //!
 //! The no-split-brain argument of the daemon's failover protocol leans on
 //! one durability fact: **a node never claims or acknowledges the same
@@ -14,15 +15,22 @@
 //! checkpoint/WAL scanner ignores ([`META_FILE`]), so recovery and meta
 //! persistence share a directory without either scanning the other's
 //! files.
+//!
+//! A store's rows are on disk but its membership is not: the
+//! [`Placement`] record says which shard of which partition they belong
+//! to, so a directory is never opened for streams it does not hold.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
 use swat_tree::codec::{CodecError, Cursor};
+use swat_tree::{shard_range, SwatConfig};
 
 use crate::error::StoreError;
 use crate::image::{read_image, ImageWriter};
+use crate::recovery::RecoveryManager;
+use crate::store::{holds_store, DurableStore};
 
 /// File name of the metadata image inside a store directory.
 /// [`crate::manifest::classify`] does not recognize it, so it never
@@ -35,6 +43,73 @@ const TAG_EPOCH: u8 = 2;
 // A mandatory terminator: without it, truncating the image at a record
 // boundary would silently drop trailing epoch records.
 const TAG_END: u8 = 3;
+const TAG_PLACEMENT: u8 = 4;
+
+/// Shard `shard` of `shards` over `streams` streams, under the
+/// contiguous-range partition (`swat_tree::shard_range`): the streams a
+/// store directory holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// Streams across every shard.
+    pub streams: usize,
+    /// Shards the streams are split across.
+    pub shards: usize,
+    /// The shard this directory holds.
+    pub shard: usize,
+}
+
+impl Placement {
+    /// The store in `dir` holding this placement's streams under
+    /// `config`: the one there, recovered, or — the placement recorded
+    /// first — a fresh one.
+    ///
+    /// # Errors
+    ///
+    /// Any [`StoreError`] from creation or recovery, and
+    /// [`StoreError::Mismatch`] when the directory records another
+    /// placement, or holds a store with no placement record (one written
+    /// under an earlier partition rule) or with another stream count or
+    /// configuration.
+    pub fn open(self, dir: &Path, config: SwatConfig) -> Result<DurableStore, StoreError> {
+        let width = shard_range(self.streams, self.shards, self.shard).len();
+        let meta = NodeMeta::load(dir)?;
+        let found = meta.as_ref().and_then(|m| m.placement);
+        let mismatch =
+            |what, found: String, want: String| StoreError::Mismatch { what, found, want };
+        let misplaced = || {
+            let found = found.map_or_else(|| "unrecorded".to_owned(), |p| format!("{p:?}"));
+            mismatch("placement", found, format!("{self:?}"))
+        };
+        // Only parseable store files count: the meta image shares the
+        // directory and must not flip a fresh node into recovery.
+        if !holds_store(dir) {
+            match found {
+                None => NodeMeta {
+                    placement: Some(self),
+                    ..meta.unwrap_or_default()
+                }
+                .save(dir)?,
+                Some(found) if found != self => return Err(misplaced()),
+                Some(_) => {}
+            }
+            return DurableStore::create(dir, config, width);
+        }
+        if found != Some(self) {
+            return Err(misplaced());
+        }
+        let mut store = RecoveryManager::recover(dir)?.0;
+        let set = store.set();
+        if set.streams() != width {
+            let found = set.streams().to_string();
+            return Err(mismatch("stream count", found, width.to_string()));
+        }
+        if *set.config() != config {
+            let found = format!("{:?}", set.config());
+            return Err(mismatch("config", found, format!("{config:?}")));
+        }
+        Ok(store)
+    }
+}
 
 /// A node's durable failover state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -46,6 +121,9 @@ pub struct NodeMeta {
     /// Per-shard configuration epochs this node has acknowledged,
     /// ascending by shard.
     pub epochs: Vec<(u32, u64)>,
+    /// The streams the store in this directory holds; recorded before
+    /// the store is created, and carried by every rewrite.
+    pub placement: Option<Placement>,
 }
 
 impl NodeMeta {
@@ -56,6 +134,13 @@ impl NodeMeta {
         term.extend_from_slice(&self.term.to_le_bytes());
         term.extend_from_slice(&self.leader.to_le_bytes());
         w.record(TAG_TERM, &term);
+        if let Some(p) = self.placement {
+            let mut rec = Vec::with_capacity(24);
+            for field in [p.streams, p.shards, p.shard] {
+                rec.extend_from_slice(&(field as u64).to_le_bytes());
+            }
+            w.record(TAG_PLACEMENT, &rec);
+        }
         for &(shard, epoch) in &self.epochs {
             let mut rec = Vec::with_capacity(12);
             rec.extend_from_slice(&shard.to_le_bytes());
@@ -98,8 +183,30 @@ impl NodeMeta {
                     meta = Some(NodeMeta {
                         term,
                         leader,
-                        epochs: Vec::new(),
+                        ..NodeMeta::default()
                     });
+                }
+                TAG_PLACEMENT => {
+                    let m = meta
+                        .as_mut()
+                        .ok_or_else(|| invalid("placement before term record"))?;
+                    if m.placement.is_some() || !m.epochs.is_empty() {
+                        return Err(invalid("placement record out of order"));
+                    }
+                    let mut c = Cursor::new(&payload);
+                    let mut field = || {
+                        let n = c.u64().map_err(corrupt)?;
+                        usize::try_from(n).map_err(|_| invalid("placement beyond usize"))
+                    };
+                    let placement = Placement {
+                        streams: field()?,
+                        shards: field()?,
+                        shard: field()?,
+                    };
+                    if !c.is_empty() {
+                        return Err(invalid("oversized placement record"));
+                    }
+                    m.placement = Some(placement);
                 }
                 TAG_EPOCH => {
                     let m = meta
@@ -186,6 +293,11 @@ mod tests {
             term: 7,
             leader: 2,
             epochs: vec![(0, 1), (1, 0), (2, 4)],
+            placement: Some(Placement {
+                streams: 2048,
+                shards: 2,
+                shard: 1,
+            }),
         }
     }
 
@@ -207,6 +319,7 @@ mod tests {
             term: 12,
             leader: 3,
             epochs: vec![(0, 2)],
+            placement: None,
         };
         second.save(&dir).unwrap();
         assert_eq!(NodeMeta::load(&dir).unwrap(), Some(second));
@@ -252,6 +365,19 @@ mod tests {
         // Epoch record before any term record.
         let mut w = ImageWriter::new();
         w.record(TAG_EPOCH, &[0u8; 12]);
+        assert!(NodeMeta::from_bytes(&w.finish()).is_err());
+        // A placement record before the term record, or a second one.
+        let placement = [0u8; 24];
+        let mut w = ImageWriter::new();
+        w.record(TAG_PLACEMENT, &placement)
+            .record(TAG_TERM, &term)
+            .record(TAG_END, &[]);
+        assert!(NodeMeta::from_bytes(&w.finish()).is_err());
+        let mut w = ImageWriter::new();
+        w.record(TAG_TERM, &term)
+            .record(TAG_PLACEMENT, &placement)
+            .record(TAG_PLACEMENT, &placement)
+            .record(TAG_END, &[]);
         assert!(NodeMeta::from_bytes(&w.finish()).is_err());
         // Unknown tag.
         let mut w = ImageWriter::new();

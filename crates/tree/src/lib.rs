@@ -70,8 +70,8 @@
 //!   growing levels (§2.1/§2.3's entire-stream model),
 //! * [`multi`] — multiple streams and summary-based correlation (the
 //!   concluding remarks' future work),
-//! * [`shard`] — hash-partitioned million-stream ingest with mergeable
-//!   per-shard top-k coefficient summaries, whose one-round merge is the
+//! * [`shard`] — million-stream ingest over contiguous stream ranges,
+//!   with mergeable per-shard top-k coefficient summaries, whose one-round merge is the
 //!   exact distributed top-k (the paper's "large networks" setting at
 //!   scale).
 
@@ -112,6 +112,8 @@ pub use query::{
 };
 pub use range::ValueRange;
 pub use scratch::QueryScratch;
-pub use shard::{local_top_k, root_summary, shard_members, shard_of, ShardedStreamSet};
+pub use shard::{
+    local_top_k, range_top_k, root_summary, shard_members, shard_of, shard_range, ShardedStreamSet,
+};
 pub use snapshot::SnapshotError;
 pub use tree::{NodePos, SwatTree, TreeView};

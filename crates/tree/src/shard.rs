@@ -2,17 +2,17 @@
 //!
 //! A single [`StreamSet`] keeps its streams' trees in one vector of
 //! blocks — fine for hundreds of streams, but a deployment summarizing a
-//! large network watches *millions*. [`ShardedStreamSet`] partitions the
-//! streams across `S` shards by a deterministic hash of the stream id,
-//! the layout a distributed deployment would use (each shard is the
-//! state one site owns). Three properties are maintained exactly:
+//! large network watches *millions*. [`ShardedStreamSet`] splits the
+//! streams into `S` contiguous ranges ([`shard_range`]), the layout a
+//! distributed deployment uses (each shard is the state one site owns).
+//! Three properties are maintained exactly:
 //!
 //! 1. **Determinism.** Ingest and query results are bit-identical to an
 //!    unsharded [`StreamSet`] over the same streams, for *every* shard
 //!    count and *every* thread count: each stream's values are applied
 //!    by its own shard in arrival order, each shard's set pass answers
-//!    its own streams and the answers are placed in global stream
-//!    order, and
+//!    its own streams and the answers are concatenated in shard (that
+//!    is, global stream) order, and
 //!    [`ShardedStreamSet::answers_digest`] is computed in global stream
 //!    order so it equals the oracle's digest verbatim. The
 //!    `shard_properties` integration tests pin this against the
@@ -35,6 +35,8 @@
 //!    partial coefficients from every split; here every
 //!    `(stream, index)` has exactly one owner.
 
+use std::ops::Range;
+
 use crate::config::{SwatConfig, TreeError};
 use crate::multi::StreamSet;
 use crate::node::Summary;
@@ -42,37 +44,43 @@ use crate::query::{InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOpti
 use crate::tree::{digest, NodePos, TreeView};
 use swat_wavelet::{row_reaches, TopCoeff, TopKSummary};
 
-/// Deterministic FNV-1a hash of a stream id — the routing function.
-/// Stable across platforms and runs, so a snapshot restored elsewhere
-/// routes identically.
-fn route_hash(stream: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in stream.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+/// The partition rule: the global stream ids shard `shard` owns out of
+/// `streams` split across `shards`, contiguous and in shard order, the
+/// first `streams % shards` ranges one stream longer than the rest.
+///
+/// # Panics
+///
+/// Panics if `shard >= shards`.
+pub fn shard_range(streams: usize, shards: usize, shard: usize) -> Range<usize> {
+    assert!(shard < shards, "shard {shard} of {shards}");
+    let (width, longer) = (streams / shards, streams % shards);
+    let start = shard * width + shard.min(longer);
+    start..start + width + usize::from(shard < longer)
+}
+
+/// The shard whose [`shard_range`] holds `stream`; panics unless
+/// `stream < streams` and `shards > 0`.
+pub fn shard_of(stream: u64, streams: usize, shards: usize) -> usize {
+    assert!(stream < streams as u64, "stream {stream} of {streams}");
+    let (stream, width, longer) = (stream as usize, streams / shards, streams % shards);
+    // With `width == 0` every stream is in a longer range: no `/ width`.
+    if stream < longer * (width + 1) {
+        stream / (width + 1)
+    } else {
+        (stream - longer) / width
     }
-    h
 }
 
-/// The shard owning `stream` out of `shards` partitions.
-pub fn shard_of(stream: u64, shards: usize) -> usize {
-    (route_hash(stream) % shards as u64) as usize
-}
-
-/// The global stream ids shard `shard` owns out of `streams` streams
-/// hash-partitioned across `shards` — ascending, exactly the membership
-/// [`ShardedStreamSet::new`] builds. A distributed deployment uses this
-/// to give every site the same routing table without coordination.
+/// [`shard_range`] collected.
 pub fn shard_members(streams: usize, shards: usize, shard: usize) -> Vec<usize> {
-    (0..streams)
-        .filter(|&g| shard_of(g as u64, shards) == shard)
-        .collect()
+    shard_range(streams, shards, shard).collect()
 }
 
 /// One partition's top-k computed from a free-standing [`StreamSet`]:
 /// the local top-k summary over the root-summary coefficients of
 /// `members[local]` ↦ `set.tree(local)`. Shared by the in-process
-/// [`ShardedStreamSet`] and remote shard owners (the daemon's replicas),
-/// so both produce bit-identical candidates.
+/// [`ShardedStreamSet`] and remote shard owners (the daemon's replicas)
+/// through [`range_top_k`], so both produce bit-identical candidates.
 ///
 /// The rows are read in place, sixteen streams' coefficient at a time,
 /// against the summary's [`TopKSummary::floor`]: a row none of whose
@@ -86,19 +94,31 @@ pub fn shard_members(streams: usize, shards: usize, shard: usize) -> Vec<usize> 
 /// Panics if `members.len() > set.streams()`.
 pub fn local_top_k(set: &StreamSet, members: &[usize], k: usize) -> TopKSummary {
     assert!(members.len() <= set.streams(), "more members than streams");
+    top_k_of(set, k, members.len(), |local| members[local])
+}
+
+/// [`local_top_k`] of a shard owning the global ids from `first` on:
+/// local stream `i` is global stream `first + i`.
+pub fn range_top_k(set: &StreamSet, first: usize, k: usize) -> TopKSummary {
+    top_k_of(set, k, set.streams(), |local| first + local)
+}
+
+/// The loop of [`local_top_k`] over the first `len` local streams, local
+/// stream `i` being global stream `global(i)`.
+fn top_k_of(set: &StreamSet, k: usize, len: usize, global: impl Fn(usize) -> usize) -> TopKSummary {
     let mut summary = TopKSummary::new(k);
     let mut floor = summary.floor();
     let mut batch = Vec::new();
     for (first, rows) in set.root_rows() {
-        let owners = members.get(first..).unwrap_or_default();
+        let lanes = len.saturating_sub(first);
         for (index, row) in rows.iter().enumerate() {
             if !row_reaches(row, floor) {
                 continue;
             }
-            for (&value, &global) in row.iter().zip(owners) {
+            for (lane, &value) in row.iter().enumerate().take(lanes) {
                 if value.abs() >= floor {
                     batch.push(TopCoeff {
-                        stream: global as u64,
+                        stream: global(first + lane) as u64,
                         index: index as u32,
                         value,
                     });
@@ -114,21 +134,11 @@ pub fn local_top_k(set: &StreamSet, members: &[usize], k: usize) -> TopKSummary 
     summary
 }
 
-/// Where a global stream lives: which shard, and at which local index
-/// within that shard's [`StreamSet`].
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    shard: u32,
-    local: u32,
-}
-
-/// One partition: a [`StreamSet`] over the shard's streams plus the
-/// global ids of its members (ascending, because construction walks
-/// global ids in order — local order therefore refines global order).
+/// One partition: a [`StreamSet`] over global streams `first..`.
 #[derive(Debug)]
 struct Shard {
     set: StreamSet,
-    members: Vec<usize>,
+    first: usize,
 }
 
 /// The newest summary at the highest populated level of `tree` — the
@@ -142,7 +152,8 @@ pub fn root_summary(tree: TreeView<'_>) -> Option<Summary> {
         .find_map(|l| tree.node(l, NodePos::Right))
 }
 
-/// A set of synchronized streams partitioned across hash-routed shards.
+/// A set of synchronized streams partitioned across shards by
+/// [`shard_range`].
 ///
 /// See the [module docs](self) for the determinism and exactness
 /// contracts. The public surface mirrors [`StreamSet`] — global stream
@@ -153,43 +164,30 @@ pub struct ShardedStreamSet {
     config: SwatConfig,
     streams: usize,
     shards: Vec<Shard>,
-    routes: Vec<Route>,
 }
 
 impl ShardedStreamSet {
-    /// `streams` synchronized streams hash-partitioned across `shards`
+    /// `streams` synchronized streams partitioned across `shards`
     /// shards under a shared configuration. `streams == 0` is legal
     /// (every shard holds an empty [`StreamSet`] — the bugfix that made
     /// empty sets a value is what lets shards start empty here).
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0` or `shards > u32::MAX as usize`.
+    /// Panics if `shards == 0`.
     pub fn new(config: SwatConfig, streams: usize, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        assert!(u32::try_from(shards).is_ok(), "too many shards");
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        let mut routes = Vec::with_capacity(streams);
-        for global in 0..streams {
-            let shard = shard_of(global as u64, shards);
-            routes.push(Route {
-                shard: shard as u32,
-                local: members[shard].len() as u32,
-            });
-            members[shard].push(global);
-        }
-        let shards = members
-            .into_iter()
-            .map(|members| Shard {
-                set: StreamSet::new(config, members.len()),
-                members,
+        let shards = (0..shards)
+            .map(|s| shard_range(streams, shards, s))
+            .map(|range| Shard {
+                set: StreamSet::new(config, range.len()),
+                first: range.start,
             })
             .collect();
         ShardedStreamSet {
             config,
             streams,
             shards,
-            routes,
         }
     }
 
@@ -214,8 +212,8 @@ impl ShardedStreamSet {
     ///
     /// Panics if `i` is out of range.
     pub fn tree(&self, i: usize) -> TreeView<'_> {
-        let r = self.routes[i];
-        self.shards[r.shard as usize].set.tree(r.local as usize)
+        let shard = &self.shards[shard_of(i as u64, self.streams, self.shards.len())];
+        shard.set.tree(i - shard.first)
     }
 
     /// Feed one synchronized row: `row[i]` goes to global stream `i`.
@@ -226,8 +224,9 @@ impl ShardedStreamSet {
     pub fn push_row(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.streams, "row arity mismatch");
         for shard in &mut self.shards {
-            let local_row: Vec<f64> = shard.members.iter().map(|&g| row[g]).collect();
-            shard.set.push_row(&local_row);
+            shard
+                .set
+                .push_row(&row[shard.first..][..shard.set.streams()]);
         }
     }
 
@@ -278,9 +277,9 @@ impl ShardedStreamSet {
     }
 
     /// Query fan-out in global stream order: each shard's set pass runs
-    /// over its own blocks, and each stream's answers are placed at its
-    /// global index through the member list, so answers cannot depend on
-    /// the shard layout. Shards spread across at most `threads` workers;
+    /// over its own blocks, and the shards' answers are concatenated in
+    /// shard order — global stream order, since each shard owns the next
+    /// contiguous range — so answers cannot depend on the shard layout. Shards spread across at most `threads` workers;
     /// threads left over when there are fewer shards than threads are
     /// shared out evenly to each shard's own pass (one shard, four
     /// threads: one pass over four workers). The first shard's error, in
@@ -293,11 +292,9 @@ impl ShardedStreamSet {
         assert!(threads > 0, "need at least one thread");
         let per_shard = (threads / self.shards.len()).max(1);
         let parts = self.map_shards(threads, |shard| pass(&shard.set, per_shard));
-        let mut out: Vec<Vec<T>> = (0..self.streams).map(|_| Vec::new()).collect();
-        for (shard, part) in self.shards.iter().zip(parts) {
-            for (answers, &global) in part?.into_iter().zip(&shard.members) {
-                out[global] = answers;
-            }
+        let mut out = Vec::with_capacity(self.streams);
+        for part in parts {
+            out.extend(part?);
         }
         Ok(out)
     }
@@ -319,7 +316,7 @@ impl ShardedStreamSet {
     /// coefficients across all shards, and the number of local
     /// candidates merged to find them (at most `shards · k`).
     ///
-    /// Each shard's [`local_top_k`] is computed across at most `threads`
+    /// Each shard's local top-k ([`range_top_k`]) is computed across at most `threads`
     /// scoped workers, and the local summaries' entries are ranked
     /// together in one [`TopKSummary::absorb`]. One round is exact: see
     /// the [module docs](self).
@@ -330,7 +327,7 @@ impl ShardedStreamSet {
     pub fn global_top_k(&self, k: usize, threads: usize) -> (TopKSummary, usize) {
         assert!(k > 0, "top-k needs k >= 1");
         assert!(threads > 0, "need at least one thread");
-        let locals = self.map_shards(threads, |shard| local_top_k(&shard.set, &shard.members, k));
+        let locals = self.map_shards(threads, |shard| range_top_k(&shard.set, shard.first, k));
         let mut candidates: Vec<TopCoeff> =
             locals.iter().flat_map(|l| l.entries()).copied().collect();
         let merged = candidates.len();
@@ -400,21 +397,6 @@ mod tests {
             set.push_row(row);
         }
         set
-    }
-
-    #[test]
-    fn routing_is_total_and_deterministic() {
-        for shards in [1usize, 2, 3, 7, 16] {
-            let set = ShardedStreamSet::new(cfg(16, 2), 100, shards);
-            let routed: usize = set.shards.iter().map(|s| s.members.len()).sum();
-            assert_eq!(routed, 100);
-            for g in 0..100 {
-                assert_eq!(
-                    shard_of(g as u64, shards),
-                    ShardedStreamSet::new(cfg(16, 2), 100, shards).routes[g].shard as usize
-                );
-            }
-        }
     }
 
     #[test]

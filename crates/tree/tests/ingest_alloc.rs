@@ -24,7 +24,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use swat_tree::{
-    IngestScratch, InnerProductQuery, QueryOptions, StreamSet, SwatConfig, SwatTree, ROW_TILE,
+    IngestScratch, InnerProductQuery, QueryOptions, ShardedStreamSet, StreamSet, SwatConfig,
+    SwatTree, ROW_TILE,
 };
 
 thread_local! {
@@ -177,6 +178,24 @@ fn steady_state_batched_ingest_does_not_allocate() {
         assert_eq!(
             delta, 0,
             "steady-state push_row over 37 streams allocated {delta} times (k = {k})"
+        );
+
+        // The same rows through a sharded set: each of its three shards
+        // takes its stream range as a slice of the row, so nothing
+        // allocates per shard per row.
+        let mut sharded =
+            ShardedStreamSet::new(SwatConfig::with_coefficients(n, k).unwrap(), streams, 3);
+        for row in rows.chunks_exact(streams).cycle().take(2 * n) {
+            sharded.push_row(row);
+        }
+        let before = allocations();
+        for row in rows.chunks_exact(streams).cycle().take(3 * n + 1) {
+            sharded.push_row(row);
+        }
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "steady-state sharded push_row over 37 streams allocated {delta} times (k = {k})"
         );
 
         // The set pass at a ragged width: two 16-lane blocks and one of 5.

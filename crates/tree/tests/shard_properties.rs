@@ -3,10 +3,13 @@
 //! [`ShardedStreamSet`] must be observationally bit-identical to the
 //! unsharded [`StreamSet`] oracle, and its distributed top-k — and the
 //! daemon replicas' path to the same answer — must equal the
-//! brute-force ranking of the same candidates.
+//! brute-force ranking of the same candidates. The partition rule
+//! itself — contiguous, balanced, in shard order — is pinned here too.
 
 use proptest::prelude::*;
-use swat_tree::shard::{local_top_k, root_summary, shard_members, ShardedStreamSet};
+use swat_tree::shard::{
+    local_top_k, range_top_k, root_summary, shard_members, shard_of, shard_range, ShardedStreamSet,
+};
 use swat_tree::{InnerProductQuery, QueryOptions, StreamSet, SwatConfig};
 use swat_wavelet::{TopCoeff, TopKSummary};
 
@@ -92,8 +95,72 @@ fn brute_force_top_k(set: &StreamSet, k: usize) -> Vec<TopCoeff> {
     all
 }
 
+/// The partition of `streams` over `shards`: the ranges tile
+/// `0..streams` in shard order, their widths differ by at most one with
+/// the longer ranges first, `shard_members` is the range collected, and
+/// `shard_of` names the range holding every stream.
+fn check_partition(streams: usize, shards: usize) {
+    let width = |s| shard_range(streams, shards, s).len();
+    let mut next = 0;
+    for s in 0..shards {
+        let range = shard_range(streams, shards, s);
+        assert_eq!(range.start, next, "{streams}/{shards}: shard {s} starts");
+        assert!(width(0) - width(s) <= 1, "{streams}/{shards}: widths");
+        if s > 0 {
+            assert!(width(s - 1) >= width(s), "{streams}/{shards}: longer first");
+        }
+        assert_eq!(
+            shard_members(streams, shards, s),
+            range.clone().collect::<Vec<_>>()
+        );
+        for g in range.clone() {
+            assert_eq!(
+                shard_of(g as u64, streams, shards),
+                s,
+                "{streams}/{shards}: {g}"
+            );
+        }
+        next = range.end;
+    }
+    assert_eq!(
+        next, streams,
+        "{streams}/{shards}: the ranges cover every stream"
+    );
+}
+
+#[test]
+fn small_partitions_are_contiguous_and_balanced() {
+    // Every shape up to 40 streams, fewer streams than shards and none
+    // at all included.
+    for streams in 0..=40 {
+        for shards in 1..=12 {
+            check_partition(streams, shards);
+        }
+    }
+}
+
+/// The benchmark's shapes, pinned: its exact per-operation counts follow
+/// from how many streams each shard owns.
+#[test]
+fn benchmark_shapes_keep_their_widths() {
+    let widths = |streams, shards| -> Vec<usize> {
+        (0..shards)
+            .map(|s| shard_range(streams, shards, s).len())
+            .collect()
+    };
+    assert_eq!(widths(2048, 2), [1024, 1024]);
+    assert_eq!(widths(64, 3), [22, 21, 21]);
+    assert_eq!(widths(1024, 1), [1024]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The partition rule at arbitrary sizes.
+    #[test]
+    fn partitions_are_contiguous_and_balanced(streams in 0usize..5_000, shards in 1usize..100) {
+        check_partition(streams, shards);
+    }
 
     /// Sharded ingest is bit-identical to the unsharded oracle: the
     /// global-order digests agree for every shard count.
@@ -129,8 +196,9 @@ proptest! {
     /// Distributed top-k equals the brute-force oracle exactly, for
     /// every shard count, thread count, and retention bound — both
     /// in-process and the way the daemon computes it: one free-standing
-    /// `StreamSet` per shard fed its sub-rows, their `local_top_k`s
-    /// merged in shard order. Up to 40 streams, so a shard spans up to
+    /// `StreamSet` per shard fed its sub-rows, their `range_top_k`s
+    /// (equal to `local_top_k` over the member list) merged in shard
+    /// order. Up to 40 streams, so a shard spans up to
     /// three blocks, the last one ragged; `top_k` past 40 × 4
     /// candidates, so some summaries never fill and others fill and
     /// raise their floor partway through a block.
@@ -154,7 +222,9 @@ proptest! {
                 let sub: Vec<f64> = members.iter().map(|&g| row[g]).collect();
                 set.push_row(&sub);
             }
-            merged.merge(&local_top_k(&set, &members, top_k));
+            let local = range_top_k(&set, shard_range(streams, shards, shard).start, top_k);
+            prop_assert_eq!(&local, &local_top_k(&set, &members, top_k));
+            merged.merge(&local);
         }
         prop_assert_eq!(merged.entries(), &want[..]);
     }

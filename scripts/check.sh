@@ -15,7 +15,8 @@ SWAT=target/release/swat
 
 # 2-node TCP cluster over the release binaries: ingest, point, top-k and
 # status through `swat client`, then SIGTERM both nodes — the leader must
-# drain and the replica must checkpoint. Runs in its row's subshell, which
+# drain and the replica must checkpoint — and a restart of the replica for
+# another stream count must be refused. Runs in its row's subshell, which
 # is what the EXIT trap and the plain variables are scoped to.
 daemon_smoke() {
     dir=$(mktemp -d)
@@ -46,6 +47,18 @@ daemon_smoke() {
     cat "$dir/replica.log" "$dir/leader.log"
     grep -q 'checkpointed: true' "$dir/replica.log"
     grep -q 'swatd: drained' "$dir/leader.log"
+    # The drained store holds 4 streams: reopening it for 5 must be a
+    # typed refusal at startup, not a server misreading its rows.
+    status=0
+    timeout 10 target/release/swatd --role replica --shard 0 --shards 1 \
+        --streams 5 --window 16 --dir "$dir/store" \
+        --port-file "$dir/wrong.addr" >"$dir/wrong.log" 2>&1 || status=$?
+    cat "$dir/wrong.log"
+    if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+        echo "daemon smoke: swatd served a 4-stream store as 5 (exit $status)" >&2
+        return 1
+    fi
+    grep -q 'store directory mismatch: placement' "$dir/wrong.log"
 }
 
 ROWS=(
