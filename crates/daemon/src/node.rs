@@ -129,45 +129,8 @@ impl ClusterNode {
         standbys: bool,
     ) -> ClusterNode {
         assert!(id >= 1 && id <= shards as u64, "replica ids are 1..=shards");
-        let mut node = ClusterNode {
-            id,
-            nodes: shards as u64 + 1,
-            streams,
-            shards,
-            miss_threshold,
-            standbys,
-            term: 0,
-            leader: 0,
-            leader_contact: 0,
-            holdings: BTreeMap::new(),
-            lead: None,
-            meta_dir: None,
-            placement: None,
-            pending_promote: std::collections::BTreeSet::new(),
-            installing: None,
-        };
-        let home = id as usize - 1;
-        node.holdings.insert(
-            home,
-            Holding {
-                rep: crate::replica::ReplicaNode::new(id, config, streams, shards, home),
-                epoch: 0,
-                primary: true,
-            },
-        );
-        if standbys && shards > 1 {
-            // The shard whose ring standby is this node.
-            let guarded = (id as usize + shards - 2) % shards;
-            node.holdings.insert(
-                guarded,
-                Holding {
-                    rep: crate::replica::ReplicaNode::new(id, config, streams, shards, guarded),
-                    epoch: 0,
-                    primary: false,
-                },
-            );
-        }
-        node
+        let home = crate::replica::ReplicaNode::new(id, config, streams, shards, id as usize - 1);
+        ClusterNode::with_home(id, config, streams, shards, miss_threshold, standbys, home)
     }
 
     /// Like [`ClusterNode::replica`] but with the home shard durable
@@ -180,6 +143,10 @@ impl ClusterNode {
     ///
     /// Any [`swat_store::StoreError`] from store recovery/creation or a
     /// corrupt meta image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is 0 or beyond the cluster.
     pub fn durable_replica(
         id: u64,
         config: SwatConfig,
@@ -189,25 +156,80 @@ impl ClusterNode {
         standbys: bool,
         dir: PathBuf,
     ) -> Result<ClusterNode, swat_store::StoreError> {
-        let mut node = ClusterNode::replica(id, config, streams, shards, miss_threshold, standbys);
-        let home = id as usize - 1;
-        // invariant: replica() above always seeds the home shard holding.
-        node.holdings
-            .get_mut(&home)
-            .expect("home holding exists")
-            .rep = crate::replica::ReplicaNode::durable(id, config, streams, shards, home, &dir)?;
-        if let Some(meta) = NodeMeta::load(&dir)? {
-            node.term = meta.term;
-            node.leader = meta.leader;
-            node.placement = meta.placement;
-            for (shard, epoch) in meta.epochs {
-                if let Some(h) = node.holdings.get_mut(&(shard as usize)) {
-                    h.epoch = epoch;
-                }
-            }
-        }
+        assert!(id >= 1 && id <= shards as u64, "replica ids are 1..=shards");
+        let shard = id as usize - 1;
+        let (home, meta) =
+            crate::replica::ReplicaNode::open_durable(id, config, streams, shards, shard, &dir)?;
+        let mut node =
+            ClusterNode::with_home(id, config, streams, shards, miss_threshold, standbys, home);
+        node.adopt_record(meta);
         node.meta_dir = Some(dir);
         Ok(node)
+    }
+
+    /// Replica `id` holding `home` as the primary of its shard, and —
+    /// with `standbys` on and more than one shard — an in-memory standby
+    /// of the ring-predecessor shard.
+    fn with_home(
+        id: u64,
+        config: SwatConfig,
+        streams: usize,
+        shards: usize,
+        miss_threshold: u32,
+        standbys: bool,
+        home: crate::replica::ReplicaNode,
+    ) -> ClusterNode {
+        let mut holdings = BTreeMap::new();
+        holdings.insert(
+            home.shard(),
+            Holding {
+                rep: home,
+                epoch: 0,
+                primary: true,
+            },
+        );
+        if standbys && shards > 1 {
+            // The shard whose ring standby is this node.
+            let guarded = (id as usize + shards - 2) % shards;
+            holdings.insert(
+                guarded,
+                Holding {
+                    rep: crate::replica::ReplicaNode::new(id, config, streams, shards, guarded),
+                    epoch: 0,
+                    primary: false,
+                },
+            );
+        }
+        ClusterNode {
+            id,
+            nodes: shards as u64 + 1,
+            streams,
+            shards,
+            miss_threshold,
+            standbys,
+            term: 0,
+            leader: 0,
+            leader_contact: 0,
+            holdings,
+            lead: None,
+            meta_dir: None,
+            placement: None,
+            pending_promote: std::collections::BTreeSet::new(),
+            installing: None,
+        }
+    }
+
+    /// Take the term, leader, placement and holding epochs of a
+    /// [`NodeMeta`] record read from disk.
+    fn adopt_record(&mut self, meta: NodeMeta) {
+        self.term = meta.term;
+        self.leader = meta.leader;
+        self.placement = meta.placement;
+        for (shard, epoch) in meta.epochs {
+            if let Some(h) = self.holdings.get_mut(&(shard as usize)) {
+                h.epoch = epoch;
+            }
+        }
     }
 
     /// Attach a durable [`NodeMeta`] record under `dir` (creating none
@@ -223,14 +245,7 @@ impl ClusterNode {
     /// A corrupt meta image ([`swat_store::StoreError::Corrupt`]).
     pub fn with_meta_dir(mut self, dir: PathBuf) -> Result<Self, swat_store::StoreError> {
         if let Some(meta) = NodeMeta::load(&dir)? {
-            self.term = meta.term;
-            self.leader = meta.leader;
-            self.placement = meta.placement;
-            for (shard, epoch) in meta.epochs {
-                if let Some(h) = self.holdings.get_mut(&(shard as usize)) {
-                    h.epoch = epoch;
-                }
-            }
+            self.adopt_record(meta);
             if !(self.term == 0 && self.leader == self.id) {
                 self.lead = None;
             }
@@ -1226,6 +1241,36 @@ mod tests {
         // The rewritten record still opens the store it describes.
         let back = ClusterNode::durable_replica(1, cfg(), 8, 2, 2, true, dir.clone()).unwrap();
         assert_eq!(back.term(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_restarted_durable_replica_adopts_its_record() {
+        let dir = std::env::temp_dir().join(format!("swat-record-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(ClusterNode::durable_replica(1, cfg(), 8, 2, 2, true, dir.clone()).unwrap());
+        // What a node that lived through a failover leaves behind: a
+        // newer term, another leader, and both holdings' epochs moved.
+        let record = NodeMeta {
+            term: 4,
+            leader: 1,
+            epochs: vec![(0, 7), (1, 2)],
+            ..NodeMeta::load(&dir).unwrap().unwrap()
+        };
+        record.save(&dir).unwrap();
+        let back = ClusterNode::durable_replica(1, cfg(), 8, 2, 2, true, dir.clone()).unwrap();
+        assert_eq!((back.term(), back.leader_id()), (4, 1));
+        let placement = Placement {
+            streams: 8,
+            shards: 2,
+            shard: 0,
+        };
+        assert_eq!(back.placement, Some(placement));
+        assert_eq!((back.holdings[&0].epoch, back.holdings[&1].epoch), (7, 2));
+        assert!(back.holdings[&0].primary && !back.holdings[&1].primary);
+        // The next rewrite carries all of it.
+        back.persist_meta().unwrap();
+        assert_eq!(NodeMeta::load(&dir).unwrap().unwrap(), record);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -30,7 +30,7 @@
 use std::collections::HashSet;
 use std::path::Path;
 
-use swat_store::{DurableStore, Placement, StoreError};
+use swat_store::{DurableStore, NodeMeta, Placement, StoreError};
 use swat_tree::{
     range_top_k, shard_range, QueryOptions, RangeQuery, StreamSet, SwatConfig, TiledSet,
 };
@@ -129,22 +129,36 @@ impl ReplicaNode {
         shard: usize,
         dir: &Path,
     ) -> Result<Self, StoreError> {
+        Ok(Self::open_durable(node, config, streams, shards, shard, dir)?.0)
+    }
+
+    /// [`ReplicaNode::durable`], with the node's record in `dir` that
+    /// [`Placement::open`] read on the way.
+    pub(crate) fn open_durable(
+        node: u64,
+        config: SwatConfig,
+        streams: usize,
+        shards: usize,
+        shard: usize,
+        dir: &Path,
+    ) -> Result<(Self, NodeMeta), StoreError> {
         let members = shard_range(streams, shards, shard);
-        let store = Placement {
+        let (store, meta) = Placement {
             streams,
             shards,
             shard,
         }
         .open(dir, config)?;
         let arrivals = store.arrivals();
-        Ok(ReplicaNode {
+        let rep = ReplicaNode {
             node,
             shard,
             members,
             backing: Backing::Durable(store),
             applied: HashSet::new(),
             arrivals,
-        })
+        };
+        Ok((rep, meta))
     }
 
     /// An in-memory replica rebuilt from exported state — the receiving

@@ -61,7 +61,8 @@ pub struct Placement {
 impl Placement {
     /// The store in `dir` holding this placement's streams under
     /// `config`: the one there, recovered, or — the placement recorded
-    /// first — a fresh one.
+    /// first — a fresh one; and the node's record in `dir` as it now
+    /// stands, read once here for the caller to adopt.
     ///
     /// # Errors
     ///
@@ -70,10 +71,14 @@ impl Placement {
     /// placement, or holds a store with no placement record (one written
     /// under an earlier partition rule) or with another stream count or
     /// configuration.
-    pub fn open(self, dir: &Path, config: SwatConfig) -> Result<DurableStore, StoreError> {
+    pub fn open(
+        self,
+        dir: &Path,
+        config: SwatConfig,
+    ) -> Result<(DurableStore, NodeMeta), StoreError> {
         let width = shard_range(self.streams, self.shards, self.shard).len();
-        let meta = NodeMeta::load(dir)?;
-        let found = meta.as_ref().and_then(|m| m.placement);
+        let meta = NodeMeta::load(dir)?.unwrap_or_default();
+        let found = meta.placement;
         let mismatch =
             |what, found: String, want: String| StoreError::Mismatch { what, found, want };
         let misplaced = || {
@@ -83,16 +88,17 @@ impl Placement {
         // Only parseable store files count: the meta image shares the
         // directory and must not flip a fresh node into recovery.
         if !holds_store(dir) {
-            match found {
-                None => NodeMeta {
-                    placement: Some(self),
-                    ..meta.unwrap_or_default()
-                }
-                .save(dir)?,
-                Some(found) if found != self => return Err(misplaced()),
-                Some(_) => {}
+            if found.is_some_and(|found| found != self) {
+                return Err(misplaced());
             }
-            return DurableStore::create(dir, config, width);
+            let meta = NodeMeta {
+                placement: Some(self),
+                ..meta
+            };
+            if found.is_none() {
+                meta.save(dir)?;
+            }
+            return Ok((DurableStore::create(dir, config, width)?, meta));
         }
         if found != Some(self) {
             return Err(misplaced());
@@ -107,7 +113,7 @@ impl Placement {
             let found = format!("{:?}", set.config());
             return Err(mismatch("config", found, format!("{config:?}")));
         }
-        Ok(store)
+        Ok((store, meta))
     }
 }
 
