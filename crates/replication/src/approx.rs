@@ -41,16 +41,6 @@ pub trait SegmentApprox: Clone + PartialEq + std::fmt::Debug {
     /// Sound bound on `2 × |truth − value_at(·)|` — the "width" the
     /// query admission test weighs, scaled like the paper's range width.
     fn uncertainty(&self) -> f64;
-
-    /// Serialize for the durability layer. Integrity is the container's
-    /// job (the `swat-store` image codec checksums every record); this
-    /// method only defines the payload bytes.
-    fn write_bytes(&self, out: &mut Vec<u8>);
-
-    /// Parse bytes produced by [`write_bytes`](Self::write_bytes).
-    /// Returns `None` — never panics — on any malformed input, so a
-    /// corrupted durable image degrades to a lost replica, not a crash.
-    fn from_bytes(bytes: &[u8]) -> Option<Self>;
 }
 
 /// The paper's 1-coefficient approximation: the exact `[min, max]` range.
@@ -79,23 +69,6 @@ impl SegmentApprox for RangeApprox {
 
     fn uncertainty(&self) -> f64 {
         self.0.width()
-    }
-
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.lo().to_bits().to_le_bytes());
-        out.extend_from_slice(&self.0.hi().to_bits().to_le_bytes());
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != 16 {
-            return None;
-        }
-        let lo = f64::from_bits(u64::from_le_bytes(bytes[..8].try_into().ok()?));
-        let hi = f64::from_bits(u64::from_le_bytes(bytes[8..].try_into().ok()?));
-        if !lo.is_finite() || !hi.is_finite() || lo > hi {
-            return None;
-        }
-        Some(RangeApprox(ValueRange::new(lo, hi)))
     }
 }
 
@@ -163,54 +136,6 @@ impl SegmentApprox for CoeffApprox {
     fn uncertainty(&self) -> f64 {
         2.0 * self.deviation
     }
-
-    fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        out.extend_from_slice(&(self.coeffs.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.deviation.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.coeffs.coefficients().len() as u64).to_le_bytes());
-        for &c in self.coeffs.coefficients() {
-            out.extend_from_slice(&c.to_bits().to_le_bytes());
-        }
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let f64_at = |at: usize| -> Option<f64> {
-            Some(f64::from_bits(u64::from_le_bytes(
-                bytes.get(at..at + 8)?.try_into().ok()?,
-            )))
-        };
-        let u64_at = |at: usize| -> Option<u64> {
-            Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
-        };
-        let len = usize::try_from(u64_at(0)?).ok()?;
-        let signal_len = usize::try_from(u64_at(8)?).ok()?;
-        let deviation = f64_at(16)?;
-        let stored = usize::try_from(u64_at(24)?).ok()?;
-        if !deviation.is_finite()
-            || deviation < 0.0
-            || len == 0
-            || len > signal_len
-            || stored > signal_len
-            || bytes.len() != 32 + 8 * stored
-        {
-            return None;
-        }
-        let mut coeffs = Vec::with_capacity(stored);
-        for i in 0..stored {
-            let c = f64_at(32 + 8 * i)?;
-            if !c.is_finite() {
-                return None;
-            }
-            coeffs.push(c);
-        }
-        let coeffs = HaarCoeffs::from_parts(signal_len, coeffs).ok()?;
-        Some(CoeffApprox {
-            coeffs,
-            deviation,
-            len,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -277,53 +202,6 @@ mod tests {
         // A wildly different segment must not be suppressed by a tight old.
         let far = CoeffApprox::from_segment(&[90.0, 91.0, 92.0, 93.0], 2);
         assert!(!CoeffApprox::suppresses(&old, &far));
-    }
-
-    #[test]
-    fn byte_codecs_roundtrip_bit_identically() {
-        let r = RangeApprox::from_segment(&[3.0, 9.0, 5.0], 1);
-        let mut bytes = Vec::new();
-        r.write_bytes(&mut bytes);
-        assert_eq!(RangeApprox::from_bytes(&bytes).unwrap(), r);
-
-        for k in [1usize, 2, 4] {
-            let c = CoeffApprox::from_segment(&[7.0, 3.0, 9.0, 1.0, 2.0], k);
-            let mut bytes = Vec::new();
-            c.write_bytes(&mut bytes);
-            assert_eq!(CoeffApprox::from_bytes(&bytes).unwrap(), c);
-        }
-    }
-
-    #[test]
-    fn byte_codecs_reject_malformed_input_without_panicking() {
-        let r = RangeApprox::from_segment(&[3.0, 9.0], 1);
-        let mut bytes = Vec::new();
-        r.write_bytes(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                RangeApprox::from_bytes(&bytes[..cut]).is_none(),
-                "cut {cut}"
-            );
-        }
-        // A range with lo > hi or non-finite bounds must not parse.
-        let mut swapped = Vec::new();
-        RangeApprox(ValueRange::new(3.0, 9.0)).write_bytes(&mut swapped);
-        swapped.rotate_left(8); // hi bytes first: encodes [9, 3]
-        assert!(RangeApprox::from_bytes(&swapped).is_none());
-
-        let c = CoeffApprox::from_segment(&[7.0, 3.0, 9.0, 1.0], 2);
-        let mut bytes = Vec::new();
-        c.write_bytes(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                CoeffApprox::from_bytes(&bytes[..cut]).is_none(),
-                "cut {cut}"
-            );
-        }
-        // Coefficient-count field inflated past the buffer.
-        let mut inflated = bytes.clone();
-        inflated[24] = 0xFF;
-        assert!(CoeffApprox::from_bytes(&inflated).is_none());
     }
 
     #[test]

@@ -65,7 +65,7 @@ use std::fmt;
 
 use crate::approx::{RangeApprox, SegmentApprox};
 use crate::asr::SwatAsr;
-use crate::durable::{self, Durability};
+use crate::durable;
 use crate::harness::{
     digest_outcome, run, RunOutput, WorkloadConfig, WorkloadConfigError, DIGEST_SEED,
 };
@@ -152,12 +152,6 @@ pub struct ChaosOptions {
     /// bound at every answer, collecting violations (costs an exact
     /// sweep per event; meant for tests).
     pub check_invariants: bool,
-    /// What survives a node crash. [`Durability::Directory`] (the
-    /// default) reproduces the original chaos model bit-for-bit;
-    /// [`Durability::Checkpointed`] models nodes running the `swat-store`
-    /// durability layer, which restore their replicas locally instead of
-    /// re-fetching them — measured as recovery messages saved.
-    pub durability: Durability,
     /// Self-healing: heartbeat failure detection plus dynamic-tree
     /// repair. `None` (the default) keeps the static tree — crashed
     /// interior nodes partition their subtree, as in the original
@@ -171,7 +165,6 @@ impl Default for ChaosOptions {
             plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
             check_invariants: false,
-            durability: Durability::default(),
             heal: None,
         }
     }
@@ -459,7 +452,6 @@ struct Driver<'a, A: SegmentApprox> {
     data_idx: usize,
     digest: u64,
     check: bool,
-    durability: Durability,
     violations: Vec<String>,
 }
 
@@ -501,7 +493,6 @@ fn drive(
         data_idx: 0,
         digest: DIGEST_SEED,
         check: options.check_invariants,
-        durability: options.durability,
         violations: Vec::new(),
     };
 
@@ -1049,12 +1040,10 @@ impl<A: SegmentApprox> Driver<'_, A> {
         // Everything that survives a crash round-trips through the
         // durability layer's checksummed image codec — encoding at the
         // crash instant is equivalent to write-through persistence, since
-        // every mutation preceded the crash. Under `Directory` that is
-        // the subscription directory alone (the original model); under
-        // `Checkpointed` the node also restores each segment's
-        // approximation, epoch, and staleness mark from its local store.
-        // Phase counters are volatile either way.
-        let image = durable::encode_node(&self.asr, node, self.durability);
+        // every mutation preceded the crash. That is the subscription
+        // directory alone; approximations, epochs, staleness marks and
+        // phase counters are volatile.
+        let image = durable::encode_node(&self.asr, node);
         for seg in 0..self.asr.segments().len() {
             let row = self.asr.row_mut(node, seg);
             row.approx = None;
@@ -1622,79 +1611,6 @@ mod tests {
         assert_eq!(out.net.counter("net.crashes"), 1);
         // Queries issued by the crashed node while down are skipped.
         assert!(out.net.counter("net.queries_answered") > 0);
-    }
-
-    #[test]
-    fn checkpointed_durability_is_inert_without_crashes() {
-        // With no crash windows the durable path is never taken, so both
-        // durability models must be bit-identical — to each other and to
-        // the synchronous harness.
-        let topo = Topology::complete_binary(2);
-        let data = weather(700);
-        let cfg = cfg();
-        let sync = run(SchemeKind::SwatAsr, &topo, &data, &cfg);
-        let mut opts = checked(FaultPlan::none());
-        opts.durability = Durability::Checkpointed;
-        let chaos = run_chaos(SchemeKind::SwatAsr, &topo, &data, &cfg, &opts).unwrap();
-        assert_eq!(chaos.run.ledger, sync.ledger);
-        assert_eq!(chaos.run.answers_digest, sync.answers_digest);
-        assert!(chaos.violations.is_empty(), "{:?}", chaos.violations);
-    }
-
-    #[test]
-    fn checkpointed_recovery_saves_messages_and_stays_sound() {
-        // A crashed node that restores its replicas from local durable
-        // state answers locally again right after recovery, instead of
-        // forwarding queries until the network re-replicates — fewer
-        // QueryForward/Answer messages, zero soundness violations. The
-        // stream goes quiet before the crash so the restored
-        // approximations are still fresh: source-side enclosure
-        // suppression emits no updates, which is exactly the regime where
-        // Directory mode has nothing to rebuild replicas from until a
-        // phase-end expansion.
-        let topo = Topology::chain(2);
-        let mut data = weather(300);
-        let last = *data.last().unwrap();
-        data.resize(900, last);
-        let plan = FaultPlan::new(7).with_crash(NodeId(1), 400, 460).unwrap();
-        let directory = run_chaos(
-            SchemeKind::SwatAsr,
-            &topo,
-            &data,
-            &cfg(),
-            &checked(plan.clone()),
-        )
-        .unwrap();
-        let mut opts = checked(plan);
-        opts.durability = Durability::Checkpointed;
-        let checkpointed = run_chaos(SchemeKind::SwatAsr, &topo, &data, &cfg(), &opts).unwrap();
-
-        assert!(
-            directory.violations.is_empty(),
-            "{:?}",
-            directory.violations
-        );
-        assert!(
-            checkpointed.violations.is_empty(),
-            "{:?}",
-            checkpointed.violations
-        );
-        assert_eq!(checkpointed.net.counter("net.crashes"), 1);
-        let fetch = |out: &ChaosOutput| {
-            out.run.ledger.count(MsgKind::QueryForward) + out.run.ledger.count(MsgKind::Answer)
-        };
-        assert!(
-            fetch(&checkpointed) < fetch(&directory),
-            "local recovery must save query traffic: checkpointed {} vs directory {}",
-            fetch(&checkpointed),
-            fetch(&directory)
-        );
-        assert!(
-            checkpointed.run.ledger.total() < directory.run.ledger.total(),
-            "checkpointed {} vs directory {}",
-            checkpointed.run.ledger.total(),
-            directory.run.ledger.total()
-        );
     }
 
     #[test]

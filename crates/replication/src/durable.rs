@@ -6,20 +6,11 @@
 //! in the simulator's memory — durable by fiat, with no on-media format
 //! at all. Now every byte that survives a crash round-trips through
 //! [`swat_store::image`], the same checksummed container the durability
-//! layer uses on disk, so the simulation exercises a real codec path and
-//! the durability choice is explicit:
-//!
-//! * [`Durability::Directory`] — the seed model: only the subscription
-//!   directory survives; approximations, epochs, and staleness are
-//!   rebuilt from the network.
-//! * [`Durability::Checkpointed`] — the node additionally persists each
-//!   segment's approximation, epoch, and staleness mark, as a node
-//!   running a [`swat_store::DurableStore`] would. Encoding at the crash
-//!   instant is equivalent to write-through persistence because every
-//!   mutation precedes the crash. Soundness is preserved by the driver's
-//!   write-time stale marking, which keeps running against the rows of a
-//!   down node: by the time the node restarts, any restored
-//!   approximation the world moved past is already marked stale.
+//! layer uses on disk, so the simulation exercises a real codec path.
+//! Only the subscription directory survives; approximations, epochs, and
+//! staleness are rebuilt from the network. Encoding at the crash instant
+//! is equivalent to write-through persistence because every mutation
+//! precedes the crash.
 //!
 //! Restoring tolerates corrupt images by falling back to total loss of
 //! the volatile-or-damaged portion — degraded, never unsound.
@@ -30,29 +21,12 @@ use swat_store::{read_image, ImageWriter};
 use crate::approx::SegmentApprox;
 use crate::asr::SwatAsr;
 
-/// What survives a node crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Durability {
-    /// Subscription directory only (the original chaos model).
-    #[default]
-    Directory,
-    /// Directory plus per-segment approximation, epoch, and staleness —
-    /// the state a checkpointed durable store recovers locally.
-    Checkpointed,
-}
-
 /// Record tag: a segment's durable directory entry (subscribers only).
 const TAG_DIRECTORY: u8 = 1;
-/// Record tag: a segment's full durable row.
-const TAG_FULL: u8 = 2;
 
-/// Encode the durable portion of `node`'s per-segment state, one image
-/// record per segment in segment order.
-pub(crate) fn encode_node<A: SegmentApprox>(
-    asr: &SwatAsr<A>,
-    node: NodeId,
-    durability: Durability,
-) -> Vec<u8> {
+/// Encode `node`'s subscription directory, one image record per segment
+/// in segment order.
+pub(crate) fn encode_node<A: SegmentApprox>(asr: &SwatAsr<A>, node: NodeId) -> Vec<u8> {
     let mut image = ImageWriter::new();
     for seg in 0..asr.segments().len() {
         let row = asr.row(node, seg);
@@ -61,23 +35,7 @@ pub(crate) fn encode_node<A: SegmentApprox>(
         for &child in &row.subscribed {
             payload.extend_from_slice(&(child.index() as u64).to_le_bytes());
         }
-        match durability {
-            Durability::Directory => {
-                image.record(TAG_DIRECTORY, &payload);
-            }
-            Durability::Checkpointed => {
-                payload.extend_from_slice(&row.seq.to_le_bytes());
-                payload.push(row.stale as u8);
-                match &row.approx {
-                    Some(a) => {
-                        payload.push(1);
-                        a.write_bytes(&mut payload);
-                    }
-                    None => payload.push(0),
-                }
-                image.record(TAG_FULL, &payload);
-            }
-        }
+        image.record(TAG_DIRECTORY, &payload);
     }
     image.finish()
 }
@@ -101,71 +59,32 @@ pub(crate) fn restore_node<A: SegmentApprox>(
     // leave the node half-restored.
     let mut parsed = Vec::with_capacity(records.len());
     for (tag, payload) in &records {
-        let Some(row) = parse_record::<A>(*tag, payload) else {
+        let Some(row) = parse_record(*tag, payload) else {
             return false;
         };
         parsed.push(row);
     }
-    for (seg, (subscribed, full)) in parsed.into_iter().enumerate() {
-        let row = asr.row_mut(node, seg);
-        row.subscribed = subscribed;
-        if let Some((seq, stale, approx)) = full {
-            row.seq = seq;
-            row.stale = stale;
-            row.approx = approx;
-        }
+    for (seg, subscribed) in parsed.into_iter().enumerate() {
+        asr.row_mut(node, seg).subscribed = subscribed;
     }
     true
 }
 
-type ParsedRow<A> = (Vec<NodeId>, Option<(u64, bool, Option<A>)>);
-
-fn parse_record<A: SegmentApprox>(tag: u8, payload: &[u8]) -> Option<ParsedRow<A>> {
+/// A directory record's subscribers; `None` on any other tag or any
+/// malformed payload.
+fn parse_record(tag: u8, payload: &[u8]) -> Option<Vec<NodeId>> {
     let u64_at = |at: usize| -> Option<u64> {
         Some(u64::from_le_bytes(
             payload.get(at..at + 8)?.try_into().ok()?,
         ))
     };
     let count = usize::try_from(u64_at(0)?).ok()?;
-    if count > payload.len() / 8 {
+    if tag != TAG_DIRECTORY || count > payload.len() / 8 || payload.len() != 8 + 8 * count {
         return None;
     }
-    let mut subscribed = Vec::with_capacity(count);
-    for i in 0..count {
-        let id = usize::try_from(u64_at(8 + 8 * i)?).ok()?;
-        subscribed.push(NodeId(id));
-    }
-    let mut at = 8 + 8 * count;
-    match tag {
-        TAG_DIRECTORY => {
-            if at != payload.len() {
-                return None;
-            }
-            Some((subscribed, None))
-        }
-        TAG_FULL => {
-            let seq = u64_at(at)?;
-            at += 8;
-            let stale = match payload.get(at)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            at += 1;
-            let approx = match payload.get(at)? {
-                0 => {
-                    if at + 1 != payload.len() {
-                        return None;
-                    }
-                    None
-                }
-                1 => Some(A::from_bytes(&payload[at + 1..])?),
-                _ => return None,
-            };
-            Some((subscribed, Some((seq, stale, approx))))
-        }
-        _ => None,
-    }
+    (0..count)
+        .map(|i| Some(NodeId(usize::try_from(u64_at(8 + 8 * i)?).ok()?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -173,7 +92,6 @@ mod tests {
     use super::*;
     use crate::approx::RangeApprox;
     use swat_net::Topology;
-    use swat_tree::ValueRange;
 
     fn asr() -> SwatAsr<RangeApprox> {
         let topo = Topology::from_parents(vec![None, Some(0), Some(1)]).unwrap();
@@ -185,44 +103,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_image_roundtrips_every_durable_field() {
-        let mut asr = asr();
-        let node = NodeId(1);
-        {
-            let row = asr.row_mut(node, 0);
-            row.subscribed = vec![NodeId(2)];
-            row.seq = 9;
-            row.stale = true;
-            row.approx = Some(RangeApprox(ValueRange::new(-1.0, 3.0)));
-        }
-        let image = encode_node(&asr, node, Durability::Checkpointed);
-        let (want_subs, want_seq, want_approx) = {
-            let row = asr.row(node, 0);
-            (row.subscribed.clone(), row.seq, row.approx.clone())
-        };
-        // Crash-zero, then restore.
-        for seg in 0..asr.segments().len() {
-            let row = asr.row_mut(node, seg);
-            row.subscribed.clear();
-            row.approx = None;
-            row.stale = false;
-            row.seq = 0;
-        }
-        assert!(restore_node(&mut asr, node, &image));
-        let row = asr.row(node, 0);
-        assert_eq!(row.subscribed, want_subs);
-        assert_eq!(row.seq, want_seq);
-        assert!(row.stale);
-        assert_eq!(row.approx, want_approx);
-    }
-
-    #[test]
     fn directory_image_restores_only_subscriptions() {
         let mut asr = asr();
         let node = NodeId(1);
         asr.row_mut(node, 0).subscribed = vec![NodeId(2)];
         asr.row_mut(node, 0).seq = 5;
-        let image = encode_node(&asr, node, Durability::Directory);
+        let image = encode_node(&asr, node);
         for seg in 0..asr.segments().len() {
             let row = asr.row_mut(node, seg);
             row.subscribed.clear();
@@ -230,11 +116,7 @@ mod tests {
         }
         assert!(restore_node(&mut asr, node, &image));
         assert_eq!(asr.row(node, 0).subscribed, vec![NodeId(2)]);
-        assert_eq!(
-            asr.row(node, 0).seq,
-            0,
-            "epochs are volatile in Directory mode"
-        );
+        assert_eq!(asr.row(node, 0).seq, 0, "epochs are volatile");
     }
 
     #[test]
@@ -242,7 +124,7 @@ mod tests {
         let mut asr = asr();
         let node = NodeId(1);
         asr.row_mut(node, 0).subscribed = vec![NodeId(2)];
-        let image = encode_node(&asr, node, Durability::Checkpointed);
+        let image = encode_node(&asr, node);
         for cut in 0..image.len() {
             assert!(!restore_node(&mut asr, node, &image[..cut]), "cut {cut}");
         }

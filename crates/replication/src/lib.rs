@@ -35,10 +35,9 @@
 //! crashes), acks + bounded retries for replication traffic, and
 //! staleness-based graceful degradation — under `FaultPlan::none()` it is
 //! bit-identical to [`harness::run`]. Crash durability is modeled through
-//! [`durable`]: the state that survives a crash round-trips through the
-//! `swat-store` checksummed image codec, and
-//! [`Durability::Checkpointed`] lets nodes restore replicas from local
-//! durable state instead of re-fetching them over the network.
+//! [`durable`]: the state that survives a crash — each node's
+//! subscription directory — round-trips through the `swat-store`
+//! checksummed image codec.
 //!
 //! Self-healing is opt-in via [`HealPolicy`]: heartbeat-based failure
 //! detection, spanning-tree repair on a `swat_net::DynamicTopology`
@@ -84,7 +83,6 @@ pub mod workload;
 
 pub use approx::{CoeffApprox, RangeApprox, SegmentApprox};
 pub use chaos::{run_chaos, ChaosError, ChaosOptions, ChaosOutput, HealPolicy, RetryPolicy};
-pub use durable::Durability;
 pub use harness::WorkloadConfigError;
 pub use scheme::{QueryOutcome, ReplicationScheme, SchemeKind};
 pub use segments::Segment;

@@ -82,7 +82,19 @@ fn config() -> SwatConfig {
     SwatConfig::with_coefficients(64, 4).unwrap()
 }
 
-fn scratch(name: &str) -> PathBuf {
+/// Removes its directory when dropped: on a failed assert too, so a
+/// failing run leaves nothing behind in `/dev/shm`.
+struct Removed(PathBuf);
+
+impl Drop for Removed {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh directory for test `name`, and the guard that removes it.
+/// Bind the guard before the store, so the store is dropped first.
+fn scratch(name: &str) -> (PathBuf, Removed) {
     let base = Path::new("/dev/shm");
     let base = if base.is_dir() {
         base.to_path_buf()
@@ -91,7 +103,7 @@ fn scratch(name: &str) -> PathBuf {
     };
     let dir = base.join(format!("swat-bounds-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    dir
+    (dir.clone(), Removed(dir))
 }
 
 fn fill(row: &mut [f64], t: u64) {
@@ -138,7 +150,7 @@ fn disk_and_heap_are_bounded_by_two_snapshots_and_a_wal_tail() {
         "the shape must tell a generation buffer ({generation_bytes}) from a snapshot ({snapshot_bytes})"
     );
 
-    let dir = scratch("disk-heap");
+    let (dir, _removed) = scratch("disk-heap");
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
     let mut store = DurableStore::create_with(&dir, config(), STREAMS, opts(FREEZE_ROWS)).unwrap();
@@ -184,8 +196,6 @@ fn disk_and_heap_are_bounded_by_two_snapshots_and_a_wal_tail() {
         2,
         "{names:?}"
     );
-    drop(store);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 fn open_descriptors() -> usize {
@@ -198,7 +208,7 @@ fn a_store_that_never_syncs_holds_a_constant_number_of_descriptors() {
     if open_descriptors() == 0 {
         return; // no /proc: nothing to count with
     }
-    let dir = scratch("fds");
+    let (dir, removed) = scratch("fds");
     let mut store = DurableStore::create_with(&dir, config(), 2, opts(8)).unwrap();
     let at_start = open_descriptors();
     let mut twin = StreamSet::new(config(), 2);
@@ -224,10 +234,10 @@ fn a_store_that_never_syncs_holds_a_constant_number_of_descriptors() {
     }
     assert_eq!(store.status().flushes, 400);
     drop(store);
-    let _ = fs::remove_dir_all(&dir);
+    drop(removed);
 
     // The same run killed right after the sync: the ack holds.
-    let dir = scratch("fds-ack");
+    let (dir, _removed) = scratch("fds-ack");
     let mut store = DurableStore::create_with(&dir, config(), 2, opts(8)).unwrap();
     for t in 0..acked.0 {
         store.push_row(&[t as f64, (t % 13) as f64]).unwrap();
@@ -238,6 +248,4 @@ fn a_store_that_never_syncs_holds_a_constant_number_of_descriptors() {
     let (recovered, report) = RecoveryManager::recover_with(&dir, opts(8)).unwrap();
     assert_eq!(report.recovered_arrivals, acked.0);
     assert_eq!(recovered.answers_digest(), acked.1);
-    drop(recovered);
-    let _ = fs::remove_dir_all(&dir);
 }

@@ -248,17 +248,13 @@ impl StreamSet {
 
     /// Feed a block of synchronized arrivals column-wise: `columns[i]` is
     /// the next batch of values for stream `i`, and all columns must have
-    /// equal length. The blocks of sixteen streams are partitioned across
-    /// at most `threads` scoped worker threads ([`std::thread::scope`], so
-    /// no new dependencies and no `'static` bounds), each running the
-    /// blocked cascade over its blocks' columns.
+    /// equal length. Each block of sixteen streams has its columns
+    /// transposed into rows and run through the blocked cascade, block
+    /// after block on the calling thread — node for node the state
+    /// [`Self::push_row`] per row leaves (`extend_batched_matches_rows`).
     ///
-    /// Because every block's values are applied by exactly one worker in
-    /// arrival order, the final state is **deterministic and identical for
-    /// every thread count** — including `threads == 1`, which degenerates
-    /// to a plain loop without spawning. The
-    /// `extend_batched_matches_rows_for_any_thread_count` test proves this
-    /// node-by-node.
+    /// `_threads` is ignored: it is kept until the benchmark stops naming
+    /// it (ROADMAP item 1-β), and then goes.
     ///
     /// An empty set accepts only an empty column slice (the arity check
     /// still applies) and ingests it as a no-op.
@@ -266,11 +262,9 @@ impl StreamSet {
     /// # Panics
     ///
     /// Panics if `columns.len() != streams()`, if column lengths differ,
-    /// if `threads == 0`, or if any value is non-finite — before any
-    /// stream advances.
-    pub fn extend_batched<C: AsRef<[f64]> + Sync>(&mut self, columns: &[C], threads: usize) {
+    /// or if any value is non-finite — before any stream advances.
+    pub fn extend_batched<C: AsRef<[f64]>>(&mut self, columns: &[C], _threads: usize) {
         assert_eq!(columns.len(), self.streams, "column arity mismatch");
-        assert!(threads > 0, "need at least one thread");
         // With zero streams there is no first column to size the batch
         // from (indexing it was the empty-set panic this module used to
         // have) and nothing to ingest.
@@ -288,34 +282,13 @@ impl StreamSet {
                 .all(|c| c.as_ref().iter().fold(true, |ok, v| ok & v.is_finite())),
             "stream values must be finite"
         );
-        // One worker's blocks, starting at block `first_block`: each
-        // block's columns transposed into rows of its width.
-        let ingest = |blocks: &mut [Block<BLOCK>], first_block: usize| {
-            BLOCK_SCRATCH.with(|scratch| {
-                let scratch = &mut scratch.borrow_mut();
-                let mut rows = Vec::new();
-                for (b, block) in blocks.iter_mut().enumerate() {
-                    let cols = &columns[(first_block + b) * BLOCK..];
-                    let cols = &cols[..BLOCK.min(cols.len())];
-                    rows.clear();
-                    rows.extend((0..len).flat_map(|r| cols.iter().map(move |c| c.as_ref()[r])));
-                    ingest_block(block, &rows, cols.len(), 0, cols.len(), scratch);
-                }
-            });
-        };
-        let workers = threads.min(self.blocks.len());
-        if workers == 1 {
-            ingest(&mut self.blocks, 0);
-            return;
-        }
-        // Contiguous runs of ceil(blocks / workers) blocks each; the
-        // boundaries depend only on the stream count and `workers`, never
-        // on scheduling.
-        let per = self.blocks.len().div_ceil(workers);
-        let ingest = &ingest;
-        std::thread::scope(|scope| {
-            for (i, part) in self.blocks.chunks_mut(per).enumerate() {
-                scope.spawn(move || ingest(part, i * per));
+        BLOCK_SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut();
+            let mut rows = Vec::new();
+            for (block, cols) in self.blocks.iter_mut().zip(columns.chunks(BLOCK)) {
+                rows.clear();
+                rows.extend((0..len).flat_map(|r| cols.iter().map(move |c| c.as_ref()[r])));
+                ingest_block(block, &rows, cols.len(), 0, cols.len(), scratch);
             }
         });
     }
@@ -335,57 +308,49 @@ impl StreamSet {
     /// one pass of the query engine's set pass: the streams share one
     /// cover, resolved once per call, and it is evaluated over sixteen
     /// streams per lane op, each lane reading its own stream's rows where
-    /// its block stores them (`crate::scratch`'s module docs). With
-    /// `threads > 1` the blocks are split into contiguous runs of
-    /// `ceil(blocks / workers)` blocks, each worker running the pass over
-    /// its run with its own [`QueryScratch`]; `threads == 1` runs it on
-    /// the calling thread without spawning.
+    /// its block stores them (`crate::scratch`'s module docs). The pass
+    /// runs on the calling thread over its own [`QueryScratch`].
     ///
-    /// Returns one answer vector per stream, in stream order. Each answer
-    /// is bit-identical to [`TreeView::point_with`] on that stream, **for
-    /// every thread count** — workers only partition read-only blocks and
-    /// write disjoint results, so scheduling cannot influence any value.
-    /// The streams share one geometry, so a query one stream refuses,
-    /// every stream refuses, with the same error.
+    /// Returns one answer vector per stream, in stream order, each answer
+    /// bit-identical to [`TreeView::point_with`] on that stream. The
+    /// streams share one geometry, so a query one stream refuses, every
+    /// stream refuses, with the same error.
+    ///
+    /// `_threads` is ignored: it is kept until the benchmark stops naming
+    /// it (ROADMAP item 1-β), and then goes.
     ///
     /// # Errors
     ///
     /// As [`TreeView::point_with`] per stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
     pub fn point_many(
         &self,
         indices: &[usize],
         opts: QueryOptions,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Vec<Vec<PointAnswer>>, TreeError> {
-        query_fan_out(self, threads, indices.len(), |blocks, streams, scratch| {
-            scratch.points_over(blocks, streams, IdxList::Slice(indices), opts)
+        set_pass(self.streams, indices.len(), |scratch| {
+            scratch.points_over(&self.blocks, self.streams, IdxList::Slice(indices), opts)
         })
     }
 
     /// Answer the same block of inner-product queries against **every**
-    /// stream, sharded like [`Self::point_many`]. Returns one answer
-    /// vector per stream, in stream order, each bit-identical to
-    /// [`TreeView::inner_product_with`] per query for every thread count.
+    /// stream in one set pass, as [`Self::point_many`] does. Returns one
+    /// answer vector per stream, in stream order, each bit-identical to
+    /// [`TreeView::inner_product_with`] per query.
+    ///
+    /// `_threads` is ignored, as in [`Self::point_many`].
     ///
     /// # Errors
     ///
     /// As [`TreeView::inner_product_with`] per stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
     pub fn inner_product_many(
         &self,
         queries: &[InnerProductQuery],
         opts: QueryOptions,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Vec<Vec<InnerProductAnswer>>, TreeError> {
-        query_fan_out(self, threads, queries.len(), |blocks, streams, scratch| {
-            scratch.inners_over(blocks, streams, queries, opts)
+        set_pass(self.streams, queries.len(), |scratch| {
+            scratch.inners_over(&self.blocks, self.streams, queries, opts)
         })
     }
 
@@ -480,65 +445,21 @@ impl StreamSet {
     }
 }
 
-/// Deterministic query fan-out over a set's blocks: the blocks are split
-/// into contiguous runs, at block boundaries, of `ceil(blocks / workers)`
-/// each, each run answered by one `pass` of [`QueryScratch`]'s set pass
-/// with that worker's own scratch (`threads == 1` runs the thread's
-/// scratch over every block, without spawning), and the flat answers —
-/// `per_tree` a stream — are split into per-stream vectors in stream
-/// order. The streams share one geometry, so every run meets the same
-/// error if any does; the first run's is returned.
-pub(crate) fn query_fan_out<T: Copy + Send>(
-    set: &StreamSet,
-    threads: usize,
+/// One `pass` of [`QueryScratch`]'s set pass, with the thread's own
+/// scratch — the serving map and the answer buffer a previous call grew
+/// are still there — and its flat answers, `per_tree` for each of
+/// `streams` streams, split into per-stream vectors in stream order.
+fn set_pass<T: Copy>(
+    streams: usize,
     per_tree: usize,
-    pass: impl for<'s> Fn(&[Block<BLOCK>], usize, &'s mut QueryScratch) -> Result<&'s [T], TreeError>
-        + Sync,
+    pass: impl for<'s> FnOnce(&'s mut QueryScratch) -> Result<&'s [T], TreeError>,
 ) -> Result<Vec<Vec<T>>, TreeError> {
-    assert!(threads > 0, "need at least one thread");
-    let split = |blocks: &[Block<BLOCK>], streams: usize, scratch: &mut QueryScratch| {
-        let answers = pass(blocks, streams, scratch)?;
-        Ok::<Vec<Vec<T>>, TreeError>(
-            (0..streams)
-                .map(|i| answers[i * per_tree..(i + 1) * per_tree].to_vec())
-                .collect(),
-        )
-    };
-    // Zero streams: nothing to answer, and `div_ceil(workers)` below
-    // would divide by zero.
-    if set.blocks.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = threads.min(set.blocks.len());
-    if workers == 1 {
-        // The thread's own scratch: the serving map and the answer
-        // buffer a previous call grew are still there.
-        return crate::scratch::with_thread_scratch(|scratch| {
-            split(&set.blocks, set.streams, scratch)
-        });
-    }
-    let per = set.blocks.len().div_ceil(workers);
-    let split = &split;
-    let parts: Vec<Result<Vec<Vec<T>>, TreeError>> = std::thread::scope(|scope| {
-        let workers: Vec<_> = set
-            .blocks
-            .chunks(per)
-            .enumerate()
-            .map(|(i, part)| {
-                let streams = (set.streams - i * per * BLOCK).min(part.len() * BLOCK);
-                scope.spawn(move || split(part, streams, &mut QueryScratch::new()))
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("a query worker panicked"))
-            .collect()
-    });
-    let mut results = Vec::with_capacity(set.streams);
-    for part in parts {
-        results.extend(part?);
-    }
-    Ok(results)
+    crate::scratch::with_thread_scratch(|scratch| {
+        let answers = pass(scratch)?;
+        Ok((0..streams)
+            .map(|i| answers[i * per_tree..(i + 1) * per_tree].to_vec())
+            .collect())
+    })
 }
 
 /// Magic prefix of a [`StreamSet::snapshot`] buffer.
@@ -1229,7 +1150,7 @@ mod tests {
     }
 
     #[test]
-    fn extend_batched_matches_rows_for_any_thread_count() {
+    fn extend_batched_matches_rows() {
         for (n, k, streams) in [(16, 1, 5), (32, 4, 8), (8, 8, 3)] {
             let config = SwatConfig::with_coefficients(n, k).unwrap();
             let cols = columns(streams, 3 * n + 1);
@@ -1239,21 +1160,16 @@ mod tests {
                 let row: Vec<f64> = cols.iter().map(|c| c[i]).collect();
                 reference.push_row(&row);
             }
-            for threads in [1usize, 2, 3, 7, 16] {
-                let mut sharded = StreamSet::new(config, streams);
-                sharded.extend_batched(&cols, threads);
-                for s in 0..streams {
-                    let a = reference.tree(s);
-                    let b = sharded.tree(s);
-                    assert_eq!(a.arrivals(), b.arrivals());
-                    assert_eq!(a.newest(), b.newest());
-                    let nodes_a: Vec<_> = a.nodes().collect();
-                    let nodes_b: Vec<_> = b.nodes().collect();
-                    assert_eq!(
-                        nodes_a, nodes_b,
-                        "n={n} k={k} streams={streams} threads={threads} stream {s}"
-                    );
-                }
+            let mut batched = StreamSet::new(config, streams);
+            batched.extend_batched(&cols, 1);
+            for s in 0..streams {
+                let a = reference.tree(s);
+                let b = batched.tree(s);
+                assert_eq!(a.arrivals(), b.arrivals());
+                assert_eq!(a.newest(), b.newest());
+                let nodes_a: Vec<_> = a.nodes().collect();
+                let nodes_b: Vec<_> = b.nodes().collect();
+                assert_eq!(nodes_a, nodes_b, "n={n} k={k} streams={streams} stream {s}");
             }
         }
     }
@@ -1263,12 +1179,12 @@ mod tests {
         let config = SwatConfig::new(16).unwrap();
         let cols = columns(4, 40);
         let mut whole = StreamSet::new(config, 4);
-        whole.extend_batched(&cols, 2);
+        whole.extend_batched(&cols, 1);
         let mut blocks = StreamSet::new(config, 4);
         for start in (0..40).step_by(9) {
             let end = (start + 9).min(40);
             let part: Vec<&[f64]> = cols.iter().map(|c| &c[start..end]).collect();
-            blocks.extend_batched(&part, 3);
+            blocks.extend_batched(&part, 1);
         }
         for s in 0..4 {
             let a: Vec<_> = whole.tree(s).nodes().collect();
@@ -1278,11 +1194,11 @@ mod tests {
     }
 
     #[test]
-    fn query_fan_out_matches_sequential_for_any_thread_count() {
+    fn set_queries_match_sequential() {
         use crate::query::InnerProductQuery;
         let streams = 7;
         let mut set = StreamSet::new(SwatConfig::with_coefficients(32, 4).unwrap(), streams);
-        set.extend_batched(&columns(streams, 100), 2);
+        set.extend_batched(&columns(streams, 100), 1);
         let indices: Vec<usize> = vec![0, 1, 5, 17, 31];
         let queries = [
             InnerProductQuery::exponential(16, 1e9),
@@ -1305,75 +1221,69 @@ mod tests {
                     .collect()
             })
             .collect();
-        for threads in [1usize, 2, 3, 7, 16] {
-            let pts = set
-                .point_many(&indices, QueryOptions::default(), threads)
-                .unwrap();
-            assert_eq!(pts, pts_ref, "points, threads={threads}");
-            let ips = set
-                .inner_product_many(&queries, QueryOptions::default(), threads)
-                .unwrap();
-            assert_eq!(ips, ips_ref, "inner products, threads={threads}");
-        }
+        let pts = set
+            .point_many(&indices, QueryOptions::default(), 1)
+            .unwrap();
+        assert_eq!(pts, pts_ref, "points");
+        let ips = set
+            .inner_product_many(&queries, QueryOptions::default(), 1)
+            .unwrap();
+        assert_eq!(ips, ips_ref, "inner products");
     }
 
     #[test]
-    fn query_fan_out_reports_first_stream_error() {
+    fn set_queries_report_first_stream_error() {
         // Cold trees: every stream fails; the stream-order-first error for
-        // index 0 must come back regardless of thread count.
+        // index 0 must come back.
         let set = StreamSet::new(SwatConfig::new(16).unwrap(), 5);
-        for threads in [1usize, 2, 4, 8] {
-            let err = set
-                .point_many(&[0], QueryOptions::default(), threads)
-                .unwrap_err();
-            assert_eq!(err, TreeError::Uncovered { index: 0 });
-        }
+        let err = set
+            .point_many(&[0], QueryOptions::default(), 1)
+            .unwrap_err();
+        assert_eq!(err, TreeError::Uncovered { index: 0 });
     }
 
     #[test]
     #[should_panic(expected = "column arity")]
     fn extend_batched_rejects_wrong_arity() {
         let mut set = StreamSet::new(SwatConfig::new(16).unwrap(), 2);
-        set.extend_batched(&columns(3, 4), 2);
+        set.extend_batched(&columns(3, 4), 1);
     }
 
     #[test]
     #[should_panic(expected = "equal lengths")]
     fn extend_batched_rejects_ragged_columns() {
         let mut set = StreamSet::new(SwatConfig::new(16).unwrap(), 2);
-        set.extend_batched(&[vec![1.0, 2.0], vec![3.0]], 2);
+        set.extend_batched(&[vec![1.0, 2.0], vec![3.0]], 1);
     }
 
     #[test]
     fn empty_set_operations_never_panic() {
-        // Regression: `extend_batched` indexed `columns[0]` and
-        // `query_fan_out` computed `len.div_ceil(0)` on empty sets.
+        // Regression: `extend_batched` indexed `columns[0]` and the
+        // query fan-out divided by a zero block count on empty sets.
         use crate::query::InnerProductQuery;
         let config = SwatConfig::new(16).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let mut set = StreamSet::new(config, 0);
-            assert_eq!(set.streams(), 0);
-            assert_eq!(set.config().window(), 16);
-            set.push_row(&[]);
-            let no_columns: [Vec<f64>; 0] = [];
-            set.extend_batched(&no_columns, threads);
-            let pts = set
-                .point_many(&[0, 3, 15], QueryOptions::default(), threads)
-                .unwrap();
-            assert!(pts.is_empty(), "threads={threads}");
-            let ips = set
-                .inner_product_many(
-                    &[InnerProductQuery::exponential(8, 1e9)],
-                    QueryOptions::default(),
-                    threads,
-                )
-                .unwrap();
-            assert!(ips.is_empty(), "threads={threads}");
-            assert_eq!(
-                set.answers_digest(),
-                StreamSet::new(config, 0).answers_digest()
-            );
-        }
+        let mut set = StreamSet::new(config, 0);
+        assert_eq!(set.streams(), 0);
+        assert_eq!(set.config().window(), 16);
+        set.push_row(&[]);
+        let no_columns: [Vec<f64>; 0] = [];
+        set.extend_batched(&no_columns, 1);
+        let pts = set
+            .point_many(&[0, 3, 15], QueryOptions::default(), 1)
+            .unwrap();
+        assert!(pts.is_empty());
+        let ips = set
+            .inner_product_many(
+                &[InnerProductQuery::exponential(8, 1e9)],
+                QueryOptions::default(),
+                1,
+            )
+            .unwrap();
+        assert!(ips.is_empty());
+        assert_eq!(
+            set.answers_digest(),
+            StreamSet::new(config, 0).answers_digest()
+        );
     }
 
     #[test]
@@ -1390,31 +1300,21 @@ mod tests {
     }
 
     #[test]
-    fn single_stream_set_matches_lone_tree_for_any_thread_count() {
+    fn single_stream_set_matches_lone_tree() {
         let config = SwatConfig::with_coefficients(16, 2).unwrap();
         let cols = columns(1, 50);
         let mut oracle = SwatTree::new(config);
         oracle.push_batch(&cols[0]);
         let indices = [0usize, 1, 7, 15];
-        for threads in [1usize, 2, 4, 8] {
-            let mut set = StreamSet::new(config, 1);
-            set.extend_batched(&cols, threads);
-            assert_eq!(
-                set.tree(0).answers_digest(),
-                oracle.answers_digest(),
-                "threads={threads}"
-            );
-            let pts = set
-                .point_many(&indices, QueryOptions::default(), threads)
-                .unwrap();
-            assert_eq!(pts.len(), 1);
-            for (slot, &idx) in pts[0].iter().zip(&indices) {
-                assert_eq!(
-                    *slot,
-                    oracle.point(idx).unwrap(),
-                    "threads={threads} idx={idx}"
-                );
-            }
+        let mut set = StreamSet::new(config, 1);
+        set.extend_batched(&cols, 1);
+        assert_eq!(set.tree(0).answers_digest(), oracle.answers_digest());
+        let pts = set
+            .point_many(&indices, QueryOptions::default(), 1)
+            .unwrap();
+        assert_eq!(pts.len(), 1);
+        for (slot, &idx) in pts[0].iter().zip(&indices) {
+            assert_eq!(*slot, oracle.point(idx).unwrap(), "idx={idx}");
         }
     }
 

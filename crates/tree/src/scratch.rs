@@ -55,7 +55,7 @@
 //! `min_level`). Any `push` advances the arrival count, so every mutation
 //! invalidates; the comparison is exact (no hashing), so a stale cache can
 //! never be mistaken for a fresh one. Once a tree is steady
-//! ([`SwatTree::is_steady`]) that node sequence is a function of the
+//! ([`crate::SwatTree::is_steady`]) that node sequence is a function of the
 //! window and the arrival count alone, so a map built for a steady tree is
 //! accepted for any steady tree on those words, in `O(1)`; a tree that is
 //! not steady (warming up, or restored from a hand-built snapshot) is
@@ -72,9 +72,7 @@
 //! each block of 16 trees (`multi::BLOCK`, the blocked cascade's width)
 //! reading each piece's rows in place, one lane per tree (a ragged last
 //! block's spare lanes are zeros and never written out). Answers go to a
-//! flat buffer in the scratch, stream-major. A single tree's
-//! [`SwatTree::point_many`] and [`SwatTree::inner_product_many`] are the
-//! pass over its one-lane block.
+//! flat buffer in the scratch, stream-major.
 //!
 //! Single-shot queries (`point_with`, `inner_product_with`, …) instead use
 //! a buffered variant of the reference scan — same `O(3 log N · M)`
@@ -93,7 +91,7 @@ use crate::query::{
     InnerProductAnswer, InnerProductQuery, PointAnswer, QueryOptions, RangeMatch, RangeQuery,
     WeightProfile,
 };
-use crate::tree::{NodePos, SwatTree, TreeView};
+use crate::tree::{NodePos, TreeView};
 
 /// Sentinel in the serving map: no eligible node covers this index.
 const UNSERVED: u32 = u32::MAX;
@@ -420,7 +418,7 @@ impl CoverCache {
     }
 }
 
-/// Reusable buffers for query evaluation over [`SwatTree`]s, the
+/// Reusable buffers for query evaluation over [`crate::SwatTree`]s, the
 /// streams of a [`crate::StreamSet`] and [`TreeView`]s.
 ///
 /// One scratch serves any number of trees and query shapes; buffers grow
@@ -429,9 +427,8 @@ impl CoverCache {
 /// `tests/query_alloc.rs`). `new()` allocates nothing.
 ///
 /// A scratch is deliberately *not* stored inside the tree: `SwatTree`
-/// stays free of interior mutability (and therefore `Sync`), which is
-/// what lets [`crate::StreamSet`] fan queries out across scoped threads
-/// with one scratch per worker.
+/// stays free of interior mutability (and therefore `Sync`), and one
+/// scratch serves every tree and set a thread queries.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     cover: CoverCache,
@@ -690,7 +687,7 @@ impl QueryScratch {
     /// # Errors
     ///
     /// The error every stream would return from
-    /// [`SwatTree::inner_product_many`] on its own.
+    /// [`TreeView::inner_product_with`] for the first failing query.
     pub(crate) fn inners_over<const W: usize>(
         &mut self,
         blocks: &[Block<W>],
@@ -727,7 +724,8 @@ impl QueryScratch {
     /// # Errors
     ///
     /// The first error in query order — refused indices or an uncovered
-    /// position — which is where [`SwatTree::inner_product_many`] stops.
+    /// position — which is where a stream's queries, answered in order,
+    /// would stop.
     fn stage_inners(
         &mut self,
         head: &Head,
@@ -902,61 +900,6 @@ fn lane_inner<const W: usize>(
             nodes_used: cover.sel.len(),
             extrapolated: cover.uncovered.len(),
         };
-    }
-}
-
-impl SwatTree {
-    /// Answer a block of point queries, amortizing the cover cache across
-    /// the batch: after `check_indices` and one (usually cached) serving-map
-    /// lookup table, each answer costs `O(log k)`.
-    ///
-    /// `out` is cleared and filled with one answer per index, in order —
-    /// each bit-identical to [`Self::point_with`] on the same tree.
-    ///
-    /// # Errors
-    ///
-    /// The error [`Self::point_with`] would return for the first failing
-    /// index; `out`'s contents are unspecified on error.
-    pub fn point_many(
-        &self,
-        indices: &[usize],
-        opts: QueryOptions,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<PointAnswer>,
-    ) -> Result<(), TreeError> {
-        let answers = scratch.points_over(
-            std::slice::from_ref(&self.block),
-            1,
-            IdxList::Slice(indices),
-            opts,
-        )?;
-        out.clear();
-        out.extend_from_slice(answers);
-        Ok(())
-    }
-
-    /// Answer a block of inner-product queries through the cover cache,
-    /// amortizing the serving map across the batch.
-    ///
-    /// `out` is cleared and filled with one answer per query, in order —
-    /// each bit-identical to [`Self::inner_product_with`] on the same
-    /// tree.
-    ///
-    /// # Errors
-    ///
-    /// The error [`Self::inner_product_with`] would return for the first
-    /// failing query; `out`'s contents are unspecified on error.
-    pub fn inner_product_many(
-        &self,
-        queries: &[InnerProductQuery],
-        opts: QueryOptions,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<InnerProductAnswer>,
-    ) -> Result<(), TreeError> {
-        let answers = scratch.inners_over(std::slice::from_ref(&self.block), 1, queries, opts)?;
-        out.clear();
-        out.extend_from_slice(answers);
-        Ok(())
     }
 }
 
@@ -1135,6 +1078,7 @@ impl TreeView<'_> {
 mod tests {
     use super::*;
     use crate::config::SwatConfig;
+    use crate::tree::SwatTree;
 
     fn warm_tree(n: usize, k: usize, values: impl IntoIterator<Item = f64>) -> SwatTree {
         let mut tree = SwatTree::new(SwatConfig::with_coefficients(n, k).unwrap());
@@ -1147,6 +1091,17 @@ mod tests {
     fn stage(scratch: &mut QueryScratch, tree: &SwatTree, idx: IdxList<'_>, opts: QueryOptions) {
         scratch.clear_covers();
         scratch.cover_mapped(&tree.block.head, idx, opts);
+    }
+
+    /// The set pass over a lone tree's one-lane block: its inner-product
+    /// answers through the serving map.
+    fn inners_of<'s>(
+        scratch: &'s mut QueryScratch,
+        tree: &SwatTree,
+        queries: &[InnerProductQuery],
+        opts: QueryOptions,
+    ) -> Result<&'s [InnerProductAnswer], TreeError> {
+        scratch.inners_over(std::slice::from_ref(&tree.block), 1, queries, opts)
     }
 
     fn covers_equal(a: &QueryScratch, b: &QueryScratch) -> bool {
@@ -1292,11 +1247,11 @@ mod tests {
         let indices: Vec<usize> = (0..n).collect();
         let opts = QueryOptions::default();
         let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
         for tree in [&shallow, &deep, &shallow] {
-            tree.point_many(&indices, opts, &mut scratch, &mut out)
+            let out = scratch
+                .points_of(tree.view(), IdxList::Slice(&indices), opts)
                 .unwrap();
-            for (&idx, got) in indices.iter().zip(&out) {
+            for (&idx, got) in indices.iter().zip(out) {
                 let want = crate::query::reference::point_with(tree, idx, opts).unwrap();
                 assert_eq!(got.value.to_bits(), want.value.to_bits(), "idx {idx}");
             }
@@ -1386,14 +1341,14 @@ mod tests {
 
         // Index 0 is newer than every summary: refused by both engines.
         let indices: Vec<usize> = (1..n).collect();
-        let mut points = Vec::new();
-        tree.point_many(&indices, opts, &mut scratch, &mut points)
+        let points = scratch
+            .points_of(tree.view(), IdxList::Slice(&indices), opts)
             .unwrap();
-        for (&idx, got) in indices.iter().zip(&points) {
+        for (&idx, got) in indices.iter().zip(points) {
             assert_eq!(*got, reference::point_with(&tree, idx, opts).unwrap());
         }
         assert_eq!(
-            tree.point_many(&[0], opts, &mut scratch, &mut points),
+            scratch.points_of(tree.view(), IdxList::Slice(&[0]), opts),
             Err(TreeError::Uncovered { index: 0 })
         );
         assert_eq!(
@@ -1406,10 +1361,8 @@ mod tests {
             InnerProductQuery::linear_at(5, n - 6, 1e9),
             InnerProductQuery::new(vec![1, 4, 9, 40], vec![0.5, -2.0, 3.0, 1.0], 1e9).unwrap(),
         ];
-        let mut inners = Vec::new();
-        tree.inner_product_many(&queries, opts, &mut scratch, &mut inners)
-            .unwrap();
-        for (q, got) in queries.iter().zip(&inners) {
+        let inners = inners_of(&mut scratch, &tree, &queries, opts).unwrap();
+        for (q, got) in queries.iter().zip(inners) {
             assert_eq!(*got, reference::inner_product_with(&tree, q, opts).unwrap());
         }
         let range = RangeQuery::new(0.0, 25.0, 1, n - 1);
@@ -1471,19 +1424,14 @@ mod tests {
             let row: Vec<f64> = (0..21).map(|t| ((i * (7 + t)) % (53 + t)) as f64).collect();
             forest.push_row(&row);
         }
-        let mut pts = Vec::new();
-        let mut ips = Vec::new();
         let mut win = Vec::new();
-        let run = |scratch: &mut QueryScratch,
-                   pts: &mut Vec<PointAnswer>,
-                   ips: &mut Vec<InnerProductAnswer>,
-                   win: &mut Vec<f64>| {
-            tree.point_many(&indices, QueryOptions::default(), scratch, pts)
-                .unwrap();
-            tree.inner_product_many(&queries, QueryOptions::default(), scratch, ips)
-                .unwrap();
-            tree.reconstruct_window_into(scratch, win).unwrap();
+        let run = |scratch: &mut QueryScratch, win: &mut Vec<f64>| {
             let opts = QueryOptions::default();
+            scratch
+                .points_of(tree.view(), IdxList::Slice(&indices), opts)
+                .unwrap();
+            inners_of(scratch, &tree, &queries, opts).unwrap();
+            tree.reconstruct_window_into(scratch, win).unwrap();
             scratch
                 .points_over(&forest.blocks, 21, IdxList::Slice(&indices), opts)
                 .unwrap();
@@ -1491,11 +1439,11 @@ mod tests {
                 .inners_over(&forest.blocks, 21, &queries, opts)
                 .unwrap();
         };
-        run(&mut scratch, &mut pts, &mut ips, &mut win);
+        run(&mut scratch, &mut win);
         let warm = scratch.bytes_reserved();
         assert!(warm > 0);
         for _ in 0..10 {
-            run(&mut scratch, &mut pts, &mut ips, &mut win);
+            run(&mut scratch, &mut win);
             assert_eq!(scratch.bytes_reserved(), warm, "buffers regrew");
         }
     }

@@ -9,14 +9,13 @@
 //!
 //! 1. **Determinism.** Ingest and query results are bit-identical to an
 //!    unsharded [`StreamSet`] over the same streams, for *every* shard
-//!    count and *every* thread count: each stream's values are applied
-//!    by its own shard in arrival order, each shard's set pass answers
-//!    its own streams and the answers are concatenated in shard (that
-//!    is, global stream) order, and
-//!    [`ShardedStreamSet::answers_digest`] is computed in global stream
-//!    order so it equals the oracle's digest verbatim. The
+//!    count: each stream's values are applied by its own shard in
+//!    arrival order, each shard's set pass answers its own streams and
+//!    the answers are concatenated in shard (that is, global stream)
+//!    order, and [`ShardedStreamSet::answers_digest`] is computed in
+//!    global stream order so it equals the oracle's digest verbatim. The
 //!    `shard_properties` integration tests pin this against the
-//!    single-set oracle for arbitrary shard/thread counts.
+//!    single-set oracle for arbitrary shard counts.
 //!
 //! 2. **Mergeable summaries.** Each shard produces a [`TopKSummary`] of
 //!    the largest-magnitude coefficients among its streams' root
@@ -232,69 +231,52 @@ impl ShardedStreamSet {
 
     /// Answer the same block of point queries against every stream,
     /// returning answers in **global stream order**, each bit-identical
-    /// to [`TreeView::point_with`] on that stream for every shard and
-    /// thread count.
+    /// to [`TreeView::point_with`] on that stream for every shard count:
+    /// each shard's set pass, concatenated in shard order.
+    ///
+    /// `_threads` is ignored: it is kept until the benchmark stops naming
+    /// it (ROADMAP item 1-β), and then goes.
     ///
     /// # Errors
     ///
     /// As [`StreamSet::point_many`]: every stream shares one geometry,
     /// so a refused query is refused by every stream alike.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
     pub fn point_many(
         &self,
         indices: &[usize],
         opts: QueryOptions,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Vec<Vec<PointAnswer>>, TreeError> {
-        self.query_fan_out(threads, |set, threads| {
-            set.point_many(indices, opts, threads)
-        })
+        self.concat(|set| set.point_many(indices, opts, 1))
     }
 
     /// Answer the same block of inner-product queries against every
     /// stream, in global stream order; determinism contract as
-    /// [`Self::point_many`].
+    /// [`Self::point_many`], and `_threads` ignored as there.
     ///
     /// # Errors
     ///
     /// As [`StreamSet::inner_product_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
     pub fn inner_product_many(
         &self,
         queries: &[InnerProductQuery],
         opts: QueryOptions,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Vec<Vec<InnerProductAnswer>>, TreeError> {
-        self.query_fan_out(threads, |set, threads| {
-            set.inner_product_many(queries, opts, threads)
-        })
+        self.concat(|set| set.inner_product_many(queries, opts, 1))
     }
 
-    /// Query fan-out in global stream order: each shard's set pass runs
-    /// over its own blocks, and the shards' answers are concatenated in
-    /// shard order — global stream order, since each shard owns the next
-    /// contiguous range — so answers cannot depend on the shard layout. Shards spread across at most `threads` workers;
-    /// threads left over when there are fewer shards than threads are
-    /// shared out evenly to each shard's own pass (one shard, four
-    /// threads: one pass over four workers). The first shard's error, in
-    /// shard order, is returned.
-    fn query_fan_out<T: Send>(
+    /// Each shard's `pass`, its answers concatenated in shard order —
+    /// global stream order, since each shard owns the next contiguous
+    /// range — so answers cannot depend on the shard layout. The first
+    /// shard's error, in shard order, is returned.
+    fn concat<T>(
         &self,
-        threads: usize,
-        pass: impl Fn(&StreamSet, usize) -> Result<Vec<Vec<T>>, TreeError> + Sync,
+        pass: impl Fn(&StreamSet) -> Result<Vec<Vec<T>>, TreeError>,
     ) -> Result<Vec<Vec<T>>, TreeError> {
-        assert!(threads > 0, "need at least one thread");
-        let per_shard = (threads / self.shards.len()).max(1);
-        let parts = self.map_shards(threads, |shard| pass(&shard.set, per_shard));
         let mut out = Vec::with_capacity(self.streams);
-        for part in parts {
-            out.extend(part?);
+        for shard in &self.shards {
+            out.extend(pass(&shard.set)?);
         }
         Ok(out)
     }
@@ -316,49 +298,25 @@ impl ShardedStreamSet {
     /// coefficients across all shards, and the number of local
     /// candidates merged to find them (at most `shards · k`).
     ///
-    /// Each shard's local top-k ([`range_top_k`]) is computed across at most `threads`
-    /// scoped workers, and the local summaries' entries are ranked
-    /// together in one [`TopKSummary::absorb`]. One round is exact: see
-    /// the [module docs](self).
+    /// Each shard's local top-k ([`range_top_k`]) is computed in shard
+    /// order, and the local summaries' entries are ranked together in
+    /// one [`TopKSummary::absorb`]. One round is exact: see the
+    /// [module docs](self). `_threads` is ignored, as in
+    /// [`Self::point_many`].
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `threads == 0`.
-    pub fn global_top_k(&self, k: usize, threads: usize) -> (TopKSummary, usize) {
+    /// Panics if `k == 0`.
+    pub fn global_top_k(&self, k: usize, _threads: usize) -> (TopKSummary, usize) {
         assert!(k > 0, "top-k needs k >= 1");
-        assert!(threads > 0, "need at least one thread");
-        let locals = self.map_shards(threads, |shard| range_top_k(&shard.set, shard.first, k));
-        let mut candidates: Vec<TopCoeff> =
-            locals.iter().flat_map(|l| l.entries()).copied().collect();
+        let mut candidates: Vec<TopCoeff> = Vec::new();
+        for shard in &self.shards {
+            candidates.extend_from_slice(range_top_k(&shard.set, shard.first, k).entries());
+        }
         let merged = candidates.len();
         let mut result = TopKSummary::new(k);
         result.absorb(&mut candidates);
         (result, merged)
-    }
-
-    /// Run `f` over every shard, at most `threads` workers on
-    /// contiguous shard runs, collecting results in shard order.
-    fn map_shards<T: Send>(&self, threads: usize, f: impl Fn(&Shard) -> T + Sync) -> Vec<T> {
-        let workers = threads.min(self.shards.len());
-        if workers <= 1 {
-            return self.shards.iter().map(f).collect();
-        }
-        let per = self.shards.len().div_ceil(workers);
-        let mut results: Vec<Option<T>> = (0..self.shards.len()).map(|_| None).collect();
-        let f = &f;
-        std::thread::scope(|scope| {
-            for (shard_chunk, slot_chunk) in self.shards.chunks(per).zip(results.chunks_mut(per)) {
-                scope.spawn(move || {
-                    for (shard, slot) in shard_chunk.iter().zip(slot_chunk.iter_mut()) {
-                        *slot = Some(f(shard));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every shard slot is filled"))
-            .collect()
     }
 }
 
@@ -411,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn queries_match_oracle_for_any_shard_and_thread_count() {
+    fn queries_match_oracle_for_any_shard_count() {
         let config = cfg(32, 4);
         let rows = rows(13, 100);
         let oracle = oracle_set(config, &rows);
@@ -428,37 +386,33 @@ mod tests {
             .unwrap();
         for shards in [1usize, 2, 4, 6] {
             let set = sharded(config, shards, &rows);
-            for threads in [1usize, 2, 5, 16] {
-                let pts = set
-                    .point_many(&indices, QueryOptions::default(), threads)
-                    .unwrap();
-                assert_eq!(pts, pts_ref, "points shards={shards} threads={threads}");
-                let ips = set
-                    .inner_product_many(&queries, QueryOptions::default(), threads)
-                    .unwrap();
-                assert_eq!(ips, ips_ref, "ips shards={shards} threads={threads}");
-            }
+            let pts = set
+                .point_many(&indices, QueryOptions::default(), 1)
+                .unwrap();
+            assert_eq!(pts, pts_ref, "points shards={shards}");
+            let ips = set
+                .inner_product_many(&queries, QueryOptions::default(), 1)
+                .unwrap();
+            assert_eq!(ips, ips_ref, "ips shards={shards}");
         }
     }
 
     #[test]
     fn empty_sharded_set_is_a_noop() {
         for shards in [1usize, 4] {
-            for threads in [1usize, 3] {
-                let mut set = ShardedStreamSet::new(cfg(16, 1), 0, shards);
-                set.push_row(&[]);
-                assert!(set
-                    .point_many(&[0], QueryOptions::default(), threads)
-                    .unwrap()
-                    .is_empty());
-                let (top, candidates) = set.global_top_k(3, threads);
-                assert!(top.is_empty());
-                assert_eq!(candidates, 0);
-                assert_eq!(
-                    set.answers_digest(),
-                    StreamSet::new(cfg(16, 1), 0).answers_digest()
-                );
-            }
+            let mut set = ShardedStreamSet::new(cfg(16, 1), 0, shards);
+            set.push_row(&[]);
+            assert!(set
+                .point_many(&[0], QueryOptions::default(), 1)
+                .unwrap()
+                .is_empty());
+            let (top, candidates) = set.global_top_k(3, 1);
+            assert!(top.is_empty());
+            assert_eq!(candidates, 0);
+            assert_eq!(
+                set.answers_digest(),
+                StreamSet::new(cfg(16, 1), 0).answers_digest()
+            );
         }
     }
 
@@ -493,7 +447,7 @@ mod tests {
         for shards in [1usize, 3, 8] {
             let set = sharded(config, shards, &rows);
             for k in [1usize, 4, 16] {
-                let (top, candidates) = set.global_top_k(k, 2);
+                let (top, candidates) = set.global_top_k(k, 1);
                 let want = brute_force_top_k(&set, k);
                 assert_eq!(top.entries(), &want[..], "shards={shards} k={k}");
                 assert!(candidates <= shards * k);
@@ -502,21 +456,13 @@ mod tests {
     }
 
     #[test]
-    fn global_top_k_is_thread_and_shard_invariant() {
+    fn global_top_k_is_shard_invariant() {
         let config = cfg(16, 4);
         let rows = rows(30, 50);
-        let mut reference: Option<TopKSummary> = None;
-        for shards in [1usize, 2, 7] {
-            let set = sharded(config, shards, &rows);
-            for threads in [1usize, 2, 8] {
-                let (top, _) = set.global_top_k(5, threads);
-                match &reference {
-                    None => reference = Some(top),
-                    Some(want) => {
-                        assert_eq!(&top, want, "shards={shards} threads={threads}")
-                    }
-                }
-            }
+        let (want, _) = sharded(config, 1, &rows).global_top_k(5, 1);
+        for shards in [2usize, 7] {
+            let (top, _) = sharded(config, shards, &rows).global_top_k(5, 1);
+            assert_eq!(top, want, "shards={shards}");
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator wraps `System`; after warming the tree,
 //! the scratch, and the output buffers, a block of mixed queries (point,
-//! batched point, single and batched inner product, range, and window
-//! reconstruction) must not allocate at all — on a lone tree, and on one
+//! inner product, range, and window reconstruction) must not allocate at
+//! all — on a lone tree, and on one
 //! stream of a set through its view. This is a dedicated
 //! single-test integration binary so no concurrent test can perturb the
 //! counter. Only allocations made by the test thread itself are
@@ -89,23 +89,13 @@ fn steady_state_query_serving_does_not_allocate() {
         };
         let opts = QueryOptions::default();
 
-        let mut points = Vec::new();
-        let mut inners = Vec::new();
         let mut matches = Vec::new();
         let mut window = Vec::new();
 
-        let serve = |scratch: &mut QueryScratch,
-                     points: &mut Vec<_>,
-                     inners: &mut Vec<_>,
-                     matches: &mut Vec<_>,
-                     window: &mut Vec<f64>| {
-            tree.point_many(&point_indices, opts, scratch, points)
-                .unwrap();
+        let serve = |scratch: &mut QueryScratch, matches: &mut Vec<_>, window: &mut Vec<f64>| {
             for &idx in &point_indices {
                 tree.point_with_scratch(idx, opts, scratch).unwrap();
             }
-            tree.inner_product_many(&queries, opts, scratch, inners)
-                .unwrap();
             for q in &queries {
                 tree.inner_product_with_scratch(q, opts, scratch).unwrap();
             }
@@ -116,30 +106,12 @@ fn steady_state_query_serving_does_not_allocate() {
 
         // Warm-up: buffers (scratch and outputs) grow
         // to the workload's high-water mark.
-        serve(
-            &mut scratch,
-            &mut points,
-            &mut inners,
-            &mut matches,
-            &mut window,
-        );
-        serve(
-            &mut scratch,
-            &mut points,
-            &mut inners,
-            &mut matches,
-            &mut window,
-        );
+        serve(&mut scratch, &mut matches, &mut window);
+        serve(&mut scratch, &mut matches, &mut window);
 
         let before = allocations();
         for _ in 0..16 {
-            serve(
-                &mut scratch,
-                &mut points,
-                &mut inners,
-                &mut matches,
-                &mut window,
-            );
+            serve(&mut scratch, &mut matches, &mut window);
         }
         let delta = allocations() - before;
         assert_eq!(

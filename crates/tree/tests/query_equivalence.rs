@@ -107,44 +107,12 @@ proptest! {
         }
     }
 
-    /// `point_many` ≡ one-at-a-time `point_with`, including error cases.
-    #[test]
-    fn point_many_matches_one_at_a_time((n, k, values) in tree_inputs()) {
-        let tree = build(n, k, &values);
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        let indices: Vec<usize> = (0..n).chain([n / 2, 0, n - 1]).collect();
-        for min_level in 0..3usize {
-            let opts = QueryOptions::at_level(min_level);
-            let batched = tree.point_many(&indices, opts, &mut scratch, &mut out);
-            let mut seq: Result<Vec<_>, TreeError> = Ok(Vec::new());
-            for &idx in &indices {
-                match (&mut seq, tree.point_with(idx, opts)) {
-                    (Ok(v), Ok(a)) => v.push(a),
-                    (Ok(_), Err(e)) => { seq = Err(e); break; }
-                    _ => unreachable!(),
-                }
-            }
-            match (batched, seq) {
-                (Ok(()), Ok(seq)) => {
-                    prop_assert_eq!(out.len(), seq.len());
-                    for (g, w) in out.iter().zip(&seq) {
-                        prop_assert!(point_answers_identical(&Ok(*g), &Ok(*w)));
-                    }
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "batched {a:?} vs sequential {b:?}"),
-            }
-        }
-    }
-
-    /// Scratch inner-product path and `inner_product_many` ≡ reference
-    /// for every profile, window, and reduced-level option.
+    /// Scratch inner-product path ≡ reference for every profile, window,
+    /// and reduced-level option.
     #[test]
     fn inner_product_engine_matches_reference((n, k, values) in tree_inputs()) {
         let tree = build(n, k, &values);
         let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
         let queries = query_mix(n);
         for min_level in 0..3usize {
             let opts = QueryOptions::at_level(min_level);
@@ -155,26 +123,6 @@ proptest! {
                     inner_answers_identical(&got, &want),
                     "{q:?} min_level {min_level}: {got:?} vs {want:?}"
                 );
-            }
-            // Batched: all queries in one block vs the sequential answers.
-            let batched = tree.inner_product_many(&queries, opts, &mut scratch, &mut out);
-            let mut seq: Result<Vec<_>, TreeError> = Ok(Vec::new());
-            for q in &queries {
-                match (&mut seq, reference::inner_product_with(&tree, q, opts)) {
-                    (Ok(v), Ok(a)) => v.push(a),
-                    (Ok(_), Err(e)) => { seq = Err(e); break; }
-                    _ => unreachable!(),
-                }
-            }
-            match (batched, seq) {
-                (Ok(()), Ok(seq)) => {
-                    prop_assert_eq!(out.len(), seq.len());
-                    for (g, w) in out.iter().zip(&seq) {
-                        prop_assert!(inner_answers_identical(&Ok(*g), &Ok(*w)));
-                    }
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (a, b) => prop_assert!(false, "batched {a:?} vs sequential {b:?}"),
             }
         }
     }
@@ -236,15 +184,15 @@ proptest! {
     }
 
     /// The set pass ≡ the reference, stream by stream: `StreamSet` and
-    /// `ShardedStreamSet` `point_many`/`inner_product_many`, on one and on
-    /// several threads, answer every stream (or fail with the first
+    /// `ShardedStreamSet` `point_many`/`inner_product_many` answer every
+    /// stream (or fail with the first
     /// failing stream's error) exactly as `reference::point_with` and
     /// `reference::inner_product_with` do on that stream's tree — cold,
     /// warming and steady, at every `min_level` 0..=3, over rows full of
     /// signed zeros, and with a hand-built, non-steady set restored
     /// through the set snapshot (every stream cut alike: a set has one
     /// geometry). Up to 39 streams: one 16-lane block, two, and a ragged
-    /// last block, split at a block boundary at three threads.
+    /// last block.
     #[test]
     fn set_queries_match_the_reference_per_stream(
         (n, k) in (2u32..=7).prop_flat_map(|log_n| (Just(1usize << log_n), 1..=1usize << log_n)),
@@ -290,13 +238,11 @@ proptest! {
                 let want_inners = reference_inners(&trees, &queries, opts);
                 let shard_points = reference_points(&shard_trees, &indices, opts);
                 let shard_inners = reference_inners(&shard_trees, &queries, opts);
-                for threads in [1usize, 3] {
-                    let ctx = format!("n={n} k={k} streams={streams} clock={clock} min_level={min_level} threads={threads}");
-                    prop_assert!(same_points(&set.point_many(&indices, opts, threads), &want_points), "{ctx}");
-                    prop_assert!(same_inners(&set.inner_product_many(&queries, opts, threads), &want_inners), "{ctx}");
-                    prop_assert!(same_points(&sharded.point_many(&indices, opts, threads), &shard_points), "sharded {ctx}");
-                    prop_assert!(same_inners(&sharded.inner_product_many(&queries, opts, threads), &shard_inners), "sharded {ctx}");
-                }
+                let ctx = format!("n={n} k={k} streams={streams} clock={clock} min_level={min_level}");
+                prop_assert!(same_points(&set.point_many(&indices, opts, 1), &want_points), "{ctx}");
+                prop_assert!(same_inners(&set.inner_product_many(&queries, opts, 1), &want_inners), "{ctx}");
+                prop_assert!(same_points(&sharded.point_many(&indices, opts, 1), &shard_points), "sharded {ctx}");
+                prop_assert!(same_inners(&sharded.inner_product_many(&queries, opts, 1), &shard_inners), "sharded {ctx}");
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Property tests for the sharded ingest tier: for *arbitrary* stream
-//! counts, shard counts, thread counts, window shapes, and data, a
+//! counts, shard counts, window shapes, and data, a
 //! [`ShardedStreamSet`] must be observationally bit-identical to the
 //! unsharded [`StreamSet`] oracle, and its distributed top-k — and the
 //! daemon replicas' path to the same answer — must equal the
@@ -28,20 +28,12 @@ fn column(len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 /// An arbitrary sharded workload of up to `max_streams` streams: window
-/// shape, shard/thread counts, and the rows (one value per stream,
+/// shape, shard count, and the rows (one value per stream,
 /// enough of them to exercise several refresh cascades).
 #[allow(clippy::type_complexity)]
-fn workload(
-    max_streams: usize,
-) -> impl Strategy<Value = (usize, usize, Vec<Vec<f64>>, usize, usize)> {
-    (
-        2u32..=5,
-        1usize..=4,
-        0..=max_streams,
-        1usize..=9,
-        1usize..=9,
-    )
-        .prop_flat_map(|(log_n, k, streams, shards, threads)| {
+fn workload(max_streams: usize) -> impl Strategy<Value = (usize, usize, Vec<Vec<f64>>, usize)> {
+    (2u32..=5, 1usize..=4, 0..=max_streams, 1usize..=9).prop_flat_map(
+        |(log_n, k, streams, shards)| {
             let n = 1usize << log_n;
             let k = k.min(n);
             let len = 2 * n + 3;
@@ -49,9 +41,10 @@ fn workload(
                 let rows = (0..len)
                     .map(|i| cols.iter().map(|c| c[i]).collect())
                     .collect();
-                (n, k, rows, shards, threads)
+                (n, k, rows, shards)
             })
-        })
+        },
+    )
 }
 
 /// The unsharded oracle and the sharded set over the same rows.
@@ -166,7 +159,7 @@ proptest! {
     /// global-order digests agree for every shard count.
     #[test]
     fn sharded_ingest_digest_matches_oracle(
-        (n, k, rows, shards, _threads) in workload(17)
+        (n, k, rows, shards) in workload(17)
     ) {
         let config = SwatConfig::with_coefficients(n, k).unwrap();
         let streams = rows[0].len();
@@ -175,26 +168,26 @@ proptest! {
     }
 
     /// Query fan-out answers equal the oracle's, element for element,
-    /// for every shard and thread count (success paths).
+    /// for every shard count (success paths).
     #[test]
     fn sharded_queries_match_oracle(
-        (n, k, rows, shards, threads) in workload(17)
+        (n, k, rows, shards) in workload(17)
     ) {
         let config = SwatConfig::with_coefficients(n, k).unwrap();
         let streams = rows[0].len();
         let (oracle, sharded) = ingest(config, streams, shards, &rows);
         let indices: Vec<usize> = vec![0, 1, n / 2, n - 1];
         let pts_oracle = oracle.point_many(&indices, QueryOptions::default(), 1);
-        let pts_sharded = sharded.point_many(&indices, QueryOptions::default(), threads);
+        let pts_sharded = sharded.point_many(&indices, QueryOptions::default(), 1);
         prop_assert_eq!(pts_sharded, pts_oracle);
         let queries = [InnerProductQuery::exponential(n / 2, 1e9)];
         let ips_oracle = oracle.inner_product_many(&queries, QueryOptions::default(), 1);
-        let ips_sharded = sharded.inner_product_many(&queries, QueryOptions::default(), threads);
+        let ips_sharded = sharded.inner_product_many(&queries, QueryOptions::default(), 1);
         prop_assert_eq!(ips_sharded, ips_oracle);
     }
 
     /// Distributed top-k equals the brute-force oracle exactly, for
-    /// every shard count, thread count, and retention bound — both
+    /// every shard count and retention bound — both
     /// in-process and the way the daemon computes it: one free-standing
     /// `StreamSet` per shard fed its sub-rows, their `range_top_k`s
     /// (equal to `local_top_k` over the member list) merged in shard
@@ -204,14 +197,14 @@ proptest! {
     /// raise their floor partway through a block.
     #[test]
     fn distributed_top_k_is_exact(
-        (n, k, rows, shards, threads) in workload(40),
+        (n, k, rows, shards) in workload(40),
         top_k in 1usize..=170,
     ) {
         let config = SwatConfig::with_coefficients(n, k).unwrap();
         let streams = rows[0].len();
         let (oracle, sharded) = ingest(config, streams, shards, &rows);
         let want = brute_force_top_k(&oracle, top_k);
-        let (top, candidates) = sharded.global_top_k(top_k, threads);
+        let (top, candidates) = sharded.global_top_k(top_k, 1);
         prop_assert_eq!(top.entries(), &want[..]);
         prop_assert!(candidates <= shards * top_k);
         let mut merged = TopKSummary::new(top_k);
