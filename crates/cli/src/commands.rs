@@ -457,7 +457,7 @@ pub fn recover(a: &Args) -> Result<(), String> {
     println!("wal rows replayed:    {}", report.wal_rows_replayed);
     if report.wal_bytes_dropped > 0 {
         println!(
-            "wal bytes dropped:    {} (torn or corrupt)",
+            "wal bytes dropped:    {} (torn, corrupt, or a recycled file's older records)",
             report.wal_bytes_dropped
         );
     }

@@ -39,6 +39,16 @@ pub enum StoreError {
         /// snapshot payload, which starts after the checkpoint header).
         source: SnapshotError,
     },
+    /// A WAL generation recovery needs has a header that verifies but
+    /// names a format version this build does not replay (a store written
+    /// before records were bound to their generation is version 1).
+    /// Recovery refuses the store rather than drop rows that may be acked.
+    WalVersion {
+        /// File name within the store directory.
+        file: String,
+        /// The version its header names.
+        version: u8,
+    },
     /// The directory holds no recoverable state at all: no readable
     /// checkpoint and no readable WAL header to bootstrap from.
     NoState,
@@ -94,6 +104,11 @@ impl fmt::Display for StoreError {
             StoreError::Snapshot { file, source } => {
                 write!(f, "corrupt snapshot in {file}: {source}")
             }
+            StoreError::WalVersion { file, version } => write!(
+                f,
+                "{file} is WAL version {version}; this build replays version {} only",
+                crate::wal::WAL_VERSION
+            ),
             StoreError::NoState => write!(f, "no recoverable state in store directory"),
             StoreError::BadRow { got, want } => {
                 write!(f, "row has {got} values but the store has {want} streams")
@@ -121,7 +136,8 @@ impl std::error::Error for StoreError {
             StoreError::Io { source, .. } => Some(source),
             StoreError::Corrupt { source, .. } => Some(source),
             StoreError::Snapshot { source, .. } => Some(source),
-            StoreError::NoState
+            StoreError::WalVersion { .. }
+            | StoreError::NoState
             | StoreError::BadRow { .. }
             | StoreError::BadValue { .. }
             | StoreError::Degraded { .. }

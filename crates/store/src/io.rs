@@ -35,6 +35,24 @@ pub(crate) fn parse_wal_name(name: &str) -> Option<u64> {
     rest.parse().ok()
 }
 
+/// Name of the spare: the newest retired WAL generation's file, which
+/// the next freeze renames to its generation's name and overwrites from
+/// offset 0 instead of allocating a fresh file. Not a [`wal_name`]: no
+/// listing counts it as a generation and no clock is parsed out of it.
+pub(crate) const WAL_SPARE: &str = "spare.wal";
+
+/// Base clocks of the WAL generations present in `dir` (none if it
+/// cannot be listed).
+pub(crate) fn wal_bases(dir: &Path) -> Vec<u64> {
+    let Ok(listing) = fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    listing
+        .flatten()
+        .filter_map(|e| parse_wal_name(&e.file_name().to_string_lossy()))
+        .collect()
+}
+
 fn injected(kind: IoFaultKind) -> io::Error {
     match kind {
         IoFaultKind::Enospc => io::Error::from_raw_os_error(ENOSPC),
@@ -183,6 +201,7 @@ mod tests {
         assert_eq!(parse_wal_name("wal-12.wal"), None); // not zero-padded
         assert_eq!(parse_wal_name("wal-00000000000000000042.wal.tmp"), None);
         assert_eq!(parse_wal_name("ckpt-00000000000000000042.ckpt"), None);
+        assert_eq!(parse_wal_name(WAL_SPARE), None);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! generation holding a row at or after the *older* one's clock
 //! ([`Manifest::wal_floor`]): recovery falls back across a corrupt
 //! newest snapshot onto the older one and replays exactly those rows.
+//! The newest generation retired is kept as the spare while at most two
+//! generations stay, for the next freeze to overwrite.
 //!
 //! ## On-disk layout
 //!
@@ -280,11 +282,13 @@ pub fn commit(faults: &IoFaults, dir: &Path, manifest: &Manifest) -> Result<(), 
 }
 
 /// The retention pass, over one listing of `dir`: delete every segment
-/// file `manifest` does not name and every WAL generation wholly below
-/// [`Manifest::wal_floor`] (generation `b_i` holds no row at or after
-/// the floor once the next base `b_(i+1) <= floor`; the newest never
-/// qualifies). Only ever called after `manifest` is committed, so what
-/// it deletes nothing can need again. Returns the files removed.
+/// file `manifest` does not name and retire every WAL generation wholly
+/// below [`Manifest::wal_floor`] (generation `b_i` holds no row at or
+/// after the floor once the next base `b_(i+1) <= floor`; the newest
+/// never qualifies). The newest retired generation becomes the spare
+/// (see [`keep_spare`]); the rest are deleted. Only ever called after
+/// `manifest` is committed, so what it retires nothing can need again.
+/// Returns the files retired, the spare included.
 pub(crate) fn retire(dir: &Path, manifest: &Manifest) -> usize {
     let Ok(listing) = fs::read_dir(dir) else {
         return 0;
@@ -303,16 +307,48 @@ pub(crate) fn retire(dir: &Path, manifest: &Manifest) -> usize {
     }
     bases.sort_unstable();
     let floor = manifest.wal_floor();
-    doomed.extend(
-        bases
-            .windows(2)
-            .filter(|pair| pair[1] <= floor)
-            .map(|pair| io::wal_name(pair[0])),
-    );
-    doomed
+    let (retired, kept) =
+        bases.split_at(bases.windows(2).take_while(|pair| pair[1] <= floor).count());
+    let Some((&newest, older)) = retired.split_last() else {
+        return remove_all(dir, doomed);
+    };
+    doomed.extend(older.iter().map(|&b| io::wal_name(b)));
+    remove_all(dir, doomed) + usize::from(keep_spare(dir, newest, kept))
+}
+
+/// Delete `names` from `dir`; returns how many went.
+fn remove_all(dir: &Path, names: Vec<String>) -> usize {
+    names
         .iter()
         .filter(|name| fs::remove_file(dir.join(name)).is_ok())
         .count()
+}
+
+/// Retire generation `base`: rename it to the spare while the
+/// generations `kept` number at most two — the one behind the older
+/// snapshot and the live one — else delete it. So a spare is the third
+/// WAL-sized file, never a fourth; while the flusher lags (more than two
+/// kept), nothing is recycled. A freeze that raced this pass and, finding
+/// no spare yet, opened a fresh generation the listing missed makes the
+/// spare a fourth file: the second listing sees that generation and the
+/// spare goes. (A freeze that took the spare in between has already
+/// renamed it away.) Returns whether the generation was retired.
+fn keep_spare(dir: &Path, base: u64, kept: &[u64]) -> bool {
+    let path = dir.join(io::wal_name(base));
+    if kept.len() > 2 {
+        return fs::remove_file(&path).is_ok();
+    }
+    let spare = dir.join(io::WAL_SPARE);
+    if fs::rename(&path, &spare).is_err() {
+        return false;
+    }
+    if io::wal_bases(dir)
+        .into_iter()
+        .any(|b| kept.last().is_some_and(|&newest| b > newest))
+    {
+        let _ = fs::remove_file(&spare);
+    }
+    true
 }
 
 /// Sequence numbers of every manifest file present in `dir`.
@@ -416,6 +452,15 @@ mod tests {
         assert!(err.to_string().contains("entry chain"), "{err}");
     }
 
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut left: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        left
+    }
+
     #[test]
     fn retire_drops_unnamed_segments_and_the_wal_behind_the_floor() {
         let dir = tmp("retire");
@@ -431,21 +476,44 @@ mod tests {
             "node-meta".to_owned(),
         ];
         for f in &files {
-            fs::write(dir.join(f), b"x").unwrap();
+            fs::write(dir.join(f), f.as_bytes()).unwrap();
         }
         assert_eq!(retire(&dir, &m), 3);
-        let mut left: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        left.sort();
-        let mut want = [&files[1..3], &files[5..]].concat();
+        // Two generations stay, so the newest retired one is the spare.
+        let mut want = [&files[1..3], &files[5..], &[io::WAL_SPARE.to_owned()]].concat();
         want.sort();
-        assert_eq!(left, want);
+        assert_eq!(listing(&dir), want);
+        assert_eq!(
+            fs::read(dir.join(io::WAL_SPARE)).unwrap(),
+            files[4].as_bytes()
+        );
         // A generation that spans the floor stays whole.
         fs::remove_file(dir.join(io::wal_name(20))).unwrap();
         fs::write(dir.join(io::wal_name(15)), b"x").unwrap();
         assert_eq!(retire(&dir, &m), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_spare_is_kept_only_beside_at_most_two_generations() {
+        let dir = tmp("spare");
+        let m = sample();
+        // A lagging flusher: three generations stay at or after the
+        // floor (20), so the one retired is deleted, not kept.
+        for base in [10, 20, 25, 30] {
+            fs::write(dir.join(io::wal_name(base)), b"x").unwrap();
+        }
+        assert_eq!(retire(&dir, &m), 1);
+        let want = [io::wal_name(20), io::wal_name(25), io::wal_name(30)];
+        assert_eq!(listing(&dir), want);
+
+        // A freeze the listing missed opened wal-40 fresh: the spare
+        // would be a fourth WAL-sized file, so it goes.
+        fs::write(dir.join(io::wal_name(10)), b"x").unwrap();
+        fs::write(dir.join(io::wal_name(40)), b"x").unwrap();
+        assert!(keep_spare(&dir, 10, &[20, 30]));
+        assert!(!dir.join(io::WAL_SPARE).exists());
+        assert!(!dir.join(io::wal_name(10)).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -462,6 +530,7 @@ mod tests {
         );
         assert_eq!(classify(&manifest_name(4)), Some(StoreFile::Manifest(4)));
         assert_eq!(classify("node-meta"), None);
+        assert_eq!(classify(io::WAL_SPARE), None);
         assert_eq!(classify(&format!("{}.tmp", manifest_name(4))), None);
     }
 

@@ -44,7 +44,7 @@ use crate::io::{self, wal_name};
 use crate::manifest::{self, Manifest};
 use crate::segment;
 use crate::store::{DurableStore, StoreOptions};
-use crate::wal::{WalBodyReader, WalHeader, HEADER_LEN};
+use crate::wal::{HeaderError, WalBodyReader, WalHeader, HEADER_LEN};
 
 /// Rows per [`WalBodyReader`] chunk during replay — the unit of the
 /// bounded-memory guarantee, deliberately far below any real log size.
@@ -66,7 +66,10 @@ pub struct RecoveryReport {
     /// WAL rows replayed on top of the base state.
     pub wal_rows_replayed: u64,
     /// WAL bytes discarded as torn or corrupt (headers of unusable
-    /// generations included).
+    /// generations included). After a kill this includes a recycled
+    /// file's stale tail: the older generation's records past the live
+    /// ones, which fail the check bound to the live generation. A clean
+    /// close cuts the live file back to its records, so it leaves none.
     pub wal_bytes_dropped: u64,
     /// Arrival clock of the recovered store.
     pub recovered_arrivals: u64,
@@ -125,7 +128,7 @@ impl RecoveryManager {
         };
 
         // 3. Chain WAL generations forward, bounded-memory.
-        replay_wals(&dir, &mut set, &mut report);
+        replay_wals(&dir, &mut set, &mut report)?;
         report.recovered_arrivals = set.tree(0).arrivals();
 
         // 4. The fresh commit point: a snapshot at the recovered clock
@@ -164,9 +167,15 @@ impl RecoveryManager {
 /// Chain WAL generations from the replay clock, reading each in bounded
 /// chunks and pushing rows into `set` as they verify. A generation may
 /// start at or before the clock (the overlap is skipped); the chain ends
-/// when no generation extends it.
-fn replay_wals(dir: &Path, set: &mut StreamSet, report: &mut RecoveryReport) {
-    let bases = wal_bases(dir);
+/// when no generation extends it. A generation whose header verifies but
+/// names another format version is refused ([`StoreError::WalVersion`]):
+/// its rows may be acked, and this reader cannot check them.
+fn replay_wals(
+    dir: &Path,
+    set: &mut StreamSet,
+    report: &mut RecoveryReport,
+) -> Result<(), StoreError> {
+    let bases = io::wal_bases(dir);
     let streams = set.streams();
     let mut tried: HashSet<u64> = HashSet::new();
     loop {
@@ -185,18 +194,17 @@ fn replay_wals(dir: &Path, set: &mut StreamSet, report: &mut RecoveryReport) {
             report.wal_bytes_dropped += file_len;
             continue;
         };
-        let mut header_bytes = [0u8; HEADER_LEN];
-        let header = file
-            .read_exact(&mut header_bytes)
-            .ok()
-            .and_then(|()| WalHeader::decode(&header_bytes).ok());
-        if header != Some(WalHeader::describe(set.config(), streams, base)) {
+        // Torn, corrupt, another store's, or a recycled file whose header
+        // still names the old base: no row of it was acked.
+        let Some(header) = read_header(&mut file, base)?
+            .filter(|h| *h == WalHeader::describe(set.config(), streams, base))
+        else {
             report.wal_bytes_dropped += file_len;
             continue;
-        }
+        };
         let skip_rows = clock - base;
         let mut seen: u64 = 0;
-        let mut reader = WalBodyReader::new(file, streams, REPLAY_CHUNK_ROWS);
+        let mut reader = WalBodyReader::new(file, &header, REPLAY_CHUNK_ROWS);
         while let Some(chunk) = reader.next_rows() {
             let rows = (chunk.len() / streams) as u64;
             let skip = skip_rows.saturating_sub(seen).min(rows);
@@ -214,6 +222,7 @@ fn replay_wals(dir: &Path, set: &mut StreamSet, report: &mut RecoveryReport) {
             break;
         }
     }
+    Ok(())
 }
 
 /// An empty [`StreamSet`] reconstructed from the `wal-0` header, if that
@@ -223,11 +232,7 @@ fn bootstrap(dir: &Path) -> Result<Option<StreamSet>, StoreError> {
     let Ok(mut file) = File::open(dir.join(wal_name(0))) else {
         return Ok(None);
     };
-    let mut bytes = [0u8; HEADER_LEN];
-    if file.read_exact(&mut bytes).is_err() {
-        return Ok(None);
-    }
-    let Ok(header) = WalHeader::decode(&bytes) else {
+    let Some(header) = read_header(&mut file, 0)? else {
         return Ok(None);
     };
     if header.base_t != 0 {
@@ -239,15 +244,22 @@ fn bootstrap(dir: &Path) -> Result<Option<StreamSet>, StoreError> {
     Ok(Some(StreamSet::new(config, header.streams as usize)))
 }
 
-/// Base clocks of the WAL generations present in `dir`.
-fn wal_bases(dir: &Path) -> Vec<u64> {
-    let Ok(listing) = fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    listing
-        .flatten()
-        .filter_map(|e| io::parse_wal_name(&e.file_name().to_string_lossy()))
-        .collect()
+/// The header at the start of `file`, generation `base`'s: `None` when
+/// it is torn or corrupt, [`StoreError::WalVersion`] when it verifies
+/// but names a version this build does not replay.
+fn read_header(file: &mut File, base: u64) -> Result<Option<WalHeader>, StoreError> {
+    let mut bytes = [0u8; HEADER_LEN];
+    if file.read_exact(&mut bytes).is_err() {
+        return Ok(None);
+    }
+    match WalHeader::decode(&bytes) {
+        Ok(header) => Ok(Some(header)),
+        Err(HeaderError::Version(version)) => Err(StoreError::WalVersion {
+            file: wal_name(base),
+            version,
+        }),
+        Err(HeaderError::Corrupt(_)) => Ok(None),
+    }
 }
 
 /// Delete every store file the fresh manifest does not need: `.tmp`
@@ -462,6 +474,65 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_wal_is_refused_by_version_and_a_flipped_version_is_dropped() {
+        use crate::wal::record_len;
+        use swat_tree::codec::crc32;
+        let dir = tmp("v1");
+        let mut store = DurableStore::create_with(&dir, config(), 2, small_opts()).unwrap();
+        for i in 0..15 {
+            store.push_row(&row(i)).unwrap();
+            store.settle();
+        }
+        store.sync().unwrap();
+        drop(store);
+        let live = dir.join(wal_name(10));
+        let pristine = fs::read(&live).unwrap();
+        assert_eq!(pristine.len(), HEADER_LEN + 5 * record_len(2));
+
+        // The same rows as a version 1 writer laid them out: version byte,
+        // header checksum, and record checksums without the salt.
+        let mut v1 = pristine.clone();
+        v1[4] = 1;
+        let crc = crc32(&v1[..HEADER_LEN - 4]);
+        v1[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        for record in v1[HEADER_LEN..].chunks_exact_mut(record_len(2)) {
+            let crc = crc32(&record[4..]);
+            record[..4].copy_from_slice(&crc.to_le_bytes());
+        }
+        fs::write(&live, &v1).unwrap();
+        let err = RecoveryManager::recover_with(&dir, small_opts()).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::WalVersion { file, version: 1 } if *file == wal_name(10)),
+            "{err}"
+        );
+        assert!(err.to_string().contains("WAL version 1"), "{err}");
+
+        // A version byte flipped under the checksum is corruption: the
+        // generation is dropped and recovery ends at the snapshot.
+        let mut flipped = pristine.clone();
+        flipped[4] ^= 0x03;
+        fs::write(&live, &flipped).unwrap();
+        let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();
+        assert_eq!(report.recovered_arrivals, 10);
+        assert_eq!(report.wal_bytes_dropped, pristine.len() as u64);
+        assert_eq!(recovered.answers_digest(), uncrashed(10).answers_digest());
+        drop(recovered);
+        let _ = fs::remove_dir_all(&dir);
+
+        // A young version 1 store, nothing but its wal-0: refused too,
+        // not bootstrapped into an empty store.
+        let dir = tmp("v1-bootstrap");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(wal_name(0)), &v1[..HEADER_LEN]).unwrap();
+        let err = RecoveryManager::recover_with(&dir, small_opts()).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::WalVersion { version: 1, .. }),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn torn_wal_tail_is_truncated_not_trusted() {
         let dir = tmp("torn");
         let mut store = DurableStore::create_with(&dir, config(), 2, small_opts()).unwrap();
@@ -533,7 +604,7 @@ mod tests {
         let cfg = config();
         let mut wal20 = WalHeader::describe(&cfg, 2, 20).encode();
         for i in 20..30 {
-            crate::wal::encode_record(&mut wal20, &row(i));
+            crate::wal::encode_record(&mut wal20, 20, &row(i));
         }
         fs::write(dir.join(wal_name(20)), wal20).unwrap();
 
@@ -544,7 +615,7 @@ mod tests {
         // With the chain starting at wal-0 every row replays from the WAL.
         let mut wal0 = WalHeader::describe(&cfg, 2, 0).encode();
         for i in 0..20 {
-            crate::wal::encode_record(&mut wal0, &row(i));
+            crate::wal::encode_record(&mut wal0, 0, &row(i));
         }
         fs::write(dir.join(wal_name(0)), wal0).unwrap();
         let (recovered, report) = RecoveryManager::recover_with(&dir, small_opts()).unwrap();

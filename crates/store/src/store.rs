@@ -2,8 +2,9 @@
 //! never stalls ingest.
 //!
 //! A store directory holds the newest two snapshot segments, the
-//! manifest naming them, and the WAL generations from the older
-//! snapshot's clock on:
+//! manifest naming them, the WAL generations from the older snapshot's
+//! clock on, and, until the next freeze takes it, the spare — the file
+//! of the newest WAL generation retired:
 //!
 //! ```text
 //! seg-00000000000000004096-00000000000000004096.seg   snapshot@4096 (the fallback)
@@ -11,7 +12,14 @@
 //! manifest-00000000000000000003.man                   the commit point
 //! wal-00000000000000004096.wal                        rows 4096..8192 (sealed)
 //! wal-00000000000000008192.wal                        arrivals 8192.. (the live log)
+//! spare.wal                                           was wal-0: the next freeze's file
 //! ```
+//!
+//! The freeze at 12288 renames `spare.wal` to `wal-…12288.wal` and writes
+//! it from offset 0: the kernel overwrites pages it has cached instead of
+//! allocating fresh ones. Every record is bound to its generation's base
+//! clock ([`wal::record_salt`]), so the old records past the live tail
+//! never verify.
 //!
 //! [`DurableStore::push_row`] appends a checksummed record to the live
 //! WAL (buffered) and holds the row for the in-memory trees, which take
@@ -128,8 +136,12 @@ pub struct TierStatus {
     /// Successful background flushes so far.
     pub flushes: u64,
     /// Retention passes so far that retired a file (a superseded segment
-    /// or a WAL generation no kept snapshot needs).
+    /// or a WAL generation no kept snapshot needs, whether deleted or kept
+    /// as the spare).
     pub compactions: u64,
+    /// WAL generations opened on the spare — a retired generation's file,
+    /// overwritten — instead of a fresh file.
+    pub recycled: u64,
     /// Degradation state.
     pub health: StoreHealth,
 }
@@ -198,6 +210,8 @@ pub struct DurableStore {
     /// unsynced, as soon as a committed snapshot covers `end_t`: its
     /// rows are durable as state.
     sealed: VecDeque<(u64, File)>,
+    /// Generations opened on the spare (see [`TierStatus::recycled`]).
+    recycled: u64,
     /// Highest arrival clock guarded by a *broken* generation that was
     /// rolled away: rows below it may exist nowhere durable but the
     /// segment tier, so [`Self::sync`] must not ack until
@@ -259,6 +273,10 @@ impl DurableStore {
     ) -> Result<DurableStore, StoreError> {
         let base = set.arrivals();
         debug_assert_eq!(manifest.covered_t, base);
+        // A spare this store's own retention did not make may hold records
+        // of a base it is about to write — recovery can set the clock back
+        // behind the generation the spare was — so it is not recycled.
+        let _ = fs::remove_file(dir.join(io::WAL_SPARE));
         let wal = open_wal(&dir, set.config(), set.streams(), base, &opts.wal_faults)?;
         let shared: SharedView = Arc::new(Mutex::new(Shared {
             manifest,
@@ -289,6 +307,7 @@ impl DurableStore {
             wal,
             wal_base: base,
             sealed: VecDeque::new(),
+            recycled: 0,
             wal_hole: None,
             shared,
             jobs: Some(tx),
@@ -349,6 +368,7 @@ impl DurableStore {
         let (config, streams) = (self.tiles.config(), self.tiles.streams());
         match open_wal(&self.dir, config, streams, end, &self.opts.wal_faults) {
             Ok(next) => {
+                self.recycled += u64::from(next.recycled);
                 let old = std::mem::replace(&mut self.wal, next);
                 if old.broken.is_none() {
                     self.sealed.push_back((end, old.file));
@@ -508,6 +528,7 @@ impl DurableStore {
             segments: s.manifest.entries.len(),
             flushes: s.flushes,
             compactions: s.compactions,
+            recycled: self.recycled,
             health,
         }
     }
@@ -569,9 +590,13 @@ impl DurableStore {
 impl Drop for DurableStore {
     fn drop(&mut self) {
         // Graceful-shutdown parity with the old BufWriter store: buffered
-        // records reach the kernel (no fsync); a pending snapshot is
-        // abandoned — its rows are already in the WAL.
-        let _ = self.wal.flush();
+        // records reach the kernel (no fsync) and the live file is cut
+        // back to them; a pending snapshot is abandoned — its rows are
+        // already in the WAL. After a crash (`crash()`, or an injected
+        // one) the process is dead: it touches no file.
+        if !self.opts.wal_faults.is_dead() {
+            self.wal.close();
+        }
         self.shutdown();
     }
 }
@@ -581,6 +606,13 @@ impl Drop for DurableStore {
 struct WalWriter {
     file: File,
     buf: Vec<u8>,
+    /// The generation's base clock, which every record is bound to.
+    base: u64,
+    /// Bytes handed to the kernel: where the generation ends in a
+    /// recycled file whose older records run on past it.
+    written: u64,
+    /// Whether the file is the spare, overwritten.
+    recycled: bool,
     faults: Arc<IoFaults>,
     /// Set on the first write/fsync failure: the generation may hold a
     /// torn record, so it stops accepting appends and [`DurableStore`]
@@ -594,7 +626,7 @@ impl WalWriter {
         if self.broken.is_some() {
             return;
         }
-        wal::encode_record(&mut self.buf, row);
+        wal::encode_record(&mut self.buf, self.base, row);
         if self.buf.len() >= WAL_FLUSH_BYTES {
             let _ = self.flush();
         }
@@ -613,10 +645,11 @@ impl WalWriter {
             &self.buf,
             "append WAL records",
         );
-        self.buf.clear();
-        if let Err(e) = &res {
-            self.broken = Some(e.to_string());
+        match &res {
+            Ok(()) => self.written += self.buf.len() as u64,
+            Err(e) => self.broken = Some(e.to_string()),
         }
+        self.buf.clear();
         res
     }
 
@@ -632,6 +665,16 @@ impl WalWriter {
     fn discard(&mut self) {
         self.buf.clear();
     }
+
+    /// A clean close: the buffered records reach the kernel and the file
+    /// is cut back to them, so a recycled file keeps no older
+    /// generation's records past the last one. A broken generation is
+    /// left as it is.
+    fn close(&mut self) {
+        if self.flush().is_ok() {
+            let _ = self.file.set_len(self.written);
+        }
+    }
 }
 
 fn degraded_io(msg: &str) -> StoreError {
@@ -641,9 +684,13 @@ fn degraded_io(msg: &str) -> StoreError {
     }
 }
 
-/// Open `wal-<base>` fresh (truncating any unverifiable leftover with the
-/// same name) and buffer its header. Nothing is fsynced here — the
-/// header becomes durable with the first [`DurableStore::sync`].
+/// Open `wal-<base>` and buffer its header. The file is the spare when
+/// there is one: renamed to the generation's name through the WAL fault
+/// domain and overwritten from offset 0 — past the new records the older
+/// generations' records stay, bound to other bases. With no spare, or if
+/// the rename fails, the file is created fresh (truncating any
+/// unverifiable leftover with the same name). Nothing is fsynced here —
+/// the header becomes durable with the first [`DurableStore::sync`].
 fn open_wal(
     dir: &Path,
     config: &SwatConfig,
@@ -652,15 +699,33 @@ fn open_wal(
     faults: &Arc<IoFaults>,
 ) -> Result<WalWriter, StoreError> {
     let path = dir.join(wal_name(base));
-    let file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&path)
-        .map_err(StoreError::io("open WAL"))?;
+    let spare = dir.join(io::WAL_SPARE);
+    let mut recycled = None;
+    if spare.exists() && io::rename(faults, &spare, &path, "recycle WAL generation").is_ok() {
+        recycled = OpenOptions::new().write(true).open(&path).ok();
+    }
+    let (file, recycled) = match recycled {
+        Some(file) => (file, true),
+        None => {
+            let file = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&path)
+                .map_err(StoreError::io("open WAL"))?;
+            // A retention pass racing this open may have renamed a spare
+            // in after the look above: beside this fresh generation it
+            // would be a fourth WAL-sized file (`manifest::retire`).
+            let _ = fs::remove_file(&spare);
+            (file, false)
+        }
+    };
     Ok(WalWriter {
         file,
         buf: WalHeader::describe(config, streams, base).encode(),
+        base,
+        written: 0,
+        recycled,
         faults: faults.clone(),
         broken: None,
     })
@@ -861,6 +926,37 @@ mod tests {
         );
         assert_eq!(st.segments, manifest::KEPT_SNAPSHOTS);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_clean_close_cuts_a_recycled_live_file_back_to_its_records() {
+        for clean in [true, false] {
+            let dir = tmp(&format!("cut-{clean}"));
+            let mut store = DurableStore::create_with(&dir, config(), 1, small_opts()).unwrap();
+            for i in 0..27 {
+                store.push_row(&[i as f64]).unwrap();
+                store.settle();
+            }
+            // Freezes at 8, 16, 24: the commit at 16 retired wal-0 as the
+            // spare, and the freeze at 24 opened wal-24 on it.
+            assert_eq!(store.status().recycled, 1);
+            let live = dir.join(wal_name(24));
+            let records = (wal::HEADER_LEN + 3 * wal::record_len(1)) as u64;
+            let was = fs::metadata(&live).unwrap().len();
+            assert!(
+                was > records,
+                "wal-0's eight records lie past the live three"
+            );
+            if clean {
+                drop(store);
+                assert_eq!(fs::metadata(&live).unwrap().len(), records);
+            } else {
+                store.flush().unwrap();
+                store.crash();
+                assert_eq!(fs::metadata(&live).unwrap().len(), was);
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

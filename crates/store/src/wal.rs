@@ -6,20 +6,29 @@
 //! record whose checksum cannot verify. Recovery therefore reads the
 //! longest verified prefix and drops the tail, never guessing.
 //!
-//! ## On-disk layout
+//! ## On-disk layout (version 2)
 //!
 //! ```text
 //! header  "SWAL" version  base_t  window  k  min_level  streams  crc32
 //!           4B      1B      8B      8B    8B     8B        8B     4B
-//! record  crc32  row[0] .. row[streams-1]        (repeated to EOF)
+//! record  check  row[0] .. row[streams-1]        (repeated to EOF)
 //!           4B     8B each, f64 little-endian bits
 //! ```
 //!
-//! The header checksum covers every header byte before it; each record
-//! checksum covers that record's row bytes. `base_t` is the number of
-//! arrivals already captured by the checkpoint this log extends, which
-//! lets recovery chain log generations: replaying `wal-<t>` completely
-//! lands exactly on the `base_t` of the next generation.
+//! The header checksum covers every header byte before it. A record's
+//! `check` is `crc32(row bytes) ^ salt(base_t)` ([`record_salt`]): the
+//! checksum of the row, bound to the generation it was written for. The
+//! store recycles a retired generation's file as the next live one and
+//! overwrites it from offset 0, so past the live tail the file still
+//! holds whole records of an older generation; bound to another base,
+//! they fail the check and end the verified prefix like a torn tail.
+//! Version 1 (plain `crc32(row bytes)`) is refused by version, never
+//! replayed: its records could verify in any generation.
+//!
+//! `base_t` is the number of arrivals already captured by the checkpoint
+//! this log extends, which lets recovery chain log generations: replaying
+//! `wal-<t>` completely lands exactly on the `base_t` of the next
+//! generation.
 //!
 //! The header repeats the tree configuration so an empty store (no
 //! checkpoint written yet) is still recoverable from `wal-0` alone.
@@ -32,9 +41,26 @@ use swat_tree::SwatConfig;
 /// First bytes of every WAL file.
 pub const WAL_MAGIC: &[u8; 4] = b"SWAL";
 /// Current WAL format version.
-pub const WAL_VERSION: u8 = 1;
+pub const WAL_VERSION: u8 = 2;
 /// Serialized header size in bytes.
 pub const HEADER_LEN: usize = 4 + 1 + 8 * 5 + 4;
+
+/// Why the bytes at the start of a WAL file are not a usable header.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HeaderError {
+    /// Truncated, not a WAL, or failing its checksum: recovery drops the
+    /// generation as a torn or corrupt file.
+    Corrupt(CodecError),
+    /// A header that verifies, of a format version this reader does not
+    /// replay: recovery refuses the store rather than drop acked rows.
+    Version(u8),
+}
+
+impl From<CodecError> for HeaderError {
+    fn from(e: CodecError) -> HeaderError {
+        HeaderError::Corrupt(e)
+    }
+}
 
 /// The fixed-size header at the start of a WAL file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,23 +109,19 @@ impl WalHeader {
         out
     }
 
-    /// Parse and verify a header from the start of `bytes`.
-    pub fn decode(bytes: &[u8]) -> Result<WalHeader, CodecError> {
+    /// Parse and verify a header from the start of `bytes`. The checksum
+    /// is checked before the version, so a version is only ever reported
+    /// for a header that verifies: a flipped version byte is corruption.
+    pub fn decode(bytes: &[u8]) -> Result<WalHeader, HeaderError> {
         let mut c = Cursor::new(bytes);
         let magic = c.take(4)?;
         if magic != WAL_MAGIC {
-            return Err(CodecError::Invalid {
+            return Err(HeaderError::Corrupt(CodecError::Invalid {
                 what: "WAL magic",
                 offset: 0,
-            });
+            }));
         }
         let version = c.u8()?;
-        if version != WAL_VERSION {
-            return Err(CodecError::Invalid {
-                what: "WAL version",
-                offset: 4,
-            });
-        }
         let base_t = c.u64()?;
         let window = c.u64()?;
         let k = c.u64()?;
@@ -109,11 +131,14 @@ impl WalHeader {
         let stored = c.u32()?;
         let computed = crc32(&bytes[..crc_at]);
         if stored != computed {
-            return Err(CodecError::ChecksumMismatch {
+            return Err(HeaderError::Corrupt(CodecError::ChecksumMismatch {
                 offset: crc_at,
                 stored,
                 computed,
-            });
+            }));
+        }
+        if version != WAL_VERSION {
+            return Err(HeaderError::Version(version));
         }
         Ok(WalHeader {
             base_t,
@@ -143,15 +168,29 @@ pub fn record_len(streams: usize) -> usize {
     4 + 8 * streams
 }
 
-/// Append one checksummed record for `row` to `out`.
-pub fn encode_record(out: &mut Vec<u8>, row: &[f64]) {
+/// The mask that binds a record to the generation whose header names
+/// `base_t`: a record is stored as `crc32(row bytes) ^ record_salt(base_t)`.
+///
+/// The salt is the low 32 bits of `base_t` times an odd constant, a
+/// bijection on `u32`. So two bases that differ by less than 2³² have
+/// different salts, and a record written for one of them fails the check
+/// in the other whatever its bytes: the two checks differ by the XOR of
+/// the salts, which is never zero. The multiplication spreads a small
+/// difference of bases over all 32 bits of the mask.
+pub fn record_salt(base_t: u64) -> u32 {
+    (base_t as u32).wrapping_mul(0x9E37_79B9)
+}
+
+/// Append one record for `row`, bound to the generation based at
+/// `base_t`, to `out`.
+pub fn encode_record(out: &mut Vec<u8>, base_t: u64, row: &[f64]) {
     let start = out.len();
     out.resize(start + record_len(row.len()), 0);
-    let (crc, body) = out[start..].split_at_mut(4);
+    let (check, body) = out[start..].split_at_mut(4);
     for (dst, v) in body.chunks_exact_mut(8).zip(row) {
         dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
-    crc.copy_from_slice(&crc32(body).to_le_bytes());
+    check.copy_from_slice(&(crc32(body) ^ record_salt(base_t)).to_le_bytes());
 }
 
 /// The verified prefix of a WAL body (the bytes after the header).
@@ -163,19 +202,21 @@ pub struct WalPrefix {
     pub verified_len: usize,
 }
 
-/// Scan `body` for the longest prefix of whole, checksum-verified, finite
-/// records. Scanning stops — without failing — at the first record that
-/// is incomplete, fails its checksum, or decodes to a non-finite value,
-/// because nothing after an unverifiable record can be trusted to be
-/// aligned, let alone intact.
-pub fn scan_records(body: &[u8], streams: usize) -> WalPrefix {
-    let rlen = record_len(streams);
+/// Scan `body`, the bytes after `header`, for the longest prefix of
+/// whole, finite records that verify in `header`'s generation. Scanning
+/// stops — without failing — at the first record that is incomplete,
+/// fails its check (a torn or corrupt record, or one of another
+/// generation), or decodes to a non-finite value, because nothing after
+/// an unverifiable record can be trusted to be aligned, let alone intact.
+pub fn scan_records(body: &[u8], header: &WalHeader) -> WalPrefix {
+    let rlen = record_len(header.streams as usize);
+    let salt = record_salt(header.base_t);
     let mut values = Vec::new();
     let mut at = 0;
     while body.len() - at >= rlen {
         let stored = u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
         let row = &body[at + 4..at + rlen];
-        if crc32(row) != stored {
+        if crc32(row) ^ salt != stored {
             break;
         }
         let mark = values.len();
@@ -207,7 +248,7 @@ pub fn scan_records(body: &[u8], streams: usize) -> WalPrefix {
 /// tail is dropped, never guessed at).
 pub struct WalBodyReader<R: Read> {
     inner: R,
-    streams: usize,
+    header: WalHeader,
     /// Whole-record-aligned staging buffer (capacity `chunk_rows` records).
     buf: Vec<u8>,
     target: usize,
@@ -216,12 +257,13 @@ pub struct WalBodyReader<R: Read> {
 }
 
 impl<R: Read> WalBodyReader<R> {
-    /// A reader delivering up to `chunk_rows` rows per call (minimum 1).
-    pub fn new(inner: R, streams: usize, chunk_rows: usize) -> WalBodyReader<R> {
-        let target = record_len(streams) * chunk_rows.max(1);
+    /// A reader of the body that follows `header`, delivering up to
+    /// `chunk_rows` rows per call (minimum 1).
+    pub fn new(inner: R, header: &WalHeader, chunk_rows: usize) -> WalBodyReader<R> {
+        let target = record_len(header.streams as usize) * chunk_rows.max(1);
         WalBodyReader {
             inner,
-            streams,
+            header: *header,
             buf: Vec::with_capacity(target),
             target,
             verified_len: 0,
@@ -247,8 +289,9 @@ impl<R: Read> WalBodyReader<R> {
         // Short of a full chunk the log ends here — and so it does on a
         // read error: an unreadable tail is a dropped tail.
         let eof = !matches!(read, Ok(n) if n as u64 == want);
-        let prefix = scan_records(&self.buf, self.streams);
-        let whole = self.buf.len() / record_len(self.streams) * record_len(self.streams);
+        let prefix = scan_records(&self.buf, &self.header);
+        let rlen = record_len(self.header.streams as usize);
+        let whole = self.buf.len() / rlen * rlen;
         if prefix.verified_len < whole || eof {
             // A record inside the chunk failed verification, or the log
             // ends here (possibly with a torn partial record): nothing
@@ -275,6 +318,14 @@ mod tests {
             .with_min_level(2)
             .unwrap();
         WalHeader::describe(&config, 3, 17)
+    }
+
+    /// The base of [`two`]'s generation.
+    const B: u64 = 40;
+
+    /// The header of a two-stream generation based at [`B`].
+    fn two() -> WalHeader {
+        WalHeader::describe(&SwatConfig::with_coefficients(64, 3).unwrap(), 2, B)
     }
 
     #[test]
@@ -304,33 +355,92 @@ mod tests {
         }
     }
 
+    /// The bytes a hex string spells.
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The rows of the pinned WAL: a header (window 8, k 4, 3 streams,
+    /// base 5), then one record each.
+    const GOLDEN_ROWS: [[f64; 3]; 2] = [[1.5, -2.25, 1e-3], [7.0, 0.125, -1e9]];
+
     #[test]
-    fn wal_written_before_the_sliced_crc_still_verifies() {
-        // A header (window 8, k 4, 3 streams, base 5) and two records as
-        // the commit before slice-by-8 wrote them: today's writer must
-        // produce the same bytes, today's reader accept them.
+    fn wal_bytes_are_pinned() {
+        // The v1 bytes (as the commit before slice-by-8 wrote them) with
+        // the version byte and header checksum of v2 and each record's
+        // checksum masked by `record_salt(5)`: today's writer must
+        // produce them, today's reader accept them.
         const GOLDEN: &str = concat!(
+            "5357414c02050000000000000008000000000000000400000000000000000000",
+            "00000000000300000000000000631a09eaa5a338fe000000000000f83f000000",
+            "00000002c0fca9f1d24d62503ffeb247550000000000001c40000000000000c0",
+            "3f0000000065cdcdc1",
+        );
+        let golden = unhex(GOLDEN);
+        let config = SwatConfig::with_coefficients(8, 4).unwrap();
+        let header = WalHeader::describe(&config, 3, 5);
+        let mut written = header.encode();
+        for row in &GOLDEN_ROWS {
+            encode_record(&mut written, 5, row);
+        }
+        assert_eq!(written, golden);
+        assert_eq!(WalHeader::decode(&golden).unwrap(), header);
+        let body = scan_records(&golden[HEADER_LEN..], &header);
+        assert_eq!(body.verified_len, golden.len() - HEADER_LEN);
+        assert_eq!(body.values, GOLDEN_ROWS.concat());
+    }
+
+    #[test]
+    fn a_verified_v1_header_is_refused_by_version_and_a_flipped_one_is_corrupt() {
+        // The same header and records as a version 1 writer laid them out.
+        const V1: &str = concat!(
             "5357414c01050000000000000008000000000000000400000000000000000000",
             "00000000000300000000000000c1ad400938c32de9000000000000f83f000000",
             "00000002c0fca9f1d24d62503f63d252420000000000001c40000000000000c0",
             "3f0000000065cdcdc1",
         );
-        let golden: Vec<u8> = (0..GOLDEN.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
-            .collect();
+        let v1 = unhex(V1);
+        assert_eq!(WalHeader::decode(&v1), Err(HeaderError::Version(1)));
+        for bit in 0..8 {
+            let mut bad = v1.clone();
+            bad[4] ^= 1 << bit;
+            assert!(
+                matches!(WalHeader::decode(&bad), Err(HeaderError::Corrupt(_))),
+                "version bit {bit}"
+            );
+        }
+        // Its records carry no salt: under a v2 header of the same base
+        // not one verifies (the salt of base 5 is not zero).
         let config = SwatConfig::with_coefficients(8, 4).unwrap();
         let header = WalHeader::describe(&config, 3, 5);
-        let rows = [[1.5, -2.25, 1e-3], [7.0, 0.125, -1e9]];
-        let mut written = header.encode();
-        for row in &rows {
-            encode_record(&mut written, row);
+        assert_eq!(scan_records(&v1[HEADER_LEN..], &header).verified_len, 0);
+    }
+
+    #[test]
+    fn a_record_verifies_only_in_its_own_generation() {
+        let bases = [0, 1, 8, 4096, 4104, u32::MAX as u64, 1 << 32, u64::MAX];
+        for &written in &bases {
+            let mut body = Vec::new();
+            encode_record(&mut body, written, &[1.0, -2.5]);
+            for &read in &bases {
+                let mut header = two();
+                header.base_t = read;
+                let p = scan_records(&body, &header);
+                // Bases 0 and 2^32 are 2^32 apart: the documented limit.
+                let same = read as u32 == written as u32;
+                assert_eq!(
+                    p.verified_len == body.len(),
+                    same,
+                    "{written} read as {read}"
+                );
+                if read.abs_diff(written) < 1 << 32 {
+                    assert_eq!(same, read == written, "{written} read as {read}");
+                }
+            }
         }
-        assert_eq!(written, golden);
-        assert_eq!(WalHeader::decode(&golden).unwrap(), header);
-        let body = scan_records(&golden[HEADER_LEN..], 3);
-        assert_eq!(body.verified_len, golden.len() - HEADER_LEN);
-        assert_eq!(body.values, rows.concat());
     }
 
     #[test]
@@ -338,9 +448,9 @@ mod tests {
         let rows = [[1.0, -2.5], [3.25, 0.0], [9.0, 1e-3]];
         let mut body = Vec::new();
         for row in &rows {
-            encode_record(&mut body, row);
+            encode_record(&mut body, B, row);
         }
-        let full = scan_records(&body, 2);
+        let full = scan_records(&body, &two());
         assert_eq!(full.verified_len, body.len());
         assert_eq!(full.values, [1.0, -2.5, 3.25, 0.0, 9.0, 1e-3]);
 
@@ -348,7 +458,7 @@ mod tests {
         // records before it.
         for cut in 0..record_len(2) {
             let torn = &body[..2 * record_len(2) + cut];
-            let p = scan_records(torn, 2);
+            let p = scan_records(torn, &two());
             assert_eq!(p.verified_len, 2 * record_len(2), "cut {cut}");
             assert_eq!(p.values.len(), 4);
         }
@@ -358,14 +468,14 @@ mod tests {
     fn any_corrupt_record_ends_the_verified_prefix() {
         let mut body = Vec::new();
         for i in 0..5 {
-            encode_record(&mut body, &[i as f64, -(i as f64)]);
+            encode_record(&mut body, B, &[i as f64, -(i as f64)]);
         }
         let rlen = record_len(2);
         for byte in 0..body.len() {
             for bit in 0..8 {
                 let mut bad = body.clone();
                 bad[byte] ^= 1 << bit;
-                let p = scan_records(&bad, 2);
+                let p = scan_records(&bad, &two());
                 let hit = byte / rlen;
                 assert_eq!(
                     p.values.len(),
@@ -381,23 +491,23 @@ mod tests {
     fn body_reader_matches_scan_records_chunk_by_chunk() {
         let mut body = Vec::new();
         for i in 0..100 {
-            encode_record(&mut body, &[i as f64, -(i as f64)]);
+            encode_record(&mut body, B, &[i as f64, -(i as f64)]);
         }
         // Clean body: all rows, in order, across many small chunks.
-        let mut r = WalBodyReader::new(&body[..], 2, 7);
+        let mut r = WalBodyReader::new(&body[..], &two(), 7);
         let mut values = Vec::new();
         while let Some(chunk) = r.next_rows() {
             assert!(chunk.len() <= 7 * 2);
             values.extend(chunk);
         }
-        let reference = scan_records(&body, 2);
+        let reference = scan_records(&body, &two());
         assert_eq!(values, reference.values);
         assert_eq!(r.verified_len(), reference.verified_len as u64);
 
         // A flipped record mid-body ends the prefix at the same point.
         let mut bad = body.clone();
         bad[record_len(2) * 43 + 5] ^= 0x20;
-        let mut r = WalBodyReader::new(&bad[..], 2, 7);
+        let mut r = WalBodyReader::new(&bad[..], &two(), 7);
         let mut values = Vec::new();
         while let Some(chunk) = r.next_rows() {
             values.extend(chunk);
@@ -407,7 +517,7 @@ mod tests {
 
         // A torn final record is dropped.
         let torn = &body[..body.len() - 3];
-        let mut r = WalBodyReader::new(torn, 2, 64);
+        let mut r = WalBodyReader::new(torn, &two(), 64);
         let mut rows = 0;
         while let Some(chunk) = r.next_rows() {
             rows += chunk.len() / 2;
@@ -429,16 +539,16 @@ mod tests {
         }
         let mut body = Vec::new();
         for i in 0..10 {
-            encode_record(&mut body, &[i as f64, -(i as f64)]);
+            encode_record(&mut body, B, &[i as f64, -(i as f64)]);
         }
         // Six whole records and half of the seventh arrive before the fault.
         let readable = &body[..6 * record_len(2) + 9];
-        let mut r = WalBodyReader::new(FailsAfter(readable), 2, 4);
+        let mut r = WalBodyReader::new(FailsAfter(readable), &two(), 4);
         let mut values = Vec::new();
         while let Some(chunk) = r.next_rows() {
             values.extend(chunk);
         }
-        assert_eq!(values, scan_records(readable, 2).values);
+        assert_eq!(values, scan_records(readable, &two()).values);
         assert_eq!(r.verified_len(), (6 * record_len(2)) as u64);
         assert!(r.next_rows().is_none());
     }
@@ -446,10 +556,10 @@ mod tests {
     #[test]
     fn non_finite_rows_are_rejected_even_with_a_valid_checksum() {
         let mut body = Vec::new();
-        encode_record(&mut body, &[1.0, 2.0]);
-        encode_record(&mut body, &[f64::NAN, 2.0]);
-        encode_record(&mut body, &[3.0, 4.0]);
-        let p = scan_records(&body, 2);
+        encode_record(&mut body, B, &[1.0, 2.0]);
+        encode_record(&mut body, B, &[f64::NAN, 2.0]);
+        encode_record(&mut body, B, &[3.0, 4.0]);
+        let p = scan_records(&body, &two());
         assert_eq!(p.values, [1.0, 2.0]);
         assert_eq!(p.verified_len, record_len(2));
     }

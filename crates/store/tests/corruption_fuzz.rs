@@ -18,15 +18,18 @@ use std::fs;
 use std::path::Path;
 use std::time::Duration;
 
+use swat_store::wal::{encode_record, record_len, WalHeader, HEADER_LEN};
 use swat_store::{DurableStore, RecoveryManager, StoreOptions};
 use swat_tree::{StreamSet, SwatConfig};
 
 const ROWS: u64 = 30;
+/// The spare's file name: the newest retired WAL generation's file.
+const SPARE: &str = "spare.wal";
 const STREAMS: usize = 2;
 
 /// A small freeze interval so 30 rows produce the whole layout: both
 /// kept snapshots, two manifest generations, the sealed WAL generation
-/// behind the older snapshot and a live WAL tail.
+/// behind the older snapshot, a live WAL tail and the spare.
 fn opts() -> StoreOptions {
     StoreOptions {
         freeze_rows: 8,
@@ -57,10 +60,11 @@ fn row(i: u64) -> [f64; STREAMS] {
 }
 
 /// Build the reference directory — snapshots at t = 20 and 28, the
-/// manifests that committed them, `wal-20` (sealed, the fallback's tail)
-/// and `wal-28` (live, two rows) — and capture its files, so each fault
-/// case can reset the directory with plain writes instead of re-running
-/// the (fsync-heavy) store.
+/// manifests that committed them, `wal-20` (sealed, the fallback's tail),
+/// `wal-28` (live, two rows; recycled, and cut back to them by the clean
+/// close) and the spare (`wal-16`'s file, retired) — and capture its
+/// files, so each fault case can reset the directory with plain writes
+/// instead of re-running the (fsync-heavy) store.
 fn reference(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let _ = fs::remove_dir_all(dir);
     let mut store = DurableStore::create_with(dir, config(), STREAMS, opts()).unwrap();
@@ -114,12 +118,14 @@ fn digests() -> Vec<u64> {
 /// Recover `dir` and check the contract against the prefix digests.
 /// Damage to a segment (`what` names the file first) must lose nothing:
 /// the other kept snapshot and the retained WAL tail cover every row.
+/// Nor may damage to the spare, which nothing reads.
 fn check(dir: &Path, digests: &[u64], what: &str) {
+    let lossless = what.starts_with("seg-") || what.starts_with(SPARE);
     match RecoveryManager::recover(dir.to_path_buf()) {
         Ok((store, report)) => {
             let p = report.recovered_arrivals as usize;
-            if what.starts_with("seg-") {
-                assert_eq!(p as u64, ROWS, "{what}: a damaged snapshot cost rows");
+            if lossless {
+                assert_eq!(p as u64, ROWS, "{what}: damage cost rows");
             }
             assert!(
                 p < digests.len(),
@@ -134,7 +140,7 @@ fn check(dir: &Path, digests: &[u64], what: &str) {
         Err(e) => {
             // Typed degradation; exercise Display too, it must not panic.
             let _ = e.to_string();
-            assert!(!what.starts_with("seg-"), "{what}: {e}");
+            assert!(!lossless, "{what}: {e}");
         }
     }
 }
@@ -147,10 +153,12 @@ fn every_single_bit_flip_recovers_consistently() {
     assert!(files.iter().any(|(f, _)| f.starts_with("seg-")));
     assert!(files.iter().any(|(f, _)| f.starts_with("manifest-")));
     assert!(files.iter().any(|(f, _)| f.starts_with("wal-")));
+    assert!(files.iter().any(|(f, _)| f == SPARE));
     assert_eq!(
         files.len(),
-        6,
-        "expected two segments, two manifests, a sealed and a live WAL, got {files:?}",
+        7,
+        "expected two segments, two manifests, a sealed and a live WAL and the spare, \
+         got {files:?}",
         files = files.iter().map(|(f, _)| f).collect::<Vec<_>>()
     );
 
@@ -187,6 +195,60 @@ fn every_truncation_recovers_consistently() {
         reset(&dir, &files);
         fs::remove_file(dir.join(file)).unwrap();
         check(&dir, &digests, &format!("{file} deleted"));
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A recycled file's stale tail — the records of the generation whose
+/// file it was, past the live ones — is never replayed. The live
+/// `wal-28` (two rows) is laid over a full older generation built by
+/// hand, `wal-12`'s eight rows each verifying under base 12, and cut at
+/// every byte of the live records: every record boundary and every torn
+/// live record meets stale records. With the snapshots intact the base
+/// is t = 28; with `seg-28` flipped recovery falls back to t = 20,
+/// replays `wal-20`, then the recycled file. Either way it ends exactly
+/// after the whole live records the cut left.
+#[test]
+fn a_recycled_files_stale_tail_is_never_replayed() {
+    let dir = scratch("stale");
+    let digests = digests();
+    let files = reference(&dir);
+    let (live_name, live) = files
+        .iter()
+        .find(|(f, _)| f == "wal-00000000000000000028.wal")
+        .expect("the live generation");
+    let rlen = record_len(STREAMS);
+    assert_eq!(live.len(), HEADER_LEN + 2 * rlen, "two live rows");
+    let mut old = WalHeader::describe(&config(), STREAMS, 12).encode();
+    for i in 12..20 {
+        encode_record(&mut old, 12, &row(i));
+    }
+    let seg28 = "seg-00000000000000000028-00000000000000000028.seg";
+
+    for fall_back in [false, true] {
+        for cut in 0..=live.len() {
+            reset(&dir, &files);
+            let mut recycled = live[..cut].to_vec();
+            recycled.extend_from_slice(&old[cut..]);
+            fs::write(dir.join(live_name), &recycled).unwrap();
+            if fall_back {
+                let mut seg = fs::read(dir.join(seg28)).unwrap();
+                let at = seg.len() / 2;
+                seg[at] ^= 0x08;
+                fs::write(dir.join(seg28), seg).unwrap();
+            }
+            let (store, report) = RecoveryManager::recover(dir.clone())
+                .unwrap_or_else(|e| panic!("cut {cut}, fall back {fall_back}: {e}"));
+            let whole = (cut.saturating_sub(HEADER_LEN) / rlen) as u64;
+            let want = 28 + whole;
+            assert_eq!(
+                report.recovered_arrivals, want,
+                "cut {cut}, fall back {fall_back}: stale rows replayed or live rows lost"
+            );
+            assert_eq!(report.checkpoint_t, Some(if fall_back { 20 } else { 28 }));
+            assert_eq!(store.answers_digest(), digests[want as usize]);
+            assert!(report.wal_bytes_dropped > 0, "the stale tail is dropped");
+        }
     }
     let _ = fs::remove_dir_all(&dir);
 }

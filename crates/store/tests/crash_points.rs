@@ -2,8 +2,10 @@
 //! single fault — a process death, `ENOSPC`, `EIO`, a torn write — at
 //! **every I/O step** of the background schedule (segment write,
 //! manifest commit, eight steps a flush) and, independently, at every
-//! step of the foreground WAL schedule, then kill the store, recover and
-//! require the acked-prefix contract:
+//! step of the foreground WAL schedule (record writes, fsyncs, and the
+//! rename that makes the spare — a retired generation's file — the next
+//! live one), then kill the store, recover and require the acked-prefix
+//! contract:
 //!
 //! * zero acked-data loss: `recovered_arrivals >= rows acked by sync()`,
 //! * no invention: `recovered_arrivals <= rows pushed`,
@@ -13,8 +15,10 @@
 //!
 //! The step horizons are *probed*, not guessed: the same workload first
 //! runs against fault-free domains and reports how many operations each
-//! domain adjudicated; the grid then replays it once per step and fault
-//! kind ([`KINDS`]) with that fault injected at that step. A transient
+//! domain adjudicated, and that it recycled at least one generation, so
+//! the grid covers overwritten files and not only fresh ones; the grid
+//! then replays it once per step and fault kind ([`KINDS`]) with that
+//! fault injected at that step. A transient
 //! fault that fails a `sync()` leaves its rows un-acked; one that fails a
 //! flush parks the snapshot and the store degrades — neither may cost
 //! an acked row.
@@ -89,14 +93,15 @@ fn digests() -> Vec<u64> {
 /// Run the seeded workload against a store whose fault domains are
 /// `wal` / `flush`, letting the flusher finish after every freeze when
 /// `settled`; returns the highest arrival count acknowledged by a
-/// successful `sync()`. Panics bubbling out of here fail the grid —
-/// faults must degrade, never explode.
+/// successful `sync()`, and how many generations were opened on the
+/// spare. Panics bubbling out of here fail the grid — faults must
+/// degrade, never explode.
 fn workload(
     dir: &Path,
     wal: std::sync::Arc<IoFaults>,
     flush: std::sync::Arc<IoFaults>,
     settled: bool,
-) -> u64 {
+) -> (u64, u64) {
     let o = StoreOptions {
         wal_faults: wal,
         flush_faults: flush,
@@ -106,7 +111,7 @@ fn workload(
     // runs in the foreground domain); that is a valid grid cell with
     // nothing acked.
     let Ok(mut store) = DurableStore::create_with(dir, config(), STREAMS, o) else {
-        return 0;
+        return (0, 0);
     };
     let mut acked = 0;
     for i in 0..ROWS {
@@ -126,8 +131,9 @@ fn workload(
     if store.sync().is_ok() {
         acked = store.arrivals();
     }
+    let recycled = store.status().recycled;
     store.crash();
-    acked
+    (acked, recycled)
 }
 
 /// Wait until the flusher has committed the last freeze's snapshot or
@@ -170,8 +176,9 @@ fn every_fault_at_every_flush_step_preserves_acked_rows() {
     let probe_flush = IoFaults::none();
     let dir = scratch("probe-flush", 0);
     let _ = std::fs::remove_dir_all(&dir);
-    let acked = workload(&dir, IoFaults::none(), probe_flush.clone(), true);
+    let (acked, recycled) = workload(&dir, IoFaults::none(), probe_flush.clone(), true);
     assert_eq!(acked, ROWS);
+    assert!(recycled > 0, "the probe never recycled a generation");
     let horizon = probe_flush.steps();
     assert!(
         horizon > 20,
@@ -189,7 +196,7 @@ fn every_fault_at_every_flush_step_preserves_acked_rows() {
             let dir = scratch("flush", step);
             let _ = std::fs::remove_dir_all(&dir);
             let flush = IoFaults::with_plan(IoFaultPlan::at(step, kind));
-            let acked = workload(&dir, IoFaults::none(), flush, true);
+            let (acked, _) = workload(&dir, IoFaults::none(), flush, true);
             check_cell(&dir, acked, &digests, &format!("flush {kind:?} at {step}"));
         }
     }
@@ -202,13 +209,17 @@ fn every_fault_at_every_wal_step_preserves_acked_rows() {
     let probe_wal = IoFaults::none();
     let dir = scratch("probe-wal", 0);
     let _ = std::fs::remove_dir_all(&dir);
-    let acked = workload(&dir, probe_wal.clone(), IoFaults::none(), true);
+    let (acked, recycled) = workload(&dir, probe_wal.clone(), IoFaults::none(), true);
     assert_eq!(acked, ROWS);
+    assert!(
+        recycled > 0,
+        "no generation was opened on the spare: the grid would cover fresh files only"
+    );
     let horizon = probe_wal.steps();
     assert!(horizon > 5, "WAL schedule too small: {horizon}");
     let _ = std::fs::remove_dir_all(&dir);
     println!(
-        "WAL domain: {horizon} steps x {} fault kinds = {} cells",
+        "WAL domain: {horizon} steps ({recycled} renames of the spare) x {} fault kinds = {} cells",
         KINDS.len(),
         horizon * KINDS.len() as u64
     );
@@ -218,7 +229,7 @@ fn every_fault_at_every_wal_step_preserves_acked_rows() {
             let dir = scratch("wal", step);
             let _ = std::fs::remove_dir_all(&dir);
             let wal = IoFaults::with_plan(IoFaultPlan::at(step, kind));
-            let acked = workload(&dir, wal, IoFaults::none(), true);
+            let (acked, _) = workload(&dir, wal, IoFaults::none(), true);
             check_cell(&dir, acked, &digests, &format!("WAL {kind:?} at {step}"));
         }
     }
@@ -245,7 +256,7 @@ fn seeded_transient_fault_storms_never_lose_acked_rows() {
         let flush = IoFaults::with_plan(IoFaultPlan::seeded(seed ^ 0xA5A5, hf, 4));
         // Unsettled: the storms are also where a slow flusher's skipped
         // snapshots meet faults.
-        let acked = workload(&dir, wal, flush, false);
+        let (acked, _) = workload(&dir, wal, flush, false);
         check_cell(&dir, acked, &digests, &format!("fault storm seed {seed}"));
     }
 }

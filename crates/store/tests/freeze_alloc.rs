@@ -4,7 +4,7 @@
 //! moved it; now no generation buffer exists at all — `freeze` encodes
 //! the live set's snapshot into a buffer the flusher handed back. Once
 //! one freeze has warmed that buffer up, the `push_row` that freezes
-//! allocates a file name and a WAL header: O(1) bytes, not a snapshot's
+//! allocates two paths and a WAL header: O(1) bytes, not a snapshot's
 //! worth and never `freeze_rows × streams × 8`.
 //!
 //! Counted with a global allocator that only books allocations made by
@@ -64,7 +64,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const STREAMS: usize = 256;
 const FREEZE_ROWS: u64 = 1024;
-/// What a path, a 45-byte WAL header and a channel node may cost.
+/// What two paths, a 49-byte WAL header and a channel node may cost.
 const FREEZE_BUDGET: usize = 1024;
 
 fn scratch() -> PathBuf {

@@ -4,6 +4,8 @@
 //!
 //! * **Disk:** two snapshot segments, the WAL generations from the older
 //!   one's clock on, two manifests — not a segment per freeze for ever.
+//!   A retired generation's file kept as the spare for the next freeze
+//!   is the third WAL-sized file, never a fourth.
 //! * **Heap:** the set, at most two snapshot buffers (one pending, one in
 //!   the flusher's hands) and the WAL write buffer — no generation
 //!   buffer of `freeze_rows × streams × 8` bytes anywhere.
@@ -196,6 +198,57 @@ fn disk_and_heap_are_bounded_by_two_snapshots_and_a_wal_tail() {
         2,
         "{names:?}"
     );
+}
+
+/// The disk bound of the test above without its race: the flusher
+/// commits each freeze's snapshot before the next row, so at every push
+/// the directory holds at most three WAL-sized files — the generations
+/// kept, live included, and the spare — at most one spare, and no more
+/// bytes than the same allowance.
+#[test]
+fn disk_is_bounded_at_every_push_when_every_freeze_settles() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let rows = GENERATIONS * FREEZE_ROWS;
+    let mut row = vec![0.0; STREAMS];
+    let mut twin = StreamSet::new(config(), STREAMS);
+    for t in 0..rows {
+        fill(&mut row, t);
+        twin.push_row(&row);
+    }
+    let segment_bytes = twin.snapshot().len() + 64;
+    drop(twin);
+    let wal_bytes = 64 + FREEZE_ROWS as usize * record_len(STREAMS);
+    let allowed = 2 * segment_bytes + 3 * wal_bytes + 2 * 512;
+
+    let (dir, _removed) = scratch("disk-settled");
+    let mut store = DurableStore::create_with(&dir, config(), STREAMS, opts(FREEZE_ROWS)).unwrap();
+    for t in 0..rows {
+        fill(&mut row, t);
+        store.push_row(&row).unwrap();
+        settle(&store);
+        let (mut on_disk, mut wal_files, mut spares) = (0, 0, 0);
+        let mut names = Vec::new();
+        for entry in fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            on_disk += entry.metadata().unwrap().len() as usize;
+            wal_files += usize::from(name.starts_with("wal-") || name == "spare.wal");
+            spares += usize::from(name == "spare.wal");
+            names.push(name);
+        }
+        let pushed = t + 1;
+        assert!(
+            wal_files <= 3 && spares <= 1,
+            "{wal_files} WAL-sized files, {spares} spares after {pushed} rows: {names:?}"
+        );
+        assert!(
+            on_disk <= allowed,
+            "{on_disk} B on disk after {pushed} rows, {allowed} allowed: {names:?}"
+        );
+    }
+    // Every freeze from the third on opened the generation retired at
+    // the one before: the bound holds with recycling at work.
+    assert_eq!(store.status().recycled, GENERATIONS - 2);
 }
 
 fn open_descriptors() -> usize {

@@ -89,7 +89,7 @@ fn recovery_memory_is_bounded_by_chunks_not_log_size() {
     wal.reserve(ROWS as usize * (4 + 8 * STREAMS));
     for i in 0..ROWS {
         let r = row(i);
-        encode_record(&mut wal, &r);
+        encode_record(&mut wal, 0, &r);
         twin.push_row(&r);
     }
     let wal_len = wal.len();
