@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use swat_replication::RetryPolicy;
 
-use crate::driver::follow_redirects;
+use crate::driver::{self, follow_redirects};
 use crate::proto::{check_frame, decode_response, ProtoError, Request, Response};
 use crate::transport::{TcpTransport, Transport, TransportError};
 
@@ -161,8 +161,9 @@ pub struct FailoverClient {
 
 impl FailoverClient {
     /// A client over `peers` (`peers[i]` is node `i`), starting at node
-    /// `0`. `policy.timeout` is the backoff base in milliseconds;
-    /// `policy.max_retries` bounds the *rounds* over the peer list.
+    /// `0`. `policy.max_retries` bounds the *rounds* over the peer list
+    /// (at least one; the peer pool counts retries after a first try),
+    /// and round `n ≥ 1` waits `policy.backoff(n)` milliseconds.
     ///
     /// # Panics
     ///
@@ -230,7 +231,8 @@ impl FailoverClient {
     /// `req_id` makes the retries duplicate-safe; a partial apply is
     /// re-driven until every shard holds the row.
     ///
-    /// The final response is returned even when not fully acked (the
+    /// Attempt `n ≥ 1` waits `policy.backoff(n)` ms after the one before
+    /// it. The final response is returned even when not fully acked (the
     /// caller inspects `failed_shards`).
     ///
     /// # Errors
@@ -370,38 +372,32 @@ impl PeerPool {
         })
     }
 
-    /// One request/response exchange with node `peer`, reconnecting
-    /// with bounded exponential backoff. `None` after the
-    /// final retry — the caller degrades explicitly. The caller must
-    /// already hold an in-flight token (or be heartbeat traffic, which
-    /// bypasses the budget so health detection keeps working under
-    /// load).
+    /// One request/response exchange with node `peer`, reconnecting with
+    /// bounded exponential backoff (`driver::retry`, which the simulator's
+    /// legs run too; the waits in milliseconds). `None` after the final
+    /// retry — the caller degrades explicitly. The caller must already
+    /// hold an in-flight token (or be heartbeat traffic, which bypasses
+    /// the budget so health detection keeps working under load).
     pub fn exchange(&self, peer: usize, req: &Request) -> Option<Response> {
         let mut conn = self.lock_conn(peer);
         let peer = &self.peers[peer];
-        for attempt in 0..=self.policy.max_retries {
-            if attempt > 0 {
-                // RetryPolicy::timeout is in milliseconds here.
-                std::thread::sleep(Duration::from_millis(self.policy.backoff(attempt)));
-            }
+        driver::retry(&self.policy, |wait_ms| {
+            // The first try's wait is 0: no system call.
+            std::thread::sleep(Duration::from_millis(wait_ms));
             if conn.is_none() {
-                match TcpStream::connect_timeout(&peer.addr, self.io_timeout)
-                    .and_then(|s| TcpTransport::new(s, self.io_timeout, self.io_timeout))
-                {
-                    Ok(tp) => *conn = Some(tp),
-                    Err(_) => continue,
-                }
+                let tp = TcpStream::connect_timeout(&peer.addr, self.io_timeout)
+                    .and_then(|s| TcpTransport::new(s, self.io_timeout, self.io_timeout));
+                *conn = Some(tp.ok()?);
             }
             // invariant: the branch above just filled `conn`.
             let tp = conn.as_mut().expect("just connected");
             tp.queue_request(req);
             let answer = tp.flush().ok().and_then(|()| recv_response(tp));
-            match answer {
-                Some(resp) => return Some(resp),
-                None => *conn = None,
+            if answer.is_none() {
+                *conn = None;
             }
-        }
-        None
+            answer
+        })
     }
 
     /// One fan-out round: `legs[i]` is `(peer, request)`, the result's

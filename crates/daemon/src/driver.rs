@@ -1,21 +1,24 @@
 //! The protocol loops, once: the request cycle (plan, one round of legs,
 //! merge — for every data request, the distributed top-k included), the
 //! monitor pass and the client's redirect loop, written against
-//! [`ClusterNode`] and a [`Fabric`].
+//! [`ClusterNode`] and a [`Fabric`]; and the bounded retries of one leg,
+//! which the TCP peer pool and the simulator run.
 //!
 //! [`ClusterNode`] and [`LeaderCore`] decide; something has to carry
 //! their plans to other nodes and bring the answers back. That something
 //! is the only thing a deployment supplies: the TCP server implements
 //! [`Fabric`] over its `Mutex<ClusterNode>` and `PeerPool`, the
-//! simulator over its node table and fault-injected `SimNet`, the tests
-//! over a vector of nodes in memory. Everything with a protocol decision
-//! in it — which legs are skipped, what the registry learns from a leg,
-//! when a leader steps down, when a follower claims — is below, so the
-//! simulator's properties are properties of the code `swatd` runs.
+//! simulator over its node table and a fault-injected `swat_net::Link`,
+//! the tests over a vector of nodes in memory. Everything with a protocol
+//! decision in it — which legs are skipped, what the registry learns from
+//! a leg, when a leader steps down, when a follower claims — is below, so
+//! the simulator's properties are properties of the code `swatd` runs.
 //!
 //! Node access and I/O never nest: [`Fabric::with_node`] hands a closure
 //! the node and nothing else, and every loop here alternates *decide
 //! under the node* → *one round of I/O* → *absorb under the node*.
+
+use swat_replication::RetryPolicy;
 
 use crate::cluster::{stale_term_in, LeaderCore, PeerCall, Plan};
 use crate::node::ClusterNode;
@@ -349,6 +352,18 @@ pub fn follow_redirects(
     None
 }
 
+/// The bounded retries of one leg: up to `policy.max_retries + 1` tries,
+/// ending at the first answer; `None` once every try has failed. `try_once`
+/// is given the wait that precedes its try — 0 for the first, then
+/// [`RetryPolicy::backoff`]`(n)` for try `n` — and spends it in its own
+/// units: the peer pool sleeps milliseconds, the simulator advances its
+/// clock by ticks.
+pub(crate) fn retry<T>(policy: &RetryPolicy, try_once: impl FnMut(u64) -> Option<T>) -> Option<T> {
+    (0..=policy.max_retries)
+        .map(|n| if n == 0 { 0 } else { policy.backoff(n) })
+        .find_map(try_once)
+}
+
 /// The in-memory fabric of this crate's unit tests.
 #[cfg(test)]
 pub(crate) mod testing {
@@ -624,5 +639,37 @@ mod tests {
             None
         );
         assert_eq!(target, 2, "1 → 2, hinted back to 1, → 2: one question each");
+    }
+
+    /// Every try fails: `max_retries + 1` tries, the first unwaited and
+    /// try `n` after `backoff(n)`. One answer ends the loop at once.
+    #[test]
+    fn retry_waits_the_backoff_before_each_retry_and_stops_at_the_first_answer() {
+        for max_retries in [0, 2, 4] {
+            let policy = RetryPolicy {
+                max_retries,
+                timeout: 3,
+            };
+            let mut waits = Vec::new();
+            let none = retry(&policy, |wait| {
+                waits.push(wait);
+                None::<()>
+            });
+            assert_eq!(none, None);
+            let want: Vec<u64> = std::iter::once(0)
+                .chain((1..=max_retries).map(|n| policy.backoff(n)))
+                .collect();
+            assert_eq!(waits, want, "max_retries {max_retries}");
+
+            for answer_at in 0..=max_retries as usize {
+                let mut tries = 0;
+                let got = retry(&policy, |_| {
+                    tries += 1;
+                    (tries > answer_at).then_some(tries)
+                });
+                assert_eq!(got, Some(answer_at + 1));
+                assert_eq!(tries, answer_at + 1, "no try after the answer");
+            }
+        }
     }
 }

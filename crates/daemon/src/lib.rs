@@ -25,20 +25,19 @@
 //!   tests feed every truncation and bit-flip of valid frames and
 //!   require typed errors, never panics.
 //!
-//! Two transports implement one trait: real TCP ([`transport::
-//! TcpTransport`]) and a deterministic in-process adapter over the
-//! `swat-net` fault injector ([`transport::SimTransport`]). Above them
-//! the protocol exists once: [`node::ClusterNode`] and
+//! The protocol exists once: [`node::ClusterNode`] and
 //! [`cluster::LeaderCore`] decide, and [`driver`] runs their plans — the
-//! request cycle, the monitor pass, the client's redirect walk — over
-//! whatever [`driver::Fabric`] a deployment hands it. [`server`] is the
-//! TCP fabric and the threads around it; [`sim::Sim`] is the simulated
-//! one, so the simulator is the *tested model* of the daemon in the
-//! strict sense that it runs the daemon's loops: under arbitrary
-//! `FaultPlan`s the `sim_oracle` property tests pin the byte-level wire
-//! arm bit-identical to the struct-level model arm — with a static leader
-//! and through elections — and, under no faults, to the in-process
-//! `ShardedStreamSet` oracle.
+//! request cycle, the monitor pass, the client's redirect walk, a leg's
+//! bounded retries — over whatever [`driver::Fabric`] a deployment hands
+//! it. [`server`] is the TCP fabric ([`transport::TcpTransport`] under a
+//! [`client::PeerPool`]) and the threads around it; [`sim::Sim`] is the
+//! simulated one, whose legs are verdicts of the `swat-net` fault
+//! injector on a virtual clock, so the simulator is the *tested model* of
+//! the daemon in the strict sense that it runs the daemon's loops: under
+//! arbitrary `FaultPlan`s the `sim_oracle` property tests pin the
+//! byte-level wire arm bit-identical to the struct-level model arm —
+//! with a static leader and through elections — and, under no faults, to
+//! the in-process `ShardedStreamSet` oracle.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -68,4 +67,4 @@ pub use registry::ReplicaRegistry;
 pub use replica::ReplicaNode;
 pub use server::{bind, spawn, spawn_on, DaemonConfig, DrainReport, Role, ServerHandle};
 pub use sim::{Sim, SimDeployment, SimMode, SimOp};
-pub use transport::{SimNet, SimTransport, TcpTransport, Transport, TransportError};
+pub use transport::{TcpTransport, Transport, TransportError};

@@ -1,44 +1,33 @@
-//! The blocking frame transport: one trait, two worlds.
+//! The blocking frame transport over TCP.
 //!
 //! [`Transport`] moves complete wire frames (header + payload, see
 //! [`crate::proto`]) between two endpoints. A received frame is lent,
 //! not handed over: [`Transport::recv_frame`] returns a slice of the
 //! transport's own storage, valid until the next call, which the caller
-//! checks and decodes in place. The daemon logic above it is identical
-//! for both implementations:
+//! checks and decodes in place.
 //!
-//! * [`TcpTransport`] — a real `std::net::TcpStream` with **read and
-//!   write deadlines on every socket operation** (no call can hang a
-//!   connection thread forever), the [`MAX_FRAME`] bound enforced
-//!   before any allocation, and a buffer on each side of the socket: one
-//!   `read` per burst of frames, each lent out of the read buffer where
-//!   it landed, and one `write` per queue of frames, each encoded
-//!   straight into the queue. The trait is unaware of that; pipelining
-//!   callers use the inherent `queue_request` / `queue_response` /
-//!   `flush` / `frame_buffered`. A row's bytes are therefore copied once
-//!   per hop on each side: decoded out of the read buffer, encoded into
-//!   the write queue.
-//! * [`SimTransport`] — a deterministic in-process endpoint pair over a
-//!   shared [`SimNet`], where every send is adjudicated by the
-//!   `swat-net` fault injector ([`swat_net::Link`]): delivered at a
-//!   tick, dropped, or refused because an endpoint is inside a crash
-//!   window. Same seed, same plan, same call sequence ⇒ same fates —
-//!   the property the oracle test builds on. It lends the frame it last
-//!   took from its inbox.
+//! Its one implementation, [`TcpTransport`], is a real
+//! `std::net::TcpStream` with **read and write deadlines on every socket
+//! operation** (no call can hang a connection thread forever), the
+//! [`MAX_FRAME`] bound enforced before any allocation, and a buffer on
+//! each side of the socket: one `read` per burst of frames, each lent out
+//! of the read buffer where it landed, and one `write` per queue of
+//! frames, each encoded straight into the queue. The trait is unaware of
+//! that; pipelining callers use the inherent `queue_request` /
+//! `queue_response` / `flush` / `frame_buffered`. A row's bytes are
+//! therefore copied once per hop on each side: decoded out of the read
+//! buffer, encoded into the write queue. The simulator crosses no
+//! transport: [`crate::sim`] adjudicates each frame with the `swat-net`
+//! fault injector directly.
 //!
 //! Failures are typed ([`TransportError`]); a timeout is
 //! distinguishable from a peer close, and a protocol violation carries
 //! the underlying [`ProtoError`].
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::rc::Rc;
 use std::time::Duration;
-
-use swat_net::{Delivery, FaultPlan, Link, NodeId};
 
 use crate::proto::{
     encode_request_into, encode_response_into, ProtoError, Request, Response, HEADER_LEN, MAX_FRAME,
@@ -88,8 +77,8 @@ pub trait Transport {
     /// # Errors
     ///
     /// [`TransportError`] on I/O failure, close, or deadline expiry.
-    /// A send accepted by a faulty link may still never arrive — that
-    /// is the fault model, not an error here.
+    /// A frame the socket accepted may still never be read — the peer
+    /// can die first; the sender's receive deadline surfaces that.
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError>;
 
     /// Receive one complete frame, lent out of the transport's own
@@ -304,151 +293,11 @@ impl Transport for TcpTransport {
     }
 }
 
-/// One in-flight simulated frame: arrives at tick `at`.
-#[derive(Debug, Clone)]
-struct InFlight {
-    at: u64,
-    frame: Vec<u8>,
-}
-
-/// The shared deterministic network: a fault adjudicator, a virtual
-/// clock, and one inbox per node. Single-threaded by design (the
-/// simulator is a model, not a server).
-#[derive(Debug)]
-pub struct SimNet {
-    link: Link,
-    now: u64,
-    inboxes: Vec<VecDeque<InFlight>>,
-}
-
-impl SimNet {
-    /// A network of `nodes` nodes (node 0 = the leader/source) under
-    /// `plan`, shared by every [`SimTransport`] endpoint built on it.
-    pub fn new(plan: FaultPlan, nodes: usize) -> Rc<RefCell<SimNet>> {
-        Rc::new(RefCell::new(SimNet {
-            link: Link::new(plan),
-            now: 0,
-            inboxes: (0..nodes).map(|_| VecDeque::new()).collect(),
-        }))
-    }
-
-    /// The virtual clock.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Advance the clock by `ticks` (backoff waits).
-    pub fn advance(&mut self, ticks: u64) {
-        self.now += ticks;
-    }
-
-    /// Adjudicate one transmission `from → to` at the next tick. The
-    /// clock advances by one (every send costs time); the verdict is
-    /// the fault injector's. **This is the only consumer of the fault
-    /// RNG**, so any two drivers making the same `transmit` sequence
-    /// see the same fates — the bit-identity anchor.
-    pub fn transmit(&mut self, from: NodeId, to: NodeId) -> Delivery {
-        self.now += 1;
-        self.link.adjudicate(self.now, from, to)
-    }
-
-    /// Queue `frame` for `to`, arriving at tick `at`.
-    fn deposit(&mut self, to: NodeId, at: u64, frame: Vec<u8>) {
-        let inbox = &mut self.inboxes[to.index()];
-        // Keep the inbox sorted by arrival, FIFO within a tick.
-        let pos = inbox.partition_point(|m| m.at <= at);
-        inbox.insert(pos, InFlight { at, frame });
-    }
-
-    /// Discard everything queued for `node` — models the connection
-    /// teardown a reconnecting client performs (stale in-flight bytes
-    /// never leak into the new connection).
-    pub fn purge(&mut self, node: NodeId) {
-        self.inboxes[node.index()].clear();
-    }
-
-    /// Whether `node` has a frame deliverable within `deadline` ticks;
-    /// if so, advance the clock to its arrival and return it.
-    fn take_within(&mut self, node: NodeId, deadline: u64) -> Option<Vec<u8>> {
-        let limit = self.now + deadline;
-        let inbox = &mut self.inboxes[node.index()];
-        match inbox.front() {
-            Some(m) if m.at <= limit => {
-                // invariant: front() just matched Some on this inbox.
-                let m = inbox.pop_front().expect("front exists");
-                self.now = self.now.max(m.at);
-                Some(m.frame)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// One endpoint of a simulated connection: frames sent here are
-/// adjudicated on the `me → peer` edge and received from `me`'s inbox.
-pub struct SimTransport {
-    net: Rc<RefCell<SimNet>>,
-    me: NodeId,
-    peer: NodeId,
-    /// Ticks a receive may wait before reporting [`TransportError::TimedOut`].
-    recv_deadline: u64,
-    /// The frame received last, lent out by [`Transport::recv_frame`].
-    last: Vec<u8>,
-}
-
-impl SimTransport {
-    /// An endpoint at `me` talking to `peer`, receives bounded by
-    /// `recv_deadline` ticks.
-    pub fn new(net: Rc<RefCell<SimNet>>, me: NodeId, peer: NodeId, recv_deadline: u64) -> Self {
-        SimTransport {
-            net,
-            me,
-            peer,
-            recv_deadline,
-            last: Vec::new(),
-        }
-    }
-}
-
-impl Transport for SimTransport {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
-        let mut net = self.net.borrow_mut();
-        match net.transmit(self.me, self.peer) {
-            Delivery::Delivered { at } => {
-                net.deposit(self.peer, at, frame.to_vec());
-                Ok(())
-            }
-            // The fault model loses the frame silently — exactly what a
-            // real network does to a datagram; the caller's deadline +
-            // retry machinery turns silence into a typed timeout.
-            Delivery::Dropped => Ok(()),
-            // A crashed endpoint refuses the connection outright.
-            Delivery::EndpointDown => Err(TransportError::Closed),
-        }
-    }
-
-    fn recv_frame(&mut self) -> Result<&[u8], TransportError> {
-        let mut net = self.net.borrow_mut();
-        match net.take_within(self.me, self.recv_deadline) {
-            Some(frame) => {
-                self.last = frame;
-                Ok(&self.last)
-            }
-            None => {
-                // The deadline elapsed waiting.
-                net.advance(self.recv_deadline);
-                Err(TransportError::TimedOut)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::{
-        check_frame, decode_request, encode_request, encode_response, sample_requests,
-        sample_responses, Request,
+        encode_request, encode_response, sample_requests, sample_responses, Request,
     };
     use std::net::{Shutdown, TcpListener};
 
@@ -640,54 +489,5 @@ mod tests {
             }))
         );
         assert_eq!(tp.rbuf.len(), READ_CHUNK);
-    }
-
-    #[test]
-    fn sim_transport_roundtrips_under_an_ideal_plan() {
-        let net = SimNet::new(FaultPlan::none(), 2);
-        let mut a = SimTransport::new(net.clone(), NodeId(0), NodeId(1), 10);
-        let mut b = SimTransport::new(net.clone(), NodeId(1), NodeId(0), 10);
-        let req = Request::Ping { nonce: 77 };
-        a.send_frame(&encode_request(&req)).unwrap();
-        let frame = b.recv_frame().unwrap();
-        assert_eq!(decode_request(check_frame(frame).unwrap()).unwrap(), req);
-        assert_eq!(b.recv_frame(), Err(TransportError::TimedOut));
-    }
-
-    #[test]
-    fn crashed_peer_refuses_sends() {
-        let plan = FaultPlan::new(3).with_crash(NodeId(1), 0, 100).unwrap();
-        let net = SimNet::new(plan, 2);
-        let mut a = SimTransport::new(net, NodeId(0), NodeId(1), 5);
-        assert_eq!(
-            a.send_frame(&encode_request(&Request::Status)),
-            Err(TransportError::Closed)
-        );
-    }
-
-    #[test]
-    fn purge_discards_stale_frames() {
-        let net = SimNet::new(FaultPlan::none(), 2);
-        let mut a = SimTransport::new(net.clone(), NodeId(0), NodeId(1), 10);
-        let mut b = SimTransport::new(net.clone(), NodeId(1), NodeId(0), 10);
-        a.send_frame(&encode_request(&Request::Status)).unwrap();
-        net.borrow_mut().purge(NodeId(1));
-        assert_eq!(b.recv_frame(), Err(TransportError::TimedOut));
-    }
-
-    #[test]
-    fn identical_transmit_sequences_get_identical_fates() {
-        let plan = FaultPlan::new(42).with_drop(0.4).unwrap();
-        let run = || {
-            let net = SimNet::new(plan.clone(), 3);
-            let mut fates = Vec::new();
-            for i in 0..50 {
-                let to = NodeId(1 + (i % 2));
-                let mut n = net.borrow_mut();
-                fates.push(n.transmit(NodeId(0), to));
-            }
-            fates
-        };
-        assert_eq!(run(), run());
     }
 }

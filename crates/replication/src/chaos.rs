@@ -78,13 +78,24 @@ use swat_net::{
 use swat_sim::{Metrics, PastTickError, Periodic, Scheduler};
 use swat_tree::InnerProductQuery;
 
-/// Retry protocol for replication (`Insert`/`Update`) messages when the
-/// fault plan can lose them.
+/// A bounded retry budget with exponential backoff: `max_retries`
+/// retries, [`RetryPolicy::backoff`] apart. Its users keep different
+/// schedules, each in its own units:
+///
+/// * the chaos driver (ticks) resends an unacked message `timeout` after
+///   the send, retry `n ≥ 2` `backoff(n - 1)` after retry `n - 1`, and
+///   writes the child off `backoff(max_retries)` after the last;
+/// * `swat-daemon`'s peer exchanges (milliseconds over TCP, ticks in its
+///   simulator) wait `backoff(n)` before retry `n`, so `2 × timeout`
+///   before the first;
+/// * `swat-daemon`'s `FailoverClient` (milliseconds) counts
+///   `max_retries` as rounds over its peers, at least one, round `n ≥ 1`
+///   `backoff(n)` after the one before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Retries after the initial send before the child is written off.
+    /// Retries after the first send (rounds, for the `FailoverClient`).
     pub max_retries: u32,
-    /// Ticks before the first retry; attempt `n` waits
+    /// The backoff base: `backoff(n)` is
     /// `timeout * 2^min(n, MAX_DOUBLINGS)`.
     pub timeout: u64,
 }
@@ -725,6 +736,7 @@ impl<A: SegmentApprox> Driver<'_, A> {
                     kind,
                 },
             );
+            // The first retry waits `timeout`, not `backoff(1)`.
             self.arm_retry(sched, now, self.retry.timeout, from, to, seg, seq);
         }
         let install = kind == MsgKind::Insert;
@@ -998,6 +1010,8 @@ impl<A: SegmentApprox> Driver<'_, A> {
             self.fresh_wid()
         };
         let attempt = p.attempt + 1;
+        // Retry `attempt` goes out now; the next one (or the write-off
+        // after the last) `backoff(attempt)` later.
         self.pending.insert(
             key,
             Pending {
