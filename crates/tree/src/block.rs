@@ -258,18 +258,34 @@ fn stride(config: &SwatConfig, l: usize) -> usize {
     config.coefficients().min(2 << l).next_power_of_two()
 }
 
-/// `newer.min(older)` per lane: `ValueRange::of(&[newer, older])` and
-/// `newer.union(older)`, operand order included — it decides which zero
-/// a `[-0.0, 0.0]` bound keeps.
+/// `newer.min(older)` per lane — `ValueRange::of(&[newer, older])` and
+/// `newer.union(older)` — as one compare: `older` only where it is
+/// strictly less, so a `±0` tie keeps `newer`, which is what decides
+/// which zero a `[-0.0, 0.0]` bound keeps. No lane holds a NaN — values
+/// are checked finite before they reach a tree, and a snapshot holding a
+/// NaN is refused — so `f64::min`'s NaN rule has nothing to do and is
+/// not paid for.
 #[inline]
 pub(crate) fn lanes_min<const W: usize>(newer: &[f64; W], older: &[f64; W]) -> [f64; W] {
-    std::array::from_fn(|w| newer[w].min(older[w]))
+    std::array::from_fn(|w| {
+        if older[w] < newer[w] {
+            older[w]
+        } else {
+            newer[w]
+        }
+    })
 }
 
-/// `newer.max(older)` per lane (see [`lanes_min`]).
+/// `newer.max(older)` per lane, `newer` kept on a tie (see [`lanes_min`]).
 #[inline]
 pub(crate) fn lanes_max<const W: usize>(newer: &[f64; W], older: &[f64; W]) -> [f64; W] {
-    std::array::from_fn(|w| newer[w].max(older[w]))
+    std::array::from_fn(|w| {
+        if older[w] > newer[w] {
+            older[w]
+        } else {
+            newer[w]
+        }
+    })
 }
 
 /// `W` trees that share a configuration and a clock, stored lane-major
@@ -580,6 +596,50 @@ mod tests {
             let copied = TreeView::new(&copy, w, 16);
             assert_eq!(copied.answers_digest(), one.answers_digest());
         }
+    }
+
+    /// Lane `w` of both range ops against `f64::min`/`max` of that lane,
+    /// bit for bit, on every `(newer, older)` pair rotated through the
+    /// lanes.
+    fn assert_range_lanes_match<const W: usize>(pairs: &[(f64, f64)]) {
+        for shift in 0..W.max(pairs.len()) {
+            let pair = |w: usize| pairs[(w + shift) % pairs.len()];
+            let newer: [f64; W] = std::hint::black_box(std::array::from_fn(|w| pair(w).0));
+            let older: [f64; W] = std::hint::black_box(std::array::from_fn(|w| pair(w).1));
+            let (lo, hi) = (lanes_min(&newer, &older), lanes_max(&newer, &older));
+            for w in 0..W {
+                let (n, o) = pair(w);
+                let ctx = format!("W={W} newer={n:?} older={o:?}");
+                assert_eq!(lo[w].to_bits(), n.min(o).to_bits(), "min {ctx}");
+                assert_eq!(hi[w].to_bits(), n.max(o).to_bits(), "max {ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_lanes_are_f64_min_and_max_with_newer_kept_on_a_tie() {
+        let pairs = [
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (0.0, 0.0),
+            (-0.0, -0.0),
+            (2.5, 2.5),
+            (-7.0, -7.0),
+            (f64::MAX, f64::MAX),
+            (1.0, 2.0),
+            (2.0, 1.0),
+            (-3.0, 0.5),
+            (0.5, -3.0),
+            (-0.0, 1e-300),
+            (f64::MIN, f64::MAX),
+        ];
+        assert_range_lanes_match::<1>(&pairs);
+        assert_range_lanes_match::<16>(&pairs);
+        // Which zero a tie keeps, spelled out: the newer one.
+        let (newer, older) = ([0.0, -0.0], [-0.0, 0.0]);
+        let bits = |v: [f64; 2]| v.map(f64::to_bits);
+        assert_eq!(bits(lanes_min(&newer, &older)), bits(newer));
+        assert_eq!(bits(lanes_max(&newer, &older)), bits(newer));
     }
 
     #[test]

@@ -35,6 +35,11 @@
 //!   `F_l[m] =` (level-`l` summary at `t0 + m·2^(l+1)`) `=
 //!   merge(F_{l−1}[2m], F_{l−1}[2m−1])` — adjacent entries of the child
 //!   slab, merged pair by pair in one sweep.
+//! * A slab entry is written only as far as something reads it: all
+//!   `k_l` coefficient lanes where a tail slot or a tail's on-the-spot
+//!   merge takes it (the last few entries of a level), else the prefix
+//!   its parent's merge reads of it. Away from a chunk's end an entry is
+//!   its average and its range.
 //! * Each level then writes its *slab tail* in place: the last
 //!   `min(capacity, refreshes)` summaries of the chunk, which is exactly
 //!   what the per-arrival pushes would have retained, go lane for lane
@@ -58,17 +63,21 @@
 //!
 //! The result is **bit-identical** to the scalar path — every lane op is
 //! the scalar expression with the scalar operand order (`(n + o) * 0.5`,
-//! `(n - o) * 0.5`, `n.min(o)`), truncation commutes with the blocked
-//! merge (see `swat_wavelet::block`), and the range lanes replay
-//! `ValueRange::of`/`union` exactly. The frozen copy of the pre-block
+//! `(n - o) * 0.5`), truncation commutes with the blocked merge (see
+//! `swat_wavelet::block`), and the range lanes replay
+//! `ValueRange::of`/`union` exactly: one compare a lane that keeps the
+//! newer value on a `±0` tie, as `n.min(o)` does, on values that hold no
+//! NaN. The frozen copy of the pre-block
 //! scalar path lives in [`reference`](mod@reference) and the
 //! `ingest_equivalence` property suite pins the two together node by
 //! node across window sizes, budgets, chunk alignments, stream counts,
 //! and interleaved `push`/`push_batch` call patterns.
 
 use std::cell::RefCell;
+use std::ops::Range;
+use std::slice::from_ref;
 
-use crate::block::{lanes_max, lanes_min, Block};
+use crate::block::{lanes_max, lanes_min, Block, Order};
 use crate::tree::SwatTree;
 use swat_wavelet::merge_pair;
 
@@ -85,9 +94,11 @@ const DEFAULT_MAX_CHUNK: usize = 1024;
 /// The `extend` staging buffer size.
 const EXTEND_BUF: usize = DEFAULT_MAX_CHUNK;
 
-/// One level's lanes: entry `m` holds the stored coefficient prefix
-/// (`kl` lanes, `kl` = the level's stored count) and the range bounds of
-/// the block's summaries created at `t0 + m * 2^(l+1)`.
+/// One level's lanes: entry `m` holds the range bounds and room for the
+/// stored coefficient prefix (`kl` lanes, `kl` = the level's stored
+/// count) of the block's summaries created at `t0 + m * 2^(l+1)`. A chunk
+/// writes only the lanes some reader reads ([`Reads::runs`]); the rest
+/// keep whatever an earlier chunk left.
 #[derive(Debug, Default, Clone)]
 struct Slab<const W: usize> {
     coeffs: Vec<[f64; W]>,
@@ -102,6 +113,9 @@ struct Slab<const W: usize> {
 pub(crate) struct LaneScratch<const W: usize> {
     max_chunk: usize,
     slabs: Vec<Slab<W>>,
+    /// A ragged block's chunk, one zero-padded lane per row, so the
+    /// cascade reads every row as a whole lane in place.
+    padded: Vec<[f64; W]>,
 }
 
 impl<const W: usize> LaneScratch<W> {
@@ -112,6 +126,7 @@ impl<const W: usize> LaneScratch<W> {
         LaneScratch {
             max_chunk,
             slabs: Vec::new(),
+            padded: Vec::new(),
         }
     }
 
@@ -254,10 +269,29 @@ pub(crate) fn ingest_block<const W: usize>(
             r += 1;
         } else {
             let chunk = &rows[r * stride..(r + c) * stride];
-            push_chunk_blocked(block, chunk, stride, first, width, scratch);
+            if width == W {
+                push_chunk_blocked(block, chunk, stride, first, scratch);
+            } else {
+                let mut padded = std::mem::take(&mut scratch.padded);
+                padded.clear();
+                padded.extend(
+                    chunk
+                        .chunks_exact(stride)
+                        .map(|row| lane(&row[first..][..width])),
+                );
+                push_chunk_blocked(block, padded.as_flattened(), W, 0, scratch);
+                scratch.padded = padded;
+            }
             r += c;
         }
     }
+}
+
+/// The first `W` values of `values`, in place: a row's lane when every
+/// lane of the block is a tree.
+#[inline]
+fn whole_lane<const W: usize>(values: &[f64]) -> &[f64; W] {
+    values[..W].try_into().expect("W values")
 }
 
 /// One row's values for a block of trees, zero-padded past the block's
@@ -271,14 +305,105 @@ fn lane<const W: usize>(values: &[f64]) -> [f64; W] {
     })
 }
 
+/// Which entries of a chunk's slabs are read, and how many of their
+/// coefficient lanes: one chunk's shape, the same for every block of a
+/// set.
+struct Reads {
+    /// Rows in the chunk.
+    c: usize,
+    /// The budget.
+    k: usize,
+    /// The first in-chunk refresh index that is valid: 2 on a cold
+    /// stream, else 1.
+    n_min: usize,
+    /// Highest level refreshed within the chunk.
+    l_top: usize,
+    /// Highest level whose slab is materialized.
+    l_cap: usize,
+    order: Order,
+}
+
+impl Reads {
+    /// Coefficients a level-`l` summary stores.
+    fn kept(&self, l: usize) -> usize {
+        self.k.min(2 << l)
+    }
+
+    /// The first refresh index in level `l`'s tail, which holds the last
+    /// `min(capacity, valid refreshes)` of the chunk's.
+    fn first(&self, l: usize) -> usize {
+        let count = self.c >> l;
+        let take = self
+            .order
+            .capacity(l)
+            .min((count + 1).saturating_sub(self.n_min));
+        count + 1 - take
+    }
+
+    /// The first entry of slab `l` that a reader reads whole: level `l`'s
+    /// tail copies entry `n / 2` for its even refreshes `n`, and level
+    /// `l + 1`'s tail merges entries `n - 1` and `n` on the spot for its
+    /// odd `n` (every `n` at the chunk-top level, which has no slab).
+    fn whole(&self, l: usize) -> usize {
+        let own = self.first(l).div_ceil(2);
+        if l == self.l_top {
+            return own;
+        }
+        let mut n = self.first(l + 1);
+        if l < self.l_cap && n.is_multiple_of(2) {
+            n += 1;
+        }
+        own.min(n - 1)
+    }
+
+    /// Hand `f` every run of slab `l`'s merged entries, `1..=c >> (l+1)`,
+    /// with the coefficient prefix the run's entries must store: all
+    /// `k_l` lanes from [`Self::whole`] on; below that, what the parent
+    /// entry that merges it reads, [`child_prefix`] of the parent's own.
+    /// Entry `m`'s ancestor `d` levels up is entry `⌈m / 2^d⌉`, so the
+    /// first ancestor read whole sets the prefix. Runs go from the newest
+    /// entries down.
+    fn runs(&self, l: usize, mut f: impl FnMut(Range<usize>, usize)) {
+        let mut end = (self.c >> (l + 1)) + 1;
+        let mut start = self.whole(l).clamp(1, end);
+        f(start..end, self.kept(l));
+        for d in 1..=self.l_cap - l {
+            let prefix = (0..d).fold(self.kept(l + d), |p, _| child_prefix(p));
+            if prefix == 1 || start == 1 {
+                break;
+            }
+            end = start;
+            // ⌈m / 2^d⌉ >= w exactly when m > (w - 1) * 2^d.
+            start = (((self.whole(l + d).max(1) - 1) << d) + 1).clamp(1, end);
+            f(start..end, prefix);
+        }
+        f(1..start, 1);
+    }
+}
+
+/// Lanes of each child a merge reads to write a parent prefix of `p`:
+/// past the root pair, a parent's depth-`j` block is the newer child's
+/// depth-`(j-1)` block and then the older's, so the newer child is read
+/// furthest — `min(p - q/2, q)` lanes for the largest power of two
+/// `q < p`. That is at least `⌈p/2⌉`, and more where `p` lies well inside
+/// its octave: four lanes at `p = 6`, six at `p = 10`.
+fn child_prefix(p: usize) -> usize {
+    if p <= 2 {
+        return 1;
+    }
+    let q = floor_pow2(p - 1);
+    (p - q / 2).min(q)
+}
+
 /// Ingest one aligned power-of-two chunk of rows into a canonical block
-/// through the blocked cascade, writing each level's tail in place.
+/// through the blocked cascade, writing each level's tail in place. Tree
+/// `w` takes value `chunk[r * stride + first + w]` of row `r`, for every
+/// lane of the block.
 fn push_chunk_blocked<const W: usize>(
     block: &mut Block<W>,
     chunk: &[f64],
     stride: usize,
     first: usize,
-    width: usize,
     scratch: &mut LaneScratch<W>,
 ) {
     let c = chunk.len() / stride;
@@ -298,7 +423,15 @@ fn push_chunk_blocked<const W: usize>(
     // first refreshes at t = 2^(l+1)); for t0 >= c every in-chunk refresh
     // is valid.
     let n_min: usize = if t0 == 0 { 2 } else { 1 };
-    let row = |r: usize| lane::<W>(&chunk[r * stride + first..][..width]);
+    let row = |r: usize| whole_lane::<W>(&chunk[r * stride + first..]);
+    let reads = Reads {
+        c,
+        k,
+        n_min,
+        l_top,
+        l_cap,
+        order,
+    };
 
     scratch.prepare(k, l_cap, c);
     let slabs = &mut scratch.slabs;
@@ -308,17 +441,29 @@ fn push_chunk_blocked<const W: usize>(
     // (older).
     let k0 = k.min(2);
     {
+        // Moved in, shapes by value: a shape the sweep reads through a
+        // reference is re-read and re-checked on every entry.
         let slab = &mut slabs[0];
-        let entries = (slab.coeffs[k0..].chunks_exact_mut(k0))
-            .zip(&mut slab.lo[1..])
-            .zip(&mut slab.hi[1..]);
-        for (((coeffs, lo), hi), pair) in entries.zip(chunk.chunks_exact(2 * stride)) {
-            let older = lane::<W>(&pair[first..][..width]);
-            let newer = lane::<W>(&pair[stride + first..][..width]);
-            merge_pair(&[newer], &[older], coeffs);
-            *lo = lanes_min(&newer, &older);
-            *hi = lanes_max(&newer, &older);
-        }
+        reads.runs(0, move |run, prefix| {
+            let entries = (slab.coeffs[run.start * k0..run.end * k0].chunks_exact_mut(k0))
+                .zip(&mut slab.lo[run.clone()])
+                .zip(&mut slab.hi[run.clone()]);
+            let pairs = chunk[(2 * run.start - 2) * stride..].chunks_exact(2 * stride);
+            for (((coeffs, lo), hi), pair) in entries.zip(pairs) {
+                let older = whole_lane::<W>(&pair[first..]);
+                let newer = whole_lane::<W>(&pair[stride + first..]);
+                // The average alone, the bulk of every budget's entries,
+                // as a fixed shape: left to a run-time length, the merge
+                // takes its general path and spills its lanes.
+                if prefix == 1 {
+                    merge_pair(from_ref(newer), from_ref(older), &mut coeffs[..1]);
+                } else {
+                    merge_pair(from_ref(newer), from_ref(older), &mut coeffs[..prefix]);
+                }
+                *lo = lanes_min(newer, older);
+                *hi = lanes_max(newer, older);
+            }
+        });
     }
     // Level l's tail includes the n = 1 refresh exactly when the chunk's
     // refresh count fits in its slab; that merge reads the child level's
@@ -342,8 +487,9 @@ fn push_chunk_blocked<const W: usize>(
     }
 
     // Higher lanes: F_l[m] = merge(F_{l-1}[2m] newer, F_{l-1}[2m-1]
-    // older) — adjacent child entries once slot 0 is skipped. The range
-    // lanes replay right.range().union(left.range()).
+    // older) — adjacent child entries once slot 0 is skipped — each to
+    // the prefix its readers read, from the children's prefix that needs.
+    // The range lanes replay right.range().union(left.range()).
     for l in 1..=l_cap {
         let kl = k.min(1 << (l + 1));
         let ck = k.min(1 << l);
@@ -351,12 +497,22 @@ fn push_chunk_blocked<const W: usize>(
         let (children, parents) = slabs.split_at_mut(l);
         let child = &children[l - 1];
         let slab = &mut parents[0];
-        let siblings = child.coeffs[ck..][..pairs * 2 * ck].chunks_exact(2 * ck);
-        let outs = slab.coeffs[kl..][..pairs * kl].chunks_exact_mut(kl);
-        for (out, pair) in outs.zip(siblings) {
-            let (older, newer) = pair.split_at(ck);
-            merge_pair(newer, older, out);
-        }
+        let coeffs = &mut slab.coeffs;
+        reads.runs(l, move |run, prefix| {
+            let need = child_prefix(prefix);
+            let siblings =
+                child.coeffs[(2 * run.start - 1) * ck..(2 * run.end - 1) * ck].chunks_exact(2 * ck);
+            let outs = coeffs[run.start * kl..run.end * kl].chunks_exact_mut(kl);
+            for (out, pair) in outs.zip(siblings) {
+                let (older, newer) = pair.split_at(ck);
+                // The average alone as a fixed shape, as at level 0.
+                if prefix == 1 {
+                    merge_pair(&newer[..1], &older[..1], &mut out[..1]);
+                } else {
+                    merge_pair(&newer[..need], &older[..need], &mut out[..prefix]);
+                }
+            }
+        });
         for i in 0..pairs {
             slab.lo[i + 1] = lanes_min(&child.lo[2 * i + 2], &child.lo[2 * i + 1]);
             slab.hi[i + 1] = lanes_max(&child.hi[2 * i + 2], &child.hi[2 * i + 1]);
@@ -379,9 +535,9 @@ fn push_chunk_blocked<const W: usize>(
             slot[2..].copy_from_slice(&slab.coeffs[(m - 1) * k0..][..k0]);
             let (newer, older) = (row(c - 2), row(c - 3));
             let slot = block.refresh(0, t_end - 1);
-            slot[0] = lanes_min(&newer, &older);
-            slot[1] = lanes_max(&newer, &older);
-            merge_pair(&[newer], &[older], &mut slot[2..]);
+            slot[0] = lanes_min(newer, older);
+            slot[1] = lanes_max(newer, older);
+            merge_pair(from_ref(newer), from_ref(older), &mut slot[2..]);
         }
         let slot = block.refresh(0, t_end);
         slot[0] = slab.lo[m];
@@ -393,11 +549,9 @@ fn push_chunk_blocked<const W: usize>(
     // oldest first — exactly what the per-arrival pushes retain. None
     // while a cold stream's tall level warms up.
     for l in 1..=l_top {
-        let count = c >> l;
-        let take = order.capacity(l).min((count + 1).saturating_sub(n_min));
         let kl = k.min(1 << (l + 1));
         let ck = k.min(1 << l);
-        for n in (count + 1 - take)..=count {
+        for n in reads.first(l)..=c >> l {
             let slot = block.refresh(l, t0 + ((n as u64) << l));
             if n % 2 == 0 && l <= l_cap {
                 let (slab, m) = (&slabs[l], n / 2);
@@ -424,7 +578,7 @@ fn push_chunk_blocked<const W: usize>(
     // the chunk (2^(L+1) may divide t0 + c).
     block.head.t += c as u64;
     block.head.has_last = true;
-    block.last = row(c - 1);
+    block.last = *row(c - 1);
     if (c >> l_top) >= n_min && l_top < n_levels - 1 {
         block.cascade_from(l_top + 1);
     }
@@ -680,6 +834,30 @@ mod tests {
             1 << 20
         );
         assert_eq!(IngestScratch::new().max_chunk(), 1024);
+    }
+
+    #[test]
+    fn child_prefix_is_exactly_what_the_merge_reads() {
+        // Children cut to child_prefix(p) lanes give the parent prefix of
+        // p that whole children give; a newer child one lane shorter does
+        // not. Every lane is non-zero, so a lane read as +0.0 shows.
+        let newer: Vec<[f64; 1]> = (0..64).map(|i| [i as f64 + 1.5]).collect();
+        let older: Vec<[f64; 1]> = (0..64).map(|i| [-(i as f64) - 0.25]).collect();
+        let merge = |n: usize, o: usize, p: usize| {
+            let mut out = vec![[f64::NAN]; p];
+            merge_pair(&newer[..n], &older[..o], &mut out);
+            out.iter().map(|[v]| v.to_bits()).collect::<Vec<_>>()
+        };
+        for p in 1..=64 {
+            let need = child_prefix(p);
+            assert_eq!(merge(need, need, p), merge(64, 64, p), "p={p}");
+            if need > 1 {
+                assert_ne!(merge(need - 1, need, p), merge(64, 64, p), "p={p}");
+            }
+        }
+        // Where it is not ⌈p/2⌉: the newer child's whole depth block
+        // comes before any of the older child's.
+        assert_eq!([6, 10, 11, 12].map(child_prefix), [4, 6, 7, 8]);
     }
 
     #[test]

@@ -227,16 +227,19 @@ impl StreamSet {
     /// but an empty block, for an empty set) or any value is not finite —
     /// before any stream advances.
     pub fn extend_rows(&mut self, rows: &[f64]) {
+        assert!(all_finite(rows), "stream values must be finite");
+        self.apply_rows(rows);
+    }
+
+    /// [`Self::extend_rows`] of rows that each passed [`Self::check_row`]
+    /// already: the arity check, and no second finiteness pass.
+    fn apply_rows(&mut self, rows: &[f64]) {
         let streams = self.streams;
         if streams == 0 {
             assert!(rows.is_empty(), "row arity mismatch");
             return;
         }
         assert_eq!(rows.len() % streams, 0, "a block holds whole rows");
-        assert!(
-            rows.iter().fold(true, |ok, v| ok & v.is_finite()),
-            "stream values must be finite"
-        );
         BLOCK_SCRATCH.with(|scratch| {
             let scratch = &mut scratch.borrow_mut();
             for (b, block) in self.blocks.iter_mut().enumerate() {
@@ -277,9 +280,7 @@ impl StreamSet {
             "columns must have equal lengths"
         );
         assert!(
-            columns
-                .iter()
-                .all(|c| c.as_ref().iter().fold(true, |ok, v| ok & v.is_finite())),
+            columns.iter().all(|c| all_finite(c.as_ref())),
             "stream values must be finite"
         );
         BLOCK_SCRATCH.with(|scratch| {
@@ -617,9 +618,10 @@ impl StreamSet {
 /// A [`StreamSet`] that takes rows one clock-aligned tile at a time.
 ///
 /// [`Self::hold`] checks a row and keeps it; the held rows reach the
-/// trees through [`StreamSet::extend_rows`] once the set's clock plus
-/// their count is a multiple of [`ROW_TILE`] — one aligned chunk of the
-/// blocked cascade per block of 16 streams, the rows read in place — and
+/// trees through [`StreamSet::extend_rows`]' cascade, without a second
+/// finiteness pass, once the set's clock plus their count is a multiple
+/// of [`ROW_TILE`] — one aligned chunk of the blocked cascade per block
+/// of 16 streams, the rows read in place — and
 /// before anything reads the trees. The second half is enforced by type:
 /// the only way to the set is [`Self::settled`], which takes `&mut self`
 /// and applies the held rows first, so no `&self` path can see a tree
@@ -690,7 +692,8 @@ impl TiledSet {
         if self.held_rows == 0 {
             return;
         }
-        self.set.extend_rows(&self.held);
+        // Every held row passed `check_row` at `hold`.
+        self.set.apply_rows(&self.held);
         self.held.clear();
         self.held_rows = 0;
     }
@@ -709,7 +712,7 @@ impl TiledSet {
             return self.set.answers_digest();
         }
         let mut copy = self.set.clone();
-        copy.extend_rows(&self.held);
+        copy.apply_rows(&self.held);
         copy.answers_digest()
     }
 }

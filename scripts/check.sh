@@ -108,10 +108,14 @@ ROWS=(
     # the truncated Haar walk every query runs against the full walk, bit
     # for bit over signed zeros, one lane and sixteen, as optimized code;
     # the set pass's own unit tests, whose lanes vectorize too; the
-    # lane-major storage's unit tests; the pinned snapshot bytes and
+    # lane-major storage's unit tests (the range lanes against f64::min
+    # and max on signed-zero ties among them); the pinned snapshot bytes and
     # digests, as the optimized writers produce them; and the sharded
     # top-k against its brute-force ranking with the row-floor test, a
-    # loop the optimizer vectorizes, beside its own unit tests.
+    # loop the optimizer vectorizes, beside its own unit tests. Then the
+    # blocked cascade's own unit tests — the chunk schedule, the prefix a
+    # merge reads of its children and the smoke test against the frozen
+    # reference — on the codegen that ships.
     "release equivalence"
     "cargo test -q --release -p swat-tree --test steady --test ingest_equivalence --test query_equivalence --test golden --test growing_equivalence --test shard_properties &&
      cargo test -q --release -p swat-wavelet --lib topk &&
@@ -119,7 +123,8 @@ ROWS=(
      cargo test -q --release -p swat-wavelet --lib coeffs &&
      cargo test -q --release -p swat-wavelet --lib haar:: &&
      cargo test -q --release -p swat-tree --lib scratch:: &&
-     cargo test -q --release -p swat-tree --lib block::"
+     cargo test -q --release -p swat-tree --lib block:: &&
+     cargo test -q --release -p swat-tree --lib ingest::"
     ""
 
     # Every CRC-32 path this CPU has, as the benchmark runs it: debug builds
